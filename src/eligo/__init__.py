@@ -33,6 +33,7 @@ from .rules import (  # noqa: F401
     print_rule,
     sensitivity,
     trial_verdict,
+    verdicts_for_note,
 )
 from .evaluation import (  # noqa: F401
     counterfactual_rate,

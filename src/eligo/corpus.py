@@ -10,8 +10,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
     CatalogError,
@@ -21,7 +22,14 @@ from .errors import (
     SchemaError,
 )
 
+if TYPE_CHECKING:
+    from .rules import ParsedRule
+
 log = logging.getLogger(__name__)
+
+# Tags, mock fixture keys and vote keys join ids with this separator, so no
+# note, question or criterion id may contain it.
+ID_SEPARATOR = "|"
 
 # Fixed rendering order; prompts and grounding checks depend on it.
 SECTION_ORDER = ("chief_complaint", "present_illness", "past_history")
@@ -121,6 +129,13 @@ class CriterionSpec:
             record["needs_human_rule"] = True
         return record
 
+    @cached_property
+    def parsed_rule(self) -> "ParsedRule":
+        """The rule, parsed on first use; validate_catalog does so at load."""
+        from .rules import ParsedRule  # deferred: rules imports this module
+
+        return ParsedRule.parse(self.rule_text)
+
 
 @dataclass(frozen=True)
 class TrialSpec:
@@ -165,12 +180,21 @@ def _require(record: Mapping, key: str, kind: type, line: int):
     return value
 
 
+def _check_id(kind: str, record_id: str, line: int | None = None) -> None:
+    if ID_SEPARATOR in record_id:
+        raise SchemaError(
+            f"{kind} {record_id!r} must not contain {ID_SEPARATOR!r}",
+            line=line, field=kind,
+        )
+
+
 def _parse_note(record: Mapping, line: int) -> AdmissionNote:
     if not isinstance(record, Mapping):
         raise SchemaError("expected a JSON object", line=line)
     note_id = _require(record, "note_id", str, line)
     if not note_id:
         raise SchemaError("note_id must be non-empty", line=line, field="note_id")
+    _check_id("note_id", note_id, line)
     raw_sections = _require(record, "sections", dict, line)
     sections: dict[str, str] = {}
     for name, text in raw_sections.items():
@@ -260,6 +284,7 @@ def load_questions(path: str | Path) -> dict[str, QuestionSpec]:
         )
         if not question.question_id or not question.text:
             raise SchemaError("question_id and text must be non-empty", field="question_id")
+        _check_id("question_id", question.question_id)
         if (
             question.category is Category.SYMPTOM_AND_EVENT
             and question.task_type is not TaskType.CLASSIFICATION
@@ -288,6 +313,7 @@ def load_criteria(path: str | Path) -> dict[str, CriterionSpec]:
             question_ids=tuple(record.get("question_ids", [])),
             needs_human_rule=bool(record.get("needs_human_rule", False)),
         )
+        _check_id("criterion_id", criterion.criterion_id)
         if criterion.criterion_id in criteria:
             raise DuplicateIdError("criterion", criterion.criterion_id)
         criteria[criterion.criterion_id] = criterion
@@ -315,8 +341,6 @@ def load_trials(path: str | Path) -> dict[str, TrialSpec]:
 
 def validate_catalog(catalog: Catalog) -> None:
     """Check every cross-reference; name the offending id on failure."""
-    from .rules import parse_rule, referenced_ids  # deferred: rules imports Verdict
-
     for criterion in catalog.criteria.values():
         where = f"criterion {criterion.criterion_id!r}"
         for question_id in criterion.question_ids:
@@ -329,10 +353,10 @@ def validate_catalog(catalog: Catalog) -> None:
                 f"{where} has an empty rule and is not flagged needs_human_rule"
             )
         try:
-            expr = parse_rule(criterion.rule_text)
+            rule = criterion.parsed_rule
         except RuleParseError as exc:
             raise exc.with_criterion(criterion.criterion_id) from exc
-        for question_id in sorted(referenced_ids(expr)):
+        for question_id in rule.question_ids:
             if question_id not in criterion.question_ids:
                 raise DanglingReferenceError(question_id, f"{where} rule")
             if question_id not in catalog.questions:

@@ -235,11 +235,28 @@ def _normalize(text: str) -> str:
     return _WS_RE.sub(" ", _NON_WORD_RE.sub(" ", text.casefold())).strip()
 
 
-def grounding_check(answer: ParsedAnswer, note: AdmissionNote) -> Grounding:
-    """GROUNDED iff every evidence quote occurs in the note after normalization."""
+def normalize_notes(notes: Iterable[AdmissionNote]) -> dict[str, str]:
+    """Each note's canonical text, normalized for grounding, by note id.
+
+    Normalizing a note costs far more than checking one quote, so callers
+    that check many answers normalize each note once and pass its text to
+    grounding_check.
+    """
+    return {note.note_id: _normalize(canonical_text(note)) for note in notes}
+
+
+def grounding_check(
+    answer: ParsedAnswer, note: AdmissionNote, normalized_note: str | None = None
+) -> Grounding:
+    """GROUNDED iff every evidence quote occurs in the note after normalization.
+
+    ``normalized_note`` is the note's text from normalize_notes, computed
+    here when not given.
+    """
     if not answer.evidence:
         return Grounding.NO_EVIDENCE
-    normalized_note = _normalize(canonical_text(note))
+    if normalized_note is None:
+        normalized_note = _normalize(canonical_text(note))
     for quote in answer.evidence:
         if _normalize(quote) not in normalized_note:
             return Grounding.UNGROUNDED
@@ -250,14 +267,19 @@ def counterfactual_rate(
     predictions: Mapping[tuple[str, str], ParsedAnswer],
     gold: GoldSet,
     notes: Mapping[str, AdmissionNote] | Iterable[AdmissionNote],
+    *,
+    note_texts: Mapping[str, str] | None = None,
 ) -> CounterfactualReport:
     """Fraction of answers that assert YES/NO wrongly without grounded evidence.
 
     A wrong answer whose evidence does occur in the note is an inference
-    error, not a fabrication, and never counts here.
+    error, not a fabrication, and never counts here.  ``note_texts`` are the
+    notes' normalize_notes texts, computed here when not given.
     """
     if not isinstance(notes, Mapping):
         notes = {note.note_id: note for note in notes}
+    if note_texts is None:
+        note_texts = normalize_notes(notes.values())
     count = 0
     errors = 0
     for key in sorted(predictions):
@@ -272,7 +294,7 @@ def counterfactual_rate(
         if wrong:
             errors += 1
             if answer.value in (Verdict.YES, Verdict.NO):
-                if grounding_check(answer, note) is Grounding.UNGROUNDED:
+                if grounding_check(answer, note, note_texts[note_id]) is Grounding.UNGROUNDED:
                     count += 1
     total = len(predictions)
     return CounterfactualReport(

@@ -11,8 +11,14 @@ Grammar (keywords case-insensitive)::
 
 Evaluation is two-valued over tri-valued answers: an atom "Q IS NOT YES"
 is true when Q is NO *or* UNKNOWN.  Uncertainty is surfaced separately by
-the sensitivity analysis, which re-evaluates under every YES/NO completion
-of the UNKNOWN answers.
+the sensitivity analysis, which decides exactly whether the verdict is the
+same under every YES/NO completion of the UNKNOWN answers.  It evaluates the
+rule in Kleene's three-valued logic and splits on an UNKNOWN answer only
+while the result is still undecided, instead of enumerating all 2^k
+completions.
+
+A criterion's rule is parsed once, when its catalog is validated at load
+(``CriterionSpec.parsed_rule``), and reused for every note.
 """
 
 from __future__ import annotations
@@ -20,14 +26,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 from typing import Iterable, Mapping, Union
 
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from .errors import CatalogError, MissingVerdictError, RuleParseError
 
-# Enumerating 2^k completions is cheap up to here; beyond it the verdict is
-# reported UNSTABLE with the capped flag instead of stalling.
+# Case splitting is exponential in the worst case; beyond this many UNKNOWN
+# answers the verdict is reported UNSTABLE with the capped flag instead.
 SENSITIVITY_CAP = 16
 
 
@@ -262,6 +267,19 @@ def print_rule(expr: RuleExpr) -> str:
     raise TypeError(f"not a rule expression: {expr!r}")
 
 
+@dataclass(frozen=True)
+class ParsedRule:
+    """A rule's AST and the sorted ids of the questions it references."""
+
+    expr: RuleExpr
+    question_ids: tuple[str, ...]
+
+    @classmethod
+    def parse(cls, text: str) -> "ParsedRule":
+        expr = parse_rule(text)
+        return cls(expr, tuple(sorted(referenced_ids(expr))))
+
+
 def referenced_ids(expr: RuleExpr) -> set[str]:
     if isinstance(expr, Atom):
         return {expr.question_id}
@@ -311,7 +329,7 @@ def rename_questions(expr: RuleExpr, mapping: Mapping[str, str]) -> RuleExpr:
 class AnswerMap:
     """Tri-valued answers per question; records which lookups were missing."""
 
-    values: dict[str, Verdict]
+    values: Mapping[str, Verdict]
     missing_ids: set[str] = field(default_factory=set)
 
     def lookup(self, question_id: str) -> Verdict:
@@ -325,7 +343,7 @@ class AnswerMap:
 def _as_answer_map(answers: AnswerMap | Mapping[str, Verdict]) -> AnswerMap:
     if isinstance(answers, AnswerMap):
         return answers
-    return AnswerMap(dict(answers))
+    return AnswerMap(answers)
 
 
 def eval_rule(expr: RuleExpr, answers: AnswerMap | Mapping[str, Verdict]) -> bool:
@@ -366,32 +384,106 @@ class SensitivityResult:
 
 
 def sensitivity(
-    expr: RuleExpr, answers: AnswerMap | Mapping[str, Verdict]
+    expr: RuleExpr | ParsedRule, answers: AnswerMap | Mapping[str, Verdict]
 ) -> SensitivityResult:
     """Check whether the verdict survives every YES/NO completion of UNKNOWNs.
 
-    Enumerates all 2^k completions for the k UNKNOWN answers the expression
-    references (missing answers count as UNKNOWN).  Beyond SENSITIVITY_CAP
-    unknowns the result defaults to UNSTABLE with the capped flag set.
+    Exact over the k UNKNOWN answers the expression references (missing
+    answers count as UNKNOWN), without enumerating the 2^k completions: the
+    rule is evaluated in Kleene's three-valued logic, and an UNKNOWN answer
+    is split into YES and NO only while the result is still undecided.  The
+    search stops at the first branch whose completions disagree.  Beyond
+    SENSITIVITY_CAP unknowns the result defaults to UNSTABLE with the capped
+    flag set.  A ParsedRule saves collecting the referenced ids again.
     """
-    answer_map = _as_answer_map(answers)
-    base = {q: answer_map.values.get(q, Verdict.UNKNOWN) for q in referenced_ids(expr)}
-    unknowns = sorted(q for q, value in base.items() if value is Verdict.UNKNOWN)
-    k = len(unknowns)
+    if isinstance(expr, ParsedRule):
+        expr, question_ids = expr.expr, expr.question_ids
+    else:
+        question_ids = sorted(referenced_ids(expr))
+    values = _as_answer_map(answers).values
+    known: dict[str, Verdict] = {}
+    k = 0
+    for question_id in question_ids:
+        value = values.get(question_id, Verdict.UNKNOWN)
+        if value is Verdict.UNKNOWN:
+            k += 1
+        else:
+            known[question_id] = value
     if k == 0:
         return SensitivityResult(Stability.STABLE, unknown_count=0)
     if k > SENSITIVITY_CAP:
         return SensitivityResult(Stability.UNSTABLE, unknown_count=k, capped=True)
-    first: bool | None = None
-    for completion in product((Verdict.YES, Verdict.NO), repeat=k):
-        candidate = dict(base)
-        candidate.update(zip(unknowns, completion))
-        outcome = _eval(expr, AnswerMap(candidate))
-        if first is None:
-            first = outcome
-        elif outcome != first:
-            return SensitivityResult(Stability.UNSTABLE, unknown_count=k)
-    return SensitivityResult(Stability.STABLE, unknown_count=k)
+    stable = _settle(expr, known) is not None
+    return SensitivityResult(
+        Stability.STABLE if stable else Stability.UNSTABLE, unknown_count=k
+    )
+
+
+def _settle(expr: RuleExpr, known: dict[str, Verdict]) -> bool | None:
+    """The value shared by every YES/NO completion of the free answers, else None.
+
+    ``known`` holds the YES/NO answers; every other referenced question is
+    free.  It is extended while splitting and restored before returning.
+    """
+    value = _kleene(expr, known)
+    if isinstance(value, bool):
+        return value
+    known[value] = Verdict.YES
+    outcome = _settle(expr, known)
+    if outcome is not None:
+        known[value] = Verdict.NO
+        if _settle(expr, known) != outcome:
+            outcome = None
+    del known[value]
+    return outcome
+
+
+def _kleene(expr: RuleExpr, known: Mapping[str, Verdict]) -> bool | str:
+    """Strong Kleene evaluation over the YES/NO completions of the free answers.
+
+    Returns True or False when every completion gives that value, and
+    otherwise the id of a free question the value still depends on.  A
+    completion answers only YES or NO, so "Q IS UNKNOWN" is False for a
+    free Q as much as for a known one.
+    """
+    if isinstance(expr, Atom):
+        answer = known.get(expr.question_id)
+        if answer is None:
+            if expr.value is not Verdict.UNKNOWN:
+                return expr.question_id
+            hit = False
+        else:
+            hit = answer is expr.value
+        return hit != expr.negated
+    if isinstance(expr, Not):
+        value = _kleene(expr.child, known)
+        return value if isinstance(value, str) else not value
+    if isinstance(expr, (And, Or)):
+        # An AND is settled by one False child, an OR by one True child.
+        decisive = isinstance(expr, Or)
+        pending = None
+        for child in expr.children:
+            value = _kleene(child, known)
+            if value is decisive:
+                return decisive
+            if pending is None and isinstance(value, str):
+                pending = value
+        return not decisive if pending is None else pending
+    if isinstance(expr, (AnyOf, AllOf)):
+        if expr.value is Verdict.UNKNOWN:
+            return False
+        # ANY is settled by one matching answer, ALL by one that differs.
+        decisive = isinstance(expr, AnyOf)
+        pending = None
+        for question_id in expr.question_ids:
+            answer = known.get(question_id)
+            if answer is None:
+                if pending is None:
+                    pending = question_id
+            elif (answer is expr.value) is decisive:
+                return decisive
+        return not decisive if pending is None else pending
+    raise TypeError(f"not a rule expression: {expr!r}")
 
 
 # -- criterion / trial verdicts -----------------------------------------------
@@ -431,13 +523,13 @@ def criterion_verdict(
         raise CatalogError(
             f"criterion {criterion.criterion_id!r} has no rule to evaluate"
         )
-    expr = parse_rule(criterion.rule_text)
+    rule = criterion.parsed_rule
     answer_map = _as_answer_map(answers)
-    met = eval_rule(expr, answer_map)
-    stable = sensitivity(expr, answer_map).status is Stability.STABLE
-    referenced = sorted(referenced_ids(expr))
-    snapshot = {q: answer_map.values.get(q, Verdict.UNKNOWN) for q in referenced}
-    missing = tuple(q for q in referenced if q not in answer_map.values)
+    values = answer_map.values
+    met = eval_rule(rule.expr, answer_map)
+    stable = sensitivity(rule, answer_map).status is Stability.STABLE
+    snapshot = {q: values.get(q, Verdict.UNKNOWN) for q in rule.question_ids}
+    missing = tuple(q for q in rule.question_ids if q not in values)
     return CriterionVerdict(
         criterion_id=criterion.criterion_id,
         kind=criterion.kind,
@@ -446,6 +538,13 @@ def criterion_verdict(
         answers=snapshot,
         missing_ids=missing,
     )
+
+
+def verdicts_for_note(
+    criteria: Iterable[CriterionSpec], answers: Mapping[str, Verdict]
+) -> list[CriterionVerdict]:
+    """Criterion verdicts for one note's answers, in the order of ``criteria``."""
+    return [criterion_verdict(criterion, answers) for criterion in criteria]
 
 
 def trial_verdict(trial: TrialSpec, verdicts: Iterable[CriterionVerdict]) -> TrialVerdict:

@@ -38,6 +38,7 @@ from .errors import (
 from .evaluation import (
     counterfactual_rate,
     grounding_check,
+    normalize_notes,
     render_report,
     score_criteria,
     score_questions,
@@ -46,7 +47,7 @@ from .evaluation import (
 from .gateway import BackendConfig, Gateway, ParsedAnswer, backend_config_from_dict
 from .pathway_a import ROLE_IDS, answer_with_role, load_roles, majority_vote, RoleAnswer
 from .pathway_b import run_debate
-from .rules import criterion_verdict, trial_verdict
+from .rules import trial_verdict, verdicts_for_note
 
 log = logging.getLogger(__name__)
 
@@ -441,14 +442,23 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
+AnswersByNote = dict[str, dict[str, Verdict]]  # note id -> question id -> answer
+
+
+def _answers_by_label(records: Iterable[ResultRecord]) -> dict[str, AnswersByNote]:
+    """Group answer values by label, then note, in one pass; later records win."""
+    grouped: dict[str, AnswersByNote] = {}
+    for record in records:
+        grouped.setdefault(record.pathway, {}).setdefault(record.note_id, {})[
+            record.question_id
+        ] = record.answer.value
+    return grouped
+
+
 def _write_verdicts(path: Path, notes, catalog: Catalog,
                     records: list[ResultRecord]) -> None:
     """Derive criterion and trial verdicts per answer stream; rewrite wholesale."""
-    by_label: dict[str, dict[tuple[str, str], Verdict]] = {}
-    for record in records:
-        by_label.setdefault(record.pathway, {})[
-            (record.note_id, record.question_id)
-        ] = record.answer.value
+    by_label = _answers_by_label(records)
 
     scorable = [criterion for criterion in catalog.criteria.values()
                 if criterion.rule_text]
@@ -459,20 +469,13 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
 
     lines: list[str] = []
     for label in sorted(by_label):
-        answers_by_key = by_label[label]
+        answers_by_note = by_label[label]
         for note in notes:
-            answers = {
-                question_id: value
-                for (note_id, question_id), value in answers_by_key.items()
-                if note_id == note.note_id
-            }
-            verdicts = []
-            for criterion in scorable:
-                verdict = criterion_verdict(criterion, answers)
-                verdicts.append(verdict)
+            verdicts = verdicts_for_note(scorable, answers_by_note.get(note.note_id, {}))
+            for verdict in verdicts:
                 lines.append(json.dumps({
                     "note_id": note.note_id,
-                    "criterion_id": criterion.criterion_id,
+                    "criterion_id": verdict.criterion_id,
                     "met": verdict.met,
                     "stable": verdict.stable,
                     "pathway": label,
@@ -549,6 +552,7 @@ def cmd_evaluate(
             (record.note_id, record.question_id)
         ] = record.answer
         timing_records.append((record.pathway, record.elapsed_s))
+    answers_by_label = _answers_by_label(records)
 
     try:
         positive = Verdict(positive_class)
@@ -556,6 +560,7 @@ def cmd_evaluate(
         log.error("positive class must be YES, NO or UNKNOWN, got %r", positive_class)
         return EXIT_INPUT
 
+    note_texts = normalize_notes(notes) if notes is not None else None
     question_level: dict[str, dict] = {}
     criterion_level: dict[str, dict] = {}
     scorable = [criterion for criterion in catalog.criteria.values()
@@ -566,22 +571,20 @@ def cmd_evaluate(
                       if key in gold.question_labels}
             report = score_questions(scored, gold, catalog, positive_class=positive)
             if notes_by_id is not None:
-                report.counterfactual = counterfactual_rate(scored, gold, notes_by_id)
+                report.counterfactual = counterfactual_rate(
+                    scored, gold, notes_by_id, note_texts=note_texts
+                )
             document = report.to_dict()
             document["unscored_count"] = len(predictions) - len(scored)
             question_level[label] = document
 
             if gold.criterion_labels:
                 verdicts = {}
-                note_ids = {note_id for note_id, _ in predictions}
-                for note_id in sorted(note_ids):
-                    answers = {question_id: answer.value
-                               for (n, question_id), answer in predictions.items()
-                               if n == note_id}
-                    for criterion in scorable:
-                        key = (note_id, criterion.criterion_id)
-                        if key in gold.criterion_labels:
-                            verdicts[key] = criterion_verdict(criterion, answers)
+                for note_id, answers in sorted(answers_by_label[label].items()):
+                    labelled = [criterion for criterion in scorable
+                                if (note_id, criterion.criterion_id) in gold.criterion_labels]
+                    for verdict in verdicts_for_note(labelled, answers):
+                        verdicts[(note_id, verdict.criterion_id)] = verdict
                 criterion_level[label] = score_criteria(verdicts, gold).to_dict()
     except KeyError as exc:
         log.error("scoring error: %s", exc)
@@ -613,7 +616,9 @@ def cmd_evaluate(
             if notes_by_id is not None:
                 note = notes_by_id.get(record.note_id)
                 if note is not None:
-                    grounding = grounding_check(record.answer, note).value
+                    grounding = grounding_check(
+                        record.answer, note, note_texts[record.note_id]
+                    ).value
             writer.writerow({
                 "note_id": record.note_id,
                 "question_id": record.question_id,

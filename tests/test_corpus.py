@@ -69,6 +69,17 @@ class TestLoadNotes:
             load_notes(path)
         assert excinfo.value.line == 1
 
+    def test_separator_in_note_id_rejected(self, tmp_path):
+        # "a|b" with question "c" would share tags with "a" and question "b|c".
+        path = write_lines(tmp_path / "notes.jsonl", [
+            json.dumps({"note_id": "a|b", "sections": {"chief_complaint": "x"}}),
+        ])
+        with pytest.raises(SchemaError) as excinfo:
+            load_notes(path)
+        assert "'a|b'" in str(excinfo.value)
+        assert excinfo.value.field == "note_id"
+        assert excinfo.value.line == 1
+
     def test_all_sections_empty_rejected(self, tmp_path):
         path = write_lines(tmp_path / "notes.jsonl", [
             json.dumps({"note_id": "n1", "sections": {"chief_complaint": "  "}}),
@@ -169,6 +180,39 @@ class TestCatalog:
         path.write_text(json.dumps(questions))
         with pytest.raises(SchemaError):
             load_questions(path)
+
+    def test_separator_in_question_id_rejected(self, tmp_path):
+        questions = {"questions": [{
+            "question_id": "b|c", "text": "t",
+            "category": "Diagnosis", "task_type": "DirectMatch",
+        }]}
+        path = tmp_path / "questions.json"
+        path.write_text(json.dumps(questions))
+        with pytest.raises(SchemaError) as excinfo:
+            load_questions(path)
+        assert "'b|c'" in str(excinfo.value)
+        assert excinfo.value.field == "question_id"
+
+    def test_separator_in_criterion_id_rejected(self, tmp_path, data_dir):
+        criteria = {"criteria": [{
+            "criterion_id": "C|1", "trial_ids": [], "kind": "inclusion",
+            "text": "t", "rule": "Q1 IS YES", "question_ids": ["Q1"],
+        }]}
+        (tmp_path / "criteria.json").write_text(json.dumps(criteria))
+        (tmp_path / "trials.json").write_text(json.dumps({"trials": []}))
+        with pytest.raises(SchemaError) as excinfo:
+            load_catalog(
+                data_dir / "catalog_liver" / "questions.json",
+                tmp_path / "criteria.json",
+                tmp_path / "trials.json",
+            )
+        assert "'C|1'" in str(excinfo.value)
+        assert excinfo.value.field == "criterion_id"
+
+    def test_rule_parsed_once_at_load(self, liver_catalog):
+        criterion = liver_catalog.criteria["C1"]
+        assert criterion.parsed_rule is criterion.parsed_rule
+        assert criterion.parsed_rule.question_ids == ("Q1", "Q2", "Q3", "Q4")
 
     def test_empty_rule_requires_human_flag(self, liver_catalog):
         bare = CriterionSpec("cx", (), CriterionKind.INCLUSION, "text", "", ())

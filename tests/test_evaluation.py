@@ -15,6 +15,7 @@ from eligo.evaluation import (
     Grounding,
     counterfactual_rate,
     grounding_check,
+    normalize_notes,
     render_report,
     score_criteria,
     score_questions,
@@ -273,6 +274,18 @@ class TestGrounding:
         assert result is Grounding.UNGROUNDED
 
 
+    def test_normalized_text_gives_the_same_result(self, notes):
+        texts = normalize_notes(notes)
+        assert list(texts) == [note.note_id for note in notes]
+        quotes = ["hepatocellular carcinoma (trabecular type)",
+                  "cholangiocarcinoma confirmed", "Hepatocellular Carcinoma, trabecular type"]
+        for note in notes:
+            for evidence in ([], [quotes[0]], [quotes[1]], [quotes[2]], quotes):
+                given = answer(Verdict.YES, evidence)
+                assert grounding_check(given, note, texts[note.note_id]) is \
+                    grounding_check(given, note)
+
+
 class TestCounterfactualRate:
     def test_all_grounded_rate_zero(self):
         predictions, gold, notes = counterfactual_items()
@@ -305,6 +318,15 @@ class TestCounterfactualRate:
         predictions[("n1", "qf400")] = answer(Verdict.UNKNOWN, ["fabricated quote"])
         report = counterfactual_rate(predictions, gold, notes)
         assert report.count == 0
+
+    def test_given_note_texts_are_used(self):
+        predictions, gold, notes = counterfactual_items()
+        texts = normalize_notes(notes.values())
+        assert counterfactual_rate(predictions, gold, notes, note_texts=texts).count == 1
+        texts["n1"] += " transplant evaluation completed"
+        report = counterfactual_rate(predictions, gold, notes, note_texts=texts)
+        assert report.count == 0
+        assert report.error_count == 1
 
     def test_rate_never_exceeds_error_rate(self):
         predictions, gold, notes = counterfactual_items()

@@ -14,6 +14,7 @@ from eligo.rules import (
     CriterionVerdict,
     Not,
     Or,
+    ParsedRule,
     Stability,
     criterion_verdict,
     desugar,
@@ -24,6 +25,7 @@ from eligo.rules import (
     rename_questions,
     sensitivity,
     trial_verdict,
+    verdicts_for_note,
 )
 
 LIVER_RULE = "Q1 IS YES AND (Q2 IS YES OR Q3 IS YES) AND Q4 IS NOT YES"
@@ -83,6 +85,37 @@ def random_expr(rng, question_ids, depth=0):
 def exhaustive_assignments(question_ids):
     for combo in product(VALUES, repeat=len(question_ids)):
         yield dict(zip(question_ids, combo))
+
+
+def brute_force_sensitivity(expr, answers):
+    """The 2^k oracle: (stable, k) by evaluating every YES/NO completion."""
+    unknowns = sorted(q for q in referenced_ids(expr)
+                      if answers.get(q, Verdict.UNKNOWN) is Verdict.UNKNOWN)
+    outcomes = set()
+    for completion in product((Verdict.YES, Verdict.NO), repeat=len(unknowns)):
+        candidate = dict(answers)
+        candidate.update(zip(unknowns, completion))
+        outcomes.add(reference_eval(expr, candidate))
+    return len(outcomes) == 1, len(unknowns)
+
+
+def rule_features(expr, seen=None):
+    """Which constructs a rule uses, and whether some question id repeats."""
+    seen = seen if seen is not None else {"ids": []}
+    if isinstance(expr, Atom):
+        seen["ids"].append(expr.question_id)
+        if expr.value is Verdict.UNKNOWN:
+            seen["IS NOT UNKNOWN" if expr.negated else "IS UNKNOWN"] = True
+    elif isinstance(expr, Not):
+        rule_features(expr.child, seen)
+    elif isinstance(expr, (And, Or)):
+        for child in expr.children:
+            rule_features(child, seen)
+    else:
+        seen["ANY" if isinstance(expr, AnyOf) else "ALL"] = True
+        seen["ids"].extend(expr.question_ids)
+    seen["repeated"] = len(seen["ids"]) != len(set(seen["ids"]))
+    return seen
 
 
 class TestParser:
@@ -224,6 +257,56 @@ class TestSensitivity:
         assert result.status is Stability.UNSTABLE
         assert result.capped is True
 
+    def test_matches_brute_force_oracle_on_random_rules(self):
+        rng = random.Random(2025)
+        covered = set()
+        for _ in range(150):
+            ids = [f"Q{i}" for i in range(1, rng.randint(1, 4) + 1)]
+            expr = random_expr(rng, ids)
+            features = rule_features(expr)
+            covered |= {name for name, hit in features.items() if hit is True}
+            for assignment in exhaustive_assignments(ids):
+                # Dropping the UNKNOWN entries makes those answers missing.
+                missing = {q: v for q, v in assignment.items()
+                           if v is not Verdict.UNKNOWN}
+                for answers in (assignment, missing):
+                    result = sensitivity(expr, answers)
+                    stable, k = brute_force_sensitivity(expr, answers)
+                    assert result.unknown_count == k
+                    assert (result.status is Stability.STABLE) == stable, \
+                        (print_rule(expr), answers)
+                    assert result.capped is False
+        assert covered >= {"repeated", "IS UNKNOWN", "IS NOT UNKNOWN", "ANY", "ALL"}
+
+    @pytest.mark.parametrize("rule, stable", [
+        ("Q1 IS YES OR Q1 IS NO", True),
+        ("Q1 IS YES AND Q1 IS NO", True),
+        ("Q1 IS UNKNOWN", True),
+        ("Q1 IS NOT UNKNOWN", True),
+        ("ANY(Q1, Q2) IS UNKNOWN OR ALL(Q1, Q2) IS UNKNOWN", True),
+        ("(Q1 IS YES AND Q2 IS YES) OR (Q1 IS NO AND Q2 IS YES) OR Q2 IS NO", True),
+        ("(Q1 IS YES AND Q2 IS YES) OR (Q1 IS NO AND Q2 IS NO)", False),
+        ("ANY(Q1, Q2, Q3) IS YES", False),
+        ("NOT ALL(Q1, Q2) IS NO AND Q3 IS NOT UNKNOWN", False),
+    ])
+    def test_kleene_splits_are_exact(self, rule, stable):
+        expr = parse_rule(rule)
+        result = sensitivity(expr, {})
+        assert (result.status is Stability.STABLE) is stable
+        assert brute_force_sensitivity(expr, {})[0] is stable
+
+    def test_parsed_rule_gives_the_same_result(self):
+        rule = ParsedRule.parse(LIVER_RULE)
+        for answers in ({}, LIVER_ANSWERS, dict(LIVER_ANSWERS, Q4=Verdict.NO)):
+            assert sensitivity(rule, answers) == sensitivity(rule.expr, answers)
+
+    def test_wide_rule_below_cap_is_decided_without_sweep(self):
+        ids = tuple(f"Q{i:02d}" for i in range(16))
+        result = sensitivity(AnyOf(ids, Verdict.YES), {})
+        assert result.status is Stability.UNSTABLE
+        assert result.unknown_count == 16
+        assert result.capped is False
+
     def test_stable_means_invariant_under_single_flips(self):
         expr = parse_rule("Q1 IS YES OR Q2 IS NOT NO")
         answers = {"Q1": Verdict.YES, "Q2": Verdict.UNKNOWN}
@@ -261,6 +344,15 @@ class TestVerdicts:
         verdict = criterion_verdict(self.primary_liver_criterion(), {})
         assert set(verdict.missing_ids) == {"Q1", "Q2", "Q3", "Q4"}
         assert verdict.met is False  # Q1 IS YES fails on UNKNOWN
+
+    def test_verdicts_for_note_follow_criterion_order(self):
+        criteria = [
+            CriterionSpec("b", (), CriterionKind.INCLUSION, "t", "Q1 IS YES", ("Q1",)),
+            self.primary_liver_criterion(),
+        ]
+        verdicts = verdicts_for_note(criteria, LIVER_ANSWERS)
+        assert [verdict.criterion_id for verdict in verdicts] == ["b", "C1"]
+        assert verdicts == [criterion_verdict(c, LIVER_ANSWERS) for c in criteria]
 
     def test_empty_rule_rejected(self):
         criterion = CriterionSpec("c", (), CriterionKind.INCLUSION, "t", "", (),

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import eligo.evaluation
+import eligo.rules
+import eligo.runner
 from eligo.cli import main as cli_main
 from eligo.errors import BackendError, ConfigError
 from eligo.gateway import BackendConfig, Gateway, mock_resolve
@@ -311,6 +314,63 @@ class TestCmdEvaluate:
             **kwargs,
         )
         return status, out_dir
+
+    def test_criterion_verdicts_match_screen_verdicts(self, mini_workspace, monkeypatch):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        written = {(v["pathway"], v["note_id"], v["criterion_id"]): (v["met"], v["stable"])
+                   for v in read_jsonl(mini_workspace["out"] / "verdicts.jsonl")
+                   if "criterion_id" in v}
+        scored = []
+        score_criteria = eligo.runner.score_criteria
+
+        def capture(verdicts, gold):
+            scored.append(dict(verdicts))
+            return score_criteria(verdicts, gold)
+
+        monkeypatch.setattr(eligo.runner, "score_criteria", capture)
+        status, _ = self.evaluate(mini_workspace)
+        assert status == EXIT_OK
+        # Labels are scored in sorted order; gold labels all 2 x 2 criteria.
+        labels = sorted({label for label, _, _ in written})
+        assert len(scored) == len(labels)
+        for label, verdicts in zip(labels, scored):
+            assert len(verdicts) == 4
+            for (note_id, criterion_id), verdict in verdicts.items():
+                assert written[(label, note_id, criterion_id)] == \
+                    (verdict.met, verdict.stable)
+
+    def test_rules_parsed_once_per_criterion(self, mini_workspace, monkeypatch):
+        calls = []
+        parse_rule = eligo.rules.parse_rule
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_rule(text)
+
+        monkeypatch.setattr(eligo.rules, "parse_rule", counting_parse)
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        # 2 criteria; re-parsing per note and label would make it 2 + 2 x 2 x 5.
+        assert sorted(calls) == ["m1 IS YES AND m3 IS YES", "m2 IS YES"]
+        calls.clear()
+        status, _ = self.evaluate(mini_workspace, notes_path=mini_workspace["notes"])
+        assert status == EXIT_OK
+        assert sorted(calls) == ["m1 IS YES AND m3 IS YES", "m2 IS YES"]
+
+    def test_each_note_normalized_once(self, mini_workspace, monkeypatch):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        calls = []
+        canonical_text = eligo.evaluation.canonical_text
+
+        def counting_canonical_text(note):
+            calls.append(note.note_id)
+            return canonical_text(note)
+
+        monkeypatch.setattr(eligo.evaluation, "canonical_text", counting_canonical_text)
+        status, _ = self.evaluate(mini_workspace, notes_path=mini_workspace["notes"])
+        assert status == EXIT_OK
+        # Once per note, not once per grounded answer in per_question.csv and
+        # again in the counterfactual rate.
+        assert sorted(calls) == ["n1", "n2"]
 
     def test_end_to_end_metrics(self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
