@@ -95,7 +95,7 @@ class TimeoutError(TransportError):  # noqa: A001 - deliberate, scoped to this m
 class BackendError(GatewayError):
     """The backend answered, but not with a usable completion."""
 
-    def __init__(self, message, status=None, body_excerpt=None):
+    def __init__(self, message, status=None, body_excerpt=None, retry_after=None):
         detail = message
         if status is not None:
             detail = f"{detail} (status {status})"
@@ -104,6 +104,7 @@ class BackendError(GatewayError):
         super().__init__(detail)
         self.status = status
         self.body_excerpt = body_excerpt
+        self.retry_after = retry_after  # seconds the backend asked us to wait
 
 
 class ExhaustedRetriesError(GatewayError):

@@ -2,20 +2,25 @@
 
 The gateway is the engine's only concurrency boundary.  Any number of
 workers may call :meth:`Gateway.complete`; a semaphore keeps the number of
-outstanding requests per instance at or below ``max_inflight``.
+outstanding requests per instance at or below ``max_inflight``.  A slot is
+held only while an attempt is on the wire, so a unit waiting out a retry
+backoff leaves its slot to other units.
 """
 
 from __future__ import annotations
 
+import email.utils
 import json
 import re
 import threading
 import time
 from dataclasses import dataclass, fields
+from datetime import timezone
 from pathlib import Path
 from typing import Mapping
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from . import errors
 from .corpus import Verdict
@@ -36,6 +41,9 @@ END EVIDENCE
 
 # Byte-identical on every miss so mock runs are reproducible.
 MOCK_FALLBACK = '"Unable to determine". No fixture.'
+
+# Longest wait a backend's Retry-After header can impose on one retry.
+RETRY_AFTER_CAP_S = 60.0
 
 _SPEAKERS = ("system", "user", "assistant")
 
@@ -253,15 +261,51 @@ class MockTransport:
                 self._inflight -= 1
 
 
+_DELTA_SECONDS_RE = re.compile(r"[0-9]+")
+
+
+def parse_retry_after(value: str | None) -> float | None:
+    """Seconds to wait from a Retry-After header (RFC 9110 section 10.2.3).
+
+    Accepts delta-seconds and an HTTP-date; a date in the past gives 0.
+    Returns None when the header is absent or malformed.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if _DELTA_SECONDS_RE.fullmatch(value):
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000" parses naive; HTTP-dates are UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
+
+
 class HttpTransport:
-    """Chat-completions wire protocol over HTTP."""
+    """Chat-completions wire protocol over HTTP.
+
+    One pooled ``requests.Session`` per transport keeps up to
+    ``max_inflight`` connections alive across calls.
+    """
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
+        self.url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
+        self.session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=cfg.max_inflight)
+        self.session.mount("http://", adapter)
+        self.session.mount("https://", adapter)
+        if cfg.api_key:
+            self.session.headers["Authorization"] = f"Bearer {cfg.api_key}"
+
+    def close(self) -> None:
+        self.session.close()
 
     def send(self, req: ChatRequest) -> str:
         cfg = self.cfg
-        url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
         body = {
             "model": cfg.model_name,
             "messages": [
@@ -271,22 +315,23 @@ class HttpTransport:
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
-        headers = {}
-        if cfg.api_key:
-            headers["Authorization"] = f"Bearer {cfg.api_key}"
         try:
-            response = requests.post(
-                url, json=body, headers=headers, timeout=cfg.timeout_ms / 1000.0
+            response = self.session.post(
+                self.url, json=body, timeout=cfg.timeout_ms / 1000.0
             )
         except requests.Timeout as exc:
             raise errors.TimeoutError(f"no response within {cfg.timeout_ms} ms") from exc
         except requests.RequestException as exc:
             raise errors.TransportError(str(exc)) from exc
         if not 200 <= response.status_code < 300:
+            retry_after = None
+            if response.status_code in (429, 503):
+                retry_after = parse_retry_after(response.headers.get("Retry-After"))
             raise errors.BackendError(
                 "backend refused the request",
                 status=response.status_code,
                 body_excerpt=response.text[:200],
+                retry_after=retry_after,
             )
         try:
             content = response.json()["choices"][0]["message"]["content"]
@@ -313,6 +358,15 @@ def _is_transient(error: Exception) -> bool:
     return False
 
 
+def _retry_delay(error: Exception, backoff_s: float, attempt: int) -> float:
+    """Exponential backoff, stretched to a capped Retry-After when one was sent."""
+    delay = backoff_s * (2 ** attempt)
+    retry_after = getattr(error, "retry_after", None)
+    if retry_after is not None:
+        delay = max(delay, min(retry_after, RETRY_AFTER_CAP_S))
+    return delay
+
+
 class Gateway:
     """Bounded-concurrency front door to one backend instance."""
 
@@ -333,21 +387,33 @@ class Gateway:
             self.transport = HttpTransport(cfg)
 
     def complete(self, req: ChatRequest) -> str:
-        """Send one request; retry transient failures with exponential backoff."""
+        """Send one request; retry transient failures with exponential backoff.
+
+        Each attempt takes a slot for as long as it is on the wire; the
+        backoff sleep between attempts holds none.
+        """
         req.validate()
-        with self._semaphore:
-            last_error: Exception | None = None
-            attempts = self.cfg.retry_limit + 1
-            for attempt in range(attempts):
-                try:
+        last_error: Exception | None = None
+        attempts = self.cfg.retry_limit + 1
+        for attempt in range(attempts):
+            try:
+                with self._semaphore:
                     return self.transport.send(req)
-                except errors.GatewayError as exc:
-                    if not _is_transient(exc):
-                        raise
-                    last_error = exc
-                    if attempt + 1 < attempts and self.cfg.backoff_s > 0:
-                        time.sleep(self.cfg.backoff_s * (2 ** attempt))
-            raise errors.ExhaustedRetriesError(attempts, last_error)
+            except errors.GatewayError as exc:
+                if not _is_transient(exc):
+                    raise
+                last_error = exc
+            if attempt + 1 < attempts:
+                delay = _retry_delay(last_error, self.cfg.backoff_s, attempt)
+                if delay > 0:
+                    time.sleep(delay)
+        raise errors.ExhaustedRetriesError(attempts, last_error)
+
+    def close(self) -> None:
+        """Release the transport's pooled connections, if it keeps any."""
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()
 
     def ask(self, req: ChatRequest) -> ParsedAnswer:
         """Complete a request and parse the reply under the format contract."""

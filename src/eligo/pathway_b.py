@@ -12,6 +12,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from .corpus import AdmissionNote, QuestionSpec, canonical_text
 from .gateway import FORMAT_CONTRACT, ChatRequest, Gateway, ParsedAnswer, parse_answer, user_request
@@ -20,6 +21,12 @@ from .prompting import load_template, render
 _SECOND_ROUND_RE = re.compile(r'^\s*["“«]?\s*SECOND ROUND\b[."”»]*[:\s]*', re.IGNORECASE)
 
 _STANCE_TEMPLATES = {"positive": "stance_pos", "negative": "stance_neg"}
+DEBATE_TEMPLATES = ("stance_pos", "stance_neg", "judge_r1", "judge_final")
+
+
+def load_debate_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
+    """Load the four debate templates (site overrides honored via prompts_dir)."""
+    return {name: load_template(name, prompts_dir) for name in DEBATE_TEMPLATES}
 
 
 @dataclass(frozen=True)
@@ -54,15 +61,21 @@ def stance_prompt(
     *,
     tag: str = "",
     prompts_dir: str | Path | None = None,
+    templates: Mapping[str, str] | None = None,
 ) -> ChatRequest:
-    """Deterministic stance prompt; judge notes appear only when given."""
+    """Deterministic stance prompt; judge notes appear only when given.
+
+    ``templates`` (from :func:`load_debate_templates`) saves the file read;
+    without it the template is loaded from ``prompts_dir``.
+    """
     if stance not in _STANCE_TEMPLATES:
         raise ValueError(f"stance must be 'positive' or 'negative', got {stance!r}")
+    name = _STANCE_TEMPLATES[stance]
     notes_block = ""
     if judge_notes:
         notes_block = f"\nADJUDICATOR NOTES FROM ROUND 1:\n{judge_notes}\n"
     prompt = render(
-        load_template(_STANCE_TEMPLATES[stance], prompts_dir),
+        templates[name] if templates is not None else load_template(name, prompts_dir),
         question=question.text,
         note=canonical_text(note),
         judge_notes=notes_block,
@@ -72,6 +85,7 @@ def stance_prompt(
 
 def _judge_request(
     template: str,
+    templates: Mapping[str, str],
     question: QuestionSpec,
     note: AdmissionNote,
     arg_pos: str,
@@ -79,7 +93,6 @@ def _judge_request(
     *,
     judge_notes: str = "",
     tag: str = "",
-    prompts_dir: str | Path | None = None,
 ) -> ChatRequest:
     values = {
         "question": question.text,
@@ -89,7 +102,7 @@ def _judge_request(
     }
     if template == "judge_final":
         values["judge_notes"] = judge_notes
-    prompt = render(load_template(template, prompts_dir), **values)
+    prompt = render(templates[template], **values)
     return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=tag)
 
 
@@ -107,18 +120,25 @@ def run_debate(
     gateway: Gateway,
     *,
     prompts_dir: str | Path | None = None,
+    templates: Mapping[str, str] | None = None,
 ) -> tuple[ParsedAnswer, DebateTranscript]:
-    """Run the full debate state machine for one (note, question)."""
+    """Run the full debate state machine for one (note, question).
+
+    A batch caller passes ``templates`` loaded once; otherwise they are
+    loaded from ``prompts_dir`` for this debate.
+    """
+    if templates is None:
+        templates = load_debate_templates(prompts_dir)
     key = f"{note.note_id}|{question.question_id}"
 
     def stance_round(round_no: int, judge_notes: str | None):
         pro_req = stance_prompt(
             question, note, "positive", judge_notes,
-            tag=f"{key}|proponent|r{round_no}", prompts_dir=prompts_dir,
+            tag=f"{key}|proponent|r{round_no}", templates=templates,
         )
         con_req = stance_prompt(
             question, note, "negative", judge_notes,
-            tag=f"{key}|opponent|r{round_no}", prompts_dir=prompts_dir,
+            tag=f"{key}|opponent|r{round_no}", templates=templates,
         )
         with ThreadPoolExecutor(max_workers=2) as pool:
             pro_future = pool.submit(gateway.complete, pro_req)
@@ -152,8 +172,8 @@ def run_debate(
 
     judge1_text = gateway.complete(
         _judge_request(
-            "judge_r1", question, note, pro_text, con_text,
-            tag=f"{key}|judge|r1", prompts_dir=prompts_dir,
+            "judge_r1", templates, question, note, pro_text, con_text,
+            tag=f"{key}|judge|r1",
         )
     )
     demand = _second_round_demand(judge1_text)
@@ -170,8 +190,8 @@ def run_debate(
     # Round-2 agreement is NOT consulted: the judge must close the debate.
     final_text = gateway.complete(
         _judge_request(
-            "judge_final", question, note, pro2_text, con2_text,
-            judge_notes=demand, tag=f"{key}|judge|final", prompts_dir=prompts_dir,
+            "judge_final", templates, question, note,
+            pro2_text, con2_text, judge_notes=demand, tag=f"{key}|judge|final",
         )
     )
     outcome = parse_answer(final_text, provenance=f"{key}|judge|final")

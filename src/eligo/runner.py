@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -46,7 +47,7 @@ from .evaluation import (
 )
 from .gateway import BackendConfig, Gateway, ParsedAnswer, backend_config_from_dict
 from .pathway_a import ROLE_IDS, answer_with_role, load_roles, majority_vote, RoleAnswer
-from .pathway_b import run_debate
+from .pathway_b import load_debate_templates, run_debate
 from .rules import trial_verdict, verdicts_for_note
 
 log = logging.getLogger(__name__)
@@ -242,6 +243,41 @@ def _read_resume_state(path: Path) -> list[ResultRecord]:
     return records
 
 
+def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None:
+    """Keep one transcript per debate whose B result is on disk.
+
+    A crash between the transcript append and the result append leaves a
+    transcript without a result, and the resumed run would append a second
+    one.  A torn final line is dropped too; a later duplicate replaces an
+    earlier one.  The file is replaced atomically, and only when it changes.
+    """
+    if not path.exists():
+        return
+    raw = path.read_text(encoding="utf-8")
+    # Split on "\n" only: str.splitlines would also split inside a record
+    # at the U+2028/U+2029/U+0085 that ensure_ascii=False leaves unescaped.
+    lines = raw.split("\n")
+    kept: dict[tuple[str, str], str] = {}
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key = (record["note_id"], record["question_id"])
+        except (json.JSONDecodeError, KeyError):
+            if index == len(lines) - 1:
+                log.warning("truncating torn final line of %s", path)
+                break
+            raise
+        if key in answered:
+            kept[key] = line
+    repaired = "".join(line + "\n" for line in kept.values())
+    if repaired != raw:
+        scratch = path.with_name(path.name + ".tmp")
+        scratch.write_text(repaired, encoding="utf-8")
+        os.replace(scratch, path)
+
+
 def canonicalize_records(records: Iterable[Mapping]) -> str:
     """Strip volatile fields, sort by key, render stable JSONL text."""
     cleaned = []
@@ -291,12 +327,18 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     debates_path = out_dir / "debates.jsonl"
 
     existing = {record.key: record for record in _read_resume_state(results_path)}
+    _drop_orphan_transcripts(debates_path, {
+        (note_id, question_id)
+        for note_id, question_id, label in existing if label == DEBATE_LABEL
+    })
     writer = _JsonlWriter(results_path)
     debate_writer = _JsonlWriter(debates_path)
 
-    if gateway is None:
+    owns_gateway = gateway is None
+    if owns_gateway:
         gateway = Gateway(config.backend, seed=config.seed)
     roles = load_roles(config.prompts_dir)
+    debate_templates = load_debate_templates(config.prompts_dir)
     questions = list(catalog.questions.values())
     labels = config.unit_labels()
     total_units = len(notes) * len(questions) * len(labels)
@@ -337,7 +379,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
         try:
             started = time.monotonic()
             outcome, transcript = run_debate(
-                question, note, gateway, prompts_dir=config.prompts_dir
+                question, note, gateway, templates=debate_templates
             )
             elapsed = time.monotonic() - started
             debate_writer.append({
@@ -375,15 +417,19 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                 else:
                     tasks.append(("debate", note, question, None))
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = []
-        for kind, note, question, role_id in tasks:
-            if kind == "role":
-                futures.append(pool.submit(run_role_unit, note, question, role_id))
-            else:
-                futures.append(pool.submit(run_debate_unit, note, question))
-        for future in as_completed(futures):
-            future.result()  # propagate unexpected (non-gateway) errors
+    try:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            futures = []
+            for kind, note, question, role_id in tasks:
+                if kind == "role":
+                    futures.append(pool.submit(run_role_unit, note, question, role_id))
+                else:
+                    futures.append(pool.submit(run_debate_unit, note, question))
+            for future in as_completed(futures):
+                future.result()  # propagate unexpected (non-gateway) errors
+    finally:
+        if owns_gateway:
+            gateway.close()
 
     # Vote records are pure aggregation over the three role records, which
     # may come from this run or from a resumed file.

@@ -1,7 +1,10 @@
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -16,8 +19,10 @@ from eligo.gateway import (
     Gateway,
     Message,
     MOCK_FALLBACK,
+    RETRY_AFTER_CAP_S,
     mock_resolve,
     parse_answer,
+    parse_retry_after,
     user_request,
 )
 
@@ -182,7 +187,7 @@ class TestMockBackend:
 # -- scripted HTTP backend ------------------------------------------------------
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    script = []          # list of (status, payload dict or raw str)
+    script = []          # list of (status, payload dict or raw str[, headers])
     calls = []
     delay_s = 0.0
     lock = threading.Lock()
@@ -196,9 +201,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                                "auth": self.headers.get("Authorization")})
         if self.delay_s:
             time.sleep(self.delay_s)
-        status, payload = self.script[min(index, len(self.script) - 1)]
+        status, payload, *extra = self.script[min(index, len(self.script) - 1)]
         data = (json.dumps(payload) if isinstance(payload, dict) else payload).encode()
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -305,6 +312,205 @@ class TestHttpBackend:
         with pytest.raises(errors.ExhaustedRetriesError) as excinfo:
             Gateway(cfg).complete(user_request("hi"))
         assert isinstance(excinfo.value.last_error, errors.TransportError)
+
+
+@pytest.fixture
+def recorded_sleeps(monkeypatch):
+    """Backoff delays the gateway asks for, without sleeping."""
+    delays = []
+    monkeypatch.setattr("eligo.gateway.time.sleep", delays.append)
+    return delays
+
+
+class TestRetryAfter:
+    @staticmethod
+    def _gateway(base_url, backoff_s=0.25):
+        return Gateway(BackendConfig(kind="http", base_url=base_url, model_name="m",
+                                     retry_limit=1, backoff_s=backoff_s))
+
+    @pytest.mark.parametrize("value, seconds", [
+        ("7", 7.0), (" 0 ", 0.0),
+        ("Sun, 06 Nov 1994 08:49:37 GMT", 0.0),  # a past date: retry now
+        (None, None), ("", None), ("-3", None), ("1.5", None), ("soon", None),
+        ("²", None),
+    ])
+    def test_parse(self, value, seconds):
+        assert parse_retry_after(value) == seconds
+
+    def test_parse_future_http_date(self):
+        later = datetime.now(timezone.utc) + timedelta(seconds=30)
+        assert 28.0 < parse_retry_after(format_datetime(later, usegmt=True)) <= 30.0
+
+    def test_429_delta_seconds_stretches_backoff(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        handler.script = [(429, {"error": "slow down"}, {"Retry-After": "3"}),
+                          (200, _ok_payload("ok"))]
+        assert self._gateway(base_url).complete(user_request("hi")) == "ok"
+        assert recorded_sleeps == [3.0]
+
+    def test_503_http_date(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        later = datetime.now(timezone.utc) + timedelta(seconds=30)
+        handler.script = [(503, {"error": "down"},
+                           {"Retry-After": format_datetime(later, usegmt=True)}),
+                          (200, _ok_payload("ok"))]
+        assert self._gateway(base_url).complete(user_request("hi")) == "ok"
+        assert len(recorded_sleeps) == 1
+        assert 28.0 < recorded_sleeps[0] <= 30.0
+
+    def test_backoff_wins_when_longer(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        handler.script = [(429, {"error": "slow down"}, {"Retry-After": "1"}),
+                          (200, _ok_payload("ok"))]
+        self._gateway(base_url, backoff_s=2.0).complete(user_request("hi"))
+        assert recorded_sleeps == [2.0]
+
+    def test_capped(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        handler.script = [(429, {"error": "slow down"}, {"Retry-After": "86400"}),
+                          (200, _ok_payload("ok"))]
+        self._gateway(base_url).complete(user_request("hi"))
+        assert recorded_sleeps == [RETRY_AFTER_CAP_S]
+
+    def test_honoured_without_backoff(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        handler.script = [(429, {"error": "slow down"}, {"Retry-After": "2"}),
+                          (200, _ok_payload("ok"))]
+        self._gateway(base_url, backoff_s=0.0).complete(user_request("hi"))
+        assert recorded_sleeps == [2.0]
+
+    def test_ignored_on_other_statuses(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        handler.script = [(500, {"error": "boom"}, {"Retry-After": "9"}),
+                          (200, _ok_payload("ok"))]
+        self._gateway(base_url).complete(user_request("hi"))
+        assert recorded_sleeps == [0.25]
+
+    def test_carried_on_backend_error(self, http_backend, recorded_sleeps):
+        base_url, handler = http_backend
+        handler.script = [(429, {"error": "slow down"}, {"Retry-After": "4"})]
+        with pytest.raises(errors.ExhaustedRetriesError) as excinfo:
+            self._gateway(base_url).complete(user_request("hi"))
+        assert excinfo.value.last_error.retry_after == 4.0
+        assert recorded_sleeps == [4.0]  # no wait after the last attempt
+
+
+class _RefuseFirstAttempt:
+    """Transport that answers 429 to the first attempt of each listed tag."""
+
+    def __init__(self, refused_tags, latency_s=0.0):
+        self.refused = set(refused_tags)
+        self.latency_s = latency_s
+        self.sent = []  # tags in the order their attempts went on the wire
+        self.peak_inflight = 0
+        self._inflight = 0
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self._inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self._inflight)
+            self.sent.append(req.tag)
+            refuse = req.tag in self.refused
+            self.refused.discard(req.tag)
+        try:
+            if self.latency_s:
+                time.sleep(self.latency_s)
+            if refuse:
+                raise errors.BackendError("rate limited", status=429)
+            return f"reply to {req.tag}"
+        finally:
+            with self._lock:
+                self._inflight -= 1
+
+
+class TestSlotsDuringBackoff:
+    def test_backoff_frees_the_slot(self, monkeypatch):
+        transport = _RefuseFirstAttempt({"a"})
+        cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=0.5)
+        gateway = Gateway(cfg, transport=transport)
+        b_sent = threading.Event()
+        workers = []
+
+        def send_b():
+            assert gateway.complete(user_request("x", tag="b")) == "reply to b"
+            b_sent.set()
+
+        def backoff(_delay):
+            # Runs on a's thread after its first failure: b starts only now,
+            # and a retries only once b has been answered (or the wait fails).
+            worker = threading.Thread(target=send_b)
+            workers.append(worker)
+            worker.start()
+            b_sent.wait(timeout=5.0)
+
+        monkeypatch.setattr("eligo.gateway.time.sleep", backoff)
+        assert gateway.complete(user_request("x", tag="a")) == "reply to a"
+        for worker in workers:
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+        assert transport.sent == ["a", "b", "a"]
+        assert transport.peak_inflight == 1
+
+    def test_429_storm_keeps_inflight_bound(self):
+        tags = [f"u{i}" for i in range(60)]
+        transport = _RefuseFirstAttempt(tags, latency_s=0.001)
+        cfg = BackendConfig(kind="mock", max_inflight=3, backoff_s=0.005)
+        gateway = Gateway(cfg, transport=transport)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=30) as pool:
+                replies = list(pool.map(
+                    lambda tag: gateway.complete(user_request("x", tag=tag)), tags
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == [f"reply to {tag}" for tag in tags]
+        assert len(transport.sent) == 2 * len(tags)
+        assert 1 <= transport.peak_inflight <= 3
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    client_ports = []
+    lock = threading.Lock()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.lock:
+            self.client_ports.append(self.client_address[1])
+        data = json.dumps(_ok_payload()).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_connections_reused_up_to_max_inflight():
+    _KeepAliveHandler.client_ports = []
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    cfg = BackendConfig(kind="http", base_url=f"http://127.0.0.1:{server.server_address[1]}",
+                        model_name="m", max_inflight=2, backoff_s=0.0)
+    gateway = Gateway(cfg)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda i: gateway.complete(user_request("x", tag=str(i))),
+                          range(20)))
+    finally:
+        gateway.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert len(_KeepAliveHandler.client_ports) == 20
+    assert len(set(_KeepAliveHandler.client_ports)) <= 2
 
 
 def test_gateway_ask_parses(mock_gateway_factory):

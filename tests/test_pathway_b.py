@@ -1,7 +1,7 @@
 import pytest
 
 from eligo.corpus import Verdict
-from eligo.pathway_b import run_debate, stance_prompt
+from eligo.pathway_b import load_debate_templates, run_debate, stance_prompt
 
 from conftest import make_mock_gateway
 
@@ -45,6 +45,19 @@ class TestStancePrompt:
         first = stance_prompt(question, note, "positive", tag="t")
         second = stance_prompt(question, note, "positive", tag="t")
         assert first == second
+
+    def test_preloaded_templates_match_prompts_dir(self, unit, tmp_path):
+        question, note = unit
+        (tmp_path / "stance_neg.txt").write_text(
+            "CUSTOM OPPONENT\nQUESTION:\n{{question}}\n{{note}}{{judge_notes}}")
+        templates = load_debate_templates(tmp_path)
+        for stance in ("positive", "negative"):
+            from_files = stance_prompt(question, note, stance, "notes", tag="t",
+                                       prompts_dir=tmp_path)
+            preloaded = stance_prompt(question, note, stance, "notes", tag="t",
+                                      templates=templates)
+            assert preloaded == from_files
+        assert "CUSTOM OPPONENT" in preloaded.messages[-1].content
 
     def test_unknown_stance_rejected(self, unit):
         question, note = unit

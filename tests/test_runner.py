@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 import eligo.evaluation
+import eligo.pathway_a
+import eligo.pathway_b
 import eligo.rules
 import eligo.runner
 from eligo.cli import main as cli_main
@@ -287,6 +289,64 @@ class TestCmdScreen:
                              if r.pathway == "B" and r.note_id == "n2"
                              and r.question_id == "m3")
         assert debate_record.transcript == "debates.jsonl:n2|m3"
+
+    def test_resume_drops_orphan_transcript(self, mini_workspace):
+        # A crash between the transcript append and the result append leaves
+        # a transcript with no B result; resuming must not add a second one.
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        out = mini_workspace["out"]
+        results_path = out / "results.jsonl"
+        debates_path = out / "debates.jsonl"
+        baseline = canonicalize_results_file(results_path)
+        transcripts = {(d["note_id"], d["question_id"]): d
+                       for d in read_jsonl(debates_path)}
+        kept = [record for record in read_jsonl(results_path)
+                if (record["note_id"], record["question_id"], record["pathway"])
+                != ("n2", "m3", "B")]
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        with open(debates_path, "a", encoding="utf-8") as handle:
+            handle.write('{"note_id": "n1", "question_id": "m1", "rou')
+        assert cmd_screen(config) == EXIT_OK
+        debates = read_jsonl(debates_path)
+        assert len(debates) == len(transcripts)
+        assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
+        assert canonicalize_results_file(results_path) == baseline
+
+    def test_prewritten_orphan_transcript_replaced(self, mini_workspace):
+        out = mini_workspace["out"]
+        out.mkdir()
+        orphan = {"note_id": "n2", "question_id": "m2", "calls_used": 99}
+        (out / "debates.jsonl").write_text(json.dumps(orphan) + "\n")
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        debates = read_jsonl(out / "debates.jsonl")
+        keys = [(d["note_id"], d["question_id"]) for d in debates]
+        assert len(keys) == len(set(keys)) == 6
+        assert next(d for d in debates
+                    if (d["note_id"], d["question_id"]) == ("n2", "m2"))["calls_used"] == 3
+
+    def test_template_loads_independent_of_cohort_size(self, mini_workspace,
+                                                        tmp_path, monkeypatch):
+        loads = []
+        for module in (eligo.pathway_a, eligo.pathway_b):
+            def counting_load(name, prompts_dir=None, _load=module.load_template):
+                loads.append(name)
+                return _load(name, prompts_dir)
+            monkeypatch.setattr(module, "load_template", counting_load)
+
+        def screen_loads(notes_path, out_dir):
+            loads.clear()
+            config = run_config(mini_workspace, notes=str(notes_path), out=str(out_dir))
+            assert cmd_screen(config) == EXIT_OK
+            return sorted(loads)
+
+        one_note = tmp_path / "one_note.jsonl"
+        one_note.write_text(mini_workspace["notes"].read_text().splitlines()[0] + "\n")
+        small = screen_loads(one_note, tmp_path / "small")
+        # 2 notes x 3 questions x (3 roles + a 2- to 6-call debate).
+        full = screen_loads(mini_workspace["notes"], tmp_path / "full")
+        assert small == full == sorted(["role_crc", "role_jd", "role_ie", "stance_pos",
+                                        "stance_neg", "judge_r1", "judge_final"])
 
 
 class TestCanonicalize:
