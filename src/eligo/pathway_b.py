@@ -61,21 +61,27 @@ def stance_prompt(
     *,
     tag: str = "",
     prompts_dir: str | Path | None = None,
-    templates: Mapping[str, str] | None = None,
 ) -> ChatRequest:
-    """Deterministic stance prompt; judge notes appear only when given.
-
-    ``templates`` (from :func:`load_debate_templates`) saves the file read;
-    without it the template is loaded from ``prompts_dir``.
-    """
+    """Deterministic stance prompt; judge notes appear only when given."""
     if stance not in _STANCE_TEMPLATES:
         raise ValueError(f"stance must be 'positive' or 'negative', got {stance!r}")
-    name = _STANCE_TEMPLATES[stance]
+    template = load_template(_STANCE_TEMPLATES[stance], prompts_dir)
+    return _stance_request(template, question, note, judge_notes, tag=tag)
+
+
+def _stance_request(
+    template: str,
+    question: QuestionSpec,
+    note: AdmissionNote,
+    judge_notes: str | None,
+    *,
+    tag: str = "",
+) -> ChatRequest:
     notes_block = ""
     if judge_notes:
         notes_block = f"\nADJUDICATOR NOTES FROM ROUND 1:\n{judge_notes}\n"
     prompt = render(
-        templates[name] if templates is not None else load_template(name, prompts_dir),
+        template,
         question=question.text,
         note=canonical_text(note),
         judge_notes=notes_block,
@@ -119,26 +125,26 @@ def run_debate(
     note: AdmissionNote,
     gateway: Gateway,
     *,
-    prompts_dir: str | Path | None = None,
     templates: Mapping[str, str] | None = None,
 ) -> tuple[ParsedAnswer, DebateTranscript]:
     """Run the full debate state machine for one (note, question).
 
-    A batch caller passes ``templates`` loaded once; otherwise they are
-    loaded from ``prompts_dir`` for this debate.
+    ``templates`` comes from :func:`load_debate_templates`, which a batch
+    caller runs once (with its site ``prompts_dir``); the packaged
+    templates are loaded when it is omitted.
     """
     if templates is None:
-        templates = load_debate_templates(prompts_dir)
+        templates = load_debate_templates()
     key = f"{note.note_id}|{question.question_id}"
 
     def stance_round(round_no: int, judge_notes: str | None):
-        pro_req = stance_prompt(
-            question, note, "positive", judge_notes,
-            tag=f"{key}|proponent|r{round_no}", templates=templates,
+        pro_req = _stance_request(
+            templates["stance_pos"], question, note, judge_notes,
+            tag=f"{key}|proponent|r{round_no}",
         )
-        con_req = stance_prompt(
-            question, note, "negative", judge_notes,
-            tag=f"{key}|opponent|r{round_no}", templates=templates,
+        con_req = _stance_request(
+            templates["stance_neg"], question, note, judge_notes,
+            tag=f"{key}|opponent|r{round_no}",
         )
         with ThreadPoolExecutor(max_workers=2) as pool:
             pro_future = pool.submit(gateway.complete, pro_req)

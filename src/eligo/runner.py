@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from . import __version__
 from .corpus import (
@@ -35,6 +35,7 @@ from .errors import (
     EligoError,
     GatewayError,
     MissingVerdictError,
+    SchemaError,
 )
 from .evaluation import (
     counterfactual_rate,
@@ -51,6 +52,7 @@ from .pathway_b import load_debate_templates, run_debate
 from .rules import trial_verdict, verdicts_for_note
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,28 +220,47 @@ def read_results(path: str | Path) -> list[ResultRecord]:
     return records
 
 
-def _read_resume_state(path: Path) -> list[ResultRecord]:
-    """Like read_results, but repairs a torn (half-written) final line.
+def _read_appended_jsonl(
+    path: Path, parse: Callable[[dict], T]
+) -> list[tuple[int, str, T | None]]:
+    """Read a JSONL file that an interrupted run may have appended to.
 
-    The torn line is truncated away so later appends land on a clean file.
+    Returns ``(line_no, line, parse(record))`` for each non-blank line, with
+    None where the line does not parse.  A torn (half-written) final line is
+    truncated away so later appends land on a clean file.  Lines are split
+    on "\n" only: str.splitlines would also split inside a record at the
+    U+2028/U+2029/U+0085 that ``ensure_ascii=False`` leaves unescaped.
     """
     if not path.exists():
         return []
-    raw = path.read_text(encoding="utf-8")
-    lines = raw.splitlines(keepends=True)
-    records: list[ResultRecord] = []
-    for index, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
+    # A crash can cut a multi-byte character; keep such bytes intact.
+    raw = path.read_text(encoding="utf-8", errors="surrogateescape")
+    rows: list[tuple[int, str, T | None]] = []
+    for line_no, line in enumerate(raw.split("\n"), start=1):
+        if not line.strip():
             continue
         try:
-            records.append(ResultRecord.from_dict(json.loads(stripped)))
-        except (json.JSONDecodeError, KeyError, ValueError):
-            if index == len(lines) - 1:
-                log.warning("truncating torn final line of %s", path)
-                path.write_text("".join(lines[:index]), encoding="utf-8")
-                break
-            raise
+            rows.append((line_no, line, parse(json.loads(line))))
+        except (ValueError, KeyError, TypeError):
+            rows.append((line_no, line, None))
+    if rows and rows[-1][2] is None:
+        torn = rows.pop()[1]
+        log.warning("truncating torn final line of %s", path)
+        path.write_text(raw[:raw.rindex(torn)], encoding="utf-8", errors="surrogateescape")
+    elif raw and not raw.endswith("\n"):
+        # The crash fell between a record and its newline: end the line.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+    return rows
+
+
+def _read_resume_state(path: Path) -> list[ResultRecord]:
+    """Like read_results, but repairs a torn (half-written) final line."""
+    records: list[ResultRecord] = []
+    for line_no, _, record in _read_appended_jsonl(path, ResultRecord.from_dict):
+        if record is None:
+            raise SchemaError(f"{path}: unreadable result record", line=line_no)
+        records.append(record)
     return records
 
 
@@ -248,34 +269,26 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
 
     A crash between the transcript append and the result append leaves a
     transcript without a result, and the resumed run would append a second
-    one.  A torn final line is dropped too; a later duplicate replaces an
-    earlier one.  The file is replaced atomically, and only when it changes.
+    one.  A later duplicate replaces an earlier one.  Unreadable lines are
+    dropped: an older release appended the next record onto a torn line.
+    The file is replaced atomically, and only when it changes.
     """
-    if not path.exists():
-        return
-    raw = path.read_text(encoding="utf-8")
-    # Split on "\n" only: str.splitlines would also split inside a record
-    # at the U+2028/U+2029/U+0085 that ensure_ascii=False leaves unescaped.
-    lines = raw.split("\n")
+    def transcript_key(record: dict) -> tuple[str, str]:
+        return (record["note_id"], record["question_id"])
+
+    rows = _read_appended_jsonl(path, transcript_key)
     kept: dict[tuple[str, str], str] = {}
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            key = (record["note_id"], record["question_id"])
-        except (json.JSONDecodeError, KeyError):
-            if index == len(lines) - 1:
-                log.warning("truncating torn final line of %s", path)
-                break
-            raise
-        if key in answered:
+    for line_no, line, key in rows:
+        if key is None:
+            log.warning("dropping unreadable line %d of %s", line_no, path)
+        elif key in answered:
             kept[key] = line
-    repaired = "".join(line + "\n" for line in kept.values())
-    if repaired != raw:
-        scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(repaired, encoding="utf-8")
-        os.replace(scratch, path)
+    if len(kept) == len(rows):
+        return
+    scratch = path.with_name(path.name + ".tmp")
+    scratch.write_text("".join(line + "\n" for line in kept.values()),
+                       encoding="utf-8", errors="surrogateescape")
+    os.replace(scratch, path)
 
 
 def canonicalize_records(records: Iterable[Mapping]) -> str:
@@ -326,11 +339,17 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     results_path = out_dir / "results.jsonl"
     debates_path = out_dir / "debates.jsonl"
 
-    existing = {record.key: record for record in _read_resume_state(results_path)}
-    _drop_orphan_transcripts(debates_path, {
-        (note_id, question_id)
-        for note_id, question_id, label in existing if label == DEBATE_LABEL
-    })
+    labels = config.unit_labels()
+    try:
+        existing = {record.key: record for record in _read_resume_state(results_path)}
+    except (EligoError, OSError) as exc:
+        log.error("cannot resume: %s", exc)
+        return EXIT_INPUT
+    if DEBATE_LABEL in labels:
+        _drop_orphan_transcripts(debates_path, {
+            (note_id, question_id)
+            for note_id, question_id, label in existing if label == DEBATE_LABEL
+        })
     writer = _JsonlWriter(results_path)
     debate_writer = _JsonlWriter(debates_path)
 
@@ -340,7 +359,6 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     roles = load_roles(config.prompts_dir)
     debate_templates = load_debate_templates(config.prompts_dir)
     questions = list(catalog.questions.values())
-    labels = config.unit_labels()
     total_units = len(notes) * len(questions) * len(labels)
 
     answered = 0
@@ -687,21 +705,35 @@ def cmd_convert(
     prompts_dir: str | Path | None = None,
 ) -> int:
     """Convert every criterion; write questions.json, criteria.json, report."""
-    from .conversion import convert_criterion
-    from .corpus import load_criteria, write_criteria, write_questions
-    from .errors import ConversionError, RefinementParseError
-
     try:
         with open(backends_path, "r", encoding="utf-8") as handle:
             backend_doc = json.load(handle)
         drafters = [Gateway(backend_config_from_dict(entry))
                     for entry in backend_doc["backends"]]
-        refiner = Gateway(backend_config_from_dict(backend_doc["refiner"]))
         if not drafters:
             raise ConfigError("backends.json lists no drafting backends")
+        refiner = Gateway(backend_config_from_dict(backend_doc["refiner"]))
     except (ConfigError, KeyError, json.JSONDecodeError, OSError) as exc:
         log.error("backend config error: %s", exc)
         return EXIT_CONFIG
+
+    try:
+        return _convert_all(criteria_path, out_dir, drafters, refiner, prompts_dir)
+    finally:
+        for gateway in (*drafters, refiner):
+            gateway.close()
+
+
+def _convert_all(
+    criteria_path: str | Path,
+    out_dir: str | Path,
+    drafters: list[Gateway],
+    refiner: Gateway,
+    prompts_dir: str | Path | None,
+) -> int:
+    from .conversion import convert_criterion
+    from .corpus import load_criteria, write_criteria, write_questions
+    from .errors import ConversionError, RefinementParseError
 
     try:
         criteria = load_criteria(criteria_path)

@@ -46,19 +46,6 @@ class TestStancePrompt:
         second = stance_prompt(question, note, "positive", tag="t")
         assert first == second
 
-    def test_preloaded_templates_match_prompts_dir(self, unit, tmp_path):
-        question, note = unit
-        (tmp_path / "stance_neg.txt").write_text(
-            "CUSTOM OPPONENT\nQUESTION:\n{{question}}\n{{note}}{{judge_notes}}")
-        templates = load_debate_templates(tmp_path)
-        for stance in ("positive", "negative"):
-            from_files = stance_prompt(question, note, stance, "notes", tag="t",
-                                       prompts_dir=tmp_path)
-            preloaded = stance_prompt(question, note, stance, "notes", tag="t",
-                                      templates=templates)
-            assert preloaded == from_files
-        assert "CUSTOM OPPONENT" in preloaded.messages[-1].content
-
     def test_unknown_stance_rejected(self, unit):
         question, note = unit
         with pytest.raises(ValueError):
@@ -66,6 +53,32 @@ class TestStancePrompt:
 
 
 class TestRunDebate:
+    def test_given_templates_match_prompts_dir(self, unit, tmp_path):
+        question, note = unit
+        key = f"{note.note_id}|{question.question_id}"
+        (tmp_path / "stance_neg.txt").write_text(
+            "CUSTOM OPPONENT\nQUESTION:\n{{question}}\n{{note}}{{judge_notes}}")
+        gateway = make_mock_gateway(debate_fixtures(
+            key,
+            **{"proponent|r1": '"Yes". Clear resection history.',
+               "opponent|r1": '"Yes". Cannot argue otherwise.'},
+        ))
+        sent = []
+        complete = gateway.complete
+
+        def recording(request):
+            sent.append(request)
+            return complete(request)
+
+        gateway.complete = recording
+        run_debate(question, note, gateway, templates=load_debate_templates(tmp_path))
+        by_tag = {request.tag: request for request in sent}
+        for stance, role in (("positive", "proponent"), ("negative", "opponent")):
+            tag = f"{key}|{role}|r1"
+            assert by_tag[tag] == stance_prompt(question, note, stance, tag=tag,
+                                                prompts_dir=tmp_path)
+        assert "CUSTOM OPPONENT" in by_tag[f"{key}|opponent|r1"].messages[-1].content
+
     def test_round1_consensus_skips_judge(self, unit):
         question, note = unit
         key = f"{note.note_id}|{question.question_id}"

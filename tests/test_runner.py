@@ -325,6 +325,67 @@ class TestCmdScreen:
         assert next(d for d in debates
                     if (d["note_id"], d["question_id"]) == ("n2", "m2"))["calls_used"] == 3
 
+    def test_transcript_appended_onto_torn_line_dropped(self, mini_workspace):
+        # An earlier resume appended a complete transcript onto a torn line,
+        # leaving an unreadable line mid-file; resuming must not crash on it.
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        out = mini_workspace["out"]
+        debates_path = out / "debates.jsonl"
+        transcripts = {(d["note_id"], d["question_id"]): d
+                       for d in read_jsonl(debates_path)}
+        lines = debates_path.read_text().splitlines()
+        debates_path.write_text('{"note_id": "n1", "question_id": "m1", "rou'
+                                + "\n".join(lines) + "\n")
+        merged = json.loads(lines[0])
+        assert cmd_screen(config) == EXIT_OK
+        # The transcript fused with the torn line is lost; its result stays.
+        del transcripts[(merged["note_id"], merged["question_id"])]
+        debates = read_jsonl(debates_path)
+        assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
+
+    def test_pathway_a_resume_leaves_debates_file_alone(self, mini_workspace):
+        out = mini_workspace["out"]
+        out.mkdir()
+        garbage = '{"note_id": "n1"\nnot json\n'
+        (out / "debates.jsonl").write_text(garbage)
+        assert cmd_screen(run_config(mini_workspace, pathway="A")) == EXIT_OK
+        assert (out / "debates.jsonl").read_text() == garbage
+
+    def test_resume_keeps_records_with_unicode_line_separators(self, mini_workspace):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        records = read_jsonl(results_path)
+        records[0]["rationale"] += "\u2028second\u2029third\u0085fourth"
+        results_path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n"
+                                        for record in records), encoding="utf-8")
+        before = results_path.read_bytes()
+        assert cmd_screen(config) == EXIT_OK
+        manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
+        assert manifest["counts"]["answered"] == 0
+        assert results_path.read_bytes() == before
+
+    def test_record_missing_final_newline_completed(self, mini_workspace):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        baseline = canonicalize_results_file(results_path)
+        lines = results_path.read_text().splitlines()
+        results_path.write_text("\n".join(lines[:-2]) + "\n" + lines[-2])
+        assert cmd_screen(config) == EXIT_OK
+        assert len(read_jsonl(results_path)) == len(lines)
+        assert canonicalize_results_file(results_path) == baseline
+
+    def test_unreadable_result_mid_file_is_input_error(self, mini_workspace):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        lines = results_path.read_text().splitlines()
+        lines[3] = lines[3][:20]
+        results_path.write_text("\n".join(lines) + "\n")
+        assert cmd_screen(config) == EXIT_INPUT
+
     def test_template_loads_independent_of_cohort_size(self, mini_workspace,
                                                         tmp_path, monkeypatch):
         loads = []
@@ -604,6 +665,14 @@ class TestCmdConvert:
         assert criteria[0]["rule"].startswith("C1.q1 IS YES")
         assert criteria[0]["question_ids"] == ["C1.q1", "C1.q2", "C1.q3", "C1.q4"]
         assert (out_dir / "conversion_report.md").exists()
+
+    def test_gateways_closed(self, tmp_path, monkeypatch):
+        closed = []
+        monkeypatch.setattr(Gateway, "close", lambda self: closed.append(self))
+        criteria_path, backends_path = self.build_inputs(tmp_path)
+        assert cmd_convert(criteria_path, backends_path, tmp_path / "out") == EXIT_OK
+        assert sorted(gateway.cfg.model_name for gateway in closed) == \
+            ["assistant-1", "refiner"]
 
     def test_bad_backends_exits_2(self, tmp_path):
         criteria_path, _ = self.build_inputs(tmp_path)
