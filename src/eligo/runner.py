@@ -2,7 +2,8 @@
 
 Screening appends one JSONL record per completed (note, question, pathway)
 unit, so an interrupted run resumes by skipping keys already on disk.
-Completion order under the thread pool is nondeterministic; downstream
+Units run on ``workers`` long-lived loops that each take the next unit from
+one shared queue, so completion order is nondeterministic; downstream
 consumers (and the determinism check) sort by key via canonicalization.
 """
 
@@ -15,7 +16,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,7 +64,11 @@ VOTE_LABEL = "A-vote"
 DEBATE_LABEL = "B"
 
 # Volatile per-record fields excluded from determinism comparisons.
-VOLATILE_FIELDS = ("elapsed_s", "timestamp")
+VOLATILE_FIELDS = ("elapsed_s",)
+
+# One compact, key-sorted encoder for every JSONL line; output is the same as
+# json.dumps(record, ensure_ascii=False, sort_keys=True).
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 @dataclass
@@ -197,17 +202,32 @@ class ResultRecord:
 
 
 class _JsonlWriter:
-    """Serializes appends so each record lands as one complete line."""
+    """Serializes appends so each record lands as one complete line.
+
+    The file is opened on the first append and kept open until close(), so
+    a run that appends nothing creates no file.  Each line is flushed to the
+    OS before append returns, so a process that dies loses at most the
+    record it was writing.
+    """
 
     def __init__(self, path: Path):
         self.path = path
         self._lock = threading.Lock()
+        self._handle = None
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record, ensure_ascii=False, sort_keys=True)
+        line = _JSONL_ENCODER.encode(record) + "\n"
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 def read_results(path: str | Path) -> list[ResultRecord]:
@@ -299,7 +319,7 @@ def canonicalize_records(records: Iterable[Mapping]) -> str:
         cleaned.append(kept)
     cleaned.sort(key=lambda r: (r.get("note_id", ""), r.get("question_id", ""),
                                 r.get("pathway", "")))
-    return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in cleaned)
+    return "".join(_JSONL_ENCODER.encode(r) + "\n" for r in cleaned)
 
 
 def canonicalize_results_file(path: str | Path) -> str:
@@ -350,14 +370,16 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             (note_id, question_id)
             for note_id, question_id, label in existing if label == DEBATE_LABEL
         })
+
+    roles = load_roles(config.prompts_dir)
+    debate_templates = load_debate_templates(config.prompts_dir)
+    # Writers open on their first append: after the resume repairs above,
+    # and never for a file this run adds nothing to.
     writer = _JsonlWriter(results_path)
     debate_writer = _JsonlWriter(debates_path)
-
     owns_gateway = gateway is None
     if owns_gateway:
         gateway = Gateway(config.backend, seed=config.seed)
-    roles = load_roles(config.prompts_dir)
-    debate_templates = load_debate_templates(config.prompts_dir)
     questions = list(catalog.questions.values())
     total_units = len(notes) * len(questions) * len(labels)
 
@@ -435,50 +457,64 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                 else:
                     tasks.append(("debate", note, question, None))
 
+    pending = iter(tasks)
+    pending_lock = threading.Lock()
+
+    def run_units() -> None:
+        """Run queued units one at a time until the queue is empty."""
+        while True:
+            with pending_lock:
+                task = next(pending, None)
+            if task is None:
+                return
+            kind, note, question, role_id = task
+            if kind == "role":
+                run_role_unit(note, question, role_id)
+            else:
+                run_debate_unit(note, question)
+
     try:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = []
-            for kind, note, question, role_id in tasks:
-                if kind == "role":
-                    futures.append(pool.submit(run_role_unit, note, question, role_id))
-                else:
-                    futures.append(pool.submit(run_debate_unit, note, question))
-            for future in as_completed(futures):
-                future.result()  # propagate unexpected (non-gateway) errors
+            loops = [pool.submit(run_units)
+                     for _ in range(min(config.workers, len(tasks)))]
+            for loop in loops:
+                loop.result()  # propagate unexpected (non-gateway) errors
+
+        # Vote records are pure aggregation over the three role records, which
+        # may come from this run or from a resumed file.
+        if config.pathway in ("A", "both") and config.vote:
+            for note in notes:
+                for question in questions:
+                    key = (note.note_id, question.question_id, VOTE_LABEL)
+                    if key in existing:
+                        skipped += 1
+                        continue
+                    members = []
+                    for role_id in ROLE_IDS:
+                        role_key = (note.note_id, question.question_id, f"A-{role_id}")
+                        record = new_records.get(role_key) or existing.get(role_key)
+                        if record is None:
+                            break
+                        members.append(RoleAnswer(
+                            answer=record.answer, role_id=role_id,
+                            elapsed_ms=record.elapsed_s * 1000.0,
+                        ))
+                    if len(members) != 3:
+                        failed += 1
+                        continue
+                    voted = majority_vote(*members)
+                    persist(ResultRecord(
+                        note_id=note.note_id,
+                        question_id=question.question_id,
+                        pathway=VOTE_LABEL,
+                        answer=voted,
+                        elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
+                    ))
     finally:
+        writer.close()
+        debate_writer.close()
         if owns_gateway:
             gateway.close()
-
-    # Vote records are pure aggregation over the three role records, which
-    # may come from this run or from a resumed file.
-    if config.pathway in ("A", "both") and config.vote:
-        for note in notes:
-            for question in questions:
-                key = (note.note_id, question.question_id, VOTE_LABEL)
-                if key in existing:
-                    skipped += 1
-                    continue
-                members = []
-                for role_id in ROLE_IDS:
-                    role_key = (note.note_id, question.question_id, f"A-{role_id}")
-                    record = new_records.get(role_key) or existing.get(role_key)
-                    if record is None:
-                        break
-                    members.append(RoleAnswer(
-                        answer=record.answer, role_id=role_id,
-                        elapsed_ms=record.elapsed_s * 1000.0,
-                    ))
-                if len(members) != 3:
-                    failed += 1
-                    continue
-                voted = majority_vote(*members)
-                persist(ResultRecord(
-                    note_id=note.note_id,
-                    question_id=question.question_id,
-                    pathway=VOTE_LABEL,
-                    answer=voted,
-                    elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
-                ))
 
     _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog,
                     list(existing.values()) + list(new_records.values()))
@@ -537,13 +573,13 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
         for note in notes:
             verdicts = verdicts_for_note(scorable, answers_by_note.get(note.note_id, {}))
             for verdict in verdicts:
-                lines.append(json.dumps({
+                lines.append(_JSONL_ENCODER.encode({
                     "note_id": note.note_id,
                     "criterion_id": verdict.criterion_id,
                     "met": verdict.met,
                     "stable": verdict.stable,
                     "pathway": label,
-                }, ensure_ascii=False, sort_keys=True))
+                }))
             for trial in catalog.trials.values():
                 try:
                     rollup = trial_verdict(trial, verdicts)
@@ -551,13 +587,13 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
                     log.warning("trial %s skipped for %s: %s",
                                 trial.trial_id, note.note_id, exc)
                     continue
-                lines.append(json.dumps({
+                lines.append(_JSONL_ENCODER.encode({
                     "note_id": note.note_id,
                     "trial_id": trial.trial_id,
                     "status": rollup.status.value,
                     "failing": list(rollup.failing),
                     "pathway": label,
-                }, ensure_ascii=False, sort_keys=True))
+                }))
     temp = path.with_suffix(".tmp")
     temp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     temp.replace(path)

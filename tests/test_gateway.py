@@ -222,6 +222,7 @@ def _http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

@@ -51,6 +51,20 @@ def flaky_gateway(broken_substring):
     return gateway
 
 
+class _ResultsWatchingTransport:
+    """Mock transport that reads results.jsonl as each call starts."""
+
+    def __init__(self, fixtures, results_path):
+        self.fixtures = fixtures
+        self.results_path = results_path
+        self.snapshots = []
+
+    def send(self, req):
+        path = self.results_path
+        self.snapshots.append(path.read_text() if path.exists() else "")
+        return mock_resolve(req, self.fixtures)
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
@@ -262,6 +276,7 @@ class TestCmdScreen:
             assert cmd_screen(RunConfig.from_dict(raw)) == EXIT_OK
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
         records = read_jsonl(mini_workspace["out"] / "results.jsonl")
         assert len(records) == 30
@@ -408,6 +423,95 @@ class TestCmdScreen:
         full = screen_loads(mini_workspace["notes"], tmp_path / "full")
         assert small == full == sorted(["role_crc", "role_jd", "role_ie", "stance_pos",
                                         "stance_neg", "judge_r1", "judge_final"])
+
+    def test_each_record_flushed_before_the_next_unit(self, mini_workspace):
+        # One loop and one call per role unit: call k starts after k records.
+        results_path = mini_workspace["out"] / "results.jsonl"
+        gateway = make_mock_gateway({})
+        gateway.transport = _ResultsWatchingTransport(build_mini_fixtures(), results_path)
+        config = run_config(mini_workspace, pathway="A", vote=False, workers=1)
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        snapshots = gateway.transport.snapshots
+        assert len(snapshots) == 2 * 3 * 3
+        for persisted, text in enumerate(snapshots):
+            *lines, tail = text.split("\n")
+            assert tail == ""
+            assert len([json.loads(line) for line in lines]) == persisted
+
+    def test_pathway_a_screen_writes_no_debates_file(self, mini_workspace):
+        assert cmd_screen(run_config(mini_workspace, pathway="A")) == EXIT_OK
+        assert (mini_workspace["out"] / "results.jsonl").exists()
+        assert not (mini_workspace["out"] / "debates.jsonl").exists()
+
+    def test_resume_appends_transcripts_to_repaired_file(self, mini_workspace):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        out = mini_workspace["out"]
+        results_path = out / "results.jsonl"
+        debates_path = out / "debates.jsonl"
+        transcripts = {(d["note_id"], d["question_id"]): d
+                       for d in read_jsonl(debates_path)}
+        rerun = {("n1", "m1"), ("n2", "m3")}
+        kept = [record for record in read_jsonl(results_path)
+                if record["pathway"] != "B"
+                or (record["note_id"], record["question_id"]) not in rerun]
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        assert cmd_screen(config) == EXIT_OK
+        # The repair rewrote the file without the two orphans; the rerun
+        # debates then appended theirs to the new file.
+        debates = read_jsonl(debates_path)
+        assert len(debates) == len(transcripts)
+        assert {(d["note_id"], d["question_id"]) for d in debates[-2:]} == rerun
+        assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
+
+    def test_unexpected_unit_error_raises_after_closing_files_and_gateway(
+            self, mini_workspace, monkeypatch):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        closed_gateways = []
+
+        class BuggyGateway(Gateway):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                mock = self.transport
+
+                class Transport:
+                    def send(self, req):
+                        if req.tag == "n2|m2|roleJD":
+                            raise RuntimeError("bug in a unit")
+                        return mock.send(req)
+
+                self.transport = Transport()
+
+            def close(self):
+                closed_gateways.append(self)
+                super().close()
+
+        monkeypatch.setattr(eligo.runner, "open", tracking_open, raising=False)
+        monkeypatch.setattr(eligo.runner, "Gateway", BuggyGateway)
+        with pytest.raises(RuntimeError, match="bug in a unit"):
+            cmd_screen(run_config(mini_workspace))
+        assert len(closed_gateways) == 1
+        out = mini_workspace["out"]
+        assert {Path(handle.name) for handle in opened} == \
+            {out / "results.jsonl", out / "debates.jsonl"}
+        assert all(handle.closed for handle in opened)
+        # The other loops still ran every other unit; no vote was written.
+        assert len(read_jsonl(out / "results.jsonl")) == 2 * 3 * 3 - 1 + 2 * 3
+        assert len(read_jsonl(out / "debates.jsonl")) == 2 * 3
+
+    @pytest.mark.parametrize("workers", [4, 2])
+    def test_unit_loops_keep_workers_calls_in_flight(self, mini_workspace, workers):
+        gateway = make_mock_gateway(build_mini_fixtures(), latency_s=0.02,
+                                    max_inflight=4)
+        config = run_config(mini_workspace, pathway="A", workers=workers)
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.peak_inflight == workers
 
 
 class TestCanonicalize:
