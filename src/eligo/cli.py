@@ -89,7 +89,7 @@ def _screen(args: argparse.Namespace) -> int:
 def _canonicalize(args: argparse.Namespace) -> int:
     try:
         text = canonicalize_results_file(args.results)
-    except (OSError, json.JSONDecodeError, EligoError) as exc:
+    except (OSError, EligoError) as exc:
         logging.getLogger("eligo").error("cannot canonicalize: %s", exc)
         return EXIT_INPUT
     if args.out:

@@ -47,8 +47,8 @@ class CatalogError(EligoError):
 class RuleParseError(EligoError):
     """Rule text does not conform to the grammar.
 
-    Carries a 1-based character position and a hint naming the expected
-    token class.
+    Carries the bare message, a 1-based character position and a hint
+    naming the expected token class.
     """
 
     def __init__(self, message, position, expected=None, criterion_id=None):
@@ -57,17 +57,14 @@ class RuleParseError(EligoError):
             loc = f"criterion {criterion_id!r}, {loc}"
         hint = f", expected {expected}" if expected else ""
         super().__init__(f"{loc}: {message}{hint}")
+        self.message = message
         self.position = position
         self.expected = expected
         self.criterion_id = criterion_id
 
     def with_criterion(self, criterion_id):
-        return RuleParseError(
-            self.args[0].split(": ", 1)[-1].split(", expected")[0],
-            self.position,
-            expected=self.expected,
-            criterion_id=criterion_id,
-        )
+        return RuleParseError(self.message, self.position, expected=self.expected,
+                              criterion_id=criterion_id)
 
 
 class MissingVerdictError(EligoError):

@@ -24,7 +24,7 @@ A criterion's rule is parsed once, when its catalog is validated at load
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Union
 
@@ -293,22 +293,6 @@ def referenced_ids(expr: RuleExpr) -> set[str]:
     return set(expr.question_ids)
 
 
-def desugar(expr: RuleExpr) -> RuleExpr:
-    """Expand ANY/ALL into the equivalent OR/AND of plain atoms."""
-    if isinstance(expr, Atom):
-        return expr
-    if isinstance(expr, Not):
-        return Not(desugar(expr.child))
-    if isinstance(expr, And):
-        return And(tuple(desugar(child) for child in expr.children))
-    if isinstance(expr, Or):
-        return Or(tuple(desugar(child) for child in expr.children))
-    atoms = tuple(Atom(question_id, expr.value) for question_id in expr.question_ids)
-    if isinstance(expr, AnyOf):
-        return atoms[0] if len(atoms) == 1 else Or(atoms)
-    return atoms[0] if len(atoms) == 1 else And(atoms)
-
-
 def rename_questions(expr: RuleExpr, mapping: Mapping[str, str]) -> RuleExpr:
     """Return a copy of the expression with question ids substituted."""
     if isinstance(expr, Atom):
@@ -325,47 +309,21 @@ def rename_questions(expr: RuleExpr, mapping: Mapping[str, str]) -> RuleExpr:
 
 # -- evaluation ---------------------------------------------------------------
 
-@dataclass
-class AnswerMap:
-    """Tri-valued answers per question; records which lookups were missing."""
-
-    values: Mapping[str, Verdict]
-    missing_ids: set[str] = field(default_factory=set)
-
-    def lookup(self, question_id: str) -> Verdict:
-        value = self.values.get(question_id)
-        if value is None:
-            self.missing_ids.add(question_id)
-            return Verdict.UNKNOWN
-        return value
-
-
-def _as_answer_map(answers: AnswerMap | Mapping[str, Verdict]) -> AnswerMap:
-    if isinstance(answers, AnswerMap):
-        return answers
-    return AnswerMap(answers)
-
-
-def eval_rule(expr: RuleExpr, answers: AnswerMap | Mapping[str, Verdict]) -> bool:
-    """Two-valued evaluation; missing answers count as UNKNOWN and are recorded."""
-    answer_map = _as_answer_map(answers)
-    return _eval(expr, answer_map)
-
-
-def _eval(expr: RuleExpr, answers: AnswerMap) -> bool:
+def eval_rule(expr: RuleExpr, answers: Mapping[str, Verdict]) -> bool:
+    """Two-valued evaluation; missing answers count as UNKNOWN."""
     if isinstance(expr, Atom):
-        hit = answers.lookup(expr.question_id) is expr.value
+        hit = answers.get(expr.question_id, Verdict.UNKNOWN) is expr.value
         return not hit if expr.negated else hit
     if isinstance(expr, Not):
-        return not _eval(expr.child, answers)
+        return not eval_rule(expr.child, answers)
     if isinstance(expr, And):
-        return all(_eval(child, answers) for child in expr.children)
+        return all(eval_rule(child, answers) for child in expr.children)
     if isinstance(expr, Or):
-        return any(_eval(child, answers) for child in expr.children)
+        return any(eval_rule(child, answers) for child in expr.children)
     if isinstance(expr, AnyOf):
-        return any(answers.lookup(q) is expr.value for q in expr.question_ids)
+        return any(answers.get(q, Verdict.UNKNOWN) is expr.value for q in expr.question_ids)
     if isinstance(expr, AllOf):
-        return all(answers.lookup(q) is expr.value for q in expr.question_ids)
+        return all(answers.get(q, Verdict.UNKNOWN) is expr.value for q in expr.question_ids)
     raise TypeError(f"not a rule expression: {expr!r}")
 
 
@@ -384,7 +342,7 @@ class SensitivityResult:
 
 
 def sensitivity(
-    expr: RuleExpr | ParsedRule, answers: AnswerMap | Mapping[str, Verdict]
+    expr: RuleExpr | ParsedRule, answers: Mapping[str, Verdict]
 ) -> SensitivityResult:
     """Check whether the verdict survives every YES/NO completion of UNKNOWNs.
 
@@ -400,11 +358,10 @@ def sensitivity(
         expr, question_ids = expr.expr, expr.question_ids
     else:
         question_ids = sorted(referenced_ids(expr))
-    values = _as_answer_map(answers).values
     known: dict[str, Verdict] = {}
     k = 0
     for question_id in question_ids:
-        value = values.get(question_id, Verdict.UNKNOWN)
+        value = answers.get(question_id, Verdict.UNKNOWN)
         if value is Verdict.UNKNOWN:
             k += 1
         else:
@@ -516,7 +473,7 @@ class TrialVerdict:
 
 
 def criterion_verdict(
-    criterion: CriterionSpec, answers: AnswerMap | Mapping[str, Verdict]
+    criterion: CriterionSpec, answers: Mapping[str, Verdict]
 ) -> CriterionVerdict:
     """Evaluate one criterion's rule and its stability under UNKNOWN flips."""
     if not criterion.rule_text:
@@ -524,12 +481,10 @@ def criterion_verdict(
             f"criterion {criterion.criterion_id!r} has no rule to evaluate"
         )
     rule = criterion.parsed_rule
-    answer_map = _as_answer_map(answers)
-    values = answer_map.values
-    met = eval_rule(rule.expr, answer_map)
-    stable = sensitivity(rule, answer_map).status is Stability.STABLE
-    snapshot = {q: values.get(q, Verdict.UNKNOWN) for q in rule.question_ids}
-    missing = tuple(q for q in rule.question_ids if q not in values)
+    met = eval_rule(rule.expr, answers)
+    stable = sensitivity(rule, answers).status is Stability.STABLE
+    snapshot = {q: answers.get(q, Verdict.UNKNOWN) for q in rule.question_ids}
+    missing = tuple(q for q in rule.question_ids if q not in answers)
     return CriterionVerdict(
         criterion_id=criterion.criterion_id,
         kind=criterion.kind,

@@ -2,9 +2,11 @@
 
 Screening appends one JSONL record per completed (note, question, pathway)
 unit, so an interrupted run resumes by skipping keys already on disk.
-Units run on ``workers`` long-lived loops that each take the next unit from
-one shared queue, so completion order is nondeterministic; downstream
-consumers (and the determinism check) sort by key via canonicalization.
+Units run on ``workers`` long-lived loops that each take the next (note,
+question) pair from one shared queue and run its units in label order: the
+roles, then their vote, then the debate.  Completion order across pairs is
+nondeterministic; downstream consumers (and the determinism check) sort by
+key via canonicalization.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -230,44 +233,51 @@ class _JsonlWriter:
                 self._handle = None
 
 
+def _parse_result(path: str | Path, line_no: int, line: str) -> ResultRecord:
+    """Parse one ``results.jsonl`` line; SchemaError names a line that is not a record."""
+    try:
+        return ResultRecord.from_dict(json.loads(line))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
+
+
 def read_results(path: str | Path) -> list[ResultRecord]:
     """Load result records from a completed (or partial but clean) run."""
-    records: list[ResultRecord] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(ResultRecord.from_dict(json.loads(line)))
-    return records
+        return [_parse_result(path, line_no, line)
+                for line_no, line in enumerate(handle, start=1) if line.strip()]
 
 
 def _read_appended_jsonl(
-    path: Path, parse: Callable[[dict], T]
-) -> list[tuple[int, str, T | None]]:
+    path: Path, parse: Callable[[int, str], T]
+) -> list[tuple[str, T]]:
     """Read a JSONL file that an interrupted run may have appended to.
 
-    Returns ``(line_no, line, parse(record))`` for each non-blank line, with
-    None where the line does not parse.  A torn (half-written) final line is
-    truncated away so later appends land on a clean file.  Lines are split
-    on "\n" only: str.splitlines would also split inside a record at the
-    U+2028/U+2029/U+0085 that ``ensure_ascii=False`` leaves unescaped.
+    Returns ``(line, parse(line_no, line))`` for each non-blank line.  A
+    final line that ``parse`` rejects with SchemaError is torn (half-written)
+    and is truncated away so later appends land on a clean file; on any
+    earlier line the error propagates.  Lines are split on "\n" only:
+    str.splitlines would also split inside a record at the U+2028/U+2029/
+    U+0085 that ``ensure_ascii=False`` leaves unescaped.
     """
     if not path.exists():
         return []
     # A crash can cut a multi-byte character; keep such bytes intact.
     raw = path.read_text(encoding="utf-8", errors="surrogateescape")
-    rows: list[tuple[int, str, T | None]] = []
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
+    lines = [(line_no, line) for line_no, line in enumerate(raw.split("\n"), start=1)
+             if line.strip()]
+    rows: list[tuple[str, T]] = []
+    for line_no, line in lines:
         try:
-            rows.append((line_no, line, parse(json.loads(line))))
-        except (ValueError, KeyError, TypeError):
-            rows.append((line_no, line, None))
-    if rows and rows[-1][2] is None:
-        torn = rows.pop()[1]
-        log.warning("truncating torn final line of %s", path)
-        path.write_text(raw[:raw.rindex(torn)], encoding="utf-8", errors="surrogateescape")
-    elif raw and not raw.endswith("\n"):
+            rows.append((line, parse(line_no, line)))
+        except SchemaError:
+            if line_no != lines[-1][0]:
+                raise
+            log.warning("truncating torn final line of %s", path)
+            path.write_text(raw[:raw.rindex(line)], encoding="utf-8",
+                            errors="surrogateescape")
+            return rows
+    if raw and not raw.endswith("\n"):
         # The crash fell between a record and its newline: end the line.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n")
@@ -276,12 +286,8 @@ def _read_appended_jsonl(
 
 def _read_resume_state(path: Path) -> list[ResultRecord]:
     """Like read_results, but repairs a torn (half-written) final line."""
-    records: list[ResultRecord] = []
-    for line_no, _, record in _read_appended_jsonl(path, ResultRecord.from_dict):
-        if record is None:
-            raise SchemaError(f"{path}: unreadable result record", line=line_no)
-        records.append(record)
-    return records
+    rows = _read_appended_jsonl(path, partial(_parse_result, path))
+    return [record for _, record in rows]
 
 
 def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None:
@@ -289,20 +295,21 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
 
     A crash between the transcript append and the result append leaves a
     transcript without a result, and the resumed run would append a second
-    one.  A later duplicate replaces an earlier one.  Unreadable lines are
-    dropped: an older release appended the next record onto a torn line.
-    The file is replaced atomically, and only when it changes.
+    one.  A later duplicate replaces an earlier one.  Unreadable lines, a
+    torn final one included, are dropped: an older release appended the
+    next record onto a torn line.  The file is replaced atomically, and only
+    when it changes.
     """
-    def transcript_key(record: dict) -> tuple[str, str]:
-        return (record["note_id"], record["question_id"])
+    def transcript_key(line_no: int, line: str) -> tuple[str, str] | None:
+        try:
+            record = json.loads(line)
+            return (record["note_id"], record["question_id"])
+        except (ValueError, KeyError, TypeError):
+            log.warning("dropping unreadable line %d of %s", line_no, path)
+            return None
 
     rows = _read_appended_jsonl(path, transcript_key)
-    kept: dict[tuple[str, str], str] = {}
-    for line_no, line, key in rows:
-        if key is None:
-            log.warning("dropping unreadable line %d of %s", line_no, path)
-        elif key in answered:
-            kept[key] = line
+    kept = {key: line for line, key in rows if key in answered}
     if len(kept) == len(rows):
         return
     scratch = path.with_name(path.name + ".tmp")
@@ -323,9 +330,7 @@ def canonicalize_records(records: Iterable[Mapping]) -> str:
 
 
 def canonicalize_results_file(path: str | Path) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle if line.strip()]
-    return canonicalize_records(records)
+    return canonicalize_records(record.to_dict() for record in read_results(path))
 
 
 # -- screening ----------------------------------------------------------------
@@ -383,40 +388,12 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     questions = list(catalog.questions.values())
     total_units = len(notes) * len(questions) * len(labels)
 
-    answered = 0
-    failed = 0
-    skipped = 0
-    count_lock = threading.Lock()
-    new_records: dict[tuple[str, str, str], ResultRecord] = {}
-
-    def persist(record: ResultRecord) -> None:
-        nonlocal answered
-        writer.append(record.to_dict())
-        with count_lock:
-            answered += 1
-            new_records[record.key] = record
-
-    def run_role_unit(note: AdmissionNote, question, role_id: str) -> None:
-        nonlocal failed
-        label = f"A-{role_id}"
-        try:
-            role_answer = answer_with_role(question, note, roles[role_id], gateway)
-            persist(ResultRecord(
-                note_id=note.note_id,
-                question_id=question.question_id,
-                pathway=label,
-                answer=role_answer.answer,
-                elapsed_s=role_answer.elapsed_ms / 1000.0,
-            ))
-        except GatewayError as exc:
-            log.error("unit %s|%s|%s failed: %s", note.note_id, question.question_id,
-                      label, exc)
-            with count_lock:
-                failed += 1
-
-    def run_debate_unit(note: AdmissionNote, question) -> None:
-        nonlocal failed
-        try:
+    def answer_unit(note: AdmissionNote, question, label: str,
+                    pair_records: dict[str, ResultRecord]) -> ResultRecord | None:
+        """Answer one unit; None when a vote is missing some of its roles."""
+        key_fields = {"note_id": note.note_id, "question_id": question.question_id,
+                      "pathway": label}
+        if label == DEBATE_LABEL:
             started = time.monotonic()
             outcome, transcript = run_debate(
                 question, note, gateway, templates=debate_templates
@@ -427,89 +404,72 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                 "question_id": question.question_id,
                 **transcript.to_dict(),
             })
-            persist(ResultRecord(
-                note_id=note.note_id,
-                question_id=question.question_id,
-                pathway=DEBATE_LABEL,
-                answer=outcome,
-                elapsed_s=elapsed,
+            return ResultRecord(
+                **key_fields, answer=outcome, elapsed_s=elapsed,
                 transcript=f"debates.jsonl:{note.note_id}|{question.question_id}",
-            ))
-        except GatewayError as exc:
-            log.error("unit %s|%s|B failed: %s", note.note_id, question.question_id, exc)
-            with count_lock:
-                failed += 1
+            )
+        if label == VOTE_LABEL:
+            # Pure aggregation over this pair's role records (labels run roles
+            # first), which may come from this run or from a resumed file.
+            members = [
+                RoleAnswer(answer=record.answer, role_id=role_label.removeprefix("A-"),
+                           elapsed_ms=record.elapsed_s * 1000.0)
+                for role_label, record in pair_records.items()
+            ]
+            if len(members) != len(ROLE_IDS):
+                return None
+            return ResultRecord(
+                **key_fields, answer=majority_vote(*members),
+                elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
+            )
+        role_answer = answer_with_role(question, note, roles[label.removeprefix("A-")],
+                                       gateway)
+        return ResultRecord(**key_fields, answer=role_answer.answer,
+                            elapsed_s=role_answer.elapsed_ms / 1000.0)
 
-    tasks = []
-    role_ids_enabled = [role.upper() for role in config.roles] if config.pathway != "B" else []
-    for note in notes:
-        for question in questions:
-            for role_id in role_ids_enabled:
-                key = (note.note_id, question.question_id, f"A-{role_id}")
-                if key in existing:
-                    skipped += 1
-                else:
-                    tasks.append(("role", note, question, role_id))
-            if config.pathway in ("B", "both"):
-                key = (note.note_id, question.question_id, DEBATE_LABEL)
-                if key in existing:
-                    skipped += 1
-                else:
-                    tasks.append(("debate", note, question, None))
+    new_records: list[ResultRecord] = []
+    failed = 0
+    skipped = 0
+    pairs = [(note, question) for note in notes for question in questions]
+    pending = iter(pairs)
+    lock = threading.Lock()  # guards pending, new_records and the counts
 
-    pending = iter(tasks)
-    pending_lock = threading.Lock()
-
-    def run_units() -> None:
-        """Run queued units one at a time until the queue is empty."""
+    def run_pairs() -> None:
+        """Run the next pair's units in label order until no pair is left."""
+        nonlocal failed, skipped
         while True:
-            with pending_lock:
-                task = next(pending, None)
-            if task is None:
+            with lock:
+                pair = next(pending, None)
+            if pair is None:
                 return
-            kind, note, question, role_id = task
-            if kind == "role":
-                run_role_unit(note, question, role_id)
-            else:
-                run_debate_unit(note, question)
+            note, question = pair
+            pair_records: dict[str, ResultRecord] = {}  # this pair's, by label
+            for label in labels:
+                record = existing.get((note.note_id, question.question_id, label))
+                if record is not None:
+                    with lock:
+                        skipped += 1
+                else:
+                    try:
+                        record = answer_unit(note, question, label, pair_records)
+                    except GatewayError as exc:
+                        log.error("unit %s|%s|%s failed: %s", note.note_id,
+                                  question.question_id, label, exc)
+                    if record is None:
+                        with lock:
+                            failed += 1
+                        continue
+                    writer.append(record.to_dict())
+                    with lock:
+                        new_records.append(record)
+                pair_records[label] = record
 
     try:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            loops = [pool.submit(run_units)
-                     for _ in range(min(config.workers, len(tasks)))]
+            loops = [pool.submit(run_pairs)
+                     for _ in range(min(config.workers, len(pairs)))]
             for loop in loops:
                 loop.result()  # propagate unexpected (non-gateway) errors
-
-        # Vote records are pure aggregation over the three role records, which
-        # may come from this run or from a resumed file.
-        if config.pathway in ("A", "both") and config.vote:
-            for note in notes:
-                for question in questions:
-                    key = (note.note_id, question.question_id, VOTE_LABEL)
-                    if key in existing:
-                        skipped += 1
-                        continue
-                    members = []
-                    for role_id in ROLE_IDS:
-                        role_key = (note.note_id, question.question_id, f"A-{role_id}")
-                        record = new_records.get(role_key) or existing.get(role_key)
-                        if record is None:
-                            break
-                        members.append(RoleAnswer(
-                            answer=record.answer, role_id=role_id,
-                            elapsed_ms=record.elapsed_s * 1000.0,
-                        ))
-                    if len(members) != 3:
-                        failed += 1
-                        continue
-                    voted = majority_vote(*members)
-                    persist(ResultRecord(
-                        note_id=note.note_id,
-                        question_id=question.question_id,
-                        pathway=VOTE_LABEL,
-                        answer=voted,
-                        elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
-                    ))
     finally:
         writer.close()
         debate_writer.close()
@@ -517,7 +477,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             gateway.close()
 
     _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog,
-                    list(existing.values()) + list(new_records.values()))
+                    list(existing.values()) + new_records)
 
     manifest = {
         "schema": "eligo-manifest-v1",
@@ -531,7 +491,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             "questions": len(questions),
             "unit_labels": labels,
             "total_units": total_units,
-            "answered": answered,
+            "answered": len(new_records),
             "failed": failed,
             "skipped": skipped,
         },

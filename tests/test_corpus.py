@@ -171,6 +171,24 @@ class TestCatalog:
         assert excinfo.value.criterion_id == "C1"
         assert excinfo.value.position is not None
 
+    def test_unparsable_rule_message_names_criterion_once(self, tmp_path, data_dir):
+        criteria = {"criteria": [{
+            "criterion_id": "C1", "trial_ids": [], "kind": "inclusion",
+            "text": "t", "rule": "Q1 IS", "question_ids": ["Q1"],
+        }]}
+        (tmp_path / "criteria.json").write_text(json.dumps(criteria))
+        (tmp_path / "trials.json").write_text(json.dumps({"trials": []}))
+        with pytest.raises(RuleParseError) as excinfo:
+            load_catalog(
+                data_dir / "catalog_liver" / "questions.json",
+                tmp_path / "criteria.json",
+                tmp_path / "trials.json",
+            )
+        assert str(excinfo.value) == (
+            "criterion 'C1', position 6: unexpected end of rule, "
+            "expected VALUE (YES, NO or UNKNOWN)"
+        )
+
     def test_symptom_event_must_be_classification(self, tmp_path):
         questions = {"questions": [{
             "question_id": "q", "text": "t",

@@ -65,6 +65,10 @@ class _ResultsWatchingTransport:
         return mock_resolve(req, self.fixtures)
 
 
+# A results line without its answer, and valid JSON that is not an object.
+BAD_RESULT_LINES = ['{"note_id": "n1", "question_id": "m1"}', "[1, 2]"]
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
@@ -501,9 +505,10 @@ class TestCmdScreen:
         assert {Path(handle.name) for handle in opened} == \
             {out / "results.jsonl", out / "debates.jsonl"}
         assert all(handle.closed for handle in opened)
-        # The other loops still ran every other unit; no vote was written.
-        assert len(read_jsonl(out / "results.jsonl")) == 2 * 3 * 3 - 1 + 2 * 3
-        assert len(read_jsonl(out / "debates.jsonl")) == 2 * 3
+        # The other loops still ran every other pair; only the rest of the
+        # failing pair (JD, IE, vote, debate) was lost.
+        assert len(read_jsonl(out / "results.jsonl")) == 2 * 3 * 5 - 4
+        assert len(read_jsonl(out / "debates.jsonl")) == 2 * 3 - 1
 
     @pytest.mark.parametrize("workers", [4, 2])
     def test_unit_loops_keep_workers_calls_in_flight(self, mini_workspace, workers):
@@ -512,6 +517,44 @@ class TestCmdScreen:
         config = run_config(mini_workspace, pathway="A", workers=workers)
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         assert gateway.transport.peak_inflight == workers
+
+    def test_vote_appended_before_the_next_pair_starts(self, mini_workspace):
+        # One loop, one call per role: call 3 is the second pair's first role.
+        results_path = mini_workspace["out"] / "results.jsonl"
+        gateway = make_mock_gateway({})
+        gateway.transport = _ResultsWatchingTransport(build_mini_fixtures(), results_path)
+        config = run_config(mini_workspace, pathway="A", workers=1)
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        first_pair = [json.loads(line)
+                      for line in gateway.transport.snapshots[3].splitlines()]
+        assert [record["pathway"] for record in first_pair] == \
+            ["A-CRC", "A-JD", "A-IE", "A-vote"]
+        assert len({(record["note_id"], record["question_id"])
+                    for record in first_pair}) == 1
+
+    def resume_without(self, workspace, pathway):
+        """Screen, drop the (n2, m2) record of one label, and resume."""
+        config = run_config(workspace)
+        assert cmd_screen(config) == EXIT_OK
+        results_path = workspace["out"] / "results.jsonl"
+        baseline = canonicalize_results_file(results_path)
+        kept = [record for record in read_jsonl(results_path)
+                if (record["note_id"], record["question_id"], record["pathway"])
+                != ("n2", "m2", pathway)]
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert canonicalize_results_file(results_path) == baseline
+        manifest = json.loads((workspace["out"] / "manifest.json").read_text())
+        assert manifest["counts"]["answered"] == 1
+        assert manifest["counts"]["skipped"] == 29
+        return gateway.transport.calls
+
+    def test_resume_rebuilds_missing_vote_from_role_records(self, mini_workspace):
+        assert self.resume_without(mini_workspace, "A-vote") == 0
+
+    def test_resume_answers_only_missing_role(self, mini_workspace):
+        assert self.resume_without(mini_workspace, "A-JD") == 1
 
 
 class TestCanonicalize:
@@ -646,6 +689,18 @@ class TestCmdEvaluate:
                               mini_workspace["gold"], mini_workspace["catalog"],
                               mini_workspace["root"] / "eval")
         assert status == EXIT_INPUT
+
+    @pytest.mark.parametrize("bad_line", BAD_RESULT_LINES)
+    def test_result_line_not_a_record_exits_3_naming_it(self, mini_workspace, caplog,
+                                                         bad_line):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        lines = results_path.read_text().splitlines()
+        lines[4] = bad_line
+        results_path.write_text("\n".join(lines) + "\n")
+        status, _ = self.evaluate(mini_workspace)
+        assert status == EXIT_INPUT
+        assert f"line 5: {results_path}: unreadable result record" in caplog.text
 
     def test_invalid_positive_class_exits_3(self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
@@ -825,6 +880,15 @@ class TestCli:
             "--roles", "crc", "--vote", "on",
         ])
         assert status == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad_line", BAD_RESULT_LINES)
+    def test_cli_canonicalize_bad_line_exits_3_naming_it(self, tmp_path, caplog,
+                                                          bad_line):
+        results_path = tmp_path / "results.jsonl"
+        record = {"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO"}
+        results_path.write_text(json.dumps(record) + "\n" + bad_line + "\n")
+        assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_INPUT
+        assert f"line 2: {results_path}: unreadable result record" in caplog.text
 
     def test_cli_canonicalize(self, mini_workspace, capsys):
         assert cli_main(["screen", "--config", str(mini_workspace["run_json"])]) == 0
