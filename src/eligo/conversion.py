@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -152,11 +152,8 @@ def generate_questions(
         )
         for backend in backends
     ]
-    with ThreadPoolExecutor(max_workers=len(backends)) as pool:
-        futures = [
-            pool.submit(backend.complete, request)
-            for backend, request in zip(backends, requests)
-        ]
+    futures = [backend.submit(request) for backend, request in zip(backends, requests)]
+    wait(futures)
     result = DraftSet()
     failures: list[tuple[str, Exception]] = []
     for backend, future in zip(backends, futures):

@@ -143,13 +143,6 @@ class TrialSpec:
     criterion_ids: tuple[str, ...]
     registry_code: str | None = None
 
-    def to_dict(self) -> dict:
-        record: dict = {"trial_id": self.trial_id}
-        if self.registry_code is not None:
-            record["registry_code"] = self.registry_code
-        record["criterion_ids"] = list(self.criterion_ids)
-        return record
-
 
 @dataclass(frozen=True)
 class Catalog:
@@ -403,11 +396,6 @@ def write_questions(path: str | Path, questions: Iterable[QuestionSpec]) -> None
 
 def write_criteria(path: str | Path, criteria: Iterable[CriterionSpec]) -> None:
     document = {"criteria": [criterion.to_dict() for criterion in criteria]}
-    Path(path).write_text(json.dumps(document, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def write_trials(path: str | Path, trials: Iterable[TrialSpec]) -> None:
-    document = {"trials": [trial.to_dict() for trial in trials]}
     Path(path).write_text(json.dumps(document, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 

@@ -1,26 +1,34 @@
 """Uniform chat-completion access: HTTP backend, deterministic mock, parsing.
 
-The gateway is the engine's only concurrency boundary.  Any number of
-workers may call :meth:`Gateway.complete`; a semaphore keeps the number of
-outstanding requests per instance at or below ``max_inflight``.  A slot is
-held only while an attempt is on the wire, so a unit waiting out a retry
-backoff leaves its slot to other units.
+The gateway is the engine's only concurrency boundary.  :meth:`Gateway.submit`
+queues a request and returns a Future.  Up to ``max_inflight`` sender threads
+take requests off the queue and put them on the wire, so the number of
+senders is the in-flight bound.  A transient failure parks its request on a
+retry-timer heap until the backoff (or the backend's capped Retry-After) has
+passed: no thread sleeps through a backoff, and the senders serve other
+requests meanwhile.  Senders start on demand and exit once the queue and the
+heap have stayed empty for ``SENDER_IDLE_S``, so a gateway that is never
+closed does not keep its threads.
 """
 
 from __future__ import annotations
 
 import email.utils
+import heapq
+import http.client
+import itertools
 import json
 import re
+import select
 import threading
 import time
+import urllib.parse
+from concurrent.futures import Future, wait
+from queue import Empty, SimpleQueue
 from dataclasses import dataclass, fields
 from datetime import timezone
 from pathlib import Path
-from typing import Mapping
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import Callable, Generator, Mapping, TypeVar
 
 from . import errors
 from .corpus import Verdict
@@ -44,6 +52,9 @@ MOCK_FALLBACK = '"Unable to determine". No fixture.'
 
 # Longest wait a backend's Retry-After header can impose on one retry.
 RETRY_AFTER_CAP_S = 60.0
+
+# How long a sender with nothing to send or retry waits for work before it exits.
+SENDER_IDLE_S = 0.1
 
 _SPEAKERS = ("system", "user", "assistant")
 
@@ -233,6 +244,11 @@ def mock_resolve(req: ChatRequest, fixtures: Mapping[str, str]) -> str:
 class MockTransport:
     """Canned-response transport, instrumented for concurrency assertions."""
 
+    @property
+    def waits(self) -> bool:
+        """Whether a send waits (see :meth:`Gateway.submit`): only with latency."""
+        return self.latency_s > 0
+
     def __init__(self, fixtures: Mapping[str, str], *, latency_s: float = 0.0,
                  seed: str | None = None):
         self.fixtures = dict(fixtures)
@@ -285,28 +301,47 @@ def parse_retry_after(value: str | None) -> float | None:
 
 
 class HttpTransport:
-    """Chat-completions wire protocol over HTTP.
+    """Chat-completions wire protocol over HTTP, on the standard library.
 
-    One pooled ``requests.Session`` per transport keeps up to
-    ``max_inflight`` connections alive across calls.
+    Connections are kept alive and reused: each send takes an idle one (or
+    opens one) and returns it afterwards, so no more connections are open
+    than requests have been in flight at once.
     """
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
-        self.url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-        self.session = requests.Session()
-        adapter = HTTPAdapter(pool_maxsize=cfg.max_inflight)
-        self.session.mount("http://", adapter)
-        self.session.mount("https://", adapter)
+        url = urllib.parse.urlsplit(cfg.base_url)
+        self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._address = (url.hostname, url.port)
+        self.path = url.path.rstrip("/") + "/v1/chat/completions"
+        self.headers = {"Content-Type": "application/json"}
         if cfg.api_key:
-            self.session.headers["Authorization"] = f"Bearer {cfg.api_key}"
+            self.headers["Authorization"] = f"Bearer {cfg.api_key}"
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
 
     def close(self) -> None:
-        self.session.close()
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            return self._connection_class(*self._address,
+                                          timeout=self.cfg.timeout_ms / 1000.0)
+        sock = connection.sock
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            # The server closed the idle connection; request() reopens it.
+            connection.close()
+        return connection
 
     def send(self, req: ChatRequest) -> str:
         cfg = self.cfg
-        body = {
+        body = json.dumps({
             "model": cfg.model_name,
             "messages": [
                 {"role": message.speaker, "content": message.content}
@@ -314,38 +349,45 @@ class HttpTransport:
             ],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
-        }
+        }).encode()
+        connection = self._checkout()
         try:
-            response = self.session.post(
-                self.url, json=body, timeout=cfg.timeout_ms / 1000.0
-            )
-        except requests.Timeout as exc:
+            connection.request("POST", self.path, body=body, headers=self.headers)
+            response = connection.getresponse()
+            payload = response.read()
+        except TimeoutError as exc:
+            connection.close()
             raise errors.TimeoutError(f"no response within {cfg.timeout_ms} ms") from exc
-        except requests.RequestException as exc:
-            raise errors.TransportError(str(exc)) from exc
-        if not 200 <= response.status_code < 300:
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise errors.TransportError(str(exc) or type(exc).__name__) from exc
+        with self._lock:
+            self._idle.append(connection)
+        status = response.status
+        excerpt = payload[:200].decode("utf-8", errors="replace")
+        if not 200 <= status < 300:
             retry_after = None
-            if response.status_code in (429, 503):
-                retry_after = parse_retry_after(response.headers.get("Retry-After"))
+            if status in (429, 503):
+                retry_after = parse_retry_after(response.getheader("Retry-After"))
             raise errors.BackendError(
                 "backend refused the request",
-                status=response.status_code,
-                body_excerpt=response.text[:200],
+                status=status,
+                body_excerpt=excerpt,
                 retry_after=retry_after,
             )
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise errors.BackendError(
                 "malformed completion payload",
-                status=response.status_code,
-                body_excerpt=response.text[:200],
+                status=status,
+                body_excerpt=excerpt,
             ) from exc
         if not isinstance(content, str):
             raise errors.BackendError(
                 "completion content is not text",
-                status=response.status_code,
-                body_excerpt=response.text[:200],
+                status=status,
+                body_excerpt=excerpt,
             )
         return content
 
@@ -367,6 +409,16 @@ def _retry_delay(error: Exception, backoff_s: float, attempt: int) -> float:
     return delay
 
 
+@dataclass(eq=False)
+class _Call:
+    """One submitted request on its way through the queue, the wire and the heap."""
+
+    request: ChatRequest
+    future: Future
+    on_park: Callable[[bool], None] | None
+    attempt: int = 0
+
+
 class Gateway:
     """Bounded-concurrency front door to one backend instance."""
 
@@ -374,7 +426,6 @@ class Gateway:
                  seed: str | None = None, transport=None):
         cfg.validate()
         self.cfg = cfg
-        self._semaphore = threading.BoundedSemaphore(cfg.max_inflight)
         if transport is not None:
             self.transport = transport
         elif cfg.kind == "mock":
@@ -385,39 +436,211 @@ class Gateway:
             )
         else:
             self.transport = HttpTransport(cfg)
+        # Calls to send; None tells the sender that takes it to exit.
+        self._ready: SimpleQueue[_Call | None] = SimpleQueue()
+        self._lock = threading.Lock()  # guards the fields below
+        self._parked: list[tuple[float, int, _Call]] = []  # heap by retry time
+        self._order = itertools.count()  # heap tie-break: parking order
+        self._senders: list[threading.Thread] = []
+        self._outstanding = 0  # calls queued or on the wire
+        self._inline = 0  # of those, sent on their submitting thread
 
-    def complete(self, req: ChatRequest) -> str:
-        """Send one request; retry transient failures with exponential backoff.
+    def submit(self, req: ChatRequest, *,
+               on_park: Callable[[bool], None] | None = None) -> Future:
+        """Queue one request; the Future resolves to the reply text.
 
-        Each attempt takes a slot for as long as it is on the wire; the
-        backoff sleep between attempts holds none.
+        Transient failures (429, 5xx, transport errors) are retried up to
+        ``retry_limit`` times with exponential backoff, stretched to a capped
+        Retry-After; the Future then fails with ExhaustedRetriesError.  Any
+        other failure fails it at once.  ``on_park(True)`` is called when the
+        request starts waiting out a backoff and ``on_park(False)`` when it is
+        queued again.  It runs with the gateway's lock held, so it must be
+        quick and must not call the gateway.
+
+        A transport whose ``waits`` is false (the mock without latency) is
+        sent to on the calling thread while a slot is free, so the Future is
+        done on return: a hand-off to a sender would only add overhead.
         """
         req.validate()
-        last_error: Exception | None = None
-        attempts = self.cfg.retry_limit + 1
-        for attempt in range(attempts):
+        call = _Call(req, Future(), on_park)
+        with self._lock:
+            self._outstanding += 1
+            inline = (not getattr(self.transport, "waits", True)
+                      and len(self._senders) + self._inline < self.cfg.max_inflight)
+            if inline:
+                self._inline += 1
+            else:
+                self._ready.put(call)
+                self._add_sender()
+        if inline:
             try:
-                with self._semaphore:
-                    return self.transport.send(req)
-            except errors.GatewayError as exc:
-                if not _is_transient(exc):
-                    raise
-                last_error = exc
-            if attempt + 1 < attempts:
-                delay = _retry_delay(last_error, self.cfg.backoff_s, attempt)
-                if delay > 0:
-                    time.sleep(delay)
-        raise errors.ExhaustedRetriesError(attempts, last_error)
+                self._attempt(call)
+            finally:
+                with self._lock:
+                    self._inline -= 1
+                    self._add_sender()  # for calls queued meanwhile
+        return call.future
 
-    def close(self) -> None:
-        """Release the transport's pooled connections, if it keeps any."""
-        close = getattr(self.transport, "close", None)
-        if close is not None:
-            close()
+    def complete(self, req: ChatRequest) -> str:
+        """Send one request and wait for its reply (see :meth:`submit`)."""
+        return self.submit(req).result()
 
     def ask(self, req: ChatRequest) -> ParsedAnswer:
         """Complete a request and parse the reply under the format contract."""
         return parse_answer(self.complete(req), provenance=req.tag)
+
+    def close(self) -> None:
+        """Stop the senders and release the transport's pooled connections.
+
+        A request on the wire is answered first; one still queued or parked
+        fails with TransportError.
+        """
+        with self._lock:
+            abandoned = [call for call in _drain(self._ready) if call is not None]
+            self._outstanding -= len(abandoned)
+            abandoned += [call for _, _, call in self._parked]
+            self._parked.clear()
+            senders = list(self._senders)
+            for _ in senders:
+                self._ready.put(None)
+        for call in abandoned:
+            call.future.set_exception(errors.TransportError("gateway closed"))
+        for sender in senders:
+            sender.join()
+        with self._lock:
+            # Senders that exited idle left their None behind; a call
+            # submitted meanwhile stays queued for a new sender.
+            for call in _drain(self._ready):
+                if call is not None:
+                    self._ready.put(call)
+            self._add_sender()
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()
+
+    # -- senders ------------------------------------------------------------
+
+    def _add_sender(self) -> None:
+        """Start a sender while calls wait for one and a slot is free, or
+        when parked calls have no sender to requeue them (lock held)."""
+        senders = len(self._senders)
+        wanted = min(self._outstanding, self.cfg.max_inflight) - self._inline
+        if senders < wanted or (self._parked and not senders):
+            sender = threading.Thread(target=self._send_loop, name="eligo-sender",
+                                      daemon=True)
+            self._senders.append(sender)
+            sender.start()
+
+    def _send_loop(self) -> None:
+        while (call := self._next_call()) is not None:
+            self._attempt(call)
+
+    def _next_call(self) -> _Call | None:
+        """Wait for the next call to send; None when this sender should exit.
+
+        A sender exits once it finds nothing to send and nothing parked for
+        ``SENDER_IDLE_S``, or when close() asks it to.
+        """
+        while True:
+            timeout = SENDER_IDLE_S
+            if self._parked:
+                with self._lock:
+                    timeout = self._requeue_due(timeout)
+            try:
+                call = self._ready.get(timeout=timeout)
+            except Empty:
+                with self._lock:
+                    if self._ready.empty() and not self._parked:
+                        self._senders.remove(threading.current_thread())
+                        return None
+                continue
+            if call is None:
+                with self._lock:
+                    self._senders.remove(threading.current_thread())
+            return call
+
+    def _requeue_due(self, timeout: float) -> float:
+        """Queue the parked calls whose time has come; return how long to wait
+        for the next one, at most ``timeout`` (lock held)."""
+        now = time.monotonic()
+        while self._parked and self._parked[0][0] <= now:
+            call = heapq.heappop(self._parked)[2]
+            if call.on_park is not None:
+                call.on_park(False)
+            self._outstanding += 1
+            self._ready.put(call)
+        self._add_sender()
+        if self._parked:
+            timeout = min(timeout, self._parked[0][0] - now)
+        return timeout
+
+    def _attempt(self, call: _Call) -> None:
+        """Put one attempt on the wire; resolve the call or park it for a retry."""
+        try:
+            reply = self.transport.send(call.request)
+        except errors.GatewayError as exc:
+            if _is_transient(exc) and call.attempt < self.cfg.retry_limit:
+                delay = _retry_delay(exc, self.cfg.backoff_s, call.attempt)
+                call.attempt += 1
+                self._park(call, delay)
+                return
+            if _is_transient(exc):
+                exc = errors.ExhaustedRetriesError(call.attempt + 1, exc)
+            self._resolve(call.future.set_exception, exc)
+        except Exception as exc:  # a faulty transport fails its call, not the sender
+            self._resolve(call.future.set_exception, exc)
+        else:
+            self._resolve(call.future.set_result, reply)
+
+    def _resolve(self, setter: Callable, value) -> None:
+        with self._lock:
+            self._outstanding -= 1
+        setter(value)
+
+    def _park(self, call: _Call, delay: float) -> None:
+        with self._lock:
+            if delay <= 0:
+                self._ready.put(call)
+                self._add_sender()
+                return
+            self._outstanding -= 1
+            heapq.heappush(self._parked,
+                           (time.monotonic() + delay, next(self._order), call))
+            if call.on_park is not None:
+                call.on_park(True)
+            self._add_sender()
+
+
+def _drain(queue: SimpleQueue) -> list:
+    items = []
+    while True:
+        try:
+            items.append(queue.get_nowait())
+        except Empty:
+            return items
+
+
+T = TypeVar("T")
+
+# A unit of work: a generator that yields batches of requests, is sent each
+# batch's replies in order, and returns its result.
+Unit = Generator[list[ChatRequest], list[str], T]
+
+
+def run_unit(unit: Unit[T], gateway: Gateway) -> T:
+    """Drive a unit to its result, waiting for each batch in turn.
+
+    A batch fails with its first error in batch order, once every request
+    of the batch has been answered.
+    """
+    batch = next(unit)
+    while True:
+        futures = [gateway.submit(request) for request in batch]
+        wait(futures)
+        try:
+            batch = unit.send([future.result() for future in futures])
+        except StopIteration as stop:
+            return stop.value
 
 
 def backend_config_from_dict(record: Mapping) -> BackendConfig:

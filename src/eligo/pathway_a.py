@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 from .corpus import AdmissionNote, QuestionSpec, Verdict, canonical_text
 from .errors import MixedKeyError
-from .gateway import FORMAT_CONTRACT, Gateway, ParsedAnswer, user_request
+from .gateway import (
+    FORMAT_CONTRACT,
+    Gateway,
+    ParsedAnswer,
+    Unit,
+    parse_answer,
+    run_unit,
+    user_request,
+)
 from .prompting import load_template, render
 
 # Canonical role order; also the tie-break ordering used when rendering votes.
@@ -53,13 +61,9 @@ def role_tag(note_id: str, question_id: str, role_id: str) -> str:
     return f"{note_id}|{question_id}|role{role_id}"
 
 
-def answer_with_role(
-    question: QuestionSpec,
-    note: AdmissionNote,
-    role: RoleProfile,
-    gateway: Gateway,
-) -> RoleAnswer:
-    """Ask one role one question about one note; exactly one gateway call."""
+def role_unit(question: QuestionSpec, note: AdmissionNote,
+              role: RoleProfile) -> Unit[RoleAnswer]:
+    """Ask one role one question about one note: one request, one parsed answer."""
     prompt = render(
         role.instructions, question=question.text, note=canonical_text(note)
     )
@@ -68,9 +72,20 @@ def answer_with_role(
         tag=role_tag(note.note_id, question.question_id, role.role_id),
     )
     started = time.monotonic()
-    answer = gateway.ask(request)
+    (reply,) = yield [request]
+    answer = parse_answer(reply, provenance=request.tag)
     elapsed_ms = (time.monotonic() - started) * 1000.0
     return RoleAnswer(answer=answer, role_id=role.role_id, elapsed_ms=elapsed_ms)
+
+
+def answer_with_role(
+    question: QuestionSpec,
+    note: AdmissionNote,
+    role: RoleProfile,
+    gateway: Gateway,
+) -> RoleAnswer:
+    """Ask one role one question about one note; exactly one gateway call."""
+    return run_unit(role_unit(question, note, role), gateway)
 
 
 def _vote_key(answer: RoleAnswer) -> tuple[str, str]:

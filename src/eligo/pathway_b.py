@@ -9,13 +9,21 @@ never on raw text.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .corpus import AdmissionNote, QuestionSpec, canonical_text
-from .gateway import FORMAT_CONTRACT, ChatRequest, Gateway, ParsedAnswer, parse_answer, user_request
+from .gateway import (
+    FORMAT_CONTRACT,
+    ChatRequest,
+    Gateway,
+    ParsedAnswer,
+    Unit,
+    parse_answer,
+    run_unit,
+    user_request,
+)
 from .prompting import load_template, render
 
 _SECOND_ROUND_RE = re.compile(r'^\s*["“«]?\s*SECOND ROUND\b[."”»]*[:\s]*', re.IGNORECASE)
@@ -120,42 +128,30 @@ def _second_round_demand(text: str) -> str | None:
     return text[match.end():].strip()
 
 
-def run_debate(
+def debate_unit(
     question: QuestionSpec,
     note: AdmissionNote,
-    gateway: Gateway,
-    *,
-    templates: Mapping[str, str] | None = None,
-) -> tuple[ParsedAnswer, DebateTranscript]:
-    """Run the full debate state machine for one (note, question).
+    templates: Mapping[str, str],
+) -> Unit[tuple[ParsedAnswer, DebateTranscript]]:
+    """The debate state machine for one (note, question), as a unit.
 
-    ``templates`` comes from :func:`load_debate_templates`, which a batch
-    caller runs once (with its site ``prompts_dir``); the packaged
-    templates are loaded when it is omitted.
+    It yields the round-1 stances as one batch, then the judge, then (when
+    the judge demands it) the round-2 stances and the final judge.
+    ``templates`` comes from :func:`load_debate_templates`.
     """
-    if templates is None:
-        templates = load_debate_templates()
     key = f"{note.note_id}|{question.question_id}"
 
     def stance_round(round_no: int, judge_notes: str | None):
-        pro_req = _stance_request(
-            templates["stance_pos"], question, note, judge_notes,
-            tag=f"{key}|proponent|r{round_no}",
-        )
-        con_req = _stance_request(
-            templates["stance_neg"], question, note, judge_notes,
-            tag=f"{key}|opponent|r{round_no}",
-        )
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pro_future = pool.submit(gateway.complete, pro_req)
-            con_future = pool.submit(gateway.complete, con_req)
-            pro_text, con_text = pro_future.result(), con_future.result()
-        return (
-            (pro_text, parse_answer(pro_text, provenance=pro_req.tag)),
-            (con_text, parse_answer(con_text, provenance=con_req.tag)),
-        )
+        requests = [
+            _stance_request(templates[template], question, note, judge_notes,
+                            tag=f"{key}|{role}|r{round_no}")
+            for template, role in (("stance_pos", "proponent"), ("stance_neg", "opponent"))
+        ]
+        replies = yield requests
+        return [(text, parse_answer(text, provenance=request.tag))
+                for request, text in zip(requests, replies)]
 
-    (pro_text, pro), (con_text, con) = stance_round(1, None)
+    (pro_text, pro), (con_text, con) = yield from stance_round(1, None)
 
     if pro.value is con.value:
         # Consensus: the adjudicator just passes the shared conclusion
@@ -176,12 +172,12 @@ def run_debate(
         )
         return outcome, transcript
 
-    judge1_text = gateway.complete(
+    (judge1_text,) = yield [
         _judge_request(
             "judge_r1", templates, question, note, pro_text, con_text,
             tag=f"{key}|judge|r1",
         )
-    )
+    ]
     demand = _second_round_demand(judge1_text)
     judge1 = parse_answer(judge1_text, provenance=f"{key}|judge|r1")
 
@@ -192,14 +188,14 @@ def run_debate(
         )
         return judge1, transcript
 
-    (pro2_text, pro2), (con2_text, con2) = stance_round(2, demand)
+    (pro2_text, pro2), (con2_text, con2) = yield from stance_round(2, demand)
     # Round-2 agreement is NOT consulted: the judge must close the debate.
-    final_text = gateway.complete(
+    (final_text,) = yield [
         _judge_request(
             "judge_final", templates, question, note,
             pro2_text, con2_text, judge_notes=demand, tag=f"{key}|judge|final",
         )
-    )
+    ]
     outcome = parse_answer(final_text, provenance=f"{key}|judge|final")
     transcript = DebateTranscript(
         round1=(pro, con), outcome=outcome, rounds_used=2, calls_used=6,
@@ -207,3 +203,21 @@ def run_debate(
         judge_final=outcome,
     )
     return outcome, transcript
+
+
+def run_debate(
+    question: QuestionSpec,
+    note: AdmissionNote,
+    gateway: Gateway,
+    *,
+    templates: Mapping[str, str] | None = None,
+) -> tuple[ParsedAnswer, DebateTranscript]:
+    """Run the full debate for one (note, question) over ``gateway``.
+
+    ``templates`` comes from :func:`load_debate_templates`, which a batch
+    caller runs once (with its site ``prompts_dir``); the packaged
+    templates are loaded when it is omitted.
+    """
+    if templates is None:
+        templates = load_debate_templates()
+    return run_unit(debate_unit(question, note, templates), gateway)

@@ -2,11 +2,15 @@
 
 Screening appends one JSONL record per completed (note, question, pathway)
 unit, so an interrupted run resumes by skipping keys already on disk.
-Units run on ``workers`` long-lived loops that each take the next (note,
-question) pair from one shared queue and run its units in label order: the
-roles, then their vote, then the debate.  Completion order across pairs is
-nondeterministic; downstream consumers (and the determinism check) sort by
-key via canonicalization.
+Each (note, question) pair runs its units in label order: the roles, then
+their vote, then the debate.  One engine loop on the calling thread does
+all of the work but the backend calls: it renders each unit's requests,
+submits them to the gateway, and parses, votes and appends as the replies
+come back.  At most ``workers`` pairs are runnable at a time, meaning they
+have a request queued or on the wire; a pair whose requests all wait out a
+retry backoff is parked and does not count, so another pair starts in its
+place.  Completion order across pairs is nondeterministic; downstream
+consumers (and the determinism check) sort by key via canonicalization.
 """
 
 from __future__ import annotations
@@ -16,19 +20,20 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TypeVar
+from queue import SimpleQueue
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from . import __version__
 from .corpus import (
     AdmissionNote,
     Catalog,
+    QuestionSpec,
     Verdict,
     load_catalog_dir,
     load_gold,
@@ -50,9 +55,9 @@ from .evaluation import (
     score_questions,
     timing_stats,
 )
-from .gateway import BackendConfig, Gateway, ParsedAnswer, backend_config_from_dict
-from .pathway_a import ROLE_IDS, answer_with_role, load_roles, majority_vote, RoleAnswer
-from .pathway_b import load_debate_templates, run_debate
+from .gateway import BackendConfig, Gateway, ParsedAnswer, Unit, backend_config_from_dict
+from .pathway_a import ROLE_IDS, RoleAnswer, load_roles, majority_vote, role_unit
+from .pathway_b import debate_unit, load_debate_templates
 from .rules import trial_verdict, verdicts_for_note
 
 log = logging.getLogger(__name__)
@@ -205,68 +210,65 @@ class ResultRecord:
 
 
 class _JsonlWriter:
-    """Serializes appends so each record lands as one complete line.
+    """Appends records to a JSONL file, one complete line each.
 
     The file is opened on the first append and kept open until close(), so
     a run that appends nothing creates no file.  Each line is flushed to the
     OS before append returns, so a process that dies loses at most the
-    record it was writing.
+    record it was writing.  Not thread-safe: the engine thread is the only
+    writer.
     """
 
     def __init__(self, path: Path):
         self.path = path
-        self._lock = threading.Lock()
         self._handle = None
 
     def append(self, record: dict) -> None:
-        line = _JSONL_ENCODER.encode(record) + "\n"
-        with self._lock:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
+        if self._handle is None:
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(_JSONL_ENCODER.encode(record) + "\n")
+        self._handle.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
-def _parse_result(path: str | Path, line_no: int, line: str) -> ResultRecord:
-    """Parse one ``results.jsonl`` line; SchemaError names a line that is not a record."""
+def _parse_result(path: str | Path, line_no: int, line: bytes) -> ResultRecord:
+    """Parse one ``results.jsonl`` line; SchemaError names a line that is not a
+    UTF-8 JSON record."""
     try:
-        return ResultRecord.from_dict(json.loads(line))
+        return ResultRecord.from_dict(json.loads(line.decode("utf-8")))
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
 
 
 def read_results(path: str | Path) -> list[ResultRecord]:
     """Load result records from a completed (or partial but clean) run."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return [_parse_result(path, line_no, line)
                 for line_no, line in enumerate(handle, start=1) if line.strip()]
 
 
 def _read_appended_jsonl(
-    path: Path, parse: Callable[[int, str], T]
-) -> list[tuple[str, T]]:
+    path: Path, parse: Callable[[int, bytes], T]
+) -> list[tuple[bytes, T]]:
     """Read a JSONL file that an interrupted run may have appended to.
 
     Returns ``(line, parse(line_no, line))`` for each non-blank line.  A
     final line that ``parse`` rejects with SchemaError is torn (half-written)
     and is truncated away so later appends land on a clean file; on any
-    earlier line the error propagates.  Lines are split on "\n" only:
-    str.splitlines would also split inside a record at the U+2028/U+2029/
-    U+0085 that ``ensure_ascii=False`` leaves unescaped.
+    earlier line the error propagates.  Lines are bytes split on b"\n", so
+    a crash that cut a multi-byte character, or a U+2028 that
+    ``ensure_ascii=False`` left unescaped, cannot split a line.
     """
     if not path.exists():
         return []
-    # A crash can cut a multi-byte character; keep such bytes intact.
-    raw = path.read_text(encoding="utf-8", errors="surrogateescape")
-    lines = [(line_no, line) for line_no, line in enumerate(raw.split("\n"), start=1)
+    raw = path.read_bytes()
+    lines = [(line_no, line) for line_no, line in enumerate(raw.split(b"\n"), start=1)
              if line.strip()]
-    rows: list[tuple[str, T]] = []
+    rows: list[tuple[bytes, T]] = []
     for line_no, line in lines:
         try:
             rows.append((line, parse(line_no, line)))
@@ -274,13 +276,12 @@ def _read_appended_jsonl(
             if line_no != lines[-1][0]:
                 raise
             log.warning("truncating torn final line of %s", path)
-            path.write_text(raw[:raw.rindex(line)], encoding="utf-8",
-                            errors="surrogateescape")
+            path.write_bytes(raw[:raw.rindex(line)])
             return rows
-    if raw and not raw.endswith("\n"):
+    if raw and not raw.endswith(b"\n"):
         # The crash fell between a record and its newline: end the line.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("\n")
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
     return rows
 
 
@@ -300,9 +301,9 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     next record onto a torn line.  The file is replaced atomically, and only
     when it changes.
     """
-    def transcript_key(line_no: int, line: str) -> tuple[str, str] | None:
+    def transcript_key(line_no: int, line: bytes) -> tuple[str, str] | None:
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
             return (record["note_id"], record["question_id"])
         except (ValueError, KeyError, TypeError):
             log.warning("dropping unreadable line %d of %s", line_no, path)
@@ -313,8 +314,7 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     if len(kept) == len(rows):
         return
     scratch = path.with_name(path.name + ".tmp")
-    scratch.write_text("".join(line + "\n" for line in kept.values()),
-                       encoding="utf-8", errors="surrogateescape")
+    scratch.write_bytes(b"".join(line + b"\n" for line in kept.values()))
     os.replace(scratch, path)
 
 
@@ -339,11 +339,32 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@dataclass(eq=False)
+class _Pair:
+    """One (note, question) pair on its way through its units in label order."""
+
+    note: AdmissionNote
+    question: QuestionSpec
+    labels: Iterator[str]
+    on_reply: Callable[[Future], None]  # a request of the batch was answered
+    on_park: Callable[[bool], None]  # a request of the batch was (un)parked
+    records: dict[str, ResultRecord] = field(default_factory=dict)  # by label
+    label: str = ""  # the current unit's label
+    unit: Unit | None = None  # the current unit, if it calls the backend
+    started: float = 0.0  # when the current unit started
+    batch: list[Future] = field(default_factory=list)  # what the unit waits on
+    waiting: int = 0  # requests of the batch not yet answered
+    parked: int = 0  # of those, the ones waiting out a retry backoff
+
+
 def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     """Answer every (note, question) unit, resumably, then roll up verdicts.
 
     A pre-built gateway may be injected (tests use this to script failures);
-    by default one is constructed from the configured backend.
+    by default one is constructed from the configured backend.  A unit whose
+    call fails with a GatewayError is counted as failed.  Any other error
+    ends its pair; it is raised once the other pairs are done, with the
+    output files and the gateway closed.
     """
     try:
         config.validate()
@@ -388,88 +409,149 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     questions = list(catalog.questions.values())
     total_units = len(notes) * len(questions) * len(labels)
 
-    def answer_unit(note: AdmissionNote, question, label: str,
-                    pair_records: dict[str, ResultRecord]) -> ResultRecord | None:
-        """Answer one unit; None when a vote is missing some of its roles."""
-        key_fields = {"note_id": note.note_id, "question_id": question.question_id,
-                      "pathway": label}
-        if label == DEBATE_LABEL:
-            started = time.monotonic()
-            outcome, transcript = run_debate(
-                question, note, gateway, templates=debate_templates
-            )
-            elapsed = time.monotonic() - started
-            debate_writer.append({
-                "note_id": note.note_id,
-                "question_id": question.question_id,
-                **transcript.to_dict(),
-            })
-            return ResultRecord(
-                **key_fields, answer=outcome, elapsed_s=elapsed,
-                transcript=f"debates.jsonl:{note.note_id}|{question.question_id}",
-            )
-        if label == VOTE_LABEL:
-            # Pure aggregation over this pair's role records (labels run roles
-            # first), which may come from this run or from a resumed file.
-            members = [
-                RoleAnswer(answer=record.answer, role_id=role_label.removeprefix("A-"),
-                           elapsed_ms=record.elapsed_s * 1000.0)
-                for role_label, record in pair_records.items()
-            ]
-            if len(members) != len(ROLE_IDS):
-                return None
-            return ResultRecord(
-                **key_fields, answer=majority_vote(*members),
-                elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
-            )
-        role_answer = answer_with_role(question, note, roles[label.removeprefix("A-")],
-                                       gateway)
-        return ResultRecord(**key_fields, answer=role_answer.answer,
-                            elapsed_s=role_answer.elapsed_ms / 1000.0)
-
     new_records: list[ResultRecord] = []
     failed = 0
     skipped = 0
-    pairs = [(note, question) for note in notes for question in questions]
-    pending = iter(pairs)
-    lock = threading.Lock()  # guards pending, new_records and the counts
+    unexpected: Exception | None = None
+    # (pair, change in its parked requests), or (pair, 0) for an answer.
+    events: SimpleQueue[tuple[_Pair, int]] = SimpleQueue()
+    running: set[_Pair] = set()  # pairs waiting on the gateway
+    parked: set[_Pair] = set()  # of those, the ones whose requests are all parked
 
-    def run_pairs() -> None:
-        """Run the next pair's units in label order until no pair is left."""
+    def new_pair(note: AdmissionNote, question: QuestionSpec) -> _Pair:
+        pair = _Pair(note, question, iter(labels),
+                     on_reply=lambda _future: events.put((pair, 0)),
+                     on_park=lambda is_parked: events.put((pair, 1 if is_parked else -1)))
+        return pair
+
+    pending = (new_pair(note, question) for note in notes for question in questions)
+
+    def save(pair: _Pair, record: ResultRecord) -> None:
+        writer.append(record.to_dict())
+        new_records.append(record)
+        pair.records[record.pathway] = record
+
+    def vote(pair: _Pair) -> ResultRecord | None:
+        """The pair's vote over its role records, or None when one is missing."""
+        members = [
+            RoleAnswer(answer=record.answer, role_id=role_label.removeprefix("A-"),
+                       elapsed_ms=record.elapsed_s * 1000.0)
+            for role_label, record in pair.records.items()
+        ]
+        if len(members) != len(ROLE_IDS):
+            return None
+        return ResultRecord(
+            pair.note.note_id, pair.question.question_id, VOTE_LABEL,
+            answer=majority_vote(*members),
+            elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
+        )
+
+    def finish(pair: _Pair, result) -> ResultRecord:
+        """The record of the pair's current unit, from the unit's result."""
+        note_id, question_id = pair.note.note_id, pair.question.question_id
+        if pair.label != DEBATE_LABEL:
+            return ResultRecord(note_id, question_id, pair.label, answer=result.answer,
+                                elapsed_s=result.elapsed_ms / 1000.0)
+        outcome, transcript = result
+        debate_writer.append({"note_id": note_id, "question_id": question_id,
+                              **transcript.to_dict()})
+        return ResultRecord(note_id, question_id, DEBATE_LABEL, answer=outcome,
+                            elapsed_s=time.monotonic() - pair.started,
+                            transcript=f"debates.jsonl:{note_id}|{question_id}")
+
+    def advance(pair: _Pair, batch: list[Future] | None = None) -> None:
+        """Run the pair's units in label order until one waits on the gateway.
+
+        ``batch`` is the answered batch the current unit waits on.  A batch
+        fails with its first error in batch order: a GatewayError fails the
+        unit, and any other error propagates.
+        """
         nonlocal failed, skipped
         while True:
-            with lock:
-                pair = next(pending, None)
-            if pair is None:
-                return
-            note, question = pair
-            pair_records: dict[str, ResultRecord] = {}  # this pair's, by label
-            for label in labels:
-                record = existing.get((note.note_id, question.question_id, label))
-                if record is not None:
-                    with lock:
-                        skipped += 1
-                else:
+            if pair.unit is not None:
+                replies = None
+                if batch is not None:
                     try:
-                        record = answer_unit(note, question, label, pair_records)
+                        replies = [future.result() for future in batch]
                     except GatewayError as exc:
-                        log.error("unit %s|%s|%s failed: %s", note.note_id,
-                                  question.question_id, label, exc)
-                    if record is None:
-                        with lock:
-                            failed += 1
+                        log.error("unit %s|%s|%s failed: %s", pair.note.note_id,
+                                  pair.question.question_id, pair.label, exc)
+                        failed += 1
+                        pair.unit.close()
+                        pair.unit = batch = None
                         continue
-                    writer.append(record.to_dict())
-                    with lock:
-                        new_records.append(record)
-                pair_records[label] = record
+                try:
+                    requests = pair.unit.send(replies)
+                except StopIteration as stop:
+                    pair.unit = batch = None
+                    save(pair, finish(pair, stop.value))
+                    continue
+                batch = [gateway.submit(request, on_park=pair.on_park)
+                         for request in requests]
+                if all(future.done() for future in batch):
+                    continue  # answered on submit
+                pair.batch, pair.waiting = batch, len(batch)
+                for future in batch:
+                    future.add_done_callback(pair.on_reply)
+                return
+            label = next(pair.labels, None)
+            if label is None:
+                return
+            record = existing.get((pair.note.note_id, pair.question.question_id, label))
+            if record is not None:
+                skipped += 1
+                pair.records[label] = record
+            elif label == VOTE_LABEL:
+                record = vote(pair)
+                if record is None:
+                    failed += 1
+                else:
+                    save(pair, record)
+            else:
+                if label == DEBATE_LABEL:
+                    pair.unit = debate_unit(pair.question, pair.note, debate_templates)
+                else:
+                    pair.unit = role_unit(pair.question, pair.note,
+                                          roles[label.removeprefix("A-")])
+                pair.label, pair.started = label, time.monotonic()
+
+    def run(pair: _Pair, batch: list[Future] | None = None) -> None:
+        """Advance the pair; an unexpected error ends it, to be raised later."""
+        nonlocal unexpected
+        try:
+            advance(pair, batch)
+        except Exception as exc:
+            if unexpected is None:
+                unexpected = exc
+            return
+        if pair.waiting:
+            running.add(pair)
 
     try:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            loops = [pool.submit(run_pairs)
-                     for _ in range(min(config.workers, len(pairs)))]
-            for loop in loops:
-                loop.result()  # propagate unexpected (non-gateway) errors
+        while True:
+            # Admit pairs while fewer than ``workers`` are runnable.
+            while len(running) - len(parked) < config.workers:
+                pair = next(pending, None)
+                if pair is None:
+                    break
+                run(pair)
+            if not running:
+                break
+            pair, change = events.get()
+            if change:
+                pair.parked += change
+            else:
+                pair.waiting -= 1
+            if pair.waiting and pair.parked == pair.waiting:
+                parked.add(pair)
+            else:
+                parked.discard(pair)
+            if not change and not pair.waiting:
+                running.discard(pair)
+                batch, pair.batch = pair.batch, []
+                run(pair, batch)
+        if unexpected is not None:
+            raise unexpected
     finally:
         writer.close()
         debate_writer.close()

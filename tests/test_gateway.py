@@ -20,6 +20,7 @@ from eligo.gateway import (
     Message,
     MOCK_FALLBACK,
     RETRY_AFTER_CAP_S,
+    _retry_delay as retry_delay,
     mock_resolve,
     parse_answer,
     parse_retry_after,
@@ -317,9 +318,14 @@ class TestHttpBackend:
 
 @pytest.fixture
 def recorded_sleeps(monkeypatch):
-    """Backoff delays the gateway asks for, without sleeping."""
+    """Backoff delays the gateway schedules; each retry is then sent at once."""
     delays = []
-    monkeypatch.setattr("eligo.gateway.time.sleep", delays.append)
+
+    def record(error, backoff_s, attempt):
+        delays.append(retry_delay(error, backoff_s, attempt))
+        return 0.0
+
+    monkeypatch.setattr("eligo.gateway._retry_delay", record)
     return delays
 
 
@@ -430,28 +436,47 @@ class TestSlotsDuringBackoff:
         transport = _RefuseFirstAttempt({"a"})
         cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=0.5)
         gateway = Gateway(cfg, transport=transport)
-        b_sent = threading.Event()
-        workers = []
+        b_future = []
 
-        def send_b():
-            assert gateway.complete(user_request("x", tag="b")) == "reply to b"
-            b_sent.set()
+        def backoff(error, backoff_s, attempt):
+            # Runs on the only sender after a's first failure: b is queued
+            # only now, and a waits out its backoff on the heap meanwhile.
+            b_future.append(gateway.submit(user_request("x", tag="b")))
+            return retry_delay(error, backoff_s, attempt)
 
-        def backoff(_delay):
-            # Runs on a's thread after its first failure: b starts only now,
-            # and a retries only once b has been answered (or the wait fails).
-            worker = threading.Thread(target=send_b)
-            workers.append(worker)
-            worker.start()
-            b_sent.wait(timeout=5.0)
-
-        monkeypatch.setattr("eligo.gateway.time.sleep", backoff)
-        assert gateway.complete(user_request("x", tag="a")) == "reply to a"
-        for worker in workers:
-            worker.join(timeout=5.0)
-            assert not worker.is_alive()
+        monkeypatch.setattr("eligo.gateway._retry_delay", backoff)
+        a_future = gateway.submit(user_request("x", tag="a"))
+        assert a_future.result(timeout=5.0) == "reply to a"
+        assert b_future[0].result(timeout=5.0) == "reply to b"
         assert transport.sent == ["a", "b", "a"]
         assert transport.peak_inflight == 1
+        gateway.close()
+
+    def test_senders_bounded_under_200_callers(self):
+        gateway = make_mock_gateway({}, latency_s=0.002, max_inflight=3)
+        senders = []
+        send = gateway.transport.send
+
+        def counting_send(req):
+            senders.append(len(gateway._senders))
+            return send(req)
+
+        gateway.transport.send = counting_send
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=200) as pool:
+                futures = [pool.submit(gateway.complete, user_request("x", tag=f"u{i}"))
+                           for i in range(200)]
+                replies = [future.result(timeout=30.0) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        gateway.close()
+        assert replies == [MOCK_FALLBACK] * 200
+        assert gateway.transport.calls == 200
+        assert 1 <= gateway.transport.peak_inflight <= 3
+        assert 1 <= max(senders) <= 3
+        assert gateway._outstanding == 0  # no lost update on the shared count
 
     def test_429_storm_keeps_inflight_bound(self):
         tags = [f"u{i}" for i in range(60)]

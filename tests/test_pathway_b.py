@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from eligo import errors
 from eligo.corpus import Verdict
 from eligo.pathway_b import load_debate_templates, run_debate, stance_prompt
 
@@ -64,13 +67,13 @@ class TestRunDebate:
                "opponent|r1": '"Yes". Cannot argue otherwise.'},
         ))
         sent = []
-        complete = gateway.complete
+        submit = gateway.submit
 
-        def recording(request):
+        def recording(request, **kwargs):
             sent.append(request)
-            return complete(request)
+            return submit(request, **kwargs)
 
-        gateway.complete = recording
+        gateway.submit = recording
         run_debate(question, note, gateway, templates=load_debate_templates(tmp_path))
         by_tag = {request.tag: request for request in sent}
         for stance, role in (("positive", "proponent"), ("negative", "opponent")):
@@ -212,3 +215,24 @@ class TestRunDebate:
         ))
         outcome, _ = run_debate(question, note, gateway)
         assert outcome.evidence == ("quote one", "quote two")
+
+    def test_batch_fails_with_its_first_error_once_both_stances_answer(self, unit):
+        question, note = unit
+        key = f"{note.note_id}|{question.question_id}"
+        answered = []
+
+        class FailingStances:
+            def send(self, req):
+                if req.tag == f"{key}|proponent|r1":
+                    time.sleep(0.05)  # fails after the opponent has failed
+                    answered.append(req.tag)
+                    raise errors.BackendError("proponent refused", status=400)
+                answered.append(req.tag)
+                raise errors.BackendError("opponent refused", status=404)
+
+        gateway = make_mock_gateway({})
+        gateway.transport = FailingStances()
+        with pytest.raises(errors.BackendError) as excinfo:
+            run_debate(question, note, gateway)
+        assert excinfo.value.status == 400  # the proponent comes first in the batch
+        assert sorted(answered) == [f"{key}|opponent|r1", f"{key}|proponent|r1"]

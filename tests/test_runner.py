@@ -1,9 +1,12 @@
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import eligo.evaluation
+import eligo.gateway
 import eligo.pathway_a
 import eligo.pathway_b
 import eligo.rules
@@ -65,8 +68,46 @@ class _ResultsWatchingTransport:
         return mock_resolve(req, self.fixtures)
 
 
+class _ScriptedTransport:
+    """Mock transport that logs each attempt and answer, and fails on cue.
+
+    ``refuse`` maps a tag to the error its first attempt raises; ``latency``
+    maps a tag to the seconds each of its attempts takes.
+    """
+
+    def __init__(self, refuse=None, latency=None):
+        self.fixtures = build_mini_fixtures()
+        self.refuse = dict(refuse or {})
+        self.latency = latency or {}
+        self.log = []  # ("sent" | "answered", tag), in order
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self.log.append(("sent", req.tag))
+            error = self.refuse.pop(req.tag, None)
+        time.sleep(self.latency.get(req.tag, 0.0))
+        if error is not None:
+            raise error
+        with self._lock:
+            self.log.append(("answered", req.tag))
+        return mock_resolve(req, self.fixtures)
+
+    def sent(self):
+        return [tag for kind, tag in self.log if kind == "sent"]
+
+
+def scripted_gateway(transport, *, max_inflight, backoff_s=0.0):
+    cfg = BackendConfig(kind="mock", max_inflight=max_inflight, backoff_s=backoff_s)
+    return Gateway(cfg, transport=transport)
+
+
 # A results line without its answer, and valid JSON that is not an object.
 BAD_RESULT_LINES = ['{"note_id": "n1", "question_id": "m1"}', "[1, 2]"]
+
+# A results file in UTF-16: it starts with the bytes ff fe.
+UTF16_RESULTS = (json.dumps({"note_id": "n1", "question_id": "m1", "pathway": "B",
+                             "value": "NO"}) + "\n").encode("utf-16")
 
 
 def read_jsonl(path):
@@ -556,6 +597,72 @@ class TestCmdScreen:
     def test_resume_answers_only_missing_role(self, mini_workspace):
         assert self.resume_without(mini_workspace, "A-JD") == 1
 
+    def test_parked_pair_lets_the_next_pair_on_the_wire(self, mini_workspace):
+        # One runnable pair and one slot: while the first pair waits out the
+        # backoff of its refused request, the second pair's goes on the wire.
+        transport = _ScriptedTransport(
+            refuse={"n1|m1|roleCRC": BackendError("rate limited", status=429)})
+        gateway = scripted_gateway(transport, max_inflight=1, backoff_s=0.3)
+        config = run_config(mini_workspace, pathway="A", workers=1)
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        sent = transport.sent()
+        assert sent[:2] == ["n1|m1|roleCRC", "n1|m2|roleCRC"]
+        assert sent.count("n1|m1|roleCRC") == 2
+        manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
+        assert manifest["counts"]["answered"] == 2 * 3 * 4
+        baseline = run_config(mini_workspace, pathway="A",
+                              out=str(mini_workspace["root"] / "out_clean"))
+        assert cmd_screen(baseline) == EXIT_OK
+        assert canonicalize_results_file(mini_workspace["out"] / "results.jsonl") == \
+            canonicalize_results_file(mini_workspace["root"] / "out_clean" / "results.jsonl")
+
+    def test_failed_stance_fails_only_its_debate_once_its_sibling_answers(
+            self, mini_workspace):
+        transport = _ScriptedTransport(
+            refuse={"n1|m2|opponent|r1": BackendError("bad request", status=400)},
+            latency={"n1|m2|proponent|r1": 0.05})
+        gateway = scripted_gateway(transport, max_inflight=2)
+        config = run_config(mini_workspace, pathway="B", workers=1)
+        assert cmd_screen(config, gateway=gateway) == EXIT_PARTIAL
+        counts = json.loads((mini_workspace["out"] / "manifest.json").read_text())["counts"]
+        assert (counts["answered"], counts["failed"]) == (5, 1)
+        debates = read_jsonl(mini_workspace["out"] / "debates.jsonl")
+        assert len(debates) == 5
+        assert ("n1", "m2") not in {(d["note_id"], d["question_id"]) for d in debates}
+        # The proponent is answered before the next pair's first request.
+        log = transport.log
+        assert log.index(("answered", "n1|m2|proponent|r1")) < \
+            log.index(("sent", "n1|m3|proponent|r1"))
+
+    def test_screen_and_convert_leave_no_thread_behind(self, mini_workspace, tmp_path,
+                                                      monkeypatch):
+        senders = set()
+        send = eligo.gateway.MockTransport.send
+
+        def recording_send(transport, req):
+            senders.add(threading.current_thread().name)
+            return send(transport, req)
+
+        monkeypatch.setattr(eligo.gateway.MockTransport, "send", recording_send)
+        # Senders of gateways that earlier tests left open exit when idle.
+        deadline = time.monotonic() + 5.0
+        while (any(thread.name == "eligo-sender" for thread in threading.enumerate())
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        before = threading.active_count()
+        raw = dict(mini_workspace["run_config"])
+        raw["backend"] = dict(raw["backend"], mock_latency_s=0.001)
+        assert cmd_screen(RunConfig.from_dict(raw)) == EXIT_OK
+        assert threading.active_count() == before
+        criteria_path, backends_path = TestCmdConvert().build_inputs(tmp_path)
+        backends = json.loads(backends_path.read_text())
+        for entry in (*backends["backends"], backends["refiner"]):
+            entry["mock_latency_s"] = 0.001
+        backends_path.write_text(json.dumps(backends))
+        assert cmd_convert(criteria_path, backends_path, tmp_path / "out") == EXIT_OK
+        assert threading.active_count() == before
+        assert senders == {"eligo-sender"}
+
 
 class TestCanonicalize:
     def test_strips_volatile_and_sorts(self):
@@ -701,6 +808,14 @@ class TestCmdEvaluate:
         status, _ = self.evaluate(mini_workspace)
         assert status == EXIT_INPUT
         assert f"line 5: {results_path}: unreadable result record" in caplog.text
+
+    def test_non_utf8_results_exits_3_naming_the_line(self, mini_workspace, caplog):
+        results_path = mini_workspace["root"] / "utf16.jsonl"
+        results_path.write_bytes(UTF16_RESULTS)
+        status = cmd_evaluate(results_path, mini_workspace["gold"],
+                              mini_workspace["catalog"], mini_workspace["root"] / "eval")
+        assert status == EXIT_INPUT
+        assert f"line 1: {results_path}: unreadable result record" in caplog.text
 
     def test_invalid_positive_class_exits_3(self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
@@ -889,6 +1004,13 @@ class TestCli:
         results_path.write_text(json.dumps(record) + "\n" + bad_line + "\n")
         assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_INPUT
         assert f"line 2: {results_path}: unreadable result record" in caplog.text
+
+    def test_cli_canonicalize_non_utf8_exits_3_naming_the_line(self, tmp_path, caplog):
+        results_path = tmp_path / "results.jsonl"
+        results_path.write_bytes(UTF16_RESULTS)
+        assert UTF16_RESULTS.startswith(b"\xff\xfe")
+        assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_INPUT
+        assert f"line 1: {results_path}: unreadable result record" in caplog.text
 
     def test_cli_canonicalize(self, mini_workspace, capsys):
         assert cli_main(["screen", "--config", str(mini_workspace["run_json"])]) == 0
