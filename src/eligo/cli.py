@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, EligoError
+from .corpus import load_json
+from .errors import EligoError
 from .runner import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -67,20 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _screen(args: argparse.Namespace) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        logging.getLogger("eligo").error("cannot read config: %s", exc)
-        return EXIT_CONFIG
-    if args.pathway:
-        raw["pathway"] = args.pathway
-    if args.roles:
-        raw["roles"] = [role.strip() for role in args.roles.split(",") if role.strip()]
-    if args.vote:
-        raw["vote"] = args.vote == "on"
-    try:
+        raw = load_json(args.config)
+        if args.pathway:
+            raw["pathway"] = args.pathway
+        if args.roles:
+            raw["roles"] = [role.strip() for role in args.roles.split(",") if role.strip()]
+        if args.vote:
+            raw["vote"] = args.vote == "on"
         config = RunConfig.from_dict(raw)
-    except ConfigError as exc:
+    except (EligoError, OSError) as exc:
         logging.getLogger("eligo").error("config error: %s", exc)
         return EXIT_CONFIG
     return cmd_screen(config)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     CatalogError,
@@ -164,46 +164,105 @@ class GoldSet:
     criterion_labels: dict[tuple[str, str], CriterionLabel] = field(default_factory=dict)
 
 
-# -- admission notes ----------------------------------------------------------
+# -- reading input ------------------------------------------------------------
+#
+# Bad input is rejected here, with a SchemaError naming the file (``where``,
+# with the record index for catalog JSON), the JSONL ``line`` and the field.
 
-def _require(record: Mapping, key: str, kind: type, line: int):
-    value = record.get(key)
+def _require(record: Mapping, key: str, kind: type, where: str,
+             line: int | None = None, default=None):
+    """``record[key]``, or ``default`` when it is absent, if that is a ``kind``."""
+    value = record.get(key, default)
     if not isinstance(value, kind):
-        raise SchemaError(f"expected {kind.__name__} for {key!r}", line=line, field=key)
+        raise SchemaError(f"{where}: expected {kind.__name__} for {key!r}",
+                          line=line, field=key)
     return value
 
 
-def _check_id(kind: str, record_id: str, line: int | None = None) -> None:
-    if ID_SEPARATOR in record_id:
-        raise SchemaError(
-            f"{kind} {record_id!r} must not contain {ID_SEPARATOR!r}",
-            line=line, field=kind,
-        )
+def _optional(record: Mapping, key: str, kind: type, where: str,
+              line: int | None = None):
+    """Like _require, but a missing or null ``key`` gives None."""
+    if record.get(key) is None:
+        return None
+    return _require(record, key, kind, where, line)
 
 
-def _parse_note(record: Mapping, line: int) -> AdmissionNote:
-    if not isinstance(record, Mapping):
-        raise SchemaError("expected a JSON object", line=line)
-    note_id = _require(record, "note_id", str, line)
-    if not note_id:
-        raise SchemaError("note_id must be non-empty", line=line, field="note_id")
-    _check_id("note_id", note_id, line)
-    raw_sections = _require(record, "sections", dict, line)
+def _require_strs(record: Mapping, key: str, where: str, line: int | None = None,
+                  default=None) -> tuple[str, ...]:
+    """``record[key]`` (or ``default``) as a tuple, if it is a list of strings."""
+    values = _require(record, key, list, where, line, default)
+    if not all(isinstance(value, str) for value in values):
+        raise SchemaError(f"{where}: expected a list of str for {key!r}",
+                          line=line, field=key)
+    return tuple(values)
+
+
+def _require_id(record: Mapping, key: str, where: str, line: int | None = None) -> str:
+    """``record[key]``: a non-empty string without ID_SEPARATOR."""
+    record_id = _require(record, key, str, where, line)
+    if not record_id or ID_SEPARATOR in record_id:
+        raise SchemaError(f"{where}: {key} {record_id!r} must be non-empty and must "
+                          f"not contain {ID_SEPARATOR!r}", line=line, field=key)
+    return record_id
+
+
+def _json_object(path: str | Path, data: bytes, line: int | None = None) -> dict:
+    """``data``, a file or one JSONL line of it, parsed as a JSON object."""
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}", line=line) from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
+    if not isinstance(document, dict):
+        raise SchemaError(f"{path}: expected a JSON object", line=line)
+    return document
+
+
+def load_json(path: str | Path) -> dict:
+    """A JSON file's top-level object."""
+    return _json_object(path, Path(path).read_bytes())
+
+
+def _jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line's object, with its line number."""
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.strip():
+                yield line_no, _json_object(path, line, line_no)
+
+
+def _catalog_records(path: str | Path, key: str) -> Iterator[tuple[str, dict]]:
+    """Each object in the file's ``key`` list, with a ``where`` naming it."""
+    for index, record in enumerate(_require(load_json(path), key, list, str(path),
+                                            default=[])):
+        where = f"{path}: {key}[{index}]"
+        if not isinstance(record, dict):
+            raise SchemaError(f"{where}: expected a JSON object")
+        yield where, record
+
+
+# -- admission notes ----------------------------------------------------------
+
+def _parse_note(record: Mapping, where: str, line: int) -> AdmissionNote:
+    note_id = _require_id(record, "note_id", where, line)
+    raw_sections = _require(record, "sections", dict, where, line)
     sections: dict[str, str] = {}
     for name, text in raw_sections.items():
         if name not in SECTION_ORDER:
-            raise SchemaError(f"unknown section {name!r}", line=line, field="sections")
+            raise SchemaError(f"{where}: unknown section {name!r}", line=line,
+                              field="sections")
         if not isinstance(text, str):
-            raise SchemaError("section text must be a string", line=line, field=name)
+            raise SchemaError(f"{where}: section text must be a string", line=line,
+                              field=name)
         sections[name] = text
-    extra_text = record.get("extra_text")
-    if extra_text is not None and not isinstance(extra_text, str):
-        raise SchemaError("extra_text must be a string", line=line, field="extra_text")
+    extra_text = _optional(record, "extra_text", str, where, line)
     unknown = set(record) - {"note_id", "sections", "extra_text"}
     if unknown:
-        raise SchemaError(f"unexpected keys {sorted(unknown)}", line=line)
+        raise SchemaError(f"{where}: unexpected keys {sorted(unknown)}", line=line)
     if not any(text.strip() for text in sections.values()):
-        raise SchemaError("at least one section must be non-empty", line=line, field="sections")
+        raise SchemaError(f"{where}: at least one section must be non-empty", line=line,
+                          field="sections")
     return AdmissionNote(note_id=note_id, sections=sections, extra_text=extra_text)
 
 
@@ -211,20 +270,12 @@ def load_notes(path: str | Path) -> list[AdmissionNote]:
     """Load admission notes from a JSONL file, preserving file order."""
     notes: list[AdmissionNote] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            note = _parse_note(record, line_no)
-            if note.note_id in seen:
-                raise DuplicateIdError("note", note.note_id)
-            seen.add(note.note_id)
-            notes.append(note)
+    for line_no, record in _jsonl_records(path):
+        note = _parse_note(record, str(path), line_no)
+        if note.note_id in seen:
+            raise DuplicateIdError("note", note.note_id)
+        seen.add(note.note_id)
+        notes.append(note)
     return notes
 
 
@@ -246,45 +297,34 @@ def canonical_text(note: AdmissionNote) -> str:
 
 # -- catalog ------------------------------------------------------------------
 
-def _load_json(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(document, dict):
-        raise SchemaError(f"{path}: expected a JSON object at top level")
-    return document
-
-
-def _enum_value(enum_cls, raw, what: str):
+def _enum_value(enum_cls, record: Mapping, key: str, where: str):
+    raw = record.get(key)
     try:
         return enum_cls(raw)
     except ValueError:
         allowed = [member.value for member in enum_cls]
-        raise SchemaError(f"{what} must be one of {allowed}, got {raw!r}", field=what)
+        raise SchemaError(f"{where}: {key} must be one of {allowed}, got {raw!r}",
+                          field=key) from None
 
 
 def load_questions(path: str | Path) -> dict[str, QuestionSpec]:
-    document = _load_json(path)
     questions: dict[str, QuestionSpec] = {}
-    for record in document.get("questions", []):
+    for where, record in _catalog_records(path, "questions"):
         question = QuestionSpec(
-            question_id=record["question_id"],
-            text=record["text"],
-            category=_enum_value(Category, record["category"], "category"),
-            task_type=_enum_value(TaskType, record["task_type"], "task_type"),
+            question_id=_require_id(record, "question_id", where),
+            text=_require(record, "text", str, where),
+            category=_enum_value(Category, record, "category", where),
+            task_type=_enum_value(TaskType, record, "task_type", where),
         )
-        if not question.question_id or not question.text:
-            raise SchemaError("question_id and text must be non-empty", field="question_id")
-        _check_id("question_id", question.question_id)
+        if not question.text:
+            raise SchemaError(f"{where}: text must be non-empty", field="text")
         if (
             question.category is Category.SYMPTOM_AND_EVENT
             and question.task_type is not TaskType.CLASSIFICATION
         ):
             raise SchemaError(
-                f"question {question.question_id!r}: SymptomAndEvent questions "
-                "must be task_type Classification",
+                f"{where}: question {question.question_id!r}: SymptomAndEvent "
+                "questions must be task_type Classification",
                 field="task_type",
             )
         if question.question_id in questions:
@@ -294,19 +334,17 @@ def load_questions(path: str | Path) -> dict[str, QuestionSpec]:
 
 
 def load_criteria(path: str | Path) -> dict[str, CriterionSpec]:
-    document = _load_json(path)
     criteria: dict[str, CriterionSpec] = {}
-    for record in document.get("criteria", []):
+    for where, record in _catalog_records(path, "criteria"):
         criterion = CriterionSpec(
-            criterion_id=record["criterion_id"],
-            trial_ids=tuple(record.get("trial_ids", [])),
-            kind=_enum_value(CriterionKind, record["kind"], "kind"),
-            text=record["text"],
-            rule_text=record.get("rule", ""),
-            question_ids=tuple(record.get("question_ids", [])),
+            criterion_id=_require_id(record, "criterion_id", where),
+            trial_ids=_require_strs(record, "trial_ids", where, default=[]),
+            kind=_enum_value(CriterionKind, record, "kind", where),
+            text=_require(record, "text", str, where),
+            rule_text=_optional(record, "rule", str, where) or "",
+            question_ids=_require_strs(record, "question_ids", where, default=[]),
             needs_human_rule=bool(record.get("needs_human_rule", False)),
         )
-        _check_id("criterion_id", criterion.criterion_id)
         if criterion.criterion_id in criteria:
             raise DuplicateIdError("criterion", criterion.criterion_id)
         criteria[criterion.criterion_id] = criterion
@@ -314,17 +352,16 @@ def load_criteria(path: str | Path) -> dict[str, CriterionSpec]:
 
 
 def load_trials(path: str | Path) -> dict[str, TrialSpec]:
-    document = _load_json(path)
     trials: dict[str, TrialSpec] = {}
-    for record in document.get("trials", []):
+    for where, record in _catalog_records(path, "trials"):
         trial = TrialSpec(
-            trial_id=record["trial_id"],
-            registry_code=record.get("registry_code"),
-            criterion_ids=tuple(record["criterion_ids"]),
+            trial_id=_require(record, "trial_id", str, where),
+            registry_code=_optional(record, "registry_code", str, where),
+            criterion_ids=_require_strs(record, "criterion_ids", where),
         )
         if not trial.criterion_ids:
             raise SchemaError(
-                f"trial {trial.trial_id!r} lists no criteria", field="criterion_ids"
+                f"{where}: trial {trial.trial_id!r} lists no criteria", field="criterion_ids"
             )
         if trial.trial_id in trials:
             raise DuplicateIdError("trial", trial.trial_id)
@@ -408,56 +445,60 @@ _CRITERION_LABELS = {member.value for member in CriterionLabel}
 def load_gold(path: str | Path) -> GoldSet:
     """Load gold labels from JSONL; each record labels a question or a criterion."""
     gold = GoldSet()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            note_id = _require(record, "note_id", str, line_no)
-            question_id = record.get("question_id")
-            criterion_id = record.get("criterion_id")
-            label = _require(record, "label", str, line_no)
-            if (question_id is None) == (criterion_id is None):
+    where = str(path)
+    for line_no, record in _jsonl_records(path):
+        note_id = _require(record, "note_id", str, where, line_no)
+        question_id = _optional(record, "question_id", str, where, line_no)
+        criterion_id = _optional(record, "criterion_id", str, where, line_no)
+        label = _require(record, "label", str, where, line_no)
+        if (question_id is None) == (criterion_id is None):
+            raise SchemaError(
+                f"{where}: exactly one of question_id/criterion_id is required", line=line_no
+            )
+        if question_id is not None:
+            if label not in _QUESTION_LABELS:
                 raise SchemaError(
-                    "exactly one of question_id/criterion_id is required", line=line_no
+                    f"{where}: question label must be one of {sorted(_QUESTION_LABELS)}",
+                    line=line_no, field="label",
                 )
-            if question_id is not None:
-                if label not in _QUESTION_LABELS:
-                    raise SchemaError(
-                        f"question label must be one of {sorted(_QUESTION_LABELS)}",
-                        line=line_no, field="label",
-                    )
-                key = (note_id, question_id)
-                if key in gold.question_labels:
-                    raise DuplicateIdError("gold question label", key)
-                gold.question_labels[key] = Verdict(label)
-            else:
-                if label not in _CRITERION_LABELS:
-                    raise SchemaError(
-                        f"criterion label must be one of {sorted(_CRITERION_LABELS)}",
-                        line=line_no, field="label",
-                    )
-                key = (note_id, criterion_id)
-                if key in gold.criterion_labels:
-                    raise DuplicateIdError("gold criterion label", key)
-                gold.criterion_labels[key] = CriterionLabel(label)
+            key = (note_id, question_id)
+            if key in gold.question_labels:
+                raise DuplicateIdError("gold question label", key)
+            gold.question_labels[key] = Verdict(label)
+        else:
+            if label not in _CRITERION_LABELS:
+                raise SchemaError(
+                    f"{where}: criterion label must be one of {sorted(_CRITERION_LABELS)}",
+                    line=line_no, field="label",
+                )
+            key = (note_id, criterion_id)
+            if key in gold.criterion_labels:
+                raise DuplicateIdError("gold criterion label", key)
+            gold.criterion_labels[key] = CriterionLabel(label)
     return gold
 
 
-def validate_gold(gold: GoldSet, notes: Iterable[AdmissionNote], catalog: Catalog) -> None:
-    """Every gold key must resolve against the corpus and the catalog."""
-    note_ids = {note.note_id for note in notes}
+def validate_gold(
+    gold: GoldSet,
+    catalog: Catalog,
+    *,
+    notes: Iterable[AdmissionNote] | None = None,
+    results: Iterable[tuple[str, str]] = (),
+) -> None:
+    """Every gold label, and every result's ``(note_id, question_id)``, must name
+    a question or criterion in the catalog and, when ``notes`` are given, a
+    note among them; DanglingReferenceError names the first id that does not."""
+    note_ids = None if notes is None else {note.note_id for note in notes}
+
+    def check(note_id: str, ref_id: str, known: Mapping, where: str) -> None:
+        if note_ids is not None and note_id not in note_ids:
+            raise DanglingReferenceError(note_id, where)
+        if ref_id not in known:
+            raise DanglingReferenceError(ref_id, where)
+
     for note_id, question_id in gold.question_labels:
-        if note_id not in note_ids:
-            raise DanglingReferenceError(note_id, "gold question label")
-        if question_id not in catalog.questions:
-            raise DanglingReferenceError(question_id, "gold question label")
+        check(note_id, question_id, catalog.questions, "gold question label")
     for note_id, criterion_id in gold.criterion_labels:
-        if note_id not in note_ids:
-            raise DanglingReferenceError(note_id, "gold criterion label")
-        if criterion_id not in catalog.criteria:
-            raise DanglingReferenceError(criterion_id, "gold criterion label")
+        check(note_id, criterion_id, catalog.criteria, "gold criterion label")
+    for note_id, question_id in results:
+        check(note_id, question_id, catalog.questions, "result record")

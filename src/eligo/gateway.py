@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Generator, Mapping, TypeVar
 
 from . import errors
-from .corpus import Verdict
+from .corpus import Verdict, load_json
 
 # Every verdict-producing prompt ends with this contract, so parsing is a
 # deterministic token grab instead of free-text classification.
@@ -121,6 +121,8 @@ class BackendConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        if self.backoff_s < 0 or self.mock_latency_s < 0:
+            raise ValueError("backoff_s and mock_latency_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,7 @@ def parse_answer(text: str, provenance: str = "") -> ParsedAnswer:
 
 def load_fixtures(path: str | Path) -> dict[str, str]:
     """Load a fixtures file: {"fixtures": {"<tag>": "<response text>"}}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    fixtures = document.get("fixtures")
+    fixtures = load_json(path).get("fixtures")
     if not isinstance(fixtures, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in fixtures.items()
     ):
@@ -485,10 +485,6 @@ class Gateway:
         """Send one request and wait for its reply (see :meth:`submit`)."""
         return self.submit(req).result()
 
-    def ask(self, req: ChatRequest) -> ParsedAnswer:
-        """Complete a request and parse the reply under the format contract."""
-        return parse_answer(self.complete(req), provenance=req.tag)
-
     def close(self) -> None:
         """Stop the senders and release the transport's pooled connections.
 
@@ -645,6 +641,8 @@ def run_unit(unit: Unit[T], gateway: Gateway) -> T:
 
 def backend_config_from_dict(record: Mapping) -> BackendConfig:
     """Build a BackendConfig from a JSON object (run.json / backends.json)."""
+    if not isinstance(record, Mapping):
+        raise errors.ConfigError("a backend config must be a JSON object")
     known = {f.name for f in fields(BackendConfig)}
     unknown = set(record) - known
     if unknown:

@@ -28,7 +28,6 @@ from .prompting import load_template, render
 
 _SECOND_ROUND_RE = re.compile(r'^\s*["“«]?\s*SECOND ROUND\b[."”»]*[:\s]*', re.IGNORECASE)
 
-_STANCE_TEMPLATES = {"positive": "stance_pos", "negative": "stance_neg"}
 DEBATE_TEMPLATES = ("stance_pos", "stance_neg", "judge_r1", "judge_final")
 
 
@@ -59,22 +58,6 @@ class DebateTranscript:
             "rounds_used": self.rounds_used,
             "calls_used": self.calls_used,
         }
-
-
-def stance_prompt(
-    question: QuestionSpec,
-    note: AdmissionNote,
-    stance: str,
-    judge_notes: str | None = None,
-    *,
-    tag: str = "",
-    prompts_dir: str | Path | None = None,
-) -> ChatRequest:
-    """Deterministic stance prompt; judge notes appear only when given."""
-    if stance not in _STANCE_TEMPLATES:
-        raise ValueError(f"stance must be 'positive' or 'negative', got {stance!r}")
-    template = load_template(_STANCE_TEMPLATES[stance], prompts_dir)
-    return _stance_request(template, question, note, judge_notes, tag=tag)
 
 
 def _stance_request(

@@ -451,8 +451,6 @@ class CriterionVerdict:
     kind: CriterionKind
     met: bool
     stable: bool
-    answers: dict[str, Verdict]  # snapshot of the contributing answers
-    missing_ids: tuple[str, ...] = ()
 
     def passes(self) -> bool:
         """True when this verdict does not block eligibility."""
@@ -483,15 +481,11 @@ def criterion_verdict(
     rule = criterion.parsed_rule
     met = eval_rule(rule.expr, answers)
     stable = sensitivity(rule, answers).status is Stability.STABLE
-    snapshot = {q: answers.get(q, Verdict.UNKNOWN) for q in rule.question_ids}
-    missing = tuple(q for q in rule.question_ids if q not in answers)
     return CriterionVerdict(
         criterion_id=criterion.criterion_id,
         kind=criterion.kind,
         met=met,
         stable=stable,
-        answers=snapshot,
-        missing_ids=missing,
     )
 
 

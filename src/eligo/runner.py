@@ -35,9 +35,14 @@ from .corpus import (
     Catalog,
     QuestionSpec,
     Verdict,
+    _optional,
+    _require,
+    _require_strs,
     load_catalog_dir,
     load_gold,
+    load_json,
     load_notes,
+    validate_gold,
 )
 from .errors import (
     ConfigError,
@@ -115,23 +120,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "RunConfig":
+        if not isinstance(record, Mapping):
+            raise ConfigError("run config must be a JSON object")
+        where = "run config"
         try:
-            backend = backend_config_from_dict(record["backend"])
             config = cls(
-                backend=backend,
-                notes_path=record["notes"],
-                catalog_dir=record["catalog"],
-                out_dir=record["out"],
-                pathway=record.get("pathway", "both"),
-                roles=tuple(record.get("roles", ["crc", "jd", "ie"])),
-                vote=bool(record.get("vote", True)),
-                gold_path=record.get("gold"),
+                backend=backend_config_from_dict(_require(record, "backend", dict, where)),
+                notes_path=_require(record, "notes", str, where),
+                catalog_dir=_require(record, "catalog", str, where),
+                out_dir=_require(record, "out", str, where),
+                pathway=_require(record, "pathway", str, where, default="both"),
+                roles=_require_strs(record, "roles", where, default=["crc", "jd", "ie"]),
+                vote=_require(record, "vote", bool, where, default=True),
+                gold_path=_optional(record, "gold", str, where),
                 seed=record.get("seed"),
-                prompts_dir=record.get("prompts"),
-                workers=int(record.get("workers", 8)),
+                prompts_dir=_optional(record, "prompts", str, where),
+                workers=_require(record, "workers", int, where, default=8),
             )
-        except KeyError as exc:
-            raise ConfigError(f"run config is missing key {exc.args[0]!r}") from exc
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from exc
         config.validate()
         return config
 
@@ -188,21 +195,24 @@ class ResultRecord:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "ResultRecord":
+        """The record of a result line; KeyError, TypeError or ValueError when
+        a field is missing or mistyped."""
+        key = (record["note_id"], record["question_id"], record["pathway"])
+        evidence = tuple(record.get("evidence", []))
+        if not all(isinstance(text, str) for text in (*key, *evidence)):
+            raise TypeError("result ids and evidence must be strings")
+        elapsed_s = float(record.get("elapsed_s", 0.0))
+        if elapsed_s < 0:
+            raise ValueError(f"negative elapsed_s {elapsed_s}")
         answer = ParsedAnswer(
             value=Verdict(record["value"]),
             rationale=record.get("rationale", ""),
-            evidence=tuple(record.get("evidence", [])),
+            evidence=evidence,
             provenance=record.get("provenance", ""),
             parse_fallback=bool(record.get("parse_fallback", False)),
         )
-        return cls(
-            note_id=record["note_id"],
-            question_id=record["question_id"],
-            pathway=record["pathway"],
-            answer=answer,
-            elapsed_s=float(record.get("elapsed_s", 0.0)),
-            transcript=record.get("transcript"),
-        )
+        return cls(*key, answer=answer, elapsed_s=elapsed_s,
+                   transcript=record.get("transcript"))
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -372,40 +382,34 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
 
+    started_at = _utc_now()
+    out_dir = Path(config.out_dir)
+    results_path = out_dir / "results.jsonl"
+    debates_path = out_dir / "debates.jsonl"
+    labels = config.unit_labels()
+    owns_gateway = gateway is None
     try:
         notes = load_notes(config.notes_path)
         catalog = load_catalog_dir(config.catalog_dir)
+        roles = load_roles(config.prompts_dir)
+        debate_templates = load_debate_templates(config.prompts_dir)
+        existing = {record.key: record for record in _read_resume_state(results_path)}
+        if DEBATE_LABEL in labels:
+            _drop_orphan_transcripts(debates_path, {
+                (note_id, question_id)
+                for note_id, question_id, label in existing if label == DEBATE_LABEL
+            })
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if owns_gateway:  # loads the mock fixtures; opens nothing yet
+            gateway = Gateway(config.backend, seed=config.seed)
     except (EligoError, OSError) as exc:
         log.error("input error: %s", exc)
         return EXIT_INPUT
 
-    started_at = _utc_now()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = out_dir / "results.jsonl"
-    debates_path = out_dir / "debates.jsonl"
-
-    labels = config.unit_labels()
-    try:
-        existing = {record.key: record for record in _read_resume_state(results_path)}
-    except (EligoError, OSError) as exc:
-        log.error("cannot resume: %s", exc)
-        return EXIT_INPUT
-    if DEBATE_LABEL in labels:
-        _drop_orphan_transcripts(debates_path, {
-            (note_id, question_id)
-            for note_id, question_id, label in existing if label == DEBATE_LABEL
-        })
-
-    roles = load_roles(config.prompts_dir)
-    debate_templates = load_debate_templates(config.prompts_dir)
     # Writers open on their first append: after the resume repairs above,
     # and never for a file this run adds nothing to.
     writer = _JsonlWriter(results_path)
     debate_writer = _JsonlWriter(debates_path)
-    owns_gateway = gateway is None
-    if owns_gateway:
-        gateway = Gateway(config.backend, seed=config.seed)
     questions = list(catalog.questions.values())
     total_units = len(notes) * len(questions) * len(labels)
 
@@ -584,17 +588,22 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-AnswersByNote = dict[str, dict[str, Verdict]]  # note id -> question id -> answer
+AnswersByNote = dict[str, dict[str, ParsedAnswer]]  # note id -> question id -> answer
 
 
 def _answers_by_label(records: Iterable[ResultRecord]) -> dict[str, AnswersByNote]:
-    """Group answer values by label, then note, in one pass; later records win."""
+    """Group answers by label, then note, in one pass; later records win."""
     grouped: dict[str, AnswersByNote] = {}
     for record in records:
         grouped.setdefault(record.pathway, {}).setdefault(record.note_id, {})[
             record.question_id
-        ] = record.answer.value
+        ] = record.answer
     return grouped
+
+
+def _values(answers: Mapping[str, ParsedAnswer]) -> dict[str, Verdict]:
+    """One note's answer values by question id, as the rules read them."""
+    return {question_id: answer.value for question_id, answer in answers.items()}
 
 
 def _write_verdicts(path: Path, notes, catalog: Catalog,
@@ -613,7 +622,8 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
     for label in sorted(by_label):
         answers_by_note = by_label[label]
         for note in notes:
-            verdicts = verdicts_for_note(scorable, answers_by_note.get(note.note_id, {}))
+            verdicts = verdicts_for_note(scorable,
+                                         _values(answers_by_note.get(note.note_id, {})))
             for verdict in verdicts:
                 lines.append(_JSONL_ENCODER.encode({
                     "note_id": note.note_id,
@@ -658,43 +668,11 @@ def cmd_evaluate(
         gold = load_gold(gold_path)
         records = read_results(results_path)
         notes = load_notes(notes_path) if notes_path else None
-    except (EligoError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        validate_gold(gold, catalog, notes=notes,
+                      results=((record.note_id, record.question_id) for record in records))
+    except (EligoError, OSError) as exc:
         log.error("input error: %s", exc)
         return EXIT_INPUT
-
-    for record in records:
-        if record.question_id not in catalog.questions:
-            log.error("results reference unknown question id %r", record.question_id)
-            return EXIT_INPUT
-    for _, question_id in gold.question_labels:
-        if question_id not in catalog.questions:
-            log.error("gold references unknown question id %r", question_id)
-            return EXIT_INPUT
-    for _, criterion_id in gold.criterion_labels:
-        if criterion_id not in catalog.criteria:
-            log.error("gold references unknown criterion id %r", criterion_id)
-            return EXIT_INPUT
-    if notes is not None:
-        known_notes = {note.note_id for note in notes}
-        for record in records:
-            if record.note_id not in known_notes:
-                log.error("results reference unknown note id %r", record.note_id)
-                return EXIT_INPUT
-        for note_id, _ in list(gold.question_labels) + list(gold.criterion_labels):
-            if note_id not in known_notes:
-                log.error("gold references unknown note id %r", note_id)
-                return EXIT_INPUT
-
-    notes_by_id = {note.note_id: note for note in notes} if notes is not None else None
-
-    by_label: dict[str, dict[tuple[str, str], ParsedAnswer]] = {}
-    timing_records: list[tuple[str, float]] = []
-    for record in records:
-        by_label.setdefault(record.pathway, {})[
-            (record.note_id, record.question_id)
-        ] = record.answer
-        timing_records.append((record.pathway, record.elapsed_s))
-    answers_by_label = _answers_by_label(records)
 
     try:
         positive = Verdict(positive_class)
@@ -702,42 +680,42 @@ def cmd_evaluate(
         log.error("positive class must be YES, NO or UNKNOWN, got %r", positive_class)
         return EXIT_INPUT
 
+    notes_by_id = {note.note_id: note for note in notes} if notes is not None else None
     note_texts = normalize_notes(notes) if notes is not None else None
     question_level: dict[str, dict] = {}
     criterion_level: dict[str, dict] = {}
     scorable = [criterion for criterion in catalog.criteria.values()
                 if criterion.rule_text]
-    try:
-        for label, predictions in sorted(by_label.items()):
-            scored = {key: answer for key, answer in predictions.items()
-                      if key in gold.question_labels}
-            report = score_questions(scored, gold, catalog, positive_class=positive)
-            if notes_by_id is not None:
-                report.counterfactual = counterfactual_rate(
-                    scored, gold, notes_by_id, note_texts=note_texts
-                )
-            document = report.to_dict()
-            document["unscored_count"] = len(predictions) - len(scored)
-            question_level[label] = document
+    for label, answers_by_note in sorted(_answers_by_label(records).items()):
+        scored = {(note_id, question_id): answer
+                  for note_id, answers in answers_by_note.items()
+                  for question_id, answer in answers.items()
+                  if (note_id, question_id) in gold.question_labels}
+        report = score_questions(scored, gold, catalog, positive_class=positive)
+        if notes_by_id is not None:
+            report.counterfactual = counterfactual_rate(
+                scored, gold, notes_by_id, note_texts=note_texts
+            )
+        document = report.to_dict()
+        document["unscored_count"] = (sum(map(len, answers_by_note.values()))
+                                      - len(scored))
+        question_level[label] = document
 
-            if gold.criterion_labels:
-                verdicts = {}
-                for note_id, answers in sorted(answers_by_label[label].items()):
-                    labelled = [criterion for criterion in scorable
-                                if (note_id, criterion.criterion_id) in gold.criterion_labels]
-                    for verdict in verdicts_for_note(labelled, answers):
-                        verdicts[(note_id, verdict.criterion_id)] = verdict
-                criterion_level[label] = score_criteria(verdicts, gold).to_dict()
-    except KeyError as exc:
-        log.error("scoring error: %s", exc)
-        return EXIT_INPUT
+        if gold.criterion_labels:
+            verdicts = {}
+            for note_id, answers in sorted(answers_by_note.items()):
+                labelled = [criterion for criterion in scorable
+                            if (note_id, criterion.criterion_id) in gold.criterion_labels]
+                for verdict in verdicts_for_note(labelled, _values(answers)):
+                    verdicts[(note_id, verdict.criterion_id)] = verdict
+            criterion_level[label] = score_criteria(verdicts, gold).to_dict()
 
     metrics = {
         "schema": "eligo-metrics-v1",
         "question_level": question_level,
         "criterion_level": criterion_level,
-        "timing": {label: stats.to_dict()
-                   for label, stats in timing_stats(timing_records).items()},
+        "timing": {label: stats.to_dict() for label, stats in timing_stats(
+            (record.pathway, record.elapsed_s) for record in records).items()},
     }
 
     out_dir = Path(out_dir)
@@ -756,11 +734,8 @@ def cmd_evaluate(
             gold_label = gold.question_labels.get((record.note_id, record.question_id))
             grounding = ""
             if notes_by_id is not None:
-                note = notes_by_id.get(record.note_id)
-                if note is not None:
-                    grounding = grounding_check(
-                        record.answer, note, note_texts[record.note_id]
-                    ).value
+                grounding = grounding_check(record.answer, notes_by_id[record.note_id],
+                                            note_texts[record.note_id]).value
             writer.writerow({
                 "note_id": record.note_id,
                 "question_id": record.question_id,
@@ -783,15 +758,16 @@ def cmd_convert(
     prompts_dir: str | Path | None = None,
 ) -> int:
     """Convert every criterion; write questions.json, criteria.json, report."""
+    where = str(backends_path)
     try:
-        with open(backends_path, "r", encoding="utf-8") as handle:
-            backend_doc = json.load(handle)
+        backend_doc = load_json(backends_path)
         drafters = [Gateway(backend_config_from_dict(entry))
-                    for entry in backend_doc["backends"]]
+                    for entry in _require(backend_doc, "backends", list, where)]
         if not drafters:
-            raise ConfigError("backends.json lists no drafting backends")
-        refiner = Gateway(backend_config_from_dict(backend_doc["refiner"]))
-    except (ConfigError, KeyError, json.JSONDecodeError, OSError) as exc:
+            raise ConfigError(f"{where} lists no drafting backends")
+        refiner = Gateway(backend_config_from_dict(
+            _require(backend_doc, "refiner", dict, where)))
+    except (EligoError, OSError) as exc:
         log.error("backend config error: %s", exc)
         return EXIT_CONFIG
 
@@ -811,11 +787,10 @@ def _convert_all(
 ) -> int:
     from .conversion import convert_criterion
     from .corpus import load_criteria, write_criteria, write_questions
-    from .errors import ConversionError, RefinementParseError
 
     try:
         criteria = load_criteria(criteria_path)
-    except (EligoError, OSError, KeyError) as exc:
+    except (EligoError, OSError) as exc:
         log.error("input error: %s", exc)
         return EXIT_INPUT
 
@@ -830,7 +805,7 @@ def _convert_all(
             merged, updated, warnings = convert_criterion(
                 criterion, drafters, refiner, prompts_dir=prompts_dir
             )
-        except (ConversionError, RefinementParseError, ValueError, EligoError) as exc:
+        except (EligoError, ValueError) as exc:  # ValueError: no backend drafted a question
             failures += 1
             updated_criteria.append(criterion)
             report_lines.append(f"## {criterion.criterion_id}: FAILED")
@@ -860,9 +835,8 @@ def _convert_all(
 def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> int:
     """Render an existing metrics.json to Markdown without recomputation."""
     try:
-        with open(metrics_path, "r", encoding="utf-8") as handle:
-            metrics = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        metrics = load_json(metrics_path)
+    except (EligoError, OSError) as exc:
         log.error("cannot read metrics: %s", exc)
         return EXIT_INPUT
     rendered = render_report(metrics)

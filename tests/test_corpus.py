@@ -7,13 +7,16 @@ from eligo.corpus import (
     Catalog,
     CriterionKind,
     CriterionSpec,
+    GoldSet,
     Verdict,
     canonical_text,
     load_catalog,
     load_catalog_dir,
+    load_criteria,
     load_gold,
     load_notes,
     load_questions,
+    load_trials,
     validate_catalog,
     validate_gold,
 )
@@ -247,7 +250,6 @@ class TestCatalog:
         (tmp_path / "trials.json").write_text(json.dumps(
             {"trials": [{"trial_id": "T1", "criterion_ids": []}]}
         ))
-        from eligo.corpus import load_trials
         with pytest.raises(SchemaError):
             load_trials(tmp_path / "trials.json")
 
@@ -261,7 +263,7 @@ class TestGold:
         gold = load_gold(path)
         assert gold.question_labels[("n1", "Q1")] is Verdict.YES
         assert ("n1", "C1") in gold.criterion_labels
-        validate_gold(gold, notes, liver_catalog)
+        validate_gold(gold, liver_catalog, notes=notes)
 
     def test_exactly_one_target_id(self, tmp_path):
         path = write_lines(tmp_path / "gold.jsonl", [
@@ -291,4 +293,64 @@ class TestGold:
         ])
         gold = load_gold(path)
         with pytest.raises(DanglingReferenceError):
-            validate_gold(gold, notes, liver_catalog)
+            validate_gold(gold, liver_catalog, notes=notes)
+
+    @pytest.mark.parametrize("results, notes_given, ref_id", [
+        ([("n1", "Q1"), ("n1", "Q9")], False, "Q9"),
+        ([("n1", "Q1"), ("ghost", "Q1")], True, "ghost"),
+    ])
+    def test_dangling_result_key(self, notes, liver_catalog, results, notes_given, ref_id):
+        gold = GoldSet()
+        with pytest.raises(DanglingReferenceError) as excinfo:
+            validate_gold(gold, liver_catalog, notes=notes if notes_given else None,
+                          results=results)
+        assert excinfo.value.ref_id == ref_id
+        assert excinfo.value.where == "result record"
+
+    def test_notes_checked_only_when_given(self, tmp_path, liver_catalog):
+        path = write_lines(tmp_path / "gold.jsonl", [
+            json.dumps({"note_id": "ghost", "question_id": "Q1", "label": "YES"}),
+        ])
+        validate_gold(load_gold(path), liver_catalog, results=[("ghost", "Q1")])
+
+
+class TestLoadersNameTheSpot:
+    """Loaders reject a malformed record naming the file, the line or record, and
+    the field, instead of leaking KeyError, TypeError or UnicodeDecodeError."""
+
+    def test_gold_id_of_the_wrong_type(self, tmp_path):
+        path = write_lines(tmp_path / "gold.jsonl", [
+            json.dumps({"note_id": "n1", "question_id": ["Q1"], "label": "YES"}),
+        ])
+        with pytest.raises(SchemaError) as excinfo:
+            load_gold(path)
+        assert str(excinfo.value) == \
+            f"line 1: {path}: expected str for 'question_id' (field 'question_id')"
+
+    def test_catalog_not_utf8(self, tmp_path):
+        path = tmp_path / "questions.json"
+        path.write_bytes(b'{"questions": [{"text": "caf\xe9"}]}')
+        with pytest.raises(SchemaError, match="not UTF-8 text at byte 28"):
+            load_questions(path)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"criterion_id": "C1", "kind": "inclusion", "text": "t", "trial_ids": "T1"},
+         "trial_ids"),
+        ({"criterion_id": "C1", "kind": "inclusion", "text": "t", "question_ids": [1]},
+         "question_ids"),
+        ({"criterion_id": "C1", "kind": "inclusion", "text": "t", "rule": 7}, "rule"),
+        ({"criterion_id": 7, "kind": "inclusion", "text": "t"}, "criterion_id"),
+    ])
+    def test_criterion_field_of_the_wrong_type(self, tmp_path, record, field):
+        path = tmp_path / "criteria.json"
+        path.write_text(json.dumps({"criteria": [record]}))
+        with pytest.raises(SchemaError) as excinfo:
+            load_criteria(path)
+        assert excinfo.value.field == field
+        assert str(excinfo.value).startswith(f"{path}: criteria[0]: ")
+
+    def test_catalog_list_that_is_not_a_list(self, tmp_path):
+        path = tmp_path / "trials.json"
+        path.write_text(json.dumps({"trials": {"T1": ["C1"]}}))
+        with pytest.raises(SchemaError, match="expected list for 'trials'"):
+            load_trials(path)

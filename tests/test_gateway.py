@@ -537,10 +537,3 @@ def test_http_connections_reused_up_to_max_inflight():
     assert not thread.is_alive()
     assert len(_KeepAliveHandler.client_ports) == 20
     assert len(set(_KeepAliveHandler.client_ports)) <= 2
-
-
-def test_gateway_ask_parses(mock_gateway_factory):
-    gateway = mock_gateway_factory({"t": '"No". Reasoning here.'})
-    answer = gateway.ask(user_request("x", tag="t"))
-    assert answer.value is Verdict.NO
-    assert answer.provenance == "t"

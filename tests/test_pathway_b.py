@@ -3,8 +3,10 @@ import time
 import pytest
 
 from eligo import errors
-from eligo.corpus import Verdict
-from eligo.pathway_b import load_debate_templates, run_debate, stance_prompt
+from eligo.corpus import Verdict, canonical_text
+from eligo.gateway import FORMAT_CONTRACT
+from eligo.pathway_b import debate_unit, load_debate_templates, run_debate
+from eligo.prompting import load_template, render
 
 from conftest import make_mock_gateway
 
@@ -25,42 +27,50 @@ def debate_fixtures(key, **steps):
 
 
 class TestStancePrompt:
+    """Stance prompts as debate_unit renders them from the given templates."""
+
+    @staticmethod
+    def prompts(requests):
+        return [request.messages[-1].content for request in requests]
+
     def test_positive_preamble(self, unit):
         question, note = unit
-        req = stance_prompt(question, note, "positive")
-        prompt = req.messages[-1].content
-        assert "PROPONENT" in prompt
-        assert question.text in prompt
-        assert "CHIEF COMPLAINT:" in prompt
-        assert "ADJUDICATOR NOTES" not in prompt
+        requests = next(debate_unit(question, note, load_debate_templates()))
+        pro, con = self.prompts(requests)
+        assert "PROPONENT" in pro
+        assert "OPPONENT" in con
+        for prompt in (pro, con):
+            assert question.text in prompt
+            assert "CHIEF COMPLAINT:" in prompt
+            assert "ADJUDICATOR NOTES" not in prompt
 
     def test_negative_with_judge_notes(self, unit):
         question, note = unit
-        req = stance_prompt(question, note, "negative",
-                            judge_notes="evidence conflict on tumor origin")
-        prompt = req.messages[-1].content
-        assert "OPPONENT" in prompt
-        assert "ADJUDICATOR NOTES FROM ROUND 1:" in prompt
-        assert "evidence conflict on tumor origin" in prompt
+        debate = debate_unit(question, note, load_debate_templates())
+        next(debate)
+        (judge,) = debate.send(['"Yes". a', '"No". b'])
+        assert "ADJUDICATOR NOTES" not in judge.messages[-1].content
+        round2 = debate.send(["SECOND ROUND: evidence conflict on tumor origin"])
+        pro, con = self.prompts(round2)
+        assert "OPPONENT" in con
+        for prompt in (pro, con):
+            assert "ADJUDICATOR NOTES FROM ROUND 1:" in prompt
+            assert "evidence conflict on tumor origin" in prompt
 
     def test_deterministic(self, unit):
         question, note = unit
-        first = stance_prompt(question, note, "positive", tag="t")
-        second = stance_prompt(question, note, "positive", tag="t")
+        templates = load_debate_templates()
+        first = next(debate_unit(question, note, templates))
+        second = next(debate_unit(question, note, templates))
         assert first == second
-
-    def test_unknown_stance_rejected(self, unit):
-        question, note = unit
-        with pytest.raises(ValueError):
-            stance_prompt(question, note, "neutral")
 
 
 class TestRunDebate:
     def test_given_templates_match_prompts_dir(self, unit, tmp_path):
         question, note = unit
         key = f"{note.note_id}|{question.question_id}"
-        (tmp_path / "stance_neg.txt").write_text(
-            "CUSTOM OPPONENT\nQUESTION:\n{{question}}\n{{note}}{{judge_notes}}")
+        override = "CUSTOM OPPONENT\nQUESTION:\n{{question}}\n{{note}}{{judge_notes}}"
+        (tmp_path / "stance_neg.txt").write_text(override)
         gateway = make_mock_gateway(debate_fixtures(
             key,
             **{"proponent|r1": '"Yes". Clear resection history.',
@@ -75,12 +85,12 @@ class TestRunDebate:
 
         gateway.submit = recording
         run_debate(question, note, gateway, templates=load_debate_templates(tmp_path))
-        by_tag = {request.tag: request for request in sent}
-        for stance, role in (("positive", "proponent"), ("negative", "opponent")):
-            tag = f"{key}|{role}|r1"
-            assert by_tag[tag] == stance_prompt(question, note, stance, tag=tag,
-                                                prompts_dir=tmp_path)
-        assert "CUSTOM OPPONENT" in by_tag[f"{key}|opponent|r1"].messages[-1].content
+        by_tag = {request.tag: request.messages[-1].content for request in sent}
+        values = {"question": question.text, "note": canonical_text(note), "judge_notes": ""}
+        for role, template in (("proponent", load_template("stance_pos")),
+                               ("opponent", override)):
+            assert by_tag[f"{key}|{role}|r1"] == \
+                f"{render(template, **values)}\n{FORMAT_CONTRACT}"
 
     def test_round1_consensus_skips_judge(self, unit):
         question, note = unit

@@ -103,7 +103,13 @@ def scripted_gateway(transport, *, max_inflight, backoff_s=0.0):
 
 
 # A results line without its answer, and valid JSON that is not an object.
-BAD_RESULT_LINES = ['{"note_id": "n1", "question_id": "m1"}', "[1, 2]"]
+BAD_RESULT_LINES = [
+    '{"note_id": "n1", "question_id": "m1"}',
+    "[1, 2]",
+    '{"note_id": "n1", "question_id": ["m1"], "pathway": "B", "value": "NO"}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "evidence": [1]}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": -1}',
+]
 
 # A results file in UTF-16: it starts with the bytes ff fe.
 UTF16_RESULTS = (json.dumps({"note_id": "n1", "question_id": "m1", "pathway": "B",
@@ -1021,3 +1027,132 @@ class TestCli:
         out = capsys.readouterr().out
         assert "elapsed_s" not in out
         assert len(out.splitlines()) == 30
+
+
+def edit_json(edit):
+    """Rewrite a JSON file with ``edit`` applied to its document."""
+    def apply(path):
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+    return apply
+
+
+def replace_line(line_no, raw):
+    """Rewrite a JSONL file with line ``line_no`` replaced by the bytes ``raw``."""
+    def apply(path):
+        lines = path.read_bytes().splitlines()
+        lines[line_no - 1] = raw
+        path.write_bytes(b"\n".join(lines) + b"\n")
+    return apply
+
+
+# (command, file in the mini workspace, how to break it, what the error says)
+BAD_INPUTS = {
+    "screen-criterion-without-text": (
+        "screen", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][0].pop("text")),
+        "{path}: criteria[0]: expected str for 'text' (field 'text')"),
+    "screen-question-record-is-a-list": (
+        "screen", "catalog/questions.json",
+        edit_json(lambda doc: doc["questions"].__setitem__(1, ["m2"])),
+        "{path}: questions[1]: expected a JSON object"),
+    "screen-trial-without-criterion-ids": (
+        "screen", "catalog/trials.json",
+        edit_json(lambda doc: doc["trials"][0].pop("criterion_ids")),
+        "{path}: trials[0]: expected list for 'criterion_ids' (field 'criterion_ids')"),
+    "screen-notes-not-utf8": (
+        "screen", "notes.jsonl",
+        replace_line(2, '{"note_id": "n2", "sections": {"chief_complaint": "café"}}'
+                        .encode("latin-1")),
+        "line 2: {path}: not UTF-8 text at byte 54"),
+    "evaluate-gold-line-is-a-list": (
+        "evaluate", "gold.jsonl", replace_line(3, b"[1, 2]"),
+        "line 3: {path}: expected a JSON object"),
+    "evaluate-criterion-without-kind": (
+        "evaluate", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][1].pop("kind")),
+        "{path}: criteria[1]: kind must be one of ['inclusion', 'exclusion'], "
+        "got None (field 'kind')"),
+    "convert-criterion-without-text": (
+        "convert", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][1].pop("text")),
+        "{path}: criteria[1]: expected str for 'text' (field 'text')"),
+}
+
+
+class TestBadInput:
+    @staticmethod
+    def argv(command, workspace):
+        root = workspace["root"]
+        if command == "screen":
+            return ["screen", "--config", str(workspace["run_json"])]
+        if command == "evaluate":
+            (root / "results.jsonl").write_text("")
+            return ["evaluate", "--results", str(root / "results.jsonl"),
+                    "--gold", str(workspace["gold"]), "--catalog", str(workspace["catalog"]),
+                    "--out", str(root / "eval")]
+        (root / "backends.json").write_text(json.dumps(
+            {"backends": [{"kind": "mock"}], "refiner": {"kind": "mock"}}))
+        return ["convert", "--criteria", str(workspace["catalog"] / "criteria.json"),
+                "--backends", str(root / "backends.json"), "--out", str(root / "converted")]
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_3_naming_file_record_and_field(self, mini_workspace, caplog, case):
+        command, name, corrupt, message = BAD_INPUTS[case]
+        path = mini_workspace["root"] / name
+        corrupt(path)
+        assert cli_main(self.argv(command, mini_workspace)) == EXIT_INPUT
+        assert message.format(path=path) in caplog.text
+        assert not (mini_workspace["out"] / "results.jsonl").exists()
+
+    def test_gold_note_unknown_under_notes_exits_3(self, mini_workspace, caplog):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        with open(mini_workspace["gold"], "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"note_id": "ghost-note", "question_id": "m1",
+                                     "label": "YES"}) + "\n")
+        args = (mini_workspace["out"] / "results.jsonl", mini_workspace["gold"],
+                mini_workspace["catalog"], mini_workspace["root"] / "eval")
+        assert cmd_evaluate(*args, notes_path=mini_workspace["notes"]) == EXIT_INPUT
+        assert "unknown id 'ghost-note' referenced by gold question label" in caplog.text
+        assert cmd_evaluate(*args) == EXIT_OK  # notes are only checked when given
+
+    def test_bad_mock_fixtures_exits_3(self, mini_workspace, caplog):
+        mini_workspace["fixtures"].write_text("[]")
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
+        assert f"{mini_workspace['fixtures']}: expected a JSON object" in caplog.text
+
+
+# (config file, how to break it, what the error says)
+BAD_CONFIGS = {
+    "workers-not-a-number": ("run.json", lambda doc: {**doc, "workers": "abc"},
+                             "expected int for 'workers'"),
+    "workers-null": ("run.json", lambda doc: {**doc, "workers": None},
+                     "expected int for 'workers'"),
+    "run-config-a-list": ("run.json", lambda doc: [doc], "expected a JSON object"),
+    "roles-a-string": ("run.json", lambda doc: {**doc, "roles": "crc"},
+                       "expected list for 'roles'"),
+    "backend-latency-a-string": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"],
+                                                   "mock_latency_s": "x"}},
+        "invalid backend config"),
+    "backends-a-list": ("backends.json", lambda doc: [doc], "expected a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_with_config_error(mini_workspace, caplog, case):
+    name, edit, message = BAD_CONFIGS[case]
+    root = mini_workspace["root"]
+    backends = {"backends": [{"kind": "mock"}], "refiner": {"kind": "mock"}}
+    (root / "backends.json").write_text(json.dumps(backends))
+    path = root / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    if name == "run.json":
+        argv = ["screen", "--config", str(path)]
+    else:
+        argv = ["convert", "--criteria", str(mini_workspace["catalog"] / "criteria.json"),
+                "--backends", str(path), "--out", str(root / "converted")]
+    assert cli_main(argv) == EXIT_CONFIG
+    assert "config error" in caplog.text
+    assert message in caplog.text
