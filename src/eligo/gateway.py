@@ -13,9 +13,7 @@ closed does not keep its threads.
 
 from __future__ import annotations
 
-import email.utils
 import heapq
-import http.client
 import itertools
 import json
 import re
@@ -28,10 +26,16 @@ from queue import Empty, SimpleQueue
 from dataclasses import dataclass, fields
 from datetime import timezone
 from pathlib import Path
-from typing import Callable, Generator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Generator, Mapping, TypeVar
 
 from . import errors
 from .corpus import Verdict, load_json
+
+if TYPE_CHECKING:
+    import http.client
+
+# http.client and email.utils are imported where they are used: they pull in
+# socket, ssl and the email package, which a mock run never needs.
 
 # Every verdict-producing prompt ends with this contract, so parsing is a
 # deterministic token grab instead of free-text classification.
@@ -113,8 +117,18 @@ class BackendConfig:
     def validate(self) -> None:
         if self.kind not in ("http", "mock"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "http" and not self.base_url:
-            raise ValueError("http backend requires base_url")
+        if self.kind == "http":
+            if not self.base_url or not isinstance(self.base_url, str):
+                raise ValueError("http backend requires a base_url string")
+            url = urllib.parse.urlsplit(self.base_url)
+            try:
+                url.port  # raises for a port that is not a number in range
+            except ValueError as exc:
+                raise ValueError(f"base_url {self.base_url!r}: {exc}") from exc
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(
+                    f"base_url {self.base_url!r} is not http(s)://host[:port]"
+                )
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be > 0")
         if self.max_inflight < 1:
@@ -291,6 +305,8 @@ def parse_retry_after(value: str | None) -> float | None:
     value = value.strip()
     if _DELTA_SECONDS_RE.fullmatch(value):
         return float(value)
+    import email.utils
+
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -309,6 +325,8 @@ class HttpTransport:
     """
 
     def __init__(self, cfg: BackendConfig):
+        import http.client
+
         self.cfg = cfg
         url = urllib.parse.urlsplit(cfg.base_url)
         self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
@@ -340,6 +358,8 @@ class HttpTransport:
         return connection
 
     def send(self, req: ChatRequest) -> str:
+        import http.client
+
         cfg = self.cfg
         body = json.dumps({
             "model": cfg.model_name,

@@ -29,17 +29,34 @@ TEMPLATE_NAMES = (
 
 
 def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
-    """Return the template text; a prompts_dir override wins over package data."""
-    if prompts_dir is not None:
-        override = Path(prompts_dir) / f"{name}.txt"
-        if override.is_file():
-            return override.read_text(encoding="utf-8")
+    """Return the template text; a prompts_dir override wins over package data.
+
+    An override is checked as it is loaded: it must be UTF-8 and may use
+    only placeholders that the packaged template of the same name uses, so
+    a bad site template fails before any unit renders it.
+    """
     try:
-        return resources.files("eligo").joinpath(f"prompts/{name}.txt").read_text(
+        packaged = resources.files("eligo").joinpath(f"prompts/{name}.txt").read_text(
             encoding="utf-8"
         )
     except FileNotFoundError:
         raise PromptError(f"no prompt template named {name!r}")
+    if prompts_dir is None:
+        return packaged
+    override = Path(prompts_dir) / f"{name}.txt"
+    if not override.is_file():
+        return packaged
+    try:
+        text = override.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PromptError(f"{override}: not UTF-8 (byte {exc.start})") from exc
+    unknown = set(_PLACEHOLDER_RE.findall(text)) - set(_PLACEHOLDER_RE.findall(packaged))
+    if unknown:
+        names = ", ".join(f"{{{{{key}}}}}" for key in sorted(unknown))
+        raise PromptError(
+            f"{override}: placeholder {names} is not one the {name!r} template fills"
+        )
+    return text
 
 
 def render(template: str, **values: str) -> str:

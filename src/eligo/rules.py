@@ -18,14 +18,19 @@ while the result is still undecided, instead of enumerating all 2^k
 completions.
 
 A criterion's rule is parsed once, when its catalog is validated at load
-(``CriterionSpec.parsed_rule``), and reused for every note.
+(``CriterionSpec.parsed_rule``), and reused for every note.  A rule's
+outcome depends only on the answers to the questions it references, so
+``criterion_verdict`` memoizes ``(met, stable)`` on the parsed rule per
+answer pattern: a cohort costs one evaluation and one sensitivity analysis
+per distinct pattern, not one per note.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Mapping, Union
 
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
@@ -269,10 +274,18 @@ def print_rule(expr: RuleExpr) -> str:
 
 @dataclass(frozen=True)
 class ParsedRule:
-    """A rule's AST and the sorted ids of the questions it references."""
+    """A rule's AST and the sorted ids of the questions it references.
+
+    ``outcomes`` memoizes ``criterion_verdict``'s ``(met, stable)`` by the
+    tuple of answers to ``question_ids``; it grows by one entry per
+    distinct answer pattern seen.
+    """
 
     expr: RuleExpr
     question_ids: tuple[str, ...]
+    outcomes: dict[tuple[Verdict, ...], tuple[bool, bool]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def parse(cls, text: str) -> "ParsedRule":
@@ -470,23 +483,44 @@ class TrialVerdict:
     failing: tuple[str, ...]
 
 
+_VERDICT_ONLY = frozenset({Verdict})
+
+
 def criterion_verdict(
     criterion: CriterionSpec, answers: Mapping[str, Verdict]
 ) -> CriterionVerdict:
-    """Evaluate one criterion's rule and its stability under UNKNOWN flips."""
+    """Evaluate one criterion's rule and its stability under UNKNOWN flips.
+
+    The outcome is looked up in the rule's memo by the answers to its
+    questions, a missing answer counted as UNKNOWN as the evaluators count
+    it.  Only answers that are ``Verdict`` members are memoized: a plain
+    string equals its member but the evaluators match by identity, so it
+    is evaluated afresh instead of sharing the member's entry.
+    """
     if not criterion.rule_text:
         raise CatalogError(
             f"criterion {criterion.criterion_id!r} has no rule to evaluate"
         )
     rule = criterion.parsed_rule
-    met = eval_rule(rule.expr, answers)
-    stable = sensitivity(rule, answers).status is Stability.STABLE
+    key = tuple(map(answers.get, rule.question_ids, repeat(Verdict.UNKNOWN)))
+    if _VERDICT_ONLY.issuperset(map(type, key)):
+        outcome = rule.outcomes.get(key)
+        if outcome is None:
+            outcome = rule.outcomes[key] = _outcome(rule, answers)
+    else:
+        outcome = _outcome(rule, answers)
+    met, stable = outcome
     return CriterionVerdict(
         criterion_id=criterion.criterion_id,
         kind=criterion.kind,
         met=met,
         stable=stable,
     )
+
+
+def _outcome(rule: ParsedRule, answers: Mapping[str, Verdict]) -> tuple[bool, bool]:
+    return (eval_rule(rule.expr, answers),
+            sensitivity(rule, answers).status is Stability.STABLE)
 
 
 def verdicts_for_note(

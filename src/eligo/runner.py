@@ -63,7 +63,7 @@ from .evaluation import (
 from .gateway import BackendConfig, Gateway, ParsedAnswer, Unit, backend_config_from_dict
 from .pathway_a import ROLE_IDS, RoleAnswer, load_roles, majority_vote, role_unit
 from .pathway_b import debate_unit, load_debate_templates
-from .rules import trial_verdict, verdicts_for_note
+from .rules import TrialStatus, trial_verdict, verdicts_for_note
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -618,20 +618,30 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
     if skipped_criteria:
         log.warning("criteria without rules skipped in verdicts: %s", skipped_criteria)
 
+    # Each line is formatted from pre-encoded pieces in the sorted key order
+    # of _JSONL_ENCODER, so it equals the encoding of the record dict.
+    encode = _JSONL_ENCODER.encode
+    criterion_ids = {criterion.criterion_id: encode(criterion.criterion_id)
+                     for criterion in scorable}
+    criterion_heads = {criterion_id: '{"criterion_id": ' + encoded + ', "met": '
+                       for criterion_id, encoded in criterion_ids.items()}
+    statuses = {status: encode(status.value) for status in TrialStatus}
+    trial_tails = {trial.trial_id: ', "trial_id": ' + encode(trial.trial_id) + "}"
+                   for trial in catalog.trials.values()}
     lines: list[str] = []
     for label in sorted(by_label):
         answers_by_note = by_label[label]
+        label_tail = ', "pathway": ' + encode(label)
         for note in notes:
+            note_field = ', "note_id": ' + encode(note.note_id)
+            criterion_middle = note_field + label_tail + ', "stable": '
+            trial_middle = note_field + label_tail + ', "status": '
             verdicts = verdicts_for_note(scorable,
                                          _values(answers_by_note.get(note.note_id, {})))
             for verdict in verdicts:
-                lines.append(_JSONL_ENCODER.encode({
-                    "note_id": note.note_id,
-                    "criterion_id": verdict.criterion_id,
-                    "met": verdict.met,
-                    "stable": verdict.stable,
-                    "pathway": label,
-                }))
+                lines.append(criterion_heads[verdict.criterion_id]
+                             + ("true" if verdict.met else "false") + criterion_middle
+                             + ("true" if verdict.stable else "false") + "}")
             for trial in catalog.trials.values():
                 try:
                     rollup = trial_verdict(trial, verdicts)
@@ -639,13 +649,11 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
                     log.warning("trial %s skipped for %s: %s",
                                 trial.trial_id, note.note_id, exc)
                     continue
-                lines.append(_JSONL_ENCODER.encode({
-                    "note_id": note.note_id,
-                    "trial_id": trial.trial_id,
-                    "status": rollup.status.value,
-                    "failing": list(rollup.failing),
-                    "pathway": label,
-                }))
+                # A failing criterion has a verdict, so it is in scorable.
+                failing = ", ".join([criterion_ids[criterion_id]
+                                     for criterion_id in rollup.failing])
+                lines.append('{"failing": [' + failing + "]" + trial_middle
+                             + statuses[rollup.status] + trial_tails[trial.trial_id])
     temp = path.with_suffix(".tmp")
     temp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     temp.replace(path)

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eligo
 from eligo import errors
 from eligo.corpus import Verdict
 from eligo.gateway import (
@@ -537,3 +540,15 @@ def test_http_connections_reused_up_to_max_inflight():
     assert not thread.is_alive()
     assert len(_KeepAliveHandler.client_ports) == 20
     assert len(set(_KeepAliveHandler.client_ports)) <= 2
+
+
+def test_cli_import_loads_no_http_modules():
+    # http.client and email.utils are imported where HttpTransport and
+    # Retry-After parsing use them, so a mock run never pays for them.
+    code = ("import sys, eligo.cli; print(sorted(m for m in sys.modules if m in "
+            "{'http.client', 'email', 'ssl', 'socket'} or m.startswith('email.')))")
+    src = os.path.dirname(os.path.dirname(eligo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert loaded == "[]"

@@ -418,3 +418,62 @@ class TestVerdicts:
 def test_referenced_ids():
     expr = parse_rule("Q1 IS YES AND (ANY(Q2, Q3) IS NO OR NOT Q4 IS UNKNOWN)")
     assert referenced_ids(expr) == {"Q1", "Q2", "Q3", "Q4"}
+
+
+class TestOutcomeMemo:
+    """criterion_verdict memoizes (met, stable) per answer pattern on the rule."""
+
+    @staticmethod
+    def criterion(rule_text, criterion_id="c"):
+        expr = parse_rule(rule_text)
+        return CriterionSpec(criterion_id, (), CriterionKind.INCLUSION, "t", rule_text,
+                             tuple(sorted(referenced_ids(expr))))
+
+    def test_memoized_verdicts_match_fresh_evaluation_and_oracle(self):
+        rng = random.Random(8)
+        calls = patterns = 0
+        for _ in range(60):
+            ids = [f"Q{i}" for i in range(1, rng.randint(1, 4) + 1)]
+            criterion = self.criterion(print_rule(random_expr(rng, ids)))
+            expr = criterion.parsed_rule.expr
+            # A small pool of answer maps, drawn with repeats; dropping the
+            # UNKNOWN entries of some makes those answers missing.
+            pool = []
+            for _ in range(6):
+                answers = {q: rng.choice(VALUES) for q in ids}
+                if rng.random() < 0.5:
+                    answers = {q: v for q, v in answers.items() if v is not Verdict.UNKNOWN}
+                pool.append(answers)
+            for _ in range(20):
+                answers = rng.choice(pool)
+                verdict = criterion_verdict(criterion, answers)
+                stable, _ = brute_force_sensitivity(expr, answers)
+                assert verdict.met is eval_rule(expr, answers) is reference_eval(expr, answers)
+                assert verdict.stable is stable, (print_rule(expr), answers)
+                calls += 1
+            patterns += len(criterion.parsed_rule.outcomes)
+        assert patterns < calls / 2  # repeated patterns were looked up, not re-evaluated
+
+    def test_missing_answer_shares_the_unknown_entry(self):
+        criterion = self.criterion("Q1 IS NOT YES AND Q2 IS YES")
+        first = criterion_verdict(criterion, {"Q2": Verdict.YES})
+        assert list(criterion.parsed_rule.outcomes) == [(Verdict.UNKNOWN, Verdict.YES)]
+        second = criterion_verdict(criterion, {"Q1": Verdict.UNKNOWN, "Q2": Verdict.YES})
+        assert first == second
+        assert len(criterion.parsed_rule.outcomes) == 1
+
+    def test_plain_string_answer_is_not_taken_for_the_enum(self):
+        # The evaluators match answers by identity, so a plain "YES" string
+        # matches no value; the memo must not hand it the Verdict.YES outcome.
+        rule = "Q1 IS YES"
+        expected = (eval_rule(parse_rule(rule), {"Q1": "YES"}),
+                    sensitivity(parse_rule(rule), {"Q1": "YES"}).status is Stability.STABLE)
+        assert expected == (False, True)
+        for enum_first in (True, False):
+            criterion = self.criterion(rule)
+            if enum_first:
+                assert criterion_verdict(criterion, {"Q1": Verdict.YES}).met is True
+            verdict = criterion_verdict(criterion, {"Q1": "YES"})
+            assert (verdict.met, verdict.stable) == expected
+            assert criterion_verdict(criterion, {"Q1": Verdict.YES}).met is True
+            assert list(criterion.parsed_rule.outcomes) == [(Verdict.YES,)]

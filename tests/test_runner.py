@@ -12,14 +12,28 @@ import eligo.pathway_b
 import eligo.rules
 import eligo.runner
 from eligo.cli import main as cli_main
+from eligo.corpus import (
+    AdmissionNote,
+    Catalog,
+    Category,
+    CriterionKind,
+    CriterionSpec,
+    QuestionSpec,
+    TaskType,
+    TrialSpec,
+    Verdict,
+)
 from eligo.errors import BackendError, ConfigError
-from eligo.gateway import BackendConfig, Gateway, mock_resolve
+from eligo.gateway import BackendConfig, Gateway, ParsedAnswer, mock_resolve
+from eligo.rules import trial_verdict, verdicts_for_note
 from eligo.runner import (
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PARTIAL,
+    ResultRecord,
     RunConfig,
+    _write_verdicts,
     canonicalize_records,
     canonicalize_results_file,
     cmd_convert,
@@ -1156,3 +1170,94 @@ def test_bad_config_exits_2_with_config_error(mini_workspace, caplog, case):
     assert cli_main(argv) == EXIT_CONFIG
     assert "config error" in caplog.text
     assert message in caplog.text
+
+
+def test_verdict_lines_equal_json_dumps_of_their_records(tmp_path):
+    # Ids that JSON must escape or that ensure_ascii=False leaves as they are.
+    odd = ['quote"d', "back\\slash", "née 漢", "line\u2028sep"]
+    questions = {q: QuestionSpec(q, q, Category.DIAGNOSIS, TaskType.DIRECT_MATCH)
+                 for q in ("Q1", "Q2")}
+    criteria = {
+        odd[0]: CriterionSpec(odd[0], (), CriterionKind.INCLUSION, "t", "Q1 IS YES", ("Q1",)),
+        odd[1]: CriterionSpec(odd[1], (), CriterionKind.INCLUSION, "t", "Q2 IS YES", ("Q2",)),
+        odd[2]: CriterionSpec(odd[2], (), CriterionKind.EXCLUSION, "t",
+                              "Q1 IS NO OR Q2 IS NO", ("Q1", "Q2")),
+    }
+    trials = {odd[3]: TrialSpec(odd[3], tuple(criteria)), "té": TrialSpec("té", (odd[2],))}
+    catalog = Catalog(questions, criteria, trials)
+    notes = [AdmissionNote(note_id, {}) for note_id in (odd[1], odd[3], "plain")]
+    records = [
+        ResultRecord(note_id, question_id, label,
+                     ParsedAnswer(value, "r", (), "p"), 0.0)
+        for label, values in ((odd[2], (Verdict.YES, Verdict.UNKNOWN)),
+                              ("B", (Verdict.NO, Verdict.NO)))
+        for note_id, value in zip((odd[1], odd[3]), values)
+        for question_id in ("Q1", "Q2")
+    ]
+    path = tmp_path / "verdicts.jsonl"
+    _write_verdicts(path, notes, catalog, records)
+
+    expected = []
+    for label in sorted({record.pathway for record in records}):
+        for note in notes:
+            answers = {record.question_id: record.answer.value for record in records
+                       if record.pathway == label and record.note_id == note.note_id}
+            verdicts = verdicts_for_note(criteria.values(), answers)
+            expected += [{"note_id": note.note_id, "criterion_id": verdict.criterion_id,
+                          "met": verdict.met, "stable": verdict.stable, "pathway": label}
+                         for verdict in verdicts]
+            for trial in trials.values():
+                rollup = trial_verdict(trial, verdicts)
+                expected.append({"note_id": note.note_id, "trial_id": trial.trial_id,
+                                 "status": rollup.status.value,
+                                 "failing": list(rollup.failing), "pathway": label})
+    assert {record["status"] for record in expected if "status" in record} == \
+        {"ELIGIBLE", "INELIGIBLE", "UNDETERMINED"}
+    assert max(len(record.get("failing", ())) for record in expected) >= 2
+    written = path.read_bytes().decode("utf-8").split("\n")
+    assert written == [json.dumps(record, ensure_ascii=False, sort_keys=True)
+                       for record in expected] + [""]
+
+
+BAD_BASE_URLS = {
+    "port-not-a-number": "http://127.0.0.1:abc",
+    "no-scheme": "127.0.0.1:8080",
+    "no-host": "http://:8080/v1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BASE_URLS))
+def test_bad_base_url_exits_2_with_config_error(mini_workspace, caplog, case):
+    path = mini_workspace["root"] / "run.json"
+    doc = json.loads(path.read_text())
+    doc["backend"] = {"kind": "http", "base_url": BAD_BASE_URLS[case]}
+    path.write_text(json.dumps(doc))
+    assert cli_main(["screen", "--config", str(path)]) == EXIT_CONFIG
+    assert "config error: invalid backend config: base_url" in caplog.text
+    assert not (mini_workspace["out"] / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{{question}} {{note}} {{mystery}}".encode(), "placeholder {{mystery}}"),
+    (b"\xff\xfe not text {{question}}", "not UTF-8"),
+])
+def test_bad_prompt_override_exits_3_before_any_unit(mini_workspace, caplog,
+                                                      tmp_path, content, message):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "role_crc.txt").write_bytes(content)
+    gateway = make_mock_gateway(build_mini_fixtures())
+    sent = []
+    submit = gateway.submit
+
+    def recording(request, **kwargs):
+        sent.append(request)
+        return submit(request, **kwargs)
+
+    gateway.submit = recording
+    config = run_config(mini_workspace, prompts=str(prompts))
+    assert cmd_screen(config, gateway=gateway) == EXIT_INPUT
+    assert f"{prompts / 'role_crc.txt'}: " in caplog.text
+    assert message in caplog.text
+    assert sent == []
+    assert not (mini_workspace["out"] / "results.jsonl").exists()
