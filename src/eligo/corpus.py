@@ -87,6 +87,18 @@ class AdmissionNote:
             record["extra_text"] = self.extra_text
         return record
 
+    @cached_property
+    def text(self) -> str:
+        """This note's canonical text (see canonical_text), rendered on first use."""
+        parts: list[str] = []
+        for name in SECTION_ORDER:
+            text = self.sections.get(name)
+            if text:
+                parts.append(f"{name.replace('_', ' ').upper()}:\n{text}\n")
+        if self.extra_text:
+            parts.append(f"EXTRA TEXT:\n{self.extra_text}\n")
+        return "".join(parts)
+
 
 @dataclass(frozen=True)
 class QuestionSpec:
@@ -283,16 +295,12 @@ def canonical_text(note: AdmissionNote) -> str:
     """Render a note deterministically: fixed section order, stable bytes.
 
     The same rendering feeds both prompting and evidence grounding, so it
-    must be byte-identical across runs for equal notes.
+    must be byte-identical across runs for equal notes.  It is rendered once
+    per note and cached on the note (``AdmissionNote.text``), like a
+    criterion's ``parsed_rule``: each of a note's prompts reuses it, which
+    relies on notes being treated as immutable.
     """
-    parts: list[str] = []
-    for name in SECTION_ORDER:
-        text = note.sections.get(name)
-        if text:
-            parts.append(f"{name.replace('_', ' ').upper()}:\n{text}\n")
-    if note.extra_text:
-        parts.append(f"EXTRA TEXT:\n{note.extra_text}\n")
-    return "".join(parts)
+    return note.text
 
 
 # -- catalog ------------------------------------------------------------------
@@ -343,7 +351,8 @@ def load_criteria(path: str | Path) -> dict[str, CriterionSpec]:
             text=_require(record, "text", str, where),
             rule_text=_optional(record, "rule", str, where) or "",
             question_ids=_require_strs(record, "question_ids", where, default=[]),
-            needs_human_rule=bool(record.get("needs_human_rule", False)),
+            needs_human_rule=_require(record, "needs_human_rule", bool, where,
+                                      default=False),
         )
         if criterion.criterion_id in criteria:
             raise DuplicateIdError("criterion", criterion.criterion_id)

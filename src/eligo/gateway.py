@@ -172,11 +172,22 @@ _LEAD_TOKEN_RE = re.compile(
     rf"^\s*[{_QUOTES}]\s*([^{_QUOTES}]{{1,40}}?)\s*[{_QUOTES}]\s*[.:,;!]?\s*"
 )
 _FIRST_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+|\n")
+# Each verdict phrase as a whole word or words, for the first-sentence scan.
+_PHRASE_RES = {
+    phrase: re.compile(rf"(?<![a-z0-9]){re.escape(phrase)}(?![a-z0-9])")
+    for phrase in _VERDICT_MAP
+}
 
 
 def _strip_evidence(text: str) -> tuple[str, list[str]]:
-    """Remove complete EVIDENCE blocks; return remaining text and the quotes."""
+    """Remove complete EVIDENCE blocks; return remaining text and the quotes.
+
+    Lines are rejoined with "\n" either way.  A reply without the marker in
+    any case has no block, so it skips the line scan.
+    """
     lines = text.splitlines()
+    if "EVIDENCE:" not in text.upper():
+        return "\n".join(lines), []
     kept: list[str] = []
     quotes: list[str] = []
     i = 0
@@ -199,11 +210,7 @@ def _strip_evidence(text: str) -> tuple[str, list[str]]:
 
 def _scan_first_sentence(text: str) -> set[str]:
     sentence = _FIRST_SENTENCE_RE.split(text, maxsplit=1)[0].lower()
-    found: set[str] = set()
-    for phrase in _VERDICT_MAP:
-        if re.search(rf"(?<![a-z0-9]){re.escape(phrase)}(?![a-z0-9])", sentence):
-            found.add(phrase)
-    return found
+    return {phrase for phrase, pattern in _PHRASE_RES.items() if pattern.search(sentence)}
 
 
 def parse_answer(text: str, provenance: str = "") -> ParsedAnswer:

@@ -20,9 +20,9 @@ completions.
 A criterion's rule is parsed once, when its catalog is validated at load
 (``CriterionSpec.parsed_rule``), and reused for every note.  A rule's
 outcome depends only on the answers to the questions it references, so
-``criterion_verdict`` memoizes ``(met, stable)`` on the parsed rule per
-answer pattern: a cohort costs one evaluation and one sensitivity analysis
-per distinct pattern, not one per note.
+``criterion_verdict`` memoizes the criterion's verdict on the parsed rule
+per answer pattern: a cohort costs one evaluation, one sensitivity analysis
+and one verdict object per distinct pattern, not one per note.
 """
 
 from __future__ import annotations
@@ -276,14 +276,17 @@ def print_rule(expr: RuleExpr) -> str:
 class ParsedRule:
     """A rule's AST and the sorted ids of the questions it references.
 
-    ``outcomes`` memoizes ``criterion_verdict``'s ``(met, stable)`` by the
-    tuple of answers to ``question_ids``; it grows by one entry per
-    distinct answer pattern seen.
+    ``outcomes`` memoizes ``criterion_verdict``'s result, the frozen
+    ``CriterionVerdict`` itself, by the tuple of answers to
+    ``question_ids``; it grows by one entry per distinct answer pattern
+    seen.  The verdict names its criterion, so a ParsedRule serves the one
+    criterion that parsed it (``CriterionSpec.parsed_rule``) and is not
+    shared between criteria, even ones with the same rule text.
     """
 
     expr: RuleExpr
     question_ids: tuple[str, ...]
-    outcomes: dict[tuple[Verdict, ...], tuple[bool, bool]] = field(
+    outcomes: dict[tuple[Verdict, ...], "CriterionVerdict"] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -491,11 +494,12 @@ def criterion_verdict(
 ) -> CriterionVerdict:
     """Evaluate one criterion's rule and its stability under UNKNOWN flips.
 
-    The outcome is looked up in the rule's memo by the answers to its
+    The verdict is looked up in the rule's memo by the answers to its
     questions, a missing answer counted as UNKNOWN as the evaluators count
-    it.  Only answers that are ``Verdict`` members are memoized: a plain
-    string equals its member but the evaluators match by identity, so it
-    is evaluated afresh instead of sharing the member's entry.
+    it, so notes that repeat a pattern share one frozen verdict.  Only
+    answers that are ``Verdict`` members are memoized: a plain string
+    equals its member but the evaluators match by identity, so it is
+    evaluated afresh instead of sharing the member's entry.
     """
     if not criterion.rule_text:
         raise CatalogError(
@@ -503,24 +507,22 @@ def criterion_verdict(
         )
     rule = criterion.parsed_rule
     key = tuple(map(answers.get, rule.question_ids, repeat(Verdict.UNKNOWN)))
-    if _VERDICT_ONLY.issuperset(map(type, key)):
-        outcome = rule.outcomes.get(key)
-        if outcome is None:
-            outcome = rule.outcomes[key] = _outcome(rule, answers)
-    else:
-        outcome = _outcome(rule, answers)
-    met, stable = outcome
+    if not _VERDICT_ONLY.issuperset(map(type, key)):
+        return _evaluate(criterion, rule, answers)
+    verdict = rule.outcomes.get(key)
+    if verdict is None:
+        verdict = rule.outcomes[key] = _evaluate(criterion, rule, answers)
+    return verdict
+
+
+def _evaluate(criterion: CriterionSpec, rule: ParsedRule,
+              answers: Mapping[str, Verdict]) -> CriterionVerdict:
     return CriterionVerdict(
         criterion_id=criterion.criterion_id,
         kind=criterion.kind,
-        met=met,
-        stable=stable,
+        met=eval_rule(rule.expr, answers),
+        stable=sensitivity(rule, answers).status is Stability.STABLE,
     )
-
-
-def _outcome(rule: ParsedRule, answers: Mapping[str, Verdict]) -> tuple[bool, bool]:
-    return (eval_rule(rule.expr, answers),
-            sensitivity(rule, answers).status is Stability.STABLE)
 
 
 def verdicts_for_note(

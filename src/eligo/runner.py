@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import Future
@@ -80,8 +81,10 @@ DEBATE_LABEL = "B"
 VOLATILE_FIELDS = ("elapsed_s",)
 
 # One compact, key-sorted encoder for every JSONL line; output is the same as
-# json.dumps(record, ensure_ascii=False, sort_keys=True).
+# json.dumps(record, ensure_ascii=False, sort_keys=True).  Lines formatted
+# field by field encode each string with _encode_str, as this encoder does.
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_encode_str = json.encoder.encode_basestring
 
 
 @dataclass
@@ -133,7 +136,7 @@ class RunConfig:
                 roles=_require_strs(record, "roles", where, default=["crc", "jd", "ie"]),
                 vote=_require(record, "vote", bool, where, default=True),
                 gold_path=_optional(record, "gold", str, where),
-                seed=record.get("seed"),
+                seed=_optional(record, "seed", str, where),
                 prompts_dir=_optional(record, "prompts", str, where),
                 workers=_require(record, "workers", int, where, default=8),
             )
@@ -214,13 +217,36 @@ class ResultRecord:
         return cls(*key, answer=answer, elapsed_s=elapsed_s,
                    transcript=record.get("transcript"))
 
+    def to_line(self) -> str:
+        """``_JSONL_ENCODER.encode(self.to_dict())``, formatted field by field.
+
+        Fields go in sorted key order and strings through _encode_str.  A
+        finite float ``elapsed_s`` is written by ``float.__repr__``, as the
+        encoder writes it; any other value leaves the line to the encoder.
+        """
+        answer = self.answer
+        elapsed_s = self.elapsed_s
+        if type(elapsed_s) is not float or not math.isfinite(elapsed_s):
+            return _JSONL_ENCODER.encode(self.to_dict())
+        transcript = ("" if self.transcript is None
+                      else ', "transcript": ' + _encode_str(self.transcript))
+        return (f'{{"elapsed_s": {float.__repr__(elapsed_s)}, '
+                f'"evidence": [{", ".join(map(_encode_str, answer.evidence))}], '
+                f'"note_id": {_encode_str(self.note_id)}, '
+                f'"parse_fallback": {"true" if answer.parse_fallback else "false"}, '
+                f'"pathway": {_encode_str(self.pathway)}, '
+                f'"provenance": {_encode_str(answer.provenance)}, '
+                f'"question_id": {_encode_str(self.question_id)}, '
+                f'"rationale": {_encode_str(answer.rationale)}{transcript}, '
+                f'"value": {_encode_str(answer.value.value)}}}')
+
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.note_id, self.question_id, self.pathway)
 
 
 class _JsonlWriter:
-    """Appends records to a JSONL file, one complete line each.
+    """Appends lines to a JSONL file, each one a record encoded by the caller.
 
     The file is opened on the first append and kept open until close(), so
     a run that appends nothing creates no file.  Each line is flushed to the
@@ -233,10 +259,10 @@ class _JsonlWriter:
         self.path = path
         self._handle = None
 
-    def append(self, record: dict) -> None:
+    def append(self, line: str) -> None:
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(_JSONL_ENCODER.encode(record) + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
 
     def close(self) -> None:
@@ -431,7 +457,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     pending = (new_pair(note, question) for note in notes for question in questions)
 
     def save(pair: _Pair, record: ResultRecord) -> None:
-        writer.append(record.to_dict())
+        writer.append(record.to_line())
         new_records.append(record)
         pair.records[record.pathway] = record
 
@@ -457,8 +483,9 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             return ResultRecord(note_id, question_id, pair.label, answer=result.answer,
                                 elapsed_s=result.elapsed_ms / 1000.0)
         outcome, transcript = result
-        debate_writer.append({"note_id": note_id, "question_id": question_id,
-                              **transcript.to_dict()})
+        debate_writer.append(_JSONL_ENCODER.encode({"note_id": note_id,
+                                                    "question_id": question_id,
+                                                    **transcript.to_dict()}))
         return ResultRecord(note_id, question_id, DEBATE_LABEL, answer=outcome,
                             elapsed_s=time.monotonic() - pair.started,
                             transcript=f"debates.jsonl:{note_id}|{question_id}")
@@ -842,8 +869,14 @@ def _convert_all(
 
 def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> int:
     """Render an existing metrics.json to Markdown without recomputation."""
+    where = str(metrics_path)
     try:
         metrics = load_json(metrics_path)
+        # Each level maps labels to report objects; the renderer reads both.
+        for level in ("question_level", "criterion_level", "timing"):
+            reports = _require(metrics, level, dict, where, default={})
+            for label in reports:
+                _require(reports, label, dict, f"{where}: {level}")
     except (EligoError, OSError) as exc:
         log.error("cannot read metrics: %s", exc)
         return EXIT_INPUT

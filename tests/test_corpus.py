@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligo.corpus import (
+    SECTION_ORDER,
     AdmissionNote,
     Catalog,
     CriterionKind,
@@ -120,6 +123,20 @@ class TestCanonicalText:
     def test_extra_text_rendered_last(self):
         note = AdmissionNote("n1", {"chief_complaint": "a"}, extra_text="tail")
         assert canonical_text(note) == "CHIEF COMPLAINT:\na\nEXTRA TEXT:\ntail\n"
+
+    @given(sections=st.dictionaries(st.sampled_from(SECTION_ORDER), st.text(max_size=20)),
+           extra_text=st.one_of(st.none(), st.text(max_size=20)))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_text_equals_a_fresh_rendering(self, sections, extra_text):
+        # Sections may be missing or empty, and extra_text absent or empty.
+        note = AdmissionNote("n1", sections, extra_text=extra_text)
+        fresh = "".join(f"{name.replace('_', ' ').upper()}:\n{sections[name]}\n"
+                        for name in SECTION_ORDER if sections.get(name))
+        if extra_text:
+            fresh += f"EXTRA TEXT:\n{extra_text}\n"
+        assert canonical_text(note) == fresh
+        assert canonical_text(note) is canonical_text(note)  # rendered once
+        assert canonical_text(AdmissionNote("n1", dict(sections), extra_text)) == fresh
 
 
 class TestCatalog:
@@ -340,6 +357,8 @@ class TestLoadersNameTheSpot:
          "question_ids"),
         ({"criterion_id": "C1", "kind": "inclusion", "text": "t", "rule": 7}, "rule"),
         ({"criterion_id": 7, "kind": "inclusion", "text": "t"}, "criterion_id"),
+        ({"criterion_id": "C1", "kind": "inclusion", "text": "t", "rule": "",
+          "needs_human_rule": "false"}, "needs_human_rule"),
     ])
     def test_criterion_field_of_the_wrong_type(self, tmp_path, record, field):
         path = tmp_path / "criteria.json"

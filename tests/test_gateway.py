@@ -3,17 +3,20 @@ import os
 import subprocess
 import sys
 import threading
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eligo
+import eligo.gateway
 from eligo import errors
 from eligo.corpus import Verdict
 from eligo.gateway import (
@@ -31,6 +34,42 @@ from eligo.gateway import (
 )
 
 from conftest import make_mock_gateway
+
+
+# Pieces of replies: verdict tokens, markers in any case, quotes, line endings.
+REPLY_PIECES = ['"Yes". ', '"No". ', '"Unknown". ', "yes", "no", "unable to determine",
+                "EVIDENCE:", "evidence:", "Evidence:", "evıdence:", "END EVIDENCE",
+                "end evidence", '"quote"', "  ", ".", "\n", "\r\n", "\r", "\u2028",
+                "\x0b", "text", "«q»"]
+
+
+def full_scan_strip_evidence(text):
+    """_strip_evidence without the early return for replies with no marker."""
+    lines = text.splitlines()
+    kept, quotes = [], []
+    i = 0
+    while i < len(lines):
+        if lines[i].strip().upper() == "EVIDENCE:":
+            j = i + 1
+            while j < len(lines) and lines[j].strip().upper() != "END EVIDENCE":
+                j += 1
+            if j < len(lines):
+                for raw in lines[i + 1:j]:
+                    quote = raw.strip().strip(eligo.gateway._QUOTES).strip()
+                    if quote:
+                        quotes.append(quote)
+                i = j + 1
+                continue
+        kept.append(lines[i])
+        i += 1
+    return "\n".join(kept), quotes
+
+
+def compile_per_call_scan(text):
+    """_scan_first_sentence building each phrase's pattern on every call."""
+    sentence = eligo.gateway._FIRST_SENTENCE_RE.split(text, maxsplit=1)[0].lower()
+    return {phrase for phrase in eligo.gateway._VERDICT_MAP
+            if re.search(rf"(?<![a-z0-9]){re.escape(phrase)}(?![a-z0-9])", sentence)}
 
 
 class TestParseAnswer:
@@ -99,6 +138,20 @@ class TestParseAnswer:
     def test_case_insensitive_verdicts(self):
         assert parse_answer('"YES". x').value is Verdict.YES
         assert parse_answer('"unknown". x').value is Verdict.UNKNOWN
+
+    @given(st.lists(st.sampled_from(REPLY_PIECES), max_size=12).map("".join))
+    @example('"Yes". a\r\nb\r\n')
+    @example('"No". a\r\nevidence:\r\n"q"\r\nend evidence\r\nb')
+    @example('"Yes". r\nEvIdEnCe:\n"never closed"')
+    @example("maybe yes\rthen no")
+    @example('"No". r\n evıdence: \n"q"\nEND EVIDENCE')  # dotless i upper-cases to I
+    @settings(max_examples=300, deadline=None)
+    def test_same_answer_as_the_full_scan(self, text):
+        fast = parse_answer(text, "tag")
+        with mock.patch.object(eligo.gateway, "_strip_evidence", full_scan_strip_evidence), \
+                mock.patch.object(eligo.gateway, "_scan_first_sentence",
+                                  compile_per_call_scan):
+            assert parse_answer(text, "tag") == fast
 
     @given(st.text(max_size=400))
     @settings(max_examples=200, deadline=None)

@@ -421,13 +421,39 @@ def test_referenced_ids():
 
 
 class TestOutcomeMemo:
-    """criterion_verdict memoizes (met, stable) per answer pattern on the rule."""
+    """criterion_verdict memoizes its verdict per answer pattern on the rule."""
 
     @staticmethod
-    def criterion(rule_text, criterion_id="c"):
+    def criterion(rule_text, criterion_id="c", kind=CriterionKind.INCLUSION):
         expr = parse_rule(rule_text)
-        return CriterionSpec(criterion_id, (), CriterionKind.INCLUSION, "t", rule_text,
+        return CriterionSpec(criterion_id, (), kind, "t", rule_text,
                              tuple(sorted(referenced_ids(expr))))
+
+    def test_repeated_pattern_returns_the_same_verdict_object(self):
+        criterion = self.criterion("Q1 IS YES AND Q2 IS NOT NO", criterion_id="c7")
+        first = criterion_verdict(criterion, {"Q1": Verdict.YES, "Q2": Verdict.UNKNOWN})
+        # Another note with the same pattern, the UNKNOWN answer now missing.
+        second = criterion_verdict(criterion, {"Q1": Verdict.YES, "Q3": Verdict.NO})
+        assert second is first
+        assert first == CriterionVerdict("c7", CriterionKind.INCLUSION, met=True,
+                                         stable=False)
+        other = criterion_verdict(criterion, {"Q1": Verdict.NO, "Q2": Verdict.UNKNOWN})
+        assert other is not first and other.criterion_id == "c7"
+
+    def test_criteria_with_the_same_rule_text_keep_their_own_verdicts(self):
+        rule = "Q1 IS YES OR Q2 IS YES"
+        inclusion = self.criterion(rule, criterion_id="inc")
+        exclusion = self.criterion(rule, criterion_id="exc", kind=CriterionKind.EXCLUSION)
+        assert inclusion.parsed_rule is not exclusion.parsed_rule
+        answers = {"Q1": Verdict.YES, "Q2": Verdict.NO}
+        for _ in range(2):
+            for criterion in (inclusion, exclusion, inclusion):
+                verdict = criterion_verdict(criterion, answers)
+                assert (verdict.criterion_id, verdict.kind) == (criterion.criterion_id,
+                                                                criterion.kind)
+                assert (verdict.met, verdict.stable) == (True, True)
+        assert criterion_verdict(inclusion, answers).passes()
+        assert not criterion_verdict(exclusion, answers).passes()
 
     def test_memoized_verdicts_match_fresh_evaluation_and_oracle(self):
         rng = random.Random(8)

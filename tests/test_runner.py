@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eligo.evaluation
 import eligo.gateway
@@ -33,6 +35,7 @@ from eligo.runner import (
     EXIT_PARTIAL,
     ResultRecord,
     RunConfig,
+    _JSONL_ENCODER,
     _write_verdicts,
     canonicalize_records,
     canonicalize_results_file,
@@ -921,6 +924,20 @@ class TestCmdReport:
     def test_missing_file_exits_3(self, tmp_path):
         assert cmd_report(tmp_path / "absent.json") == EXIT_INPUT
 
+    @pytest.mark.parametrize("metrics, message", [
+        ({"question_level": {"A-CRC": 1}}, "question_level: expected dict for 'A-CRC'"),
+        ({"criterion_level": {"B": [0.5]}}, "criterion_level: expected dict for 'B'"),
+        ({"timing": {"A-vote": None}}, "timing: expected dict for 'A-vote'"),
+        ({"question_level": [], "timing": {}}, "expected dict for 'question_level'"),
+    ])
+    def test_malformed_level_exits_3_naming_the_key(self, tmp_path, capsys, caplog,
+                                                     metrics, message):
+        metrics_path = tmp_path / "metrics.json"
+        metrics_path.write_text(json.dumps(metrics))
+        assert cli_main(["report", "--metrics", str(metrics_path)]) == EXIT_INPUT
+        assert f"cannot read metrics: {metrics_path}: {message}" in caplog.text
+        assert capsys.readouterr().out == ""
+
 
 class TestCmdConvert:
     def build_inputs(self, root):
@@ -1151,6 +1168,8 @@ BAD_CONFIGS = {
                                                    "mock_latency_s": "x"}},
         "invalid backend config"),
     "backends-a-list": ("backends.json", lambda doc: [doc], "expected a JSON object"),
+    "seed-a-list": ("run.json", lambda doc: {**doc, "seed": ["a", 1]},
+                    "expected str for 'seed'"),
 }
 
 
@@ -1170,6 +1189,33 @@ def test_bad_config_exits_2_with_config_error(mini_workspace, caplog, case):
     assert cli_main(argv) == EXIT_CONFIG
     assert "config error" in caplog.text
     assert message in caplog.text
+
+
+# Text JSON must escape, or that ensure_ascii=False leaves as it is.
+ODD_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é漢\U0001f600'),
+                             st.characters()), max_size=12)
+
+
+@given(
+    ids=st.tuples(ODD_TEXT, ODD_TEXT, ODD_TEXT),
+    answer=st.builds(ParsedAnswer, st.sampled_from(Verdict), ODD_TEXT,
+                     st.lists(ODD_TEXT, max_size=3).map(tuple), ODD_TEXT, st.booleans()),
+    elapsed_s=st.one_of(st.sampled_from([0.0, 7.4e-05, 1e16, 0.1, 123.456]),
+                        st.floats(min_value=0.0, allow_infinity=False)),
+    transcript=st.one_of(st.none(), ODD_TEXT),
+)
+@settings(max_examples=120, deadline=None)
+def test_result_lines_equal_the_encoding_of_their_records(ids, answer, elapsed_s,
+                                                          transcript):
+    record = ResultRecord(*ids, answer=answer, elapsed_s=elapsed_s, transcript=transcript)
+    assert record.to_line() == _JSONL_ENCODER.encode(record.to_dict())
+
+
+@pytest.mark.parametrize("elapsed_s", [0, 2, float("inf"), float("nan")])
+def test_result_line_of_an_int_or_non_finite_elapsed_time(elapsed_s):
+    record = ResultRecord("n", "q", "B", ParsedAnswer(Verdict.YES, "r", ("e",), "p"),
+                          elapsed_s=elapsed_s)
+    assert record.to_line() == _JSONL_ENCODER.encode(record.to_dict())
 
 
 def test_verdict_lines_equal_json_dumps_of_their_records(tmp_path):
