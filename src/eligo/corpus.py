@@ -50,6 +50,11 @@ class CriterionLabel(str, Enum):
     NOT_MET = "NOT_MET"
 
 
+# Each member by its value: a dict lookup, much cheaper than calling the enum.
+VERDICT_BY_VALUE = {member.value: member for member in Verdict}
+CRITERION_LABEL_BY_VALUE = {member.value: member for member in CriterionLabel}
+
+
 class Category(str, Enum):
     """Clinical domain of a question."""
 
@@ -447,9 +452,6 @@ def write_criteria(path: str | Path, criteria: Iterable[CriterionSpec]) -> None:
 
 # -- gold labels --------------------------------------------------------------
 
-_QUESTION_LABELS = {member.value for member in Verdict}
-_CRITERION_LABELS = {member.value for member in CriterionLabel}
-
 
 def load_gold(path: str | Path) -> GoldSet:
     """Load gold labels from JSONL; each record labels a question or a criterion."""
@@ -465,25 +467,27 @@ def load_gold(path: str | Path) -> GoldSet:
                 f"{where}: exactly one of question_id/criterion_id is required", line=line_no
             )
         if question_id is not None:
-            if label not in _QUESTION_LABELS:
+            verdict = VERDICT_BY_VALUE.get(label)
+            if verdict is None:
                 raise SchemaError(
-                    f"{where}: question label must be one of {sorted(_QUESTION_LABELS)}",
+                    f"{where}: question label must be one of {sorted(VERDICT_BY_VALUE)}",
                     line=line_no, field="label",
                 )
             key = (note_id, question_id)
             if key in gold.question_labels:
                 raise DuplicateIdError("gold question label", key)
-            gold.question_labels[key] = Verdict(label)
+            gold.question_labels[key] = verdict
         else:
-            if label not in _CRITERION_LABELS:
+            criterion_label = CRITERION_LABEL_BY_VALUE.get(label)
+            if criterion_label is None:
                 raise SchemaError(
-                    f"{where}: criterion label must be one of {sorted(_CRITERION_LABELS)}",
-                    line=line_no, field="label",
+                    f"{where}: criterion label must be one of "
+                    f"{sorted(CRITERION_LABEL_BY_VALUE)}", line=line_no, field="label",
                 )
             key = (note_id, criterion_id)
             if key in gold.criterion_labels:
                 raise DuplicateIdError("gold criterion label", key)
-            gold.criterion_labels[key] = CriterionLabel(label)
+            gold.criterion_labels[key] = criterion_label
     return gold
 
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .corpus import AdmissionNote, Catalog, CriterionLabel, GoldSet, Verdict, canonical_text
 from .gateway import ParsedAnswer
+from .rules import CriterionVerdict
 
 QUESTION_LABELS = ("YES", "NO", "UNKNOWN")
 CRITERION_LABELS = ("MET", "NOT_MET")
@@ -26,6 +29,13 @@ class Grounding(str, Enum):
     GROUNDED = "GROUNDED"
     UNGROUNDED = "UNGROUNDED"
     NO_EVIDENCE = "NO_EVIDENCE"
+
+
+# The label string of each member, looked up in a dict instead of read from
+# the member's ``value`` property, which costs ten times as much.  A str
+# equal to a member's value finds the same entry.
+LABEL_OF = {member: member.value
+            for labels in (Verdict, CriterionLabel, Grounding) for member in labels}
 
 
 @dataclass
@@ -39,8 +49,8 @@ class ConfusionCounts:
     def tally(cls, labels: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "ConfusionCounts":
         labels = tuple(labels)
         counts = {gold: {pred: 0 for pred in labels} for gold in labels}
-        for gold, pred in pairs:
-            counts[gold][pred] += 1
+        for (gold, pred), count in Counter(pairs).items():
+            counts[gold][pred] += count
         return cls(labels, counts)
 
     @property
@@ -126,16 +136,19 @@ class MetricReport:
 
 
 def _binary_scores(
-    pairs: list[tuple[str, str]], positive: str
+    counts: ConfusionCounts, positive: str
 ) -> tuple[float, float, float, float]:
-    tp = sum(1 for gold, pred in pairs if gold == positive and pred == positive)
-    fp = sum(1 for gold, pred in pairs if gold != positive and pred == positive)
-    fn = sum(1 for gold, pred in pairs if gold == positive and pred != positive)
-    tn = len(pairs) - tp - fp - fn
+    """Precision, recall, F1 and accuracy with ``positive`` against the rest."""
+    rows = counts.counts
+    tp = rows[positive][positive]
+    fp = sum(row[positive] for row in rows.values()) - tp
+    fn = sum(rows[positive].values()) - tp
+    total = counts.total
+    tn = total - tp - fp - fn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
-    accuracy = (tp + tn) / len(pairs) if pairs else 0.0
+    accuracy = (tp + tn) / total if total else 0.0
     return precision, recall, f1, accuracy
 
 
@@ -146,7 +159,7 @@ def _build_report(
     unanswered: int,
 ) -> MetricReport:
     counts = ConfusionCounts.tally(labels, pairs)
-    precision, recall, f1, accuracy_binary = _binary_scores(pairs, positive)
+    precision, recall, f1, accuracy_binary = _binary_scores(counts, positive)
     accuracy = counts.diagonal / len(pairs) if pairs else 0.0
     return MetricReport(
         precision=precision,
@@ -163,9 +176,9 @@ def _build_report(
 
 def _verdict_of(prediction) -> str:
     if isinstance(prediction, ParsedAnswer):
-        return prediction.value.value
+        prediction = prediction.value
     if isinstance(prediction, Verdict):
-        return prediction.value
+        return LABEL_OF[prediction]
     return str(prediction)
 
 
@@ -182,18 +195,23 @@ def score_questions(
     from the metrics; a prediction without a gold key is an error.
     """
     pairs: list[tuple[str, str]] = []
-    grouped: dict[str, list[tuple[str, str]]] = {}
+    grouped: dict[str, list[tuple[str, str]]] = {}  # "category/task type" -> pairs
+    group_of: dict[str, list[tuple[str, str]]] = {}  # question id -> its group's pairs
     for key in sorted(predictions):
         note_id, question_id = key
-        if key not in gold.question_labels:
+        gold_label = gold.question_labels.get(key)
+        if gold_label is None:
             raise KeyError(f"prediction ({note_id}, {question_id}) has no gold label")
-        question = catalog.questions.get(question_id)
-        if question is None:
-            raise KeyError(f"question {question_id!r} not in catalog")
-        pair = (gold.question_labels[key].value, _verdict_of(predictions[key]))
+        group = group_of.get(question_id)
+        if group is None:
+            question = catalog.questions.get(question_id)
+            if question is None:
+                raise KeyError(f"question {question_id!r} not in catalog")
+            group = group_of[question_id] = grouped.setdefault(
+                f"{question.category.value}/{question.task_type.value}", [])
+        pair = (LABEL_OF[gold_label], _verdict_of(predictions[key]))
         pairs.append(pair)
-        group = f"{question.category.value}/{question.task_type.value}"
-        grouped.setdefault(group, []).append(pair)
+        group.append(pair)
     unanswered = len(gold.question_labels) - len(pairs)
     report = _build_report(pairs, QUESTION_LABELS, positive_class.value, unanswered)
     report.breakdowns = {
@@ -207,20 +225,28 @@ def score_criteria(
     verdicts: Mapping[tuple[str, str], object],
     gold: GoldSet,
 ) -> MetricReport:
-    """Score criterion-level verdicts with MET as the positive class."""
+    """Score criterion-level verdicts with MET as the positive class.
+
+    A verdict is a CriterionVerdict (or any object with ``met``), a bool,
+    or a CriterionLabel.
+    """
+    met_label, not_met_label = CRITERION_LABELS
     pairs: list[tuple[str, str]] = []
     for key in sorted(verdicts):
         note_id, criterion_id = key
-        if key not in gold.criterion_labels:
+        gold_label = gold.criterion_labels.get(key)
+        if gold_label is None:
             raise KeyError(f"verdict ({note_id}, {criterion_id}) has no gold label")
         value = verdicts[key]
-        if isinstance(value, bool):
-            predicted = CriterionLabel.MET if value else CriterionLabel.NOT_MET
+        if type(value) is CriterionVerdict:
+            met = value.met
+        elif isinstance(value, bool):
+            met = value
         elif isinstance(value, CriterionLabel):
-            predicted = value
-        else:  # CriterionVerdict
-            predicted = CriterionLabel.MET if value.met else CriterionLabel.NOT_MET
-        pairs.append((gold.criterion_labels[key].value, predicted.value))
+            met = value is CriterionLabel.MET
+        else:
+            met = value.met
+        pairs.append((LABEL_OF[gold_label], met_label if met else not_met_label))
     unanswered = len(gold.criterion_labels) - len(pairs)
     return _build_report(pairs, CRITERION_LABELS, CriterionLabel.MET.value, unanswered)
 
@@ -233,6 +259,12 @@ _WS_RE = re.compile(r"\s+")
 
 def _normalize(text: str) -> str:
     return _WS_RE.sub(" ", _NON_WORD_RE.sub(" ", text.casefold())).strip()
+
+
+# Quotes repeat (a vote copies its winning roles' quotes verbatim), so each
+# distinct quote is normalized once per process, up to a bound; notes are
+# normalized once per call of normalize_notes and not cached.
+_normalize_quote = lru_cache(maxsize=4096)(_normalize)
 
 
 def normalize_notes(notes: Iterable[AdmissionNote]) -> dict[str, str]:
@@ -251,14 +283,16 @@ def grounding_check(
     """GROUNDED iff every evidence quote occurs in the note after normalization.
 
     ``normalized_note`` is the note's text from normalize_notes, computed
-    here when not given.
+    here when not given.  Each quote's normalization is memoized in a
+    bounded LRU cache (``_normalize_quote``), so a quote that recurs across
+    answers and notes is normalized once.
     """
     if not answer.evidence:
         return Grounding.NO_EVIDENCE
     if normalized_note is None:
         normalized_note = _normalize(canonical_text(note))
     for quote in answer.evidence:
-        if _normalize(quote) not in normalized_note:
+        if _normalize_quote(quote) not in normalized_note:
             return Grounding.UNGROUNDED
     return Grounding.GROUNDED
 

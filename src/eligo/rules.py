@@ -22,7 +22,9 @@ A criterion's rule is parsed once, when its catalog is validated at load
 outcome depends only on the answers to the questions it references, so
 ``criterion_verdict`` memoizes the criterion's verdict on the parsed rule
 per answer pattern: a cohort costs one evaluation, one sensitivity analysis
-and one verdict object per distinct pattern, not one per note.
+and one verdict object per distinct pattern, not one per note.  A memo hit
+costs one ``itemgetter`` call and one dict lookup, as ``verdicts_for_note``
+reads a note's answers through a view in which a missing answer is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from .errors import CatalogError, MissingVerdictError, RuleParseError
@@ -279,9 +281,12 @@ class ParsedRule:
     ``outcomes`` memoizes ``criterion_verdict``'s result, the frozen
     ``CriterionVerdict`` itself, by the tuple of answers to
     ``question_ids``; it grows by one entry per distinct answer pattern
-    seen.  The verdict names its criterion, so a ParsedRule serves the one
-    criterion that parsed it (``CriterionSpec.parsed_rule``) and is not
-    shared between criteria, even ones with the same rule text.
+    seen.  ``key`` reads that tuple from an answers view (see
+    ``verdicts_for_note``): an ``operator.itemgetter`` over the ids, built
+    once, which for a one-id rule still returns a 1-tuple.  The verdict
+    names its criterion, so a ParsedRule serves the one criterion that
+    parsed it (``CriterionSpec.parsed_rule``) and is not shared between
+    criteria, even ones with the same rule text.
     """
 
     expr: RuleExpr
@@ -289,6 +294,19 @@ class ParsedRule:
     outcomes: dict[tuple[Verdict, ...], "CriterionVerdict"] = field(
         default_factory=dict, compare=False, repr=False
     )
+    key: Callable[[Mapping[str, Verdict]], tuple[Verdict, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if len(self.question_ids) == 1:
+            (question_id,) = self.question_ids
+
+            def key(answers):
+                return (answers[question_id],)
+        else:
+            key = itemgetter(*self.question_ids)
+        object.__setattr__(self, "key", key)
 
     @classmethod
     def parse(cls, text: str) -> "ParsedRule":
@@ -489,26 +507,48 @@ class TrialVerdict:
 _VERDICT_ONLY = frozenset({Verdict})
 
 
+class _Answers(dict):
+    """One note's answers by question id, in which a missing answer is UNKNOWN.
+
+    ``memoizable`` is True when every answer is a ``Verdict`` member.
+    """
+
+    __slots__ = ("memoizable",)
+
+    def __missing__(self, question_id: str) -> Verdict:
+        return Verdict.UNKNOWN
+
+
+def _answers_view(answers: Mapping[str, Verdict]) -> _Answers:
+    view = _Answers(answers)
+    view.memoizable = _VERDICT_ONLY.issuperset(map(type, view.values()))
+    return view
+
+
 def criterion_verdict(
     criterion: CriterionSpec, answers: Mapping[str, Verdict]
 ) -> CriterionVerdict:
     """Evaluate one criterion's rule and its stability under UNKNOWN flips.
 
     The verdict is looked up in the rule's memo by the answers to its
-    questions, a missing answer counted as UNKNOWN as the evaluators count
-    it, so notes that repeat a pattern share one frozen verdict.  Only
-    answers that are ``Verdict`` members are memoized: a plain string
-    equals its member but the evaluators match by identity, so it is
-    evaluated afresh instead of sharing the member's entry.
+    questions (``ParsedRule.key``), a missing answer counted as UNKNOWN as
+    the evaluators count it, so notes that repeat a pattern share one
+    frozen verdict.  A plain mapping is first copied into the view that
+    ``verdicts_for_note`` builds once per note, so both share one memo.
+    Only notes whose answers are all ``Verdict`` members are memoized: a
+    plain string equals its member but the evaluators match by identity, so
+    such a note is evaluated afresh instead of sharing the member's entry.
     """
     if not criterion.rule_text:
         raise CatalogError(
             f"criterion {criterion.criterion_id!r} has no rule to evaluate"
         )
+    if type(answers) is not _Answers:
+        answers = _answers_view(answers)
     rule = criterion.parsed_rule
-    key = tuple(map(answers.get, rule.question_ids, repeat(Verdict.UNKNOWN)))
-    if not _VERDICT_ONLY.issuperset(map(type, key)):
+    if not answers.memoizable:
         return _evaluate(criterion, rule, answers)
+    key = rule.key(answers)
     verdict = rule.outcomes.get(key)
     if verdict is None:
         verdict = rule.outcomes[key] = _evaluate(criterion, rule, answers)
@@ -528,7 +568,13 @@ def _evaluate(criterion: CriterionSpec, rule: ParsedRule,
 def verdicts_for_note(
     criteria: Iterable[CriterionSpec], answers: Mapping[str, Verdict]
 ) -> list[CriterionVerdict]:
-    """Criterion verdicts for one note's answers, in the order of ``criteria``."""
+    """Criterion verdicts for one note's answers, in the order of ``criteria``.
+
+    The answers are copied once into a view in which a missing answer reads
+    as UNKNOWN, and each criterion's verdict comes from criterion_verdict,
+    which looks the view up in its rule's memo without copying it again.
+    """
+    answers = _answers_view(answers)
     return [criterion_verdict(criterion, answers) for criterion in criteria]
 
 

@@ -15,8 +15,6 @@ consumers (and the determinism check) sort by key via canonicalization.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import logging
 import math
@@ -26,12 +24,14 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from . import __version__
 from .corpus import (
+    VERDICT_BY_VALUE,
     AdmissionNote,
     Catalog,
     QuestionSpec,
@@ -53,6 +53,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluation import (
+    LABEL_OF,
     counterfactual_rate,
     grounding_check,
     normalize_notes,
@@ -65,6 +66,9 @@ from .gateway import BackendConfig, Gateway, ParsedAnswer, Unit, backend_config_
 from .pathway_a import ROLE_IDS, RoleAnswer, load_roles, majority_vote, role_unit
 from .pathway_b import debate_unit, load_debate_templates
 from .rules import TrialStatus, trial_verdict, verdicts_for_note
+
+# csv and hashlib are imported where they are used: only evaluate writes CSV
+# and only screen hashes its config, and hashlib loads OpenSSL, which is slow.
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -79,6 +83,8 @@ DEBATE_LABEL = "B"
 
 # Volatile per-record fields excluded from determinism comparisons.
 VOLATILE_FIELDS = ("elapsed_s",)
+
+_STR_ONLY = frozenset({str})
 
 # One compact, key-sorted encoder for every JSONL line; output is the same as
 # json.dumps(record, ensure_ascii=False, sort_keys=True).  Lines formatted
@@ -159,6 +165,8 @@ class RunConfig:
             "catalog": self.catalog_dir,
             "seed": self.seed,
         }
+        import hashlib
+
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def role_labels(self) -> list[str]:
@@ -198,24 +206,44 @@ class ResultRecord:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "ResultRecord":
-        """The record of a result line; KeyError, TypeError or ValueError when
-        a field is missing or mistyped."""
-        key = (record["note_id"], record["question_id"], record["pathway"])
-        evidence = tuple(record.get("evidence", []))
-        if not all(isinstance(text, str) for text in (*key, *evidence)):
-            raise TypeError("result ids and evidence must be strings")
-        elapsed_s = float(record.get("elapsed_s", 0.0))
-        if elapsed_s < 0:
-            raise ValueError(f"negative elapsed_s {elapsed_s}")
-        answer = ParsedAnswer(
-            value=Verdict(record["value"]),
-            rationale=record.get("rationale", ""),
-            evidence=evidence,
-            provenance=record.get("provenance", ""),
-            parse_fallback=bool(record.get("parse_fallback", False)),
-        )
-        return cls(*key, answer=answer, elapsed_s=elapsed_s,
-                   transcript=record.get("transcript"))
+        """The record of a result line; KeyError, TypeError, ValueError or
+        OverflowError when a field is missing, mistyped, or holds a value
+        that would not be written back as it was read.
+
+        The ids, ``rationale`` and ``provenance`` are strings, ``evidence``
+        is a list of strings and ``transcript`` a string or null;
+        ``elapsed_s`` is a finite, non-negative int or float (not a bool) and
+        ``parse_fallback`` a bool.  An absent optional field takes the value
+        an empty answer would have written.
+        """
+        note_id, question_id, pathway = (record["note_id"], record["question_id"],
+                                         record["pathway"])
+        if not (type(note_id) is str and type(question_id) is str
+                and type(pathway) is str):
+            raise TypeError("result ids must be strings")
+        value = VERDICT_BY_VALUE[record["value"]]
+        rationale = record.get("rationale", "")
+        provenance = record.get("provenance", "")
+        if type(rationale) is not str or type(provenance) is not str:
+            raise TypeError("rationale and provenance must be strings")
+        evidence = record.get("evidence", [])
+        if type(evidence) is not list or not _STR_ONLY.issuperset(map(type, evidence)):
+            raise TypeError("evidence must be a list of strings")
+        parse_fallback = record.get("parse_fallback", False)
+        if type(parse_fallback) is not bool:
+            raise TypeError("parse_fallback must be a bool")
+        transcript = record.get("transcript")
+        if transcript is not None and type(transcript) is not str:
+            raise TypeError("transcript must be a string or null")
+        elapsed_s = record.get("elapsed_s", 0.0)
+        if type(elapsed_s) is not float:
+            if type(elapsed_s) is not int:
+                raise TypeError("elapsed_s must be a number")
+            elapsed_s = float(elapsed_s)
+        if not 0.0 <= elapsed_s < math.inf:  # NaN compares false
+            raise ValueError(f"elapsed_s {elapsed_s} is not finite and non-negative")
+        answer = ParsedAnswer(value, rationale, tuple(evidence), provenance, parse_fallback)
+        return cls(note_id, question_id, pathway, answer, elapsed_s, transcript)
 
     def to_line(self) -> str:
         """``_JSONL_ENCODER.encode(self.to_dict())``, formatted field by field.
@@ -276,7 +304,7 @@ def _parse_result(path: str | Path, line_no: int, line: bytes) -> ResultRecord:
     UTF-8 JSON record."""
     try:
         return ResultRecord.from_dict(json.loads(line.decode("utf-8")))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
 
 
@@ -760,26 +788,25 @@ def cmd_evaluate(
     )
     (out_dir / "report.md").write_text(render_report(metrics), encoding="utf-8")
 
+    rows = []
+    for record in sorted(records, key=attrgetter("note_id", "question_id", "pathway")):
+        note_id = record.note_id
+        gold_label = gold.question_labels.get((note_id, record.question_id))
+        grounding = ""
+        if notes_by_id is not None:
+            grounding = LABEL_OF[grounding_check(record.answer, notes_by_id[note_id],
+                                                 note_texts[note_id])]
+        rows.append((note_id, record.question_id,
+                     LABEL_OF[gold_label] if gold_label else "",
+                     LABEL_OF[record.answer.value], grounding,
+                     f"{record.elapsed_s:.6f}", record.pathway))
+    import csv
+
     with open(out_dir / "per_question.csv", "w", encoding="utf-8", newline="") as handle:
-        fields = ["note_id", "question_id", "gold", "predicted", "grounding",
-                  "elapsed_s", "pathway"]
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for record in sorted(records, key=lambda r: r.key):
-            gold_label = gold.question_labels.get((record.note_id, record.question_id))
-            grounding = ""
-            if notes_by_id is not None:
-                grounding = grounding_check(record.answer, notes_by_id[record.note_id],
-                                            note_texts[record.note_id]).value
-            writer.writerow({
-                "note_id": record.note_id,
-                "question_id": record.question_id,
-                "gold": gold_label.value if gold_label else "",
-                "predicted": record.answer.value.value,
-                "grounding": grounding,
-                "elapsed_s": f"{record.elapsed_s:.6f}",
-                "pathway": record.pathway,
-            })
+        writer = csv.writer(handle)
+        writer.writerow(("note_id", "question_id", "gold", "predicted", "grounding",
+                         "elapsed_s", "pathway"))
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -867,16 +894,36 @@ def _convert_all(
 
 # -- report -------------------------------------------------------------------
 
+def _check_report(report: Mapping, where: str) -> None:
+    """Check the fields of one label's report that render_report formats."""
+    _require(report, "answered_count", int, where, default=0)
+    breakdowns = _require(report, "breakdowns", dict, where, default={})
+    for group in breakdowns:
+        _check_report(_require(breakdowns, group, dict, f"{where}: breakdowns"),
+                      f"{where}: breakdowns: {group}")
+    counterfactual = _optional(report, "counterfactual", dict, where)
+    if counterfactual is not None:
+        where = f"{where}: counterfactual"
+        for key in ("rate", "rate_among_errors"):
+            rate = counterfactual.get(key, 0.0)
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise SchemaError(f"{where}: expected a number for {key!r}", field=key)
+        _require(counterfactual, "count", int, where, default=0)
+
+
 def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> int:
     """Render an existing metrics.json to Markdown without recomputation."""
     where = str(metrics_path)
     try:
         metrics = load_json(metrics_path)
-        # Each level maps labels to report objects; the renderer reads both.
+        # Each level maps labels to report objects; the renderer reads both,
+        # and the fields of the scoring levels' reports.
         for level in ("question_level", "criterion_level", "timing"):
             reports = _require(metrics, level, dict, where, default={})
             for label in reports:
-                _require(reports, label, dict, f"{where}: {level}")
+                report = _require(reports, label, dict, f"{where}: {level}")
+                if level != "timing":
+                    _check_report(report, f"{where}: {level}: {label}")
     except (EligoError, OSError) as exc:
         log.error("cannot read metrics: %s", exc)
         return EXIT_INPUT

@@ -1,9 +1,11 @@
 import pytest
 
+import eligo.evaluation
 from eligo.corpus import (
     AdmissionNote,
     Catalog,
     Category,
+    CriterionKind,
     CriterionLabel,
     GoldSet,
     QuestionSpec,
@@ -22,6 +24,7 @@ from eligo.evaluation import (
     timing_stats,
 )
 from eligo.gateway import ParsedAnswer
+from eligo.rules import CriterionVerdict
 
 
 def answer(value, evidence=(), provenance="p"):
@@ -208,7 +211,36 @@ class TestScoreQuestions:
         assert report.recall == pytest.approx(2 / 3, abs=1e-9)
 
 
+    def test_every_prediction_type_gives_the_same_report(self):
+        predictions, gold, catalog = ten_item_inputs()
+        reports = [
+            score_questions(
+                {key: convert(value) for key, value in predictions.items()}, gold, catalog
+            ).to_dict()
+            for convert in (answer, lambda value: value, lambda value: value.value)
+        ]
+        assert reports[0]["breakdowns"]
+        assert reports[0] == reports[1] == reports[2]
+
+
 class TestScoreCriteria:
+    def test_every_verdict_type_gives_the_same_report(self):
+        verdicts, gold = twenty_item_inputs()
+
+        def verdict(criterion_id, met):
+            return CriterionVerdict(criterion_id, CriterionKind.INCLUSION, met, True)
+
+        reports = [
+            score_criteria({key: convert(key, met) for key, met in verdicts.items()},
+                           gold).to_dict()
+            for convert in (lambda key, met: met,
+                            lambda key, met: verdict(key[1], met),
+                            lambda key, met: CriterionLabel.MET if met
+                            else CriterionLabel.NOT_MET)
+        ]
+        assert reports[0]["precision"] == pytest.approx(8 / 9, abs=1e-9)
+        assert reports[0] == reports[1] == reports[2]
+
     def test_perfect(self):
         verdicts, gold = twenty_item_inputs()
         verdicts[("p1", "c9")] = False
@@ -284,6 +316,25 @@ class TestGrounding:
                 given = answer(Verdict.YES, evidence)
                 assert grounding_check(given, note, texts[note.note_id]) is \
                     grounding_check(given, note)
+
+
+    def test_quote_memo_is_bounded(self, notes):
+        memo = eligo.evaluation._normalize_quote
+        size = memo.cache_info().maxsize
+        assert size == 4096
+        memo.cache_clear()
+        note = notes[0]
+        texts = normalize_notes([note])
+        quotes = [f"Quote number {index}!" for index in range(size + 100)]
+        for quote in quotes:
+            grounding_check(answer(Verdict.YES, [quote]), note, texts[note.note_id])
+        info = memo.cache_info()
+        assert info.currsize == size
+        assert info.misses == size + 100
+        # The latest quotes are still memoized and give the uncached result.
+        grounding_check(answer(Verdict.YES, [quotes[-1]]), note, texts[note.note_id])
+        assert memo.cache_info().hits == info.hits + 1
+        assert memo(quotes[-1]) == "quote number " + str(size + 99)
 
 
 class TestCounterfactualRate:

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligo.corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from eligo.errors import CatalogError, MissingVerdictError, RuleParseError
@@ -503,3 +505,41 @@ class TestOutcomeMemo:
             assert (verdict.met, verdict.stable) == expected
             assert criterion_verdict(criterion, {"Q1": Verdict.YES}).met is True
             assert list(criterion.parsed_rule.outcomes) == [(Verdict.YES,)]
+
+
+# Answers as the rules receive them, plus plain strings, which equal their
+# members but are matched by identity and so must never be memoized.
+NOTE_ANSWERS = st.dictionaries(
+    st.sampled_from(["Q1", "Q2", "Q3", "Q4"]),
+    st.sampled_from([*VALUES, "YES", "NO"]),
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1), notes=st.lists(NOTE_ANSWERS, min_size=1,
+                                                       max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_verdicts_for_note_match_fresh_evaluation(seed, notes):
+    rng = random.Random(seed)
+    rules = ["Q1 IS YES"] + [print_rule(random_expr(rng, ["Q1", "Q2", "Q3", "Q4"]))
+                             for _ in range(3)]
+    criteria = [TestOutcomeMemo.criterion(rule, criterion_id=f"c{index}")
+                for index, rule in enumerate(rules)]
+    for answers in notes:
+        memoizable = all(type(value) is Verdict for value in answers.values())
+        verdicts = verdicts_for_note(criteria, answers)
+        assert [verdict.criterion_id for verdict in verdicts] == \
+            [criterion.criterion_id for criterion in criteria]
+        for criterion, verdict in zip(criteria, verdicts):
+            expr = criterion.parsed_rule.expr
+            assert verdict.met is eval_rule(expr, answers)
+            assert verdict.stable is (sensitivity(expr, answers).status
+                                      is Stability.STABLE)
+            direct = criterion_verdict(criterion, answers)
+            assert direct == verdict
+            # A direct call and the roll-up share one memo entry.
+            assert (direct is verdict) is memoizable
+    for criterion in criteria:
+        rule = criterion.parsed_rule
+        for key in rule.outcomes:
+            assert len(key) == len(rule.question_ids)
+            assert all(type(value) is Verdict for value in key)

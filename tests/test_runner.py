@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -126,11 +127,30 @@ BAD_RESULT_LINES = [
     '{"note_id": "n1", "question_id": ["m1"], "pathway": "B", "value": "NO"}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "evidence": [1]}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": -1}',
+    # One value per field that would not be written back as it was read.
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": NaN}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", '
+    '"parse_fallback": "false"}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "rationale": 5}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "provenance": null}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "transcript": 5}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "evidence": "q"}',
 ]
 
 # A results file in UTF-16: it starts with the bytes ff fe.
 UTF16_RESULTS = (json.dumps({"note_id": "n1", "question_id": "m1", "pathway": "B",
                              "value": "NO"}) + "\n").encode("utf-16")
+
+
+# SHA-256 of the outputs of test_outputs_match_pinned_digests.  They were
+# computed before the evaluate path was optimized; a change that alters an
+# output byte must say why and update them.
+PINNED_DIGESTS = {
+    "metrics.json": "c143c669492ca53d4ec14cd50fe346c0f291abd3385e5af924984e3977e378a5",
+    "report.md": "aedf69b5ac9d54dc6dfe63f25ce591f17e71b60e9f4b3b37653e9e891ec6b4cc",
+    "per_question.csv": "257617c0a0c22891e10bfa5625dffbae02eaf14f67b1f1af77d406658bf974ad",
+    "verdicts.jsonl": "ed05024c8482325f1f9bf776a283a48fc4001c9608e1b0488c9ea18bcdeecab4",
+}
 
 
 def read_jsonl(path):
@@ -901,6 +921,28 @@ class TestCmdEvaluate:
         assert status == EXIT_INPUT
         assert "ghost-question" in caplog.text
 
+    def test_outputs_match_pinned_digests(self, mini_workspace):
+        # The evaluate outputs, and the screen's verdicts, byte for byte.
+        # elapsed_s is the one volatile field; it is set to a fixed value.
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        records = read_jsonl(results_path)
+        for record in records:
+            record["elapsed_s"] = 0.125
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        out_dir = mini_workspace["root"] / "eval"
+        assert cli_main(["evaluate", "--results", str(results_path),
+                         "--gold", str(mini_workspace["gold"]),
+                         "--catalog", str(mini_workspace["catalog"]),
+                         "--out", str(out_dir),
+                         "--notes", str(mini_workspace["notes"])]) == EXIT_OK
+        outputs = {name: out_dir / name
+                   for name in ("metrics.json", "report.md", "per_question.csv")}
+        outputs["verdicts.jsonl"] = mini_workspace["out"] / "verdicts.jsonl"
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in outputs.items()}
+        assert digests == PINNED_DIGESTS
+
 
 class TestCmdReport:
     def test_renders_summary_row_to_three_decimals(self, tmp_path, capsys):
@@ -929,6 +971,22 @@ class TestCmdReport:
         ({"criterion_level": {"B": [0.5]}}, "criterion_level: expected dict for 'B'"),
         ({"timing": {"A-vote": None}}, "timing: expected dict for 'A-vote'"),
         ({"question_level": [], "timing": {}}, "expected dict for 'question_level'"),
+        ({"question_level": {"A": {"breakdowns": {"g": 1}}}},
+         "question_level: A: breakdowns: expected dict for 'g'"),
+        ({"question_level": {"A": {"breakdowns": []}}},
+         "question_level: A: expected dict for 'breakdowns'"),
+        ({"question_level": {"A": {"breakdowns": {"g": {"answered_count": "7"}}}}},
+         "question_level: A: breakdowns: g: expected int for 'answered_count'"),
+        ({"criterion_level": {"A": {"answered_count": 1.5}}},
+         "criterion_level: A: expected int for 'answered_count'"),
+        ({"question_level": {"A": {"counterfactual": {"rate": "x"}}}},
+         "question_level: A: counterfactual: expected a number for 'rate'"),
+        ({"question_level": {"A": {"counterfactual": {"rate_among_errors": True}}}},
+         "question_level: A: counterfactual: expected a number for 'rate_among_errors'"),
+        ({"question_level": {"A": {"counterfactual": {"count": 0.5}}}},
+         "question_level: A: counterfactual: expected int for 'count'"),
+        ({"question_level": {"A": {"counterfactual": 5}}},
+         "question_level: A: expected dict for 'counterfactual'"),
     ])
     def test_malformed_level_exits_3_naming_the_key(self, tmp_path, capsys, caplog,
                                                      metrics, message):
