@@ -14,12 +14,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .corpus import AdmissionNote, Catalog, CriterionLabel, GoldSet, Verdict, canonical_text
 from .gateway import ParsedAnswer
-from .rules import CriterionVerdict
 
 QUESTION_LABELS = ("YES", "NO", "UNKNOWN")
 CRITERION_LABELS = ("MET", "NOT_MET")
@@ -238,9 +236,7 @@ def score_criteria(
         if gold_label is None:
             raise KeyError(f"verdict ({note_id}, {criterion_id}) has no gold label")
         value = verdicts[key]
-        if type(value) is CriterionVerdict:
-            met = value.met
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             met = value
         elif isinstance(value, CriterionLabel):
             met = value is CriterionLabel.MET
@@ -261,12 +257,6 @@ def _normalize(text: str) -> str:
     return _WS_RE.sub(" ", _NON_WORD_RE.sub(" ", text.casefold())).strip()
 
 
-# Quotes repeat (a vote copies its winning roles' quotes verbatim), so each
-# distinct quote is normalized once per process, up to a bound; notes are
-# normalized once per call of normalize_notes and not cached.
-_normalize_quote = lru_cache(maxsize=4096)(_normalize)
-
-
 def normalize_notes(notes: Iterable[AdmissionNote]) -> dict[str, str]:
     """Each note's canonical text, normalized for grounding, by note id.
 
@@ -283,16 +273,14 @@ def grounding_check(
     """GROUNDED iff every evidence quote occurs in the note after normalization.
 
     ``normalized_note`` is the note's text from normalize_notes, computed
-    here when not given.  Each quote's normalization is memoized in a
-    bounded LRU cache (``_normalize_quote``), so a quote that recurs across
-    answers and notes is normalized once.
+    here when not given.
     """
     if not answer.evidence:
         return Grounding.NO_EVIDENCE
     if normalized_note is None:
         normalized_note = _normalize(canonical_text(note))
     for quote in answer.evidence:
-        if _normalize_quote(quote) not in normalized_note:
+        if _normalize(quote) not in normalized_note:
             return Grounding.UNGROUNDED
     return Grounding.GROUNDED
 

@@ -212,9 +212,9 @@ class ResultRecord:
 
         The ids, ``rationale`` and ``provenance`` are strings, ``evidence``
         is a list of strings and ``transcript`` a string or null;
-        ``elapsed_s`` is a finite, non-negative int or float (not a bool) and
-        ``parse_fallback`` a bool.  An absent optional field takes the value
-        an empty answer would have written.
+        ``elapsed_s`` is a non-negative int or float (not a bool), finite in
+        milliseconds, and ``parse_fallback`` a bool.  An absent optional
+        field takes the value an empty answer would have written.
         """
         note_id, question_id, pathway = (record["note_id"], record["question_id"],
                                          record["pathway"])
@@ -240,8 +240,10 @@ class ResultRecord:
             if type(elapsed_s) is not int:
                 raise TypeError("elapsed_s must be a number")
             elapsed_s = float(elapsed_s)
-        if not 0.0 <= elapsed_s < math.inf:  # NaN compares false
-            raise ValueError(f"elapsed_s {elapsed_s} is not finite and non-negative")
+        # A vote keeps the largest of its members' times in milliseconds, so
+        # the value must stay finite once multiplied by 1000.  NaN compares false.
+        if not 0.0 <= elapsed_s * 1000.0 < math.inf:
+            raise ValueError(f"elapsed_s {elapsed_s} is not finite in milliseconds")
         answer = ParsedAnswer(value, rationale, tuple(evidence), provenance, parse_fallback)
         return cls(note_id, question_id, pathway, answer, elapsed_s, transcript)
 

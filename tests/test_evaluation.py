@@ -1,6 +1,5 @@
 import pytest
 
-import eligo.evaluation
 from eligo.corpus import (
     AdmissionNote,
     Catalog,
@@ -316,25 +315,6 @@ class TestGrounding:
                 given = answer(Verdict.YES, evidence)
                 assert grounding_check(given, note, texts[note.note_id]) is \
                     grounding_check(given, note)
-
-
-    def test_quote_memo_is_bounded(self, notes):
-        memo = eligo.evaluation._normalize_quote
-        size = memo.cache_info().maxsize
-        assert size == 4096
-        memo.cache_clear()
-        note = notes[0]
-        texts = normalize_notes([note])
-        quotes = [f"Quote number {index}!" for index in range(size + 100)]
-        for quote in quotes:
-            grounding_check(answer(Verdict.YES, [quote]), note, texts[note.note_id])
-        info = memo.cache_info()
-        assert info.currsize == size
-        assert info.misses == size + 100
-        # The latest quotes are still memoized and give the uncached result.
-        grounding_check(answer(Verdict.YES, [quotes[-1]]), note, texts[note.note_id])
-        assert memo.cache_info().hits == info.hits + 1
-        assert memo(quotes[-1]) == "quote number " + str(size + 99)
 
 
 class TestCounterfactualRate:

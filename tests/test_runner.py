@@ -129,6 +129,8 @@ BAD_RESULT_LINES = [
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": -1}',
     # One value per field that would not be written back as it was read.
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": NaN}',
+    # Finite in seconds, but a vote's elapsed_ms would overflow to Infinity.
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": 1e306}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", '
     '"parse_fallback": "false"}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "rationale": 5}',
