@@ -88,7 +88,12 @@ def _canonicalize(args: argparse.Namespace) -> int:
         logging.getLogger("eligo").error("cannot canonicalize: %s", exc)
         return EXIT_INPUT
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            logging.getLogger("eligo").error("cannot write %s: %s", args.out,
+                                             exc.strerror or exc)
+            return EXIT_INPUT
     else:
         print(text, end="")
     return 0

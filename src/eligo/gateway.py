@@ -1,14 +1,18 @@
 """Uniform chat-completion access: HTTP backend, deterministic mock, parsing.
 
-The gateway is the engine's only concurrency boundary.  :meth:`Gateway.submit`
-queues a request and returns a Future.  Up to ``max_inflight`` sender threads
-take requests off the queue and put them on the wire, so the number of
-senders is the in-flight bound.  A transient failure parks its request on a
-retry-timer heap until the backoff (or the backend's capped Retry-After) has
-passed: no thread sleeps through a backoff, and the senders serve other
-requests meanwhile.  Senders start on demand and exit once the queue and the
-heap have stayed empty for ``SENDER_IDLE_S``, so a gateway that is never
-closed does not keep its threads.
+The gateway is the engine's only concurrency boundary.  :meth:`Gateway.call`
+takes a request and a completion callback, which it calls once with the
+reply or the error.  Up to ``max_inflight`` sender threads take requests off
+the queue and put them on the wire, so the number of senders is the
+in-flight bound; a transport that does not wait (the mock without latency)
+is sent to on the calling thread instead, so its callback has run when
+``call`` returns.  A transient failure parks its request on a retry-timer
+heap until the backoff (or the backend's capped Retry-After) has passed: no
+thread sleeps through a backoff, and the senders serve other requests
+meanwhile.  Senders start on demand and exit once the queue and the heap
+have stayed empty for ``SENDER_IDLE_S``, so a gateway that is never closed
+does not keep its threads.  :meth:`Gateway.submit` adapts ``call`` to a
+Future for callers that block on the reply.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from concurrent.futures import Future, wait
 from queue import Empty, SimpleQueue
 from dataclasses import dataclass, fields
 from datetime import timezone
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Mapping, TypeVar
 
@@ -436,14 +441,25 @@ def _retry_delay(error: Exception, backoff_s: float, attempt: int) -> float:
     return delay
 
 
+# A completion callback: called once with (reply, None) or (None, error).
+Done = Callable[[str | None, Exception | None], None]
+
+
 @dataclass(eq=False)
 class _Call:
     """One submitted request on its way through the queue, the wire and the heap."""
 
     request: ChatRequest
-    future: Future
+    done: Done
     on_park: Callable[[bool], None] | None
     attempt: int = 0
+
+
+def _settle(future: Future, reply: str | None, error: Exception | None) -> None:
+    if error is None:
+        future.set_result(reply)
+    else:
+        future.set_exception(error)
 
 
 class Gateway:
@@ -472,24 +488,28 @@ class Gateway:
         self._outstanding = 0  # calls queued or on the wire
         self._inline = 0  # of those, sent on their submitting thread
 
-    def submit(self, req: ChatRequest, *,
-               on_park: Callable[[bool], None] | None = None) -> Future:
-        """Queue one request; the Future resolves to the reply text.
+    def call(self, req: ChatRequest, done: Done, *,
+             on_park: Callable[[bool], None] | None = None) -> None:
+        """Send one request; ``done`` is called once with the outcome.
 
-        Transient failures (429, 5xx, transport errors) are retried up to
-        ``retry_limit`` times with exponential backoff, stretched to a capped
-        Retry-After; the Future then fails with ExhaustedRetriesError.  Any
-        other failure fails it at once.  ``on_park(True)`` is called when the
-        request starts waiting out a backoff and ``on_park(False)`` when it is
-        queued again.  It runs with the gateway's lock held, so it must be
-        quick and must not call the gateway.
+        ``done(reply, None)`` gets the reply text and ``done(None, error)``
+        the failure.  Transient failures (429, 5xx, transport errors) are
+        retried up to ``retry_limit`` times with exponential backoff,
+        stretched to a capped Retry-After; the error is then an
+        ExhaustedRetriesError.  Any other failure is passed on at once.
+        ``on_park(True)`` is called when the request starts waiting out a
+        backoff and ``on_park(False)`` when it is queued again.  It runs with
+        the gateway's lock held, so it must be quick and must not call the
+        gateway.  ``done`` must not raise.
 
         A transport whose ``waits`` is false (the mock without latency) is
-        sent to on the calling thread while a slot is free, so the Future is
-        done on return: a hand-off to a sender would only add overhead.
+        sent to on the calling thread while a slot is free, so ``done`` has
+        run on that thread when ``call`` returns, unless the send failed and
+        was parked: a hand-off to a sender would only add overhead.
+        Otherwise, and for every retry, ``done`` runs on a sender thread.
         """
         req.validate()
-        call = _Call(req, Future(), on_park)
+        call = _Call(req, done, on_park)
         with self._lock:
             self._outstanding += 1
             inline = (not getattr(self.transport, "waits", True)
@@ -506,7 +526,19 @@ class Gateway:
                 with self._lock:
                     self._inline -= 1
                     self._add_sender()  # for calls queued meanwhile
-        return call.future
+
+    def submit(self, req: ChatRequest, *,
+               on_park: Callable[[bool], None] | None = None) -> Future:
+        """:meth:`call` with a Future that resolves to the reply text.
+
+        The Future is marked running, so a caller cannot cancel it: setting
+        the result of a cancelled Future would raise on the sender thread
+        and end that sender.
+        """
+        future: Future = Future()
+        future.set_running_or_notify_cancel()
+        self.call(req, partial(_settle, future), on_park=on_park)
+        return future
 
     def complete(self, req: ChatRequest) -> str:
         """Send one request and wait for its reply (see :meth:`submit`)."""
@@ -515,8 +547,8 @@ class Gateway:
     def close(self) -> None:
         """Stop the senders and release the transport's pooled connections.
 
-        A request on the wire is answered first; one still queued or parked
-        fails with TransportError.
+        A request on the wire is answered first; the callback of one still
+        queued or parked gets a TransportError, on the closing thread.
         """
         with self._lock:
             abandoned = [call for call in _drain(self._ready) if call is not None]
@@ -527,7 +559,7 @@ class Gateway:
             for _ in senders:
                 self._ready.put(None)
         for call in abandoned:
-            call.future.set_exception(errors.TransportError("gateway closed"))
+            call.done(None, errors.TransportError("gateway closed"))
         for sender in senders:
             sender.join()
         with self._lock:
@@ -598,7 +630,7 @@ class Gateway:
         return timeout
 
     def _attempt(self, call: _Call) -> None:
-        """Put one attempt on the wire; resolve the call or park it for a retry."""
+        """Put one attempt on the wire; complete the call or park it for a retry."""
         try:
             reply = self.transport.send(call.request)
         except errors.GatewayError as exc:
@@ -609,16 +641,16 @@ class Gateway:
                 return
             if _is_transient(exc):
                 exc = errors.ExhaustedRetriesError(call.attempt + 1, exc)
-            self._resolve(call.future.set_exception, exc)
+            self._resolve(call, None, exc)
         except Exception as exc:  # a faulty transport fails its call, not the sender
-            self._resolve(call.future.set_exception, exc)
+            self._resolve(call, None, exc)
         else:
-            self._resolve(call.future.set_result, reply)
+            self._resolve(call, reply, None)
 
-    def _resolve(self, setter: Callable, value) -> None:
+    def _resolve(self, call: _Call, reply: str | None, error: Exception | None) -> None:
         with self._lock:
             self._outstanding -= 1
-        setter(value)
+        call.done(reply, error)
 
     def _park(self, call: _Call, delay: float) -> None:
         with self._lock:

@@ -20,6 +20,8 @@ from .prompting import load_template, render
 
 # Canonical role order; also the tie-break ordering used when rendering votes.
 ROLE_IDS = ("CRC", "JD", "IE")
+_ROLE_RANK = {role_id: rank for rank, role_id in enumerate(ROLE_IDS)}
+_VALUE_NAMES = {verdict: verdict.value for verdict in Verdict}
 
 _ROLE_TEMPLATES = {"CRC": "role_crc", "JD": "role_jd", "IE": "role_ie"}
 
@@ -88,9 +90,13 @@ def answer_with_role(
     return run_unit(role_unit(question, note, role), gateway)
 
 
-def _vote_key(answer: RoleAnswer) -> tuple[str, str]:
-    note_id, question_id = answer.answer.provenance.split("|")[:2]
-    return note_id, question_id
+def _vote_key(answer: RoleAnswer) -> list[str]:
+    """The (note id, question id) that the answer's provenance starts with."""
+    return answer.answer.provenance.split("|", 2)[:2]
+
+
+def _role_order(answer: RoleAnswer) -> tuple[int, str]:
+    return _ROLE_RANK.get(answer.role_id, len(ROLE_IDS)), answer.role_id
 
 
 def majority_vote(a: RoleAnswer, b: RoleAnswer, c: RoleAnswer) -> ParsedAnswer:
@@ -99,33 +105,25 @@ def majority_vote(a: RoleAnswer, b: RoleAnswer, c: RoleAnswer) -> ParsedAnswer:
     UNKNOWN is the safe screening default for an unresolved split: it flags
     the question for human review instead of asserting either way.
     """
-    answers = [a, b, c]
-    keys = {_vote_key(answer) for answer in answers}
-    if len(keys) != 1:
+    key = _vote_key(a)
+    if _vote_key(b) != key or _vote_key(c) != key:
+        keys = {tuple(_vote_key(answer)) for answer in (a, b, c)}
         raise MixedKeyError(f"votes span different (note, question) pairs: {sorted(keys)}")
+    first, second, third = a.answer.value, b.answer.value, c.answer.value
+    if first is second or first is third:
+        winner = first
+    elif second is third:
+        winner = second
+    else:
+        winner = Verdict.UNKNOWN
     # Canonical role order makes the result independent of argument order.
-    answers.sort(key=lambda ra: (ROLE_IDS.index(ra.role_id) if ra.role_id in ROLE_IDS
-                                 else len(ROLE_IDS), ra.role_id))
-    tally: dict[Verdict, int] = {}
-    for role_answer in answers:
-        tally[role_answer.answer.value] = tally.get(role_answer.answer.value, 0) + 1
-    winner = Verdict.UNKNOWN
-    for value, count in tally.items():
-        if count >= 2:
-            winner = value
-    rationale = "; ".join(
-        f"{ra.role_id}={ra.answer.value.value}" for ra in answers
-    )
+    answers = sorted((a, b, c), key=_role_order)
+    rationale = "; ".join([f"{ra.role_id}={_VALUE_NAMES[ra.answer.value]}"
+                           for ra in answers])
     evidence: list[str] = []
     for role_answer in answers:
         if role_answer.answer.value is winner:
             for quote in role_answer.answer.evidence:
                 if quote not in evidence:
                     evidence.append(quote)
-    return ParsedAnswer(
-        value=winner,
-        rationale=rationale,
-        evidence=tuple(evidence),
-        provenance="majority_vote",
-        parse_fallback=False,
-    )
+    return ParsedAnswer(winner, rationale, tuple(evidence), "majority_vote", False)

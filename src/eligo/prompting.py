@@ -8,6 +8,7 @@ files with the same names.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -59,17 +60,24 @@ def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
     return text
 
 
+@lru_cache(maxsize=64)
+def _split(template: str) -> tuple[str, ...]:
+    """The template's literal text and placeholder names, alternating: the
+    names are at the odd indices."""
+    return tuple(_PLACEHOLDER_RE.split(template))
+
+
 def render(template: str, **values: str) -> str:
     """Substitute {{name}} placeholders in a single pass.
 
     A placeholder with no value raises; substituted text is never rescanned,
-    so values may safely contain braces.
+    so values may safely contain braces.  Each template is split into its
+    literal and placeholder parts once.
     """
-
-    def _substitute(match: re.Match) -> str:
-        key = match.group(1)
+    parts = list(_split(template))
+    for index in range(1, len(parts), 2):
+        key = parts[index]
         if key not in values:
             raise PromptError(f"template placeholder {{{{{key}}}}} has no value")
-        return values[key]
-
-    return _PLACEHOLDER_RE.sub(_substitute, template)
+        parts[index] = values[key]
+    return "".join(parts)

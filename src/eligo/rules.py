@@ -30,10 +30,11 @@ reads a note's answers through a view in which a missing answer is UNKNOWN.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from .errors import CatalogError, MissingVerdictError, RuleParseError
@@ -578,14 +579,22 @@ def verdicts_for_note(
     return [criterion_verdict(criterion, answers) for criterion in criteria]
 
 
-def trial_verdict(trial: TrialSpec, verdicts: Iterable[CriterionVerdict]) -> TrialVerdict:
+def trial_verdict(
+    trial: TrialSpec,
+    verdicts: Iterable[CriterionVerdict] | Mapping[str, CriterionVerdict],
+) -> TrialVerdict:
     """Roll criterion verdicts up to one trial status.
 
     ELIGIBLE only when every criterion passes on a stable verdict;
     INELIGIBLE when some criterion fails on a stable verdict; otherwise the
-    outcome hinges on unstable verdicts and is UNDETERMINED.
+    outcome hinges on unstable verdicts and is UNDETERMINED.  ``verdicts``
+    may be given indexed by criterion id, so that a note's verdicts are
+    indexed once for all of its trials.
     """
-    by_id = {verdict.criterion_id: verdict for verdict in verdicts}
+    if isinstance(verdicts, Mapping):
+        by_id = verdicts
+    else:
+        by_id = {verdict.criterion_id: verdict for verdict in verdicts}
     failing: list[str] = []
     any_unstable = False
     for criterion_id in trial.criterion_ids:

@@ -5,8 +5,10 @@ unit, so an interrupted run resumes by skipping keys already on disk.
 Each (note, question) pair runs its units in label order: the roles, then
 their vote, then the debate.  One engine loop on the calling thread does
 all of the work but the backend calls: it renders each unit's requests,
-submits them to the gateway, and parses, votes and appends as the replies
-come back.  At most ``workers`` pairs are runnable at a time, meaning they
+hands them to the gateway with a callback per request, and parses, votes
+and appends as the replies come back.  A batch answered on the calling
+thread goes straight on; a reply from a sender thread is posted to the
+loop.  At most ``workers`` pairs are runnable at a time, meaning they
 have a request queued or on the wire; a pair whose requests all wait out a
 retry backoff is parked and does not count, so another pair starts in its
 place.  Completion order across pairs is nondeterministic; downstream
@@ -20,13 +22,13 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from queue import SimpleQueue
+from threading import get_ident
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from . import __version__
@@ -412,13 +414,13 @@ class _Pair:
     note: AdmissionNote
     question: QuestionSpec
     labels: Iterator[str]
-    on_reply: Callable[[Future], None]  # a request of the batch was answered
     on_park: Callable[[bool], None]  # a request of the batch was (un)parked
     records: dict[str, ResultRecord] = field(default_factory=dict)  # by label
     label: str = ""  # the current unit's label
     unit: Unit | None = None  # the current unit, if it calls the backend
     started: float = 0.0  # when the current unit started
-    batch: list[Future] = field(default_factory=list)  # what the unit waits on
+    replies: list[str | None] | None = None  # the batch's replies, in batch order
+    errors: dict[int, Exception] = field(default_factory=dict)  # its failures, by index
     waiting: int = 0  # requests of the batch not yet answered
     parked: int = 0  # of those, the ones waiting out a retry backoff
 
@@ -473,16 +475,30 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     failed = 0
     skipped = 0
     unexpected: Exception | None = None
-    # (pair, change in its parked requests), or (pair, 0) for an answer.
+    # (pair, change in its parked requests), or (pair, 0) for an answer that
+    # came on a sender thread.
     events: SimpleQueue[tuple[_Pair, int]] = SimpleQueue()
     running: set[_Pair] = set()  # pairs waiting on the gateway
     parked: set[_Pair] = set()  # of those, the ones whose requests are all parked
+    engine = get_ident()
 
     def new_pair(note: AdmissionNote, question: QuestionSpec) -> _Pair:
         pair = _Pair(note, question, iter(labels),
-                     on_reply=lambda _future: events.put((pair, 0)),
                      on_park=lambda is_parked: events.put((pair, 1 if is_parked else -1)))
         return pair
+
+    def answered(pair: _Pair, index: int, reply: str | None,
+                 error: Exception | None) -> None:
+        """Fill one slot of the pair's batch; the gateway calls this once per
+        request, on this thread when it answers on the call."""
+        if error is None:
+            pair.replies[index] = reply
+        else:
+            pair.errors[index] = error
+        if get_ident() == engine:
+            pair.waiting -= 1
+        else:
+            events.put((pair, 0))
 
     pending = (new_pair(note, question) for note in notes for question in questions)
 
@@ -520,41 +536,42 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                             elapsed_s=time.monotonic() - pair.started,
                             transcript=f"debates.jsonl:{note_id}|{question_id}")
 
-    def advance(pair: _Pair, batch: list[Future] | None = None) -> None:
+    def advance(pair: _Pair) -> None:
         """Run the pair's units in label order until one waits on the gateway.
 
-        ``batch`` is the answered batch the current unit waits on.  A batch
-        fails with its first error in batch order: a GatewayError fails the
-        unit, and any other error propagates.
+        The current unit is sent the replies of its batch once every request
+        of the batch is answered.  A batch fails with its first error in
+        batch order: a GatewayError fails the unit, and any other error
+        propagates.
         """
         nonlocal failed, skipped
         while True:
             if pair.unit is not None:
-                replies = None
-                if batch is not None:
-                    try:
-                        replies = [future.result() for future in batch]
-                    except GatewayError as exc:
-                        log.error("unit %s|%s|%s failed: %s", pair.note.note_id,
-                                  pair.question.question_id, pair.label, exc)
-                        failed += 1
-                        pair.unit.close()
-                        pair.unit = batch = None
-                        continue
+                if pair.errors:
+                    error = pair.errors[min(pair.errors)]
+                    if not isinstance(error, GatewayError):
+                        raise error
+                    log.error("unit %s|%s|%s failed: %s", pair.note.note_id,
+                              pair.question.question_id, pair.label, error)
+                    failed += 1
+                    pair.errors.clear()
+                    pair.unit.close()
+                    pair.unit = None
+                    continue
                 try:
-                    requests = pair.unit.send(replies)
+                    requests = pair.unit.send(pair.replies)
                 except StopIteration as stop:
-                    pair.unit = batch = None
+                    pair.unit = None
                     save(pair, finish(pair, stop.value))
                     continue
-                batch = [gateway.submit(request, on_park=pair.on_park)
-                         for request in requests]
-                if all(future.done() for future in batch):
-                    continue  # answered on submit
-                pair.batch, pair.waiting = batch, len(batch)
-                for future in batch:
-                    future.add_done_callback(pair.on_reply)
-                return
+                pair.replies = [None] * len(requests)
+                pair.waiting = len(requests)
+                for index, request in enumerate(requests):
+                    gateway.call(request, partial(answered, pair, index),
+                                 on_park=pair.on_park)
+                if pair.waiting:
+                    return
+                continue  # answered on the call
             label = next(pair.labels, None)
             if label is None:
                 return
@@ -574,16 +591,18 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                 else:
                     pair.unit = role_unit(pair.question, pair.note,
                                           roles[label.removeprefix("A-")])
-                pair.label, pair.started = label, time.monotonic()
+                pair.label, pair.started, pair.replies = label, time.monotonic(), None
 
-    def run(pair: _Pair, batch: list[Future] | None = None) -> None:
+    def run(pair: _Pair) -> None:
         """Advance the pair; an unexpected error ends it, to be raised later."""
         nonlocal unexpected
         try:
-            advance(pair, batch)
+            advance(pair)
         except Exception as exc:
             if unexpected is None:
                 unexpected = exc
+            # A reply still on its way then finds nothing left to run.
+            pair.unit, pair.labels = None, iter(())
             return
         if pair.waiting:
             running.add(pair)
@@ -609,8 +628,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                 parked.discard(pair)
             if not change and not pair.waiting:
                 running.discard(pair)
-                batch, pair.batch = pair.batch, []
-                run(pair, batch)
+                run(pair)
         if unexpected is not None:
             raise unexpected
     finally:
@@ -695,13 +713,14 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
             trial_middle = note_field + label_tail + ', "status": '
             verdicts = verdicts_for_note(scorable,
                                          _values(answers_by_note.get(note.note_id, {})))
+            by_id = {verdict.criterion_id: verdict for verdict in verdicts}
             for verdict in verdicts:
                 lines.append(criterion_heads[verdict.criterion_id]
                              + ("true" if verdict.met else "false") + criterion_middle
                              + ("true" if verdict.stable else "false") + "}")
             for trial in catalog.trials.values():
                 try:
-                    rollup = trial_verdict(trial, verdicts)
+                    rollup = trial_verdict(trial, by_id)
                 except MissingVerdictError as exc:
                     log.warning("trial %s skipped for %s: %s",
                                 trial.trial_id, note.note_id, exc)
@@ -783,13 +802,6 @@ def cmd_evaluate(
             (record.pathway, record.elapsed_s) for record in records).items()},
     }
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.md").write_text(render_report(metrics), encoding="utf-8")
-
     rows = []
     for record in sorted(records, key=attrgetter("note_id", "question_id", "pathway")):
         note_id = record.note_id
@@ -804,11 +816,22 @@ def cmd_evaluate(
                      f"{record.elapsed_s:.6f}", record.pathway))
     import csv
 
-    with open(out_dir / "per_question.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("note_id", "question_id", "gold", "predicted", "grounding",
-                         "elapsed_s", "pathway"))
-        writer.writerows(rows)
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "metrics.json").write_text(
+            json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        (out_dir / "report.md").write_text(render_report(metrics), encoding="utf-8")
+        with open(out_dir / "per_question.csv", "w", encoding="utf-8",
+                  newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("note_id", "question_id", "gold", "predicted", "grounding",
+                             "elapsed_s", "pathway"))
+            writer.writerows(rows)
+    except OSError as exc:
+        log.error("cannot write %s: %s", exc.filename or out_dir, exc.strerror or exc)
+        return EXIT_INPUT
     return EXIT_OK
 
 
@@ -931,6 +954,10 @@ def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> 
         return EXIT_INPUT
     rendered = render_report(metrics)
     if out_path is not None:
-        Path(out_path).write_text(rendered, encoding="utf-8")
+        try:
+            Path(out_path).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            log.error("cannot write %s: %s", out_path, exc.strerror or exc)
+            return EXIT_INPUT
     print(rendered, end="")
     return EXIT_OK

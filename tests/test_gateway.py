@@ -553,6 +553,94 @@ class TestSlotsDuringBackoff:
         assert 1 <= transport.peak_inflight <= 3
 
 
+class TestCallbacks:
+    """Gateway.call completes each request through its callback, once."""
+
+    @staticmethod
+    def recorder():
+        outcomes = []
+        answered = threading.Event()
+
+        def done(reply, error):
+            outcomes.append((threading.current_thread().name, reply, error))
+            answered.set()
+
+        return outcomes, answered, done
+
+    def test_mock_without_latency_answers_on_the_calling_thread(self):
+        gateway = make_mock_gateway({"a": "canned"})
+        outcomes, _, done = self.recorder()
+        gateway.call(user_request("x", tag="a"), done)
+        assert outcomes == [(threading.current_thread().name, "canned", None)]
+        assert gateway._senders == []
+        gateway.close()
+
+    def test_parked_inline_send_is_answered_once_by_a_sender(self):
+        transport = _RefuseFirstAttempt({"a"})
+        transport.waits = False
+        gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
+        outcomes, answered, done = self.recorder()
+        parks = []
+        gateway.call(user_request("x", tag="a"), done, on_park=parks.append)
+        assert outcomes == []  # refused on the calling thread, then parked
+        assert answered.wait(timeout=5.0)
+        gateway.close()
+        assert outcomes == [("eligo-sender", "reply to a", None)]
+        assert parks == [True, False]
+        assert transport.sent == ["a", "a"]
+
+    def test_close_fails_queued_and_parked_callbacks(self):
+        release = threading.Event()
+
+        class Transport:
+            sent = []
+
+            def send(self, req):
+                self.sent.append(req.tag)
+                if req.tag == "parked":
+                    raise errors.BackendError("rate limited", status=429)
+                release.wait(timeout=5.0)
+                return f"reply to {req.tag}"
+
+        cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=30.0)
+        gateway = Gateway(cfg, transport=Transport())
+        parked_outcomes, parked, on_parked = self.recorder()
+        gateway.call(user_request("x", tag="parked"), on_parked)
+        deadline = time.monotonic() + 5.0
+        while not gateway._parked and time.monotonic() < deadline:
+            time.sleep(0.005)
+        wire_outcomes, on_wire, on_wire_done = self.recorder()
+        gateway.call(user_request("x", tag="wire"), on_wire_done)
+        while Transport.sent[-1:] != ["wire"] and time.monotonic() < deadline:
+            time.sleep(0.005)
+        queued_outcomes, queued, on_queued = self.recorder()
+        gateway.call(user_request("x", tag="queued"), on_queued)
+        closer = threading.Thread(target=gateway.close, name="closer")
+        closer.start()
+        # The queued and parked calls fail before the call on the wire ends.
+        assert queued.wait(timeout=5.0) and parked.wait(timeout=5.0)
+        assert not on_wire.is_set()
+        release.set()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive()
+        for outcomes in (queued_outcomes, parked_outcomes):
+            [(thread, reply, error)] = outcomes
+            assert (thread, reply) == ("closer", None)
+            assert isinstance(error, errors.TransportError)
+        assert wire_outcomes == [("eligo-sender", "reply to wire", None)]
+        assert Transport.sent == ["parked", "wire"]
+
+    def test_a_submitted_future_cannot_be_cancelled_under_its_sender(self):
+        gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
+        future = gateway.submit(user_request("x", tag="a"))
+        assert not future.cancel()
+        assert future.result(timeout=5.0) == MOCK_FALLBACK
+        # The sender survived to answer the next call.
+        assert gateway.submit(user_request("x", tag="b")).result(timeout=5.0) == \
+            MOCK_FALLBACK
+        gateway.close()
+
+
 class _KeepAliveHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     client_ports = []

@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -153,6 +155,38 @@ PINNED_DIGESTS = {
     "per_question.csv": "257617c0a0c22891e10bfa5625dffbae02eaf14f67b1f1af77d406658bf974ad",
     "verdicts.jsonl": "ed05024c8482325f1f9bf776a283a48fc4001c9608e1b0488c9ea18bcdeecab4",
 }
+
+# SHA-256 of the screen outputs of test_screen_outputs_match_pinned_digests:
+# the canonical results.jsonl and the sorted lines of verdicts.jsonl and
+# debates.jsonl, per pathway.  They were computed before the gateway
+# completed calls through callbacks.
+PINNED_SCREEN_DIGESTS = {
+    "A": {
+        "results.jsonl": "ec17453fd15b9a274ecf9b0f8f788992fee6c4f242cc16d5edb06706c8ebc4f9",
+        "verdicts.jsonl": "e27dbf9daf9d8184ecd4b4ec6d96b981c67439951d287a83e2a1cf2fc4090a4c",
+        # No debates: the digest of no lines.
+        "debates.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "B": {
+        "results.jsonl": "8366e9de7f5184ad3db09ef177ffa0e0455af3b4947b98cabfa3c84d8a27f563",
+        "verdicts.jsonl": "f4289f2060c4b011f59cba0f20c5e4f43a5cc0d6f44c5ab0078b8ace95c7af05",
+        "debates.jsonl": "d778507ebb0ebc5a1039ddd8f2409f788a66c0fd4e4cb71612087da73dcb1bf5",
+    },
+    "both": {
+        "results.jsonl": "be8a2ad264349db58b614469340fa68162ac37de274d1c011314beb7a7c1477a",
+        "verdicts.jsonl": "17cfe5b36b015970ae5944cccf82de204f9f833eab366f3a9c9ed73b0e62d528",
+        "debates.jsonl": "d778507ebb0ebc5a1039ddd8f2409f788a66c0fd4e4cb71612087da73dcb1bf5",
+    },
+}
+
+
+def assert_one_error_naming(caplog, path):
+    """The command logged one one-line error that names ``path``."""
+    errors = [record.getMessage() for record in caplog.records
+              if record.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"cannot write {path}: ")
+    assert "\n" not in errors[0]
 
 
 def read_jsonl(path):
@@ -679,6 +713,110 @@ class TestCmdScreen:
         assert log.index(("answered", "n1|m2|proponent|r1")) < \
             log.index(("sent", "n1|m3|proponent|r1"))
 
+    @pytest.mark.parametrize("pathway", ["A", "B", "both"])
+    def test_screen_outputs_match_pinned_digests(self, mini_workspace, pathway):
+        out = mini_workspace["out"]
+        assert cmd_screen(run_config(mini_workspace, pathway=pathway)) == EXIT_OK
+        texts = {"results.jsonl": canonicalize_results_file(out / "results.jsonl")}
+        for name in ("verdicts.jsonl", "debates.jsonl"):
+            path = out / name
+            lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+            texts[name] = "".join(line + "\n" for line in sorted(lines))
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in texts.items()}
+        assert digests == PINNED_SCREEN_DIGESTS[pathway]
+
+    def test_screen_without_latency_needs_no_future_and_no_thread(self, mini_workspace,
+                                                                 monkeypatch):
+        futures = []
+        init = concurrent.futures.Future.__init__
+
+        def counting_init(future):
+            futures.append(future)
+            init(future)
+
+        senders = set()
+        send = eligo.gateway.MockTransport.send
+
+        def recording_send(transport, req):
+            senders.add(threading.current_thread().name)
+            return send(transport, req)
+
+        monkeypatch.setattr(concurrent.futures.Future, "__init__", counting_init)
+        monkeypatch.setattr(eligo.gateway.MockTransport, "send", recording_send)
+        threads = set(threading.enumerate())
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        assert futures == []
+        assert senders == {threading.current_thread().name}
+        assert set(threading.enumerate()) <= threads
+        counts = json.loads((mini_workspace["out"] / "manifest.json").read_text())["counts"]
+        assert (counts["answered"], counts["failed"]) == (30, 0)
+
+    def test_inline_and_sender_replies_mix_under_fast_thread_switching(
+            self, mini_workspace):
+        # The mock without latency answers on the engine's thread; a refused
+        # first attempt is retried by a sender, so one batch can be answered
+        # on both.  A lost update of the batch's count would hang the run or
+        # let a unit go on without its replies.
+        class RefuseFirstAttempts(_ScriptedTransport):
+            waits = False
+
+            def __init__(self):
+                super().__init__()
+                self.seen = set()
+
+            def send(self, req):
+                with self._lock:
+                    first = req.tag not in self.seen
+                    self.seen.add(req.tag)
+                if first and ("JD" in req.tag or "opponent" in req.tag):
+                    self.refuse[req.tag] = BackendError("rate limited", status=429)
+                return super().send(req)
+
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        baseline = canonicalize_results_file(mini_workspace["out"] / "results.jsonl")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(5):
+                transport = RefuseFirstAttempts()
+                gateway = scripted_gateway(transport, max_inflight=2)
+                out = mini_workspace["root"] / f"out{attempt}"
+                config = run_config(mini_workspace, out=str(out), workers=4)
+                assert cmd_screen(config, gateway=gateway) == EXIT_OK
+                gateway.close()
+                assert canonicalize_results_file(out / "results.jsonl") == baseline
+                answered = [tag for kind, tag in transport.log if kind == "answered"]
+                assert len(answered) == len(set(answered)) == len(transport.seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("first, second, raised", [
+        (RuntimeError("bug in a stance"), BackendError("bad request", status=400), True),
+        (BackendError("bad request", status=400), RuntimeError("bug in a stance"), False),
+    ])
+    def test_batch_fails_with_its_first_error_in_batch_order(
+            self, mini_workspace, first, second, raised):
+        # The opponent's error comes first in time, the proponent's first
+        # in the batch; the proponent's decides.
+        transport = _ScriptedTransport(
+            refuse={"n1|m2|proponent|r1": first, "n1|m2|opponent|r1": second},
+            latency={"n1|m2|proponent|r1": 0.05})
+        gateway = scripted_gateway(transport, max_inflight=2)
+        config = run_config(mini_workspace, pathway="B", workers=1)
+        if raised:
+            with pytest.raises(RuntimeError, match="bug in a stance"):
+                cmd_screen(config, gateway=gateway)
+        else:
+            assert cmd_screen(config, gateway=gateway) == EXIT_PARTIAL
+            manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
+            assert (manifest["counts"]["answered"], manifest["counts"]["failed"]) == (5, 1)
+        # The other pairs ran to the end either way.
+        debates = read_jsonl(mini_workspace["out"] / "debates.jsonl")
+        assert len(debates) == 5
+        assert ("n1", "m2") not in {(d["note_id"], d["question_id"]) for d in debates}
+        gateway.close()
+
     def test_screen_and_convert_leave_no_thread_behind(self, mini_workspace, tmp_path,
                                                       monkeypatch):
         senders = set()
@@ -1093,6 +1231,37 @@ class TestCli:
         ])
         assert status == EXIT_CONFIG
 
+    def test_evaluate_out_that_is_a_file_exits_3_naming_it(self, mini_workspace, caplog):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        out = mini_workspace["root"] / "taken"
+        out.write_text("not a directory")
+        assert cli_main(["evaluate",
+                         "--results", str(mini_workspace["out"] / "results.jsonl"),
+                         "--gold", str(mini_workspace["gold"]),
+                         "--catalog", str(mini_workspace["catalog"]),
+                         "--out", str(out)]) == EXIT_INPUT
+        assert_one_error_naming(caplog, out)
+        assert out.read_text() == "not a directory"
+
+    def test_report_out_in_missing_directory_exits_3_naming_it(self, tmp_path, caplog,
+                                                               capsys):
+        metrics_path = tmp_path / "metrics.json"
+        metrics_path.write_text(json.dumps({"question_level": {}}))
+        out = tmp_path / "missing" / "r.md"
+        assert cli_main(["report", "--metrics", str(metrics_path),
+                         "--out", str(out)]) == EXIT_INPUT
+        assert_one_error_naming(caplog, out)
+        assert capsys.readouterr().out == ""
+
+    def test_canonicalize_out_in_missing_directory_exits_3_naming_it(
+            self, mini_workspace, caplog):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        out = mini_workspace["root"] / "missing" / "x.jsonl"
+        assert cli_main(["canonicalize",
+                         "--results", str(mini_workspace["out"] / "results.jsonl"),
+                         "--out", str(out)]) == EXIT_INPUT
+        assert_one_error_naming(caplog, out)
+
     @pytest.mark.parametrize("bad_line", BAD_RESULT_LINES)
     def test_cli_canonicalize_bad_line_exits_3_naming_it(self, tmp_path, caplog,
                                                           bad_line):
@@ -1354,13 +1523,13 @@ def test_bad_prompt_override_exits_3_before_any_unit(mini_workspace, caplog,
     (prompts / "role_crc.txt").write_bytes(content)
     gateway = make_mock_gateway(build_mini_fixtures())
     sent = []
-    submit = gateway.submit
+    call = gateway.call
 
-    def recording(request, **kwargs):
+    def recording(request, done, **kwargs):
         sent.append(request)
-        return submit(request, **kwargs)
+        return call(request, done, **kwargs)
 
-    gateway.submit = recording
+    gateway.call = recording
     config = run_config(mini_workspace, prompts=str(prompts))
     assert cmd_screen(config, gateway=gateway) == EXIT_INPUT
     assert f"{prompts / 'role_crc.txt'}: " in caplog.text
