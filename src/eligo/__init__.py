@@ -1,44 +1,37 @@
 """Eligibility pre-screening engine: question answering over admission notes
 via role-based chain-of-thought or preset-stance debate, with rule-based
-criterion aggregation and an evaluation harness."""
+criterion aggregation and an evaluation harness.
+
+The names below load on first access: ``from eligo import Gateway`` imports
+``eligo.gateway`` then, and ``import eligo`` alone imports no submodule, so a
+command loads only the modules it runs.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .corpus import (  # noqa: E402,F401
-    AdmissionNote,
-    Catalog,
-    CriterionSpec,
-    GoldSet,
-    QuestionSpec,
-    TrialSpec,
-    Verdict,
-    canonical_text,
-    load_catalog_dir,
-    load_gold,
-    load_notes,
-)
-from .gateway import (  # noqa: F401
-    BackendConfig,
-    ChatRequest,
-    Gateway,
-    ParsedAnswer,
-    parse_answer,
-)
-from .pathway_a import answer_with_role, load_roles, majority_vote  # noqa: F401
-from .pathway_b import run_debate  # noqa: F401
-from .rules import (  # noqa: F401
-    criterion_verdict,
-    eval_rule,
-    parse_rule,
-    print_rule,
-    sensitivity,
-    trial_verdict,
-    verdicts_for_note,
-)
-from .evaluation import (  # noqa: F401
-    counterfactual_rate,
-    grounding_check,
-    score_criteria,
-    score_questions,
-    timing_stats,
-)
+# Each exported name, by the submodule that defines it.
+_EXPORTS = {name: module for module, names in {
+    "corpus": ("AdmissionNote", "Catalog", "CriterionSpec", "GoldSet", "ParsedAnswer",
+               "QuestionSpec", "TrialSpec", "Verdict", "canonical_text",
+               "load_catalog_dir", "load_gold", "load_notes"),
+    "gateway": ("BackendConfig", "ChatRequest", "Gateway", "parse_answer"),
+    "pathway_a": ("answer_with_role", "load_roles", "majority_vote"),
+    "pathway_b": ("run_debate",),
+    "rules": ("criterion_verdict", "eval_rule", "parse_rule", "print_rule", "sensitivity",
+              "trial_verdict", "verdicts_for_note"),
+    "evaluation": ("counterfactual_rate", "grounding_check", "score_criteria",
+                   "score_questions", "timing_stats"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from io import BytesIO
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     CatalogError,
@@ -79,6 +82,26 @@ class CriterionKind(str, Enum):
 # -- domain records -----------------------------------------------------------
 
 @dataclass(frozen=True)
+class ParsedAnswer:
+    """One tri-valued answer with its rationale, quotes and provenance."""
+
+    value: Verdict
+    rationale: str
+    evidence: tuple[str, ...]
+    provenance: str
+    parse_fallback: bool = False
+
+    def to_dict(self) -> dict:
+        return {
+            "value": self.value.value,
+            "rationale": self.rationale,
+            "evidence": list(self.evidence),
+            "provenance": self.provenance,
+            "parse_fallback": self.parse_fallback,
+        }
+
+
+@dataclass(frozen=True)
 class AdmissionNote:
     """One patient narrative, split into named sections."""
 
@@ -107,6 +130,8 @@ class AdmissionNote:
 
 @dataclass(frozen=True)
 class QuestionSpec:
+    """One decomposed eligibility question from the catalog."""
+
     question_id: str
     text: str
     category: Category
@@ -123,6 +148,8 @@ class QuestionSpec:
 
 @dataclass(frozen=True)
 class CriterionSpec:
+    """One eligibility criterion: its text, rule and the questions it reads."""
+
     criterion_id: str
     trial_ids: tuple[str, ...]
     kind: CriterionKind
@@ -156,6 +183,8 @@ class CriterionSpec:
 
 @dataclass(frozen=True)
 class TrialSpec:
+    """One trial and the criteria it is screened on."""
+
     trial_id: str
     criterion_ids: tuple[str, ...]
     registry_code: str | None = None
@@ -223,30 +252,77 @@ def _require_id(record: Mapping, key: str, where: str, line: int | None = None) 
     return record_id
 
 
-def _json_object(path: str | Path, data: bytes, line: int | None = None) -> dict:
-    """``data``, a file or one JSONL line of it, parsed as a JSON object."""
+def _json_value(path: str | Path, line: int | None, data: bytes):
+    """``data``, a file or one JSONL line of it, parsed as JSON."""
     try:
-        document = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}", line=line) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
-    if not isinstance(document, dict):
+
+
+def _json_object(path: str | Path, value, line: int | None = None) -> dict:
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
         raise SchemaError(f"{path}: expected a JSON object", line=line)
-    return document
+    return value
 
 
 def load_json(path: str | Path) -> dict:
     """A JSON file's top-level object."""
-    return _json_object(path, Path(path).read_bytes())
+    return _json_object(path, _json_value(path, None, Path(path).read_bytes()))
+
+
+# JSONL lines are split on b"\n" only, so a U+2028 left unescaped by
+# ``ensure_ascii=False`` cannot split one.  A line is blank when bytes.strip()
+# empties it, that is when it holds only ASCII whitespace; json.loads allows
+# only JSON's own whitespace around a value.
+_BLANK = " \t\n\r\x0b\x0c"
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+def jsonl_values(data: bytes,
+                 decode_line: Callable[[int, bytes], object]) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's JSON value, with its line number, from the bytes
+    of a JSONL file, one line at a time.
+
+    The data is decoded from UTF-8 once, and each line by one raw_decode
+    while the line holds one JSON value from its start, followed by JSON
+    whitespace only: the value is then the one json.loads gives.  From the
+    first line that does not, or from the start when the data is not UTF-8,
+    each non-blank line, with its ``b"\n"``, is handed to
+    ``decode_line(line_no, line)``, which returns its value or raises the
+    caller's error for that line.
+    """
+    fallback_from = None  # the first line handed to decode_line
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines, fallback_from = [], 1
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip(_BLANK):
+            continue
+        try:
+            value, end = _DECODER.raw_decode(line)
+            if end != len(line) and _JSON_SPACE.match(line, end).end() != len(line):
+                raise ValueError("data after the value")
+        except (ValueError, RecursionError):  # for decode_line to accept or raise
+            fallback_from = line_no
+            break
+        yield line_no, value
+    if fallback_from is not None:
+        rest = islice(BytesIO(data), fallback_from - 1, None)
+        for line_no, line in enumerate(rest, start=fallback_from):
+            if line.strip():
+                yield line_no, decode_line(line_no, line)
 
 
 def _jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Each non-blank line's object, with its line number."""
-    with open(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if line.strip():
-                yield line_no, _json_object(path, line, line_no)
+    for line_no, value in jsonl_values(Path(path).read_bytes(), partial(_json_value, path)):
+        yield line_no, _json_object(path, value, line_no)
 
 
 def _catalog_records(path: str | Path, key: str) -> Iterator[tuple[str, dict]]:

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .corpus import AdmissionNote, Catalog, CriterionLabel, GoldSet, Verdict, canonical_text
-from .gateway import ParsedAnswer
+from .corpus import (
+    AdmissionNote,
+    Catalog,
+    CriterionLabel,
+    GoldSet,
+    ParsedAnswer,
+    Verdict,
+    canonical_text,
+)
 
 QUESTION_LABELS = ("YES", "NO", "UNKNOWN")
 CRITERION_LABELS = ("MET", "NOT_MET")
@@ -86,6 +93,8 @@ class CounterfactualReport:
 
 @dataclass(frozen=True)
 class TimingStats:
+    """Per-unit elapsed-time summary of one answer stream, in seconds."""
+
     count: int
     mean: float
     p50: float
@@ -99,6 +108,8 @@ class TimingStats:
 
 @dataclass
 class MetricReport:
+    """Scores of one answer stream against gold, with per-group breakdowns."""
+
     precision: float
     recall: float
     f1: float

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import logging
 import re
 import select
 import threading
@@ -34,10 +35,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Mapping, TypeVar
 
 from . import errors
-from .corpus import Verdict, load_json
+# ParsedAnswer lives in corpus, so reading results loads no gateway; it is
+# still importable from here.
+from .corpus import ParsedAnswer, Verdict, load_json
 
 if TYPE_CHECKING:
     import http.client
+
+log = logging.getLogger(__name__)
 
 # http.client and email.utils are imported where they are used: they pull in
 # socket, ssl and the email package, which a mock run never needs.
@@ -70,12 +75,16 @@ _SPEAKERS = ("system", "user", "assistant")
 
 @dataclass(frozen=True)
 class Message:
+    """One chat message and who speaks it."""
+
     speaker: str  # system | user | assistant
     content: str
 
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One chat completion to ask of a backend."""
+
     messages: tuple[Message, ...]
     temperature: float = 0.0
     max_tokens: int = 1024
@@ -108,6 +117,8 @@ def user_request(content: str, *, system: str | None = None, tag: str = "",
 
 @dataclass(frozen=True)
 class BackendConfig:
+    """How to reach one backend, and how hard to push and retry it."""
+
     kind: str  # "http" | "mock"
     model_name: str = "mock"
     base_url: str | None = None
@@ -142,24 +153,6 @@ class BackendConfig:
             raise ValueError("retry_limit must be >= 0")
         if self.backoff_s < 0 or self.mock_latency_s < 0:
             raise ValueError("backoff_s and mock_latency_s must be >= 0")
-
-
-@dataclass(frozen=True)
-class ParsedAnswer:
-    value: Verdict
-    rationale: str
-    evidence: tuple[str, ...]
-    provenance: str
-    parse_fallback: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value.value,
-            "rationale": self.rationale,
-            "evidence": list(self.evidence),
-            "provenance": self.provenance,
-            "parse_fallback": self.parse_fallback,
-        }
 
 
 # -- answer parsing -----------------------------------------------------------
@@ -500,7 +493,9 @@ class Gateway:
         ``on_park(True)`` is called when the request starts waiting out a
         backoff and ``on_park(False)`` when it is queued again.  It runs with
         the gateway's lock held, so it must be quick and must not call the
-        gateway.  ``done`` must not raise.
+        gateway.  ``done`` should not raise: an error it raises on a sender
+        thread is logged and ends that sender, which another replaces, and
+        one it raises on the calling thread propagates from ``call``.
 
         A transport whose ``waits`` is false (the mock without latency) is
         sent to on the calling thread while a slot is free, so ``done`` has
@@ -587,8 +582,16 @@ class Gateway:
             sender.start()
 
     def _send_loop(self) -> None:
-        while (call := self._next_call()) is not None:
-            self._attempt(call)
+        try:
+            while (call := self._next_call()) is not None:
+                self._attempt(call)
+        except Exception:
+            # A done or on_park callback raised.  This sender ends, but its
+            # slot is not lost: another starts if calls still wait for one.
+            log.exception("sender stopped by an error in a callback")
+            with self._lock:
+                self._senders.remove(threading.current_thread())
+                self._add_sender()
 
     def _next_call(self) -> _Call | None:
         """Wait for the next call to send; None when this sender should exit.

@@ -5,12 +5,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .corpus import AdmissionNote, QuestionSpec, Verdict, canonical_text
+from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, Verdict, canonical_text
 from .errors import MixedKeyError
 from .gateway import (
     FORMAT_CONTRACT,
     Gateway,
-    ParsedAnswer,
     Unit,
     parse_answer,
     run_unit,
@@ -42,6 +41,8 @@ class RoleProfile:
 
 @dataclass(frozen=True)
 class RoleAnswer:
+    """One role's answer to a question, as a vote member."""
+
     answer: ParsedAnswer
     role_id: str
     elapsed_ms: float

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import AdmissionNote, QuestionSpec, canonical_text
+from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, canonical_text
 from .gateway import (
     FORMAT_CONTRACT,
     ChatRequest,
     Gateway,
-    ParsedAnswer,
     Unit,
     parse_answer,
     run_unit,
@@ -38,6 +37,8 @@ def load_debate_templates(prompts_dir: str | Path | None = None) -> dict[str, st
 
 @dataclass(frozen=True)
 class DebateTranscript:
+    """One debate's rounds, judgements and outcome."""
+
     round1: tuple[ParsedAnswer, ParsedAnswer]  # (proponent, opponent)
     outcome: ParsedAnswer
     rounds_used: int

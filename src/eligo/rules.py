@@ -48,6 +48,8 @@ SENSITIVITY_CAP = 16
 
 @dataclass(frozen=True)
 class Atom:
+    """One question tested for one value: ``q IS YES`` or ``q IS NOT YES``."""
+
     question_id: str
     value: Verdict
     negated: bool = False  # True renders/evaluates as "IS NOT"
@@ -55,11 +57,15 @@ class Atom:
 
 @dataclass(frozen=True)
 class Not:
+    """The negation of a rule expression."""
+
     child: "RuleExpr"
 
 
 @dataclass(frozen=True)
 class And:
+    """True when every operand is true."""
+
     children: tuple["RuleExpr", ...]
 
     def __post_init__(self):
@@ -69,6 +75,8 @@ class And:
 
 @dataclass(frozen=True)
 class Or:
+    """True when any operand is true."""
+
     children: tuple["RuleExpr", ...]
 
     def __post_init__(self):
@@ -78,6 +86,8 @@ class Or:
 
 @dataclass(frozen=True)
 class AnyOf:
+    """``ANY(q1, q2, ...) IS v``: true when some listed question has value v."""
+
     question_ids: tuple[str, ...]
     value: Verdict
 
@@ -88,6 +98,8 @@ class AnyOf:
 
 @dataclass(frozen=True)
 class AllOf:
+    """``ALL(q1, q2, ...) IS v``: true when every listed question has value v."""
+
     question_ids: tuple[str, ...]
     value: Verdict
 
@@ -108,6 +120,8 @@ _TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|(,)|([A-Za-z_][A-Za-z0-9_.\-]*))")
 
 @dataclass(frozen=True)
 class _Token:
+    """One lexical token of a rule, with its position for error messages."""
+
     kind: str  # LPAREN RPAREN COMMA KEYWORD IDENT EOF
     text: str
     position: int  # 1-based character position
@@ -371,6 +385,8 @@ class Stability(str, Enum):
 
 @dataclass(frozen=True)
 class SensitivityResult:
+    """Whether a verdict survives every completion of its UNKNOWN answers."""
+
     status: Stability
     unknown_count: int
     capped: bool = False
@@ -482,6 +498,8 @@ def _kleene(expr: RuleExpr, known: Mapping[str, Verdict]) -> bool | str:
 
 @dataclass(frozen=True)
 class CriterionVerdict:
+    """One criterion evaluated on one note's answers."""
+
     criterion_id: str
     kind: CriterionKind
     met: bool
@@ -500,6 +518,8 @@ class TrialStatus(str, Enum):
 
 @dataclass(frozen=True)
 class TrialVerdict:
+    """One trial's roll-up on one note, with the criteria that block it."""
+
     trial_id: str
     status: TrialStatus
     failing: tuple[str, ...]

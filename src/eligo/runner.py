@@ -23,24 +23,24 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from queue import SimpleQueue
 from threading import get_ident
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from . import __version__
 from .corpus import (
     VERDICT_BY_VALUE,
     AdmissionNote,
     Catalog,
+    ParsedAnswer,
     QuestionSpec,
     Verdict,
     _optional,
     _require,
     _require_strs,
+    jsonl_values,
     load_catalog_dir,
     load_gold,
     load_json,
@@ -54,23 +54,17 @@ from .errors import (
     MissingVerdictError,
     SchemaError,
 )
-from .evaluation import (
-    LABEL_OF,
-    counterfactual_rate,
-    grounding_check,
-    normalize_notes,
-    render_report,
-    score_criteria,
-    score_questions,
-    timing_stats,
-)
-from .gateway import BackendConfig, Gateway, ParsedAnswer, Unit, backend_config_from_dict
-from .pathway_a import ROLE_IDS, RoleAnswer, load_roles, majority_vote, role_unit
-from .pathway_b import debate_unit, load_debate_templates
 from .rules import TrialStatus, trial_verdict, verdicts_for_note
 
-# csv and hashlib are imported where they are used: only evaluate writes CSV
-# and only screen hashes its config, and hashlib loads OpenSSL, which is slow.
+if TYPE_CHECKING:
+    from .gateway import BackendConfig, Gateway, Unit
+
+# A module that not every command runs is imported where it is used, so that
+# evaluate loads no gateway or pathway and screen no evaluation: the gateway
+# and pathways in RunConfig, cmd_screen and cmd_convert, evaluation in
+# cmd_evaluate and cmd_report.  So are the standard modules of one command:
+# csv for evaluate, and datetime, queue and hashlib (which loads OpenSSL,
+# which is slow) for screen.
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -97,6 +91,8 @@ _encode_str = json.encoder.encode_basestring
 
 @dataclass
 class RunConfig:
+    """One screening run: backend, inputs, output directory and pathways."""
+
     backend: BackendConfig
     notes_path: str
     catalog_dir: str
@@ -110,6 +106,8 @@ class RunConfig:
     workers: int = 8
 
     def validate(self) -> None:
+        from .pathway_a import ROLE_IDS
+
         if self.pathway not in ("A", "B", "both"):
             raise ConfigError(f"pathway must be A, B or both, got {self.pathway!r}")
         for role in self.roles:
@@ -131,6 +129,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "RunConfig":
+        from .gateway import backend_config_from_dict
+
         if not isinstance(record, Mapping):
             raise ConfigError("run config must be a JSON object")
         where = "run config"
@@ -187,6 +187,8 @@ class RunConfig:
 
 @dataclass
 class ResultRecord:
+    """One answered (note, question, unit label), as a results.jsonl line."""
+
     note_id: str
     question_id: str
     pathway: str  # unit label, e.g. "A-CRC", "A-vote", "B"
@@ -303,49 +305,63 @@ class _JsonlWriter:
             self._handle = None
 
 
-def _parse_result(path: str | Path, line_no: int, line: bytes) -> ResultRecord:
-    """Parse one ``results.jsonl`` line; SchemaError names a line that is not a
-    UTF-8 JSON record."""
+_UNREADABLE = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _decode_result(path: str | Path, line_no: int, line: bytes):
+    """One ``results.jsonl`` line's JSON value; SchemaError when it is not
+    UTF-8 JSON."""
     try:
-        return ResultRecord.from_dict(json.loads(line.decode("utf-8")))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        return json.loads(line.decode("utf-8"))
+    except _UNREADABLE as exc:
+        raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
+
+
+def _parse_result(path: str | Path, line_no: int, value) -> ResultRecord:
+    """The record of one ``results.jsonl`` line's JSON value; SchemaError when
+    it is not one."""
+    try:
+        return ResultRecord.from_dict(value)
+    except _UNREADABLE as exc:
         raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
 
 
 def read_results(path: str | Path) -> list[ResultRecord]:
     """Load result records from a completed (or partial but clean) run."""
-    with open(path, "rb") as handle:
-        return [_parse_result(path, line_no, line)
-                for line_no, line in enumerate(handle, start=1) if line.strip()]
+    return [_parse_result(path, line_no, value) for line_no, value
+            in jsonl_values(Path(path).read_bytes(), partial(_decode_result, path))]
 
 
 def _read_appended_jsonl(
-    path: Path, parse: Callable[[int, bytes], T]
-) -> list[tuple[bytes, T]]:
+    path: Path, decode_line: Callable[[int, bytes], object],
+    parse: Callable[[int, object], T],
+) -> list[tuple[int, T]]:
     """Read a JSONL file that an interrupted run may have appended to.
 
-    Returns ``(line, parse(line_no, line))`` for each non-blank line.  A
-    final line that ``parse`` rejects with SchemaError is torn (half-written)
-    and is truncated away so later appends land on a clean file; on any
-    earlier line the error propagates.  Lines are bytes split on b"\n", so
-    a crash that cut a multi-byte character, or a U+2028 that
-    ``ensure_ascii=False`` left unescaped, cannot split a line.
+    Returns ``(line_no, parse(line_no, value))`` for the JSON value of each
+    non-blank line, read by jsonl_values with ``decode_line``.  A final line
+    that ``decode_line`` or ``parse`` rejects with SchemaError (naming the
+    line) is torn (half-written) and is truncated away so later appends land
+    on a clean file; on any earlier line the error propagates.  Lines are
+    split on b"\n", so a crash that cut a multi-byte character, or a U+2028
+    that ``ensure_ascii=False`` left unescaped, cannot split a line.
     """
     if not path.exists():
         return []
     raw = path.read_bytes()
-    lines = [(line_no, line) for line_no, line in enumerate(raw.split(b"\n"), start=1)
-             if line.strip()]
-    rows: list[tuple[bytes, T]] = []
-    for line_no, line in lines:
-        try:
-            rows.append((line, parse(line_no, line)))
-        except SchemaError:
-            if line_no != lines[-1][0]:
-                raise
-            log.warning("truncating torn final line of %s", path)
-            path.write_bytes(raw[:raw.rindex(line)])
-            return rows
+    rows: list[tuple[int, T]] = []
+    try:
+        for line_no, value in jsonl_values(raw, decode_line):
+            rows.append((line_no, parse(line_no, value)))
+    except SchemaError as exc:
+        # The last non-blank line starts after the newline before the last
+        # byte that is not whitespace.
+        last_start = raw.rfind(b"\n", 0, len(raw.rstrip())) + 1
+        if exc.line != raw.count(b"\n", 0, last_start) + 1:
+            raise
+        log.warning("truncating torn final line of %s", path)
+        path.write_bytes(raw[:last_start])
+        return rows
     if raw and not raw.endswith(b"\n"):
         # The crash fell between a record and its newline: end the line.
         with open(path, "ab") as handle:
@@ -355,7 +371,8 @@ def _read_appended_jsonl(
 
 def _read_resume_state(path: Path) -> list[ResultRecord]:
     """Like read_results, but repairs a torn (half-written) final line."""
-    rows = _read_appended_jsonl(path, partial(_parse_result, path))
+    rows = _read_appended_jsonl(path, partial(_decode_result, path),
+                                partial(_parse_result, path))
     return [record for _, record in rows]
 
 
@@ -369,20 +386,26 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     next record onto a torn line.  The file is replaced atomically, and only
     when it changes.
     """
-    def transcript_key(line_no: int, line: bytes) -> tuple[str, str] | None:
+    def decode(line_no: int, line: bytes):
         try:
-            record = json.loads(line.decode("utf-8"))
+            return json.loads(line.decode("utf-8"))
+        except ValueError:
+            return None  # transcript_key drops it
+
+    def transcript_key(line_no: int, record) -> tuple[str, str] | None:
+        try:
             return (record["note_id"], record["question_id"])
-        except (ValueError, KeyError, TypeError):
+        except (KeyError, TypeError):
             log.warning("dropping unreadable line %d of %s", line_no, path)
             return None
 
-    rows = _read_appended_jsonl(path, transcript_key)
-    kept = {key: line for line, key in rows if key in answered}
+    rows = _read_appended_jsonl(path, decode, transcript_key)
+    kept = {key: line_no for line_no, key in rows if key in answered}
     if len(kept) == len(rows):
         return
+    lines = path.read_bytes().split(b"\n")
     scratch = path.with_name(path.name + ".tmp")
-    scratch.write_bytes(b"".join(line + b"\n" for line in kept.values()))
+    scratch.write_bytes(b"".join(lines[line_no - 1] + b"\n" for line_no in kept.values()))
     os.replace(scratch, path)
 
 
@@ -404,6 +427,8 @@ def canonicalize_results_file(path: str | Path) -> str:
 # -- screening ----------------------------------------------------------------
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -434,6 +459,12 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     ends its pair; it is raised once the other pairs are done, with the
     output files and the gateway closed.
     """
+    from queue import SimpleQueue
+
+    from .gateway import Gateway
+    from .pathway_a import ROLE_IDS, RoleAnswer, load_roles, majority_vote, role_unit
+    from .pathway_b import debate_unit, load_debate_templates
+
     try:
         config.validate()
     except ConfigError as exc:
@@ -747,6 +778,19 @@ def cmd_evaluate(
     positive_class: str = "YES",
 ) -> int:
     """Score a results file against gold; write metrics.json, report.md, CSV."""
+    import csv
+
+    from .evaluation import (
+        LABEL_OF,
+        counterfactual_rate,
+        grounding_check,
+        normalize_notes,
+        render_report,
+        score_criteria,
+        score_questions,
+        timing_stats,
+    )
+
     try:
         catalog = load_catalog_dir(catalog_dir)
         gold = load_gold(gold_path)
@@ -814,7 +858,6 @@ def cmd_evaluate(
                      LABEL_OF[gold_label] if gold_label else "",
                      LABEL_OF[record.answer.value], grounding,
                      f"{record.elapsed_s:.6f}", record.pathway))
-    import csv
 
     out_dir = Path(out_dir)
     try:
@@ -845,6 +888,8 @@ def cmd_convert(
     prompts_dir: str | Path | None = None,
 ) -> int:
     """Convert every criterion; write questions.json, criteria.json, report."""
+    from .gateway import Gateway, backend_config_from_dict
+
     where = str(backends_path)
     try:
         backend_doc = load_json(backends_path)
@@ -938,6 +983,8 @@ def _check_report(report: Mapping, where: str) -> None:
 
 def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> int:
     """Render an existing metrics.json to Markdown without recomputation."""
+    from .evaluation import render_report
+
     where = str(metrics_path)
     try:
         metrics = load_json(metrics_path)

@@ -640,6 +640,21 @@ class TestCallbacks:
             MOCK_FALLBACK
         gateway.close()
 
+    def test_a_callback_that_raises_on_a_sender_does_not_take_its_slot(self, caplog):
+        gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
+
+        def faulty(reply, error):
+            raise RuntimeError("bug in a callback")
+
+        gateway.call(user_request("x", tag="a"), faulty)
+        # Queued behind the faulty call, for the only slot.
+        future = gateway.submit(user_request("x", tag="b"))
+        assert future.result(timeout=1.0) == MOCK_FALLBACK
+        gateway.close()
+        [record] = [record for record in caplog.records if record.exc_info]
+        assert record.levelname == "ERROR"
+        assert str(record.exc_info[1]) == "bug in a callback"
+
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"

@@ -617,7 +617,7 @@ class TestCmdScreen:
                 super().close()
 
         monkeypatch.setattr(eligo.runner, "open", tracking_open, raising=False)
-        monkeypatch.setattr(eligo.runner, "Gateway", BuggyGateway)
+        monkeypatch.setattr(eligo.gateway, "Gateway", BuggyGateway)
         with pytest.raises(RuntimeError, match="bug in a unit"):
             cmd_screen(run_config(mini_workspace))
         assert len(closed_gateways) == 1
@@ -879,13 +879,13 @@ class TestCmdEvaluate:
                    for v in read_jsonl(mini_workspace["out"] / "verdicts.jsonl")
                    if "criterion_id" in v}
         scored = []
-        score_criteria = eligo.runner.score_criteria
+        score_criteria = eligo.evaluation.score_criteria
 
         def capture(verdicts, gold):
             scored.append(dict(verdicts))
             return score_criteria(verdicts, gold)
 
-        monkeypatch.setattr(eligo.runner, "score_criteria", capture)
+        monkeypatch.setattr(eligo.evaluation, "score_criteria", capture)
         status, _ = self.evaluate(mini_workspace)
         assert status == EXIT_OK
         # Labels are scored in sorted order; gold labels all 2 x 2 criteria.
