@@ -81,7 +81,7 @@ class CriterionKind(str, Enum):
 
 # -- domain records -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedAnswer:
     """One tri-valued answer with its rationale, quotes and provenance."""
 

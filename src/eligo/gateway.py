@@ -73,7 +73,7 @@ SENDER_IDLE_S = 0.1
 _SPEAKERS = ("system", "user", "assistant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One chat message and who speaks it."""
 
@@ -81,7 +81,7 @@ class Message:
     content: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatRequest:
     """One chat completion to ask of a backend."""
 
@@ -107,12 +107,9 @@ class ChatRequest:
 def user_request(content: str, *, system: str | None = None, tag: str = "",
                  temperature: float = 0.0, max_tokens: int = 1024) -> ChatRequest:
     """Build the common one-user-message request."""
-    messages: list[Message] = []
-    if system:
-        messages.append(Message("system", system))
-    messages.append(Message("user", content))
-    return ChatRequest(tuple(messages), temperature=temperature,
-                       max_tokens=max_tokens, tag=tag)
+    user = Message("user", content)
+    messages = (Message("system", system), user) if system else (user,)
+    return ChatRequest(messages, temperature, max_tokens, tag)
 
 
 @dataclass(frozen=True)
@@ -166,15 +163,20 @@ _VERDICT_MAP = {
 }
 
 _QUOTES = "\"'“”‘’«»"
+_QUOTE_CHARS = tuple(_QUOTES)
+# The token is the run of non-quote characters between the quotes, with any
+# whitespace around it; it is stripped before it is looked up.  match() is
+# anchored at the position it is given, which finds a repeated token too.
 _LEAD_TOKEN_RE = re.compile(
-    rf"^\s*[{_QUOTES}]\s*([^{_QUOTES}]{{1,40}}?)\s*[{_QUOTES}]\s*[.:,;!]?\s*"
+    rf"\s*[{_QUOTES}]\s*([^{_QUOTES}]{{1,40}})\s*[{_QUOTES}]\s*[.:,;!]?\s*"
 )
 _FIRST_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+|\n")
-# Each verdict phrase as a whole word or words, for the first-sentence scan.
-_PHRASE_RES = {
-    phrase: re.compile(rf"(?<![a-z0-9]){re.escape(phrase)}(?![a-z0-9])")
-    for phrase in _VERDICT_MAP
-}
+# Any verdict phrase as a whole word or words, for the first-sentence scan.
+# No phrase holds another as a whole word, so whole-word matches of two
+# phrases never overlap and one scan finds every phrase present.
+_PHRASE_RE = re.compile(
+    rf"(?<![a-z0-9])(?:{'|'.join(map(re.escape, _VERDICT_MAP))})(?![a-z0-9])"
+)
 
 
 def _strip_evidence(text: str) -> tuple[str, list[str]]:
@@ -208,7 +210,12 @@ def _strip_evidence(text: str) -> tuple[str, list[str]]:
 
 def _scan_first_sentence(text: str) -> set[str]:
     sentence = _FIRST_SENTENCE_RE.split(text, maxsplit=1)[0].lower()
-    return {phrase for phrase, pattern in _PHRASE_RES.items() if pattern.search(sentence)}
+    return set(_PHRASE_RE.findall(sentence))
+
+
+def _token_verdict(token: str) -> Verdict | None:
+    """The verdict a quoted lead token names, if it names one."""
+    return _VERDICT_MAP.get(token.strip().strip(".:,;!").lower())
 
 
 def parse_answer(text: str, provenance: str = "") -> ParsedAnswer:
@@ -217,30 +224,30 @@ def parse_answer(text: str, provenance: str = "") -> ParsedAnswer:
     Total: any text yields an answer.  When the reply does not open with a
     quoted verdict token, the first sentence is scanned for exactly one
     known phrase; failing that the answer degrades to UNKNOWN with
-    ``parse_fallback`` set so pipelines never stall on odd output.
+    ``parse_fallback`` set so pipelines never stall on odd output.  Verdict
+    tokens that follow the first one are dropped from the rationale.
     """
-    remaining, evidence = _strip_evidence(text)
-    value: Verdict | None = None
-    while True:
-        match = _LEAD_TOKEN_RE.match(remaining)
-        if not match:
-            break
-        token = match.group(1).strip().strip(".:,;!").lower()
-        mapped = _VERDICT_MAP.get(token)
-        if mapped is None:
-            break
-        if value is None:
-            value = mapped
-        remaining = remaining[match.end():]
+    remaining, quotes = _strip_evidence(text)
+    evidence = tuple(quotes)
+    match = _LEAD_TOKEN_RE.match(remaining)
+    value = None if match is None else _token_verdict(match[1])
     if value is not None:
-        return ParsedAnswer(value, remaining.strip(), tuple(evidence), provenance)
+        end = match.end()
+        # A match ends past all whitespace, so a further token starts with a
+        # quote exactly there.
+        while remaining.startswith(_QUOTE_CHARS, end):
+            match = _LEAD_TOKEN_RE.match(remaining, end)
+            if match is None or _token_verdict(match[1]) is None:
+                break
+            end = match.end()
+        return ParsedAnswer(value, remaining[end:].strip(), evidence, provenance, False)
     rationale = remaining.strip()
     phrases = _scan_first_sentence(rationale)
     if len(phrases) == 1:
         value = _VERDICT_MAP[phrases.pop()]
     else:
         value = Verdict.UNKNOWN
-    return ParsedAnswer(value, rationale, tuple(evidence), provenance, parse_fallback=True)
+    return ParsedAnswer(value, rationale, evidence, provenance, True)
 
 
 # -- transports ---------------------------------------------------------------
@@ -478,8 +485,18 @@ class Gateway:
         self._parked: list[tuple[float, int, _Call]] = []  # heap by retry time
         self._order = itertools.count()  # heap tie-break: parking order
         self._senders: list[threading.Thread] = []
-        self._outstanding = 0  # calls queued or on the wire
-        self._inline = 0  # of those, sent on their submitting thread
+        self._outstanding = 0  # calls queued, or on the wire on a sender
+        self._inline = 0  # calls on the wire on the thread that made them
+
+    @property
+    def transport(self):
+        """What sends the requests; its ``waits`` is read when it is set."""
+        return self._transport
+
+    @transport.setter
+    def transport(self, transport) -> None:
+        self._transport = transport
+        self._waits = getattr(transport, "waits", True)
 
     def call(self, req: ChatRequest, done: Done, *,
              on_park: Callable[[bool], None] | None = None) -> None:
@@ -498,29 +515,38 @@ class Gateway:
         one it raises on the calling thread propagates from ``call``.
 
         A transport whose ``waits`` is false (the mock without latency) is
-        sent to on the calling thread while a slot is free, so ``done`` has
-        run on that thread when ``call`` returns, unless the send failed and
-        was parked: a hand-off to a sender would only add overhead.
-        Otherwise, and for every retry, ``done`` runs on a sender thread.
+        sent to on the calling thread while fewer than ``max_inflight``
+        requests are on the wire: a hand-off to a sender would only add
+        overhead.  Such a call takes the gateway's lock once to claim the
+        slot and once to free it, and frees it before ``done`` runs, on the
+        calling thread, so ``done`` has run when ``call`` returns.  The
+        exception is a failed send that is retried: it is parked, or queued
+        at once without a backoff, and its retry and ``done`` run on a
+        sender thread.  Otherwise the request is queued, and ``done`` runs
+        on a sender thread.  ``waits`` is read when the transport is set.
         """
         req.validate()
-        call = _Call(req, done, on_park)
         with self._lock:
-            self._outstanding += 1
-            inline = (not getattr(self.transport, "waits", True)
-                      and len(self._senders) + self._inline < self.cfg.max_inflight)
-            if inline:
-                self._inline += 1
-            else:
-                self._ready.put(call)
+            if self._waits or len(self._senders) + self._inline >= self.cfg.max_inflight:
+                self._outstanding += 1
+                self._ready.put(_Call(req, done, on_park))
                 self._add_sender()
-        if inline:
-            try:
-                self._attempt(call)
-            finally:
-                with self._lock:
-                    self._inline -= 1
-                    self._add_sender()  # for calls queued meanwhile
+                return
+            self._inline += 1
+        try:
+            reply = self._transport.send(req)
+            error = None
+        except Exception as exc:
+            reply, error = None, exc
+        with self._lock:
+            self._inline -= 1
+            if self._outstanding or self._parked:
+                self._add_sender()  # for calls queued meanwhile
+        if error is not None:
+            error = self._failed(_Call(req, done, on_park), error)
+            if error is None:
+                return
+        done(reply, error)
 
     def submit(self, req: ChatRequest, *,
                on_park: Callable[[bool], None] | None = None) -> Future:
@@ -564,17 +590,17 @@ class Gateway:
                 if call is not None:
                     self._ready.put(call)
             self._add_sender()
-        close = getattr(self.transport, "close", None)
+        close = getattr(self._transport, "close", None)
         if close is not None:
             close()
 
     # -- senders ------------------------------------------------------------
 
     def _add_sender(self) -> None:
-        """Start a sender while calls wait for one and a slot is free, or
-        when parked calls have no sender to requeue them (lock held)."""
+        """Start a sender while queued calls wait for a free slot, or when
+        parked calls have no sender to requeue them (lock held)."""
         senders = len(self._senders)
-        wanted = min(self._outstanding, self.cfg.max_inflight) - self._inline
+        wanted = min(self._outstanding, self.cfg.max_inflight - self._inline)
         if senders < wanted or (self._parked and not senders):
             sender = threading.Thread(target=self._send_loop, name="eligo-sender",
                                       daemon=True)
@@ -619,14 +645,20 @@ class Gateway:
 
     def _requeue_due(self, timeout: float) -> float:
         """Queue the parked calls whose time has come; return how long to wait
-        for the next one, at most ``timeout`` (lock held)."""
+        for the next one, at most ``timeout`` (lock held).
+
+        Each call's ``on_park(False)`` runs before it is queued, so it comes
+        before the call's answer; the call is queued even if it raises.
+        """
         now = time.monotonic()
         while self._parked and self._parked[0][0] <= now:
             call = heapq.heappop(self._parked)[2]
-            if call.on_park is not None:
-                call.on_park(False)
-            self._outstanding += 1
-            self._ready.put(call)
+            try:
+                if call.on_park is not None:
+                    call.on_park(False)
+            finally:
+                self._outstanding += 1
+                self._ready.put(call)
         self._add_sender()
         if self._parked:
             timeout = min(timeout, self._parked[0][0] - now)
@@ -635,37 +667,46 @@ class Gateway:
     def _attempt(self, call: _Call) -> None:
         """Put one attempt on the wire; complete the call or park it for a retry."""
         try:
-            reply = self.transport.send(call.request)
-        except errors.GatewayError as exc:
-            if _is_transient(exc) and call.attempt < self.cfg.retry_limit:
-                delay = _retry_delay(exc, self.cfg.backoff_s, call.attempt)
-                call.attempt += 1
-                self._park(call, delay)
-                return
-            if _is_transient(exc):
-                exc = errors.ExhaustedRetriesError(call.attempt + 1, exc)
-            self._resolve(call, None, exc)
+            reply = self._transport.send(call.request)
+            error = None
         except Exception as exc:  # a faulty transport fails its call, not the sender
-            self._resolve(call, None, exc)
-        else:
-            self._resolve(call, reply, None)
-
-    def _resolve(self, call: _Call, reply: str | None, error: Exception | None) -> None:
+            reply, error = None, exc
         with self._lock:
             self._outstanding -= 1
+        if error is not None:
+            error = self._failed(call, error)
+            if error is None:
+                return
         call.done(reply, error)
 
+    def _failed(self, call: _Call, error: Exception) -> Exception | None:
+        """The error that a failed attempt completes its call with, or None
+        when the call is retried.
+
+        A transient error is retried while retries are left, and is then
+        wrapped in ExhaustedRetriesError; any other error is final.
+        """
+        if not _is_transient(error):
+            return error
+        if call.attempt >= self.cfg.retry_limit:
+            return errors.ExhaustedRetriesError(call.attempt + 1, error)
+        delay = _retry_delay(error, self.cfg.backoff_s, call.attempt)
+        call.attempt += 1
+        self._park(call, delay)
+        return None
+
     def _park(self, call: _Call, delay: float) -> None:
+        """Queue a call for a retry: on the heap until ``delay`` has passed,
+        or at once when there is no delay."""
         with self._lock:
             if delay <= 0:
+                self._outstanding += 1
                 self._ready.put(call)
-                self._add_sender()
-                return
-            self._outstanding -= 1
-            heapq.heappush(self._parked,
-                           (time.monotonic() + delay, next(self._order), call))
-            if call.on_park is not None:
-                call.on_park(True)
+            else:
+                heapq.heappush(self._parked,
+                               (time.monotonic() + delay, next(self._order), call))
+                if call.on_park is not None:
+                    call.on_park(True)
             self._add_sender()
 
 

@@ -39,7 +39,7 @@ class RoleProfile:
             raise ValueError(f"role {self.role_id} has empty instructions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleAnswer:
     """One role's answer to a question, as a vote member."""
 
@@ -117,8 +117,12 @@ def majority_vote(a: RoleAnswer, b: RoleAnswer, c: RoleAnswer) -> ParsedAnswer:
         winner = second
     else:
         winner = Verdict.UNKNOWN
-    # Canonical role order makes the result independent of argument order.
-    answers = sorted((a, b, c), key=_role_order)
+    # Canonical role order makes the result independent of argument order;
+    # the answers usually come in it already.
+    if (a.role_id, b.role_id, c.role_id) == ROLE_IDS:
+        answers = (a, b, c)
+    else:
+        answers = sorted((a, b, c), key=_role_order)
     rationale = "; ".join([f"{ra.role_id}={_VALUE_NAMES[ra.answer.value]}"
                            for ra in answers])
     evidence: list[str] = []

@@ -57,7 +57,8 @@ from .errors import (
 from .rules import TrialStatus, trial_verdict, verdicts_for_note
 
 if TYPE_CHECKING:
-    from .gateway import BackendConfig, Gateway, Unit
+    from .gateway import BackendConfig, Done, Gateway, Unit
+    from .pathway_a import RoleAnswer
 
 # A module that not every command runs is imported where it is used, so that
 # evaluate loads no gateway or pathway and screen no evaluation: the gateway
@@ -87,6 +88,8 @@ _STR_ONLY = frozenset({str})
 # field by field encode each string with _encode_str, as this encoder does.
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 _encode_str = json.encoder.encode_basestring
+# Each answer value as a line holds it, without a call to the enum's value.
+_ENCODED_VERDICTS = {member: _encode_str(member.value) for member in Verdict}
 
 
 @dataclass
@@ -185,7 +188,7 @@ class RunConfig:
         return labels
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRecord:
     """One answered (note, question, unit label), as a results.jsonl line."""
 
@@ -272,7 +275,7 @@ class ResultRecord:
                 f'"provenance": {_encode_str(answer.provenance)}, '
                 f'"question_id": {_encode_str(self.question_id)}, '
                 f'"rationale": {_encode_str(answer.rationale)}{transcript}, '
-                f'"value": {_encode_str(answer.value.value)}}}')
+                f'"value": {_ENCODED_VERDICTS[answer.value]}}}')
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -383,8 +386,8 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     transcript without a result, and the resumed run would append a second
     one.  A later duplicate replaces an earlier one.  Unreadable lines, a
     torn final one included, are dropped: an older release appended the
-    next record onto a torn line.  The file is replaced atomically, and only
-    when it changes.
+    next record onto a torn line, and so are lines whose ids are not
+    strings.  The file is replaced atomically, and only when it changes.
     """
     def decode(line_no: int, line: bytes):
         try:
@@ -394,10 +397,13 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
 
     def transcript_key(line_no: int, record) -> tuple[str, str] | None:
         try:
-            return (record["note_id"], record["question_id"])
+            key = (record["note_id"], record["question_id"])
         except (KeyError, TypeError):
+            key = None
+        if key is None or type(key[0]) is not str or type(key[1]) is not str:
             log.warning("dropping unreadable line %d of %s", line_no, path)
             return None
+        return key
 
     rows = _read_appended_jsonl(path, decode, transcript_key)
     kept = {key: line_no for line_no, key in rows if key in answered}
@@ -432,7 +438,7 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Pair:
     """One (note, question) pair on its way through its units in label order."""
 
@@ -440,11 +446,12 @@ class _Pair:
     question: QuestionSpec
     labels: Iterator[str]
     on_park: Callable[[bool], None]  # a request of the batch was (un)parked
-    records: dict[str, ResultRecord] = field(default_factory=dict)  # by label
+    roles: list[RoleAnswer] = field(default_factory=list)  # the vote's members
     label: str = ""  # the current unit's label
     unit: Unit | None = None  # the current unit, if it calls the backend
-    started: float = 0.0  # when the current unit started
+    started: float = 0.0  # when the current debate started
     replies: list[str | None] | None = None  # the batch's replies, in batch order
+    callbacks: list[Done] = field(default_factory=list)  # by batch index
     errors: dict[int, Exception] = field(default_factory=dict)  # its failures, by index
     waiting: int = 0  # requests of the batch not yet answered
     parked: int = 0  # of those, the ones waiting out a retry backoff
@@ -500,6 +507,8 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     writer = _JsonlWriter(results_path)
     debate_writer = _JsonlWriter(debates_path)
     questions = list(catalog.questions.values())
+    role_by_label = {label: roles[label.removeprefix("A-")]
+                     for label in config.role_labels()}
     total_units = len(notes) * len(questions) * len(labels)
 
     new_records: list[ResultRecord] = []
@@ -533,19 +542,20 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
 
     pending = (new_pair(note, question) for note in notes for question in questions)
 
-    def save(pair: _Pair, record: ResultRecord) -> None:
+    def save(record: ResultRecord) -> None:
         writer.append(record.to_line())
         new_records.append(record)
-        pair.records[record.pathway] = record
 
     def vote(pair: _Pair) -> ResultRecord | None:
-        """The pair's vote over its role records, or None when one is missing."""
-        members = [
-            RoleAnswer(answer=record.answer, role_id=role_label.removeprefix("A-"),
-                       elapsed_ms=record.elapsed_s * 1000.0)
-            for role_label, record in pair.records.items()
-        ]
+        """The pair's vote over its role answers, or None (logged) when one
+        is missing."""
+        members = pair.roles
         if len(members) != len(ROLE_IDS):
+            present = {member.role_id for member in members}
+            log.error("unit %s|%s|%s failed: missing %s", pair.note.note_id,
+                      pair.question.question_id, VOTE_LABEL,
+                      ", ".join(label for label, role in role_by_label.items()
+                                if role.role_id not in present))
             return None
         return ResultRecord(
             pair.note.note_id, pair.question.question_id, VOTE_LABEL,
@@ -553,19 +563,21 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
         )
 
-    def finish(pair: _Pair, result) -> ResultRecord:
-        """The record of the pair's current unit, from the unit's result."""
+    def finish(pair: _Pair, result) -> None:
+        """Save the record of the pair's current unit, from the unit's result."""
         note_id, question_id = pair.note.note_id, pair.question.question_id
         if pair.label != DEBATE_LABEL:
-            return ResultRecord(note_id, question_id, pair.label, answer=result.answer,
-                                elapsed_s=result.elapsed_ms / 1000.0)
+            pair.roles.append(result)
+            save(ResultRecord(note_id, question_id, pair.label, result.answer,
+                              result.elapsed_ms / 1000.0))
+            return
         outcome, transcript = result
         debate_writer.append(_JSONL_ENCODER.encode({"note_id": note_id,
                                                     "question_id": question_id,
                                                     **transcript.to_dict()}))
-        return ResultRecord(note_id, question_id, DEBATE_LABEL, answer=outcome,
-                            elapsed_s=time.monotonic() - pair.started,
-                            transcript=f"debates.jsonl:{note_id}|{question_id}")
+        save(ResultRecord(note_id, question_id, DEBATE_LABEL, answer=outcome,
+                          elapsed_s=time.monotonic() - pair.started,
+                          transcript=f"debates.jsonl:{note_id}|{question_id}"))
 
     def advance(pair: _Pair) -> None:
         """Run the pair's units in label order until one waits on the gateway.
@@ -593,36 +605,43 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                     requests = pair.unit.send(pair.replies)
                 except StopIteration as stop:
                     pair.unit = None
-                    save(pair, finish(pair, stop.value))
+                    finish(pair, stop.value)
                     continue
-                pair.replies = [None] * len(requests)
-                pair.waiting = len(requests)
-                for index, request in enumerate(requests):
-                    gateway.call(request, partial(answered, pair, index),
-                                 on_park=pair.on_park)
+                count = len(requests)
+                pair.replies = [None] * count
+                pair.waiting = count
+                callbacks = pair.callbacks
+                while len(callbacks) < count:
+                    callbacks.append(partial(answered, pair, len(callbacks)))
+                for request, done in zip(requests, callbacks):
+                    gateway.call(request, done, on_park=pair.on_park)
                 if pair.waiting:
                     return
                 continue  # answered on the call
             label = next(pair.labels, None)
             if label is None:
                 return
-            record = existing.get((pair.note.note_id, pair.question.question_id, label))
-            if record is not None:
+            if existing and (record := existing.get(
+                    (pair.note.note_id, pair.question.question_id, label))) is not None:
                 skipped += 1
-                pair.records[label] = record
+                role = role_by_label.get(label)
+                if role is not None:  # a vote member, rebuilt from its record
+                    pair.roles.append(RoleAnswer(answer=record.answer, role_id=role.role_id,
+                                                 elapsed_ms=record.elapsed_s * 1000.0))
             elif label == VOTE_LABEL:
                 record = vote(pair)
                 if record is None:
                     failed += 1
                 else:
-                    save(pair, record)
+                    save(record)
             else:
-                if label == DEBATE_LABEL:
+                role = role_by_label.get(label)
+                if role is None:
                     pair.unit = debate_unit(pair.question, pair.note, debate_templates)
+                    pair.started = time.monotonic()
                 else:
-                    pair.unit = role_unit(pair.question, pair.note,
-                                          roles[label.removeprefix("A-")])
-                pair.label, pair.started, pair.replies = label, time.monotonic(), None
+                    pair.unit = role_unit(pair.question, pair.note, role)
+                pair.label, pair.replies = label, None
 
     def run(pair: _Pair) -> None:
         """Advance the pair; an unexpected error ends it, to be raised later."""

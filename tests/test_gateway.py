@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import eligo
 import eligo.gateway
 from eligo import errors
-from eligo.corpus import Verdict
+from eligo.corpus import ParsedAnswer, Verdict
 from eligo.gateway import (
     BackendConfig,
     ChatRequest,
@@ -70,6 +70,140 @@ def compile_per_call_scan(text):
     sentence = eligo.gateway._FIRST_SENTENCE_RE.split(text, maxsplit=1)[0].lower()
     return {phrase for phrase in eligo.gateway._VERDICT_MAP
             if re.search(rf"(?<![a-z0-9]){re.escape(phrase)}(?![a-z0-9])", sentence)}
+
+
+# parse_answer and _strip_evidence as they were before parsing was reworked
+# for speed, kept verbatim as the reference the current parser must equal.
+_REF_QUOTES = "\"'“”‘’«»"
+_REF_LEAD_TOKEN_RE = re.compile(
+    rf"^\s*[{_REF_QUOTES}]\s*([^{_REF_QUOTES}]{{1,40}}?)\s*[{_REF_QUOTES}]\s*[.:,;!]?\s*"
+)
+_REF_FIRST_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+|\n")
+_REF_VERDICT_MAP = {
+    "yes": Verdict.YES,
+    "no": Verdict.NO,
+    "unknown": Verdict.UNKNOWN,
+    "unable to determine": Verdict.UNKNOWN,
+    "information not provided": Verdict.UNKNOWN,
+}
+_REF_PHRASE_RES = {
+    phrase: re.compile(rf"(?<![a-z0-9]){re.escape(phrase)}(?![a-z0-9])")
+    for phrase in _REF_VERDICT_MAP
+}
+
+
+def reference_strip_evidence(text):
+    lines = text.splitlines()
+    if "EVIDENCE:" not in text.upper():
+        return "\n".join(lines), []
+    kept = []
+    quotes = []
+    i = 0
+    while i < len(lines):
+        if lines[i].strip().upper() == "EVIDENCE:":
+            j = i + 1
+            while j < len(lines) and lines[j].strip().upper() != "END EVIDENCE":
+                j += 1
+            if j < len(lines):  # complete block
+                for raw in lines[i + 1:j]:
+                    quote = raw.strip().strip(_REF_QUOTES).strip()
+                    if quote:
+                        quotes.append(quote)
+                i = j + 1
+                continue
+        kept.append(lines[i])
+        i += 1
+    return "\n".join(kept), quotes
+
+
+def reference_parse_answer(text, provenance=""):
+    remaining, evidence = reference_strip_evidence(text)
+    value = None
+    while True:
+        match = _REF_LEAD_TOKEN_RE.match(remaining)
+        if not match:
+            break
+        token = match.group(1).strip().strip(".:,;!").lower()
+        mapped = _REF_VERDICT_MAP.get(token)
+        if mapped is None:
+            break
+        if value is None:
+            value = mapped
+        remaining = remaining[match.end():]
+    if value is not None:
+        return ParsedAnswer(value, remaining.strip(), tuple(evidence), provenance)
+    rationale = remaining.strip()
+    sentence = _REF_FIRST_SENTENCE_RE.split(rationale, maxsplit=1)[0].lower()
+    phrases = {phrase for phrase, pattern in _REF_PHRASE_RES.items()
+               if pattern.search(sentence)}
+    if len(phrases) == 1:
+        value = _REF_VERDICT_MAP[phrases.pop()]
+    else:
+        value = Verdict.UNKNOWN
+    return ParsedAnswer(value, rationale, tuple(evidence), provenance, parse_fallback=True)
+
+
+# Replies that reach each branch of the parser, with every kind of line break,
+# marker spelling and quote character it must treat as the reference does.
+PINNED_REPLIES = [
+    # Line breaks that str.splitlines() splits on besides "\n".
+    '"Yes". first\r\nsecond\r\n',
+    '"No". a\rb\r',
+    '"Yes". a\x0bb\x0cc',
+    '"No". a\u2028b\u2029c\x85d\x1ce\x1df\x1eg',
+    '"Yes". a\u2028b\u2029c\u2028',
+    '"No"\u2028EVIDENCE:\u2028"q"\u2028END EVIDENCE',
+    '"Yes".\r\nEVIDENCE:\r\n"crlf quote"\r\nEND EVIDENCE\r\nafter',
+    '"No". r\u2028EVIDENCE:\u2028"q"\u2028END EVIDENCE',
+    '"Yes". r\x0cevidence:\x0b"q"\x0cend evidence',
+    # Markers in mixed case and with surrounding spaces.
+    '"Yes". r\nEvIdEnCe:\n"q1"\n  "q2"  \nEnD eViDeNcE\nafter',
+    '"No". r\n   EVIDENCE:   \n"q"\n\t END EVIDENCE \t',
+    '"No". r\n evıdence: \n"q"\nEND EVIDENCE',  # dotless i upper-cases to I
+    '"Yes". r\nEVIDENCE: extra\n"q"\nEND EVIDENCE',  # not a marker line
+    '"Yes". EVIDENCE:\n"q"\nEND EVIDENCE',  # marker not on its own line
+    '"Yes". r\nEVIDENCE:\n"a"\nEND EVIDENCE\nmid\nEVIDENCE:\n"b"\nEND EVIDENCE',
+    '"Yes". r\nEVIDENCE:\nEVIDENCE:\n"q"\nEND EVIDENCE',
+    '"Yes". r\nEND EVIDENCE\nEVIDENCE:\n"q"\nEND EVIDENCE',
+    '"Yes". r\nEVIDENCE:\nEND EVIDENCE',  # an empty block
+    # An unterminated block, alone and after a complete one.
+    '"Yes". Reasoning.\nEVIDENCE:\n"quote without end"',
+    '"No". r\nEVIDENCE:\n"a"\nEND EVIDENCE\nEVIDENCE:\n"never closed"\nmore',
+    'EVIDENCE:\n"q"\nEND EVIDENCE\n"Yes". after the block',
+    # Repeated lead tokens, unmapped ones, and a token over 40 characters.
+    '"Yes" "No". later token dropped',
+    '"Yes". "No". "Unknown": all three',
+    '"No" "Maybe". stops at the unmapped one',
+    '"Maybe" "Yes". first token unmapped',
+    '"' + "x" * 41 + '". too long',
+    '"' + "x" * 40 + '". just fits',
+    '"Yes' + "." * 37 + '". a 40-character token that names a verdict',
+    '"Yes' + "." * 38 + '". one character too many',
+    '"  Yes' + "!" * 37 + '  ". padded',
+    '"  Yes  " . spaced',
+    '"Yes.". punctuation inside',
+    '"Yes"',
+    '"Yes"   ',
+    '  \n "No"\n: r',
+    '""',
+    '" ". blank token',
+    # Every quote character, opening and closing.
+    *[f'{q}Yes{q}. r' for q in "\"'“”‘’«»"],
+    '“Unable to determine”. curly',
+    "«No» ‘Yes’. mixed pairs",
+    '"Yes". r\nEVIDENCE:\n«guillemets»\n‘single’\n“double”\n\'plain\'\nEND EVIDENCE',
+    # First-sentence fallbacks with zero, one and two phrases.
+    "I cannot comply with this.",
+    "Yes, the resection history makes this clear.",
+    "The answer is no. Yes appears later.",
+    "Unable to determine from this note. Yes.",
+    "Yes and no, the note is contradictory.",
+    "unknown? information not provided",
+    "yesterday and nobody: no whole words",
+    "first line\nyes on the second line",
+    "",
+    "   ",
+]
 
 
 class TestParseAnswer:
@@ -152,6 +286,16 @@ class TestParseAnswer:
                 mock.patch.object(eligo.gateway, "_scan_first_sentence",
                                   compile_per_call_scan):
             assert parse_answer(text, "tag") == fast
+
+    @pytest.mark.parametrize("text", PINNED_REPLIES)
+    def test_pinned_replies_parse_as_the_reference(self, text):
+        assert parse_answer(text, "tag") == reference_parse_answer(text, "tag")
+
+    @given(st.lists(st.one_of(st.sampled_from(REPLY_PIECES + PINNED_REPLIES),
+                              st.text(max_size=12)), max_size=10).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_same_answer_as_the_reference(self, text):
+        assert parse_answer(text, "tag") == reference_parse_answer(text, "tag")
 
     @given(st.text(max_size=400))
     @settings(max_examples=200, deadline=None)
@@ -575,6 +719,57 @@ class TestCallbacks:
         assert gateway._senders == []
         gateway.close()
 
+    def test_a_callback_that_raises_inline_frees_the_slot(self):
+        gateway = make_mock_gateway({"a": "canned"}, max_inflight=1)
+
+        def faulty(reply, error):
+            raise RuntimeError("bug in a callback")
+
+        with pytest.raises(RuntimeError, match="bug in a callback"):
+            gateway.call(user_request("x", tag="a"), faulty)
+        outcomes, _, done = self.recorder()
+        gateway.call(user_request("x", tag="a"), done)
+        assert outcomes == [(threading.current_thread().name, "canned", None)]
+        assert (gateway._inline, gateway._outstanding, gateway._senders) == (0, 0, [])
+        gateway.close()
+
+    def test_inline_send_failing_for_good_is_answered_on_the_calling_thread(self):
+        class Transport:
+            waits = False
+
+            def send(self, req):
+                raise errors.BackendError("bad request", status=400)
+
+        gateway = Gateway(BackendConfig(kind="mock"), transport=Transport())
+        outcomes, _, done = self.recorder()
+        gateway.call(user_request("x", tag="a"), done)
+        [(thread, reply, error)] = outcomes
+        assert (thread, reply, error.status) == (threading.current_thread().name, None, 400)
+        assert (gateway._inline, gateway._outstanding, gateway._senders) == (0, 0, [])
+
+    def test_inline_send_retried_without_backoff_is_answered_by_a_sender(self):
+        transport = _RefuseFirstAttempt({"a"})
+        transport.waits = False
+        gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.0), transport=transport)
+        outcomes, answered, done = self.recorder()
+        parks = []
+        gateway.call(user_request("x", tag="a"), done, on_park=parks.append)
+        assert answered.wait(timeout=5.0)
+        gateway.close()
+        assert outcomes == [("eligo-sender", "reply to a", None)]
+        assert parks == []  # queued again at once, never on the heap
+        assert gateway._outstanding == 0
+
+    def test_a_transport_set_later_is_sent_to_as_its_waits_says(self):
+        gateway = make_mock_gateway({"a": "canned"})
+        waiting = eligo.gateway.MockTransport({"a": "canned"}, latency_s=0.01)
+        gateway.transport = waiting
+        outcomes, answered, done = self.recorder()
+        gateway.call(user_request("x", tag="a"), done)
+        assert answered.wait(timeout=5.0)
+        assert outcomes == [("eligo-sender", "canned", None)]
+        gateway.close()
+
     def test_parked_inline_send_is_answered_once_by_a_sender(self):
         transport = _RefuseFirstAttempt({"a"})
         transport.waits = False
@@ -588,6 +783,23 @@ class TestCallbacks:
         assert outcomes == [("eligo-sender", "reply to a", None)]
         assert parks == [True, False]
         assert transport.sent == ["a", "a"]
+
+    def test_a_call_whose_on_park_raises_on_requeue_is_still_answered(self, caplog):
+        transport = _RefuseFirstAttempt({"a"})
+        gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
+        outcomes, answered, done = self.recorder()
+
+        def on_park(is_parked):
+            if not is_parked:
+                raise RuntimeError("bug in on_park")
+
+        gateway.call(user_request("x", tag="a"), done, on_park=on_park)
+        assert answered.wait(timeout=2.0)  # fails rather than hangs
+        gateway.close()
+        assert outcomes == [("eligo-sender", "reply to a", None)]
+        assert transport.sent == ["a", "a"]
+        [record] = [record for record in caplog.records if record.exc_info]
+        assert str(record.exc_info[1]) == "bug in on_park"
 
     def test_close_fails_queued_and_parked_callbacks(self):
         release = threading.Event()

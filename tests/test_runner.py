@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import logging
 import sys
 import threading
 import time
@@ -327,11 +328,20 @@ class TestCmdScreen:
         assert statuses[("A-vote", "n2")] == "ELIGIBLE"
         assert statuses[("A-vote", "n1")] == "INELIGIBLE"
 
-    def test_failed_units_exit_4_and_reconcile(self, mini_workspace):
+    def test_failed_units_exit_4_and_reconcile(self, mini_workspace, caplog):
         config = run_config(mini_workspace)
         # Both notes fail the JD role on question m2, which also blocks the
         # two dependent vote units.
-        assert cmd_screen(config, gateway=flaky_gateway("m2|roleJD")) == EXIT_PARTIAL
+        with caplog.at_level(logging.ERROR, logger="eligo.runner"):
+            assert cmd_screen(config, gateway=flaky_gateway("m2|roleJD")) == EXIT_PARTIAL
+        # One error line per failed unit: the two roles and the two votes.
+        failures = sorted(record.getMessage() for record in caplog.records
+                          if record.levelname == "ERROR")
+        assert len(failures) == 4
+        assert failures[0].startswith("unit n1|m2|A-JD failed: ")
+        assert failures[1] == "unit n1|m2|A-vote failed: missing A-JD"
+        assert failures[2].startswith("unit n2|m2|A-JD failed: ")
+        assert failures[3] == "unit n2|m2|A-vote failed: missing A-JD"
         manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
         counts = manifest["counts"]
         assert counts["failed"] == 4
@@ -482,6 +492,25 @@ class TestCmdScreen:
         del transcripts[(merged["note_id"], merged["question_id"])]
         debates = read_jsonl(debates_path)
         assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
+
+    @pytest.mark.parametrize("line", [
+        '{"note_id": ["n1"], "question_id": "m1"}',
+        '{"note_id": "n1", "question_id": {"id": "m1"}}',
+    ])
+    def test_transcript_with_unhashable_ids_dropped_on_resume(
+            self, mini_workspace, line, caplog):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        debates_path = mini_workspace["out"] / "debates.jsonl"
+        transcripts = debates_path.read_text()
+        with open(debates_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with caplog.at_level(logging.WARNING, logger="eligo.runner"):
+            assert cmd_screen(config) == EXIT_OK
+        assert debates_path.read_text() == transcripts
+        assert [record.getMessage() for record in caplog.records
+                if "dropping unreadable line" in record.getMessage()] == \
+            [f"dropping unreadable line 7 of {debates_path}"]
 
     def test_pathway_a_resume_leaves_debates_file_alone(self, mini_workspace):
         out = mini_workspace["out"]
