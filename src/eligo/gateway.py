@@ -11,8 +11,13 @@ heap until the backoff (or the backend's capped Retry-After) has passed: no
 thread sleeps through a backoff, and the senders serve other requests
 meanwhile.  Senders start on demand and exit once the queue and the heap
 have stayed empty for ``SENDER_IDLE_S``, so a gateway that is never closed
-does not keep its threads.  :meth:`Gateway.submit` adapts ``call`` to a
-Future for callers that block on the reply.
+does not keep its threads.
+
+Units of work (a role's answer, a debate, a screened pair) are generators
+of request batches, and :func:`run_units` is their one driver: it runs them
+on ``call`` from a loop on the calling thread.  :meth:`Gateway.submit`
+adapts ``call`` to a Future, for :meth:`Gateway.complete` and the
+conversion's fan-out.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ import select
 import threading
 import time
 import urllib.parse
-from concurrent.futures import Future, wait
+from concurrent.futures import Future
 from queue import Empty, SimpleQueue
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import timezone
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, TypeVar
 
 from . import errors
 # ParsedAnswer lives in corpus, so reading results loads no gateway; it is
@@ -272,7 +277,7 @@ class MockTransport:
 
     @property
     def waits(self) -> bool:
-        """Whether a send waits (see :meth:`Gateway.submit`): only with latency."""
+        """Whether a send waits (see :meth:`Gateway.call`): only with latency."""
         return self.latency_s > 0
 
     def __init__(self, fixtures: Mapping[str, str], *, latency_s: float = 0.0,
@@ -722,24 +727,127 @@ def _drain(queue: SimpleQueue) -> list:
 T = TypeVar("T")
 
 # A unit of work: a generator that yields batches of requests, is sent each
-# batch's replies in order, and returns its result.
+# batch's replies in order (or is thrown the batch's first error), and
+# returns its result.
 Unit = Generator[list[ChatRequest], list[str], T]
 
 
-def run_unit(unit: Unit[T], gateway: Gateway) -> T:
-    """Drive a unit to its result, waiting for each batch in turn.
+@dataclass(eq=False, slots=True)
+class _Run:
+    """One unit on its way through its batches."""
 
-    A batch fails with its first error in batch order, once every request
-    of the batch has been answered.
+    unit: Unit
+    on_park: Callable[[bool], None] | None = None  # a request was (un)parked
+    replies: list[str | None] | None = None  # the batch's replies, in batch order
+    callbacks: list[Done] = field(default_factory=list)  # by batch index
+    errors: dict[int, Exception] = field(default_factory=dict)  # by batch index
+    waiting: int = 0  # requests of the batch not yet answered
+    parked: int = 0  # of those, the ones waiting out a retry backoff
+
+
+def run_units(units: Iterable[Unit], gateway: Gateway, runnable: int) -> None:
+    """Drive units to their ends from one loop on the calling thread.
+
+    Each batch's requests go to ``gateway.call`` at once.  Once every
+    request of a batch is answered, the unit is sent the replies, or is
+    thrown the batch's first error in batch order.  A batch the gateway
+    answers on the call goes straight on; a reply from a sender thread is
+    posted to the loop.  Units are started in order while fewer than
+    ``runnable`` have a request queued or on the wire; a unit whose
+    requests all wait out a retry backoff is parked and does not count.  An
+    error that escapes a unit ends that unit, and the first one is raised
+    once the other units are done.
     """
-    batch = next(unit)
-    while True:
-        futures = [gateway.submit(request) for request in batch]
-        wait(futures)
+    # (run, change in its parked requests), or (run, 0) for an answer that
+    # came on a sender thread.
+    events: SimpleQueue[tuple[_Run, int]] = SimpleQueue()
+    running: set[_Run] = set()  # units waiting on the gateway
+    parked: set[_Run] = set()  # of those, the ones whose requests are all parked
+    engine = threading.get_ident()
+    unexpected: Exception | None = None
+
+    def answered(run: _Run, index: int, reply: str | None,
+                 error: Exception | None) -> None:
+        """Fill one slot of the unit's batch; the gateway calls this once per
+        request, on this thread when it answers on the call."""
+        if error is None:
+            run.replies[index] = reply
+        else:
+            run.errors[index] = error
+        if threading.get_ident() == engine:
+            run.waiting -= 1
+        else:
+            events.put((run, 0))
+
+    def parked_change(run: _Run, is_parked: bool) -> None:
+        events.put((run, 1 if is_parked else -1))
+
+    def advance(run: _Run) -> None:
+        """Resume the unit until it waits on the gateway or ends."""
+        nonlocal unexpected
         try:
-            batch = unit.send([future.result() for future in futures])
-        except StopIteration as stop:
-            return stop.value
+            while True:
+                if run.errors:
+                    error = run.errors[min(run.errors)]
+                    run.errors.clear()
+                    requests = run.unit.throw(error)
+                else:
+                    requests = run.unit.send(run.replies)
+                count = len(requests)
+                run.replies = [None] * count
+                run.waiting = count
+                callbacks = run.callbacks
+                while len(callbacks) < count:
+                    callbacks.append(partial(answered, run, len(callbacks)))
+                for request, done in zip(requests, callbacks):
+                    gateway.call(request, done, on_park=run.on_park)
+                if run.waiting:
+                    running.add(run)
+                    return
+        except StopIteration:
+            return
+        except Exception as exc:
+            if unexpected is None:
+                unexpected = exc
+            # A reply still on its way then finds the unit closed.
+            run.unit.close()
+
+    pending = iter(units)
+    while True:
+        while len(running) - len(parked) < runnable:
+            unit = next(pending, None)
+            if unit is None:
+                break
+            run = _Run(unit)
+            run.on_park = partial(parked_change, run)
+            advance(run)
+        if not running:
+            break
+        run, change = events.get()
+        if change:
+            run.parked += change
+        else:
+            run.waiting -= 1
+        if run.waiting and run.parked == run.waiting:
+            parked.add(run)
+        else:
+            parked.discard(run)
+        if not change and not run.waiting:
+            running.discard(run)
+            advance(run)
+    if unexpected is not None:
+        raise unexpected
+
+
+def run_unit(unit: Unit[T], gateway: Gateway) -> T:
+    """Drive one unit to its result (see :func:`run_units`)."""
+    result = []
+
+    def keep():
+        result.append((yield from unit))
+
+    run_units((keep(),), gateway, 1)
+    return result[0]
 
 
 def backend_config_from_dict(record: Mapping) -> BackendConfig:

@@ -2,17 +2,13 @@
 
 Screening appends one JSONL record per completed (note, question, pathway)
 unit, so an interrupted run resumes by skipping keys already on disk.
-Each (note, question) pair runs its units in label order: the roles, then
-their vote, then the debate.  One engine loop on the calling thread does
-all of the work but the backend calls: it renders each unit's requests,
-hands them to the gateway with a callback per request, and parses, votes
-and appends as the replies come back.  A batch answered on the calling
-thread goes straight on; a reply from a sender thread is posted to the
-loop.  At most ``workers`` pairs are runnable at a time, meaning they
-have a request queued or on the wire; a pair whose requests all wait out a
-retry backoff is parked and does not count, so another pair starts in its
-place.  Completion order across pairs is nondeterministic; downstream
-consumers (and the determinism check) sort by key via canonicalization.
+Each (note, question) pair is one generator that runs its units in label
+order: the roles, then their vote, then the debate.  ``gateway.run_units``
+drives every pair from one loop on the calling thread, which does all of
+the work but the backend calls: rendering, parsing, voting and appending.
+At most ``workers`` pairs are runnable at a time (see run_units).
+Completion order across pairs is nondeterministic; downstream consumers
+(and the determinism check) sort by key via canonicalization.
 """
 
 from __future__ import annotations
@@ -22,12 +18,11 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from threading import get_ident
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
 from . import __version__
 from .corpus import (
@@ -57,15 +52,15 @@ from .errors import (
 from .rules import TrialStatus, trial_verdict, verdicts_for_note
 
 if TYPE_CHECKING:
-    from .gateway import BackendConfig, Done, Gateway, Unit
+    from .gateway import BackendConfig, Gateway, Unit
     from .pathway_a import RoleAnswer
 
 # A module that not every command runs is imported where it is used, so that
 # evaluate loads no gateway or pathway and screen no evaluation: the gateway
 # and pathways in RunConfig, cmd_screen and cmd_convert, evaluation in
 # cmd_evaluate and cmd_report.  So are the standard modules of one command:
-# csv for evaluate, and datetime, queue and hashlib (which loads OpenSSL,
-# which is slow) for screen.
+# csv for evaluate, and datetime and hashlib (which loads OpenSSL, which is
+# slow) for screen.
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -92,6 +87,11 @@ _encode_str = json.encoder.encode_basestring
 _ENCODED_VERDICTS = {member: _encode_str(member.value) for member in Verdict}
 
 
+# The keys of a run.json object.
+_RUN_CONFIG_KEYS = frozenset({"backend", "notes", "catalog", "out", "pathway", "roles",
+                              "vote", "seed", "prompts", "workers"})
+
+
 @dataclass
 class RunConfig:
     """One screening run: backend, inputs, output directory and pathways."""
@@ -103,7 +103,6 @@ class RunConfig:
     pathway: str = "both"  # "A" | "B" | "both"
     roles: tuple[str, ...] = ("crc", "jd", "ie")
     vote: bool = True
-    gold_path: str | None = None
     seed: str | None = None  # fixture selection label for the mock backend
     prompts_dir: str | None = None
     workers: int = 8
@@ -136,6 +135,9 @@ class RunConfig:
 
         if not isinstance(record, Mapping):
             raise ConfigError("run config must be a JSON object")
+        unknown = set(record) - _RUN_CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown run config keys {sorted(unknown)}")
         where = "run config"
         try:
             config = cls(
@@ -146,7 +148,6 @@ class RunConfig:
                 pathway=_require(record, "pathway", str, where, default="both"),
                 roles=_require_strs(record, "roles", where, default=["crc", "jd", "ie"]),
                 vote=_require(record, "vote", bool, where, default=True),
-                gold_path=_optional(record, "gold", str, where),
                 seed=_optional(record, "seed", str, where),
                 prompts_dir=_optional(record, "prompts", str, where),
                 workers=_require(record, "workers", int, where, default=8),
@@ -438,25 +439,6 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@dataclass(eq=False, slots=True)
-class _Pair:
-    """One (note, question) pair on its way through its units in label order."""
-
-    note: AdmissionNote
-    question: QuestionSpec
-    labels: Iterator[str]
-    on_park: Callable[[bool], None]  # a request of the batch was (un)parked
-    roles: list[RoleAnswer] = field(default_factory=list)  # the vote's members
-    label: str = ""  # the current unit's label
-    unit: Unit | None = None  # the current unit, if it calls the backend
-    started: float = 0.0  # when the current debate started
-    replies: list[str | None] | None = None  # the batch's replies, in batch order
-    callbacks: list[Done] = field(default_factory=list)  # by batch index
-    errors: dict[int, Exception] = field(default_factory=dict)  # its failures, by index
-    waiting: int = 0  # requests of the batch not yet answered
-    parked: int = 0  # of those, the ones waiting out a retry backoff
-
-
 def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     """Answer every (note, question) unit, resumably, then roll up verdicts.
 
@@ -466,10 +448,8 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     ends its pair; it is raised once the other pairs are done, with the
     output files and the gateway closed.
     """
-    from queue import SimpleQueue
-
-    from .gateway import Gateway
-    from .pathway_a import ROLE_IDS, RoleAnswer, load_roles, majority_vote, role_unit
+    from .gateway import Gateway, run_units
+    from .pathway_a import RoleAnswer, load_roles, majority_vote, role_unit
     from .pathway_b import debate_unit, load_debate_templates
 
     try:
@@ -514,173 +494,65 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     new_records: list[ResultRecord] = []
     failed = 0
     skipped = 0
-    unexpected: Exception | None = None
-    # (pair, change in its parked requests), or (pair, 0) for an answer that
-    # came on a sender thread.
-    events: SimpleQueue[tuple[_Pair, int]] = SimpleQueue()
-    running: set[_Pair] = set()  # pairs waiting on the gateway
-    parked: set[_Pair] = set()  # of those, the ones whose requests are all parked
-    engine = get_ident()
-
-    def new_pair(note: AdmissionNote, question: QuestionSpec) -> _Pair:
-        pair = _Pair(note, question, iter(labels),
-                     on_park=lambda is_parked: events.put((pair, 1 if is_parked else -1)))
-        return pair
-
-    def answered(pair: _Pair, index: int, reply: str | None,
-                 error: Exception | None) -> None:
-        """Fill one slot of the pair's batch; the gateway calls this once per
-        request, on this thread when it answers on the call."""
-        if error is None:
-            pair.replies[index] = reply
-        else:
-            pair.errors[index] = error
-        if get_ident() == engine:
-            pair.waiting -= 1
-        else:
-            events.put((pair, 0))
-
-    pending = (new_pair(note, question) for note in notes for question in questions)
 
     def save(record: ResultRecord) -> None:
         writer.append(record.to_line())
         new_records.append(record)
 
-    def vote(pair: _Pair) -> ResultRecord | None:
-        """The pair's vote over its role answers, or None (logged) when one
-        is missing."""
-        members = pair.roles
-        if len(members) != len(ROLE_IDS):
-            present = {member.role_id for member in members}
-            log.error("unit %s|%s|%s failed: missing %s", pair.note.note_id,
-                      pair.question.question_id, VOTE_LABEL,
-                      ", ".join(label for label, role in role_by_label.items()
-                                if role.role_id not in present))
-            return None
-        return ResultRecord(
-            pair.note.note_id, pair.question.question_id, VOTE_LABEL,
-            answer=majority_vote(*members),
-            elapsed_s=max(member.elapsed_ms for member in members) / 1000.0,
-        )
+    def screen_pair(note: AdmissionNote, question: QuestionSpec) -> Unit[None]:
+        """Run the pair's units in label order, saving each one's record.
 
-    def finish(pair: _Pair, result) -> None:
-        """Save the record of the pair's current unit, from the unit's result."""
-        note_id, question_id = pair.note.note_id, pair.question.question_id
-        if pair.label != DEBATE_LABEL:
-            pair.roles.append(result)
-            save(ResultRecord(note_id, question_id, pair.label, result.answer,
-                              result.elapsed_ms / 1000.0))
-            return
-        outcome, transcript = result
-        debate_writer.append(_JSONL_ENCODER.encode({"note_id": note_id,
-                                                    "question_id": question_id,
-                                                    **transcript.to_dict()}))
-        save(ResultRecord(note_id, question_id, DEBATE_LABEL, answer=outcome,
-                          elapsed_s=time.monotonic() - pair.started,
-                          transcript=f"debates.jsonl:{note_id}|{question_id}"))
-
-    def advance(pair: _Pair) -> None:
-        """Run the pair's units in label order until one waits on the gateway.
-
-        The current unit is sent the replies of its batch once every request
-        of the batch is answered.  A batch fails with its first error in
-        batch order: a GatewayError fails the unit, and any other error
-        propagates.
+        The vote is formed from the role answers of this run, and a role
+        resumed from its record.
         """
         nonlocal failed, skipped
-        while True:
-            if pair.unit is not None:
-                if pair.errors:
-                    error = pair.errors[min(pair.errors)]
-                    if not isinstance(error, GatewayError):
-                        raise error
-                    log.error("unit %s|%s|%s failed: %s", pair.note.note_id,
-                              pair.question.question_id, pair.label, error)
-                    failed += 1
-                    pair.errors.clear()
-                    pair.unit.close()
-                    pair.unit = None
-                    continue
-                try:
-                    requests = pair.unit.send(pair.replies)
-                except StopIteration as stop:
-                    pair.unit = None
-                    finish(pair, stop.value)
-                    continue
-                count = len(requests)
-                pair.replies = [None] * count
-                pair.waiting = count
-                callbacks = pair.callbacks
-                while len(callbacks) < count:
-                    callbacks.append(partial(answered, pair, len(callbacks)))
-                for request, done in zip(requests, callbacks):
-                    gateway.call(request, done, on_park=pair.on_park)
-                if pair.waiting:
-                    return
-                continue  # answered on the call
-            label = next(pair.labels, None)
-            if label is None:
-                return
+        note_id, question_id = note.note_id, question.question_id
+        members: list[RoleAnswer] = []  # the vote's
+        for label in labels:
+            role = role_by_label.get(label)
             if existing and (record := existing.get(
-                    (pair.note.note_id, pair.question.question_id, label))) is not None:
+                    (note_id, question_id, label))) is not None:
                 skipped += 1
-                role = role_by_label.get(label)
-                if role is not None:  # a vote member, rebuilt from its record
-                    pair.roles.append(RoleAnswer(answer=record.answer, role_id=role.role_id,
-                                                 elapsed_ms=record.elapsed_s * 1000.0))
+                if role is not None:
+                    members.append(RoleAnswer(record.answer, role.role_id,
+                                              record.elapsed_s * 1000.0))
             elif label == VOTE_LABEL:
-                record = vote(pair)
-                if record is None:
+                if len(members) == len(role_by_label):
+                    save(ResultRecord(
+                        note_id, question_id, VOTE_LABEL, majority_vote(*members),
+                        max(member.elapsed_ms for member in members) / 1000.0))
+                else:
+                    present = {member.role_id for member in members}
+                    log.error("unit %s|%s|%s failed: missing %s", note_id, question_id,
+                              VOTE_LABEL, ", ".join(name for name, profile in role_by_label.items()
+                                                    if profile.role_id not in present))
                     failed += 1
-                else:
-                    save(record)
             else:
-                role = role_by_label.get(label)
-                if role is None:
-                    pair.unit = debate_unit(pair.question, pair.note, debate_templates)
-                    pair.started = time.monotonic()
-                else:
-                    pair.unit = role_unit(pair.question, pair.note, role)
-                pair.label, pair.replies = label, None
-
-    def run(pair: _Pair) -> None:
-        """Advance the pair; an unexpected error ends it, to be raised later."""
-        nonlocal unexpected
-        try:
-            advance(pair)
-        except Exception as exc:
-            if unexpected is None:
-                unexpected = exc
-            # A reply still on its way then finds nothing left to run.
-            pair.unit, pair.labels = None, iter(())
-            return
-        if pair.waiting:
-            running.add(pair)
+                unit = (debate_unit(question, note, debate_templates) if role is None
+                        else role_unit(question, note, role))
+                started = time.monotonic()
+                try:
+                    result = yield from unit
+                except GatewayError as error:
+                    log.error("unit %s|%s|%s failed: %s", note_id, question_id, label, error)
+                    failed += 1
+                    continue
+                if role is not None:
+                    members.append(result)
+                    save(ResultRecord(note_id, question_id, label, result.answer,
+                                      result.elapsed_ms / 1000.0))
+                    continue
+                outcome, transcript = result
+                debate_writer.append(_JSONL_ENCODER.encode({"note_id": note_id,
+                                                            "question_id": question_id,
+                                                            **transcript.to_dict()}))
+                save(ResultRecord(note_id, question_id, DEBATE_LABEL, outcome,
+                                  time.monotonic() - started,
+                                  f"debates.jsonl:{note_id}|{question_id}"))
 
     try:
-        while True:
-            # Admit pairs while fewer than ``workers`` are runnable.
-            while len(running) - len(parked) < config.workers:
-                pair = next(pending, None)
-                if pair is None:
-                    break
-                run(pair)
-            if not running:
-                break
-            pair, change = events.get()
-            if change:
-                pair.parked += change
-            else:
-                pair.waiting -= 1
-            if pair.waiting and pair.parked == pair.waiting:
-                parked.add(pair)
-            else:
-                parked.discard(pair)
-            if not change and not pair.waiting:
-                running.discard(pair)
-                run(pair)
-        if unexpected is not None:
-            raise unexpected
+        run_units((screen_pair(note, question) for note in notes for question in questions),
+                  gateway, config.workers)
     finally:
         writer.close()
         debate_writer.close()

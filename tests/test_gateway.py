@@ -30,6 +30,8 @@ from eligo.gateway import (
     mock_resolve,
     parse_answer,
     parse_retry_after,
+    run_unit,
+    run_units,
     user_request,
 )
 
@@ -866,6 +868,104 @@ class TestCallbacks:
         [record] = [record for record in caplog.records if record.exc_info]
         assert record.levelname == "ERROR"
         assert str(record.exc_info[1]) == "bug in a callback"
+
+
+class _ScriptedReplies:
+    """Transport that answers each tag after its delay, with its error if it
+    has one and with "reply to <tag>" otherwise."""
+
+    def __init__(self, script):
+        self.script = script  # tag -> (delay_s, error or None)
+
+    def send(self, req):
+        delay_s, error = self.script.get(req.tag, (0.0, None))
+        time.sleep(delay_s)
+        if error is not None:
+            raise error
+        return f"reply to {req.tag}"
+
+
+def _batch(*tags):
+    return [user_request("x", tag=tag) for tag in tags]
+
+
+class TestRunUnits:
+    """run_units drives generator units through Gateway.call."""
+
+    @staticmethod
+    def gateway(script):
+        return Gateway(BackendConfig(kind="mock", max_inflight=2),
+                       transport=_ScriptedReplies(script))
+
+    def test_the_first_error_in_batch_order_is_thrown_into_the_unit(self):
+        # The second request fails first in time; the first one decides.
+        first = errors.BackendError("first in the batch", status=400)
+        second = errors.BackendError("first in time", status=400)
+        gateway = self.gateway({"a": (0.05, first), "b": (0.0, second)})
+
+        def unit():
+            try:
+                yield _batch("a", "b")
+            except errors.BackendError as error:
+                return error
+
+        assert run_unit(unit(), gateway) is first
+        gateway.close()
+
+    def test_a_unit_that_catches_the_error_goes_on_to_its_next_batch(self):
+        refused = errors.BackendError("bad request", status=400)
+        gateway = self.gateway({"a": (0.0, refused)})
+
+        def unit():
+            try:
+                yield _batch("a")
+            except errors.BackendError as error:
+                caught = error
+            replies = yield _batch("c", "d")
+            return caught, replies
+
+        assert run_unit(unit(), gateway) == (refused, ["reply to c", "reply to d"])
+        gateway.close()
+
+    def test_an_error_that_escapes_a_unit_is_raised_after_the_others_are_done(self):
+        gateway = self.gateway({"bad": (0.0, RuntimeError("bug in a unit")),
+                                **{f"slow{i}": (0.05, None) for i in range(3)}})
+        finished = []
+
+        def failing():
+            yield _batch("bad")
+
+        def slow(tag):
+            finished.append((yield _batch(tag)))
+
+        units = [failing(), *(slow(f"slow{i}") for i in range(3))]
+        with pytest.raises(RuntimeError, match="bug in a unit"):
+            run_units(units, gateway, 2)
+        gateway.close()
+        assert sorted(finished) == [[f"reply to slow{i}"] for i in range(3)]
+
+    def test_run_unit_from_many_threads_keeps_the_inflight_bound(self):
+        tags = [f"u{i}{part}" for i in range(24) for part in "abc"]
+        gateway = make_mock_gateway({tag: tag.upper() for tag in tags},
+                                    latency_s=0.005, max_inflight=2)
+
+        def unit(i):
+            first = yield _batch(f"u{i}a", f"u{i}b")
+            second = yield _batch(f"u{i}c")
+            return first + second
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run_unit, unit(i), gateway) for i in range(24)]
+                replies = [future.result(timeout=30.0) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        gateway.close()
+        assert replies == [[f"U{i}A", f"U{i}B", f"U{i}C"] for i in range(24)]
+        assert gateway.transport.calls == len(tags)
+        assert 1 <= gateway.transport.peak_inflight <= 2
 
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):

@@ -77,13 +77,13 @@ class TestRunDebate:
                "opponent|r1": '"Yes". Cannot argue otherwise.'},
         ))
         sent = []
-        submit = gateway.submit
+        call = gateway.call
 
-        def recording(request, **kwargs):
+        def recording(request, done, **kwargs):
             sent.append(request)
-            return submit(request, **kwargs)
+            return call(request, done, **kwargs)
 
-        gateway.submit = recording
+        gateway.call = recording
         run_debate(question, note, gateway, templates=load_debate_templates(tmp_path))
         by_tag = {request.tag: request.messages[-1].content for request in sent}
         values = {"question": question.text, "note": canonical_text(note), "judge_notes": ""}

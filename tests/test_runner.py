@@ -28,9 +28,12 @@ from eligo.corpus import (
     TaskType,
     TrialSpec,
     Verdict,
+    load_catalog_dir,
+    load_notes,
 )
 from eligo.errors import BackendError, ConfigError
 from eligo.gateway import BackendConfig, Gateway, ParsedAnswer, mock_resolve
+from eligo.pathway_a import load_roles
 from eligo.rules import trial_verdict, verdicts_for_note
 from eligo.runner import (
     EXIT_CONFIG,
@@ -775,6 +778,16 @@ class TestCmdScreen:
         monkeypatch.setattr(eligo.gateway.MockTransport, "send", recording_send)
         threads = set(threading.enumerate())
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        # The single-unit entry points run on the same loop.
+        note = load_notes(mini_workspace["notes"])[0]
+        question = next(iter(load_catalog_dir(mini_workspace["catalog"]).questions.values()))
+        gateway = make_mock_gateway(build_mini_fixtures())
+        role = eligo.pathway_a.answer_with_role(question, note, load_roles()["CRC"], gateway)
+        outcome, _ = eligo.pathway_b.run_debate(question, note, gateway)
+        screened = {record.key: record.answer for record
+                    in read_results(mini_workspace["out"] / "results.jsonl")}
+        key = (note.note_id, question.question_id)
+        assert (role.answer, outcome) == (screened[(*key, "A-CRC")], screened[(*key, "B")])
         assert futures == []
         assert senders == {threading.current_thread().name}
         assert set(threading.enumerate()) <= threads
@@ -1428,6 +1441,10 @@ BAD_CONFIGS = {
     "backends-a-list": ("backends.json", lambda doc: [doc], "expected a JSON object"),
     "seed-a-list": ("run.json", lambda doc: {**doc, "seed": ["a", 1]},
                     "expected str for 'seed'"),
+    "misspelt-keys": ("run.json", lambda doc: {**doc, "pathwya": "B", "worker": 4},
+                      "unknown run config keys ['pathwya', 'worker']"),
+    "gold-key": ("run.json", lambda doc: {**doc, "gold": "gold.jsonl"},
+                 "unknown run config keys ['gold']"),
 }
 
 
