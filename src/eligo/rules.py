@@ -10,21 +10,23 @@ Grammar (keywords case-insensitive)::
            | ("ANY" | "ALL") "(" QID ("," QID)* ")" "IS" VALUE
 
 Evaluation is two-valued over tri-valued answers: an atom "Q IS NOT YES"
-is true when Q is NO *or* UNKNOWN.  Uncertainty is surfaced separately by
-the sensitivity analysis, which decides exactly whether the verdict is the
-same under every YES/NO completion of the UNKNOWN answers.  It evaluates the
-rule in Kleene's three-valued logic and splits on an UNKNOWN answer only
-while the result is still undecided, instead of enumerating all 2^k
-completions.
+is true when Q is NO *or* UNKNOWN.  Uncertainty is surfaced separately: a
+verdict is STABLE when every YES/NO completion of the UNKNOWN answers gives
+the rule one value, which is not compared with the two-valued one.  One
+pass (``_eval``) computes both that value and the strong Kleene value.
+For a read-once rule, which tests no question for YES or NO twice, the
+Kleene value is exact: each UNKNOWN answer sits in one leaf, apart from
+the others.  Any other rule splits an UNKNOWN answer into YES and NO only
+while the Kleene value is still undecided, not over all 2^k completions.
 
 A criterion's rule is parsed once, when its catalog is validated at load
 (``CriterionSpec.parsed_rule``), and reused for every note.  A rule's
 outcome depends only on the answers to the questions it references, so
 ``criterion_verdict`` memoizes the criterion's verdict on the parsed rule
-per answer pattern: a cohort costs one evaluation, one sensitivity analysis
-and one verdict object per distinct pattern, not one per note.  A memo hit
-costs one ``itemgetter`` call and one dict lookup, as ``verdicts_for_note``
-reads a note's answers through a view in which a missing answer is UNKNOWN.
+per answer pattern: a cohort costs one pass per distinct pattern, not one
+per note.  A memo hit costs one ``itemgetter`` call and one dict lookup, as
+``verdicts_for_note`` reads a note's answers through a view in which a
+missing answer is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .errors import CatalogError, MissingVerdictError, RuleParseError
 # Case splitting is exponential in the worst case; beyond this many UNKNOWN
 # answers the verdict is reported UNSTABLE with the capped flag instead.
 SENSITIVITY_CAP = 16
+
+# The answer values, bound once: reading a member off its Enum class costs
+# more than the evaluation step that tests it.
+YES, NO, UNKNOWN = Verdict.YES, Verdict.NO, Verdict.UNKNOWN
 
 
 # -- AST ----------------------------------------------------------------------
@@ -296,12 +302,15 @@ class ParsedRule:
     ``outcomes`` memoizes ``criterion_verdict``'s result, the frozen
     ``CriterionVerdict`` itself, by the tuple of answers to
     ``question_ids``; it grows by one entry per distinct answer pattern
-    seen.  ``key`` reads that tuple from an answers view (see
+    seen, each value one of the criterion's ``verdicts`` by (met, stable).
+    ``key`` reads that tuple from an answers view (see
     ``verdicts_for_note``): an ``operator.itemgetter`` over the ids, built
     once, which for a one-id rule still returns a 1-tuple.  The verdict
     names its criterion, so a ParsedRule serves the one criterion that
     parsed it (``CriterionSpec.parsed_rule``) and is not shared between
-    criteria, even ones with the same rule text.
+    criteria, even ones with the same rule text.  ``read_once`` is True
+    when no atom or ANY/ALL list tests an id for YES or NO that another
+    one tests; every completion gives "IS UNKNOWN" one value.
     """
 
     expr: RuleExpr
@@ -309,9 +318,13 @@ class ParsedRule:
     outcomes: dict[tuple[Verdict, ...], "CriterionVerdict"] = field(
         default_factory=dict, compare=False, repr=False
     )
+    verdicts: dict[tuple[bool, bool], "CriterionVerdict"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
     key: Callable[[Mapping[str, Verdict]], tuple[Verdict, ...]] = field(
         init=False, compare=False, repr=False
     )
+    read_once: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.question_ids) == 1:
@@ -322,6 +335,8 @@ class ParsedRule:
         else:
             key = itemgetter(*self.question_ids)
         object.__setattr__(self, "key", key)
+        tested = _tested_ids(self.expr)
+        object.__setattr__(self, "read_once", len(tested) == len(set(tested)))
 
     @classmethod
     def parse(cls, text: str) -> "ParsedRule":
@@ -342,6 +357,17 @@ def referenced_ids(expr: RuleExpr) -> set[str]:
     return set(expr.question_ids)
 
 
+def _tested_ids(expr: RuleExpr) -> list[str]:
+    """The ids that atoms and ANY/ALL lists test for YES or NO, once per test."""
+    if isinstance(expr, Not):
+        return _tested_ids(expr.child)
+    if isinstance(expr, (And, Or)):
+        return [question_id for child in expr.children for question_id in _tested_ids(child)]
+    if expr.value is UNKNOWN:
+        return []
+    return [expr.question_id] if isinstance(expr, Atom) else list(expr.question_ids)
+
+
 def rename_questions(expr: RuleExpr, mapping: Mapping[str, str]) -> RuleExpr:
     """Return a copy of the expression with question ids substituted."""
     if isinstance(expr, Atom):
@@ -360,19 +386,56 @@ def rename_questions(expr: RuleExpr, mapping: Mapping[str, str]) -> RuleExpr:
 
 def eval_rule(expr: RuleExpr, answers: Mapping[str, Verdict]) -> bool:
     """Two-valued evaluation; missing answers count as UNKNOWN."""
-    if isinstance(expr, Atom):
-        hit = answers.get(expr.question_id, Verdict.UNKNOWN) is expr.value
-        return not hit if expr.negated else hit
-    if isinstance(expr, Not):
-        return not eval_rule(expr.child, answers)
-    if isinstance(expr, And):
-        return all(eval_rule(child, answers) for child in expr.children)
-    if isinstance(expr, Or):
-        return any(eval_rule(child, answers) for child in expr.children)
-    if isinstance(expr, AnyOf):
-        return any(answers.get(q, Verdict.UNKNOWN) is expr.value for q in expr.question_ids)
-    if isinstance(expr, AllOf):
-        return all(answers.get(q, Verdict.UNKNOWN) is expr.value for q in expr.question_ids)
+    return _eval(expr, answers)[0]
+
+
+def _eval(expr: RuleExpr, answers: Mapping[str, Verdict]) -> tuple[bool, bool | str]:
+    """The rule's two-valued value and its strong Kleene value, in one pass.
+
+    The Kleene value is True or False when every YES/NO completion of the
+    UNKNOWN (or missing) answers gives it, else the id of an UNKNOWN answer
+    it depends on; so "Q IS UNKNOWN" is False in it, whatever Q's answer.
+    Answers match by identity: a plain string matches no value.
+    """
+    kind = type(expr)
+    if kind is Atom:
+        answer = answers.get(expr.question_id, UNKNOWN)
+        met = (answer is expr.value) != expr.negated
+        if expr.value is UNKNOWN:
+            return met, bool(expr.negated)
+        return met, expr.question_id if answer is UNKNOWN else met
+    if kind is Not:
+        met, value = _eval(expr.child, answers)
+        return not met, value if value.__class__ is str else not value
+    if kind is And or kind is Or:
+        # An AND is settled by one False child, an OR by one True child.
+        decisive = kind is Or
+        met = value = neutral = not decisive
+        for child in expr.children:
+            child_met, child_value = _eval(child, answers)
+            if child_met is decisive:
+                met = decisive
+            if child_value is decisive or value is neutral:
+                value = child_value
+        return met, value
+    if kind is AnyOf or kind is AllOf:
+        decisive = kind is AnyOf
+        target = expr.value
+        if target is UNKNOWN:
+            hits = [answers.get(question_id, UNKNOWN) is UNKNOWN
+                    for question_id in expr.question_ids]
+            return any(hits) if decisive else all(hits), False
+        # ANY is settled by one matching answer, ALL by one known that differs.
+        pending = None
+        for question_id in expr.question_ids:
+            answer = answers.get(question_id, UNKNOWN)
+            if answer is UNKNOWN:
+                if pending is None:
+                    pending = question_id
+            elif (answer is target) is decisive:
+                return decisive, decisive
+        # An UNKNOWN answer is not the target, so it fails ALL as well as ANY.
+        return (not decisive, not decisive) if pending is None else (False, pending)
     raise TypeError(f"not a rule expression: {expr!r}")
 
 
@@ -395,103 +458,67 @@ class SensitivityResult:
 def sensitivity(
     expr: RuleExpr | ParsedRule, answers: Mapping[str, Verdict]
 ) -> SensitivityResult:
-    """Check whether the verdict survives every YES/NO completion of UNKNOWNs.
+    """Whether the rule's YES/NO completions agree, over the k UNKNOWN answers.
 
-    Exact over the k UNKNOWN answers the expression references (missing
-    answers count as UNKNOWN), without enumerating the 2^k completions: the
-    rule is evaluated in Kleene's three-valued logic, and an UNKNOWN answer
-    is split into YES and NO only while the result is still undecided.  The
-    search stops at the first branch whose completions disagree.  Beyond
-    SENSITIVITY_CAP unknowns the result defaults to UNSTABLE with the capped
-    flag set.  A ParsedRule saves collecting the referenced ids again.
+    k counts the referenced questions whose answer is UNKNOWN or missing.
+    k = 0 is STABLE; beyond SENSITIVITY_CAP the result is UNSTABLE and
+    capped.  Otherwise it is STABLE when every completion of the k answers
+    gives the rule one value (``_decide``).  That value is not compared with
+    the two-valued one: with Q1 UNKNOWN, "Q1 IS UNKNOWN" is met, yet False
+    under every completion.  A ParsedRule saves collecting its ids again.
     """
-    if isinstance(expr, ParsedRule):
-        expr, question_ids = expr.expr, expr.question_ids
-    else:
-        question_ids = sorted(referenced_ids(expr))
-    known: dict[str, Verdict] = {}
-    k = 0
-    for question_id in question_ids:
-        value = answers.get(question_id, Verdict.UNKNOWN)
-        if value is Verdict.UNKNOWN:
-            k += 1
-        else:
-            known[question_id] = value
-    if k == 0:
-        return SensitivityResult(Stability.STABLE, unknown_count=0)
+    rule = expr if isinstance(expr, ParsedRule) else ParsedRule(
+        expr, tuple(sorted(referenced_ids(expr))))
+    k = _unknown_count(rule, answers)
     if k > SENSITIVITY_CAP:
         return SensitivityResult(Stability.UNSTABLE, unknown_count=k, capped=True)
-    stable = _settle(expr, known) is not None
+    stable = _decide(rule, answers)[1]
     return SensitivityResult(
         Stability.STABLE if stable else Stability.UNSTABLE, unknown_count=k
     )
 
 
-def _settle(expr: RuleExpr, known: dict[str, Verdict]) -> bool | None:
-    """The value shared by every YES/NO completion of the free answers, else None.
+def _unknown_count(rule: ParsedRule, answers: Mapping[str, Verdict]) -> int:
+    return sum(answers.get(question_id, UNKNOWN) is UNKNOWN
+               for question_id in rule.question_ids)
 
-    ``known`` holds the YES/NO answers; every other referenced question is
-    free.  It is extended while splitting and restored before returning.
+
+def _decide(rule: ParsedRule, answers: Mapping[str, Verdict]) -> tuple[bool, bool]:
+    """The rule's two-valued value on ``answers``, and whether it is STABLE.
+
+    A decided Kleene value is shared by every completion; an undecided one
+    means that they disagree for a read-once rule, and any other rule looks
+    for a shared value by splitting its UNKNOWN answers (``_settle``).
     """
-    value = _kleene(expr, known)
-    if isinstance(value, bool):
+    met, value = _eval(rule.expr, answers)
+    if len(rule.question_ids) > SENSITIVITY_CAP and \
+            _unknown_count(rule, answers) > SENSITIVITY_CAP:
+        return met, False
+    if value.__class__ is str:
+        value = None if rule.read_once else _settle(rule.expr, dict(answers))
+    # The completions' shared value, or None: requiring it to equal ``met``
+    # here would also make a STABLE verdict agree with every completion.
+    return met, value is not None
+
+
+def _settle(expr: RuleExpr, answers: dict[str, Verdict]) -> bool | None:
+    """The value shared by every YES/NO completion of the UNKNOWN answers, else None.
+
+    It splits on the answer that the Kleene value names, and stops at the
+    first branch whose completions disagree.  ``answers`` is changed while
+    splitting and restored before returning.
+    """
+    value = _eval(expr, answers)[1]
+    if value.__class__ is not str:
         return value
-    known[value] = Verdict.YES
-    outcome = _settle(expr, known)
+    answers[value] = YES
+    outcome = _settle(expr, answers)
     if outcome is not None:
-        known[value] = Verdict.NO
-        if _settle(expr, known) != outcome:
+        answers[value] = NO
+        if _settle(expr, answers) != outcome:
             outcome = None
-    del known[value]
+    answers[value] = UNKNOWN
     return outcome
-
-
-def _kleene(expr: RuleExpr, known: Mapping[str, Verdict]) -> bool | str:
-    """Strong Kleene evaluation over the YES/NO completions of the free answers.
-
-    Returns True or False when every completion gives that value, and
-    otherwise the id of a free question the value still depends on.  A
-    completion answers only YES or NO, so "Q IS UNKNOWN" is False for a
-    free Q as much as for a known one.
-    """
-    if isinstance(expr, Atom):
-        answer = known.get(expr.question_id)
-        if answer is None:
-            if expr.value is not Verdict.UNKNOWN:
-                return expr.question_id
-            hit = False
-        else:
-            hit = answer is expr.value
-        return hit != expr.negated
-    if isinstance(expr, Not):
-        value = _kleene(expr.child, known)
-        return value if isinstance(value, str) else not value
-    if isinstance(expr, (And, Or)):
-        # An AND is settled by one False child, an OR by one True child.
-        decisive = isinstance(expr, Or)
-        pending = None
-        for child in expr.children:
-            value = _kleene(child, known)
-            if value is decisive:
-                return decisive
-            if pending is None and isinstance(value, str):
-                pending = value
-        return not decisive if pending is None else pending
-    if isinstance(expr, (AnyOf, AllOf)):
-        if expr.value is Verdict.UNKNOWN:
-            return False
-        # ANY is settled by one matching answer, ALL by one that differs.
-        decisive = isinstance(expr, AnyOf)
-        pending = None
-        for question_id in expr.question_ids:
-            answer = known.get(question_id)
-            if answer is None:
-                if pending is None:
-                    pending = question_id
-            elif (answer is expr.value) is decisive:
-                return decisive
-        return not decisive if pending is None else pending
-    raise TypeError(f"not a rule expression: {expr!r}")
 
 
 # -- criterion / trial verdicts -----------------------------------------------
@@ -537,10 +564,12 @@ class _Answers(dict):
     __slots__ = ("memoizable",)
 
     def __missing__(self, question_id: str) -> Verdict:
-        return Verdict.UNKNOWN
+        return UNKNOWN
 
 
-def _answers_view(answers: Mapping[str, Verdict]) -> _Answers:
+def answers_view(answers: Mapping[str, Verdict]) -> Mapping[str, Verdict]:
+    """One note's answers as the rules read them, which the rules then
+    need not copy; a missing answer reads as UNKNOWN."""
     view = _Answers(answers)
     view.memoizable = _VERDICT_ONLY.issuperset(map(type, view.values()))
     return view
@@ -551,11 +580,14 @@ def criterion_verdict(
 ) -> CriterionVerdict:
     """Evaluate one criterion's rule and its stability under UNKNOWN flips.
 
+    ``met`` is two-valued; ``stable`` is ``sensitivity``'s STABLE, which
+    says that the completions agree with one another, not with ``met``.
+
     The verdict is looked up in the rule's memo by the answers to its
     questions (``ParsedRule.key``), a missing answer counted as UNKNOWN as
     the evaluators count it, so notes that repeat a pattern share one
     frozen verdict.  A plain mapping is first copied into the view that
-    ``verdicts_for_note`` builds once per note, so both share one memo.
+    ``answers_view`` builds, so a view and a plain mapping share one memo.
     Only notes whose answers are all ``Verdict`` members are memoized: a
     plain string equals its member but the evaluators match by identity, so
     such a note is evaluated afresh instead of sharing the member's entry.
@@ -565,25 +597,21 @@ def criterion_verdict(
             f"criterion {criterion.criterion_id!r} has no rule to evaluate"
         )
     if type(answers) is not _Answers:
-        answers = _answers_view(answers)
+        answers = answers_view(answers)
     rule = criterion.parsed_rule
     if not answers.memoizable:
-        return _evaluate(criterion, rule, answers)
+        return CriterionVerdict(criterion.criterion_id, criterion.kind,
+                                *_decide(rule, answers))
     key = rule.key(answers)
     verdict = rule.outcomes.get(key)
     if verdict is None:
-        verdict = rule.outcomes[key] = _evaluate(criterion, rule, answers)
+        outcome = _decide(rule, answers)
+        verdict = rule.verdicts.get(outcome)
+        if verdict is None:
+            verdict = rule.verdicts[outcome] = CriterionVerdict(
+                criterion.criterion_id, criterion.kind, *outcome)
+        rule.outcomes[key] = verdict
     return verdict
-
-
-def _evaluate(criterion: CriterionSpec, rule: ParsedRule,
-              answers: Mapping[str, Verdict]) -> CriterionVerdict:
-    return CriterionVerdict(
-        criterion_id=criterion.criterion_id,
-        kind=criterion.kind,
-        met=eval_rule(rule.expr, answers),
-        stable=sensitivity(rule, answers).status is Stability.STABLE,
-    )
 
 
 def verdicts_for_note(
@@ -592,10 +620,12 @@ def verdicts_for_note(
     """Criterion verdicts for one note's answers, in the order of ``criteria``.
 
     The answers are copied once into a view in which a missing answer reads
-    as UNKNOWN, and each criterion's verdict comes from criterion_verdict,
-    which looks the view up in its rule's memo without copying it again.
+    as UNKNOWN, unless they are one already (``answers_view``), and each
+    criterion's verdict comes from criterion_verdict, which looks the view
+    up in its rule's memo without copying it again.
     """
-    answers = _answers_view(answers)
+    if type(answers) is not _Answers:
+        answers = answers_view(answers)
     return [criterion_verdict(criterion, answers) for criterion in criteria]
 
 

@@ -49,7 +49,7 @@ from .errors import (
     MissingVerdictError,
     SchemaError,
 )
-from .rules import TrialStatus, trial_verdict, verdicts_for_note
+from .rules import TrialStatus, answers_view, trial_verdict, verdicts_for_note
 
 if TYPE_CHECKING:
     from .gateway import BackendConfig, Gateway, Unit
@@ -598,9 +598,10 @@ def _answers_by_label(records: Iterable[ResultRecord]) -> dict[str, AnswersByNot
     return grouped
 
 
-def _values(answers: Mapping[str, ParsedAnswer]) -> dict[str, Verdict]:
+def _values(answers: Mapping[str, ParsedAnswer]) -> Mapping[str, Verdict]:
     """One note's answer values by question id, as the rules read them."""
-    return {question_id: answer.value for question_id, answer in answers.items()}
+    return answers_view({question_id: answer.value
+                         for question_id, answer in answers.items()})
 
 
 def _write_verdicts(path: Path, notes, catalog: Catalog,
@@ -705,6 +706,10 @@ def cmd_evaluate(
     criterion_level: dict[str, dict] = {}
     scorable = [criterion for criterion in catalog.criteria.values()
                 if criterion.rule_text]
+    # Each note's gold-labelled criteria, found once for every label.
+    labelled = {note_id: [criterion for criterion in scorable
+                          if (note_id, criterion.criterion_id) in gold.criterion_labels]
+                for note_id in {note_id for note_id, _ in gold.criterion_labels}}
     for label, answers_by_note in sorted(_answers_by_label(records).items()):
         scored = {(note_id, question_id): answer
                   for note_id, answers in answers_by_note.items()
@@ -723,9 +728,8 @@ def cmd_evaluate(
         if gold.criterion_labels:
             verdicts = {}
             for note_id, answers in sorted(answers_by_note.items()):
-                labelled = [criterion for criterion in scorable
-                            if (note_id, criterion.criterion_id) in gold.criterion_labels]
-                for verdict in verdicts_for_note(labelled, _values(answers)):
+                for verdict in verdicts_for_note(labelled.get(note_id, ()),
+                                                 _values(answers)):
                     verdicts[(note_id, verdict.criterion_id)] = verdict
             criterion_level[label] = score_criteria(verdicts, gold).to_dict()
 

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from eligo.corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from eligo.errors import CatalogError, MissingVerdictError, RuleParseError
 from eligo.rules import (
+    SENSITIVITY_CAP,
     AllOf,
     And,
     AnyOf,
@@ -16,6 +18,8 @@ from eligo.rules import (
     Not,
     Or,
     ParsedRule,
+    RuleExpr,
+    SensitivityResult,
     Stability,
     criterion_verdict,
     eval_rule,
@@ -543,3 +547,262 @@ def test_verdicts_for_note_match_fresh_evaluation(seed, notes):
         for key in rule.outcomes:
             assert len(key) == len(rule.question_ids)
             assert all(type(value) is Verdict for value in key)
+
+
+# -- the evaluators the one-pass kernel replaced ------------------------------
+#
+# Two-valued evaluation, then a sensitivity analysis that collects the known
+# answers and runs a Kleene pass with case splits, copied verbatim from the
+# rules module as it was before ``_eval`` computed both in one pass; only
+# the names are prefixed.  The kernel must give the same ``met`` and
+# ``stable`` as these on every rule and answer map.
+
+def reference_eval_rule(expr: RuleExpr, answers: Mapping[str, Verdict]) -> bool:
+    """Two-valued evaluation; missing answers count as UNKNOWN."""
+    if isinstance(expr, Atom):
+        hit = answers.get(expr.question_id, Verdict.UNKNOWN) is expr.value
+        return not hit if expr.negated else hit
+    if isinstance(expr, Not):
+        return not reference_eval_rule(expr.child, answers)
+    if isinstance(expr, And):
+        return all(reference_eval_rule(child, answers) for child in expr.children)
+    if isinstance(expr, Or):
+        return any(reference_eval_rule(child, answers) for child in expr.children)
+    if isinstance(expr, AnyOf):
+        return any(answers.get(q, Verdict.UNKNOWN) is expr.value for q in expr.question_ids)
+    if isinstance(expr, AllOf):
+        return all(answers.get(q, Verdict.UNKNOWN) is expr.value for q in expr.question_ids)
+    raise TypeError(f"not a rule expression: {expr!r}")
+
+
+def reference_sensitivity(
+    expr: RuleExpr | ParsedRule, answers: Mapping[str, Verdict]
+) -> SensitivityResult:
+    """Check whether the verdict survives every YES/NO completion of UNKNOWNs.
+
+    Exact over the k UNKNOWN answers the expression references (missing
+    answers count as UNKNOWN), without enumerating the 2^k completions: the
+    rule is evaluated in Kleene's three-valued logic, and an UNKNOWN answer
+    is split into YES and NO only while the result is still undecided.  The
+    search stops at the first branch whose completions disagree.  Beyond
+    SENSITIVITY_CAP unknowns the result defaults to UNSTABLE with the capped
+    flag set.  A ParsedRule saves collecting the referenced ids again.
+    """
+    if isinstance(expr, ParsedRule):
+        expr, question_ids = expr.expr, expr.question_ids
+    else:
+        question_ids = sorted(referenced_ids(expr))
+    known: dict[str, Verdict] = {}
+    k = 0
+    for question_id in question_ids:
+        value = answers.get(question_id, Verdict.UNKNOWN)
+        if value is Verdict.UNKNOWN:
+            k += 1
+        else:
+            known[question_id] = value
+    if k == 0:
+        return SensitivityResult(Stability.STABLE, unknown_count=0)
+    if k > SENSITIVITY_CAP:
+        return SensitivityResult(Stability.UNSTABLE, unknown_count=k, capped=True)
+    stable = reference_settle(expr, known) is not None
+    return SensitivityResult(
+        Stability.STABLE if stable else Stability.UNSTABLE, unknown_count=k
+    )
+
+
+def reference_settle(expr: RuleExpr, known: dict[str, Verdict]) -> bool | None:
+    """The value shared by every YES/NO completion of the free answers, else None.
+
+    ``known`` holds the YES/NO answers; every other referenced question is
+    free.  It is extended while splitting and restored before returning.
+    """
+    value = reference_kleene(expr, known)
+    if isinstance(value, bool):
+        return value
+    known[value] = Verdict.YES
+    outcome = reference_settle(expr, known)
+    if outcome is not None:
+        known[value] = Verdict.NO
+        if reference_settle(expr, known) != outcome:
+            outcome = None
+    del known[value]
+    return outcome
+
+
+def reference_kleene(expr: RuleExpr, known: Mapping[str, Verdict]) -> bool | str:
+    """Strong Kleene evaluation over the YES/NO completions of the free answers.
+
+    Returns True or False when every completion gives that value, and
+    otherwise the id of a free question the value still depends on.  A
+    completion answers only YES or NO, so "Q IS UNKNOWN" is False for a
+    free Q as much as for a known one.
+    """
+    if isinstance(expr, Atom):
+        answer = known.get(expr.question_id)
+        if answer is None:
+            if expr.value is not Verdict.UNKNOWN:
+                return expr.question_id
+            hit = False
+        else:
+            hit = answer is expr.value
+        return hit != expr.negated
+    if isinstance(expr, Not):
+        value = reference_kleene(expr.child, known)
+        return value if isinstance(value, str) else not value
+    if isinstance(expr, (And, Or)):
+        # An AND is settled by one False child, an OR by one True child.
+        decisive = isinstance(expr, Or)
+        pending = None
+        for child in expr.children:
+            value = reference_kleene(child, known)
+            if value is decisive:
+                return decisive
+            if pending is None and isinstance(value, str):
+                pending = value
+        return not decisive if pending is None else pending
+    if isinstance(expr, (AnyOf, AllOf)):
+        if expr.value is Verdict.UNKNOWN:
+            return False
+        # ANY is settled by one matching answer, ALL by one that differs.
+        decisive = isinstance(expr, AnyOf)
+        pending = None
+        for question_id in expr.question_ids:
+            answer = known.get(question_id)
+            if answer is None:
+                if pending is None:
+                    pending = question_id
+            elif (answer is expr.value) is decisive:
+                return decisive
+        return not decisive if pending is None else pending
+    raise TypeError(f"not a rule expression: {expr!r}")
+
+
+SMALL_IDS = ["Q1", "Q2", "Q3", "Q4"]
+WIDE_IDS = [f"W{i:02d}" for i in range(1, 21)]
+
+
+def random_rule(rng):
+    """A random rule over four ids; some are joined with an ANY/ALL over
+    14-20 more, so that more than SENSITIVITY_CAP answers can be UNKNOWN."""
+    expr = random_expr(rng, SMALL_IDS)
+    if rng.random() < 0.3:
+        ids = tuple(rng.sample(WIDE_IDS, rng.randint(14, len(WIDE_IDS))))
+        wide = rng.choice((AnyOf, AllOf))(ids, rng.choice(VALUES))
+        if rng.random() < 0.3:
+            wide = Not(wide)
+        expr = rng.choice((And, Or))((expr, wide))
+    return expr
+
+
+def random_answers(rng, question_ids):
+    """Answers with a random share of UNKNOWN ones, some of them missing,
+    and in some maps plain strings, which equal a member but match none."""
+    unknown_share = rng.random()
+    known = [Verdict.YES, Verdict.NO]
+    if rng.random() < 0.3:
+        known += ["YES", "NO", "UNKNOWN"]
+    answers = {}
+    for question_id in question_ids:
+        if rng.random() < unknown_share:
+            if rng.random() < 0.5:
+                answers[question_id] = Verdict.UNKNOWN
+        else:
+            answers[question_id] = rng.choice(known)
+    return answers
+
+
+def kernel_cases(seed):
+    """One random rule and a few answer maps for it, from one seed."""
+    rng = random.Random(seed)
+    expr = random_rule(rng)
+    ids = sorted(referenced_ids(expr))
+    return expr, [random_answers(rng, ids) for _ in range(6)]
+
+
+def reference_verdict(expr, answers):
+    return (reference_eval_rule(expr, answers),
+            reference_sensitivity(expr, answers).status is Stability.STABLE)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_the_split_search(seed):
+    expr, answer_maps = kernel_cases(seed)
+    criterion = TestOutcomeMemo.criterion(print_rule(expr))
+    rule = criterion.parsed_rule
+    for answers in answer_maps:
+        expected = reference_sensitivity(expr, answers)
+        assert eval_rule(expr, answers) is reference_eval_rule(expr, answers)
+        assert sensitivity(expr, answers) == expected
+        assert sensitivity(rule, answers) == expected
+        verdict = criterion_verdict(criterion, answers)
+        assert (verdict.met, verdict.stable) == reference_verdict(expr, answers), \
+            (print_rule(expr), answers)
+
+
+def test_kernel_cases_cover_every_shape():
+    """The generator behind test_kernel_matches_the_split_search reaches
+    every construct and answer kind that the kernel treats apart."""
+    covered = set()
+    for seed in range(300):
+        expr, answer_maps = kernel_cases(seed)
+        features = rule_features(expr)
+        covered |= {name for name, hit in features.items() if hit is True}
+        rule = ParsedRule(expr, tuple(sorted(referenced_ids(expr))))
+        covered.add("read-once" if rule.read_once else "split fallback")
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Not):
+                covered.add("NOT")
+                stack.append(node.child)
+            elif isinstance(node, (And, Or)):
+                stack.extend(node.children)
+            elif isinstance(node, (AnyOf, AllOf)) and node.value is Verdict.UNKNOWN:
+                covered.add("ANY/ALL IS UNKNOWN")
+        for answers in answer_maps:
+            if set(rule.question_ids) - set(answers):
+                covered.add("missing answer")
+            if any(type(value) is str for value in answers.values()):
+                covered.add("plain string")
+            result = reference_sensitivity(expr, answers)
+            if result.capped:
+                covered.add("over the cap")
+            if not rule.read_once and result.unknown_count and not result.capped:
+                covered.add("split on an UNKNOWN answer")
+    assert covered >= {"repeated", "IS UNKNOWN", "IS NOT UNKNOWN", "ANY", "ALL", "NOT",
+                       "ANY/ALL IS UNKNOWN", "read-once", "split fallback",
+                       "missing answer", "plain string", "over the cap",
+                       "split on an UNKNOWN answer"}
+
+
+@pytest.mark.parametrize("rule, read_once", [
+    ("Q1 IS YES AND Q2 IS NO", True),
+    ("NOT (ANY(Q1, Q2) IS YES OR ALL(Q3, Q4) IS NO)", True),
+    # An IS UNKNOWN test has one value under every completion: it never counts.
+    ("Q1 IS YES OR Q1 IS UNKNOWN", True),
+    ("Q1 IS NOT UNKNOWN AND ALL(Q1, Q2) IS UNKNOWN AND Q1 IS NOT NO", True),
+    ("Q1 IS YES OR (Q1 IS NO AND Q2 IS YES)", False),
+    ("Q1 IS YES OR Q1 IS NOT YES", False),
+    ("ANY(Q1, Q2) IS YES AND Q2 IS NO", False),
+    ("ALL(Q1, Q1) IS NO", False),
+])
+def test_read_once_flag(rule, read_once):
+    assert ParsedRule.parse(rule).read_once is read_once
+
+
+def test_repeated_id_rule_keeps_stable_apart_from_met():
+    """STABLE says that the completions agree with one another, not with met.
+
+    Q1 = YES and Q1 = NO both meet this rule, yet with Q1 UNKNOWN the
+    two-valued value is not met, and the verdict is reported STABLE.
+    """
+    rule = "Q1 IS YES OR (Q1 IS NO AND Q2 IS YES)"
+    answers = {"Q1": Verdict.UNKNOWN, "Q2": Verdict.YES}
+    criterion = TestOutcomeMemo.criterion(rule)
+    assert criterion.parsed_rule.read_once is False
+    verdict = criterion_verdict(criterion, answers)
+    assert (verdict.met, verdict.stable) == (False, True)
+    assert reference_verdict(parse_rule(rule), answers) == (False, True)
+    for completion in (Verdict.YES, Verdict.NO):
+        assert eval_rule(parse_rule(rule), dict(answers, Q1=completion)) is True

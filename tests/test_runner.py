@@ -54,6 +54,7 @@ from eligo.runner import (
 )
 
 from conftest import build_mini_fixtures, make_mock_gateway
+from test_rules import reference_eval_rule, reference_sensitivity
 
 
 class _FlakyTransport:
@@ -1124,6 +1125,69 @@ class TestCmdEvaluate:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in outputs.items()}
         assert digests == PINNED_DIGESTS
+
+
+# Rules that the mini catalog does not have: one reads m1 twice, so its
+# stability needs the split search, and one tests answers with IS UNKNOWN.
+SPLIT_CRITERIA = [
+    {"criterion_id": "mc1", "trial_ids": ["mt1"], "kind": "inclusion",
+     "text": "Cirrhosis, or neither cirrhosis nor ascites.",
+     "rule": "m1 IS YES OR (m1 IS NO AND m3 IS NO)", "question_ids": ["m1", "m3"]},
+    {"criterion_id": "mc2", "trial_ids": ["mt1"], "kind": "exclusion",
+     "text": "Transplant history unclear.",
+     "rule": "m2 IS UNKNOWN OR (ANY(m1, m3) IS UNKNOWN AND m2 IS NOT NO)",
+     "question_ids": ["m1", "m2", "m3"]},
+]
+
+
+def reference_decide(rule, answers):
+    """A criterion's (met, stable) as the evaluators before the one-pass
+    kernel gave them."""
+    return (reference_eval_rule(rule.expr, answers),
+            reference_sensitivity(rule, answers).status is eligo.rules.Stability.STABLE)
+
+
+class TestSplitFallbackEndToEnd:
+    """Screen and evaluate write the same files with the one-pass kernel as
+    with the evaluators it replaced, on rules that take the split search."""
+
+    def outputs(self, workspace, name):
+        out = workspace["out"]
+        assert cmd_screen(run_config(workspace)) == EXIT_OK
+        eval_dir = workspace["root"] / name
+        assert cmd_evaluate(out / "results.jsonl", workspace["gold"], workspace["catalog"],
+                            eval_dir, notes_path=workspace["notes"]) == EXIT_OK
+        return {"verdicts.jsonl": (out / "verdicts.jsonl").read_bytes(),
+                "metrics.json": (eval_dir / "metrics.json").read_bytes()}
+
+    def test_outputs_equal_the_reference_evaluator(self, mini_workspace, monkeypatch):
+        (mini_workspace["catalog"] / "criteria.json").write_text(
+            json.dumps({"criteria": SPLIT_CRITERIA}), encoding="utf-8")
+        rules = {c.criterion_id: c.parsed_rule
+                 for c in load_catalog_dir(mini_workspace["catalog"]).criteria.values()}
+        assert rules["mc1"].read_once is False
+        assert rules["mc2"].read_once is True
+        splits = []
+        settle = eligo.rules._settle
+
+        def counting_settle(expr, answers):
+            splits.append(expr)
+            return settle(expr, answers)
+
+        monkeypatch.setattr(eligo.rules, "_settle", counting_settle)
+        kernel = self.outputs(mini_workspace, "eval")
+        assert splits
+        # A second screen resumes with nothing left to ask and rewrites the
+        # verdicts, now through the reference evaluator, from the same results.
+        monkeypatch.setattr(eligo.rules, "_decide", reference_decide)
+        reference = self.outputs(mini_workspace, "eval_reference")
+        assert kernel == reference
+        # On n1 the vote leaves m1 UNKNOWN and m3 is NO: both completions of
+        # m1 meet mc1, which only the split search finds.
+        verdicts = {(v["pathway"], v["note_id"], v.get("criterion_id")): v
+                    for v in map(json.loads, kernel["verdicts.jsonl"].splitlines())}
+        mc1 = verdicts[("A-vote", "n1", "mc1")]
+        assert (mc1["met"], mc1["stable"]) == (False, True)
 
 
 class TestCmdReport:
