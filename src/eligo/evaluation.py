@@ -9,6 +9,7 @@ manual review of wrong answers, and is labeled as such in reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -261,11 +262,18 @@ def score_criteria(
 # -- grounding ----------------------------------------------------------------
 
 _NON_WORD_RE = re.compile(r"[^\w\s]", re.UNICODE)
-_WS_RE = re.compile(r"\s+")
 
 
 def _normalize(text: str) -> str:
-    return _WS_RE.sub(" ", _NON_WORD_RE.sub(" ", text.casefold())).strip()
+    # split() and \s agree on whitespace (Py_UNICODE_ISSPACE): same as \s+ and strip.
+    return " ".join(_NON_WORD_RE.sub(" ", text.casefold()).split())
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _normalize_quote(quote: str) -> str:
+    # Quotes repeat across roles, labels and notes; the entry depends on the
+    # quote alone, never on the note it is checked in.
+    return _normalize(quote)
 
 
 def normalize_notes(notes: Iterable[AdmissionNote]) -> dict[str, str]:
@@ -283,6 +291,14 @@ def grounding_check(
 ) -> Grounding:
     """GROUNDED iff every evidence quote occurs in the note after normalization.
 
+    The quotes and the note's canonical text are normalized alike: the text
+    is casefolded, every character that is neither a word character nor
+    whitespace becomes a space, and runs of whitespace collapse to one space
+    with the ends trimmed.  A quote grounds only when its normalized text is
+    non-empty and occurs in the note's normalized text, so a quote with no
+    word characters (``"..."``, ``""``) is UNGROUNDED.  An answer without
+    quotes is NO_EVIDENCE.
+
     ``normalized_note`` is the note's text from normalize_notes, computed
     here when not given.
     """
@@ -291,7 +307,8 @@ def grounding_check(
     if normalized_note is None:
         normalized_note = _normalize(canonical_text(note))
     for quote in answer.evidence:
-        if _normalize(quote) not in normalized_note:
+        quote = _normalize_quote(quote)
+        if not quote or quote not in normalized_note:
             return Grounding.UNGROUNDED
     return Grounding.GROUNDED
 

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eligo.corpus import (
     AdmissionNote,
@@ -14,6 +18,7 @@ from eligo.corpus import (
 )
 from eligo.evaluation import (
     Grounding,
+    _normalize,
     counterfactual_rate,
     grounding_check,
     normalize_notes,
@@ -305,6 +310,15 @@ class TestGrounding:
         assert result is Grounding.UNGROUNDED
 
 
+    @pytest.mark.parametrize("quote", ["...", "\u2014", "", "  ", "\"\u201c\u201d\""])
+    def test_quote_without_word_characters_is_ungrounded(self, notes, quote):
+        # Such a quote normalizes to "", which occurs in every note.
+        for note in notes:
+            assert grounding_check(answer(Verdict.YES, [quote]), note) is \
+                Grounding.UNGROUNDED
+            assert grounding_check(answer(Verdict.YES, ["hepatocellular", quote]),
+                                   note) is Grounding.UNGROUNDED
+
     def test_normalized_text_gives_the_same_result(self, notes):
         texts = normalize_notes(notes)
         assert list(texts) == [note.note_id for note in notes]
@@ -315,6 +329,31 @@ class TestGrounding:
                 given = answer(Verdict.YES, evidence)
                 assert grounding_check(given, note, texts[note.note_id]) is \
                     grounding_check(given, note)
+
+
+_REFERENCE_NON_WORD_RE = re.compile(r"[^\w\s]", re.UNICODE)
+_REFERENCE_WS_RE = re.compile(r"\s+")
+
+
+def reference_normalize(text):
+    """The two-pass normalization that the one-pass _normalize replaced."""
+    return _REFERENCE_WS_RE.sub(" ", _REFERENCE_NON_WORD_RE.sub(" ", text.casefold())).strip()
+
+
+# Characters where the two passes could part: "_" is a word character;
+# \x1c-\x1f, \x85, \xa0, U+2009, U+2028 and U+3000 are whitespace to both
+# str.split() and \s; casefold expands \u00df, \ufb01 and \u0130.
+NORMALIZE_PIECES = ["_", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2009", "\u2028",
+                    "\u3000", " ", "\t", "\n", ".", "-", "a", "\u00df", "\ufb01",
+                    "\u0130"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(NORMALIZE_PIECES), st.characters()),
+                max_size=24).map("".join))
+@example("  \u0130stanbul \u00df\ufb01 _x_\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 . ")
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_the_two_pass_form(text):
+    assert _normalize(text) == reference_normalize(text)
 
 
 class TestCounterfactualRate:

@@ -2,6 +2,8 @@ import concurrent.futures
 import hashlib
 import json
 import logging
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -972,6 +974,59 @@ class TestCmdEvaluate:
         # Once per note, not once per grounded answer in per_question.csv and
         # again in the counterfactual rate.
         assert sorted(calls) == ["n1", "n2"]
+
+    def test_each_distinct_quote_normalized_once(self, mini_workspace, monkeypatch):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        notes = load_notes(mini_workspace["notes"])
+        note_texts = {eligo.evaluation.canonical_text(note) for note in notes}
+        quotes = {quote for record in read_results(mini_workspace["out"] / "results.jsonl")
+                  for quote in record.answer.evidence}
+        assert len(quotes) == 4
+        calls = []
+        normalize = eligo.evaluation._normalize
+
+        def counting_normalize(text):
+            calls.append(text)
+            return normalize(text)
+
+        eligo.evaluation._normalize_quote.cache_clear()
+        monkeypatch.setattr(eligo.evaluation, "_normalize", counting_normalize)
+        status, _ = self.evaluate(mini_workspace, notes_path=mini_workspace["notes"])
+        eligo.evaluation._normalize_quote.cache_clear()
+        assert status == EXIT_OK
+        # Not once per grounded answer, per label and again in the
+        # counterfactual rate.
+        quote_calls = [text for text in calls if text not in note_texts]
+        assert sorted(quote_calls) == sorted(quotes)
+
+    def test_later_evaluation_matches_a_fresh_process(self, mini_workspace):
+        # Quotes normalized for one set of notes must not decide grounding
+        # in another: evaluate, swap the two notes' texts, and evaluate again
+        # in this process and in a fresh one.
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        status, first_dir = self.evaluate(mini_workspace, notes_path=mini_workspace["notes"])
+        assert status == EXIT_OK
+        records = [json.loads(line) for line in
+                   mini_workspace["notes"].read_text(encoding="utf-8").splitlines()]
+        swapped = mini_workspace["root"] / "swapped_notes.jsonl"
+        swapped.write_text("".join(
+            json.dumps({**other, "note_id": record["note_id"]}) + "\n"
+            for record, other in zip(records, reversed(records))), encoding="utf-8")
+        args = ["evaluate", "--results", str(mini_workspace["out"] / "results.jsonl"),
+                "--gold", str(mini_workspace["gold"]),
+                "--catalog", str(mini_workspace["catalog"]), "--notes", str(swapped)]
+        here, fresh = mini_workspace["root"] / "here", mini_workspace["root"] / "fresh"
+        assert cli_main([*args, "--out", str(here)]) == EXIT_OK
+        src = os.path.dirname(os.path.dirname(eligo.__file__))
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from eligo.cli import main; sys.exit(main(sys.argv[1:]))",
+                        *args, "--out", str(fresh)],
+                       env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        names = ("metrics.json", "report.md", "per_question.csv")
+        outputs = {name: (here / name).read_bytes() for name in names}
+        assert outputs == {name: (fresh / name).read_bytes() for name in names}
+        # The swap moves every quote away from the note it came from.
+        assert outputs["per_question.csv"] != (first_dir / "per_question.csv").read_bytes()
 
     def test_end_to_end_metrics(self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
