@@ -4,16 +4,20 @@ Any chat backend can draft; one refiner backend reconciles the drafts into
 the final question set and restates the aggregation rule.  Rules the
 refiner gets wrong are left empty and flagged for human authoring rather
 than failing the whole conversion.
+
+Converting a criterion is a unit for ``gateway.run_units``: a batch of one
+draft request per drafter, then the refine request, which a :class:`Router`
+sends to their backends.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import (
     Catalog,
@@ -23,8 +27,9 @@ from .corpus import (
     TaskType,
     validate_catalog,
 )
-from .errors import CatalogError, ConversionError, GatewayError, RefinementParseError, RuleParseError
-from .gateway import ChatRequest, Gateway, user_request
+from .errors import (CatalogError, ConversionError, EligoError, GatewayError,
+                     RefinementParseError, RuleParseError)
+from .gateway import ChatRequest, Done, Gateway, Unit, user_request
 from .prompting import load_template, render
 from .rules import parse_rule, print_rule, referenced_ids, rename_questions
 
@@ -131,42 +136,36 @@ def _split_label(text: str, out: DraftSet, source: str) -> tuple[str, Category, 
 
 def generate_questions(
     criterion: CriterionSpec,
-    backends: Sequence[Gateway],
+    drafters: Sequence[str],
     *,
     prompts_dir: str | Path | None = None,
-) -> DraftSet:
-    """Ask every backend to draft questions for one criterion.
+) -> Unit[DraftSet]:
+    """The unit that asks every drafter, by model name, to draft questions
+    for one criterion.
 
-    Backends are queried concurrently (each bounds its own in-flight load);
-    drafts are collected in backend order so output stays deterministic.
-    Individual backend failures become warnings; only all of them failing
-    raises ConversionError with the per-backend causes attached.
+    The drafts are asked in one batch, so each drafter bounds its own
+    in-flight load, and collected in drafter order so output stays
+    deterministic.  A failed drafter's reply is its GatewayError (see
+    :class:`Router`) and becomes a warning; only all of them failing raises
+    ConversionError with the per-drafter causes attached.
     """
-    if not backends:
+    if not drafters:
         raise ValueError("generate_questions needs at least one backend")
-    requests = [
+    replies = yield [
         build_conversion_prompt(
-            criterion,
-            tag=f"convert|{criterion.criterion_id}|{backend.cfg.model_name}",
-            prompts_dir=prompts_dir,
+            criterion, tag=f"convert|{criterion.criterion_id}|{name}", prompts_dir=prompts_dir
         )
-        for backend in backends
+        for name in drafters
     ]
-    futures = [backend.submit(request) for backend, request in zip(backends, requests)]
-    wait(futures)
     result = DraftSet()
     failures: list[tuple[str, Exception]] = []
-    for backend, future in zip(backends, futures):
-        label = backend.cfg.model_name
-        try:
-            reply = future.result()
-        except GatewayError as exc:
-            failures.append((label, exc))
-            result.warnings.append(f"{label}: backend failed: {exc}")
-            continue
-        if _parse_draft_lines(reply, label, criterion.criterion_id, result) == 0:
-            result.warnings.append(f"{label}: completion contained no Q: lines")
-    if len(failures) == len(backends):
+    for name, reply in zip(drafters, replies):
+        if isinstance(reply, GatewayError):
+            failures.append((name, reply))
+            result.warnings.append(f"{name}: backend failed: {reply}")
+        elif _parse_draft_lines(reply, name, criterion.criterion_id, result) == 0:
+            result.warnings.append(f"{name}: completion contained no Q: lines")
+    if len(failures) == len(drafters):
         raise ConversionError(failures)
     return result
 
@@ -184,13 +183,13 @@ def _dedup(drafts: Sequence[QuestionDraft]) -> list[QuestionDraft]:
 
 def merge_question_sets(
     drafts: Sequence[QuestionDraft],
-    refiner: Gateway,
     criterion: CriterionSpec,
     *,
     rule_proposals: dict[str, str] | None = None,
     prompts_dir: str | Path | None = None,
-) -> MergeResult:
-    """Collapse duplicates, let the refiner reconcile, emit validated specs.
+) -> Unit[MergeResult]:
+    """The unit that collapses duplicates, lets the refiner reconcile them
+    in one request, and emits validated specs.
 
     Final questions get ids "<criterion_id>.q<k>"; the refiner's rule is
     parsed over its Q1..Qn numbering and rewritten onto those ids.  An
@@ -214,7 +213,7 @@ def merge_question_sets(
         drafts=drafts_block,
         draft_rules=rules_block,
     )
-    reply = refiner.complete(user_request(prompt, tag=f"refine|{criterion.criterion_id}"))
+    (reply,) = yield [user_request(prompt, tag=f"refine|{criterion.criterion_id}")]
 
     refined = DraftSet()
     _parse_draft_lines(reply, "refiner", criterion.criterion_id, refined)
@@ -256,15 +255,9 @@ def merge_question_sets(
     else:
         warnings.append("refiner proposed no rule; rule left empty for human authoring")
 
-    merged_criterion = CriterionSpec(
-        criterion_id=criterion.criterion_id,
-        trial_ids=criterion.trial_ids,
-        kind=criterion.kind,
-        text=criterion.text,
-        rule_text=rule_text,
-        question_ids=tuple(spec.question_id for spec in questions),
-        needs_human_rule=needs_human_rule,
-    )
+    merged_criterion = replace(criterion, rule_text=rule_text,
+                               question_ids=tuple(spec.question_id for spec in questions),
+                               needs_human_rule=needs_human_rule)
     validate_catalog(
         Catalog(
             questions={spec.question_id: spec for spec in questions},
@@ -282,27 +275,52 @@ def merge_question_sets(
 
 def convert_criterion(
     criterion: CriterionSpec,
-    backends: Sequence[Gateway],
-    refiner: Gateway,
+    drafters: Sequence[str],
     *,
     prompts_dir: str | Path | None = None,
-) -> tuple[MergeResult, CriterionSpec, list[str]]:
-    """Full conversion of one criterion; returns the updated criterion too."""
-    draft_set = generate_questions(criterion, backends, prompts_dir=prompts_dir)
-    merged = merge_question_sets(
-        draft_set.drafts,
-        refiner,
-        criterion,
-        rule_proposals=draft_set.rule_proposals,
-        prompts_dir=prompts_dir,
-    )
-    updated = CriterionSpec(
-        criterion_id=criterion.criterion_id,
-        trial_ids=criterion.trial_ids,
-        kind=criterion.kind,
-        text=criterion.text,
-        rule_text=merged.rule_text,
-        question_ids=tuple(spec.question_id for spec in merged.questions),
-        needs_human_rule=merged.needs_human_rule,
-    )
+) -> Unit[tuple[MergeResult, CriterionSpec, list[str]] | EligoError | ValueError]:
+    """The unit that converts one criterion: it returns the merge, the
+    updated criterion and the warnings, or the error that failed it
+    (ValueError: no drafter proposed a question), which ends no other."""
+    try:
+        draft_set = yield from generate_questions(criterion, drafters,
+                                                  prompts_dir=prompts_dir)
+        merged = yield from merge_question_sets(
+            draft_set.drafts,
+            criterion,
+            rule_proposals=draft_set.rule_proposals,
+            prompts_dir=prompts_dir,
+        )
+    except (EligoError, ValueError) as exc:
+        return exc
+    updated = replace(criterion, rule_text=merged.rule_text,
+                      question_ids=tuple(spec.question_id for spec in merged.questions),
+                      needs_human_rule=merged.needs_human_rule)
     return merged, updated, draft_set.warnings + merged.warnings
+
+
+class Router:
+    """The gateway that conversion units run on: it sends
+    ``convert|<criterion id>|<model name>`` to the drafter of that (unique)
+    model name, and ``refine|<criterion id>`` to the refiner.  A drafter's
+    GatewayError is passed on as its reply, so one failed drafter is only a
+    warning."""
+
+    def __init__(self, drafters: Sequence[Gateway], refiner: Gateway):
+        self.drafters = {drafter.cfg.model_name: drafter for drafter in drafters}
+        self.refiner = refiner
+
+    def call(self, req: ChatRequest, done: Done, *,
+             on_park: Callable[[bool], None] | None = None) -> None:
+        if req.tag.startswith("refine|"):
+            self.refiner.call(req, done, on_park=on_park)
+        else:  # the longest name the tag ends with, should a name hold a "|"
+            name = max((name for name in self.drafters if req.tag.endswith(f"|{name}")),
+                       key=len)
+            self.drafters[name].call(req, partial(_failure_as_reply, done), on_park=on_park)
+
+
+def _failure_as_reply(done: Done, reply: str | None, error: Exception | None) -> None:
+    if isinstance(error, GatewayError):
+        reply, error = error, None
+    done(reply, error)

@@ -13,11 +13,11 @@ meanwhile.  Senders start on demand and exit once the queue and the heap
 have stayed empty for ``SENDER_IDLE_S``, so a gateway that is never closed
 does not keep its threads.
 
-Units of work (a role's answer, a debate, a screened pair) are generators
-of request batches, and :func:`run_units` is their one driver: it runs them
-on ``call`` from a loop on the calling thread.  :meth:`Gateway.submit`
-adapts ``call`` to a Future, for :meth:`Gateway.complete` and the
-conversion's fan-out.
+Units of work (a role's answer, a debate, a screened pair, a converted
+criterion) are generators of request batches, and :func:`run_units` is
+their one driver: it runs them on ``call`` from a loop on the calling
+thread.  It is the one way to send a request and wait for its answer;
+:meth:`Gateway.complete` is :func:`run_unit` over a one-request unit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import select
 import threading
 import time
 import urllib.parse
-from concurrent.futures import Future
 from queue import Empty, SimpleQueue
 from dataclasses import dataclass, field, fields
 from datetime import timezone
@@ -460,13 +459,6 @@ class _Call:
     attempt: int = 0
 
 
-def _settle(future: Future, reply: str | None, error: Exception | None) -> None:
-    if error is None:
-        future.set_result(reply)
-    else:
-        future.set_exception(error)
-
-
 class Gateway:
     """Bounded-concurrency front door to one backend instance."""
 
@@ -553,22 +545,9 @@ class Gateway:
                 return
         done(reply, error)
 
-    def submit(self, req: ChatRequest, *,
-               on_park: Callable[[bool], None] | None = None) -> Future:
-        """:meth:`call` with a Future that resolves to the reply text.
-
-        The Future is marked running, so a caller cannot cancel it: setting
-        the result of a cancelled Future would raise on the sender thread
-        and end that sender.
-        """
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        self.call(req, partial(_settle, future), on_park=on_park)
-        return future
-
     def complete(self, req: ChatRequest) -> str:
-        """Send one request and wait for its reply (see :meth:`submit`)."""
-        return self.submit(req).result()
+        """Send one request and wait for its reply; raise its error instead."""
+        return run_unit(_ask(req), self)
 
     def close(self) -> None:
         """Stop the senders and release the transport's pooled connections.
@@ -737,6 +716,7 @@ class _Run:
     """One unit on its way through its batches."""
 
     unit: Unit
+    index: int  # the unit's place among the units run
     on_park: Callable[[bool], None] | None = None  # a request was (un)parked
     replies: list[str | None] | None = None  # the batch's replies, in batch order
     callbacks: list[Done] = field(default_factory=list)  # by batch index
@@ -745,19 +725,21 @@ class _Run:
     parked: int = 0  # of those, the ones waiting out a retry backoff
 
 
-def run_units(units: Iterable[Unit], gateway: Gateway, runnable: int) -> None:
-    """Drive units to their ends from one loop on the calling thread.
+def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list[T]:
+    """Drive units to their ends from one loop on the calling thread, and
+    return their results in the order of ``units``.
 
-    Each batch's requests go to ``gateway.call`` at once.  Once every
-    request of a batch is answered, the unit is sent the replies, or is
-    thrown the batch's first error in batch order.  A batch the gateway
-    answers on the call goes straight on; a reply from a sender thread is
-    posted to the loop.  Units are started in order while fewer than
-    ``runnable`` have a request queued or on the wire; a unit whose
-    requests all wait out a retry backoff is parked and does not count.  An
-    error that escapes a unit ends that unit, and the first one is raised
-    once the other units are done.
+    Each batch's requests go to ``gateway.call`` (any object with the
+    gateway's ``call``) at once.  Once every request of a batch is answered,
+    the unit is sent the replies, or is thrown the batch's first error in
+    batch order.  A batch the gateway answers on the call goes straight on;
+    a reply from a sender thread is posted to the loop.  Units are started
+    in order while fewer than ``runnable`` have a request queued or on the
+    wire; a unit whose requests all wait out a retry backoff is parked and
+    does not count.  An error that escapes a unit ends that unit, and the
+    first one is raised once the other units are done.
     """
+    results: list[T | None] = []
     # (run, change in its parked requests), or (run, 0) for an answer that
     # came on a sender thread.
     events: SimpleQueue[tuple[_Run, int]] = SimpleQueue()
@@ -804,8 +786,8 @@ def run_units(units: Iterable[Unit], gateway: Gateway, runnable: int) -> None:
                 if run.waiting:
                     running.add(run)
                     return
-        except StopIteration:
-            return
+        except StopIteration as stop:
+            results[run.index] = stop.value
         except Exception as exc:
             if unexpected is None:
                 unexpected = exc
@@ -818,7 +800,8 @@ def run_units(units: Iterable[Unit], gateway: Gateway, runnable: int) -> None:
             unit = next(pending, None)
             if unit is None:
                 break
-            run = _Run(unit)
+            run = _Run(unit, len(results))
+            results.append(None)
             run.on_park = partial(parked_change, run)
             advance(run)
         if not running:
@@ -837,17 +820,17 @@ def run_units(units: Iterable[Unit], gateway: Gateway, runnable: int) -> None:
             advance(run)
     if unexpected is not None:
         raise unexpected
+    return results
 
 
 def run_unit(unit: Unit[T], gateway: Gateway) -> T:
     """Drive one unit to its result (see :func:`run_units`)."""
-    result = []
+    return run_units((unit,), gateway, 1)[0]
 
-    def keep():
-        result.append((yield from unit))
 
-    run_units((keep(),), gateway, 1)
-    return result[0]
+def _ask(req: ChatRequest) -> Unit[str]:
+    """The unit that sends one request and returns its reply."""
+    return (yield [req])[0]
 
 
 def backend_config_from_dict(record: Mapping) -> BackendConfig:

@@ -8,7 +8,8 @@ drives every pair from one loop on the calling thread, which does all of
 the work but the backend calls: rendering, parsing, voting and appending.
 At most ``workers`` pairs are runnable at a time (see run_units).
 Completion order across pairs is nondeterministic; downstream consumers
-(and the determinism check) sort by key via canonicalization.
+(and the determinism check) sort by key via canonicalization.  Conversion
+runs one unit per criterion on the same driver, and writes in input order.
 """
 
 from __future__ import annotations
@@ -782,78 +783,75 @@ def cmd_convert(
     *,
     prompts_dir: str | Path | None = None,
 ) -> int:
-    """Convert every criterion; write questions.json, criteria.json, report."""
-    from .gateway import Gateway, backend_config_from_dict
+    """Convert every criterion; write questions.json, criteria.json, report.
+
+    Each criterion is one unit on ``run_units``, so criteria overlap, and
+    the outputs are written in criterion order whatever order they end in.
+    """
+    from .conversion import Router, convert_criterion
+    from .corpus import load_criteria, write_criteria, write_questions
+    from .gateway import Gateway, backend_config_from_dict, run_units
 
     where = str(backends_path)
     try:
         backend_doc = load_json(backends_path)
-        drafters = [Gateway(backend_config_from_dict(entry))
-                    for entry in _require(backend_doc, "backends", list, where)]
-        if not drafters:
+        configs = [backend_config_from_dict(entry)
+                   for entry in _require(backend_doc, "backends", list, where)]
+        if not configs:
             raise ConfigError(f"{where} lists no drafting backends")
+        names = [cfg.model_name for cfg in configs]
+        for index, name in enumerate(names):
+            if name in names[:index]:  # tags, fixtures and rule proposals are keyed on it
+                raise ConfigError(f"{where}: two drafting backends are named {name!r}")
+        drafters = [Gateway(cfg) for cfg in configs]
         refiner = Gateway(backend_config_from_dict(
             _require(backend_doc, "refiner", dict, where)))
     except (EligoError, OSError) as exc:
         log.error("backend config error: %s", exc)
         return EXIT_CONFIG
 
+    # A unit has one request on each drafter, or one on the refiner: this
+    # many keep every backend at its bound while some units refine.
+    runnable = max(cfg.max_inflight for cfg in configs) + refiner.cfg.max_inflight
+    out_dir = Path(out_dir)
     try:
-        return _convert_all(criteria_path, out_dir, drafters, refiner, prompts_dir)
+        criteria = list(load_criteria(criteria_path).values())
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outcomes = run_units((convert_criterion(criterion, names, prompts_dir=prompts_dir)
+                              for criterion in criteria), Router(drafters, refiner), runnable)
+    except (EligoError, OSError) as exc:
+        log.error("input error: %s", exc)
+        return EXIT_INPUT
     finally:
         for gateway in (*drafters, refiner):
             gateway.close()
 
-
-def _convert_all(
-    criteria_path: str | Path,
-    out_dir: str | Path,
-    drafters: list[Gateway],
-    refiner: Gateway,
-    prompts_dir: str | Path | None,
-) -> int:
-    from .conversion import convert_criterion
-    from .corpus import load_criteria, write_criteria, write_questions
-
-    try:
-        criteria = load_criteria(criteria_path)
-    except (EligoError, OSError) as exc:
-        log.error("input error: %s", exc)
-        return EXIT_INPUT
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_questions = []
     updated_criteria = []
     report_lines = ["# Conversion report", ""]
     failures = 0
-    for criterion in criteria.values():
-        try:
-            merged, updated, warnings = convert_criterion(
-                criterion, drafters, refiner, prompts_dir=prompts_dir
-            )
-        except (EligoError, ValueError) as exc:  # ValueError: no backend drafted a question
+    for criterion, outcome in zip(criteria, outcomes):
+        if isinstance(outcome, Exception):
             failures += 1
             updated_criteria.append(criterion)
-            report_lines.append(f"## {criterion.criterion_id}: FAILED")
-            report_lines.append(f"- {exc}")
-            report_lines.append("")
+            report_lines += [f"## {criterion.criterion_id}: FAILED", f"- {outcome}", ""]
             continue
+        merged, updated, warnings = outcome
         all_questions.extend(merged.questions)
         updated_criteria.append(updated)
-        report_lines.append(
-            f"## {criterion.criterion_id}: {len(merged.questions)} questions"
-        )
-        report_lines.append(f"- rule: {merged.rule_text or '(needs human authoring)'}")
-        for warning in warnings:
-            report_lines.append(f"- warning: {warning}")
-        report_lines.append("")
+        report_lines += [f"## {criterion.criterion_id}: {len(merged.questions)} questions",
+                         f"- rule: {merged.rule_text or '(needs human authoring)'}",
+                         *(f"- warning: {warning}" for warning in warnings), ""]
 
-    write_questions(out_dir / "questions.json", all_questions)
-    write_criteria(out_dir / "criteria.json", updated_criteria)
-    (out_dir / "conversion_report.md").write_text(
-        "\n".join(report_lines).rstrip() + "\n", encoding="utf-8"
-    )
+    try:
+        write_questions(out_dir / "questions.json", all_questions)
+        write_criteria(out_dir / "criteria.json", updated_criteria)
+        (out_dir / "conversion_report.md").write_text(
+            "\n".join(report_lines).rstrip() + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        log.error("cannot write %s: %s", exc.filename or out_dir, exc.strerror or exc)
+        return EXIT_INPUT
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

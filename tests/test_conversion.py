@@ -2,6 +2,7 @@ import pytest
 
 from eligo import errors
 from eligo.conversion import (
+    Router,
     build_conversion_prompt,
     convert_criterion,
     generate_questions,
@@ -9,7 +10,7 @@ from eligo.conversion import (
     normalize_question_text,
 )
 from eligo.corpus import Category, CriterionKind, CriterionSpec, TaskType
-from eligo.gateway import BackendConfig, Gateway
+from eligo.gateway import BackendConfig, Gateway, run_unit
 from eligo.rules import parse_rule, referenced_ids
 
 from conftest import make_mock_gateway
@@ -62,6 +63,26 @@ def failing_gateway(model_name):
     return gateway
 
 
+def names(drafters):
+    return [drafter.cfg.model_name for drafter in drafters]
+
+
+def generate(criterion, drafters):
+    """Run the draft unit on its drafters."""
+    return run_unit(generate_questions(criterion, names(drafters)),
+                    Router(drafters, refining_gateway("")))
+
+
+def merge(drafts, refiner, criterion, **kwargs):
+    """Run the merge unit on the refiner."""
+    return run_unit(merge_question_sets(drafts, criterion, **kwargs), refiner)
+
+
+def convert(criterion, drafters, refiner):
+    """Run the conversion unit on its drafters and refiner."""
+    return run_unit(convert_criterion(criterion, names(drafters)), Router(drafters, refiner))
+
+
 class TestBuildPrompt:
     def test_embeds_criterion_verbatim(self):
         req = build_conversion_prompt(liver_criterion())
@@ -82,12 +103,12 @@ class TestBuildPrompt:
 
 class TestGenerateQuestions:
     def test_liver_reply_yields_four_drafts(self):
-        result = generate_questions(liver_criterion(), [drafting_gateway(LIVER_DRAFT_REPLY)])
+        result = generate(liver_criterion(), [drafting_gateway(LIVER_DRAFT_REPLY)])
         assert [draft.text for draft in result.drafts] == LIVER_QUESTION_TEXTS
         assert result.rule_proposals["assistant-1"].startswith("Q1 IS YES")
 
     def test_no_q_lines_warns(self):
-        result = generate_questions(
+        result = generate(
             liver_criterion(), [drafting_gateway("I would rather chat about weather.")]
         )
         assert result.drafts == []
@@ -101,12 +122,12 @@ class TestGenerateQuestions:
         ]
         second = drafting_gateway("\n".join(f"Q: {t}" for t in second_texts),
                                   model_name="a2")
-        result = generate_questions(liver_criterion(), [first, second])
+        result = generate(liver_criterion(), [first, second])
         # 4 + 3 drafts before merge; the 2 shared ones collapse later.
         assert len(result.drafts) == 7
 
     def test_one_backend_failing_is_tolerated(self):
-        result = generate_questions(
+        result = generate(
             liver_criterion(),
             [failing_gateway("dead"), drafting_gateway(LIVER_DRAFT_REPLY)],
         )
@@ -115,7 +136,7 @@ class TestGenerateQuestions:
 
     def test_all_backends_failing_raises(self):
         with pytest.raises(errors.ConversionError) as excinfo:
-            generate_questions(
+            generate(
                 liver_criterion(), [failing_gateway("d1"), failing_gateway("d2")]
             )
         assert len(excinfo.value.causes) == 2
@@ -126,9 +147,9 @@ class TestMerge:
         reply = ("Q: Is the pathological type hepatocellular carcinoma?\n"
                  "Q: Is the pathological type hepatocellular carcinoma?\n"
                  "RULE: Q1 IS YES")
-        drafts = generate_questions(liver_criterion(), [drafting_gateway(reply)]).drafts
+        drafts = generate(liver_criterion(), [drafting_gateway(reply)]).drafts
         assert len(drafts) == 2
-        merged = merge_question_sets(
+        merged = merge(
             drafts,
             refining_gateway("Q: Is the pathological type hepatocellular carcinoma?\n"
                              "RULE: Q1 IS YES"),
@@ -143,8 +164,8 @@ class TestMerge:
 
     def test_liver_merge_produces_catalog_entry(self):
         criterion = liver_criterion()
-        drafts = generate_questions(criterion, [drafting_gateway(LIVER_DRAFT_REPLY)])
-        merged = merge_question_sets(
+        drafts = generate(criterion, [drafting_gateway(LIVER_DRAFT_REPLY)])
+        merged = merge(
             drafts.drafts, refining_gateway(LIVER_DRAFT_REPLY), criterion,
             rule_proposals=drafts.rule_proposals,
         )
@@ -156,8 +177,8 @@ class TestMerge:
         assert referenced_ids(expr) == {"C1.q1", "C1.q2", "C1.q3", "C1.q4"}
 
     def test_unparsable_rule_keeps_questions(self):
-        merged = merge_question_sets(
-            generate_questions(liver_criterion(),
+        merged = merge(
+            generate(liver_criterion(),
                                [drafting_gateway(LIVER_DRAFT_REPLY)]).drafts,
             refining_gateway("Q: Only question?\nRULE: Q1 FROBNICATES"),
             liver_criterion(),
@@ -168,8 +189,8 @@ class TestMerge:
         assert any("rule" in warning for warning in merged.warnings)
 
     def test_rule_referencing_unlisted_question_rejected(self):
-        merged = merge_question_sets(
-            generate_questions(liver_criterion(),
+        merged = merge(
+            generate(liver_criterion(),
                                [drafting_gateway(LIVER_DRAFT_REPLY)]).drafts,
             refining_gateway("Q: Single question?\nRULE: Q1 IS YES AND Q9 IS NO"),
             liver_criterion(),
@@ -178,16 +199,16 @@ class TestMerge:
 
     def test_refiner_without_questions_raises(self):
         with pytest.raises(errors.RefinementParseError):
-            merge_question_sets(
-                generate_questions(liver_criterion(),
+            merge(
+                generate(liver_criterion(),
                                    [drafting_gateway(LIVER_DRAFT_REPLY)]).drafts,
                 refining_gateway("Nothing useful."),
                 liver_criterion(),
             )
 
     def test_refiner_labels_respected(self):
-        merged = merge_question_sets(
-            generate_questions(liver_criterion(),
+        merged = merge(
+            generate(liver_criterion(),
                                [drafting_gateway(LIVER_DRAFT_REPLY)]).drafts,
             refining_gateway("Q: Was a TIPS procedure performed? "
                              "[Intervention/DirectMatch]\nRULE: Q1 IS YES"),
@@ -198,8 +219,8 @@ class TestMerge:
         assert question.task_type is TaskType.DIRECT_MATCH
 
     def test_default_labels_applied(self):
-        merged = merge_question_sets(
-            generate_questions(liver_criterion(),
+        merged = merge(
+            generate(liver_criterion(),
                                [drafting_gateway(LIVER_DRAFT_REPLY)]).drafts,
             refining_gateway("Q: Unlabeled question?\nRULE: Q1 IS YES"),
             liver_criterion(),
@@ -210,7 +231,7 @@ class TestMerge:
 
 def test_convert_criterion_end_to_end():
     criterion = liver_criterion()
-    merged, updated, warnings = convert_criterion(
+    merged, updated, warnings = convert(
         criterion,
         [drafting_gateway(LIVER_DRAFT_REPLY)],
         refining_gateway(LIVER_DRAFT_REPLY),
@@ -222,7 +243,7 @@ def test_convert_criterion_end_to_end():
 
 def test_conversion_reproducible_given_fixed_fixtures():
     def run():
-        merged, updated, _ = convert_criterion(
+        merged, updated, _ = convert(
             liver_criterion(),
             [drafting_gateway(LIVER_DRAFT_REPLY)],
             refining_gateway(LIVER_DRAFT_REPLY),
@@ -230,3 +251,29 @@ def test_conversion_reproducible_given_fixed_fixtures():
         return [question.to_dict() for question in merged.questions], updated.to_dict()
 
     assert run() == run()
+
+
+def test_a_failed_criterion_is_returned_not_raised():
+    refiner = refining_gateway(LIVER_DRAFT_REPLY)
+    outcome = convert(liver_criterion(), [failing_gateway("d1"), failing_gateway("d2")],
+                      refiner)
+    assert isinstance(outcome, errors.ConversionError)
+    assert [label for label, _ in outcome.causes] == ["d1", "d2"]
+    assert refiner.transport.calls == 0
+
+
+def test_a_failed_refiner_fails_its_criterion():
+    outcome = convert(liver_criterion(), [drafting_gateway(LIVER_DRAFT_REPLY)],
+                      failing_gateway("refiner"))
+    assert isinstance(outcome, errors.BackendError)
+
+
+def test_router_sends_each_request_to_its_backend():
+    # "b|a" ends like "a": the longest name that the tag ends with wins.
+    drafters = [drafting_gateway(LIVER_DRAFT_REPLY, model_name=name) for name in ("a", "b|a")]
+    refiner = refining_gateway(LIVER_DRAFT_REPLY)
+    merged, _, warnings = convert(liver_criterion(), drafters, refiner)
+    assert [drafter.transport.calls for drafter in drafters] == [1, 1]
+    assert refiner.transport.calls == 1
+    assert len(merged.questions) == 4
+    assert not any("no Q: lines" in warning for warning in warnings)

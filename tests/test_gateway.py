@@ -638,18 +638,20 @@ class TestSlotsDuringBackoff:
         transport = _RefuseFirstAttempt({"a"})
         cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=0.5)
         gateway = Gateway(cfg, transport=transport)
-        b_future = []
+        a_outcomes, a_answered, a_done = TestCallbacks.recorder()
+        b_outcomes, b_answered, b_done = TestCallbacks.recorder()
 
         def backoff(error, backoff_s, attempt):
             # Runs on the only sender after a's first failure: b is queued
             # only now, and a waits out its backoff on the heap meanwhile.
-            b_future.append(gateway.submit(user_request("x", tag="b")))
+            gateway.call(user_request("x", tag="b"), b_done)
             return retry_delay(error, backoff_s, attempt)
 
         monkeypatch.setattr("eligo.gateway._retry_delay", backoff)
-        a_future = gateway.submit(user_request("x", tag="a"))
-        assert a_future.result(timeout=5.0) == "reply to a"
-        assert b_future[0].result(timeout=5.0) == "reply to b"
+        gateway.call(user_request("x", tag="a"), a_done)
+        assert a_answered.wait(timeout=5.0) and b_answered.wait(timeout=5.0)
+        assert [(reply, error) for _, reply, error in a_outcomes] == [("reply to a", None)]
+        assert [(reply, error) for _, reply, error in b_outcomes] == [("reply to b", None)]
         assert transport.sent == ["a", "b", "a"]
         assert transport.peak_inflight == 1
         gateway.close()
@@ -844,16 +846,6 @@ class TestCallbacks:
         assert wire_outcomes == [("eligo-sender", "reply to wire", None)]
         assert Transport.sent == ["parked", "wire"]
 
-    def test_a_submitted_future_cannot_be_cancelled_under_its_sender(self):
-        gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
-        future = gateway.submit(user_request("x", tag="a"))
-        assert not future.cancel()
-        assert future.result(timeout=5.0) == MOCK_FALLBACK
-        # The sender survived to answer the next call.
-        assert gateway.submit(user_request("x", tag="b")).result(timeout=5.0) == \
-            MOCK_FALLBACK
-        gateway.close()
-
     def test_a_callback_that_raises_on_a_sender_does_not_take_its_slot(self, caplog):
         gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
 
@@ -862,8 +854,10 @@ class TestCallbacks:
 
         gateway.call(user_request("x", tag="a"), faulty)
         # Queued behind the faulty call, for the only slot.
-        future = gateway.submit(user_request("x", tag="b"))
-        assert future.result(timeout=1.0) == MOCK_FALLBACK
+        outcomes, answered, done = self.recorder()
+        gateway.call(user_request("x", tag="b"), done)
+        assert answered.wait(timeout=1.0)
+        assert outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
         gateway.close()
         [record] = [record for record in caplog.records if record.exc_info]
         assert record.levelname == "ERROR"

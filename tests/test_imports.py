@@ -14,6 +14,8 @@ import pytest
 
 import eligo
 
+import test_runner
+
 SRC = os.path.dirname(os.path.dirname(eligo.__file__))
 
 # Runs the CLI on argv, then prints its exit code and the loaded modules.
@@ -57,6 +59,17 @@ def test_screen_loads_no_evaluation(mini_workspace):
     assert code == 0
     assert {"eligo.gateway", "eligo.pathway_a", "eligo.pathway_b"} <= modules
     assert "eligo.evaluation" not in modules
+    assert "concurrent.futures" not in modules
+
+
+def test_convert_loads_no_futures(tmp_path):
+    criteria_path, backends_path = test_runner.TestCmdConvert.build_catalog(
+        tmp_path, 2, latency_s=0.001)
+    code, modules = run_cli("convert", "--criteria", str(criteria_path),
+                            "--backends", str(backends_path), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "eligo.conversion" in modules
+    assert "concurrent.futures" not in modules
 
 
 def test_evaluate_loads_no_gateway_pathway_or_prompts(mini_workspace):

@@ -1358,6 +1358,136 @@ class TestCmdConvert:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    OUTPUTS = ("questions.json", "criteria.json", "conversion_report.md")
+
+    @staticmethod
+    def build_catalog(root, count, *, drafters=("d1", "d2"), latency_s=0.0,
+                      max_inflight=3):
+        """``count`` criteria, each with a fixture for every drafter and the
+        refiner; the drafters propose different rules."""
+        root.mkdir(parents=True, exist_ok=True)
+        criteria, fixtures = [], {}
+        for index in range(1, count + 1):
+            cid = f"C{index}"
+            criteria.append({"criterion_id": cid, "trial_ids": ["T1"], "kind": "inclusion",
+                             "text": f"Does the patient have condition {index}?",
+                             "rule": "", "question_ids": [], "needs_human_rule": True})
+            for rank, name in enumerate(drafters):
+                fixtures[f"convert|{cid}|{name}"] = "\n".join(
+                    [f"Q: Is condition {index}-{k} present?" for k in range(rank + 2)]
+                    + [f"RULE: Q1 IS YES OR Q{rank + 2} IS NO"])
+            fixtures[f"refine|{cid}"] = (f"Q: Is condition {index}-0 present?\n"
+                                         f"Q: Is condition {index}-1 present?\n"
+                                         "RULE: Q1 IS YES AND Q2 IS NOT NO")
+        (root / "criteria.json").write_text(json.dumps({"criteria": criteria}))
+        (root / "fixtures.json").write_text(json.dumps({"fixtures": fixtures}))
+
+        def backend(name):
+            return {"kind": "mock", "model_name": name, "mock_latency_s": latency_s,
+                    "max_inflight": max_inflight, "fixtures_path": str(root / "fixtures.json")}
+
+        (root / "backends.json").write_text(json.dumps(
+            {"backends": [backend(name) for name in drafters], "refiner": backend("refiner")}))
+        return root / "criteria.json", root / "backends.json"
+
+    @staticmethod
+    def convert_keeping_gateways(monkeypatch, *args):
+        """cmd_convert's exit code, and its gateways by model name."""
+        gateways = {}
+        close = Gateway.close
+
+        def recording_close(gateway):
+            gateways[gateway.cfg.model_name] = gateway
+            close(gateway)
+
+        monkeypatch.setattr(Gateway, "close", recording_close)
+        return cmd_convert(*args), gateways
+
+    def test_duplicate_drafter_names_exit_2(self, tmp_path, caplog):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 1, drafters=("m", "m"))
+        assert cmd_convert(criteria_path, backends_path, tmp_path / "out") == EXIT_CONFIG
+        assert f"{backends_path}: two drafting backends are named 'm'" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out_exits_3_naming_it(self, tmp_path, caplog):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 1)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        assert cmd_convert(criteria_path, backends_path, out) == EXIT_INPUT
+        assert str(out) in caplog.text
+        assert out.read_text() == "a file, not a directory"
+
+    def test_an_output_that_cannot_be_written_exits_3(self, tmp_path, caplog):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 1)
+        out = tmp_path / "out"
+        (out / "criteria.json").mkdir(parents=True)
+        assert cmd_convert(criteria_path, backends_path, out) == EXIT_INPUT
+        assert f"cannot write {out / 'criteria.json'}" in caplog.text
+
+    def test_criteria_overlap_within_each_backends_bound(self, tmp_path, monkeypatch):
+        criteria_path, backends_path = self.build_catalog(
+            tmp_path, 6, drafters=("d1", "d2", "d3"), latency_s=0.02, max_inflight=2)
+        code, gateways = self.convert_keeping_gateways(
+            monkeypatch, criteria_path, backends_path, tmp_path / "out")
+        assert code == EXIT_OK
+        assert sorted(gateways) == ["d1", "d2", "d3", "refiner"]
+        assert gateways["refiner"].transport.peak_inflight >= 2
+        for gateway in gateways.values():
+            assert gateway.transport.calls == 6
+            assert gateway.transport.peak_inflight <= gateway.cfg.max_inflight
+
+    def test_outputs_do_not_depend_on_completion_order(self, tmp_path, monkeypatch):
+        count = 6
+        criteria_path, backends_path = self.build_catalog(tmp_path / "plain", count)
+        assert cmd_convert(criteria_path, backends_path, tmp_path / "plain" / "out") == EXIT_OK
+        criteria_path, backends_path = self.build_catalog(
+            tmp_path / "scripted", count, latency_s=0.001, max_inflight=count)
+        finished = []
+        send = eligo.gateway.MockTransport.send
+
+        def later_criteria_first(transport, req):
+            index = int(req.tag.split("|")[1].removeprefix("C"))
+            time.sleep(0.01 * (count - index))
+            reply = send(transport, req)
+            finished.append(req.tag)
+            return reply
+
+        monkeypatch.setattr(eligo.gateway.MockTransport, "send", later_criteria_first)
+        out = tmp_path / "scripted" / "out"
+        assert cmd_convert(criteria_path, backends_path, out) == EXIT_OK
+        assert finished.index(f"refine|C{count}") < finished.index("refine|C1")
+        for name in self.OUTPUTS:
+            assert (out / name).read_bytes() == \
+                (tmp_path / "plain" / "out" / name).read_bytes()
+
+    def test_a_criterion_whose_drafters_all_fail_is_failed_alone(self, tmp_path, monkeypatch):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 4, latency_s=0.001)
+        send = eligo.gateway.MockTransport.send
+
+        def refuse(transport, req):
+            # Every drafter fails C2; only d1 fails C3.
+            if req.tag.startswith("convert|C2|") or req.tag == "convert|C3|d1":
+                raise BackendError("backend refused the request", status=400)
+            return send(transport, req)
+
+        monkeypatch.setattr(eligo.gateway.MockTransport, "send", refuse)
+        out = tmp_path / "out"
+        code, gateways = self.convert_keeping_gateways(
+            monkeypatch, criteria_path, backends_path, out)
+        assert code == EXIT_PARTIAL
+        report = (out / "conversion_report.md").read_text()
+        assert ("## C2: FAILED\n- all backends failed: d1: backend refused the request "
+                "(status 400); d2: backend refused the request (status 400)\n") in report
+        assert "## C3: 2 questions\n" in report
+        assert "- warning: d1: backend failed: backend refused the request" in report
+        criteria = json.loads((out / "criteria.json").read_text())["criteria"]
+        assert [(c["criterion_id"], c["question_ids"]) for c in criteria] == [
+            ("C1", ["C1.q1", "C1.q2"]), ("C2", []), ("C3", ["C3.q1", "C3.q2"]),
+            ("C4", ["C4.q1", "C4.q2"])]
+        questions = json.loads((out / "questions.json").read_text())["questions"]
+        assert len(questions) == 6
+        assert gateways["refiner"].transport.calls == 3  # C2 is never refined
+
 
 class TestCli:
     def test_screen_and_report_via_cli(self, mini_workspace, capsys):
