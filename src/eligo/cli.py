@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -119,5 +120,12 @@ def main(argv: list[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def run() -> None:
+    """``main``, then exit with the heap frozen: shutdown does not scan it."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

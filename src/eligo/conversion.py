@@ -197,7 +197,7 @@ def merge_question_sets(
     rule authoring.
     """
     if not drafts:
-        raise ValueError("merge_question_sets needs at least one draft")
+        raise ValueError("no drafter proposed a question")
     unique = _dedup(drafts)
     drafts_block = "\n".join(
         f"Q: {draft.text} [{draft.suggested_category.value}/{draft.suggested_task_type.value}]"

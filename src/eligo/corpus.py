@@ -6,9 +6,11 @@ so they can be shared freely across worker threads.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
@@ -188,6 +190,7 @@ class TrialSpec:
     trial_id: str
     criterion_ids: tuple[str, ...]
     registry_code: str | None = None
+    outcomes: dict = field(default_factory=dict, compare=False, repr=False)  # trial_verdict's
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,18 @@ class GoldSet:
 
     question_labels: dict[tuple[str, str], Verdict] = field(default_factory=dict)
     criterion_labels: dict[tuple[str, str], CriterionLabel] = field(default_factory=dict)
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore its state, also on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- reading input ------------------------------------------------------------

@@ -319,16 +319,18 @@ def counterfactual_rate(
     notes: Mapping[str, AdmissionNote] | Iterable[AdmissionNote],
     *,
     note_texts: Mapping[str, str] | None = None,
+    groundings: Mapping[tuple[str, str], Grounding] | None = None,
 ) -> CounterfactualReport:
     """Fraction of answers that assert YES/NO wrongly without grounded evidence.
 
     A wrong answer whose evidence does occur in the note is an inference
     error, not a fabrication, and never counts here.  ``note_texts`` are the
-    notes' normalize_notes texts, computed here when not given.
+    notes' normalize_notes texts, and ``groundings`` the predictions'
+    grounding_check results by key; each is computed here when not given.
     """
     if not isinstance(notes, Mapping):
         notes = {note.note_id: note for note in notes}
-    if note_texts is None:
+    if note_texts is None and groundings is None:
         note_texts = normalize_notes(notes.values())
     count = 0
     errors = 0
@@ -344,7 +346,9 @@ def counterfactual_rate(
         if wrong:
             errors += 1
             if answer.value in (Verdict.YES, Verdict.NO):
-                if grounding_check(answer, note, note_texts[note_id]) is Grounding.UNGROUNDED:
+                grounding = (grounding_check(answer, note, note_texts[note_id])
+                             if groundings is None else groundings[key])
+                if grounding is Grounding.UNGROUNDED:
                     count += 1
     total = len(predictions)
     return CounterfactualReport(

@@ -544,6 +544,7 @@ class Gateway:
             if error is None:
                 return
         done(reply, error)
+        error = None  # its traceback holds this frame
 
     def complete(self, req: ChatRequest) -> str:
         """Send one request and wait for its reply; raise its error instead."""
@@ -662,6 +663,7 @@ class Gateway:
             if error is None:
                 return
         call.done(reply, error)
+        error = None  # its traceback holds this frame
 
     def _failed(self, call: _Call, error: Exception) -> Exception | None:
         """The error that a failed attempt completes its call with, or None
@@ -717,9 +719,7 @@ class _Run:
 
     unit: Unit
     index: int  # the unit's place among the units run
-    on_park: Callable[[bool], None] | None = None  # a request was (un)parked
     replies: list[str | None] | None = None  # the batch's replies, in batch order
-    callbacks: list[Done] = field(default_factory=list)  # by batch index
     errors: dict[int, Exception] = field(default_factory=dict)  # by batch index
     waiting: int = 0  # requests of the batch not yet answered
     parked: int = 0  # of those, the ones waiting out a retry backoff
@@ -767,22 +767,19 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
     def advance(run: _Run) -> None:
         """Resume the unit until it waits on the gateway or ends."""
         nonlocal unexpected
+        on_park = partial(parked_change, run)
         try:
             while True:
-                if run.errors:
-                    error = run.errors[min(run.errors)]
+                if run.errors:  # no local holds it: its traceback may hold this frame
+                    requests = run.unit.throw(run.errors[min(run.errors)])
                     run.errors.clear()
-                    requests = run.unit.throw(error)
                 else:
                     requests = run.unit.send(run.replies)
                 count = len(requests)
                 run.replies = [None] * count
                 run.waiting = count
-                callbacks = run.callbacks
-                while len(callbacks) < count:
-                    callbacks.append(partial(answered, run, len(callbacks)))
-                for request, done in zip(requests, callbacks):
-                    gateway.call(request, done, on_park=run.on_park)
+                for index, request in enumerate(requests):
+                    gateway.call(request, partial(answered, run, index), on_park=on_park)
                 if run.waiting:
                     running.add(run)
                     return
@@ -793,6 +790,9 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
                 unexpected = exc
             # A reply still on its way then finds the unit closed.
             run.unit.close()
+        # Free it by reference counting: it holds no callback, and the frames
+        # of an error it was thrown refer to it.
+        run.errors.clear()
 
     pending = iter(units)
     while True:
@@ -802,7 +802,6 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
                 break
             run = _Run(unit, len(results))
             results.append(None)
-            run.on_park = partial(parked_change, run)
             advance(run)
         if not running:
             break
@@ -819,7 +818,10 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
             running.discard(run)
             advance(run)
     if unexpected is not None:
-        raise unexpected
+        try:
+            raise unexpected
+        finally:  # its traceback holds this frame
+            unexpected = None
     return results
 
 

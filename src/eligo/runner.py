@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
@@ -36,6 +36,7 @@ from .corpus import (
     _optional,
     _require,
     _require_strs,
+    collector_paused,
     jsonl_values,
     load_catalog_dir,
     load_gold,
@@ -465,23 +466,24 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     debates_path = out_dir / "debates.jsonl"
     labels = config.unit_labels()
     owns_gateway = gateway is None
-    try:
-        notes = load_notes(config.notes_path)
-        catalog = load_catalog_dir(config.catalog_dir)
-        roles = load_roles(config.prompts_dir)
-        debate_templates = load_debate_templates(config.prompts_dir)
-        existing = {record.key: record for record in _read_resume_state(results_path)}
-        if DEBATE_LABEL in labels:
-            _drop_orphan_transcripts(debates_path, {
-                (note_id, question_id)
-                for note_id, question_id, label in existing if label == DEBATE_LABEL
-            })
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if owns_gateway:  # loads the mock fixtures; opens nothing yet
-            gateway = Gateway(config.backend, seed=config.seed)
-    except (EligoError, OSError) as exc:
-        log.error("input error: %s", exc)
-        return EXIT_INPUT
+    with collector_paused():  # the inputs live until the end (see README)
+        try:
+            notes = load_notes(config.notes_path)
+            catalog = load_catalog_dir(config.catalog_dir)
+            roles = load_roles(config.prompts_dir)
+            debate_templates = load_debate_templates(config.prompts_dir)
+            existing = {record.key: record for record in _read_resume_state(results_path)}
+            if DEBATE_LABEL in labels:
+                _drop_orphan_transcripts(debates_path, {
+                    (note_id, question_id)
+                    for note_id, question_id, label in existing if label == DEBATE_LABEL
+                })
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if owns_gateway:  # loads the mock fixtures; opens nothing yet
+                gateway = Gateway(config.backend, seed=config.seed)
+        except (EligoError, OSError) as exc:
+            log.error("input error: %s", exc)
+            return EXIT_INPUT
 
     # Writers open on their first append: after the resume repairs above,
     # and never for a file this run adds nothing to.
@@ -661,6 +663,7 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
 
 # -- evaluation ---------------------------------------------------------------
 
+@collector_paused()  # what it builds lives until it returns, and has few cycles
 def cmd_evaluate(
     results_path: str | Path,
     gold_path: str | Path,
@@ -703,6 +706,22 @@ def cmd_evaluate(
 
     notes_by_id = {note.note_id: note for note in notes} if notes is not None else None
     note_texts = normalize_notes(notes) if notes is not None else None
+    rows, groundings = [], {}  # label -> (note id, question id) -> grounding
+    for record in records:
+        note_id = record.note_id
+        gold_label = gold.question_labels.get((note_id, record.question_id))
+        grounding = ""
+        if notes_by_id is not None:
+            grounding = grounding_check(record.answer, notes_by_id[note_id],
+                                        note_texts[note_id])
+            groundings.setdefault(record.pathway, {})[note_id, record.question_id] = grounding
+            grounding = LABEL_OF[grounding]
+        rows.append((note_id, record.question_id,
+                     LABEL_OF[gold_label] if gold_label else "",
+                     LABEL_OF[record.answer.value], grounding,
+                     f"{record.elapsed_s:.6f}", record.pathway))
+    rows.sort(key=itemgetter(0, 1, 6))  # by note, question and label
+
     question_level: dict[str, dict] = {}
     criterion_level: dict[str, dict] = {}
     scorable = [criterion for criterion in catalog.criteria.values()
@@ -719,7 +738,7 @@ def cmd_evaluate(
         report = score_questions(scored, gold, catalog, positive_class=positive)
         if notes_by_id is not None:
             report.counterfactual = counterfactual_rate(
-                scored, gold, notes_by_id, note_texts=note_texts
+                scored, gold, notes_by_id, groundings=groundings[label]
             )
         document = report.to_dict()
         document["unscored_count"] = (sum(map(len, answers_by_note.values()))
@@ -741,19 +760,6 @@ def cmd_evaluate(
         "timing": {label: stats.to_dict() for label, stats in timing_stats(
             (record.pathway, record.elapsed_s) for record in records).items()},
     }
-
-    rows = []
-    for record in sorted(records, key=attrgetter("note_id", "question_id", "pathway")):
-        note_id = record.note_id
-        gold_label = gold.question_labels.get((note_id, record.question_id))
-        grounding = ""
-        if notes_by_id is not None:
-            grounding = LABEL_OF[grounding_check(record.answer, notes_by_id[note_id],
-                                                 note_texts[note_id])]
-        rows.append((note_id, record.question_id,
-                     LABEL_OF[gold_label] if gold_label else "",
-                     LABEL_OF[record.answer.value], grounding,
-                     f"{record.elapsed_s:.6f}", record.pathway))
 
     out_dir = Path(out_dir)
     try:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eligo.evaluation
 from eligo.corpus import (
     AdmissionNote,
     Catalog,
@@ -388,6 +389,23 @@ class TestCounterfactualRate:
         predictions[("n1", "qf400")] = answer(Verdict.UNKNOWN, ["fabricated quote"])
         report = counterfactual_rate(predictions, gold, notes)
         assert report.count == 0
+
+    def test_given_groundings_are_used_instead_of_grounding(self, monkeypatch):
+        predictions, gold, notes = counterfactual_items()
+        computed = {key: grounding_check(answer, notes[key[0]])
+                    for key, answer in predictions.items()}
+        assert (counterfactual_rate(predictions, gold, notes, groundings=computed)
+                == counterfactual_rate(predictions, gold, notes))
+
+        def no_grounding(*args):
+            raise AssertionError("grounded again")
+
+        monkeypatch.setattr(eligo.evaluation, "grounding_check", no_grounding)
+        monkeypatch.setattr(eligo.evaluation, "normalize_notes", no_grounding)
+        report = counterfactual_rate(predictions, gold, notes,
+                                     groundings=dict.fromkeys(predictions, Grounding.GROUNDED))
+        assert report.count == 0
+        assert report.error_count == 1
 
     def test_given_note_texts_are_used(self):
         predictions, gold, notes = counterfactual_items()

@@ -999,6 +999,25 @@ class TestCmdEvaluate:
         quote_calls = [text for text in calls if text not in note_texts]
         assert sorted(quote_calls) == sorted(quotes)
 
+    def test_each_record_grounded_once(self, mini_workspace, monkeypatch):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        records = read_results(mini_workspace["out"] / "results.jsonl")
+        calls = []
+        grounding_check = eligo.evaluation.grounding_check
+
+        def counting_grounding_check(answer, *args):
+            calls.append(answer)
+            return grounding_check(answer, *args)
+
+        monkeypatch.setattr(eligo.evaluation, "grounding_check", counting_grounding_check)
+        status, out_dir = self.evaluate(mini_workspace, notes_path=mini_workspace["notes"])
+        assert status == EXIT_OK
+        # Not again for the wrong YES/NO answers in the counterfactual rate.
+        assert len(calls) == len(records)
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert sum(level["counterfactual"]["error_count"]
+                   for level in metrics["question_level"].values()) > 0
+
     def test_later_evaluation_matches_a_fresh_process(self, mini_workspace):
         # Quotes normalized for one set of notes must not decide grounding
         # in another: evaluate, swap the two notes' texts, and evaluate again
@@ -1487,6 +1506,19 @@ class TestCmdConvert:
         questions = json.loads((out / "questions.json").read_text())["questions"]
         assert len(questions) == 6
         assert gateways["refiner"].transport.calls == 3  # C2 is never refined
+
+    def test_a_criterion_no_drafter_proposed_a_question_for_says_so(self, tmp_path):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 3)
+        fixtures_path = tmp_path / "fixtures.json"
+        fixtures = json.loads(fixtures_path.read_text())["fixtures"]
+        fixtures_path.write_text(json.dumps({"fixtures": {
+            tag: reply for tag, reply in fixtures.items() if "|C2" not in tag}}))
+        out = tmp_path / "out"
+        assert cmd_convert(criteria_path, backends_path, out) == EXIT_PARTIAL
+        report = (out / "conversion_report.md").read_text()
+        assert "## C2: FAILED\n- no drafter proposed a question\n" in report
+        assert "merge_question_sets" not in report
+        assert "## C1: 2 questions\n" in report and "## C3: 2 questions\n" in report
 
 
 class TestCli:
