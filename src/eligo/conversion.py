@@ -314,9 +314,8 @@ class Router:
              on_park: Callable[[bool], None] | None = None) -> None:
         if req.tag.startswith("refine|"):
             self.refiner.call(req, done, on_park=on_park)
-        else:  # the longest name the tag ends with, should a name hold a "|"
-            name = max((name for name in self.drafters if req.tag.endswith(f"|{name}")),
-                       key=len)
+        else:  # a criterion id holds no "|", so the rest of the tag is the name
+            name = req.tag.split("|", 2)[2]
             self.drafters[name].call(req, partial(_failure_as_reply, done), on_park=on_park)
 
 

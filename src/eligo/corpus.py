@@ -190,7 +190,6 @@ class TrialSpec:
     trial_id: str
     criterion_ids: tuple[str, ...]
     registry_code: str | None = None
-    outcomes: dict = field(default_factory=dict, compare=False, repr=False)  # trial_verdict's
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,10 @@ def collector_paused() -> Iterator[None]:
 
 def _require(record: Mapping, key: str, kind: type, where: str,
              line: int | None = None, default=None):
-    """``record[key]``, or ``default`` when it is absent, if that is a ``kind``."""
+    """``record[key]``, or ``default`` when it is absent, if that is a ``kind``;
+    a bool is not an int."""
     value = record.get(key, default)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(f"{where}: expected {kind.__name__} for {key!r}",
                           line=line, field=key)
     return value

@@ -318,20 +318,18 @@ def counterfactual_rate(
     gold: GoldSet,
     notes: Mapping[str, AdmissionNote] | Iterable[AdmissionNote],
     *,
-    note_texts: Mapping[str, str] | None = None,
     groundings: Mapping[tuple[str, str], Grounding] | None = None,
 ) -> CounterfactualReport:
     """Fraction of answers that assert YES/NO wrongly without grounded evidence.
 
     A wrong answer whose evidence does occur in the note is an inference
-    error, not a fabrication, and never counts here.  ``note_texts`` are the
-    notes' normalize_notes texts, and ``groundings`` the predictions'
-    grounding_check results by key; each is computed here when not given.
+    error, not a fabrication, and never counts here.  ``groundings`` are the
+    predictions' grounding_check results by key, computed here (over the
+    notes' normalize_notes texts) when not given.
     """
     if not isinstance(notes, Mapping):
         notes = {note.note_id: note for note in notes}
-    if note_texts is None and groundings is None:
-        note_texts = normalize_notes(notes.values())
+    note_texts = normalize_notes(notes.values()) if groundings is None else {}
     count = 0
     errors = 0
     for key in sorted(predictions):

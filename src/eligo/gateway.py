@@ -835,14 +835,29 @@ def _ask(req: ChatRequest) -> Unit[str]:
     return (yield [req])[0]
 
 
+# The JSON values that a BackendConfig field of each type takes (no bool).
+_JSON_KINDS = {"str": (str, "a string"), "int": (int, "an integer"),
+               "float": ((int, float), "a number")}
+
+
 def backend_config_from_dict(record: Mapping) -> BackendConfig:
-    """Build a BackendConfig from a JSON object (run.json / backends.json)."""
+    """Build a BackendConfig from a JSON object (run.json / backends.json);
+    a field whose default is None also takes null."""
     if not isinstance(record, Mapping):
         raise errors.ConfigError("a backend config must be a JSON object")
     known = {f.name for f in fields(BackendConfig)}
     unknown = set(record) - known
     if unknown:
         raise errors.ConfigError(f"unknown backend config keys {sorted(unknown)}")
+    for f in fields(BackendConfig):
+        value = record.get(f.name)
+        if value is None and (f.name not in record or f.default is None):
+            continue
+        kind, name = _JSON_KINDS[f.type.removesuffix(" | None")]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            nullable = " or null" if f.default is None else ""
+            raise errors.ConfigError(f"invalid backend config: {f.name!r} must be "
+                                     f"{name}{nullable}, got {value!r}")
     try:
         cfg = BackendConfig(**record)
         cfg.validate()

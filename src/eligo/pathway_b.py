@@ -61,49 +61,6 @@ class DebateTranscript:
         }
 
 
-def _stance_request(
-    template: str,
-    question: QuestionSpec,
-    note: AdmissionNote,
-    judge_notes: str | None,
-    *,
-    tag: str = "",
-) -> ChatRequest:
-    notes_block = ""
-    if judge_notes:
-        notes_block = f"\nADJUDICATOR NOTES FROM ROUND 1:\n{judge_notes}\n"
-    prompt = render(
-        template,
-        question=question.text,
-        note=canonical_text(note),
-        judge_notes=notes_block,
-    )
-    return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=tag)
-
-
-def _judge_request(
-    template: str,
-    templates: Mapping[str, str],
-    question: QuestionSpec,
-    note: AdmissionNote,
-    arg_pos: str,
-    arg_neg: str,
-    *,
-    judge_notes: str = "",
-    tag: str = "",
-) -> ChatRequest:
-    values = {
-        "question": question.text,
-        "note": canonical_text(note),
-        "arg_pos": arg_pos,
-        "arg_neg": arg_neg,
-    }
-    if template == "judge_final":
-        values["judge_notes"] = judge_notes
-    prompt = render(templates[template], **values)
-    return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=tag)
-
-
 def _second_round_demand(text: str) -> str | None:
     """Return the judge's inconsistency notes when a second round is demanded."""
     match = _SECOND_ROUND_RE.match(text)
@@ -125,10 +82,18 @@ def debate_unit(
     """
     key = f"{note.note_id}|{question.question_id}"
 
+    def request(template: str, tag: str, **values: str) -> ChatRequest:
+        """The template filled with the question, the note and the stage's values."""
+        prompt = render(templates[template], question=question.text,
+                        note=canonical_text(note), **values)
+        return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=f"{key}|{tag}")
+
     def stance_round(round_no: int, judge_notes: str | None):
+        notes_block = ""
+        if judge_notes:
+            notes_block = f"\nADJUDICATOR NOTES FROM ROUND 1:\n{judge_notes}\n"
         requests = [
-            _stance_request(templates[template], question, note, judge_notes,
-                            tag=f"{key}|{role}|r{round_no}")
+            request(template, f"{role}|r{round_no}", judge_notes=notes_block)
             for template, role in (("stance_pos", "proponent"), ("stance_neg", "opponent"))
         ]
         replies = yield requests
@@ -157,10 +122,7 @@ def debate_unit(
         return outcome, transcript
 
     (judge1_text,) = yield [
-        _judge_request(
-            "judge_r1", templates, question, note, pro_text, con_text,
-            tag=f"{key}|judge|r1",
-        )
+        request("judge_r1", "judge|r1", arg_pos=pro_text, arg_neg=con_text)
     ]
     demand = _second_round_demand(judge1_text)
     judge1 = parse_answer(judge1_text, provenance=f"{key}|judge|r1")
@@ -175,10 +137,8 @@ def debate_unit(
     (pro2_text, pro2), (con2_text, con2) = yield from stance_round(2, demand)
     # Round-2 agreement is NOT consulted: the judge must close the debate.
     (final_text,) = yield [
-        _judge_request(
-            "judge_final", templates, question, note,
-            pro2_text, con2_text, judge_notes=demand, tag=f"{key}|judge|final",
-        )
+        request("judge_final", "judge|final", arg_pos=pro2_text, arg_neg=con2_text,
+                judge_notes=demand)
     ]
     outcome = parse_answer(final_text, provenance=f"{key}|judge|final")
     transcript = DebateTranscript(

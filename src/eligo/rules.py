@@ -639,22 +639,16 @@ def trial_verdict(
     INELIGIBLE when some criterion fails on a stable verdict; otherwise the
     outcome hinges on unstable verdicts and is UNDETERMINED.  ``verdicts``
     may be given indexed by criterion id, so that a note's verdicts are
-    indexed once for all of its trials.  The roll-up is memoized in
-    ``trial.outcomes`` by the ids of the verdicts, which criterion_verdict
-    shares; an entry holds them, so their ids are not reused while it lasts.
+    indexed once for all of its trials.
     """
     if isinstance(verdicts, Mapping):
         by_id = verdicts
     else:
         by_id = {verdict.criterion_id: verdict for verdict in verdicts}
-    given = [by_id.get(criterion_id) for criterion_id in trial.criterion_ids]
-    key = tuple(map(id, given))
-    entry = trial.outcomes.get(key)
-    if entry is not None:
-        return entry[1]
     failing: list[str] = []
     any_unstable = False
-    for criterion_id, verdict in zip(trial.criterion_ids, given):
+    for criterion_id in trial.criterion_ids:
+        verdict = by_id.get(criterion_id)
         if verdict is None:
             raise MissingVerdictError(criterion_id)
         if not verdict.passes():
@@ -667,7 +661,4 @@ def trial_verdict(
         status = TrialStatus.UNDETERMINED
     else:
         status = TrialStatus.ELIGIBLE
-    rollup = TrialVerdict(trial.trial_id, status, tuple(failing))
-    if len(trial.outcomes) < 4096:  # which verdicts made afresh could pass
-        trial.outcomes[key] = (given, rollup)
-    return rollup
+    return TrialVerdict(trial.trial_id, status, tuple(failing))

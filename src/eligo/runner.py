@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import __version__
 from .corpus import (
@@ -65,7 +65,6 @@ if TYPE_CHECKING:
 # slow) for screen.
 
 log = logging.getLogger(__name__)
-T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -338,27 +337,22 @@ def read_results(path: str | Path) -> list[ResultRecord]:
             in jsonl_values(Path(path).read_bytes(), partial(_decode_result, path))]
 
 
-def _read_appended_jsonl(
-    path: Path, decode_line: Callable[[int, bytes], object],
-    parse: Callable[[int, object], T],
-) -> list[tuple[int, T]]:
-    """Read a JSONL file that an interrupted run may have appended to.
+def _read_resume_state(path: Path) -> list[ResultRecord]:
+    """Like read_results, but repairs a run that an interruption cut short.
 
-    Returns ``(line_no, parse(line_no, value))`` for the JSON value of each
-    non-blank line, read by jsonl_values with ``decode_line``.  A final line
-    that ``decode_line`` or ``parse`` rejects with SchemaError (naming the
-    line) is torn (half-written) and is truncated away so later appends land
-    on a clean file; on any earlier line the error propagates.  Lines are
-    split on b"\n", so a crash that cut a multi-byte character, or a U+2028
-    that ``ensure_ascii=False`` left unescaped, cannot split a line.
+    A final line that is not a result record (SchemaError naming the line)
+    is torn (half-written) and is truncated away so later appends land on a
+    clean file; on any earlier line the error propagates.  Lines are split
+    on b"\n", so a crash that cut a multi-byte character, or a U+2028 that
+    ``ensure_ascii=False`` left unescaped, cannot split a line.
     """
     if not path.exists():
         return []
     raw = path.read_bytes()
-    rows: list[tuple[int, T]] = []
+    records: list[ResultRecord] = []
     try:
-        for line_no, value in jsonl_values(raw, decode_line):
-            rows.append((line_no, parse(line_no, value)))
+        for line_no, value in jsonl_values(raw, partial(_decode_result, path)):
+            records.append(_parse_result(path, line_no, value))
     except SchemaError as exc:
         # The last non-blank line starts after the newline before the last
         # byte that is not whitespace.
@@ -367,19 +361,12 @@ def _read_appended_jsonl(
             raise
         log.warning("truncating torn final line of %s", path)
         path.write_bytes(raw[:last_start])
-        return rows
+        return records
     if raw and not raw.endswith(b"\n"):
         # The crash fell between a record and its newline: end the line.
         with open(path, "ab") as handle:
             handle.write(b"\n")
-    return rows
-
-
-def _read_resume_state(path: Path) -> list[ResultRecord]:
-    """Like read_results, but repairs a torn (half-written) final line."""
-    rows = _read_appended_jsonl(path, partial(_decode_result, path),
-                                partial(_parse_result, path))
-    return [record for _, record in rows]
+    return records
 
 
 def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None:
@@ -390,7 +377,8 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     one.  A later duplicate replaces an earlier one.  Unreadable lines, a
     torn final one included, are dropped: an older release appended the
     next record onto a torn line, and so are lines whose ids are not
-    strings.  The file is replaced atomically, and only when it changes.
+    strings.  The file is replaced atomically, and only when it changes or
+    its last line lacks the newline that the next append needs.
     """
     def decode(line_no: int, line: bytes):
         try:
@@ -408,11 +396,15 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
             return None
         return key
 
-    rows = _read_appended_jsonl(path, decode, transcript_key)
-    kept = {key: line_no for line_no, key in rows if key in answered}
-    if len(kept) == len(rows):
+    if not path.exists():
         return
-    lines = path.read_bytes().split(b"\n")
+    raw = path.read_bytes()
+    rows = [(line_no, transcript_key(line_no, value))
+            for line_no, value in jsonl_values(raw, decode)]
+    kept = {key: line_no for line_no, key in rows if key in answered}
+    if len(kept) == len(rows) and (not raw or raw.endswith(b"\n")):
+        return
+    lines = raw.split(b"\n")
     scratch = path.with_name(path.name + ".tmp")
     scratch.write_bytes(b"".join(lines[line_no - 1] + b"\n" for line_no in kept.values()))
     os.replace(scratch, path)
@@ -506,7 +498,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
         """Run the pair's units in label order, saving each one's record.
 
         The vote is formed from the role answers of this run, and a role
-        resumed from its record.
+        resumed from its record whose provenance names this pair, as votes need.
         """
         nonlocal failed, skipped
         note_id, question_id = note.note_id, question.question_id
@@ -516,7 +508,8 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             if existing and (record := existing.get(
                     (note_id, question_id, label))) is not None:
                 skipped += 1
-                if role is not None:
+                if role is not None and record.answer.provenance.split("|", 2)[:2] == \
+                        [note_id, question_id]:
                     members.append(RoleAnswer(record.answer, role.role_id,
                                               record.elapsed_s * 1000.0))
             elif label == VOTE_LABEL:

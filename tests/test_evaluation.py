@@ -407,15 +407,6 @@ class TestCounterfactualRate:
         assert report.count == 0
         assert report.error_count == 1
 
-    def test_given_note_texts_are_used(self):
-        predictions, gold, notes = counterfactual_items()
-        texts = normalize_notes(notes.values())
-        assert counterfactual_rate(predictions, gold, notes, note_texts=texts).count == 1
-        texts["n1"] += " transplant evaluation completed"
-        report = counterfactual_rate(predictions, gold, notes, note_texts=texts)
-        assert report.count == 0
-        assert report.error_count == 1
-
     def test_rate_never_exceeds_error_rate(self):
         predictions, gold, notes = counterfactual_items()
         report = counterfactual_rate(predictions, gold, notes)

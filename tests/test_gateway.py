@@ -27,6 +27,7 @@ from eligo.gateway import (
     MOCK_FALLBACK,
     RETRY_AFTER_CAP_S,
     _retry_delay as retry_delay,
+    backend_config_from_dict,
     mock_resolve,
     parse_answer,
     parse_retry_after,
@@ -341,6 +342,11 @@ class TestBackendConfig:
     def test_timeout_positive(self):
         with pytest.raises(ValueError):
             BackendConfig(kind="mock", timeout_ms=0).validate()
+
+    def test_from_dict_takes_an_int_for_a_float_and_null_for_a_none_default(self):
+        cfg = backend_config_from_dict({"kind": "mock", "backoff_s": 0,
+                                        "fixtures_path": None, "api_key": None})
+        assert cfg == BackendConfig(kind="mock", backoff_s=0)
 
 
 class TestMockBackend:

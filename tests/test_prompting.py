@@ -1,7 +1,15 @@
+import hashlib
+import json
+
 import pytest
 
+from eligo.corpus import load_catalog_dir, load_notes
 from eligo.errors import PromptError
+from eligo.pathway_a import load_roles, role_unit
+from eligo.pathway_b import debate_unit, load_debate_templates
 from eligo.prompting import TEMPLATE_NAMES, load_template, render
+
+from conftest import build_mini_fixtures
 
 
 def test_all_packaged_templates_load():
@@ -35,3 +43,41 @@ def test_override_directory_wins(tmp_path):
     assert load_template("role_crc", tmp_path).startswith("custom")
     # Other templates still come from the package.
     assert "OPPONENT" in load_template("stance_neg", tmp_path)
+
+
+def _request_record(request):
+    return [request.tag, [[message.speaker, message.content] for message in request.messages],
+            request.temperature, request.max_tokens]
+
+
+def _drive(unit, fixtures, sent):
+    """Run a unit to its end, answering each request from ``fixtures``."""
+    try:
+        batch = next(unit)
+        while True:
+            sent.extend(batch)
+            batch = unit.send([fixtures[request.tag] for request in batch])
+    except StopIteration:
+        pass
+
+
+# SHA-256 over every request that the three role units and one debate per
+# stage path (2, 3 and 6 calls) send on the mini workspace: tag, speakers,
+# contents, temperature and max_tokens.  The mock backend answers by tag,
+# so a change anywhere else in a prompt shows in no output digest but here.
+PINNED_REQUEST_DIGEST = "f7ab7c00afcbbd05edcbce48fc9c78b65407fc825013711262afa4e7adeff2a2"
+
+
+def test_every_request_matches_pinned_digest(mini_workspace):
+    fixtures = build_mini_fixtures()
+    notes = {note.note_id: note for note in load_notes(mini_workspace["notes"])}
+    questions = load_catalog_dir(mini_workspace["catalog"]).questions
+    templates = load_debate_templates()
+    sent = []
+    for role in load_roles().values():
+        _drive(role_unit(questions["m1"], notes["n2"], role), fixtures, sent)
+    for question_id in ("m1", "m2", "m3"):  # 2, 3 and 6 calls
+        _drive(debate_unit(questions[question_id], notes["n2"], templates), fixtures, sent)
+    assert len(sent) == 3 + 2 + 3 + 6
+    payload = json.dumps([_request_record(request) for request in sent], ensure_ascii=False)
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == PINNED_REQUEST_DIGEST

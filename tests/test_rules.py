@@ -399,6 +399,16 @@ class TestVerdicts:
         )
         assert rollup.status.value == "INELIGIBLE"
         assert rollup.failing == ("i1",)
+        # Notes with equal answers roll up to equal verdicts.
+        criteria = [CriterionSpec(c, ("T",), CriterionKind.INCLUSION, "t", f"{q} IS YES", (q,))
+                    for c, q in (("c1", "q1"), ("c2", "q2"))]
+        trial = TrialSpec("T", ("c1", "c2"))
+        rollups = [trial_verdict(trial, verdicts_for_note(criteria, answers))
+                   for answers in ({"q1": Verdict.YES, "q2": Verdict.NO},
+                                   {"q1": Verdict.YES, "q2": Verdict.NO},
+                                   {"q1": Verdict.YES, "q2": Verdict.YES})]
+        assert rollups[0] == rollups[1]
+        assert rollups[0].failing == ("c2",) and rollups[2].status.value == "ELIGIBLE"
 
     def test_trial_undetermined_on_unstable_pass(self):
         trial = TrialSpec("T", ("i1", "i2"))
@@ -419,43 +429,6 @@ class TestVerdicts:
             trial_verdict(trial, [self.make_verdict("i1", CriterionKind.INCLUSION,
                                                     True, True)])
         assert excinfo.value.criterion_id == "i2"
-
-    def test_trial_rollup_memo_is_kept_with_the_trial(self):
-        trial = TrialSpec("T", ("i1", "e1"))
-        verdicts = {"i1": self.make_verdict("i1", CriterionKind.INCLUSION, True, True),
-                    "e1": self.make_verdict("e1", CriterionKind.EXCLUSION, True, True)}
-        first = trial_verdict(trial, verdicts)
-        assert (first.status.value, first.failing) == ("INELIGIBLE", ("e1",))
-        assert trial_verdict(trial, list(verdicts.values())) is first
-        assert len(trial.outcomes) == 1
-        # Equal verdicts that are other objects are rolled up afresh, so an
-        # id that a freed verdict had cannot bring back its roll-up.
-        for met in (True, False) * 3:
-            rollup = trial_verdict(trial, [
-                self.make_verdict("i1", CriterionKind.INCLUSION, True, True),
-                self.make_verdict("e1", CriterionKind.EXCLUSION, met, True)])
-            assert rollup.status.value == ("INELIGIBLE" if met else "ELIGIBLE")
-        assert trial == TrialSpec("T", ("i1", "e1")) and "outcomes" not in repr(trial)
-
-    def test_trial_rollup_memo_is_bounded(self):
-        trial = TrialSpec("T", ("i1",))
-        for _ in range(5000):
-            trial_verdict(trial, [self.make_verdict("i1", CriterionKind.INCLUSION,
-                                                    True, True)])
-        assert len(trial.outcomes) == 4096
-
-    def test_shared_verdicts_share_trial_rollups(self):
-        # The same criterion verdict objects give the same roll-up object.
-        criteria = [CriterionSpec(c, ("T",), CriterionKind.INCLUSION, "t", f"{q} IS YES", (q,))
-                    for c, q in (("c1", "q1"), ("c2", "q2"))]
-        trial = TrialSpec("T", ("c1", "c2"))
-        rollups = [trial_verdict(trial, verdicts_for_note(criteria, answers))
-                   for answers in ({"q1": Verdict.YES, "q2": Verdict.NO},
-                                   {"q1": Verdict.YES, "q2": Verdict.NO},
-                                   {"q1": Verdict.YES, "q2": Verdict.YES})]
-        assert rollups[0] is rollups[1]
-        assert rollups[0].failing == ("c2",) and rollups[2].status.value == "ELIGIBLE"
-        assert len(trial.outcomes) == 2
 
 
 def test_referenced_ids():

@@ -597,6 +597,27 @@ class TestCmdScreen:
             assert tail == ""
             assert len([json.loads(line) for line in lines]) == persisted
 
+    def test_transcript_missing_final_newline_ended_before_appends(self, mini_workspace):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        out = mini_workspace["out"]
+        results_path = out / "results.jsonl"
+        debates_path = out / "debates.jsonl"
+        transcripts = {(d["note_id"], d["question_id"]): d
+                       for d in read_jsonl(debates_path)}
+        # The crash fell after the last transcript and before its newline;
+        # (n2, m3) has neither a result nor a transcript, so it reruns.
+        debates_path.write_text("\n".join(
+            json.dumps(d) for key, d in transcripts.items() if key != ("n2", "m3")))
+        kept = [record for record in read_jsonl(results_path)
+                if (record["note_id"], record["question_id"], record["pathway"])
+                != ("n2", "m3", "B")]
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        assert cmd_screen(config) == EXIT_OK
+        debates = read_jsonl(debates_path)
+        assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
+        assert len(debates) == len(transcripts)
+
     def test_pathway_a_screen_writes_no_debates_file(self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace, pathway="A")) == EXIT_OK
         assert (mini_workspace["out"] / "results.jsonl").exists()
@@ -710,6 +731,31 @@ class TestCmdScreen:
 
     def test_resume_answers_only_missing_role(self, mini_workspace):
         assert self.resume_without(mini_workspace, "A-JD") == 1
+
+    def test_resumed_role_without_provenance_fails_only_its_vote(self, mini_workspace,
+                                                                 caplog):
+        config = run_config(mini_workspace, pathway="A")
+        assert cmd_screen(config) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        kept = []
+        for record in read_jsonl(results_path):
+            key = (record["note_id"], record["question_id"], record["pathway"])
+            if key == ("n2", "m2", "A-CRC"):
+                del record["provenance"]
+            if key != ("n2", "m2", "A-vote"):
+                kept.append(record)
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        (mini_workspace["out"] / "verdicts.jsonl").unlink()
+        with caplog.at_level(logging.ERROR, logger="eligo.runner"):
+            assert cmd_screen(config) == EXIT_PARTIAL
+        assert [record.getMessage() for record in caplog.records
+                if record.levelname == "ERROR"] == \
+            ["unit n2|m2|A-vote failed: missing A-CRC"]
+        counts = json.loads((mini_workspace["out"] / "manifest.json").read_text())["counts"]
+        assert (counts["answered"], counts["failed"], counts["skipped"]) == (0, 1, 23)
+        verdicts = read_jsonl(mini_workspace["out"] / "verdicts.jsonl")
+        assert {record["pathway"] for record in verdicts} == {"A-CRC", "A-JD", "A-IE",
+                                                              "A-vote"}
 
     def test_parked_pair_lets_the_next_pair_on_the_wire(self, mini_workspace):
         # One runnable pair and one slot: while the first pair waits out the
@@ -1712,6 +1758,20 @@ BAD_CONFIGS = {
                              "expected int for 'workers'"),
     "workers-null": ("run.json", lambda doc: {**doc, "workers": None},
                      "expected int for 'workers'"),
+    "workers-a-bool": ("run.json", lambda doc: {**doc, "workers": True},
+                       "expected int for 'workers'"),
+    "backend-fixtures-path-a-number": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "fixtures_path": 5}},
+        "invalid backend config: 'fixtures_path' must be a string or null, got 5"),
+    "backend-max-inflight-a-bool": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "max_inflight": True}},
+        "invalid backend config: 'max_inflight' must be an integer, got True"),
+    "backend-max-inflight-a-float": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "max_inflight": 2.5}},
+        "invalid backend config: 'max_inflight' must be an integer, got 2.5"),
+    "backend-kind-null": (
+        "backends.json", lambda doc: {**doc, "refiner": {"kind": None}},
+        "invalid backend config: 'kind' must be a string, got None"),
     "run-config-a-list": ("run.json", lambda doc: [doc], "expected a JSON object"),
     "roles-a-string": ("run.json", lambda doc: {**doc, "roles": "crc"},
                        "expected list for 'roles'"),
