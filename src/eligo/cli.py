@@ -6,6 +6,7 @@ import argparse
 import gc
 import logging
 import sys
+from functools import cache
 from pathlib import Path
 
 from .corpus import load_json
@@ -22,7 +23,10 @@ from .runner import (
 )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it is a reference cycle, which each
+    build would leave to the collector."""
     parser = argparse.ArgumentParser(
         prog="eligo",
         description="Pre-screen patients for clinical trials from admission notes.",

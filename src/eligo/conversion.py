@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .corpus import (
     Catalog,
     Category,
     CriterionSpec,
     QuestionSpec,
+    Record,
     TaskType,
     validate_catalog,
 )
@@ -43,8 +43,7 @@ DEFAULT_CATEGORY = Category.DIAGNOSIS
 DEFAULT_TASK_TYPE = TaskType.CLASSIFICATION
 
 
-@dataclass(frozen=True)
-class QuestionDraft:
+class QuestionDraft(NamedTuple):
     text: str
     source_backend: str
     criterion_id: str
@@ -52,21 +51,29 @@ class QuestionDraft:
     suggested_task_type: TaskType = DEFAULT_TASK_TYPE
 
 
-@dataclass
-class DraftSet:
+class DraftSet(Record):
     """Drafts gathered from one or more backends, with parse warnings."""
 
-    drafts: list[QuestionDraft] = field(default_factory=list)
-    rule_proposals: dict[str, str] = field(default_factory=dict)  # backend -> rule
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("drafts", "rule_proposals", "warnings")
+
+    def __init__(self, drafts: list[QuestionDraft] | None = None,
+                 rule_proposals: dict[str, str] | None = None,
+                 warnings: list[str] | None = None):
+        self.drafts = [] if drafts is None else drafts
+        # The rule each backend proposed, by backend.
+        self.rule_proposals = {} if rule_proposals is None else rule_proposals
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
-class MergeResult:
-    questions: list[QuestionSpec]
-    rule_text: str
-    needs_human_rule: bool
-    warnings: list[str] = field(default_factory=list)
+class MergeResult(Record):
+    __slots__ = ("questions", "rule_text", "needs_human_rule", "warnings")
+
+    def __init__(self, questions: list[QuestionSpec], rule_text: str,
+                 needs_human_rule: bool, warnings: list[str] | None = None):
+        self.questions = questions
+        self.rule_text = rule_text
+        self.needs_human_rule = needs_human_rule
+        self.warnings = [] if warnings is None else warnings
 
 
 def normalize_question_text(text: str) -> str:
@@ -255,9 +262,9 @@ def merge_question_sets(
     else:
         warnings.append("refiner proposed no rule; rule left empty for human authoring")
 
-    merged_criterion = replace(criterion, rule_text=rule_text,
-                               question_ids=tuple(spec.question_id for spec in questions),
-                               needs_human_rule=needs_human_rule)
+    merged_criterion = criterion._replace(
+        rule_text=rule_text, question_ids=tuple(spec.question_id for spec in questions),
+        needs_human_rule=needs_human_rule)
     validate_catalog(
         Catalog(
             questions={spec.question_id: spec for spec in questions},
@@ -293,9 +300,10 @@ def convert_criterion(
         )
     except (EligoError, ValueError) as exc:
         return exc
-    updated = replace(criterion, rule_text=merged.rule_text,
-                      question_ids=tuple(spec.question_id for spec in merged.questions),
-                      needs_human_rule=merged.needs_human_rule)
+    updated = criterion._replace(
+        rule_text=merged.rule_text,
+        question_ids=tuple(spec.question_id for spec in merged.questions),
+        needs_human_rule=merged.needs_human_rule)
     return merged, updated, draft_set.warnings + merged.warnings
 
 

@@ -11,13 +11,12 @@ import json
 import logging
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 from io import BytesIO
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     CatalogError,
@@ -82,9 +81,37 @@ class CriterionKind(str, Enum):
 
 
 # -- domain records -----------------------------------------------------------
+#
+# An immutable record is a NamedTuple; one that caches a derived value
+# subclasses its fields' NamedTuple, to have a ``__dict__`` for the cache, and
+# refuses assignment.  A mutable record is a Record.
 
-@dataclass(frozen=True, slots=True)
-class ParsedAnswer:
+def refuse_assignment(self, name: str, value) -> None:
+    """``__setattr__`` of an immutable record that has a ``__dict__``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Record:
+    """A mutable record whose fields are its ``__slots__``: equal to a record of
+    its own class with equal fields, unhashable, and shown by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, name) for name in names] == [getattr(other, name)
+                                                           for name in names]
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ParsedAnswer(NamedTuple):
     """One tri-valued answer with its rationale, quotes and provenance."""
 
     value: Verdict
@@ -103,13 +130,16 @@ class ParsedAnswer:
         }
 
 
-@dataclass(frozen=True)
-class AdmissionNote:
-    """One patient narrative, split into named sections."""
-
+class _NoteFields(NamedTuple):
     note_id: str
     sections: dict[str, str]
     extra_text: str | None = None
+
+
+class AdmissionNote(_NoteFields):
+    """One patient narrative, split into named sections."""
+
+    __setattr__ = refuse_assignment
 
     def to_dict(self) -> dict:
         record: dict = {"note_id": self.note_id, "sections": dict(self.sections)}
@@ -130,8 +160,7 @@ class AdmissionNote:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class QuestionSpec:
+class QuestionSpec(NamedTuple):
     """One decomposed eligibility question from the catalog."""
 
     question_id: str
@@ -148,10 +177,7 @@ class QuestionSpec:
         }
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
-    """One eligibility criterion: its text, rule and the questions it reads."""
-
+class _CriterionFields(NamedTuple):
     criterion_id: str
     trial_ids: tuple[str, ...]
     kind: CriterionKind
@@ -161,6 +187,12 @@ class CriterionSpec:
     # Set by conversion when the refiner's rule did not parse; the rule is
     # left empty and must be authored by hand before screening can use it.
     needs_human_rule: bool = False
+
+
+class CriterionSpec(_CriterionFields):
+    """One eligibility criterion: its text, rule and the questions it reads."""
+
+    __setattr__ = refuse_assignment
 
     def to_dict(self) -> dict:
         record = {
@@ -183,8 +215,7 @@ class CriterionSpec:
         return ParsedRule.parse(self.rule_text)
 
 
-@dataclass(frozen=True)
-class TrialSpec:
+class TrialSpec(NamedTuple):
     """One trial and the criteria it is screened on."""
 
     trial_id: str
@@ -192,8 +223,7 @@ class TrialSpec:
     registry_code: str | None = None
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """Cross-reference-validated question/criterion/trial catalog."""
 
     questions: dict[str, QuestionSpec]
@@ -204,12 +234,15 @@ class Catalog:
         return (len(self.questions), len(self.criteria), len(self.trials))
 
 
-@dataclass
-class GoldSet:
+class GoldSet(Record):
     """Expert labels keyed by (note_id, question_id) / (note_id, criterion_id)."""
 
-    question_labels: dict[tuple[str, str], Verdict] = field(default_factory=dict)
-    criterion_labels: dict[tuple[str, str], CriterionLabel] = field(default_factory=dict)
+    __slots__ = ("question_labels", "criterion_labels")
+
+    def __init__(self, question_labels: dict[tuple[str, str], Verdict] | None = None,
+                 criterion_labels: dict[tuple[str, str], CriterionLabel] | None = None):
+        self.question_labels = {} if question_labels is None else question_labels
+        self.criterion_labels = {} if criterion_labels is None else criterion_labels
 
 
 @contextmanager

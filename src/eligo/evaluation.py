@@ -13,9 +13,8 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import (
     AdmissionNote,
@@ -23,6 +22,7 @@ from .corpus import (
     CriterionLabel,
     GoldSet,
     ParsedAnswer,
+    Record,
     Verdict,
     canonical_text,
 )
@@ -44,12 +44,14 @@ LABEL_OF = {member: member.value
             for labels in (Verdict, CriterionLabel, Grounding) for member in labels}
 
 
-@dataclass
-class ConfusionCounts:
+class ConfusionCounts(Record):
     """Gold x predicted counts over a fixed label set."""
 
-    labels: tuple[str, ...]
-    counts: dict[str, dict[str, int]]
+    __slots__ = ("labels", "counts")
+
+    def __init__(self, labels: tuple[str, ...], counts: dict[str, dict[str, int]]):
+        self.labels = labels
+        self.counts = counts
 
     @classmethod
     def tally(cls, labels: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "ConfusionCounts":
@@ -71,8 +73,7 @@ class ConfusionCounts:
         return {gold: dict(row) for gold, row in self.counts.items()}
 
 
-@dataclass(frozen=True)
-class CounterfactualReport:
+class CounterfactualReport(NamedTuple):
     """Automated grounding proxy: assertive wrong answers with no support."""
 
     rate: float               # counterfactuals / all scored items
@@ -92,8 +93,7 @@ class CounterfactualReport:
         }
 
 
-@dataclass(frozen=True)
-class TimingStats:
+class TimingStats(NamedTuple):
     """Per-unit elapsed-time summary of one answer stream, in seconds."""
 
     count: int
@@ -107,21 +107,29 @@ class TimingStats:
                 "p90": self.p90, "max": self.max}
 
 
-@dataclass
-class MetricReport:
+class MetricReport(Record):
     """Scores of one answer stream against gold, with per-group breakdowns."""
 
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float  # tri-class exact match; the default reported accuracy
-    accuracy_binary: float
-    counts: ConfusionCounts
-    answered_count: int
-    unanswered_count: int
-    positive_class: str
-    breakdowns: dict[str, "MetricReport"] = field(default_factory=dict)
-    counterfactual: CounterfactualReport | None = None
+    __slots__ = ("precision", "recall", "f1", "accuracy", "accuracy_binary", "counts",
+                 "answered_count", "unanswered_count", "positive_class", "breakdowns",
+                 "counterfactual")
+
+    def __init__(self, precision: float, recall: float, f1: float, accuracy: float,
+                 accuracy_binary: float, counts: ConfusionCounts, answered_count: int,
+                 unanswered_count: int, positive_class: str,
+                 breakdowns: dict[str, MetricReport] | None = None,
+                 counterfactual: CounterfactualReport | None = None):
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.accuracy = accuracy  # tri-class exact match; the default reported accuracy
+        self.accuracy_binary = accuracy_binary
+        self.counts = counts
+        self.answered_count = answered_count
+        self.unanswered_count = unanswered_count
+        self.positive_class = positive_class
+        self.breakdowns = {} if breakdowns is None else breakdowns
+        self.counterfactual = counterfactual
 
     def to_dict(self) -> dict:
         record = {

@@ -32,11 +32,10 @@ import threading
 import time
 import urllib.parse
 from queue import Empty, SimpleQueue
-from dataclasses import dataclass, field, fields
 from datetime import timezone
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, NamedTuple, TypeVar
 
 from . import errors
 # ParsedAnswer lives in corpus, so reading results loads no gateway; it is
@@ -77,16 +76,14 @@ SENDER_IDLE_S = 0.1
 _SPEAKERS = ("system", "user", "assistant")
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One chat message and who speaks it."""
 
     speaker: str  # system | user | assistant
     content: str
 
 
-@dataclass(frozen=True, slots=True)
-class ChatRequest:
+class ChatRequest(NamedTuple):
     """One chat completion to ask of a backend."""
 
     messages: tuple[Message, ...]
@@ -116,8 +113,7 @@ def user_request(content: str, *, system: str | None = None, tag: str = "",
     return ChatRequest(messages, temperature, max_tokens, tag)
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(NamedTuple):
     """How to reach one backend, and how hard to push and retry it."""
 
     kind: str  # "http" | "mock"
@@ -449,14 +445,17 @@ def _retry_delay(error: Exception, backoff_s: float, attempt: int) -> float:
 Done = Callable[[str | None, Exception | None], None]
 
 
-@dataclass(eq=False)
 class _Call:
     """One submitted request on its way through the queue, the wire and the heap."""
 
-    request: ChatRequest
-    done: Done
-    on_park: Callable[[bool], None] | None
-    attempt: int = 0
+    __slots__ = ("request", "done", "on_park", "attempt")
+
+    def __init__(self, request: ChatRequest, done: Done,
+                 on_park: Callable[[bool], None] | None, attempt: int = 0):
+        self.request = request
+        self.done = done
+        self.on_park = on_park
+        self.attempt = attempt
 
 
 class Gateway:
@@ -713,16 +712,18 @@ T = TypeVar("T")
 Unit = Generator[list[ChatRequest], list[str], T]
 
 
-@dataclass(eq=False, slots=True)
 class _Run:
     """One unit on its way through its batches."""
 
-    unit: Unit
-    index: int  # the unit's place among the units run
-    replies: list[str | None] | None = None  # the batch's replies, in batch order
-    errors: dict[int, Exception] = field(default_factory=dict)  # by batch index
-    waiting: int = 0  # requests of the batch not yet answered
-    parked: int = 0  # of those, the ones waiting out a retry backoff
+    __slots__ = ("unit", "index", "replies", "errors", "waiting", "parked")
+
+    def __init__(self, unit: Unit, index: int):
+        self.unit = unit
+        self.index = index  # the unit's place among the units run
+        self.replies: list[str | None] | None = None  # the batch's, in batch order
+        self.errors: dict[int, Exception] = {}  # by batch index
+        self.waiting = 0  # requests of the batch not yet answered
+        self.parked = 0  # of those, the ones waiting out a retry backoff
 
 
 def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list[T]:
@@ -835,9 +836,11 @@ def _ask(req: ChatRequest) -> Unit[str]:
     return (yield [req])[0]
 
 
-# The JSON values that a BackendConfig field of each type takes (no bool).
-_JSON_KINDS = {"str": (str, "a string"), "int": (int, "an integer"),
-               "float": ((int, float), "a number")}
+# The JSON values that a BackendConfig field takes (no bool), by the type of
+# its default; the required ``kind`` and a field whose default is None take a
+# string.
+_JSON_KINDS = {str: (str, "a string"), int: (int, "an integer"),
+               float: ((int, float), "a number")}
 
 
 def backend_config_from_dict(record: Mapping) -> BackendConfig:
@@ -845,19 +848,19 @@ def backend_config_from_dict(record: Mapping) -> BackendConfig:
     a field whose default is None also takes null."""
     if not isinstance(record, Mapping):
         raise errors.ConfigError("a backend config must be a JSON object")
-    known = {f.name for f in fields(BackendConfig)}
-    unknown = set(record) - known
+    unknown = set(record).difference(BackendConfig._fields)
     if unknown:
         raise errors.ConfigError(f"unknown backend config keys {sorted(unknown)}")
-    for f in fields(BackendConfig):
-        value = record.get(f.name)
-        if value is None and (f.name not in record or f.default is None):
+    for name in BackendConfig._fields:
+        default = BackendConfig._field_defaults.get(name, "")
+        value = record.get(name)
+        if value is None and (name not in record or default is None):
             continue
-        kind, name = _JSON_KINDS[f.type.removesuffix(" | None")]
+        kind, label = _JSON_KINDS[str if default is None else type(default)]
         if not isinstance(value, kind) or isinstance(value, bool):
-            nullable = " or null" if f.default is None else ""
-            raise errors.ConfigError(f"invalid backend config: {f.name!r} must be "
-                                     f"{name}{nullable}, got {value!r}")
+            nullable = " or null" if default is None else ""
+            raise errors.ConfigError(f"invalid backend config: {name!r} must be "
+                                     f"{label}{nullable}, got {value!r}")
     try:
         cfg = BackendConfig(**record)
         cfg.validate()

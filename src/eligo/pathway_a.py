@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, Verdict, canonical_text
+from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, Verdict
 from .errors import MixedKeyError
-from .gateway import (
-    FORMAT_CONTRACT,
-    Gateway,
-    Unit,
-    parse_answer,
-    run_unit,
-    user_request,
-)
-from .prompting import load_template, render
+from .gateway import Gateway, Unit, parse_answer, run_unit
+from .prompting import load_template, question_request
 
 # Canonical role order; also the tie-break ordering used when rendering votes.
 ROLE_IDS = ("CRC", "JD", "IE")
@@ -25,31 +18,39 @@ _VALUE_NAMES = {verdict: verdict.value for verdict in Verdict}
 _ROLE_TEMPLATES = {"CRC": "role_crc", "JD": "role_jd", "IE": "role_ie"}
 
 
-@dataclass(frozen=True)
-class RoleProfile:
-    """One anthropomorphized expert: id plus its step-by-step instructions."""
-
+class _RoleFields(NamedTuple):
     role_id: str
     instructions: str
 
-    def __post_init__(self):
-        if self.role_id not in ROLE_IDS:
-            raise ValueError(f"unknown role {self.role_id!r}; expected one of {ROLE_IDS}")
-        if not self.instructions.strip():
-            raise ValueError(f"role {self.role_id} has empty instructions")
+
+class RoleProfile(_RoleFields):
+    """One anthropomorphized expert: id plus its step-by-step instructions."""
+
+    __slots__ = ()
+
+    def __new__(cls, role_id: str, instructions: str):
+        if role_id not in ROLE_IDS:
+            raise ValueError(f"unknown role {role_id!r}; expected one of {ROLE_IDS}")
+        if not instructions.strip():
+            raise ValueError(f"role {role_id} has empty instructions")
+        return tuple.__new__(cls, (role_id, instructions))
 
 
-@dataclass(frozen=True, slots=True)
-class RoleAnswer:
-    """One role's answer to a question, as a vote member."""
-
+class _AnswerFields(NamedTuple):
     answer: ParsedAnswer
     role_id: str
     elapsed_ms: float
 
-    def __post_init__(self):
-        if self.elapsed_ms < 0:
+
+class RoleAnswer(_AnswerFields):
+    """One role's answer to a question, as a vote member."""
+
+    __slots__ = ()
+
+    def __new__(cls, answer: ParsedAnswer, role_id: str, elapsed_ms: float):
+        if elapsed_ms < 0:
             raise ValueError("elapsed_ms must be >= 0")
+        return tuple.__new__(cls, (answer, role_id, elapsed_ms))
 
 
 def load_roles(prompts_dir=None) -> dict[str, RoleProfile]:
@@ -67,18 +68,13 @@ def role_tag(note_id: str, question_id: str, role_id: str) -> str:
 def role_unit(question: QuestionSpec, note: AdmissionNote,
               role: RoleProfile) -> Unit[RoleAnswer]:
     """Ask one role one question about one note: one request, one parsed answer."""
-    prompt = render(
-        role.instructions, question=question.text, note=canonical_text(note)
-    )
-    request = user_request(
-        f"{prompt}\n{FORMAT_CONTRACT}",
-        tag=role_tag(note.note_id, question.question_id, role.role_id),
-    )
+    request = question_request(role.instructions, question, note,
+                               role_tag(note.note_id, question.question_id, role.role_id))
     started = time.monotonic()
     (reply,) = yield [request]
     answer = parse_answer(reply, provenance=request.tag)
     elapsed_ms = (time.monotonic() - started) * 1000.0
-    return RoleAnswer(answer=answer, role_id=role.role_id, elapsed_ms=elapsed_ms)
+    return RoleAnswer(answer, role.role_id, elapsed_ms)
 
 
 def answer_with_role(

@@ -9,21 +9,12 @@ never on raw text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, canonical_text
-from .gateway import (
-    FORMAT_CONTRACT,
-    ChatRequest,
-    Gateway,
-    Unit,
-    parse_answer,
-    run_unit,
-    user_request,
-)
-from .prompting import load_template, render
+from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec
+from .gateway import ChatRequest, Gateway, Unit, parse_answer, run_unit
+from .prompting import load_template, question_request
 
 _SECOND_ROUND_RE = re.compile(r'^\s*["“«]?\s*SECOND ROUND\b[."”»]*[:\s]*', re.IGNORECASE)
 
@@ -35,8 +26,7 @@ def load_debate_templates(prompts_dir: str | Path | None = None) -> dict[str, st
     return {name: load_template(name, prompts_dir) for name in DEBATE_TEMPLATES}
 
 
-@dataclass(frozen=True)
-class DebateTranscript:
+class DebateTranscript(NamedTuple):
     """One debate's rounds, judgements and outcome."""
 
     round1: tuple[ParsedAnswer, ParsedAnswer]  # (proponent, opponent)
@@ -83,10 +73,9 @@ def debate_unit(
     key = f"{note.note_id}|{question.question_id}"
 
     def request(template: str, tag: str, **values: str) -> ChatRequest:
-        """The template filled with the question, the note and the stage's values."""
-        prompt = render(templates[template], question=question.text,
-                        note=canonical_text(note), **values)
-        return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=f"{key}|{tag}")
+        """The stage's request: its template filled with the stage's values."""
+        return question_request(templates[template], question, note, f"{key}|{tag}",
+                                **values)
 
     def stance_round(round_no: int, judge_notes: str | None):
         notes_block = ""

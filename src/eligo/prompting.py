@@ -1,4 +1,5 @@
-"""Prompt template loading and {{placeholder}} substitution.
+"""Prompt template loading, {{placeholder}} substitution, and the request
+that asks one question about one note.
 
 Templates ship inside the package under ``eligo/prompts/`` and can be
 overridden per site by pointing ``prompts_dir`` at a directory holding
@@ -12,7 +13,9 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .corpus import AdmissionNote, QuestionSpec, canonical_text
 from .errors import PromptError
+from .gateway import FORMAT_CONTRACT, ChatRequest, user_request
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 
@@ -81,3 +84,13 @@ def render(template: str, **values: str) -> str:
             raise PromptError(f"template placeholder {{{{{key}}}}} has no value")
         parts[index] = values[key]
     return "".join(parts)
+
+
+def question_request(template: str, question: QuestionSpec, note: AdmissionNote,
+                     tag: str, **values: str) -> ChatRequest:
+    """The request that asks ``question`` about ``note``, tagged ``tag``: the
+    template filled with the question, the note's canonical text and
+    ``values``, then the answer-format contract that parse_answer reads.
+    Every role and debate prompt is built here."""
+    prompt = render(template, question=question.text, note=canonical_text(note), **values)
+    return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=tag)

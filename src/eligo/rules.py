@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
+from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict, refuse_assignment
 from .errors import CatalogError, MissingVerdictError, RuleParseError
 
 # Case splitting is exponential in the worst case; beyond this many UNKNOWN
@@ -52,8 +51,7 @@ YES, NO, UNKNOWN = Verdict.YES, Verdict.NO, Verdict.UNKNOWN
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One question tested for one value: ``q IS YES`` or ``q IS NOT YES``."""
 
     question_id: str
@@ -61,57 +59,77 @@ class Atom:
     negated: bool = False  # True renders/evaluates as "IS NOT"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     """The negation of a rule expression."""
 
     child: "RuleExpr"
 
 
-@dataclass(frozen=True)
-class And:
+class _Operands(NamedTuple):
+    children: tuple["RuleExpr", ...]
+
+
+class And(_Operands):
     """True when every operand is true."""
 
-    children: tuple["RuleExpr", ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.children:
+    def __new__(cls, children: tuple["RuleExpr", ...]):
+        if not children:
             raise ValueError("AND needs at least one operand")
+        return tuple.__new__(cls, (children,))
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(_Operands):
     """True when any operand is true."""
 
-    children: tuple["RuleExpr", ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.children:
+    def __new__(cls, children: tuple["RuleExpr", ...]):
+        if not children:
             raise ValueError("OR needs at least one operand")
+        return tuple.__new__(cls, (children,))
 
 
-@dataclass(frozen=True)
-class AnyOf:
+class _Quantified(NamedTuple):
+    question_ids: tuple[str, ...]
+    value: Verdict
+
+
+class AnyOf(_Quantified):
     """``ANY(q1, q2, ...) IS v``: true when some listed question has value v."""
 
-    question_ids: tuple[str, ...]
-    value: Verdict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.question_ids:
+    def __new__(cls, question_ids: tuple[str, ...], value: Verdict):
+        if not question_ids:
             raise ValueError("ANY needs at least one question id")
+        return tuple.__new__(cls, (question_ids, value))
 
 
-@dataclass(frozen=True)
-class AllOf:
+class AllOf(_Quantified):
     """``ALL(q1, q2, ...) IS v``: true when every listed question has value v."""
 
-    question_ids: tuple[str, ...]
-    value: Verdict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.question_ids:
+    def __new__(cls, question_ids: tuple[str, ...], value: Verdict):
+        if not question_ids:
             raise ValueError("ALL needs at least one question id")
+        return tuple.__new__(cls, (question_ids, value))
+
+
+def _same_node(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _other_node(self, other) -> bool:
+    return not _same_node(self, other)
+
+
+# A tuple equals any tuple of equal items, but a node only a node of its own
+# class: And and Or share one layout, as do AnyOf and AllOf.
+for _node in (Atom, Not, _Operands, _Quantified):
+    _node.__eq__, _node.__ne__ = _same_node, _other_node
 
 
 RuleExpr = Union[Atom, Not, And, Or, AnyOf, AllOf]
@@ -124,8 +142,7 @@ _VALUES = {"YES", "NO", "UNKNOWN"}
 _TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|(,)|([A-Za-z_][A-Za-z0-9_.\-]*))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     """One lexical token of a rule, with its position for error messages."""
 
     kind: str  # LPAREN RPAREN COMMA KEYWORD IDENT EOF
@@ -295,11 +312,15 @@ def print_rule(expr: RuleExpr) -> str:
     raise TypeError(f"not a rule expression: {expr!r}")
 
 
-@dataclass(frozen=True)
-class ParsedRule:
+class _RuleFields(NamedTuple):
+    expr: RuleExpr
+    question_ids: tuple[str, ...]
+
+
+class ParsedRule(_RuleFields):
     """A rule's AST and the sorted ids of the questions it references.
 
-    ``outcomes`` memoizes ``criterion_verdict``'s result, the frozen
+    ``outcomes`` memoizes ``criterion_verdict``'s result, the immutable
     ``CriterionVerdict`` itself, by the tuple of answers to
     ``question_ids``; it grows by one entry per distinct answer pattern
     seen, each value one of the criterion's ``verdicts`` by (met, stable).
@@ -310,33 +331,28 @@ class ParsedRule:
     parsed it (``CriterionSpec.parsed_rule``) and is not shared between
     criteria, even ones with the same rule text.  ``read_once`` is True
     when no atom or ANY/ALL list tests an id for YES or NO that another
-    one tests; every completion gives "IS UNKNOWN" one value.
+    one tests; every completion gives "IS UNKNOWN" one value.  Equality,
+    hashing and ``repr`` read ``expr`` and ``question_ids`` only.
     """
 
-    expr: RuleExpr
-    question_ids: tuple[str, ...]
-    outcomes: dict[tuple[Verdict, ...], "CriterionVerdict"] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    verdicts: dict[tuple[bool, bool], "CriterionVerdict"] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    key: Callable[[Mapping[str, Verdict]], tuple[Verdict, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    read_once: bool = field(init=False, compare=False, repr=False)
+    __setattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if len(self.question_ids) == 1:
-            (question_id,) = self.question_ids
+    def __new__(cls, expr: RuleExpr, question_ids: tuple[str, ...],
+                outcomes: dict[tuple[Verdict, ...], CriterionVerdict] | None = None,
+                verdicts: dict[tuple[bool, bool], CriterionVerdict] | None = None):
+        self = tuple.__new__(cls, (expr, question_ids))
+        if len(question_ids) == 1:
+            (question_id,) = question_ids
 
             def key(answers):
                 return (answers[question_id],)
         else:
-            key = itemgetter(*self.question_ids)
-        object.__setattr__(self, "key", key)
-        tested = _tested_ids(self.expr)
-        object.__setattr__(self, "read_once", len(tested) == len(set(tested)))
+            key = itemgetter(*question_ids)
+        tested = _tested_ids(expr)
+        self.__dict__.update(outcomes={} if outcomes is None else outcomes,
+                             verdicts={} if verdicts is None else verdicts,
+                             key=key, read_once=len(tested) == len(set(tested)))
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "ParsedRule":
@@ -446,8 +462,7 @@ class Stability(str, Enum):
     UNSTABLE = "UNSTABLE"
 
 
-@dataclass(frozen=True)
-class SensitivityResult:
+class SensitivityResult(NamedTuple):
     """Whether a verdict survives every completion of its UNKNOWN answers."""
 
     status: Stability
@@ -523,8 +538,7 @@ def _settle(expr: RuleExpr, answers: dict[str, Verdict]) -> bool | None:
 
 # -- criterion / trial verdicts -----------------------------------------------
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     """One criterion evaluated on one note's answers."""
 
     criterion_id: str
@@ -543,8 +557,7 @@ class TrialStatus(str, Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-@dataclass(frozen=True)
-class TrialVerdict:
+class TrialVerdict(NamedTuple):
     """One trial's roll-up on one note, with the criteria that block it."""
 
     trial_id: str
@@ -586,7 +599,7 @@ def criterion_verdict(
     The verdict is looked up in the rule's memo by the answers to its
     questions (``ParsedRule.key``), a missing answer counted as UNKNOWN as
     the evaluators count it, so notes that repeat a pattern share one
-    frozen verdict.  A plain mapping is first copied into the view that
+    immutable verdict.  A plain mapping is first copied into the view that
     ``answers_view`` builds, so a view and a plain mapping share one memo.
     Only notes whose answers are all ``Verdict`` members are memoized: a
     plain string equals its member but the evaluators match by identity, so

@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -32,6 +31,7 @@ from .corpus import (
     Catalog,
     ParsedAnswer,
     QuestionSpec,
+    Record,
     Verdict,
     _optional,
     _require,
@@ -93,20 +93,26 @@ _RUN_CONFIG_KEYS = frozenset({"backend", "notes", "catalog", "out", "pathway", "
                               "vote", "seed", "prompts", "workers"})
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """One screening run: backend, inputs, output directory and pathways."""
 
-    backend: BackendConfig
-    notes_path: str
-    catalog_dir: str
-    out_dir: str
-    pathway: str = "both"  # "A" | "B" | "both"
-    roles: tuple[str, ...] = ("crc", "jd", "ie")
-    vote: bool = True
-    seed: str | None = None  # fixture selection label for the mock backend
-    prompts_dir: str | None = None
-    workers: int = 8
+    __slots__ = ("backend", "notes_path", "catalog_dir", "out_dir", "pathway", "roles",
+                 "vote", "seed", "prompts_dir", "workers")
+
+    def __init__(self, backend: BackendConfig, notes_path: str, catalog_dir: str,
+                 out_dir: str, pathway: str = "both",
+                 roles: tuple[str, ...] = ("crc", "jd", "ie"), vote: bool = True,
+                 seed: str | None = None, prompts_dir: str | None = None, workers: int = 8):
+        self.backend = backend
+        self.notes_path = notes_path
+        self.catalog_dir = catalog_dir
+        self.out_dir = out_dir
+        self.pathway = pathway  # "A" | "B" | "both"
+        self.roles = roles
+        self.vote = vote
+        self.seed = seed  # fixture selection label for the mock backend
+        self.prompts_dir = prompts_dir
+        self.workers = workers
 
     def validate(self) -> None:
         from .pathway_a import ROLE_IDS
@@ -190,16 +196,19 @@ class RunConfig:
         return labels
 
 
-@dataclass(slots=True)
-class ResultRecord:
+class ResultRecord(Record):
     """One answered (note, question, unit label), as a results.jsonl line."""
 
-    note_id: str
-    question_id: str
-    pathway: str  # unit label, e.g. "A-CRC", "A-vote", "B"
-    answer: ParsedAnswer
-    elapsed_s: float
-    transcript: str | None = None
+    __slots__ = ("note_id", "question_id", "pathway", "answer", "elapsed_s", "transcript")
+
+    def __init__(self, note_id: str, question_id: str, pathway: str, answer: ParsedAnswer,
+                 elapsed_s: float, transcript: str | None = None):
+        self.note_id = note_id
+        self.question_id = question_id
+        self.pathway = pathway  # unit label, e.g. "A-CRC", "A-vote", "B"
+        self.answer = answer
+        self.elapsed_s = elapsed_s
+        self.transcript = transcript
 
     def to_dict(self) -> dict:
         record = {

@@ -58,6 +58,16 @@ def make_mock_gateway(fixtures=None, *, latency_s=0.0, max_inflight=3,
     return Gateway(cfg, fixtures=fixtures or {}, seed=seed)
 
 
+def assert_read_only(record, *names):
+    """Assigning to any field of the immutable ``record``, or to any of
+    ``names``, raises AttributeError and leaves the value as it was."""
+    for name in (*record._fields, *names):
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is value
+
+
 @pytest.fixture
 def mock_gateway_factory():
     return make_mock_gateway

@@ -2,6 +2,7 @@ import pytest
 
 from eligo import errors
 from eligo.conversion import (
+    QuestionDraft,
     Router,
     build_conversion_prompt,
     convert_criterion,
@@ -13,7 +14,7 @@ from eligo.corpus import Category, CriterionKind, CriterionSpec, TaskType
 from eligo.gateway import BackendConfig, Gateway, run_unit
 from eligo.rules import parse_rule, referenced_ids
 
-from conftest import make_mock_gateway
+from conftest import assert_read_only, make_mock_gateway
 
 LIVER_QUESTION_TEXTS = [
     "Has the patient been diagnosed with a malignant liver tumor?",
@@ -277,3 +278,7 @@ def test_router_sends_each_request_to_its_backend():
     assert refiner.transport.calls == 1
     assert len(merged.questions) == 4
     assert not any("no Q: lines" in warning for warning in warnings)
+
+
+def test_a_draft_is_read_only():
+    assert_read_only(QuestionDraft("Is the patient an adult?", "m1", "C1"))

@@ -11,6 +11,8 @@ from eligo.corpus import (
     CriterionKind,
     CriterionSpec,
     GoldSet,
+    ParsedAnswer,
+    TrialSpec,
     Verdict,
     canonical_text,
     load_catalog,
@@ -30,6 +32,8 @@ from eligo.errors import (
     RuleParseError,
     SchemaError,
 )
+
+from conftest import assert_read_only
 
 
 def write_lines(path, lines):
@@ -373,3 +377,31 @@ class TestLoadersNameTheSpot:
         path.write_text(json.dumps({"trials": {"T1": ["C1"]}}))
         with pytest.raises(SchemaError, match="expected list for 'trials'"):
             load_trials(path)
+
+
+def test_records_are_read_only(notes, liver_catalog):
+    criterion = next(iter(liver_catalog.criteria.values()))
+    assert_read_only(ParsedAnswer(Verdict.YES, "r", ("e",), "p"))
+    assert_read_only(notes[0], "text")
+    assert_read_only(next(iter(liver_catalog.questions.values())))
+    assert_read_only(criterion, "parsed_rule")
+    assert_read_only(TrialSpec("T1", (criterion.criterion_id,)))
+    assert_read_only(liver_catalog)
+
+
+def test_a_replaced_criterion_parses_its_own_rule(liver_catalog):
+    criterion = next(iter(liver_catalog.criteria.values()))
+    assert criterion.parsed_rule.question_ids
+    updated = criterion._replace(rule_text="Q9 IS YES", question_ids=("Q9",))
+    assert type(updated) is CriterionSpec
+    assert updated.parsed_rule.question_ids == ("Q9",)
+    assert criterion.parsed_rule.question_ids != ("Q9",)
+
+
+def test_a_mutable_record_is_equal_by_value_and_shown_by_its_fields():
+    gold = GoldSet({("n1", "q1"): Verdict.YES})
+    assert gold == GoldSet(question_labels={("n1", "q1"): Verdict.YES})
+    assert gold != GoldSet()
+    assert repr(GoldSet()) == "GoldSet(question_labels={}, criterion_labels={})"
+    with pytest.raises(TypeError):
+        hash(gold)

@@ -31,6 +31,8 @@ from eligo.evaluation import (
 from eligo.gateway import ParsedAnswer
 from eligo.rules import CriterionVerdict
 
+from conftest import assert_read_only
+
 
 def answer(value, evidence=(), provenance="p"):
     return ParsedAnswer(value=value, rationale="r", evidence=tuple(evidence),
@@ -466,3 +468,12 @@ class TestRenderReport:
         if report.precision > 0 and report.recall > 0:
             assert min(report.precision, report.recall) <= report.f1 <= \
                 max(report.precision, report.recall)
+
+
+def test_reports_are_read_only():
+    for stats in timing_stats([("A-CRC", 0.5), ("A-CRC", 1.5)]).values():
+        assert_read_only(stats)
+    gold = GoldSet(question_labels={("n1", "q1"): Verdict.NO})
+    answer = ParsedAnswer(Verdict.YES, "r", ("not in the note",), "p")
+    note = AdmissionNote("n1", {"chief_complaint": "fever"})
+    assert_read_only(counterfactual_rate({("n1", "q1"): answer}, gold, [note]))

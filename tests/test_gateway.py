@@ -36,7 +36,7 @@ from eligo.gateway import (
     user_request,
 )
 
-from conftest import make_mock_gateway
+from conftest import assert_read_only, make_mock_gateway
 
 
 # Pieces of replies: verdict tokens, markers in any case, quotes, line endings.
@@ -1020,3 +1020,10 @@ def test_cli_import_loads_no_http_modules():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == "[]"
+
+
+def test_requests_and_configs_are_read_only():
+    request = user_request("prompt", system="be brief", tag="t")
+    assert_read_only(request.messages[0])
+    assert_read_only(request)
+    assert_read_only(BackendConfig(kind="mock"))

@@ -2,13 +2,17 @@
 
 eligo's start-up is a fixed cost of every command, and evaluate never sends
 a request, so it must not load the gateway, the pathways or the prompts.
+No command loads ``dataclasses`` (or ``inspect``, which it imports): its
+classes generate their methods when they are defined.
 """
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ RUN_CLI = ("import json, sys\n"
 
 NOT_FOR_EVALUATE = {"eligo.gateway", "eligo.pathway_a", "eligo.pathway_b",
                     "eligo.prompting", "concurrent.futures"}
+NOT_FOR_ANY_COMMAND = {"dataclasses", "inspect"}
 
 # The names ``eligo`` exports, by the module each was imported from before
 # they loaded on first access.
@@ -60,6 +65,7 @@ def test_screen_loads_no_evaluation(mini_workspace):
     assert {"eligo.gateway", "eligo.pathway_a", "eligo.pathway_b"} <= modules
     assert "eligo.evaluation" not in modules
     assert "concurrent.futures" not in modules
+    assert not modules & NOT_FOR_ANY_COMMAND
 
 
 def test_convert_loads_no_futures(tmp_path):
@@ -70,6 +76,7 @@ def test_convert_loads_no_futures(tmp_path):
     assert code == 0
     assert "eligo.conversion" in modules
     assert "concurrent.futures" not in modules
+    assert not modules & NOT_FOR_ANY_COMMAND
 
 
 def test_evaluate_loads_no_gateway_pathway_or_prompts(mini_workspace):
@@ -84,6 +91,21 @@ def test_evaluate_loads_no_gateway_pathway_or_prompts(mini_workspace):
     assert (mini_workspace["root"] / "eval" / "metrics.json").exists()
     assert "eligo.evaluation" in modules
     assert not modules & NOT_FOR_EVALUATE
+    assert not modules & NOT_FOR_ANY_COMMAND
+
+
+@pytest.mark.parametrize("path", sorted(Path(eligo.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert "dataclasses" not in [name.split(".")[0] for name in names], \
+            f"{path.name}:{node.lineno} imports dataclasses"
 
 
 def test_import_eligo_loads_no_submodule():

@@ -15,7 +15,6 @@ import sys
 import time
 import tomllib
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -178,7 +177,9 @@ def call_screen(workspace, **overrides):
 
 
 def call_screen_without_workers(workspace):
-    return cmd_screen(replace(RunConfig.from_dict(workspace["run_config"]), workers=0))
+    config = RunConfig.from_dict(workspace["run_config"])
+    config.workers = 0
+    return cmd_screen(config)
 
 
 # (name, call, its exit code or exception, (module, name) to break or None);
@@ -252,6 +253,29 @@ class TestCallersKeepTheirCollectorState:
         assert seen == {"load_notes": False, "send": True, "_write_verdicts": True,
                         "score_questions": False}
         assert gc.isenabled()
+
+
+class TestParserIsBuiltOnce:
+    def test_two_calls_share_one_parser_and_the_second_leaves_no_cycle(
+            self, mini_workspace, monkeypatch):
+        assert call_screen(mini_workspace) == EXIT_OK
+        parsers = []
+        parse_args = eligo.cli.argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+        monkeypatch.setattr(eligo.cli.argparse.ArgumentParser, "parse_args", recording)
+        argv = ["canonicalize", "--results", str(mini_workspace["out"] / "results.jsonl"),
+                "--out", str(mini_workspace["root"] / "canonical.jsonl")]
+        found = []
+        for _ in range(2):
+            gc.collect()
+            with collector(False):
+                assert cli_main(argv) == EXIT_OK
+                found.append(gc.collect())
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert found[1] == 0
 
 
 # -- the console entry point --------------------------------------------------

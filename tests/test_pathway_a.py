@@ -15,7 +15,7 @@ from eligo.pathway_a import (
     role_tag,
 )
 
-from conftest import make_mock_gateway
+from conftest import assert_read_only, make_mock_gateway
 
 VALUES = (Verdict.YES, Verdict.NO, Verdict.UNKNOWN)
 
@@ -100,6 +100,20 @@ class TestRoleProfile:
     def test_empty_instructions_rejected(self):
         with pytest.raises(ValueError):
             RoleProfile("CRC", "   ")
+
+    def test_is_read_only(self, roles):
+        assert_read_only(roles["CRC"])
+
+
+class TestRoleAnswer:
+    def test_negative_elapsed_rejected(self):
+        answer = ParsedAnswer(Verdict.YES, "r", (), "n1|Q1|roleCRC")
+        assert RoleAnswer(answer, "CRC", 0.0).elapsed_ms == 0.0
+        with pytest.raises(ValueError, match="elapsed_ms"):
+            RoleAnswer(answer, "CRC", -0.5)
+
+    def test_is_read_only(self):
+        assert_read_only(make_role_answer(Verdict.YES, "CRC"))
 
 
 def make_role_answer(value, role_id, evidence=(), key=("n1", "Q1")):

@@ -8,7 +8,7 @@ from eligo.gateway import FORMAT_CONTRACT
 from eligo.pathway_b import debate_unit, load_debate_templates, run_debate
 from eligo.prompting import load_template, render
 
-from conftest import make_mock_gateway
+from conftest import assert_read_only, make_mock_gateway
 
 
 def find(items, predicate):
@@ -156,6 +156,7 @@ class TestRunDebate:
         assert transcript.judge_notes == "evidence conflict on tumor origin"
         assert transcript.round2 is not None
         assert gateway.transport.calls == 6
+        assert_read_only(transcript)
 
     def test_adversarial_judge_never_gets_third_round(self, unit):
         question, note = unit

@@ -10,6 +10,7 @@ from eligo.corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from eligo.errors import CatalogError, MissingVerdictError, RuleParseError
 from eligo.rules import (
     SENSITIVITY_CAP,
+    _Token,
     AllOf,
     And,
     AnyOf,
@@ -21,6 +22,8 @@ from eligo.rules import (
     RuleExpr,
     SensitivityResult,
     Stability,
+    TrialStatus,
+    TrialVerdict,
     criterion_verdict,
     eval_rule,
     parse_rule,
@@ -31,6 +34,8 @@ from eligo.rules import (
     trial_verdict,
     verdicts_for_note,
 )
+
+from conftest import assert_read_only
 
 LIVER_RULE = "Q1 IS YES AND (Q2 IS YES OR Q3 IS YES) AND Q4 IS NOT YES"
 LIVER_ANSWERS = {"Q1": Verdict.YES, "Q2": Verdict.YES, "Q3": Verdict.NO,
@@ -816,3 +821,53 @@ def test_repeated_id_rule_keeps_stable_apart_from_met():
     assert reference_verdict(parse_rule(rule), answers) == (False, True)
     for completion in (Verdict.YES, Verdict.NO):
         assert eval_rule(parse_rule(rule), dict(answers, Q1=completion)) is True
+
+
+# -- record semantics -----------------------------------------------------------
+
+ATOM = Atom("Q1", Verdict.YES)
+
+
+def test_nodes_of_one_layout_differ_by_class():
+    assert And((ATOM,)) != Or((ATOM,))
+    assert not And((ATOM,)) == Or((ATOM,))
+    assert AnyOf(("Q1",), Verdict.YES) != AllOf(("Q1",), Verdict.YES)
+    assert not AnyOf(("Q1",), Verdict.YES) == AllOf(("Q1",), Verdict.YES)
+    assert parse_rule("ANY(Q1) IS YES OR Q2 IS NO") != parse_rule("ALL(Q1) IS YES OR Q2 IS NO")
+    assert Not(ATOM) != (ATOM,)
+
+
+def test_nodes_of_one_class_are_equal_by_value():
+    assert And((ATOM, Not(ATOM))) == And((Atom("Q1", Verdict.YES), Not(ATOM)))
+    assert hash(And((ATOM,))) == hash(And((ATOM,)))
+    assert parse_rule(LIVER_RULE) == parse_rule(LIVER_RULE)
+    assert ParsedRule.parse(LIVER_RULE) == ParsedRule.parse(LIVER_RULE)
+
+
+@pytest.mark.parametrize("build", [lambda: And(()), lambda: Or(()),
+                                   lambda: AnyOf((), Verdict.YES),
+                                   lambda: AllOf((), Verdict.NO)],
+                         ids=["And", "Or", "AnyOf", "AllOf"])
+def test_an_empty_operand_list_is_rejected(build):
+    with pytest.raises(ValueError, match="at least one"):
+        build()
+
+
+def test_records_are_read_only():
+    rule = ParsedRule.parse(LIVER_RULE)
+    for record in (ATOM, Not(ATOM), And((ATOM,)), Or((ATOM,)), AnyOf(("Q1",), Verdict.YES),
+                   AllOf(("Q1",), Verdict.YES), _Token("IDENT", "Q1", 1),
+                   SensitivityResult(Stability.STABLE, 0),
+                   CriterionVerdict("C1", CriterionKind.INCLUSION, True, True),
+                   TrialVerdict("T1", TrialStatus.ELIGIBLE, ())):
+        assert_read_only(record)
+    assert_read_only(rule, "outcomes", "verdicts", "key", "read_once")
+
+
+def test_a_parsed_rules_memo_is_not_part_of_its_value():
+    rule, other = ParsedRule.parse(LIVER_RULE), ParsedRule.parse(LIVER_RULE)
+    criterion_verdict(CriterionSpec("C1", (), CriterionKind.INCLUSION, "t", LIVER_RULE,
+                                    rule.question_ids), LIVER_ANSWERS)
+    rule.outcomes[("x",)] = None
+    assert rule == other and hash(rule) == hash(other)
+    assert repr(rule) == f"ParsedRule(expr={rule.expr!r}, question_ids={rule.question_ids!r})"
