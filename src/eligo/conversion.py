@@ -10,8 +10,6 @@ draft request per drafter, then the refine request, which a :class:`Router`
 sends to their backends.
 """
 
-from __future__ import annotations
-
 import logging
 import re
 from functools import partial

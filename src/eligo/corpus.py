@@ -4,8 +4,6 @@ All loaders are pure and reentrant; loaded values are treated as immutable
 so they can be shared freely across worker threads.
 """
 
-from __future__ import annotations
-
 import gc
 import json
 import logging

@@ -7,8 +7,6 @@ The counterfactual rate is an automated substring-grounding proxy for a
 manual review of wrong answers, and is labeled as such in reports.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import re
@@ -117,7 +115,7 @@ class MetricReport(Record):
     def __init__(self, precision: float, recall: float, f1: float, accuracy: float,
                  accuracy_binary: float, counts: ConfusionCounts, answered_count: int,
                  unanswered_count: int, positive_class: str,
-                 breakdowns: dict[str, MetricReport] | None = None,
+                 breakdowns: "dict[str, MetricReport] | None" = None,
                  counterfactual: CounterfactualReport | None = None):
         self.precision = precision
         self.recall = recall

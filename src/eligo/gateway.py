@@ -20,8 +20,6 @@ thread.  It is the one way to send a request and wait for its answer;
 :meth:`Gateway.complete` is :func:`run_unit` over a one-request unit.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 import json
@@ -357,7 +355,7 @@ class HttpTransport:
         for connection in idle:
             connection.close()
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _checkout(self) -> "http.client.HTTPConnection":
         with self._lock:
             connection = self._idle.pop() if self._idle else None
         if connection is None:
@@ -465,16 +463,15 @@ class Gateway:
                  seed: str | None = None, transport=None):
         cfg.validate()
         self.cfg = cfg
-        if transport is not None:
-            self.transport = transport
-        elif cfg.kind == "mock":
-            if fixtures is None:
-                fixtures = load_fixtures(cfg.fixtures_path) if cfg.fixtures_path else {}
-            self.transport = MockTransport(
-                fixtures, latency_s=cfg.mock_latency_s, seed=seed
-            )
-        else:
-            self.transport = HttpTransport(cfg)
+        if transport is None:
+            if cfg.kind == "mock":
+                if fixtures is None:
+                    fixtures = load_fixtures(cfg.fixtures_path) if cfg.fixtures_path else {}
+                transport = MockTransport(fixtures, latency_s=cfg.mock_latency_s, seed=seed)
+            else:
+                transport = HttpTransport(cfg)
+        self.transport = transport  # what sends the requests
+        self._waits = getattr(transport, "waits", True)
         # Calls to send; None tells the sender that takes it to exit.
         self._ready: SimpleQueue[_Call | None] = SimpleQueue()
         self._lock = threading.Lock()  # guards the fields below
@@ -483,16 +480,6 @@ class Gateway:
         self._senders: list[threading.Thread] = []
         self._outstanding = 0  # calls queued, or on the wire on a sender
         self._inline = 0  # calls on the wire on the thread that made them
-
-    @property
-    def transport(self):
-        """What sends the requests; its ``waits`` is read when it is set."""
-        return self._transport
-
-    @transport.setter
-    def transport(self, transport) -> None:
-        self._transport = transport
-        self._waits = getattr(transport, "waits", True)
 
     def call(self, req: ChatRequest, done: Done, *,
              on_park: Callable[[bool], None] | None = None) -> None:
@@ -519,7 +506,7 @@ class Gateway:
         exception is a failed send that is retried: it is parked, or queued
         at once without a backoff, and its retry and ``done`` run on a
         sender thread.  Otherwise the request is queued, and ``done`` runs
-        on a sender thread.  ``waits`` is read when the transport is set.
+        on a sender thread.  ``waits`` is read when the gateway is built.
         """
         req.validate()
         with self._lock:
@@ -530,7 +517,7 @@ class Gateway:
                 return
             self._inline += 1
         try:
-            reply = self._transport.send(req)
+            reply = self.transport.send(req)
             error = None
         except Exception as exc:
             reply, error = None, exc
@@ -574,7 +561,7 @@ class Gateway:
                 if call is not None:
                     self._ready.put(call)
             self._add_sender()
-        close = getattr(self._transport, "close", None)
+        close = getattr(self.transport, "close", None)
         if close is not None:
             close()
 
@@ -651,7 +638,7 @@ class Gateway:
     def _attempt(self, call: _Call) -> None:
         """Put one attempt on the wire; complete the call or park it for a retry."""
         try:
-            reply = self._transport.send(call.request)
+            reply = self.transport.send(call.request)
             error = None
         except Exception as exc:  # a faulty transport fails its call, not the sender
             reply, error = None, exc

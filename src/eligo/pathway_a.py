@@ -1,7 +1,5 @@
 """Pathway A: three expert-role prompts per question, combined by majority vote."""
 
-from __future__ import annotations
-
 import time
 from typing import NamedTuple
 

@@ -6,8 +6,6 @@ Call budget per (note, question) is fixed by the state machine:
 never on raw text.
 """
 
-from __future__ import annotations
-
 import re
 from pathlib import Path
 from typing import Mapping, NamedTuple

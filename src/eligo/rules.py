@@ -18,6 +18,9 @@ For a read-once rule, which tests no question for YES or NO twice, the
 Kleene value is exact: each UNKNOWN answer sits in one leaf, apart from
 the others.  Any other rule splits an UNKNOWN answer into YES and NO only
 while the Kleene value is still undecided, not over all 2^k completions.
+A decided Kleene value is STABLE however many answers are UNKNOWN; an
+undecided one with more than ``SENSITIVITY_CAP`` of them is UNSTABLE and
+capped, without a split.
 
 A criterion's rule is parsed once, when its catalog is validated at load
 (``CriterionSpec.parsed_rule``), and reused for every note.  A rule's
@@ -26,10 +29,10 @@ outcome depends only on the answers to the questions it references, so
 per answer pattern: a cohort costs one pass per distinct pattern, not one
 per note.  A memo hit costs one ``itemgetter`` call and one dict lookup, as
 ``verdicts_for_note`` reads a note's answers through a view in which a
-missing answer is UNKNOWN.
+missing answer is UNKNOWN.  Every answer must be a ``Verdict`` member: the
+evaluators match answers by identity, so each entry point raises TypeError,
+naming the question, for any other value.
 """
-
-from __future__ import annotations
 
 import re
 from collections.abc import Mapping
@@ -40,8 +43,8 @@ from typing import Iterable, NamedTuple, Union
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict, refuse_assignment
 from .errors import CatalogError, MissingVerdictError, RuleParseError
 
-# Case splitting is exponential in the worst case; beyond this many UNKNOWN
-# answers the verdict is reported UNSTABLE with the capped flag instead.
+# Case splitting is exponential in the worst case; an undecided rule with
+# more UNKNOWN answers than this is reported UNSTABLE with the capped flag.
 SENSITIVITY_CAP = 16
 
 # The answer values, bound once: reading a member off its Enum class costs
@@ -338,8 +341,8 @@ class ParsedRule(_RuleFields):
     __setattr__ = refuse_assignment
 
     def __new__(cls, expr: RuleExpr, question_ids: tuple[str, ...],
-                outcomes: dict[tuple[Verdict, ...], CriterionVerdict] | None = None,
-                verdicts: dict[tuple[bool, bool], CriterionVerdict] | None = None):
+                outcomes: "dict[tuple[Verdict, ...], CriterionVerdict] | None" = None,
+                verdicts: "dict[tuple[bool, bool], CriterionVerdict] | None" = None):
         self = tuple.__new__(cls, (expr, question_ids))
         if len(question_ids) == 1:
             (question_id,) = question_ids
@@ -402,7 +405,7 @@ def rename_questions(expr: RuleExpr, mapping: Mapping[str, str]) -> RuleExpr:
 
 def eval_rule(expr: RuleExpr, answers: Mapping[str, Verdict]) -> bool:
     """Two-valued evaluation; missing answers count as UNKNOWN."""
-    return _eval(expr, answers)[0]
+    return _eval(expr, answers_view(answers))[0]
 
 
 def _eval(expr: RuleExpr, answers: Mapping[str, Verdict]) -> tuple[bool, bool | str]:
@@ -411,7 +414,6 @@ def _eval(expr: RuleExpr, answers: Mapping[str, Verdict]) -> tuple[bool, bool | 
     The Kleene value is True or False when every YES/NO completion of the
     UNKNOWN (or missing) answers gives it, else the id of an UNKNOWN answer
     it depends on; so "Q IS UNKNOWN" is False in it, whatever Q's answer.
-    Answers match by identity: a plain string matches no value.
     """
     kind = type(expr)
     if kind is Atom:
@@ -476,21 +478,19 @@ def sensitivity(
     """Whether the rule's YES/NO completions agree, over the k UNKNOWN answers.
 
     k counts the referenced questions whose answer is UNKNOWN or missing.
-    k = 0 is STABLE; beyond SENSITIVITY_CAP the result is UNSTABLE and
-    capped.  Otherwise it is STABLE when every completion of the k answers
-    gives the rule one value (``_decide``).  That value is not compared with
-    the two-valued one: with Q1 UNKNOWN, "Q1 IS UNKNOWN" is met, yet False
+    The result is STABLE when every completion of the k answers gives the
+    rule one value, as ``_decide`` finds, and ``capped`` when that search
+    stopped at SENSITIVITY_CAP.  That value is not compared with the
+    two-valued one: with Q1 UNKNOWN, "Q1 IS UNKNOWN" is met, yet False
     under every completion.  A ParsedRule saves collecting its ids again.
     """
     rule = expr if isinstance(expr, ParsedRule) else ParsedRule(
         expr, tuple(sorted(referenced_ids(expr))))
-    k = _unknown_count(rule, answers)
-    if k > SENSITIVITY_CAP:
-        return SensitivityResult(Stability.UNSTABLE, unknown_count=k, capped=True)
+    answers = answers_view(answers)
     stable = _decide(rule, answers)[1]
-    return SensitivityResult(
-        Stability.STABLE if stable else Stability.UNSTABLE, unknown_count=k
-    )
+    return SensitivityResult(Stability.STABLE if stable else Stability.UNSTABLE,
+                             unknown_count=_unknown_count(rule, answers),
+                             capped=stable is None)
 
 
 def _unknown_count(rule: ParsedRule, answers: Mapping[str, Verdict]) -> int:
@@ -498,18 +498,20 @@ def _unknown_count(rule: ParsedRule, answers: Mapping[str, Verdict]) -> int:
                for question_id in rule.question_ids)
 
 
-def _decide(rule: ParsedRule, answers: Mapping[str, Verdict]) -> tuple[bool, bool]:
+def _decide(rule: ParsedRule, answers: Mapping[str, Verdict]) -> tuple[bool, bool | None]:
     """The rule's two-valued value on ``answers``, and whether it is STABLE.
 
-    A decided Kleene value is shared by every completion; an undecided one
-    means that they disagree for a read-once rule, and any other rule looks
-    for a shared value by splitting its UNKNOWN answers (``_settle``).
+    A decided Kleene value is shared by every completion, however many
+    answers are UNKNOWN.  An undecided one means that they disagree for a
+    read-once rule, and any other rule looks for a shared value by splitting
+    its UNKNOWN answers (``_settle``), unless there are more than
+    SENSITIVITY_CAP of them: then the verdict is UNSTABLE, and the second
+    value is None instead of False to say that the cap decided it.
     """
     met, value = _eval(rule.expr, answers)
-    if len(rule.question_ids) > SENSITIVITY_CAP and \
-            _unknown_count(rule, answers) > SENSITIVITY_CAP:
-        return met, False
     if value.__class__ is str:
+        if _unknown_count(rule, answers) > SENSITIVITY_CAP:
+            return met, None
         value = None if rule.read_once else _settle(rule.expr, dict(answers))
     # The completions' shared value, or None: requiring it to equal ``met``
     # here would also make a STABLE verdict agree with every completion.
@@ -565,16 +567,10 @@ class TrialVerdict(NamedTuple):
     failing: tuple[str, ...]
 
 
-_VERDICT_ONLY = frozenset({Verdict})
-
-
 class _Answers(dict):
-    """One note's answers by question id, in which a missing answer is UNKNOWN.
+    """One note's answers by question id, in which a missing answer is UNKNOWN."""
 
-    ``memoizable`` is True when every answer is a ``Verdict`` member.
-    """
-
-    __slots__ = ("memoizable",)
+    __slots__ = ()
 
     def __missing__(self, question_id: str) -> Verdict:
         return UNKNOWN
@@ -582,9 +578,16 @@ class _Answers(dict):
 
 def answers_view(answers: Mapping[str, Verdict]) -> Mapping[str, Verdict]:
     """One note's answers as the rules read them, which the rules then
-    need not copy; a missing answer reads as UNKNOWN."""
+    need not copy; a missing answer reads as UNKNOWN.  A view is returned
+    as it is.  Raises TypeError, naming the question, for an answer that is
+    not a ``Verdict`` member."""
+    if type(answers) is _Answers:
+        return answers
     view = _Answers(answers)
-    view.memoizable = _VERDICT_ONLY.issuperset(map(type, view.values()))
+    for question_id, answer in view.items():
+        if answer.__class__ is not Verdict:
+            raise TypeError(f"answer to {question_id!r} is {answer!r}, "
+                            f"not a Verdict member")
     return view
 
 
@@ -601,24 +604,18 @@ def criterion_verdict(
     the evaluators count it, so notes that repeat a pattern share one
     immutable verdict.  A plain mapping is first copied into the view that
     ``answers_view`` builds, so a view and a plain mapping share one memo.
-    Only notes whose answers are all ``Verdict`` members are memoized: a
-    plain string equals its member but the evaluators match by identity, so
-    such a note is evaluated afresh instead of sharing the member's entry.
     """
     if not criterion.rule_text:
         raise CatalogError(
             f"criterion {criterion.criterion_id!r} has no rule to evaluate"
         )
-    if type(answers) is not _Answers:
-        answers = answers_view(answers)
+    answers = answers_view(answers)
     rule = criterion.parsed_rule
-    if not answers.memoizable:
-        return CriterionVerdict(criterion.criterion_id, criterion.kind,
-                                *_decide(rule, answers))
     key = rule.key(answers)
     verdict = rule.outcomes.get(key)
     if verdict is None:
-        outcome = _decide(rule, answers)
+        met, stable = _decide(rule, answers)
+        outcome = met, stable is True
         verdict = rule.verdicts.get(outcome)
         if verdict is None:
             verdict = rule.verdicts[outcome] = CriterionVerdict(
@@ -637,8 +634,7 @@ def verdicts_for_note(
     criterion's verdict comes from criterion_verdict, which looks the view
     up in its rule's memo without copying it again.
     """
-    if type(answers) is not _Answers:
-        answers = answers_view(answers)
+    answers = answers_view(answers)
     return [criterion_verdict(criterion, answers) for criterion in criteria]
 
 

@@ -14,7 +14,7 @@ from eligo.corpus import Category, CriterionKind, CriterionSpec, TaskType
 from eligo.gateway import BackendConfig, Gateway, run_unit
 from eligo.rules import parse_rule, referenced_ids
 
-from conftest import assert_read_only, make_mock_gateway
+from conftest import assert_read_only
 
 LIVER_QUESTION_TEXTS = [
     "Has the patient been diagnosed with a malignant liver tumor?",
@@ -58,10 +58,8 @@ class _FailingTransport:
 
 
 def failing_gateway(model_name):
-    gateway = make_mock_gateway({})
-    gateway.cfg = BackendConfig(kind="mock", model_name=model_name)
-    gateway.transport = _FailingTransport()
-    return gateway
+    return Gateway(BackendConfig(kind="mock", model_name=model_name),
+                   transport=_FailingTransport())
 
 
 def names(drafters):

@@ -770,16 +770,6 @@ class TestCallbacks:
         assert parks == []  # queued again at once, never on the heap
         assert gateway._outstanding == 0
 
-    def test_a_transport_set_later_is_sent_to_as_its_waits_says(self):
-        gateway = make_mock_gateway({"a": "canned"})
-        waiting = eligo.gateway.MockTransport({"a": "canned"}, latency_s=0.01)
-        gateway.transport = waiting
-        outcomes, answered, done = self.recorder()
-        gateway.call(user_request("x", tag="a"), done)
-        assert answered.wait(timeout=5.0)
-        assert outcomes == [("eligo-sender", "canned", None)]
-        gateway.close()
-
     def test_parked_inline_send_is_answered_once_by_a_sender(self):
         transport = _RefuseFirstAttempt({"a"})
         transport.waits = False

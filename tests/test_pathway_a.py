@@ -80,8 +80,7 @@ class TestAnswerWithRole:
                 captured.append(req)
                 return '"Yes". ok'
 
-        gateway = make_mock_gateway({})
-        gateway.transport = Spy()
+        gateway = make_mock_gateway(transport=Spy())
         answer_with_role(q("Q1", liver_catalog), note("n1", notes), roles["CRC"], gateway)
         prompt = captured[0].messages[-1].content
         assert liver_catalog.questions["Q1"].text in prompt

@@ -207,8 +207,7 @@ class TestRunDebate:
                "proponent|r2": '"Yes". c', "opponent|r2": '"No". d',
                "judge|final": '"Yes". e'},
         )
-        gateway = make_mock_gateway({})
-        gateway.transport = Recorder(fixtures)
+        gateway = make_mock_gateway(transport=Recorder(fixtures))
         run_debate(question, note, gateway)
         assert "check the pathology line" in sent[f"{key}|proponent|r2"]
         assert "check the pathology line" in sent[f"{key}|opponent|r2"]
@@ -241,8 +240,7 @@ class TestRunDebate:
                 answered.append(req.tag)
                 raise errors.BackendError("opponent refused", status=404)
 
-        gateway = make_mock_gateway({})
-        gateway.transport = FailingStances()
+        gateway = make_mock_gateway(transport=FailingStances())
         with pytest.raises(errors.BackendError) as excinfo:
             run_debate(question, note, gateway)
         assert excinfo.value.status == 400  # the proponent comes first in the batch

@@ -281,6 +281,28 @@ class TestSensitivity:
         assert result.status is Stability.UNSTABLE
         assert result.capped is True
 
+    @pytest.mark.parametrize("width", range(17, 21))
+    @pytest.mark.parametrize("template, answers, met", [
+        ("ANY({ids}) IS YES", {"Q1": Verdict.YES}, True),
+        ("ANY({ids}) IS NO", {"Q{width}": Verdict.NO}, True),
+        ("ALL({ids}) IS YES", {"Q1": Verdict.NO}, False),
+        ("ALL({ids}) IS NO", {"Q{width}": Verdict.UNKNOWN, "Q2": Verdict.YES}, False),
+        ("P IS YES AND ANY({ids}) IS YES", {"P": Verdict.NO}, False),
+        ("ALL({ids}) IS NO OR NOT P IS NO", {"P": Verdict.YES}, True),
+    ])
+    def test_a_decided_rule_is_stable_over_the_cap(self, width, template, answers, met):
+        ids = ", ".join(f"Q{i}" for i in range(1, width + 1))
+        answers = {key.format(width=width): value for key, value in answers.items()}
+        criterion = TestOutcomeMemo.criterion(template.format(ids=ids))
+        result = sensitivity(criterion.parsed_rule, answers)
+        known = [value for value in answers.values() if value is not Verdict.UNKNOWN]
+        assert result.unknown_count == len(criterion.parsed_rule.question_ids) - len(known)
+        assert (result.status, result.capped) == (Stability.STABLE, False)
+        assert result == reference_sensitivity(criterion.parsed_rule, answers)
+        verdict = criterion_verdict(criterion, answers)
+        assert (verdict.met, verdict.stable) == (met, True)
+        assert eval_rule(criterion.parsed_rule.expr, answers) is met
+
     def test_matches_brute_force_oracle_on_random_rules(self):
         rng = random.Random(2025)
         covered = set()
@@ -509,28 +531,24 @@ class TestOutcomeMemo:
         assert first == second
         assert len(criterion.parsed_rule.outcomes) == 1
 
-    def test_plain_string_answer_is_not_taken_for_the_enum(self):
-        # The evaluators match answers by identity, so a plain "YES" string
-        # matches no value; the memo must not hand it the Verdict.YES outcome.
-        rule = "Q1 IS YES"
-        expected = (eval_rule(parse_rule(rule), {"Q1": "YES"}),
-                    sensitivity(parse_rule(rule), {"Q1": "YES"}).status is Stability.STABLE)
-        assert expected == (False, True)
-        for enum_first in (True, False):
-            criterion = self.criterion(rule)
-            if enum_first:
-                assert criterion_verdict(criterion, {"Q1": Verdict.YES}).met is True
-            verdict = criterion_verdict(criterion, {"Q1": "YES"})
-            assert (verdict.met, verdict.stable) == expected
-            assert criterion_verdict(criterion, {"Q1": Verdict.YES}).met is True
-            assert list(criterion.parsed_rule.outcomes) == [(Verdict.YES,)]
+    @pytest.mark.parametrize("evaluate", [
+        lambda criterion, answers: eval_rule(criterion.parsed_rule.expr, answers),
+        lambda criterion, answers: sensitivity(criterion.parsed_rule, answers),
+        criterion_verdict,
+        lambda criterion, answers: verdicts_for_note([criterion], answers),
+    ], ids=["eval_rule", "sensitivity", "criterion_verdict", "verdicts_for_note"])
+    def test_an_answer_that_is_not_a_verdict_member_is_refused(self, evaluate):
+        # A plain "YES" equals Verdict.YES, but the evaluators match by identity.
+        criterion = self.criterion("Q1 IS YES")
+        with pytest.raises(TypeError, match="'Q1'"):
+            evaluate(criterion, {"Q1": "YES"})
+        assert criterion.parsed_rule.outcomes == {}
 
 
-# Answers as the rules receive them, plus plain strings, which equal their
-# members but are matched by identity and so must never be memoized.
+# Answers as the rules receive them: Verdict members, some missing.
 NOTE_ANSWERS = st.dictionaries(
     st.sampled_from(["Q1", "Q2", "Q3", "Q4"]),
-    st.sampled_from([*VALUES, "YES", "NO"]),
+    st.sampled_from(VALUES),
 )
 
 
@@ -544,7 +562,6 @@ def test_verdicts_for_note_match_fresh_evaluation(seed, notes):
     criteria = [TestOutcomeMemo.criterion(rule, criterion_id=f"c{index}")
                 for index, rule in enumerate(rules)]
     for answers in notes:
-        memoizable = all(type(value) is Verdict for value in answers.values())
         verdicts = verdicts_for_note(criteria, answers)
         assert [verdict.criterion_id for verdict in verdicts] == \
             [criterion.criterion_id for criterion in criteria]
@@ -556,7 +573,7 @@ def test_verdicts_for_note_match_fresh_evaluation(seed, notes):
             direct = criterion_verdict(criterion, answers)
             assert direct == verdict
             # A direct call and the roll-up share one memo entry.
-            assert (direct is verdict) is memoizable
+            assert direct is verdict
     for criterion in criteria:
         rule = criterion.parsed_rule
         for key in rule.outcomes:
@@ -599,9 +616,10 @@ def reference_sensitivity(
     answers count as UNKNOWN), without enumerating the 2^k completions: the
     rule is evaluated in Kleene's three-valued logic, and an UNKNOWN answer
     is split into YES and NO only while the result is still undecided.  The
-    search stops at the first branch whose completions disagree.  Beyond
-    SENSITIVITY_CAP unknowns the result defaults to UNSTABLE with the capped
-    flag set.  A ParsedRule saves collecting the referenced ids again.
+    search stops at the first branch whose completions disagree.  A result
+    still undecided with more than SENSITIVITY_CAP unknowns is UNSTABLE with
+    the capped flag set, without a split.  A ParsedRule saves collecting the
+    referenced ids again.
     """
     if isinstance(expr, ParsedRule):
         expr, question_ids = expr.expr, expr.question_ids
@@ -617,7 +635,7 @@ def reference_sensitivity(
             known[question_id] = value
     if k == 0:
         return SensitivityResult(Stability.STABLE, unknown_count=0)
-    if k > SENSITIVITY_CAP:
+    if k > SENSITIVITY_CAP and isinstance(reference_kleene(expr, known), str):
         return SensitivityResult(Stability.UNSTABLE, unknown_count=k, capped=True)
     stable = reference_settle(expr, known) is not None
     return SensitivityResult(
@@ -710,19 +728,15 @@ def random_rule(rng):
 
 
 def random_answers(rng, question_ids):
-    """Answers with a random share of UNKNOWN ones, some of them missing,
-    and in some maps plain strings, which equal a member but match none."""
+    """Answers with a random share of UNKNOWN ones, some of them missing."""
     unknown_share = rng.random()
-    known = [Verdict.YES, Verdict.NO]
-    if rng.random() < 0.3:
-        known += ["YES", "NO", "UNKNOWN"]
     answers = {}
     for question_id in question_ids:
         if rng.random() < unknown_share:
             if rng.random() < 0.5:
                 answers[question_id] = Verdict.UNKNOWN
         else:
-            answers[question_id] = rng.choice(known)
+            answers[question_id] = rng.choice((Verdict.YES, Verdict.NO))
     return answers
 
 
@@ -778,16 +792,16 @@ def test_kernel_cases_cover_every_shape():
         for answers in answer_maps:
             if set(rule.question_ids) - set(answers):
                 covered.add("missing answer")
-            if any(type(value) is str for value in answers.values()):
-                covered.add("plain string")
             result = reference_sensitivity(expr, answers)
             if result.capped:
                 covered.add("over the cap")
+            if result.unknown_count > SENSITIVITY_CAP and not result.capped:
+                covered.add("decided over the cap")
             if not rule.read_once and result.unknown_count and not result.capped:
                 covered.add("split on an UNKNOWN answer")
     assert covered >= {"repeated", "IS UNKNOWN", "IS NOT UNKNOWN", "ANY", "ALL", "NOT",
                        "ANY/ALL IS UNKNOWN", "read-once", "split fallback",
-                       "missing answer", "plain string", "over the cap",
+                       "missing answer", "over the cap", "decided over the cap",
                        "split on an UNKNOWN answer"}
 
 

@@ -76,9 +76,8 @@ class _FlakyTransport:
 
 
 def flaky_gateway(broken_substring):
-    gateway = make_mock_gateway({})
-    gateway.transport = _FlakyTransport(build_mini_fixtures(), broken_substring)
-    return gateway
+    return make_mock_gateway(
+        transport=_FlakyTransport(build_mini_fixtures(), broken_substring))
 
 
 class _ResultsWatchingTransport:
@@ -586,8 +585,8 @@ class TestCmdScreen:
     def test_each_record_flushed_before_the_next_unit(self, mini_workspace):
         # One loop and one call per role unit: call k starts after k records.
         results_path = mini_workspace["out"] / "results.jsonl"
-        gateway = make_mock_gateway({})
-        gateway.transport = _ResultsWatchingTransport(build_mini_fixtures(), results_path)
+        gateway = make_mock_gateway(
+            transport=_ResultsWatchingTransport(build_mini_fixtures(), results_path))
         config = run_config(mini_workspace, pathway="A", vote=False, workers=1)
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         snapshots = gateway.transport.snapshots
@@ -658,15 +657,14 @@ class TestCmdScreen:
         class BuggyGateway(Gateway):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                mock = self.transport
+                send = self.transport.send
 
-                class Transport:
-                    def send(self, req):
-                        if req.tag == "n2|m2|roleJD":
-                            raise RuntimeError("bug in a unit")
-                        return mock.send(req)
+                def buggy_send(req):
+                    if req.tag == "n2|m2|roleJD":
+                        raise RuntimeError("bug in a unit")
+                    return send(req)
 
-                self.transport = Transport()
+                self.transport.send = buggy_send
 
             def close(self):
                 closed_gateways.append(self)
@@ -697,8 +695,8 @@ class TestCmdScreen:
     def test_vote_appended_before_the_next_pair_starts(self, mini_workspace):
         # One loop, one call per role: call 3 is the second pair's first role.
         results_path = mini_workspace["out"] / "results.jsonl"
-        gateway = make_mock_gateway({})
-        gateway.transport = _ResultsWatchingTransport(build_mini_fixtures(), results_path)
+        gateway = make_mock_gateway(
+            transport=_ResultsWatchingTransport(build_mini_fixtures(), results_path))
         config = run_config(mini_workspace, pathway="A", workers=1)
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         first_pair = [json.loads(line)
