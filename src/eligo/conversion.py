@@ -7,14 +7,15 @@ than failing the whole conversion.
 
 Converting a criterion is a unit for ``gateway.run_units``: a batch of one
 draft request per drafter, then the refine request, which a :class:`Router`
-sends to their backends.
+sends to their backends.  The units render the texts of the templates in
+``CONVERSION_TEMPLATES``, which the caller reads once through
+:func:`prompting.load_prompts`.
 """
 
 import logging
 import re
 from functools import partial
-from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Catalog,
@@ -28,7 +29,7 @@ from .corpus import (
 from .errors import (CatalogError, ConversionError, EligoError, GatewayError,
                      RefinementParseError, RuleParseError)
 from .gateway import ChatRequest, Done, Gateway, Unit, user_request
-from .prompting import load_template, render
+from .prompting import render
 from .rules import parse_rule, print_rule, referenced_ids, rename_questions
 
 log = logging.getLogger(__name__)
@@ -39,6 +40,8 @@ _LABEL_RE = re.compile(r"\s*\[([A-Za-z]+)\s*/\s*([A-Za-z]+)\]\s*$")
 
 DEFAULT_CATEGORY = Category.DIAGNOSIS
 DEFAULT_TASK_TYPE = TaskType.CLASSIFICATION
+
+CONVERSION_TEMPLATES = ("convert", "refine")
 
 
 class QuestionDraft(NamedTuple):
@@ -80,16 +83,13 @@ def normalize_question_text(text: str) -> str:
     return collapsed.rstrip(".?!;:")
 
 
-def build_conversion_prompt(
-    criterion: CriterionSpec,
-    *,
-    tag: str | None = None,
-    prompts_dir: str | Path | None = None,
-) -> ChatRequest:
-    """Prompt a backend to decompose one criterion into Q:/RULE: lines."""
+def build_conversion_prompt(criterion: CriterionSpec, template: str, *,
+                            tag: str | None = None) -> ChatRequest:
+    """Prompt a backend to decompose one criterion into Q:/RULE: lines, from
+    the ``convert`` template's text."""
     if not criterion.text.strip():
         raise CatalogError(f"criterion {criterion.criterion_id!r} has empty text")
-    prompt = render(load_template("convert", prompts_dir), criterion=criterion.text)
+    prompt = render(template, criterion=criterion.text)
     return user_request(prompt, tag=tag or f"convert|{criterion.criterion_id}")
 
 
@@ -139,14 +139,10 @@ def _split_label(text: str, out: DraftSet, source: str) -> tuple[str, Category, 
     return text, category, task_type
 
 
-def generate_questions(
-    criterion: CriterionSpec,
-    drafters: Sequence[str],
-    *,
-    prompts_dir: str | Path | None = None,
-) -> Unit[DraftSet]:
+def generate_questions(criterion: CriterionSpec, drafters: Sequence[str],
+                       template: str) -> Unit[DraftSet]:
     """The unit that asks every drafter, by model name, to draft questions
-    for one criterion.
+    for one criterion from the ``convert`` template's text.
 
     The drafts are asked in one batch, so each drafter bounds its own
     in-flight load, and collected in drafter order so output stays
@@ -157,9 +153,8 @@ def generate_questions(
     if not drafters:
         raise ValueError("generate_questions needs at least one backend")
     replies = yield [
-        build_conversion_prompt(
-            criterion, tag=f"convert|{criterion.criterion_id}|{name}", prompts_dir=prompts_dir
-        )
+        build_conversion_prompt(criterion, template,
+                                tag=f"convert|{criterion.criterion_id}|{name}")
         for name in drafters
     ]
     result = DraftSet()
@@ -189,12 +184,13 @@ def _dedup(drafts: Sequence[QuestionDraft]) -> list[QuestionDraft]:
 def merge_question_sets(
     drafts: Sequence[QuestionDraft],
     criterion: CriterionSpec,
+    template: str,
     *,
     rule_proposals: dict[str, str] | None = None,
-    prompts_dir: str | Path | None = None,
 ) -> Unit[MergeResult]:
     """The unit that collapses duplicates, lets the refiner reconcile them
-    in one request, and emits validated specs.
+    in one request rendered from the ``refine`` template's text, and emits
+    validated specs.
 
     Final questions get ids "<criterion_id>.q<k>"; the refiner's rule is
     parsed over its Q1..Qn numbering and rewritten onto those ids.  An
@@ -212,12 +208,8 @@ def merge_question_sets(
     rules_block = "\n".join(
         f"{label}: {rule}" for label, rule in sorted(proposals.items())
     ) or "(none)"
-    prompt = render(
-        load_template("refine", prompts_dir),
-        criterion=criterion.text,
-        drafts=drafts_block,
-        draft_rules=rules_block,
-    )
+    prompt = render(template, criterion=criterion.text, drafts=drafts_block,
+                    draft_rules=rules_block)
     (reply,) = yield [user_request(prompt, tag=f"refine|{criterion.criterion_id}")]
 
     refined = DraftSet()
@@ -281,21 +273,17 @@ def merge_question_sets(
 def convert_criterion(
     criterion: CriterionSpec,
     drafters: Sequence[str],
-    *,
-    prompts_dir: str | Path | None = None,
+    templates: Mapping[str, str],
 ) -> Unit[tuple[MergeResult, CriterionSpec, list[str]] | EligoError | ValueError]:
     """The unit that converts one criterion: it returns the merge, the
     updated criterion and the warnings, or the error that failed it
-    (ValueError: no drafter proposed a question), which ends no other."""
+    (ValueError: no drafter proposed a question), which ends no other.
+    ``templates`` maps each of ``CONVERSION_TEMPLATES`` to its text."""
     try:
-        draft_set = yield from generate_questions(criterion, drafters,
-                                                  prompts_dir=prompts_dir)
-        merged = yield from merge_question_sets(
-            draft_set.drafts,
-            criterion,
-            rule_proposals=draft_set.rule_proposals,
-            prompts_dir=prompts_dir,
-        )
+        draft_set = yield from generate_questions(criterion, drafters, templates["convert"])
+        merged = yield from merge_question_sets(draft_set.drafts, criterion,
+                                                templates["refine"],
+                                                rule_proposals=draft_set.rule_proposals)
     except (EligoError, ValueError) as exc:
         return exc
     updated = criterion._replace(

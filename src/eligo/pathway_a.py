@@ -6,7 +6,7 @@ from typing import NamedTuple
 from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, Verdict
 from .errors import MixedKeyError
 from .gateway import Gateway, Unit, parse_answer, run_unit
-from .prompting import load_template, question_request
+from .prompting import load_prompts, question_request
 
 # Canonical role order; also the tie-break ordering used when rendering votes.
 ROLE_IDS = ("CRC", "JD", "IE")
@@ -53,10 +53,9 @@ class RoleAnswer(_AnswerFields):
 
 def load_roles(prompts_dir=None) -> dict[str, RoleProfile]:
     """Load the three role profiles (site overrides honored via prompts_dir)."""
-    return {
-        role_id: RoleProfile(role_id, load_template(template, prompts_dir))
-        for role_id, template in _ROLE_TEMPLATES.items()
-    }
+    templates = load_prompts(_ROLE_TEMPLATES.values(), prompts_dir)
+    return {role_id: RoleProfile(role_id, templates[name])
+            for role_id, name in _ROLE_TEMPLATES.items()}
 
 
 def role_tag(note_id: str, question_id: str, role_id: str) -> str:

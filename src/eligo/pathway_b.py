@@ -3,25 +3,20 @@
 Call budget per (note, question) is fixed by the state machine:
 2 calls on round-1 consensus, 3 when the judge closes round 1,
 6 for a full second round.  Agreement is decided on parsed verdicts,
-never on raw text.
+never on raw text.  The debate reads its four templates (``DEBATE_TEMPLATES``)
+from a mapping that :func:`prompting.load_prompts` returns.
 """
 
 import re
-from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec
 from .gateway import ChatRequest, Gateway, Unit, parse_answer, run_unit
-from .prompting import load_template, question_request
+from .prompting import load_prompts, question_request
 
 _SECOND_ROUND_RE = re.compile(r'^\s*["“«]?\s*SECOND ROUND\b[."”»]*[:\s]*', re.IGNORECASE)
 
 DEBATE_TEMPLATES = ("stance_pos", "stance_neg", "judge_r1", "judge_final")
-
-
-def load_debate_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
-    """Load the four debate templates (site overrides honored via prompts_dir)."""
-    return {name: load_template(name, prompts_dir) for name in DEBATE_TEMPLATES}
 
 
 class DebateTranscript(NamedTuple):
@@ -66,7 +61,7 @@ def debate_unit(
 
     It yields the round-1 stances as one batch, then the judge, then (when
     the judge demands it) the round-2 stances and the final judge.
-    ``templates`` comes from :func:`load_debate_templates`.
+    ``templates`` maps each of ``DEBATE_TEMPLATES`` to its text.
     """
     key = f"{note.note_id}|{question.question_id}"
 
@@ -145,10 +140,10 @@ def run_debate(
 ) -> tuple[ParsedAnswer, DebateTranscript]:
     """Run the full debate for one (note, question) over ``gateway``.
 
-    ``templates`` comes from :func:`load_debate_templates`, which a batch
-    caller runs once (with its site ``prompts_dir``); the packaged
+    ``templates`` maps each of ``DEBATE_TEMPLATES`` to its text, as
+    ``load_prompts(DEBATE_TEMPLATES, prompts_dir)`` returns it; the packaged
     templates are loaded when it is omitted.
     """
     if templates is None:
-        templates = load_debate_templates()
+        templates = load_prompts(DEBATE_TEMPLATES)
     return run_unit(debate_unit(question, note, templates), gateway)

@@ -3,7 +3,8 @@ that asks one question about one note.
 
 Templates ship inside the package under ``eligo/prompts/`` and can be
 overridden per site by pointing ``prompts_dir`` at a directory holding
-files with the same names.
+files with the same names.  Every command reads the templates it uses
+through :func:`load_prompts`, once, before its first backend call.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import re
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import AdmissionNote, QuestionSpec, canonical_text
 from .errors import PromptError
@@ -35,9 +37,9 @@ TEMPLATE_NAMES = (
 def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
     """Return the template text; a prompts_dir override wins over package data.
 
-    An override is checked as it is loaded: it must be UTF-8 and may use
-    only placeholders that the packaged template of the same name uses, so
-    a bad site template fails before any unit renders it.
+    An override is checked as it is loaded: it must be UTF-8, not blank,
+    and may use only placeholders that the packaged template of the same
+    name uses, so a bad site template fails before any unit renders it.
     """
     try:
         packaged = resources.files("eligo").joinpath(f"prompts/{name}.txt").read_text(
@@ -54,6 +56,8 @@ def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
         text = override.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise PromptError(f"{override}: not UTF-8 (byte {exc.start})") from exc
+    if not text.strip():
+        raise PromptError(f"{override}: blank template")
     unknown = set(_PLACEHOLDER_RE.findall(text)) - set(_PLACEHOLDER_RE.findall(packaged))
     if unknown:
         names = ", ".join(f"{{{{{key}}}}}" for key in sorted(unknown))
@@ -61,6 +65,14 @@ def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
             f"{override}: placeholder {names} is not one the {name!r} template fills"
         )
     return text
+
+
+def load_prompts(names: Iterable[str],
+                 prompts_dir: str | Path | None = None) -> dict[str, str]:
+    """``{name: text}`` for the named templates, each read once through
+    :func:`load_template`; a command calls this before its first backend
+    call, so a bad override stops it before anything is sent."""
+    return {name: load_template(name, prompts_dir) for name in names}
 
 
 @lru_cache(maxsize=64)

@@ -453,7 +453,8 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
     """
     from .gateway import Gateway, run_units
     from .pathway_a import RoleAnswer, load_roles, majority_vote, role_unit
-    from .pathway_b import debate_unit, load_debate_templates
+    from .pathway_b import DEBATE_TEMPLATES, debate_unit
+    from .prompting import load_prompts
 
     try:
         config.validate()
@@ -472,7 +473,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
             notes = load_notes(config.notes_path)
             catalog = load_catalog_dir(config.catalog_dir)
             roles = load_roles(config.prompts_dir)
-            debate_templates = load_debate_templates(config.prompts_dir)
+            debate_templates = load_prompts(DEBATE_TEMPLATES, config.prompts_dir)
             existing = {record.key: record for record in _read_resume_state(results_path)}
             if DEBATE_LABEL in labels:
                 _drop_orphan_transcripts(debates_path, {
@@ -795,10 +796,12 @@ def cmd_convert(
 
     Each criterion is one unit on ``run_units``, so criteria overlap, and
     the outputs are written in criterion order whatever order they end in.
+    The templates are read once, before the first backend call.
     """
-    from .conversion import Router, convert_criterion
+    from .conversion import CONVERSION_TEMPLATES, Router, convert_criterion
     from .corpus import load_criteria, write_criteria, write_questions
     from .gateway import Gateway, backend_config_from_dict, run_units
+    from .prompting import load_prompts
 
     where = str(backends_path)
     try:
@@ -824,8 +827,9 @@ def cmd_convert(
     out_dir = Path(out_dir)
     try:
         criteria = list(load_criteria(criteria_path).values())
+        templates = load_prompts(CONVERSION_TEMPLATES, prompts_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outcomes = run_units((convert_criterion(criterion, names, prompts_dir=prompts_dir)
+        outcomes = run_units((convert_criterion(criterion, names, templates)
                               for criterion in criteria), Router(drafters, refiner), runnable)
     except (EligoError, OSError) as exc:
         log.error("input error: %s", exc)

@@ -2,6 +2,7 @@ import pytest
 
 from eligo import errors
 from eligo.conversion import (
+    CONVERSION_TEMPLATES,
     QuestionDraft,
     Router,
     build_conversion_prompt,
@@ -12,9 +13,12 @@ from eligo.conversion import (
 )
 from eligo.corpus import Category, CriterionKind, CriterionSpec, TaskType
 from eligo.gateway import BackendConfig, Gateway, run_unit
+from eligo.prompting import load_prompts
 from eligo.rules import parse_rule, referenced_ids
 
 from conftest import assert_read_only
+
+TEMPLATES = load_prompts(CONVERSION_TEMPLATES)
 
 LIVER_QUESTION_TEXTS = [
     "Has the patient been diagnosed with a malignant liver tumor?",
@@ -68,23 +72,25 @@ def names(drafters):
 
 def generate(criterion, drafters):
     """Run the draft unit on its drafters."""
-    return run_unit(generate_questions(criterion, names(drafters)),
+    return run_unit(generate_questions(criterion, names(drafters), TEMPLATES["convert"]),
                     Router(drafters, refining_gateway("")))
 
 
 def merge(drafts, refiner, criterion, **kwargs):
     """Run the merge unit on the refiner."""
-    return run_unit(merge_question_sets(drafts, criterion, **kwargs), refiner)
+    return run_unit(merge_question_sets(drafts, criterion, TEMPLATES["refine"], **kwargs),
+                    refiner)
 
 
 def convert(criterion, drafters, refiner):
     """Run the conversion unit on its drafters and refiner."""
-    return run_unit(convert_criterion(criterion, names(drafters)), Router(drafters, refiner))
+    return run_unit(convert_criterion(criterion, names(drafters), TEMPLATES),
+                    Router(drafters, refiner))
 
 
 class TestBuildPrompt:
     def test_embeds_criterion_verbatim(self):
-        req = build_conversion_prompt(liver_criterion())
+        req = build_conversion_prompt(liver_criterion(), TEMPLATES["convert"])
         prompt = req.messages[-1].content
         assert "Has the patient been diagnosed with primary liver cancer?" in prompt
         assert "RULE" in prompt and "ANY" in prompt  # grammar embedded
@@ -93,11 +99,11 @@ class TestBuildPrompt:
         empty = CriterionSpec("Cx", (), CriterionKind.INCLUSION, "  ", "", (),
                               needs_human_rule=True)
         with pytest.raises(errors.CatalogError):
-            build_conversion_prompt(empty)
+            build_conversion_prompt(empty, TEMPLATES["convert"])
 
     def test_deterministic(self):
-        assert build_conversion_prompt(liver_criterion()) == \
-            build_conversion_prompt(liver_criterion())
+        assert build_conversion_prompt(liver_criterion(), TEMPLATES["convert"]) == \
+            build_conversion_prompt(liver_criterion(), TEMPLATES["convert"])
 
 
 class TestGenerateQuestions:

@@ -5,8 +5,8 @@ import pytest
 from eligo import errors
 from eligo.corpus import Verdict, canonical_text
 from eligo.gateway import FORMAT_CONTRACT
-from eligo.pathway_b import debate_unit, load_debate_templates, run_debate
-from eligo.prompting import load_template, render
+from eligo.pathway_b import DEBATE_TEMPLATES, debate_unit, run_debate
+from eligo.prompting import load_prompts, load_template, render
 
 from conftest import assert_read_only, make_mock_gateway
 
@@ -35,7 +35,7 @@ class TestStancePrompt:
 
     def test_positive_preamble(self, unit):
         question, note = unit
-        requests = next(debate_unit(question, note, load_debate_templates()))
+        requests = next(debate_unit(question, note, load_prompts(DEBATE_TEMPLATES)))
         pro, con = self.prompts(requests)
         assert "PROPONENT" in pro
         assert "OPPONENT" in con
@@ -46,7 +46,7 @@ class TestStancePrompt:
 
     def test_negative_with_judge_notes(self, unit):
         question, note = unit
-        debate = debate_unit(question, note, load_debate_templates())
+        debate = debate_unit(question, note, load_prompts(DEBATE_TEMPLATES))
         next(debate)
         (judge,) = debate.send(['"Yes". a', '"No". b'])
         assert "ADJUDICATOR NOTES" not in judge.messages[-1].content
@@ -59,7 +59,7 @@ class TestStancePrompt:
 
     def test_deterministic(self, unit):
         question, note = unit
-        templates = load_debate_templates()
+        templates = load_prompts(DEBATE_TEMPLATES)
         first = next(debate_unit(question, note, templates))
         second = next(debate_unit(question, note, templates))
         assert first == second
@@ -84,7 +84,7 @@ class TestRunDebate:
             return call(request, done, **kwargs)
 
         gateway.call = recording
-        run_debate(question, note, gateway, templates=load_debate_templates(tmp_path))
+        run_debate(question, note, gateway, templates=load_prompts(DEBATE_TEMPLATES, tmp_path))
         by_tag = {request.tag: request.messages[-1].content for request in sent}
         values = {"question": question.text, "note": canonical_text(note), "judge_notes": ""}
         for role, template in (("proponent", load_template("stance_pos")),

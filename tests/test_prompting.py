@@ -1,13 +1,14 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from eligo.corpus import load_catalog_dir, load_notes
 from eligo.errors import PromptError
 from eligo.pathway_a import load_roles, role_unit
-from eligo.pathway_b import debate_unit, load_debate_templates
-from eligo.prompting import TEMPLATE_NAMES, load_template, render
+from eligo.pathway_b import DEBATE_TEMPLATES, debate_unit
+from eligo.prompting import TEMPLATE_NAMES, load_prompts, load_template, render
 
 from conftest import build_mini_fixtures
 
@@ -15,6 +16,11 @@ from conftest import build_mini_fixtures
 def test_all_packaged_templates_load():
     for name in TEMPLATE_NAMES:
         assert load_template(name).strip()
+
+
+def test_template_names_are_the_packaged_files():
+    packaged = Path(__file__).resolve().parents[1] / "src" / "eligo" / "prompts"
+    assert sorted(TEMPLATE_NAMES) == sorted(path.stem for path in packaged.glob("*.txt"))
 
 
 def test_missing_template_raises():
@@ -72,7 +78,7 @@ def test_every_request_matches_pinned_digest(mini_workspace):
     fixtures = build_mini_fixtures()
     notes = {note.note_id: note for note in load_notes(mini_workspace["notes"])}
     questions = load_catalog_dir(mini_workspace["catalog"]).questions
-    templates = load_debate_templates()
+    templates = load_prompts(DEBATE_TEMPLATES)
     sent = []
     for role in load_roles().values():
         _drive(role_unit(questions["m1"], notes["n2"], role), fixtures, sent)

@@ -17,6 +17,7 @@ import eligo.evaluation
 import eligo.gateway
 import eligo.pathway_a
 import eligo.pathway_b
+import eligo.prompting
 import eligo.rules
 import eligo.runner
 from eligo.cli import main as cli_main
@@ -197,6 +198,19 @@ def assert_one_error_naming(caplog, path):
 
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+
+
+def count_template_loads(monkeypatch) -> list[str]:
+    """The names ``prompting.load_template`` is called with from now on."""
+    loads = []
+    load = eligo.prompting.load_template
+
+    def counting_load(name, prompts_dir=None):
+        loads.append(name)
+        return load(name, prompts_dir)
+
+    monkeypatch.setattr(eligo.prompting, "load_template", counting_load)
+    return loads
 
 
 def run_config(workspace, **overrides):
@@ -561,12 +575,7 @@ class TestCmdScreen:
 
     def test_template_loads_independent_of_cohort_size(self, mini_workspace,
                                                         tmp_path, monkeypatch):
-        loads = []
-        for module in (eligo.pathway_a, eligo.pathway_b):
-            def counting_load(name, prompts_dir=None, _load=module.load_template):
-                loads.append(name)
-                return _load(name, prompts_dir)
-            monkeypatch.setattr(module, "load_template", counting_load)
+        loads = count_template_loads(monkeypatch)
 
         def screen_loads(notes_path, out_dir):
             loads.clear()
@@ -1454,7 +1463,7 @@ class TestCmdConvert:
         return root / "criteria.json", root / "backends.json"
 
     @staticmethod
-    def convert_keeping_gateways(monkeypatch, *args):
+    def convert_keeping_gateways(monkeypatch, *args, **kwargs):
         """cmd_convert's exit code, and its gateways by model name."""
         gateways = {}
         close = Gateway.close
@@ -1464,7 +1473,16 @@ class TestCmdConvert:
             close(gateway)
 
         monkeypatch.setattr(Gateway, "close", recording_close)
-        return cmd_convert(*args), gateways
+        return cmd_convert(*args, **kwargs), gateways
+
+    def test_template_loads_independent_of_criteria_count(self, tmp_path, monkeypatch):
+        loads = count_template_loads(monkeypatch)
+        for count in (1, 3):
+            loads.clear()
+            root = tmp_path / f"c{count}"
+            criteria_path, backends_path = self.build_catalog(root, count)
+            assert cmd_convert(criteria_path, backends_path, root / "out") == EXIT_OK
+            assert sorted(loads) == ["convert", "refine"]
 
     def test_duplicate_drafter_names_exit_2(self, tmp_path, caplog):
         criteria_path, backends_path = self.build_catalog(tmp_path, 1, drafters=("m", "m"))
@@ -1897,27 +1915,31 @@ def test_bad_base_url_exits_2_with_config_error(mini_workspace, caplog, case):
     assert not (mini_workspace["out"] / "results.jsonl").exists()
 
 
+@pytest.mark.parametrize("target", ["convert", "refine", "role_crc", "role_jd", "judge_r1"])
 @pytest.mark.parametrize("content, message", [
-    ("{{question}} {{note}} {{mystery}}".encode(), "placeholder {{mystery}}"),
-    (b"\xff\xfe not text {{question}}", "not UTF-8"),
+    pytest.param("{{question}} {{note}} {{mystery}}".encode(), "placeholder {{mystery}}",
+                 id="placeholder"),
+    pytest.param(b"\xff\xfe not text {{question}}", "not UTF-8", id="not-utf8"),
+    pytest.param(b" \n\t\n", "blank template", id="blank"),
 ])
-def test_bad_prompt_override_exits_3_before_any_unit(mini_workspace, caplog,
-                                                      tmp_path, content, message):
+def test_bad_prompt_override_exits_3_before_any_unit(mini_workspace, caplog, tmp_path,
+                                                     monkeypatch, target, content, message):
+    """A bad override of any template a command reads stops it with exit 3,
+    naming the file, before any unit sends a request."""
     prompts = tmp_path / "prompts"
     prompts.mkdir()
-    (prompts / "role_crc.txt").write_bytes(content)
-    gateway = make_mock_gateway(build_mini_fixtures())
-    sent = []
-    call = gateway.call
-
-    def recording(request, done, **kwargs):
-        sent.append(request)
-        return call(request, done, **kwargs)
-
-    gateway.call = recording
-    config = run_config(mini_workspace, prompts=str(prompts))
-    assert cmd_screen(config, gateway=gateway) == EXIT_INPUT
-    assert f"{prompts / 'role_crc.txt'}: " in caplog.text
-    assert message in caplog.text
-    assert sent == []
-    assert not (mini_workspace["out"] / "results.jsonl").exists()
+    (prompts / f"{target}.txt").write_bytes(content)
+    if target in ("convert", "refine"):
+        criteria_path, backends_path = TestCmdConvert.build_catalog(tmp_path / "catalog", 2)
+        code, gateways = TestCmdConvert.convert_keeping_gateways(
+            monkeypatch, criteria_path, backends_path, tmp_path / "out", prompts_dir=prompts)
+        transports = [gateway.transport for gateway in gateways.values()]
+        assert len(transports) == 3
+    else:
+        gateway = make_mock_gateway(build_mini_fixtures())
+        code = cmd_screen(run_config(mini_workspace, prompts=str(prompts)), gateway=gateway)
+        transports = [gateway.transport]
+        assert not (mini_workspace["out"] / "results.jsonl").exists()
+    assert code == EXIT_INPUT
+    assert f"{prompts / target}.txt: {message}" in caplog.text
+    assert [transport.calls for transport in transports] == [0] * len(transports)
