@@ -35,11 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     screen = sub.add_parser("screen", help="answer every (note, question) unit")
     screen.add_argument("--config", required=True, help="run.json path")
-    screen.add_argument("--pathway", choices=["A", "B", "both"],
-                        help="override the configured pathway")
-    screen.add_argument("--roles", help="override roles, e.g. crc,jd,ie")
-    screen.add_argument("--vote", choices=["on", "off"],
-                        help="override majority voting for pathway A")
 
     evaluate = sub.add_parser("evaluate", help="score results against gold labels")
     evaluate.add_argument("--results", required=True)
@@ -72,14 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _screen(args: argparse.Namespace) -> int:
     try:
-        raw = load_json(args.config)
-        if args.pathway:
-            raw["pathway"] = args.pathway
-        if args.roles:
-            raw["roles"] = [role.strip() for role in args.roles.split(",") if role.strip()]
-        if args.vote:
-            raw["vote"] = args.vote == "on"
-        config = RunConfig.from_dict(raw)
+        config = RunConfig.from_dict(load_json(args.config))
     except (EligoError, OSError) as exc:
         logging.getLogger("eligo").error("config error: %s", exc)
         return EXIT_CONFIG

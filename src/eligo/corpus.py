@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTu
 
 from .errors import (
     CatalogError,
+    ConfigError,
     DanglingReferenceError,
     DuplicateIdError,
     RuleParseError,
@@ -296,6 +297,57 @@ def _require_id(record: Mapping, key: str, where: str, line: int | None = None) 
         raise SchemaError(f"{where}: {key} {record_id!r} must be non-empty and must "
                           f"not contain {ID_SEPARATOR!r}", line=line, field=key)
     return record_id
+
+
+# The JSON values that a config field takes, by the type of its default: a
+# bool is not an integer or a number, a tuple is a list of strings, and a
+# required field and a field whose default is None take a string.
+_JSON_KINDS = {str: (str, "a string"), bool: (bool, "a boolean"),
+               int: (int, "an integer"), float: ((int, float), "a number"),
+               tuple: (list, "a list of strings")}
+
+
+def config_from_dict(cls, record: Mapping, what: str, **nested: Callable):
+    """The NamedTuple ``cls`` (a run or backend config, named by ``what``)
+    built from a JSON object whose keys are its fields, then validated.
+
+    Each value must be of the JSON kind its field's default gives; a field
+    whose default is None also takes null.  A field in ``nested`` takes an
+    object, which its function builds into the value.  Every error is a
+    ConfigError naming the key, as is a ValueError from ``validate``.
+    """
+    if not isinstance(record, Mapping):
+        raise ConfigError(f"a {what} config must be a JSON object")
+    unknown = set(record).difference(cls._fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} config keys {sorted(unknown)}")
+    values = dict(record)
+    for name in cls._fields:
+        default = cls._field_defaults.get(name, "")
+        if name not in record:
+            if name in cls._field_defaults:
+                continue
+            raise ConfigError(f"invalid {what} config: {name!r} is required")
+        value = record[name]
+        if value is None and default is None:
+            continue
+        kind, label = (dict, "an object") if name in nested else \
+            _JSON_KINDS[str if default is None else type(default)]
+        if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+                or (kind is list and not all(isinstance(item, str) for item in value))):
+            nullable = " or null" if default is None else ""
+            raise ConfigError(f"invalid {what} config: {name!r} must be "
+                              f"{label}{nullable}, got {value!r}")
+        if name in nested:
+            values[name] = nested[name](value)
+        elif kind is list:
+            values[name] = tuple(value)
+    config = cls(**values)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what} config: {exc}") from exc
+    return config
 
 
 def _json_value(path: str | Path, line: int | None, data: bytes):

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, NamedT
 from . import errors
 # ParsedAnswer lives in corpus, so reading results loads no gateway; it is
 # still importable from here.
-from .corpus import ParsedAnswer, Verdict, load_json
+from .corpus import ParsedAnswer, Verdict, config_from_dict, load_json
 
 if TYPE_CHECKING:
     import http.client
@@ -273,11 +273,9 @@ class MockTransport:
         """Whether a send waits (see :meth:`Gateway.call`): only with latency."""
         return self.latency_s > 0
 
-    def __init__(self, fixtures: Mapping[str, str], *, latency_s: float = 0.0,
-                 seed: str | None = None):
+    def __init__(self, fixtures: Mapping[str, str], *, latency_s: float = 0.0):
         self.fixtures = dict(fixtures)
         self.latency_s = latency_s
-        self.seed = seed
         self._lock = threading.Lock()
         self._inflight = 0
         self.peak_inflight = 0
@@ -291,10 +289,6 @@ class MockTransport:
         try:
             if self.latency_s:
                 time.sleep(self.latency_s)
-            if self.seed is not None:
-                seeded = self.fixtures.get(f"{self.seed}|{req.tag}")
-                if seeded is not None:
-                    return seeded
             return mock_resolve(req, self.fixtures)
         finally:
             with self._lock:
@@ -460,14 +454,14 @@ class Gateway:
     """Bounded-concurrency front door to one backend instance."""
 
     def __init__(self, cfg: BackendConfig, *, fixtures: Mapping[str, str] | None = None,
-                 seed: str | None = None, transport=None):
+                 transport=None):
         cfg.validate()
         self.cfg = cfg
         if transport is None:
             if cfg.kind == "mock":
                 if fixtures is None:
                     fixtures = load_fixtures(cfg.fixtures_path) if cfg.fixtures_path else {}
-                transport = MockTransport(fixtures, latency_s=cfg.mock_latency_s, seed=seed)
+                transport = MockTransport(fixtures, latency_s=cfg.mock_latency_s)
             else:
                 transport = HttpTransport(cfg)
         self.transport = transport  # what sends the requests
@@ -823,34 +817,6 @@ def _ask(req: ChatRequest) -> Unit[str]:
     return (yield [req])[0]
 
 
-# The JSON values that a BackendConfig field takes (no bool), by the type of
-# its default; the required ``kind`` and a field whose default is None take a
-# string.
-_JSON_KINDS = {str: (str, "a string"), int: (int, "an integer"),
-               float: ((int, float), "a number")}
-
-
 def backend_config_from_dict(record: Mapping) -> BackendConfig:
-    """Build a BackendConfig from a JSON object (run.json / backends.json);
-    a field whose default is None also takes null."""
-    if not isinstance(record, Mapping):
-        raise errors.ConfigError("a backend config must be a JSON object")
-    unknown = set(record).difference(BackendConfig._fields)
-    if unknown:
-        raise errors.ConfigError(f"unknown backend config keys {sorted(unknown)}")
-    for name in BackendConfig._fields:
-        default = BackendConfig._field_defaults.get(name, "")
-        value = record.get(name)
-        if value is None and (name not in record or default is None):
-            continue
-        kind, label = _JSON_KINDS[str if default is None else type(default)]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            nullable = " or null" if default is None else ""
-            raise errors.ConfigError(f"invalid backend config: {name!r} must be "
-                                     f"{label}{nullable}, got {value!r}")
-    try:
-        cfg = BackendConfig(**record)
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise errors.ConfigError(f"invalid backend config: {exc}") from exc
-    return cfg
+    """Build a BackendConfig from a JSON object (run.json / backends.json)."""
+    return config_from_dict(BackendConfig, record, "backend")

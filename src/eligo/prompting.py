@@ -71,7 +71,10 @@ def load_prompts(names: Iterable[str],
                  prompts_dir: str | Path | None = None) -> dict[str, str]:
     """``{name: text}`` for the named templates, each read once through
     :func:`load_template`; a command calls this before its first backend
-    call, so a bad override stops it before anything is sent."""
+    call, so a bad override, or a ``prompts_dir`` that is not a directory,
+    stops it before anything is sent."""
+    if prompts_dir is not None and (prompts_dir == "" or not Path(prompts_dir).is_dir()):
+        raise PromptError(f"prompts directory {str(prompts_dir)!r} is not a directory")
     return {name: load_template(name, prompts_dir) for name in names}
 
 

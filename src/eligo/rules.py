@@ -340,9 +340,7 @@ class ParsedRule(_RuleFields):
 
     __setattr__ = refuse_assignment
 
-    def __new__(cls, expr: RuleExpr, question_ids: tuple[str, ...],
-                outcomes: "dict[tuple[Verdict, ...], CriterionVerdict] | None" = None,
-                verdicts: "dict[tuple[bool, bool], CriterionVerdict] | None" = None):
+    def __new__(cls, expr: RuleExpr, question_ids: tuple[str, ...]):
         self = tuple.__new__(cls, (expr, question_ids))
         if len(question_ids) == 1:
             (question_id,) = question_ids
@@ -352,9 +350,8 @@ class ParsedRule(_RuleFields):
         else:
             key = itemgetter(*question_ids)
         tested = _tested_ids(expr)
-        self.__dict__.update(outcomes={} if outcomes is None else outcomes,
-                             verdicts={} if verdicts is None else verdicts,
-                             key=key, read_once=len(tested) == len(set(tested)))
+        self.__dict__.update(outcomes={}, verdicts={}, key=key,
+                             read_once=len(tested) == len(set(tested)))
         return self
 
     @classmethod

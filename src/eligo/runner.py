@@ -12,8 +12,6 @@ Completion order across pairs is nondeterministic; downstream consumers
 runs one unit per criterion on the same driver, and writes in input order.
 """
 
-from __future__ import annotations
-
 import json
 import logging
 import math
@@ -22,7 +20,7 @@ import time
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from . import __version__
 from .corpus import (
@@ -35,8 +33,8 @@ from .corpus import (
     Verdict,
     _optional,
     _require,
-    _require_strs,
     collector_paused,
+    config_from_dict,
     jsonl_values,
     load_catalog_dir,
     load_gold,
@@ -88,31 +86,19 @@ _encode_str = json.encoder.encode_basestring
 _ENCODED_VERDICTS = {member: _encode_str(member.value) for member in Verdict}
 
 
-# The keys of a run.json object.
-_RUN_CONFIG_KEYS = frozenset({"backend", "notes", "catalog", "out", "pathway", "roles",
-                              "vote", "seed", "prompts", "workers"})
+class RunConfig(NamedTuple):
+    """One screening run, as run.json gives it: backend, inputs, output
+    directory, pathways, prompt overrides and how many pairs run at once."""
 
-
-class RunConfig(Record):
-    """One screening run: backend, inputs, output directory and pathways."""
-
-    __slots__ = ("backend", "notes_path", "catalog_dir", "out_dir", "pathway", "roles",
-                 "vote", "seed", "prompts_dir", "workers")
-
-    def __init__(self, backend: BackendConfig, notes_path: str, catalog_dir: str,
-                 out_dir: str, pathway: str = "both",
-                 roles: tuple[str, ...] = ("crc", "jd", "ie"), vote: bool = True,
-                 seed: str | None = None, prompts_dir: str | None = None, workers: int = 8):
-        self.backend = backend
-        self.notes_path = notes_path
-        self.catalog_dir = catalog_dir
-        self.out_dir = out_dir
-        self.pathway = pathway  # "A" | "B" | "both"
-        self.roles = roles
-        self.vote = vote
-        self.seed = seed  # fixture selection label for the mock backend
-        self.prompts_dir = prompts_dir
-        self.workers = workers
+    backend: "BackendConfig"
+    notes: str
+    catalog: str
+    out: str
+    pathway: str = "both"  # "A" | "B" | "both"
+    roles: tuple[str, ...] = ("crc", "jd", "ie")
+    vote: bool = True
+    prompts: str | None = None  # template override directory
+    workers: int = 8
 
     def validate(self) -> None:
         from .pathway_a import ROLE_IDS
@@ -134,35 +120,13 @@ class RunConfig(Record):
         try:
             self.backend.validate()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"invalid backend config: {exc}") from exc
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "RunConfig":
         from .gateway import backend_config_from_dict
 
-        if not isinstance(record, Mapping):
-            raise ConfigError("run config must be a JSON object")
-        unknown = set(record) - _RUN_CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown run config keys {sorted(unknown)}")
-        where = "run config"
-        try:
-            config = cls(
-                backend=backend_config_from_dict(_require(record, "backend", dict, where)),
-                notes_path=_require(record, "notes", str, where),
-                catalog_dir=_require(record, "catalog", str, where),
-                out_dir=_require(record, "out", str, where),
-                pathway=_require(record, "pathway", str, where, default="both"),
-                roles=_require_strs(record, "roles", where, default=["crc", "jd", "ie"]),
-                vote=_require(record, "vote", bool, where, default=True),
-                seed=_optional(record, "seed", str, where),
-                prompts_dir=_optional(record, "prompts", str, where),
-                workers=_require(record, "workers", int, where, default=8),
-            )
-        except SchemaError as exc:
-            raise ConfigError(str(exc)) from exc
-        config.validate()
-        return config
+        return config_from_dict(cls, record, "run", backend=backend_config_from_dict)
 
     def digest(self) -> str:
         payload = {
@@ -174,9 +138,8 @@ class RunConfig(Record):
             "pathway": self.pathway,
             "roles": list(self.roles),
             "vote": self.vote,
-            "notes": self.notes_path,
-            "catalog": self.catalog_dir,
-            "seed": self.seed,
+            "notes": self.notes,
+            "catalog": self.catalog,
         }
         import hashlib
 
@@ -442,7 +405,7 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
+def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     """Answer every (note, question) unit, resumably, then roll up verdicts.
 
     A pre-built gateway may be injected (tests use this to script failures);
@@ -463,17 +426,17 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
         return EXIT_CONFIG
 
     started_at = _utc_now()
-    out_dir = Path(config.out_dir)
+    out_dir = Path(config.out)
     results_path = out_dir / "results.jsonl"
     debates_path = out_dir / "debates.jsonl"
     labels = config.unit_labels()
     owns_gateway = gateway is None
     with collector_paused():  # the inputs live until the end (see README)
         try:
-            notes = load_notes(config.notes_path)
-            catalog = load_catalog_dir(config.catalog_dir)
-            roles = load_roles(config.prompts_dir)
-            debate_templates = load_prompts(DEBATE_TEMPLATES, config.prompts_dir)
+            notes = load_notes(config.notes)
+            catalog = load_catalog_dir(config.catalog)
+            roles = load_roles(config.prompts)
+            debate_templates = load_prompts(DEBATE_TEMPLATES, config.prompts)
             existing = {record.key: record for record in _read_resume_state(results_path)}
             if DEBATE_LABEL in labels:
                 _drop_orphan_transcripts(debates_path, {
@@ -482,7 +445,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
                 })
             out_dir.mkdir(parents=True, exist_ok=True)
             if owns_gateway:  # loads the mock fixtures; opens nothing yet
-                gateway = Gateway(config.backend, seed=config.seed)
+                gateway = Gateway(config.backend)
         except (EligoError, OSError) as exc:
             log.error("input error: %s", exc)
             return EXIT_INPUT
@@ -504,7 +467,7 @@ def cmd_screen(config: RunConfig, gateway: Gateway | None = None) -> int:
         writer.append(record.to_line())
         new_records.append(record)
 
-    def screen_pair(note: AdmissionNote, question: QuestionSpec) -> Unit[None]:
+    def screen_pair(note: AdmissionNote, question: QuestionSpec) -> "Unit[None]":
         """Run the pair's units in label order, saving each one's record.
 
         The vote is formed from the role answers of this run, and a role

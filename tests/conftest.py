@@ -46,7 +46,7 @@ def liver_fixtures():
 
 
 def make_mock_gateway(fixtures=None, *, latency_s=0.0, max_inflight=3,
-                      seed=None, retry_limit=2, transport=None):
+                      retry_limit=2, transport=None):
     cfg = BackendConfig(
         kind="mock",
         model_name="mock-model",
@@ -55,7 +55,7 @@ def make_mock_gateway(fixtures=None, *, latency_s=0.0, max_inflight=3,
         backoff_s=0.0,
         mock_latency_s=latency_s,
     )
-    return Gateway(cfg, fixtures=fixtures or {}, seed=seed, transport=transport)
+    return Gateway(cfg, fixtures=fixtures or {}, transport=transport)
 
 
 def assert_read_only(record, *names):

@@ -368,13 +368,6 @@ class TestMockBackend:
             return [gateway.complete(user_request("x", tag=tag)) for tag in tags]
         assert run() == run()
 
-    def test_seeded_fixture_preferred(self):
-        fixtures = {"a": "plain", "s1|a": "seeded"}
-        gateway = make_mock_gateway(fixtures, seed="s1")
-        assert gateway.complete(user_request("x", tag="a")) == "seeded"
-        gateway = make_mock_gateway(fixtures)
-        assert gateway.complete(user_request("x", tag="a")) == "plain"
-
     def test_peak_inflight_bounded(self):
         gateway = make_mock_gateway({}, latency_s=0.002, max_inflight=3)
         with ThreadPoolExecutor(max_workers=40) as pool:

@@ -163,6 +163,13 @@ def evaluate_args(workspace, results=None):
             "--out", str(workspace["root"] / "eval"), "--notes", str(workspace["notes"])]
 
 
+def one_role_vote_config(workspace):
+    """A run.json that votes with one role: a config error."""
+    path = workspace["root"] / "one-role-vote.json"
+    path.write_text(json.dumps(dict(workspace["run_config"], roles=["crc"], vote=True)))
+    return str(path)
+
+
 def call_main(argv):
     return lambda workspace: cli_main(argv(workspace))
 
@@ -177,9 +184,7 @@ def call_screen(workspace, **overrides):
 
 
 def call_screen_without_workers(workspace):
-    config = RunConfig.from_dict(workspace["run_config"])
-    config.workers = 0
-    return cmd_screen(config)
+    return cmd_screen(RunConfig.from_dict(workspace["run_config"])._replace(workers=0))
 
 
 # (name, call, its exit code or exception, (module, name) to break or None);
@@ -187,8 +192,8 @@ def call_screen_without_workers(workspace):
 CALLS = [
     ("main-screen-ok", call_main(lambda ws: ["screen", "--config", str(ws["run_json"])]),
      EXIT_OK, None),
-    ("main-screen-exit-2", call_main(lambda ws: ["screen", "--config", str(ws["run_json"]),
-                                                 "--roles", "crc", "--vote", "on"]),
+    ("main-screen-exit-2", call_main(lambda ws: ["screen", "--config",
+                                                 one_role_vote_config(ws)]),
      EXIT_CONFIG, None),
     ("main-usage-exit-2", call_main(lambda ws: ["screen"]), SystemExit, None),
     ("main-evaluate-ok", call_main(evaluate_args), EXIT_OK, None),
@@ -350,8 +355,7 @@ class TestPythonDashM:
                     == (root / "eval-fresh" / name).read_bytes())
 
     def test_exit_2_and_3_with_their_errors_on_stderr(self, mini_workspace):
-        bad_config = run_module("screen", "--config", str(mini_workspace["run_json"]),
-                                "--roles", "crc", "--vote", "on")
+        bad_config = run_module("screen", "--config", one_role_vote_config(mini_workspace))
         assert bad_config.returncode == EXIT_CONFIG
         assert "ERROR eligo: config error: " in bad_config.stderr
         missing = mini_workspace["root"] / "missing.jsonl"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -35,7 +36,13 @@ from eligo.corpus import (
     load_notes,
 )
 from eligo.errors import BackendError, ConfigError
-from eligo.gateway import BackendConfig, Gateway, ParsedAnswer, mock_resolve
+from eligo.gateway import (
+    BackendConfig,
+    Gateway,
+    ParsedAnswer,
+    backend_config_from_dict,
+    mock_resolve,
+)
 from eligo.pathway_a import load_roles
 from eligo.rules import trial_verdict, verdicts_for_note
 from eligo.runner import (
@@ -272,11 +279,10 @@ class TestCmdScreen:
         assert len(roles) == 2 * 3 * 3
 
     def test_invalid_config_exits_2_before_output(self, mini_workspace):
-        raw = dict(mini_workspace["run_config"])
-        raw["roles"] = ["crc"]
+        raw = mini_workspace["run_config"]
         config = RunConfig(
             backend=BackendConfig(kind="mock"),
-            notes_path=raw["notes"], catalog_dir=raw["catalog"], out_dir=raw["out"],
+            notes=raw["notes"], catalog=raw["catalog"], out=raw["out"],
             pathway="A", roles=("crc",), vote=True,
         )
         assert cmd_screen(config) == EXIT_CONFIG
@@ -1600,22 +1606,6 @@ class TestCli:
         ]) == 0
         assert "Question level overall performance" in capsys.readouterr().out
 
-    def test_cli_overrides(self, mini_workspace):
-        assert cli_main([
-            "screen", "--config", str(mini_workspace["run_json"]),
-            "--pathway", "A", "--roles", "crc", "--vote", "off",
-        ]) == 0
-        records = read_jsonl(mini_workspace["out"] / "results.jsonl")
-        assert {record["pathway"] for record in records} == {"A-CRC"}
-        assert len(records) == 6
-
-    def test_cli_vote_requires_roles(self, mini_workspace):
-        status = cli_main([
-            "screen", "--config", str(mini_workspace["run_json"]),
-            "--roles", "crc", "--vote", "on",
-        ])
-        assert status == EXIT_CONFIG
-
     def test_evaluate_out_that_is_a_file_exits_3_naming_it(self, mini_workspace, caplog):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
         out = mini_workspace["root"] / "taken"
@@ -1771,11 +1761,11 @@ class TestBadInput:
 # (config file, how to break it, what the error says)
 BAD_CONFIGS = {
     "workers-not-a-number": ("run.json", lambda doc: {**doc, "workers": "abc"},
-                             "expected int for 'workers'"),
+                             "invalid run config: 'workers' must be an integer, got 'abc'"),
     "workers-null": ("run.json", lambda doc: {**doc, "workers": None},
-                     "expected int for 'workers'"),
+                     "invalid run config: 'workers' must be an integer, got None"),
     "workers-a-bool": ("run.json", lambda doc: {**doc, "workers": True},
-                       "expected int for 'workers'"),
+                       "invalid run config: 'workers' must be an integer, got True"),
     "backend-fixtures-path-a-number": (
         "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "fixtures_path": 5}},
         "invalid backend config: 'fixtures_path' must be a string or null, got 5"),
@@ -1790,14 +1780,14 @@ BAD_CONFIGS = {
         "invalid backend config: 'kind' must be a string, got None"),
     "run-config-a-list": ("run.json", lambda doc: [doc], "expected a JSON object"),
     "roles-a-string": ("run.json", lambda doc: {**doc, "roles": "crc"},
-                       "expected list for 'roles'"),
+                       "invalid run config: 'roles' must be a list of strings, got 'crc'"),
     "backend-latency-a-string": (
         "run.json", lambda doc: {**doc, "backend": {**doc["backend"],
                                                    "mock_latency_s": "x"}},
-        "invalid backend config"),
+        "invalid backend config: 'mock_latency_s' must be a number, got 'x'"),
     "backends-a-list": ("backends.json", lambda doc: [doc], "expected a JSON object"),
     "seed-a-list": ("run.json", lambda doc: {**doc, "seed": ["a", 1]},
-                    "expected str for 'seed'"),
+                    "unknown run config keys ['seed']"),
     "misspelt-keys": ("run.json", lambda doc: {**doc, "pathwya": "B", "worker": 4},
                       "unknown run config keys ['pathwya', 'worker']"),
     "gold-key": ("run.json", lambda doc: {**doc, "gold": "gold.jsonl"},
@@ -1821,6 +1811,41 @@ def test_bad_config_exits_2_with_config_error(mini_workspace, caplog, case):
     assert cli_main(argv) == EXIT_CONFIG
     assert "config error" in caplog.text
     assert message in caplog.text
+
+
+# A JSON value of the wrong type for a config field, by the type of its
+# default (a string for a required field or one whose default is None).
+WRONG_JSON = {str: 5, bool: "true", int: 2.5, float: "x", tuple: "crc", dict: ["mock"]}
+
+
+def wrong_type_cases():
+    for cls, what in ((RunConfig, "run"), (BackendConfig, "backend")):
+        for name in cls._fields:
+            default = cls._field_defaults.get(name, "")
+            kind = dict if name == "backend" else str if default is None else type(default)
+            yield pytest.param(what, name, WRONG_JSON[kind], id=f"{what}-{name}")
+    yield pytest.param("run", "roles", ["crc", 1], id="run-roles-not-all-strings")
+
+
+@pytest.mark.parametrize("what, name, value", wrong_type_cases())
+def test_every_config_field_is_type_checked(mini_workspace, caplog, what, name, value):
+    path = mini_workspace["root"] / "run.json"
+    doc = json.loads(path.read_text())
+    (doc if what == "run" else doc["backend"])[name] = value
+    path.write_text(json.dumps(doc))
+    assert cli_main(["screen", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: invalid {what} config: {name!r} must be " in caplog.text
+    assert not (mini_workspace["out"] / "results.jsonl").exists()
+
+
+def test_readme_config_examples_parse():
+    """The README's run.json block and its http backend line are valid configs,
+    so a key removed or renamed on one side only fails here."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    run_json = re.search(r"### Screen\n.*?```json\n(.*?)```", readme, re.S)
+    http = re.search(r"For a live backend use\n`(\{.*?\})`", readme, re.S)
+    assert RunConfig.from_dict(json.loads(run_json.group(1))).backend.kind == "mock"
+    assert backend_config_from_dict(json.loads(http.group(1))).kind == "http"
 
 
 # Text JSON must escape, or that ensure_ascii=False leaves as it is.
@@ -1943,3 +1968,28 @@ def test_bad_prompt_override_exits_3_before_any_unit(mini_workspace, caplog, tmp
     assert code == EXIT_INPUT
     assert f"{prompts / target}.txt: {message}" in caplog.text
     assert [transport.calls for transport in transports] == [0] * len(transports)
+
+
+@pytest.mark.parametrize("command", ["screen", "convert"])
+@pytest.mark.parametrize("kind", ["missing", "file", "empty"])
+def test_prompts_not_a_directory_exits_3_before_any_unit(mini_workspace, caplog, tmp_path,
+                                                         monkeypatch, command, kind):
+    """A prompts path that is missing, a regular file or empty stops either
+    command with exit 3, naming the path, before any request is sent."""
+    (tmp_path / "prompts.txt").write_text("not a directory")
+    prompts = {"missing": str(tmp_path / "no-such-dir"),
+               "file": str(tmp_path / "prompts.txt"), "empty": ""}[kind]
+    sent = []
+    monkeypatch.setattr(eligo.gateway.MockTransport, "send",
+                        lambda transport, req: sent.append(req))
+    if command == "convert":
+        criteria_path, backends_path = TestCmdConvert.build_catalog(tmp_path / "catalog", 2)
+        argv = ["convert", "--criteria", str(criteria_path), "--backends", str(backends_path),
+                "--out", str(tmp_path / "out"), "--prompts", prompts]
+    else:
+        path = mini_workspace["root"] / "run.json"
+        path.write_text(json.dumps(dict(mini_workspace["run_config"], prompts=prompts)))
+        argv = ["screen", "--config", str(path)]
+    assert cli_main(argv) == EXIT_INPUT
+    assert f"prompts directory {prompts!r} is not a directory" in caplog.text
+    assert sent == []
