@@ -308,13 +308,14 @@ _JSON_KINDS = {str: (str, "a string"), bool: (bool, "a boolean"),
 
 
 def config_from_dict(cls, record: Mapping, what: str, **nested: Callable):
-    """The NamedTuple ``cls`` (a run or backend config, named by ``what``)
-    built from a JSON object whose keys are its fields, then validated.
+    """The NamedTuple ``cls`` (a run, backend or backends config, named by
+    ``what``) built from a JSON object whose keys are its fields, then validated.
 
     Each value must be of the JSON kind its field's default gives; a field
     whose default is None also takes null.  A field in ``nested`` takes an
-    object, which its function builds into the value.  Every error is a
-    ConfigError naming the key, as is a ValueError from ``validate``.
+    object, or a list of objects when its default is a tuple, and its
+    function builds each object.  Every error is a ConfigError naming the
+    key, as is a ValueError from ``validate``.
     """
     if not isinstance(record, Mapping):
         raise ConfigError(f"a {what} config must be a JSON object")
@@ -331,17 +332,22 @@ def config_from_dict(cls, record: Mapping, what: str, **nested: Callable):
         value = record[name]
         if value is None and default is None:
             continue
-        kind, label = (dict, "an object") if name in nested else \
-            _JSON_KINDS[str if default is None else type(default)]
+        build = nested.get(name)
+        if build is None:
+            kind, label = _JSON_KINDS[str if default is None else type(default)]
+        else:
+            kind, label = (list, "a list of objects") if type(default) is tuple \
+                else (dict, "an object")
+        item = str if build is None else dict  # what a list value holds
         if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-                or (kind is list and not all(isinstance(item, str) for item in value))):
+                or (kind is list and not all(isinstance(entry, item) for entry in value))):
             nullable = " or null" if default is None else ""
             raise ConfigError(f"invalid {what} config: {name!r} must be "
                               f"{label}{nullable}, got {value!r}")
-        if name in nested:
-            values[name] = nested[name](value)
-        elif kind is list:
-            values[name] = tuple(value)
+        if kind is list:
+            values[name] = tuple(value if build is None else map(build, value))
+        elif build is not None:
+            values[name] = build(value)
     config = cls(**values)
     try:
         config.validate()
@@ -360,10 +366,15 @@ def _json_value(path: str | Path, line: int | None, data: bytes):
         raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
 
 
-def _json_object(path: str | Path, value, line: int | None = None) -> dict:
-    """``value`` if it is a JSON object."""
+def _json_object(where: str | Path, value, line: int | None = None,
+                 keys: Iterable[str] | None = None) -> dict:
+    """``value`` if it is a JSON object, with no key outside ``keys`` when they
+    are given: a misspelt key is an error, not a field left at its default."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected a JSON object", line=line)
+        raise SchemaError(f"{where}: expected a JSON object", line=line)
+    unknown = keys is not None and value.keys() - keys
+    if unknown:
+        raise SchemaError(f"{where}: unexpected keys {sorted(unknown)}", line=line)
     return value
 
 
@@ -417,20 +428,21 @@ def jsonl_values(data: bytes,
                 yield line_no, decode_line(line_no, line)
 
 
-def _jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Each non-blank line's object, with its line number."""
+def _jsonl_records(path: str | Path,
+                   keys: Iterable[str] | None = None) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line's object, with its line number (see _json_object)."""
     for line_no, value in jsonl_values(Path(path).read_bytes(), partial(_json_value, path)):
-        yield line_no, _json_object(path, value, line_no)
+        yield line_no, _json_object(path, value, line_no, keys)
 
 
-def _catalog_records(path: str | Path, key: str) -> Iterator[tuple[str, dict]]:
-    """Each object in the file's ``key`` list, with a ``where`` naming it."""
-    for index, record in enumerate(_require(load_json(path), key, list, str(path),
-                                            default=[])):
+def _catalog_records(path: str | Path, key: str,
+                     keys: Iterable[str]) -> Iterator[tuple[str, dict]]:
+    """Each object in the list under ``key``, the file's only key, with a
+    ``where`` naming it (see _json_object)."""
+    document = _json_object(path, load_json(path), keys=(key,))
+    for index, record in enumerate(_require(document, key, list, str(path), default=[])):
         where = f"{path}: {key}[{index}]"
-        if not isinstance(record, dict):
-            raise SchemaError(f"{where}: expected a JSON object")
-        yield where, record
+        yield where, _json_object(where, record, keys=keys)
 
 
 # -- admission notes ----------------------------------------------------------
@@ -448,9 +460,6 @@ def _parse_note(record: Mapping, where: str, line: int) -> AdmissionNote:
                               field=name)
         sections[name] = text
     extra_text = _optional(record, "extra_text", str, where, line)
-    unknown = set(record) - {"note_id", "sections", "extra_text"}
-    if unknown:
-        raise SchemaError(f"{where}: unexpected keys {sorted(unknown)}", line=line)
     if not any(text.strip() for text in sections.values()):
         raise SchemaError(f"{where}: at least one section must be non-empty", line=line,
                           field="sections")
@@ -461,7 +470,7 @@ def load_notes(path: str | Path) -> list[AdmissionNote]:
     """Load admission notes from a JSONL file, preserving file order."""
     notes: list[AdmissionNote] = []
     seen: set[str] = set()
-    for line_no, record in _jsonl_records(path):
+    for line_no, record in _jsonl_records(path, _NoteFields._fields):
         note = _parse_note(record, str(path), line_no)
         if note.note_id in seen:
             raise DuplicateIdError("note", note.note_id)
@@ -496,7 +505,7 @@ def _enum_value(enum_cls, record: Mapping, key: str, where: str):
 
 def load_questions(path: str | Path) -> dict[str, QuestionSpec]:
     questions: dict[str, QuestionSpec] = {}
-    for where, record in _catalog_records(path, "questions"):
+    for where, record in _catalog_records(path, "questions", QuestionSpec._fields):
         question = QuestionSpec(
             question_id=_require_id(record, "question_id", where),
             text=_require(record, "text", str, where),
@@ -522,7 +531,9 @@ def load_questions(path: str | Path) -> dict[str, QuestionSpec]:
 
 def load_criteria(path: str | Path) -> dict[str, CriterionSpec]:
     criteria: dict[str, CriterionSpec] = {}
-    for where, record in _catalog_records(path, "criteria"):
+    keys = ("criterion_id", "trial_ids", "kind", "text", "rule", "question_ids",
+            "needs_human_rule")
+    for where, record in _catalog_records(path, "criteria", keys):
         criterion = CriterionSpec(
             criterion_id=_require_id(record, "criterion_id", where),
             trial_ids=_require_strs(record, "trial_ids", where, default=[]),
@@ -541,7 +552,7 @@ def load_criteria(path: str | Path) -> dict[str, CriterionSpec]:
 
 def load_trials(path: str | Path) -> dict[str, TrialSpec]:
     trials: dict[str, TrialSpec] = {}
-    for where, record in _catalog_records(path, "trials"):
+    for where, record in _catalog_records(path, "trials", TrialSpec._fields):
         trial = TrialSpec(
             trial_id=_require(record, "trial_id", str, where),
             registry_code=_optional(record, "registry_code", str, where),
@@ -631,7 +642,8 @@ def load_gold(path: str | Path) -> GoldSet:
     """Load gold labels from JSONL; each record labels a question or a criterion."""
     gold = GoldSet()
     where = str(path)
-    for line_no, record in _jsonl_records(path):
+    keys = ("note_id", "question_id", "criterion_id", "label")
+    for line_no, record in _jsonl_records(path, keys):
         note_id = _require(record, "note_id", str, where, line_no)
         question_id = _optional(record, "question_id", str, where, line_no)
         criterion_id = _optional(record, "criterion_id", str, where, line_no)

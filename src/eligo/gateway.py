@@ -1,5 +1,8 @@
 """Uniform chat-completion access: HTTP backend, deterministic mock, parsing.
 
+A request is a prompt and a tag: HTTP sends the prompt as one user message at
+temperature 0.0 with 1,024 max tokens, and the mock answers by the tag.
+
 The gateway is the engine's only concurrency boundary.  :meth:`Gateway.call`
 takes a request and a completion callback, which it calls once with the
 reply or the error.  Up to ``max_inflight`` sender threads take requests off
@@ -71,44 +74,17 @@ RETRY_AFTER_CAP_S = 60.0
 # How long a sender with nothing to send or retry waits for work before it exits.
 SENDER_IDLE_S = 0.1
 
-_SPEAKERS = ("system", "user", "assistant")
-
-
-class Message(NamedTuple):
-    """One chat message and who speaks it."""
-
-    speaker: str  # system | user | assistant
-    content: str
-
 
 class ChatRequest(NamedTuple):
-    """One chat completion to ask of a backend."""
+    """One question to ask of a backend, as the prompt that asks it."""
 
-    messages: tuple[Message, ...]
-    temperature: float = 0.0
-    max_tokens: int = 1024
+    prompt: str
     tag: str = ""  # provenance label (role/agent/round), also the fixture key
 
-    def validate(self) -> None:
-        if not self.messages:
-            raise ValueError("a chat request needs at least one message")
-        for message in self.messages:
-            if message.speaker not in _SPEAKERS:
-                raise ValueError(f"unknown speaker {message.speaker!r}")
-            if not message.content:
-                raise ValueError("message content must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
 
-
-def user_request(content: str, *, system: str | None = None, tag: str = "",
-                 temperature: float = 0.0, max_tokens: int = 1024) -> ChatRequest:
-    """Build the common one-user-message request."""
-    user = Message("user", content)
-    messages = (Message("system", system), user) if system else (user,)
-    return ChatRequest(messages, temperature, max_tokens, tag)
+def user_request(content: str, *, tag: str = "") -> ChatRequest:
+    """Build the request that asks ``content`` under ``tag``."""
+    return ChatRequest(content, tag)
 
 
 class BackendConfig(NamedTuple):
@@ -367,12 +343,9 @@ class HttpTransport:
         cfg = self.cfg
         body = json.dumps({
             "model": cfg.model_name,
-            "messages": [
-                {"role": message.speaker, "content": message.content}
-                for message in req.messages
-            ],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "messages": [{"role": "user", "content": req.prompt}],
+            "temperature": 0.0,
+            "max_tokens": 1024,
         }).encode()
         connection = self._checkout()
         try:
@@ -502,7 +475,6 @@ class Gateway:
         sender thread.  Otherwise the request is queued, and ``done`` runs
         on a sender thread.  ``waits`` is read when the gateway is built.
         """
-        req.validate()
         with self._lock:
             if self._waits or len(self._senders) + self._inline >= self.cfg.max_inflight:
                 self._outstanding += 1

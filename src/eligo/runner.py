@@ -46,7 +46,6 @@ from .errors import (
     ConfigError,
     EligoError,
     GatewayError,
-    MissingVerdictError,
     SchemaError,
 )
 from .rules import TrialStatus, answers_view, trial_verdict, verdicts_for_note
@@ -157,6 +156,29 @@ class RunConfig(NamedTuple):
         if self.pathway in ("B", "both"):
             labels.append(DEBATE_LABEL)
         return labels
+
+
+class BackendsConfig(NamedTuple):
+    """The backends of a conversion, as backends.json gives them: the
+    drafters, and the refiner that merges their drafts."""
+
+    refiner: "BackendConfig"
+    backends: tuple["BackendConfig", ...] = ()
+
+    def validate(self) -> None:
+        if not self.backends:
+            raise ValueError("'backends' lists no drafting backend")
+        names = [cfg.model_name for cfg in self.backends]
+        for index, name in enumerate(names):
+            if name in names[:index]:  # tags, fixtures and rule proposals are keyed on it
+                raise ValueError(f"two drafting backends are named {name!r}")
+
+    @classmethod
+    def from_dict(cls, record: Mapping) -> "BackendsConfig":
+        from .gateway import backend_config_from_dict
+
+        return config_from_dict(cls, record, "backends", backends=backend_config_from_dict,
+                                refiner=backend_config_from_dict)
 
 
 class ResultRecord(Record):
@@ -592,9 +614,18 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
                      for criterion in scorable}
     criterion_heads = {criterion_id: '{"criterion_id": ' + encoded + ', "met": '
                        for criterion_id, encoded in criterion_ids.items()}
+    # Every criterion with a rule gets a verdict for every note, so the trials
+    # that cannot roll up are the ones that name a criterion without one.
+    trials = []
+    for trial in catalog.trials.values():
+        unruled = sorted(set(trial.criterion_ids).difference(criterion_ids))
+        if unruled:
+            log.warning("trial %s skipped in verdicts: no rule for %s", trial.trial_id, unruled)
+        else:
+            trials.append(trial)
     statuses = {status: encode(status.value) for status in TrialStatus}
     trial_tails = {trial.trial_id: ', "trial_id": ' + encode(trial.trial_id) + "}"
-                   for trial in catalog.trials.values()}
+                   for trial in trials}
     lines: list[str] = []
     for label in sorted(by_label):
         answers_by_note = by_label[label]
@@ -610,13 +641,8 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
                 lines.append(criterion_heads[verdict.criterion_id]
                              + ("true" if verdict.met else "false") + criterion_middle
                              + ("true" if verdict.stable else "false") + "}")
-            for trial in catalog.trials.values():
-                try:
-                    rollup = trial_verdict(trial, by_id)
-                except MissingVerdictError as exc:
-                    log.warning("trial %s skipped for %s: %s",
-                                trial.trial_id, note.note_id, exc)
-                    continue
+            for trial in trials:
+                rollup = trial_verdict(trial, by_id)
                 # A failing criterion has a verdict, so it is in scorable.
                 failing = ", ".join([criterion_ids[criterion_id]
                                      for criterion_id in rollup.failing])
@@ -763,30 +789,21 @@ def cmd_convert(
     """
     from .conversion import CONVERSION_TEMPLATES, Router, convert_criterion
     from .corpus import load_criteria, write_criteria, write_questions
-    from .gateway import Gateway, backend_config_from_dict, run_units
+    from .gateway import Gateway, run_units
     from .prompting import load_prompts
 
-    where = str(backends_path)
     try:
-        backend_doc = load_json(backends_path)
-        configs = [backend_config_from_dict(entry)
-                   for entry in _require(backend_doc, "backends", list, where)]
-        if not configs:
-            raise ConfigError(f"{where} lists no drafting backends")
-        names = [cfg.model_name for cfg in configs]
-        for index, name in enumerate(names):
-            if name in names[:index]:  # tags, fixtures and rule proposals are keyed on it
-                raise ConfigError(f"{where}: two drafting backends are named {name!r}")
-        drafters = [Gateway(cfg) for cfg in configs]
-        refiner = Gateway(backend_config_from_dict(
-            _require(backend_doc, "refiner", dict, where)))
+        config = BackendsConfig.from_dict(load_json(backends_path))
+        drafters = [Gateway(cfg) for cfg in config.backends]
+        refiner = Gateway(config.refiner)
     except (EligoError, OSError) as exc:
         log.error("backend config error: %s", exc)
         return EXIT_CONFIG
 
+    names = [cfg.model_name for cfg in config.backends]
     # A unit has one request on each drafter, or one on the refiner: this
     # many keep every backend at its bound while some units refine.
-    runnable = max(cfg.max_inflight for cfg in configs) + refiner.cfg.max_inflight
+    runnable = max(cfg.max_inflight for cfg in config.backends) + config.refiner.max_inflight
     out_dir = Path(out_dir)
     try:
         criteria = list(load_criteria(criteria_path).values())

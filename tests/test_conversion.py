@@ -91,7 +91,7 @@ def convert(criterion, drafters, refiner):
 class TestBuildPrompt:
     def test_embeds_criterion_verbatim(self):
         req = build_conversion_prompt(liver_criterion(), TEMPLATES["convert"])
-        prompt = req.messages[-1].content
+        prompt = req.prompt
         assert "Has the patient been diagnosed with primary liver cancer?" in prompt
         assert "RULE" in prompt and "ANY" in prompt  # grammar embedded
 

@@ -82,7 +82,7 @@ class TestAnswerWithRole:
 
         gateway = make_mock_gateway(transport=Spy())
         answer_with_role(q("Q1", liver_catalog), note("n1", notes), roles["CRC"], gateway)
-        prompt = captured[0].messages[-1].content
+        prompt = captured[0].prompt
         assert liver_catalog.questions["Q1"].text in prompt
         assert "CHIEF COMPLAINT:" in prompt
         assert "ANSWER FORMAT" in prompt

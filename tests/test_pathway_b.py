@@ -31,7 +31,7 @@ class TestStancePrompt:
 
     @staticmethod
     def prompts(requests):
-        return [request.messages[-1].content for request in requests]
+        return [request.prompt for request in requests]
 
     def test_positive_preamble(self, unit):
         question, note = unit
@@ -49,7 +49,7 @@ class TestStancePrompt:
         debate = debate_unit(question, note, load_prompts(DEBATE_TEMPLATES))
         next(debate)
         (judge,) = debate.send(['"Yes". a', '"No". b'])
-        assert "ADJUDICATOR NOTES" not in judge.messages[-1].content
+        assert "ADJUDICATOR NOTES" not in judge.prompt
         round2 = debate.send(["SECOND ROUND: evidence conflict on tumor origin"])
         pro, con = self.prompts(round2)
         assert "OPPONENT" in con
@@ -85,7 +85,7 @@ class TestRunDebate:
 
         gateway.call = recording
         run_debate(question, note, gateway, templates=load_prompts(DEBATE_TEMPLATES, tmp_path))
-        by_tag = {request.tag: request.messages[-1].content for request in sent}
+        by_tag = {request.tag: request.prompt for request in sent}
         values = {"question": question.text, "note": canonical_text(note), "judge_notes": ""}
         for role, template in (("proponent", load_template("stance_pos")),
                                ("opponent", override)):
@@ -197,7 +197,7 @@ class TestRunDebate:
 
             def send(self, req):
                 self.calls += 1
-                sent[req.tag] = req.messages[-1].content
+                sent[req.tag] = req.prompt
                 return self.fixtures.get(req.tag, '"Unable to determine". No fixture.')
 
         fixtures = debate_fixtures(

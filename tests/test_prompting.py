@@ -52,8 +52,10 @@ def test_override_directory_wins(tmp_path):
 
 
 def _request_record(request):
-    return [request.tag, [[message.speaker, message.content] for message in request.messages],
-            request.temperature, request.max_tokens]
+    # The digest was pinned over a tag, a list of [speaker, content] turns,
+    # temperature and max_tokens; every request is one user turn at 0.0 and
+    # 1,024, as the HTTP body sends it.
+    return [request.tag, [["user", request.prompt]], 0.0, 1024]
 
 
 def _drive(unit, fixtures, sent):

@@ -50,6 +50,7 @@ from eligo.runner import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PARTIAL,
+    BackendsConfig,
     ResultRecord,
     RunConfig,
     _JSONL_ENCODER,
@@ -352,6 +353,21 @@ class TestCmdScreen:
         statuses = {(v["pathway"], v["note_id"]): v["status"] for v in trial_records}
         assert statuses[("A-vote", "n2")] == "ELIGIBLE"
         assert statuses[("A-vote", "n1")] == "INELIGIBLE"
+
+    def test_trial_without_rollup_warned_once(self, mini_workspace, caplog):
+        criteria_path = mini_workspace["catalog"] / "criteria.json"
+        criteria = json.loads(criteria_path.read_text())
+        criteria["criteria"][0].update(rule="", needs_human_rule=True)  # mc1
+        criteria_path.write_text(json.dumps(criteria))
+        with caplog.at_level(logging.WARNING, logger="eligo.runner"):
+            assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        assert [record.getMessage() for record in caplog.records
+                if "mt1" in record.getMessage()] == \
+            ["trial mt1 skipped in verdicts: no rule for ['mc1']"]
+        verdicts = read_jsonl(mini_workspace["out"] / "verdicts.jsonl")
+        # 5 labels x 2 notes x mc2, and no trial record.
+        assert sorted({v.get("criterion_id") for v in verdicts}) == ["mc2"]
+        assert len(verdicts) == 10
 
     def test_failed_units_exit_4_and_reconcile(self, mini_workspace, caplog):
         config = run_config(mini_workspace)
@@ -1493,7 +1509,8 @@ class TestCmdConvert:
     def test_duplicate_drafter_names_exit_2(self, tmp_path, caplog):
         criteria_path, backends_path = self.build_catalog(tmp_path, 1, drafters=("m", "m"))
         assert cmd_convert(criteria_path, backends_path, tmp_path / "out") == EXIT_CONFIG
-        assert f"{backends_path}: two drafting backends are named 'm'" in caplog.text
+        assert ("backend config error: invalid backends config: "
+                "two drafting backends are named 'm'") in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_exits_3_naming_it(self, tmp_path, caplog):
@@ -1713,6 +1730,31 @@ BAD_INPUTS = {
         "convert", "catalog/criteria.json",
         edit_json(lambda doc: doc["criteria"][1].pop("text")),
         "{path}: criteria[1]: expected str for 'text' (field 'text')"),
+    "screen-question-unknown-key": (
+        "screen", "catalog/questions.json",
+        edit_json(lambda doc: doc["questions"][2].update(note="x")),
+        "{path}: questions[2]: unexpected keys ['note']"),
+    "screen-criterion-misspelt-trial-ids": (
+        "screen", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][1].update(trial_id_s=["mt1"])),
+        "{path}: criteria[1]: unexpected keys ['trial_id_s']"),
+    "screen-trials-file-misspelt-key": (
+        "screen", "catalog/trials.json",
+        edit_json(lambda doc: doc.update(trial=doc.pop("trials"))),
+        "{path}: unexpected keys ['trial']"),
+    "screen-trial-misspelt-registry-code": (
+        "screen", "catalog/trials.json",
+        edit_json(lambda doc: doc["trials"][0].update(registry_cod="NCT1")),
+        "{path}: trials[0]: unexpected keys ['registry_cod']"),
+    "evaluate-gold-line-misspelt-criterion-id": (
+        "evaluate", "gold.jsonl",
+        replace_line(2, b'{"note_id": "n1", "question_id": "m1", "label": "YES", '
+                        b'"criterion": "mc1"}'),
+        "line 2: {path}: unexpected keys ['criterion']"),
+    "convert-criterion-unknown-key": (
+        "convert", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][0].update(rules="m2 IS YES", note="x")),
+        "{path}: criteria[0]: unexpected keys ['note', 'rules']"),
 }
 
 
@@ -1786,6 +1828,18 @@ BAD_CONFIGS = {
                                                    "mock_latency_s": "x"}},
         "invalid backend config: 'mock_latency_s' must be a number, got 'x'"),
     "backends-a-list": ("backends.json", lambda doc: [doc], "expected a JSON object"),
+    "backends-misspelt-refiner": ("backends.json", lambda doc: {**doc, "refinr": {}},
+                                  "unknown backends config keys ['refinr']"),
+    "backends-an-object": (
+        "backends.json", lambda doc: {**doc, "backends": {"kind": "mock"}},
+        "invalid backends config: 'backends' must be a list of objects, got {'kind': 'mock'}"),
+    "backends-not-all-objects": (
+        "backends.json", lambda doc: {**doc, "backends": [*doc["backends"], "mock"]},
+        "invalid backends config: 'backends' must be a list of objects"),
+    "backends-empty": ("backends.json", lambda doc: {**doc, "backends": []},
+                       "invalid backends config: 'backends' lists no drafting backend"),
+    "refiner-missing": ("backends.json", lambda doc: {"backends": doc["backends"]},
+                        "invalid backends config: 'refiner' is required"),
     "seed-a-list": ("run.json", lambda doc: {**doc, "seed": ["a", 1]},
                     "unknown run config keys ['seed']"),
     "misspelt-keys": ("run.json", lambda doc: {**doc, "pathwya": "B", "worker": 4},
@@ -1839,12 +1893,16 @@ def test_every_config_field_is_type_checked(mini_workspace, caplog, what, name, 
 
 
 def test_readme_config_examples_parse():
-    """The README's run.json block and its http backend line are valid configs,
-    so a key removed or renamed on one side only fails here."""
+    """The README's run.json and backends.json blocks and its http backend
+    line are valid configs, so a key removed or renamed on one side only
+    fails here."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     run_json = re.search(r"### Screen\n.*?```json\n(.*?)```", readme, re.S)
+    backends_json = re.search(r"`backends.json`:\n\n```json\n(.*?)```", readme, re.S)
     http = re.search(r"For a live backend use\n`(\{.*?\})`", readme, re.S)
     assert RunConfig.from_dict(json.loads(run_json.group(1))).backend.kind == "mock"
+    assert BackendsConfig.from_dict(json.loads(backends_json.group(1))).refiner.model_name \
+        == "refiner"
     assert backend_config_from_dict(json.loads(http.group(1))).kind == "http"
 
 
