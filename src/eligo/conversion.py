@@ -7,9 +7,10 @@ than failing the whole conversion.
 
 Converting a criterion is a unit for ``gateway.run_units``: a batch of one
 draft request per drafter, then the refine request, which a :class:`Router`
-sends to their backends.  The units render the texts of the templates in
-``CONVERSION_TEMPLATES``, which the caller reads once through
-:func:`prompting.load_prompts`.
+sends to their backends.  The unit returns one :class:`MergeResult`: the
+questions, the criterion updated to ask them, and the warnings.  The units
+render the texts of the templates in ``CONVERSION_TEMPLATES``, which the
+caller reads once through :func:`prompting.load_prompts`.
 """
 
 import logging
@@ -22,7 +23,6 @@ from .corpus import (
     Category,
     CriterionSpec,
     QuestionSpec,
-    Record,
     TaskType,
     validate_catalog,
 )
@@ -46,35 +46,26 @@ CONVERSION_TEMPLATES = ("convert", "refine")
 
 class QuestionDraft(NamedTuple):
     text: str
-    source_backend: str
-    criterion_id: str
     suggested_category: Category = DEFAULT_CATEGORY
     suggested_task_type: TaskType = DEFAULT_TASK_TYPE
 
 
-class DraftSet(Record):
-    """Drafts gathered from one or more backends, with parse warnings."""
+class DraftSet(NamedTuple):
+    """Drafts gathered from the drafters, the rule each proposed (by drafter
+    name), and parse warnings."""
 
-    __slots__ = ("drafts", "rule_proposals", "warnings")
-
-    def __init__(self, drafts: list[QuestionDraft] | None = None,
-                 rule_proposals: dict[str, str] | None = None,
-                 warnings: list[str] | None = None):
-        self.drafts = [] if drafts is None else drafts
-        # The rule each backend proposed, by backend.
-        self.rule_proposals = {} if rule_proposals is None else rule_proposals
-        self.warnings = [] if warnings is None else warnings
+    drafts: list[QuestionDraft]
+    rule_proposals: dict[str, str]
+    warnings: list[str]
 
 
-class MergeResult(Record):
-    __slots__ = ("questions", "rule_text", "needs_human_rule", "warnings")
+class MergeResult(NamedTuple):
+    """A converted criterion: its questions, the criterion updated to ask
+    them, and the warnings met on the way."""
 
-    def __init__(self, questions: list[QuestionSpec], rule_text: str,
-                 needs_human_rule: bool, warnings: list[str] | None = None):
-        self.questions = questions
-        self.rule_text = rule_text
-        self.needs_human_rule = needs_human_rule
-        self.warnings = [] if warnings is None else warnings
+    questions: list[QuestionSpec]
+    criterion: CriterionSpec
+    warnings: list[str]
 
 
 def normalize_question_text(text: str) -> str:
@@ -83,60 +74,57 @@ def normalize_question_text(text: str) -> str:
     return collapsed.rstrip(".?!;:")
 
 
-def build_conversion_prompt(criterion: CriterionSpec, template: str, *,
-                            tag: str | None = None) -> ChatRequest:
-    """Prompt a backend to decompose one criterion into Q:/RULE: lines, from
-    the ``convert`` template's text."""
+def build_conversion_prompt(criterion: CriterionSpec, template: str,
+                            drafter: str) -> ChatRequest:
+    """Prompt the drafter of that model name to decompose one criterion into
+    Q:/RULE: lines, from the ``convert`` template's text; its tag is
+    ``convert|<criterion id>|<drafter>``, which :class:`Router` routes."""
     if not criterion.text.strip():
         raise CatalogError(f"criterion {criterion.criterion_id!r} has empty text")
     prompt = render(template, criterion=criterion.text)
-    return user_request(prompt, tag=tag or f"convert|{criterion.criterion_id}")
+    return user_request(prompt, tag=f"convert|{criterion.criterion_id}|{drafter}")
 
 
-def _parse_draft_lines(text: str, source: str, criterion_id: str, out: DraftSet) -> int:
-    """Collect Q:/RULE: lines from one completion; count drafts added."""
-    added = 0
+def _parse_draft_lines(text: str, source: str) -> tuple[list[QuestionDraft], str, list[str]]:
+    """The drafts of the Q: lines of one completion, its last RULE: line's
+    rule ("" if none), and warnings for the lines skipped."""
+    drafts: list[QuestionDraft] = []
+    rule = ""
+    warnings: list[str] = []
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line:
             continue
         rule_match = _RULE_LINE_RE.match(line)
         if rule_match:
-            out.rule_proposals[source] = rule_match.group(1)
+            rule = rule_match.group(1)
             continue
         q_match = _Q_LINE_RE.match(line)
         if q_match:
-            question_text, category, task_type = _split_label(q_match.group(1), out, source)
-            if question_text:
-                out.drafts.append(
-                    QuestionDraft(
-                        text=question_text,
-                        source_backend=source,
-                        criterion_id=criterion_id,
-                        suggested_category=category,
-                        suggested_task_type=task_type,
-                    )
-                )
-                added += 1
+            draft, unknown_label = _split_label(q_match.group(1))
+            if unknown_label:
+                warnings.append(f"{source}: unknown label {unknown_label!r} ignored")
+            if draft.text:
+                drafts.append(draft)
             else:
-                out.warnings.append(f"{source}: empty question line skipped")
+                warnings.append(f"{source}: empty question line skipped")
             continue
-        out.warnings.append(f"{source}: unrecognized line skipped: {line[:60]}")
-    return added
+        warnings.append(f"{source}: unrecognized line skipped: {line[:60]}")
+    return drafts, rule, warnings
 
 
-def _split_label(text: str, out: DraftSet, source: str) -> tuple[str, Category, TaskType]:
+def _split_label(text: str) -> tuple[QuestionDraft, str]:
+    """The draft of a question line with an optional ``[Category/TaskType]``
+    suffix, and that suffix if it names an unknown label ("" if not): such a
+    label is ignored whole."""
     match = _LABEL_RE.search(text)
-    category, task_type = DEFAULT_CATEGORY, DEFAULT_TASK_TYPE
-    if match:
-        try:
-            category = Category(match.group(1))
-            task_type = TaskType(match.group(2))
-            text = text[: match.start()].strip()
-        except ValueError:
-            out.warnings.append(f"{source}: unknown label {match.group(0).strip()!r} ignored")
-            text = text[: match.start()].strip()
-    return text, category, task_type
+    if not match:
+        return QuestionDraft(text), ""
+    question = text[: match.start()].strip()
+    try:
+        return QuestionDraft(question, Category(match.group(1)), TaskType(match.group(2))), ""
+    except ValueError:
+        return QuestionDraft(question), match.group(0).strip()
 
 
 def generate_questions(criterion: CriterionSpec, drafters: Sequence[str],
@@ -152,22 +140,26 @@ def generate_questions(criterion: CriterionSpec, drafters: Sequence[str],
     """
     if not drafters:
         raise ValueError("generate_questions needs at least one backend")
-    replies = yield [
-        build_conversion_prompt(criterion, template,
-                                tag=f"convert|{criterion.criterion_id}|{name}")
-        for name in drafters
-    ]
-    result = DraftSet()
+    replies = yield [build_conversion_prompt(criterion, template, name) for name in drafters]
+    drafts: list[QuestionDraft] = []
+    rule_proposals: dict[str, str] = {}
+    warnings: list[str] = []
     failures: list[tuple[str, Exception]] = []
     for name, reply in zip(drafters, replies):
         if isinstance(reply, GatewayError):
             failures.append((name, reply))
-            result.warnings.append(f"{name}: backend failed: {reply}")
-        elif _parse_draft_lines(reply, name, criterion.criterion_id, result) == 0:
-            result.warnings.append(f"{name}: completion contained no Q: lines")
+            warnings.append(f"{name}: backend failed: {reply}")
+            continue
+        found, rule, skipped = _parse_draft_lines(reply, name)
+        drafts += found
+        if rule:
+            rule_proposals[name] = rule
+        warnings += skipped
+        if not found:
+            warnings.append(f"{name}: completion contained no Q: lines")
     if len(failures) == len(drafters):
         raise ConversionError(failures)
-    return result
+    return DraftSet(drafts, rule_proposals, warnings)
 
 
 def _dedup(drafts: Sequence[QuestionDraft]) -> list[QuestionDraft]:
@@ -189,16 +181,16 @@ def merge_question_sets(
     rule_proposals: dict[str, str] | None = None,
 ) -> Unit[MergeResult]:
     """The unit that collapses duplicates, lets the refiner reconcile them
-    in one request rendered from the ``refine`` template's text, and emits
-    validated specs.
+    in one request rendered from the ``refine`` template's text, and returns
+    the validated questions with the criterion updated to ask them.
 
     Final questions get ids "<criterion_id>.q<k>"; the refiner's rule is
     parsed over its Q1..Qn numbering and rewritten onto those ids.  An
     unparsable rule keeps the questions and flags the criterion for human
-    rule authoring.
+    rule authoring.  No drafts raise CatalogError.
     """
     if not drafts:
-        raise ValueError("no drafter proposed a question")
+        raise CatalogError("no drafter proposed a question")
     unique = _dedup(drafts)
     drafts_block = "\n".join(
         f"Q: {draft.text} [{draft.suggested_category.value}/{draft.suggested_task_type.value}]"
@@ -212,14 +204,12 @@ def merge_question_sets(
                     draft_rules=rules_block)
     (reply,) = yield [user_request(prompt, tag=f"refine|{criterion.criterion_id}")]
 
-    refined = DraftSet()
-    _parse_draft_lines(reply, "refiner", criterion.criterion_id, refined)
-    final_drafts = _dedup(refined.drafts)
+    refined, proposed, warnings = _parse_draft_lines(reply, "refiner")
+    final_drafts = _dedup(refined)
     if not final_drafts:
         raise RefinementParseError(
             f"refiner returned no questions for criterion {criterion.criterion_id!r}"
         )
-    warnings = list(refined.warnings)
 
     questions = [
         QuestionSpec(
@@ -233,8 +223,6 @@ def merge_question_sets(
     id_map = {f"Q{index}": spec.question_id for index, spec in enumerate(questions, start=1)}
 
     rule_text = ""
-    needs_human_rule = True
-    proposed = refined.rule_proposals.get("refiner", "")
     if proposed:
         try:
             expr = parse_rule(proposed)
@@ -244,7 +232,6 @@ def merge_question_sets(
                     f"rule references unnumbered questions {sorted(unknown)}", 1
                 )
             rule_text = print_rule(rename_questions(expr, id_map))
-            needs_human_rule = False
         except RuleParseError as exc:
             warnings.append(
                 f"refiner rule rejected ({exc}); rule left empty for human authoring"
@@ -252,45 +239,35 @@ def merge_question_sets(
     else:
         warnings.append("refiner proposed no rule; rule left empty for human authoring")
 
-    merged_criterion = criterion._replace(
-        rule_text=rule_text, question_ids=tuple(spec.question_id for spec in questions),
-        needs_human_rule=needs_human_rule)
+    updated = criterion._replace(rule_text=rule_text, question_ids=tuple(id_map.values()),
+                                 needs_human_rule=not rule_text)
     validate_catalog(
         Catalog(
             questions={spec.question_id: spec for spec in questions},
-            criteria={merged_criterion.criterion_id: merged_criterion},
+            criteria={updated.criterion_id: updated},
             trials={},
         )
     )
-    return MergeResult(
-        questions=questions,
-        rule_text=rule_text,
-        needs_human_rule=needs_human_rule,
-        warnings=warnings,
-    )
+    return MergeResult(questions, updated, warnings)
 
 
 def convert_criterion(
     criterion: CriterionSpec,
     drafters: Sequence[str],
     templates: Mapping[str, str],
-) -> Unit[tuple[MergeResult, CriterionSpec, list[str]] | EligoError | ValueError]:
-    """The unit that converts one criterion: it returns the merge, the
-    updated criterion and the warnings, or the error that failed it
-    (ValueError: no drafter proposed a question), which ends no other.
-    ``templates`` maps each of ``CONVERSION_TEMPLATES`` to its text."""
+) -> Unit[MergeResult | EligoError]:
+    """The unit that converts one criterion: it returns the merge, whose
+    warnings are the drafting and merging ones together, or the EligoError
+    that failed it, which ends no other criterion.  ``templates`` maps each
+    of ``CONVERSION_TEMPLATES`` to its text."""
     try:
-        draft_set = yield from generate_questions(criterion, drafters, templates["convert"])
-        merged = yield from merge_question_sets(draft_set.drafts, criterion,
+        drafted = yield from generate_questions(criterion, drafters, templates["convert"])
+        merged = yield from merge_question_sets(drafted.drafts, criterion,
                                                 templates["refine"],
-                                                rule_proposals=draft_set.rule_proposals)
-    except (EligoError, ValueError) as exc:
+                                                rule_proposals=drafted.rule_proposals)
+    except EligoError as exc:
         return exc
-    updated = criterion._replace(
-        rule_text=merged.rule_text,
-        question_ids=tuple(spec.question_id for spec in merged.questions),
-        needs_human_rule=merged.needs_human_rule)
-    return merged, updated, draft_set.warnings + merged.warnings
+    return merged._replace(warnings=drafted.warnings + merged.warnings)
 
 
 class Router:

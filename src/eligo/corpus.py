@@ -315,7 +315,8 @@ def config_from_dict(cls, record: Mapping, what: str, **nested: Callable):
     whose default is None also takes null.  A field in ``nested`` takes an
     object, or a list of objects when its default is a tuple, and its
     function builds each object.  Every error is a ConfigError naming the
-    key, as is a ValueError from ``validate``.
+    key, as is a ValueError from ``validate``; one from a nested object also
+    names where that object is, as in "(in 'backends'[1])".
     """
     if not isinstance(record, Mapping):
         raise ConfigError(f"a {what} config must be a JSON object")
@@ -345,15 +346,24 @@ def config_from_dict(cls, record: Mapping, what: str, **nested: Callable):
             raise ConfigError(f"invalid {what} config: {name!r} must be "
                               f"{label}{nullable}, got {value!r}")
         if kind is list:
-            values[name] = tuple(value if build is None else map(build, value))
+            values[name] = tuple(value) if build is None else tuple(
+                _build_nested(build, entry, f"{name!r}[{index}]")
+                for index, entry in enumerate(value))
         elif build is not None:
-            values[name] = build(value)
+            values[name] = _build_nested(build, value, repr(name))
     config = cls(**values)
     try:
         config.validate()
     except ValueError as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from exc
     return config
+
+
+def _build_nested(build: Callable, record: Mapping, where: str):
+    try:
+        return build(record)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (in {where})") from exc
 
 
 def _json_value(path: str | Path, line: int | None, data: bytes):

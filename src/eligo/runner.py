@@ -828,12 +828,11 @@ def cmd_convert(
             updated_criteria.append(criterion)
             report_lines += [f"## {criterion.criterion_id}: FAILED", f"- {outcome}", ""]
             continue
-        merged, updated, warnings = outcome
-        all_questions.extend(merged.questions)
-        updated_criteria.append(updated)
-        report_lines += [f"## {criterion.criterion_id}: {len(merged.questions)} questions",
-                         f"- rule: {merged.rule_text or '(needs human authoring)'}",
-                         *(f"- warning: {warning}" for warning in warnings), ""]
+        all_questions.extend(outcome.questions)
+        updated_criteria.append(outcome.criterion)
+        report_lines += [f"## {criterion.criterion_id}: {len(outcome.questions)} questions",
+                         f"- rule: {outcome.criterion.rule_text or '(needs human authoring)'}",
+                         *(f"- warning: {warning}" for warning in outcome.warnings), ""]
 
     try:
         write_questions(out_dir / "questions.json", all_questions)

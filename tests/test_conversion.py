@@ -90,20 +90,30 @@ def convert(criterion, drafters, refiner):
 
 class TestBuildPrompt:
     def test_embeds_criterion_verbatim(self):
-        req = build_conversion_prompt(liver_criterion(), TEMPLATES["convert"])
+        req = build_conversion_prompt(liver_criterion(), TEMPLATES["convert"], "m1")
         prompt = req.prompt
         assert "Has the patient been diagnosed with primary liver cancer?" in prompt
         assert "RULE" in prompt and "ANY" in prompt  # grammar embedded
+        assert req.tag == "convert|C1|m1"
 
     def test_empty_text_rejected(self):
         empty = CriterionSpec("Cx", (), CriterionKind.INCLUSION, "  ", "", (),
                               needs_human_rule=True)
         with pytest.raises(errors.CatalogError):
-            build_conversion_prompt(empty, TEMPLATES["convert"])
+            build_conversion_prompt(empty, TEMPLATES["convert"], "m1")
 
     def test_deterministic(self):
-        assert build_conversion_prompt(liver_criterion(), TEMPLATES["convert"]) == \
-            build_conversion_prompt(liver_criterion(), TEMPLATES["convert"])
+        assert build_conversion_prompt(liver_criterion(), TEMPLATES["convert"], "m1") == \
+            build_conversion_prompt(liver_criterion(), TEMPLATES["convert"], "m1")
+
+    def test_routes_to_its_drafter(self):
+        drafters = [drafting_gateway(LIVER_DRAFT_REPLY, model_name=name) for name in ("a", "b")]
+        req = build_conversion_prompt(liver_criterion(), TEMPLATES["convert"], "b")
+        replies = []
+        Router(drafters, refining_gateway("")).call(
+            req, lambda reply, error: replies.append((reply, error)))
+        assert replies == [(LIVER_DRAFT_REPLY, None)]
+        assert [drafter.transport.calls for drafter in drafters] == [0, 1]
 
 
 class TestGenerateQuestions:
@@ -177,8 +187,8 @@ class TestMerge:
         assert [question.question_id for question in merged.questions] == [
             "C1.q1", "C1.q2", "C1.q3", "C1.q4",
         ]
-        assert merged.needs_human_rule is False
-        expr = parse_rule(merged.rule_text)
+        assert merged.criterion.needs_human_rule is False
+        expr = parse_rule(merged.criterion.rule_text)
         assert referenced_ids(expr) == {"C1.q1", "C1.q2", "C1.q3", "C1.q4"}
 
     def test_unparsable_rule_keeps_questions(self):
@@ -189,8 +199,9 @@ class TestMerge:
             liver_criterion(),
         )
         assert len(merged.questions) == 1
-        assert merged.rule_text == ""
-        assert merged.needs_human_rule is True
+        assert merged.criterion.rule_text == ""
+        assert merged.criterion.needs_human_rule is True
+        assert merged.criterion.question_ids == ("C1.q1",)
         assert any("rule" in warning for warning in merged.warnings)
 
     def test_rule_referencing_unlisted_question_rejected(self):
@@ -200,7 +211,7 @@ class TestMerge:
             refining_gateway("Q: Single question?\nRULE: Q1 IS YES AND Q9 IS NO"),
             liver_criterion(),
         )
-        assert merged.needs_human_rule is True
+        assert merged.criterion.needs_human_rule is True
 
     def test_refiner_without_questions_raises(self):
         with pytest.raises(errors.RefinementParseError):
@@ -223,6 +234,19 @@ class TestMerge:
         assert question.category is Category.INTERVENTION
         assert question.task_type is TaskType.DIRECT_MATCH
 
+    def test_a_label_half_unknown_is_ignored_whole(self):
+        merged = merge(
+            [QuestionDraft("Was a TIPS procedure performed?")],
+            refining_gateway("Q: Was a TIPS procedure performed? "
+                             "[Intervention/Shape]\nRULE: Q1 IS YES"),
+            liver_criterion(),
+        )
+        question = merged.questions[0]
+        assert question.text == "Was a TIPS procedure performed?"
+        assert question.category is Category.DIAGNOSIS
+        assert question.task_type is TaskType.CLASSIFICATION
+        assert merged.warnings == ["refiner: unknown label '[Intervention/Shape]' ignored"]
+
     def test_default_labels_applied(self):
         merged = merge(
             generate(liver_criterion(),
@@ -236,24 +260,29 @@ class TestMerge:
 
 def test_convert_criterion_end_to_end():
     criterion = liver_criterion()
-    merged, updated, warnings = convert(
+    merged = convert(
         criterion,
         [drafting_gateway(LIVER_DRAFT_REPLY)],
         refining_gateway(LIVER_DRAFT_REPLY),
     )
+    updated = merged.criterion
     assert updated.question_ids == ("C1.q1", "C1.q2", "C1.q3", "C1.q4")
-    assert updated.rule_text == merged.rule_text
+    assert updated.rule_text.startswith("C1.q1 IS YES")
     assert updated.needs_human_rule is False
+    assert updated == criterion._replace(rule_text=updated.rule_text,
+                                         question_ids=updated.question_ids,
+                                         needs_human_rule=False)
 
 
 def test_conversion_reproducible_given_fixed_fixtures():
     def run():
-        merged, updated, _ = convert(
+        merged = convert(
             liver_criterion(),
             [drafting_gateway(LIVER_DRAFT_REPLY)],
             refining_gateway(LIVER_DRAFT_REPLY),
         )
-        return [question.to_dict() for question in merged.questions], updated.to_dict()
+        return [question.to_dict() for question in merged.questions], \
+            merged.criterion.to_dict()
 
     assert run() == run()
 
@@ -267,6 +296,18 @@ def test_a_failed_criterion_is_returned_not_raised():
     assert refiner.transport.calls == 0
 
 
+def test_a_criterion_no_drafter_proposed_a_question_for_is_returned():
+    outcome = convert(liver_criterion(), [drafting_gateway("No questions here.")],
+                      refining_gateway(LIVER_DRAFT_REPLY))
+    assert isinstance(outcome, errors.CatalogError)
+    assert str(outcome) == "no drafter proposed a question"
+
+
+def test_converting_with_no_drafter_is_a_caller_error():
+    with pytest.raises(ValueError, match="at least one backend"):
+        convert(liver_criterion(), [], refining_gateway(LIVER_DRAFT_REPLY))
+
+
 def test_a_failed_refiner_fails_its_criterion():
     outcome = convert(liver_criterion(), [drafting_gateway(LIVER_DRAFT_REPLY)],
                       failing_gateway("refiner"))
@@ -274,15 +315,16 @@ def test_a_failed_refiner_fails_its_criterion():
 
 
 def test_router_sends_each_request_to_its_backend():
-    # "b|a" ends like "a": the longest name that the tag ends with wins.
+    # A criterion id holds no "|", so the name is all of the tag after the
+    # second "|": "b|a" is not taken for "a".
     drafters = [drafting_gateway(LIVER_DRAFT_REPLY, model_name=name) for name in ("a", "b|a")]
     refiner = refining_gateway(LIVER_DRAFT_REPLY)
-    merged, _, warnings = convert(liver_criterion(), drafters, refiner)
+    merged = convert(liver_criterion(), drafters, refiner)
     assert [drafter.transport.calls for drafter in drafters] == [1, 1]
     assert refiner.transport.calls == 1
     assert len(merged.questions) == 4
-    assert not any("no Q: lines" in warning for warning in warnings)
+    assert not any("no Q: lines" in warning for warning in merged.warnings)
 
 
 def test_a_draft_is_read_only():
-    assert_read_only(QuestionDraft("Is the patient an adult?", "m1", "C1"))
+    assert_read_only(QuestionDraft("Is the patient an adult?"))

@@ -75,6 +75,7 @@ def test_convert_loads_no_futures(tmp_path):
                             "--backends", str(backends_path), "--out", str(tmp_path / "out"))
     assert code == 0
     assert "eligo.conversion" in modules
+    assert not modules & {"eligo.pathway_a", "eligo.pathway_b", "eligo.evaluation"}
     assert "concurrent.futures" not in modules
     assert not modules & NOT_FOR_ANY_COMMAND
 

@@ -1605,6 +1605,48 @@ class TestCmdConvert:
         assert "merge_question_sets" not in report
         assert "## C1: 2 questions\n" in report and "## C3: 2 questions\n" in report
 
+    # SHA-256 of the outputs of test_outputs_match_pinned_digests.  They were
+    # computed before a converted criterion became one value; a change that
+    # alters an output byte must say why and update them.
+    PINNED_DIGESTS = {
+        "questions.json": "7fbcf56c8767dcc58e859bbaa96e3da8ab6600019a0c1d0f440074261371b2bb",
+        "criteria.json": "44f9ac76f1e6dab18b5c826b3cd7aa77b72fae4664103e4ee8d010af65c3d4d9",
+        "conversion_report.md": "89066a125f026e582b185be088bf59ae69d4a6086e5810643c403f8869da7450",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        """Three converted criteria, one no drafter proposed a question for
+        (FAILED), and one whose refiner rule does not parse (needs human
+        authoring) after a draft with an unknown label and a stray line."""
+        criteria_path, _ = self.build_catalog(tmp_path, 3)
+        doc = json.loads(criteria_path.read_text())
+        for index in (4, 5):
+            doc["criteria"].append({
+                "criterion_id": f"C{index}", "trial_ids": ["T1"], "kind": "exclusion",
+                "text": f"Does the patient have condition {index}?", "rule": "",
+                "question_ids": [], "needs_human_rule": True})
+        criteria_path.write_text(json.dumps(doc))
+        fixtures_path = tmp_path / "fixtures.json"
+        fixtures = json.loads(fixtures_path.read_text())["fixtures"]
+        fixtures["convert|C5|d1"] = ("Q: Is the tumor resectable? [Organ/Shape]\n"
+                                     "The note is ambiguous here.\n"
+                                     "Q: Was the tumor biopsied? [Intervention/DirectMatch]\n"
+                                     "RULE: Q1 IS YES")
+        fixtures["refine|C5"] = ("Q: Is the tumor resectable?\n"
+                                 "Q: Was the tumor biopsied? [Intervention/DirectMatch]\n"
+                                 "RULE: Q1 FROBNICATES Q2")
+        fixtures_path.write_text(json.dumps({"fixtures": fixtures}))
+        out = tmp_path / "out"
+        assert cmd_convert(criteria_path, tmp_path / "backends.json", out) == EXIT_PARTIAL
+        report = (out / "conversion_report.md").read_text()
+        assert "## C4: FAILED\n" in report
+        assert "## C5: 2 questions\n- rule: (needs human authoring)\n" in report
+        assert "unknown label '[Organ/Shape]' ignored" in report
+        assert "unrecognized line skipped: The note is ambiguous here." in report
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.OUTPUTS}
+        assert digests == self.PINNED_DIGESTS
+
 
 class TestCli:
     def test_screen_and_report_via_cli(self, mini_workspace, capsys):
@@ -1810,7 +1852,8 @@ BAD_CONFIGS = {
                        "invalid run config: 'workers' must be an integer, got True"),
     "backend-fixtures-path-a-number": (
         "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "fixtures_path": 5}},
-        "invalid backend config: 'fixtures_path' must be a string or null, got 5"),
+        "invalid backend config: 'fixtures_path' must be a string or null, got 5 "
+        "(in 'backend')"),
     "backend-max-inflight-a-bool": (
         "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "max_inflight": True}},
         "invalid backend config: 'max_inflight' must be an integer, got True"),
@@ -1819,7 +1862,10 @@ BAD_CONFIGS = {
         "invalid backend config: 'max_inflight' must be an integer, got 2.5"),
     "backend-kind-null": (
         "backends.json", lambda doc: {**doc, "refiner": {"kind": None}},
-        "invalid backend config: 'kind' must be a string, got None"),
+        "invalid backend config: 'kind' must be a string, got None (in 'refiner')"),
+    "backends-entry-kind-null": (
+        "backends.json", lambda doc: {**doc, "backends": [*doc["backends"], {"kind": None}]},
+        "invalid backend config: 'kind' must be a string, got None (in 'backends'[1])"),
     "run-config-a-list": ("run.json", lambda doc: [doc], "expected a JSON object"),
     "roles-a-string": ("run.json", lambda doc: {**doc, "roles": "crc"},
                        "invalid run config: 'roles' must be a list of strings, got 'crc'"),
