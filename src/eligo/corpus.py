@@ -366,14 +366,19 @@ def _build_nested(build: Callable, record: Mapping, where: str):
         raise ConfigError(f"{exc} (in {where})") from exc
 
 
-def _json_value(path: str | Path, line: int | None, data: bytes):
-    """``data``, a file or one JSONL line of it, parsed as JSON."""
+def json_value(path: str | Path, line: int | None, data: bytes):
+    """``data``, a file, a JSONL line or a backend reply, parsed as UTF-8 JSON;
+    SchemaError naming ``path`` and ``line`` when it is not."""
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}", line=line) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}", line=line) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply", line=line) from exc
 
 
 def _json_object(where: str | Path, value, line: int | None = None,
@@ -390,7 +395,7 @@ def _json_object(where: str | Path, value, line: int | None = None,
 
 def load_json(path: str | Path) -> dict:
     """A JSON file's top-level object."""
-    return _json_object(path, _json_value(path, None, Path(path).read_bytes()))
+    return _json_object(path, json_value(path, None, Path(path).read_bytes()))
 
 
 # JSONL lines are split on b"\n" only, so a U+2028 left unescaped by
@@ -441,7 +446,7 @@ def jsonl_values(data: bytes,
 def _jsonl_records(path: str | Path,
                    keys: Iterable[str] | None = None) -> Iterator[tuple[int, dict]]:
     """Each non-blank line's object, with its line number (see _json_object)."""
-    for line_no, value in jsonl_values(Path(path).read_bytes(), partial(_json_value, path)):
+    for line_no, value in jsonl_values(Path(path).read_bytes(), partial(json_value, path)):
         yield line_no, _json_object(path, value, line_no, keys)
 
 

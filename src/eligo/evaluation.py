@@ -381,9 +381,12 @@ def timing_stats(records: Iterable[tuple[str, float]]) -> dict[str, TimingStats]
     stats: dict[str, TimingStats] = {}
     for label in sorted(grouped):
         values = sorted(grouped[label])
+        mean = sum(values) / len(values)
+        if not math.isfinite(mean):  # the sum of finite values overflowed
+            mean = sum(value / len(values) for value in values)
         stats[label] = TimingStats(
             count=len(values),
-            mean=sum(values) / len(values),
+            mean=mean,
             p50=_nearest_rank(values, 0.50),
             p90=_nearest_rank(values, 0.90),
             max=values[-1],

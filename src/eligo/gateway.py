@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, NamedT
 from . import errors
 # ParsedAnswer lives in corpus, so reading results loads no gateway; it is
 # still importable from here.
-from .corpus import ParsedAnswer, Verdict, config_from_dict, load_json
+from .corpus import ParsedAnswer, Verdict, config_from_dict, json_value, load_json
 
 if TYPE_CHECKING:
     import http.client
@@ -373,8 +373,9 @@ class HttpTransport:
                 retry_after=retry_after,
             )
         try:
-            content = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            reply = json_value("completion payload", None, payload)
+            content = reply["choices"][0]["message"]["content"]
+        except (errors.SchemaError, KeyError, IndexError, TypeError) as exc:
             raise errors.BackendError(
                 "malformed completion payload",
                 status=status,

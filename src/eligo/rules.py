@@ -38,7 +38,7 @@ import re
 from collections.abc import Mapping
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict, refuse_assignment
 from .errors import CatalogError, MissingVerdictError, RuleParseError
@@ -46,6 +46,11 @@ from .errors import CatalogError, MissingVerdictError, RuleParseError
 # Case splitting is exponential in the worst case; an undecided rule with
 # more UNKNOWN answers than this is reported UNSTABLE with the capped flag.
 SENSITIVITY_CAP = 16
+
+# The parser and every walk over a rule recurse once per level, so a rule
+# nested deeper than this, counting each "(" and NOT, is a parse error
+# rather than a RecursionError.
+MAX_RULE_DEPTH = 100
 
 # The answer values, bound once: reading a member off its Enum class costs
 # more than the evaluation step that tests it.
@@ -188,6 +193,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -248,14 +254,25 @@ class _Parser:
         return children[0] if len(children) == 1 else And(tuple(children))
 
     def unary(self) -> RuleExpr:
+        token = self.current
         if self.keyword("NOT"):
-            return Not(self.unary())
-        if self.current.kind == "LPAREN":
+            return Not(self.nested(token, self.unary))
+        if token.kind == "LPAREN":
             self.advance()
-            expr = self.or_expr()
+            expr = self.nested(token, self.or_expr)
             self.expect("RPAREN", "')'")
             return expr
         return self.atom()
+
+    def nested(self, token: _Token, parse: Callable[[], RuleExpr]) -> RuleExpr:
+        """``parse()`` one level inside ``token``, a "(" or NOT."""
+        if self.depth == MAX_RULE_DEPTH:
+            raise RuleParseError(f"rule nested deeper than {MAX_RULE_DEPTH} levels",
+                                 token.position)
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def atom(self) -> RuleExpr:
         token = self.current

@@ -35,6 +35,7 @@ from .corpus import (
     _require,
     collector_paused,
     config_from_dict,
+    json_value,
     jsonl_values,
     load_catalog_dir,
     load_gold,
@@ -307,15 +308,6 @@ class _JsonlWriter:
 _UNREADABLE = (ValueError, KeyError, TypeError, OverflowError)
 
 
-def _decode_result(path: str | Path, line_no: int, line: bytes):
-    """One ``results.jsonl`` line's JSON value; SchemaError when it is not
-    UTF-8 JSON."""
-    try:
-        return json.loads(line.decode("utf-8"))
-    except _UNREADABLE as exc:
-        raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
-
-
 def _parse_result(path: str | Path, line_no: int, value) -> ResultRecord:
     """The record of one ``results.jsonl`` line's JSON value; SchemaError when
     it is not one."""
@@ -328,7 +320,7 @@ def _parse_result(path: str | Path, line_no: int, value) -> ResultRecord:
 def read_results(path: str | Path) -> list[ResultRecord]:
     """Load result records from a completed (or partial but clean) run."""
     return [_parse_result(path, line_no, value) for line_no, value
-            in jsonl_values(Path(path).read_bytes(), partial(_decode_result, path))]
+            in jsonl_values(Path(path).read_bytes(), partial(json_value, path))]
 
 
 def _read_resume_state(path: Path) -> list[ResultRecord]:
@@ -345,7 +337,7 @@ def _read_resume_state(path: Path) -> list[ResultRecord]:
     raw = path.read_bytes()
     records: list[ResultRecord] = []
     try:
-        for line_no, value in jsonl_values(raw, partial(_decode_result, path)):
+        for line_no, value in jsonl_values(raw, partial(json_value, path)):
             records.append(_parse_result(path, line_no, value))
     except SchemaError as exc:
         # The last non-blank line starts after the newline before the last
@@ -376,8 +368,8 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     """
     def decode(line_no: int, line: bytes):
         try:
-            return json.loads(line.decode("utf-8"))
-        except ValueError:
+            return json_value(path, line_no, line)
+        except SchemaError:
             return None  # transcript_key drops it
 
     def transcript_key(line_no: int, record) -> tuple[str, str] | None:

@@ -109,6 +109,38 @@ def test_no_module_imports_dataclasses(path):
             f"{path.name}:{node.lineno} imports dataclasses"
 
 
+def json_decoder_lines(path):
+    """The lines of ``path`` that use ``json.load``, ``json.loads`` or
+    ``JSONDecoder``, or import one of them from ``json``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            used = node.attr == "JSONDecoder" or (
+                node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json")
+        elif isinstance(node, ast.Name):
+            used = node.id == "JSONDecoder"
+        elif isinstance(node, ast.ImportFrom):
+            used = (node.module or "").split(".")[0] == "json" and any(
+                alias.name in ("load", "loads", "JSONDecoder") for alias in node.names)
+        else:
+            continue
+        if used:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(Path(eligo.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_corpus_decodes_json(path):
+    # corpus.json_value is the one decoder, so bad input fails one way.
+    lines = json_decoder_lines(path)
+    if path.stem == "corpus":
+        assert lines
+    else:
+        assert not lines, f"{path.name} decodes JSON on lines {lines}"
+
+
 def test_import_eligo_loads_no_submodule():
     loaded = run_in_subprocess(
         "import sys, eligo; print(sorted(m for m in sys.modules if m.startswith('eligo')))")

@@ -21,6 +21,30 @@ from eligo.runner import ResultRecord, _read_resume_state, read_results
 UNREADABLE = (ValueError, KeyError, TypeError, OverflowError)
 
 
+def per_line_value(path, line_no, line):
+    """One line's JSON value, or the SchemaError every reader gives for it."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}",
+                          line=line_no) from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}", line=line_no) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply", line=line_no) from exc
+
+
+def per_line_result(path, line_no, line):
+    """One ``results.jsonl`` line's record."""
+    value = per_line_value(path, line_no, line)
+    try:
+        return ResultRecord.from_dict(value)
+    except UNREADABLE as exc:
+        raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
+
+
 def per_line_records(path):
     """Each non-blank line's object, read line by line."""
     records = []
@@ -28,13 +52,7 @@ def per_line_records(path):
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                value = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}",
-                                  line=line_no) from exc
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
+            value = per_line_value(path, line_no, line)
             if not isinstance(value, dict):
                 raise SchemaError(f"{path}: expected a JSON object", line=line_no)
             records.append((line_no, value))
@@ -43,32 +61,25 @@ def per_line_records(path):
 
 def per_line_results(path):
     """``read_results``, line by line."""
-    records = []
     with open(path, "rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if line.strip():
-                try:
-                    records.append(ResultRecord.from_dict(json.loads(line.decode("utf-8"))))
-                except UNREADABLE as exc:
-                    raise SchemaError(f"{path}: unreadable result record",
-                                      line=line_no) from exc
-    return records
+        return [per_line_result(path, line_no, line)
+                for line_no, line in enumerate(handle, start=1) if line.strip()]
 
 
 def per_line_resume(path):
     """The resume read, line by line: a final line that does not parse is
     truncated away, and a missing final newline is added."""
     raw = path.read_bytes()
-    lines = [(line_no, line) for line_no, line in enumerate(raw.split(b"\n"), start=1)
-             if line.strip()]
+    with open(path, "rb") as handle:
+        lines = [(line_no, line) for line_no, line in enumerate(handle, start=1)
+                 if line.strip()]
     records = []
     for line_no, line in lines:
         try:
-            records.append(ResultRecord.from_dict(json.loads(line.decode("utf-8"))))
-        except UNREADABLE as exc:
+            records.append(per_line_result(path, line_no, line))
+        except SchemaError:
             if line_no != lines[-1][0]:
-                raise SchemaError(f"{path}: unreadable result record",
-                                  line=line_no) from exc
+                raise
             path.write_bytes(raw[:raw.rindex(line)])
             return records
     if raw and not raw.endswith(b"\n"):
@@ -107,6 +118,8 @@ def result_line(rationale="r") -> str:
 
 
 GOOD = result_line().encode()
+DEEP = b"[" * 100_000 + b"]" * 100_000  # past the decoder's recursion limit
+LONG = b"1" * 5_000  # past the interpreter's 4,300-digit integer limit
 ODD = result_line("漢 é").encode()  # unescaped, as results are written
 
 def first_line_read_alone(data: bytes) -> int | None:
@@ -138,6 +151,10 @@ CASES = {
     "torn mid-character": (GOOD + b"\n" + ODD[:ODD.index("漢".encode()) + 1], 1),
     "torn mid-record": (GOOD + b"\n" + ODD[:40] + b"\n", 2),
     "bom": (b"\xef\xbb\xbf" + GOOD + b"\n", 1),
+    "nested too deeply": (GOOD + b"\n" + DEEP + b"\n" + GOOD + b"\n", 2),
+    "nested too deeply on the last line": (GOOD + b"\n" + DEEP + b"\n", 2),
+    "integer too long": (GOOD + b"\n" + LONG + b"\n" + GOOD + b"\n", 2),
+    "integer too long on the last line": (GOOD + b"\n" + LONG + b"\n", 2),
     "empty": (b"", None),
 }
 

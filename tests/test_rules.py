@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eligo.corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict
 from eligo.errors import CatalogError, MissingVerdictError, RuleParseError
 from eligo.rules import (
+    MAX_RULE_DEPTH,
     SENSITIVITY_CAP,
     _Token,
     AllOf,
@@ -195,6 +196,16 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(RuleParseError):
             parse_rule("Q1 IS YES Q2")
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("NOT ", ""), ("(not ", ")")])
+    def test_nesting_deeper_than_the_bound_is_a_parse_error(self, opening, closing):
+        # Each "(" and each NOT is one level of nesting.
+        copies = MAX_RULE_DEPTH // (opening.count("(") + opening.upper().count("NOT"))
+        deepest = opening * copies + "Q1 IS YES" + closing * copies
+        assert referenced_ids(parse_rule(deepest)) == {"Q1"}
+        with pytest.raises(RuleParseError, match="rule nested deeper than") as excinfo:
+            parse_rule(opening * 400 + "Q1 IS YES" + closing * 400)
+        assert excinfo.value.position == copies * len(opening) + 1
 
     def test_print_parse_roundtrip_worked_example(self):
         expr = parse_rule(LIVER_RULE)

@@ -1190,7 +1190,27 @@ class TestCmdEvaluate:
         status = cmd_evaluate(results_path, mini_workspace["gold"],
                               mini_workspace["catalog"], mini_workspace["root"] / "eval")
         assert status == EXIT_INPUT
-        assert f"line 1: {results_path}: unreadable result record" in caplog.text
+        assert f"line 1: {results_path}: not UTF-8 text at byte 0" in caplog.text
+
+    def test_metrics_are_strict_json_when_durations_sum_past_float_range(
+            self, mini_workspace):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        # Each label's 1,500 durations, finite in milliseconds, sum past the
+        # largest float.
+        results_path.write_text("".join(
+            json.dumps({**record, "elapsed_s": 1.7e305}) + "\n"
+            for record in read_jsonl(results_path)) * 250)
+        status, out_dir = self.evaluate(mini_workspace)
+        assert status == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        metrics = json.loads((out_dir / "metrics.json").read_text(),
+                             parse_constant=refuse)
+        for stats in metrics["timing"].values():
+            assert stats["mean"] == pytest.approx(1.7e305)
 
     def test_invalid_positive_class_exits_3(self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
@@ -1429,6 +1449,21 @@ class TestCmdConvert:
         assert criteria[0]["rule"].startswith("C1.q1 IS YES")
         assert criteria[0]["question_ids"] == ["C1.q1", "C1.q2", "C1.q3", "C1.q4"]
         assert (out_dir / "conversion_report.md").exists()
+
+    def test_refiner_rule_nested_too_deeply_is_rejected_in_the_report(self, tmp_path):
+        criteria_path, backends_path = self.build_inputs(tmp_path)
+        fixtures_path = tmp_path / "convert_fixtures.json"
+        fixtures = json.loads(fixtures_path.read_text())
+        fixtures["fixtures"]["refine|C1"] = ("Q: Is there a liver tumor?\nRULE: "
+                                            + "(" * 400 + "Q1 IS YES" + ")" * 400)
+        fixtures_path.write_text(json.dumps(fixtures))
+        out_dir = tmp_path / "catalog_out"
+        assert cmd_convert(criteria_path, backends_path, out_dir) == EXIT_OK
+        report = (out_dir / "conversion_report.md").read_text()
+        assert ("refiner rule rejected (position 101: rule nested deeper than 100 levels)"
+                in report)
+        criteria = json.loads((out_dir / "criteria.json").read_text())["criteria"]
+        assert criteria[0]["rule"] == ""
 
     def test_gateways_closed(self, tmp_path, monkeypatch):
         closed = []
@@ -1710,7 +1745,7 @@ class TestCli:
         results_path.write_bytes(UTF16_RESULTS)
         assert UTF16_RESULTS.startswith(b"\xff\xfe")
         assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_INPUT
-        assert f"line 1: {results_path}: unreadable result record" in caplog.text
+        assert f"line 1: {results_path}: not UTF-8 text at byte 0" in caplog.text
 
     def test_cli_canonicalize(self, mini_workspace, capsys):
         assert cli_main(["screen", "--config", str(mini_workspace["run_json"])]) == 0
@@ -1793,6 +1828,11 @@ BAD_INPUTS = {
         replace_line(2, b'{"note_id": "n1", "question_id": "m1", "label": "YES", '
                         b'"criterion": "mc1"}'),
         "line 2: {path}: unexpected keys ['criterion']"),
+    "evaluate-criterion-rule-nested-too-deeply": (
+        "evaluate", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][1].update(
+            rule="(" * 400 + "m2 IS YES" + ")" * 400)),
+        "criterion 'mc2', position 101: rule nested deeper than 100 levels"),
     "convert-criterion-unknown-key": (
         "convert", "catalog/criteria.json",
         edit_json(lambda doc: doc["criteria"][0].update(rules="m2 IS YES", note="x")),
