@@ -8,6 +8,7 @@ import gc
 import json
 import logging
 import re
+import sys
 from contextlib import contextmanager
 from enum import Enum
 from functools import cached_property, partial
@@ -375,8 +376,9 @@ def json_value(path: str | Path, line: int | None, data: bytes):
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}", line=line) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
-    except ValueError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}", line=line) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise SchemaError(f"{path}: invalid JSON: integer longer than "
+                          f"{sys.get_int_max_str_digits()} digits", line=line) from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: invalid JSON: nested too deeply", line=line) from exc
 
@@ -393,9 +395,10 @@ def _json_object(where: str | Path, value, line: int | None = None,
     return value
 
 
-def load_json(path: str | Path) -> dict:
-    """A JSON file's top-level object."""
-    return _json_object(path, json_value(path, None, Path(path).read_bytes()))
+def load_json(path: str | Path, keys: Iterable[str] | None = None) -> dict:
+    """A JSON file's top-level object, with no key outside ``keys`` when they
+    are given."""
+    return _json_object(path, json_value(path, None, Path(path).read_bytes()), keys=keys)
 
 
 # JSONL lines are split on b"\n" only, so a U+2028 left unescaped by
@@ -454,7 +457,7 @@ def _catalog_records(path: str | Path, key: str,
                      keys: Iterable[str]) -> Iterator[tuple[str, dict]]:
     """Each object in the list under ``key``, the file's only key, with a
     ``where`` naming it (see _json_object)."""
-    document = _json_object(path, load_json(path), keys=(key,))
+    document = load_json(path, (key,))
     for index, record in enumerate(_require(document, key, list, str(path), default=[])):
         where = f"{path}: {key}[{index}]"
         yield where, _json_object(where, record, keys=keys)

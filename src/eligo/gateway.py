@@ -5,16 +5,17 @@ temperature 0.0 with 1,024 max tokens, and the mock answers by the tag.
 
 The gateway is the engine's only concurrency boundary.  :meth:`Gateway.call`
 takes a request and a completion callback, which it calls once with the
-reply or the error.  Up to ``max_inflight`` sender threads take requests off
-the queue and put them on the wire, so the number of senders is the
-in-flight bound; a transport that does not wait (the mock without latency)
-is sent to on the calling thread instead, so its callback has run when
-``call`` returns.  A transient failure parks its request on a retry-timer
-heap until the backoff (or the backend's capped Retry-After) has passed: no
-thread sleeps through a backoff, and the senders serve other requests
-meanwhile.  Senders start on demand and exit once the queue and the heap
-have stayed empty for ``SENDER_IDLE_S``, so a gateway that is never closed
-does not keep its threads.
+reply or the error.  Up to ``max_inflight`` sender threads put requests on
+the wire, so the number of senders is the in-flight bound; a transport that
+does not wait (the mock without latency) is sent to on the calling thread
+instead, so its callback has run when ``call`` returns.  A transient failure
+parks its request on a retry-timer heap until the backoff (or the backend's
+Retry-After) has passed: no thread sleeps through a backoff, and the senders
+serve other requests meanwhile.  An idle sender waits on a condition of the
+gateway's lock, which guards the queue and the heap, until a request is
+queued, the first parked one is due, or ``SENDER_IDLE_S`` has passed; one
+whose wait finds no work exits, so a gateway that is never closed does not
+keep its threads.
 
 Units of work (a role's answer, a debate, a screened pair, a converted
 criterion) are generators of request batches, and :func:`run_units` is
@@ -32,10 +33,11 @@ import select
 import threading
 import time
 import urllib.parse
-from queue import Empty, SimpleQueue
+from collections import deque
 from datetime import timezone
 from functools import partial
 from pathlib import Path
+from queue import SimpleQueue
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, NamedTuple, TypeVar
 
 from . import errors
@@ -68,8 +70,9 @@ END EVIDENCE
 # Byte-identical on every miss so mock runs are reproducible.
 MOCK_FALLBACK = '"Unable to determine". No fixture.'
 
-# Longest wait a backend's Retry-After header can impose on one retry.
-RETRY_AFTER_CAP_S = 60.0
+# Longest wait before any one retry, whether set by the backoff or by a
+# backend's Retry-After header.
+RETRY_DELAY_CAP_S = 60.0
 
 # How long a sender with nothing to send or retry waits for work before it exits.
 SENDER_IDLE_S = 0.1
@@ -228,7 +231,7 @@ def parse_answer(text: str, provenance: str = "") -> ParsedAnswer:
 
 def load_fixtures(path: str | Path) -> dict[str, str]:
     """Load a fixtures file: {"fixtures": {"<tag>": "<response text>"}}."""
-    fixtures = load_json(path).get("fixtures")
+    fixtures = load_json(path, ("fixtures",)).get("fixtures")
     if not isinstance(fixtures, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in fixtures.items()
     ):
@@ -399,12 +402,14 @@ def _is_transient(error: Exception) -> bool:
 
 
 def _retry_delay(error: Exception, backoff_s: float, attempt: int) -> float:
-    """Exponential backoff, stretched to a capped Retry-After when one was sent."""
-    delay = backoff_s * (2 ** attempt)
+    """Exponential backoff, stretched to the Retry-After when one was sent,
+    and capped at ``RETRY_DELAY_CAP_S``."""
+    # 64 doublings put any backoff over 4e-18 s past the cap; 2.0 ** 1024 overflows.
+    delay = backoff_s * 2.0 ** min(attempt, 64)
     retry_after = getattr(error, "retry_after", None)
     if retry_after is not None:
-        delay = max(delay, min(retry_after, RETRY_AFTER_CAP_S))
-    return delay
+        delay = max(delay, retry_after)
+    return min(delay, RETRY_DELAY_CAP_S)
 
 
 # A completion callback: called once with (reply, None) or (None, error).
@@ -440,9 +445,11 @@ class Gateway:
                 transport = HttpTransport(cfg)
         self.transport = transport  # what sends the requests
         self._waits = getattr(transport, "waits", True)
-        # Calls to send; None tells the sender that takes it to exit.
-        self._ready: SimpleQueue[_Call | None] = SimpleQueue()
         self._lock = threading.Lock()  # guards the fields below
+        # An idle sender waits on this for a queued call, a due one or close().
+        self._wake = threading.Condition(self._lock)
+        self._ready: deque[_Call] = deque()  # calls to send, in order
+        self._closing = False  # set while close() stops the senders
         self._parked: list[tuple[float, int, _Call]] = []  # heap by retry time
         self._order = itertools.count()  # heap tie-break: parking order
         self._senders: list[threading.Thread] = []
@@ -456,8 +463,9 @@ class Gateway:
         ``done(reply, None)`` gets the reply text and ``done(None, error)``
         the failure.  Transient failures (429, 5xx, transport errors) are
         retried up to ``retry_limit`` times with exponential backoff,
-        stretched to a capped Retry-After; the error is then an
-        ExhaustedRetriesError.  Any other failure is passed on at once.
+        stretched to the Retry-After and capped at ``RETRY_DELAY_CAP_S``;
+        the error is then an ExhaustedRetriesError.  Any other failure is
+        passed on at once.
         ``on_park(True)`` is called when the request starts waiting out a
         backoff and ``on_park(False)`` when it is queued again.  It runs with
         the gateway's lock held, so it must be quick and must not call the
@@ -479,7 +487,8 @@ class Gateway:
         with self._lock:
             if self._waits or len(self._senders) + self._inline >= self.cfg.max_inflight:
                 self._outstanding += 1
-                self._ready.put(_Call(req, done, on_park))
+                self._ready.append(_Call(req, done, on_park))
+                self._wake.notify()
                 self._add_sender()
                 return
             self._inline += 1
@@ -510,24 +519,20 @@ class Gateway:
         queued or parked gets a TransportError, on the closing thread.
         """
         with self._lock:
-            abandoned = [call for call in _drain(self._ready) if call is not None]
-            self._outstanding -= len(abandoned)
-            abandoned += [call for _, _, call in self._parked]
+            abandoned = [*self._ready, *(call for _, _, call in self._parked)]
+            self._outstanding -= len(self._ready)
+            self._ready.clear()
             self._parked.clear()
+            self._closing = True
+            self._wake.notify_all()
             senders = list(self._senders)
-            for _ in senders:
-                self._ready.put(None)
         for call in abandoned:
             call.done(None, errors.TransportError("gateway closed"))
         for sender in senders:
             sender.join()
         with self._lock:
-            # Senders that exited idle left their None behind; a call
-            # submitted meanwhile stays queued for a new sender.
-            for call in _drain(self._ready):
-                if call is not None:
-                    self._ready.put(call)
-            self._add_sender()
+            self._closing = False
+            self._add_sender()  # for calls submitted meanwhile
         close = getattr(self.transport, "close", None)
         if close is not None:
             close()
@@ -560,30 +565,22 @@ class Gateway:
     def _next_call(self) -> _Call | None:
         """Wait for the next call to send; None when this sender should exit.
 
-        A sender exits once it finds nothing to send and nothing parked for
-        ``SENDER_IDLE_S``, or when close() asks it to.
+        A sender exits once a wait of ``SENDER_IDLE_S`` finds nothing to send
+        and nothing parked, or when close() asks it to.
         """
-        while True:
-            timeout = SENDER_IDLE_S
-            if self._parked:
-                with self._lock:
-                    timeout = self._requeue_due(timeout)
-            try:
-                call = self._ready.get(timeout=timeout)
-            except Empty:
-                with self._lock:
-                    if self._ready.empty() and not self._parked:
-                        self._senders.remove(threading.current_thread())
-                        return None
-                continue
-            if call is None:
-                with self._lock:
-                    self._senders.remove(threading.current_thread())
-            return call
+        with self._lock:
+            while not self._closing:
+                timeout = self._requeue_due()
+                if self._ready:
+                    return self._ready.popleft()
+                if not self._wake.wait(timeout) and not (self._ready or self._parked):
+                    break
+            self._senders.remove(threading.current_thread())
+            return None
 
-    def _requeue_due(self, timeout: float) -> float:
+    def _requeue_due(self) -> float:
         """Queue the parked calls whose time has come; return how long to wait
-        for the next one, at most ``timeout`` (lock held).
+        for the next one, at most ``SENDER_IDLE_S`` (lock held).
 
         Each call's ``on_park(False)`` runs before it is queued, so it comes
         before the call's answer; the call is queued even if it raises.
@@ -596,11 +593,12 @@ class Gateway:
                     call.on_park(False)
             finally:
                 self._outstanding += 1
-                self._ready.put(call)
+                self._ready.append(call)
+                self._wake.notify()
         self._add_sender()
         if self._parked:
-            timeout = min(timeout, self._parked[0][0] - now)
-        return timeout
+            return min(SENDER_IDLE_S, self._parked[0][0] - now)
+        return SENDER_IDLE_S
 
     def _attempt(self, call: _Call) -> None:
         """Put one attempt on the wire; complete the call or park it for a retry."""
@@ -640,22 +638,15 @@ class Gateway:
         with self._lock:
             if delay <= 0:
                 self._outstanding += 1
-                self._ready.put(call)
+                self._ready.append(call)
             else:
                 heapq.heappush(self._parked,
                                (time.monotonic() + delay, next(self._order), call))
                 if call.on_park is not None:
                     call.on_park(True)
+            # Every waiting sender, as each may sleep past the new due time.
+            self._wake.notify_all()
             self._add_sender()
-
-
-def _drain(queue: SimpleQueue) -> list:
-    items = []
-    while True:
-        try:
-            items.append(queue.get_nowait())
-        except Empty:
-            return items
 
 
 T = TypeVar("T")

@@ -24,7 +24,7 @@ from eligo.gateway import (
     ChatRequest,
     Gateway,
     MOCK_FALLBACK,
-    RETRY_AFTER_CAP_S,
+    RETRY_DELAY_CAP_S,
     _retry_delay as retry_delay,
     backend_config_from_dict,
     mock_resolve,
@@ -557,7 +557,7 @@ class TestRetryAfter:
         handler.script = [(429, {"error": "slow down"}, {"Retry-After": "86400"}),
                           (200, _ok_payload("ok"))]
         self._gateway(base_url).complete(user_request("hi"))
-        assert recorded_sleeps == [RETRY_AFTER_CAP_S]
+        assert recorded_sleeps == [RETRY_DELAY_CAP_S]
 
     def test_honoured_without_backoff(self, http_backend, recorded_sleeps):
         base_url, handler = http_backend
@@ -572,6 +572,20 @@ class TestRetryAfter:
                           (200, _ok_payload("ok"))]
         self._gateway(base_url).complete(user_request("hi"))
         assert recorded_sleeps == [0.25]
+
+    @pytest.mark.parametrize("backoff_s, attempt, retry_after, delay", [
+        (0.25, 0, None, 0.25),
+        (0.25, 7, None, 32.0),
+        (0.25, 9, None, RETRY_DELAY_CAP_S),  # 128 s uncapped
+        (0.25, 1024, None, RETRY_DELAY_CAP_S),  # 2.0 ** 1024 overflows a float
+        (0.0, 1024, None, 0.0),
+        (0.25, 0, 3.0, 3.0),
+        (0.25, 0, 86400.0, RETRY_DELAY_CAP_S),
+        (0.25, 1024, 3.0, RETRY_DELAY_CAP_S),
+    ])
+    def test_every_delay_is_capped(self, backoff_s, attempt, retry_after, delay):
+        error = errors.BackendError("slow down", status=429, retry_after=retry_after)
+        assert retry_delay(error, backoff_s, attempt) == delay
 
     def test_carried_on_backend_error(self, http_backend, recorded_sleeps):
         base_url, handler = http_backend
@@ -611,7 +625,50 @@ class _RefuseFirstAttempt:
                 self._inflight -= 1
 
 
+class _StaggeredRefusals:
+    """Transport that answers the first attempt of each tag with a 429 after
+    ``latency_s``, 2 ms later for a tag ending in "b", and every later attempt
+    with a reply after ``latency_s``.  It notes when each attempt started."""
+
+    def __init__(self, latency_s):
+        self.latency_s = latency_s
+        self.starts = {}  # tag -> when each of its attempts went on the wire
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            starts = self.starts.setdefault(req.tag, [])
+            starts.append(time.monotonic())
+            refuse = len(starts) == 1
+        if refuse:
+            time.sleep(self.latency_s + (0.002 if req.tag.endswith("b") else 0.0))
+            raise errors.BackendError("rate limited", status=429)
+        time.sleep(self.latency_s)
+        return f"reply to {req.tag}"
+
+
 class TestSlotsDuringBackoff:
+    def test_retries_due_a_moment_apart_are_on_the_wire_together(self):
+        # Both requests of each batch are refused, b's 2 ms after a's, so
+        # their retries come due 2 ms apart, each on its own idle sender.  A
+        # sender that sleeps past b's due time leaves b to the sender that
+        # retries a, one latency later.
+        transport = _StaggeredRefusals(latency_s=0.05)
+        cfg = BackendConfig(kind="mock", max_inflight=2, backoff_s=0.02)
+        gateway = Gateway(cfg, transport=transport)
+
+        def pair(tags):
+            return (yield _batch(*tags))
+
+        gaps = []
+        for index in range(6):
+            tags = (f"{index}a", f"{index}b")
+            assert run_unit(pair(tags), gateway) == [f"reply to {tag}" for tag in tags]
+            retried_a, retried_b = (transport.starts[tag][1] for tag in tags)
+            gaps.append(retried_b - retried_a)
+        gateway.close()
+        assert max(gaps) < 0.025, gaps
+
     def test_backoff_frees_the_slot(self, monkeypatch):
         transport = _RefuseFirstAttempt({"a"})
         cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=0.5)

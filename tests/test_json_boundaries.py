@@ -21,6 +21,8 @@ from test_gateway import _http_server, _ok_payload, http_backend  # noqa: F401 (
 from test_runner import read_jsonl, replace_line, run_config
 
 BAD_VALUES = {"nested": b"[" * 100_000 + b"]" * 100_000, "long-integer": b"1" * 5_000}
+# What the error says of each, after "invalid JSON: ".
+REASONS = {"nested": "nested too deeply", "long-integer": "integer longer than 4300 digits"}
 
 
 def into_document(bad):
@@ -80,8 +82,11 @@ def test_bad_json_is_bad_input(mini_workspace, caplog, case, bad_name):
     (into_document(bad) if line is None else replace_line(line, bad))(path)
     caplog.clear()
     assert cli_main(argv(command, mini_workspace)) == status
-    where = f"{path}: invalid JSON" if line is None else f"line {line}: {path}: invalid JSON"
+    where = f"{path}: invalid JSON: {REASONS[bad_name]}"
+    if line is not None:
+        where = f"line {line}: {where}"
     assert where in caplog.text
+    assert "set_int_max_str_digits" not in caplog.text
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_VALUES))
@@ -104,7 +109,7 @@ def test_middle_results_line_exits_3_on_resume(mini_workspace, caplog, bad_name)
     results_path = mini_workspace["out"] / "results.jsonl"
     replace_line(5, BAD_VALUES[bad_name])(results_path)
     assert cmd_screen(config) == EXIT_INPUT
-    assert f"line 5: {results_path}: invalid JSON" in caplog.text
+    assert f"line 5: {results_path}: invalid JSON: {REASONS[bad_name]}" in caplog.text
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_VALUES))

@@ -9,6 +9,7 @@ line numbers, or raise the same error, and leave the same bytes on disk.
 
 import json
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,8 @@ def per_line_value(path, line_no, line):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
     except ValueError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}", line=line_no) from exc
+        raise SchemaError(f"{path}: invalid JSON: integer longer than "
+                          f"{sys.get_int_max_str_digits()} digits", line=line_no) from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: invalid JSON: nested too deeply", line=line_no) from exc
 

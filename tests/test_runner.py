@@ -1828,6 +1828,10 @@ BAD_INPUTS = {
         replace_line(2, b'{"note_id": "n1", "question_id": "m1", "label": "YES", '
                         b'"criterion": "mc1"}'),
         "line 2: {path}: unexpected keys ['criterion']"),
+    "screen-fixtures-file-unknown-keys": (
+        "screen", "fixtures.json",
+        edit_json(lambda doc: doc.update(fixture={}, bad=1)),
+        "{path}: unexpected keys ['bad', 'fixture']"),
     "evaluate-criterion-rule-nested-too-deeply": (
         "evaluate", "catalog/criteria.json",
         edit_json(lambda doc: doc["criteria"][1].update(
