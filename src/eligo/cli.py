@@ -7,7 +7,6 @@ import gc
 import logging
 import sys
 from functools import cache
-from pathlib import Path
 
 from .corpus import load_json
 from .errors import EligoError
@@ -20,6 +19,7 @@ from .runner import (
     cmd_evaluate,
     cmd_report,
     cmd_screen,
+    write_output,
 )
 
 
@@ -81,14 +81,8 @@ def _canonicalize(args: argparse.Namespace) -> int:
         logging.getLogger("eligo").error("cannot canonicalize: %s", exc)
         return EXIT_INPUT
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            logging.getLogger("eligo").error("cannot write %s: %s", args.out,
-                                             exc.strerror or exc)
-            return EXIT_INPUT
-    else:
-        print(text, end="")
+        return write_output(args.out, text)
+    print(text, end="")
     return 0
 
 

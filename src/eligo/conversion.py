@@ -28,7 +28,7 @@ from .corpus import (
 )
 from .errors import (CatalogError, ConversionError, EligoError, GatewayError,
                      RefinementParseError, RuleParseError)
-from .gateway import ChatRequest, Done, Gateway, Unit, user_request
+from .gateway import ChatRequest, Done, Gateway, Unit
 from .prompting import render
 from .rules import parse_rule, print_rule, referenced_ids, rename_questions
 
@@ -82,7 +82,7 @@ def build_conversion_prompt(criterion: CriterionSpec, template: str,
     if not criterion.text.strip():
         raise CatalogError(f"criterion {criterion.criterion_id!r} has empty text")
     prompt = render(template, criterion=criterion.text)
-    return user_request(prompt, tag=f"convert|{criterion.criterion_id}|{drafter}")
+    return ChatRequest(prompt, f"convert|{criterion.criterion_id}|{drafter}")
 
 
 def _parse_draft_lines(text: str, source: str) -> tuple[list[QuestionDraft], str, list[str]]:
@@ -202,7 +202,7 @@ def merge_question_sets(
     ) or "(none)"
     prompt = render(template, criterion=criterion.text, drafts=drafts_block,
                     draft_rules=rules_block)
-    (reply,) = yield [user_request(prompt, tag=f"refine|{criterion.criterion_id}")]
+    (reply,) = yield [ChatRequest(prompt, f"refine|{criterion.criterion_id}")]
 
     refined, proposed, warnings = _parse_draft_lines(reply, "refiner")
     final_drafts = _dedup(refined)

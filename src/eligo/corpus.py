@@ -606,8 +606,6 @@ def validate_catalog(catalog: Catalog) -> None:
         for question_id in rule.question_ids:
             if question_id not in criterion.question_ids:
                 raise DanglingReferenceError(question_id, f"{where} rule")
-            if question_id not in catalog.questions:
-                raise DanglingReferenceError(question_id, f"{where} rule")
     for trial in catalog.trials.values():
         for criterion_id in trial.criterion_ids:
             if criterion_id not in catalog.criteria:
@@ -641,16 +639,6 @@ def load_catalog_dir(directory: str | Path) -> Catalog:
         directory / "criteria.json",
         directory / "trials.json",
     )
-
-
-def write_questions(path: str | Path, questions: Iterable[QuestionSpec]) -> None:
-    document = {"questions": [question.to_dict() for question in questions]}
-    Path(path).write_text(json.dumps(document, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def write_criteria(path: str | Path, criteria: Iterable[CriterionSpec]) -> None:
-    document = {"criteria": [criterion.to_dict() for criterion in criteria]}
-    Path(path).write_text(json.dumps(document, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 # -- gold labels --------------------------------------------------------------

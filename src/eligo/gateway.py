@@ -85,11 +85,6 @@ class ChatRequest(NamedTuple):
     tag: str = ""  # provenance label (role/agent/round), also the fixture key
 
 
-def user_request(content: str, *, tag: str = "") -> ChatRequest:
-    """Build the request that asks ``content`` under ``tag``."""
-    return ChatRequest(content, tag)
-
-
 class BackendConfig(NamedTuple):
     """How to reach one backend, and how hard to push and retry it."""
 
@@ -107,6 +102,10 @@ class BackendConfig(NamedTuple):
     def validate(self) -> None:
         if self.kind not in ("http", "mock"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        for name in (("fixtures_path", "mock_latency_s") if self.kind == "http"
+                     else ("base_url", "api_key")):
+            if getattr(self, name) != self._field_defaults[name]:
+                raise ValueError(f"{name!r} is not read by {self.kind} backends")
         if self.kind == "http":
             if not self.base_url or not isinstance(self.base_url, str):
                 raise ValueError("http backend requires a base_url string")

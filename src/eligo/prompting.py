@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .corpus import AdmissionNote, QuestionSpec, canonical_text
 from .errors import PromptError
-from .gateway import FORMAT_CONTRACT, ChatRequest, user_request
+from .gateway import FORMAT_CONTRACT, ChatRequest
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 
@@ -108,4 +108,4 @@ def question_request(template: str, question: QuestionSpec, note: AdmissionNote,
     ``values``, then the answer-format contract that parse_answer reads.
     Every role and debate prompt is built here."""
     prompt = render(template, question=question.text, note=canonical_text(note), **values)
-    return user_request(f"{prompt}\n{FORMAT_CONTRACT}", tag=tag)
+    return ChatRequest(f"{prompt}\n{FORMAT_CONTRACT}", tag)

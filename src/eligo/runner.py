@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import time
+from contextlib import closing, suppress
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -285,8 +286,8 @@ class _JsonlWriter:
     The file is opened on the first append and kept open until close(), so
     a run that appends nothing creates no file.  Each line is flushed to the
     OS before append returns, so a process that dies loses at most the
-    record it was writing.  Not thread-safe: the engine thread is the only
-    writer.
+    record it was writing.  An OSError from append or close names the file.
+    Not thread-safe: the engine thread is the only writer.
     """
 
     def __init__(self, path: Path):
@@ -294,15 +295,43 @@ class _JsonlWriter:
         self._handle = None
 
     def append(self, line: str) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(line + "\n")
-        self._handle.flush()
+        try:
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(line + "\n")
+            self._handle.flush()
+        except OSError as exc:
+            exc.filename = str(self.path)
+            raise
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()  # flushes again what a failed append left
+            except OSError as exc:
+                exc.filename = str(self.path)
+                raise
+
+
+def write_output(path: str | Path, data: str | bytes) -> int:
+    """Replace ``path`` with ``data`` (UTF-8 if text) through ``<name>.tmp``;
+    EXIT_OK, or EXIT_INPUT after one error naming ``path``, not the scratch
+    file that an OSError names, and with the scratch file removed."""
+    scratch = Path(f"{path}.tmp")
+    try:
+        scratch.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        os.replace(scratch, path)
+    except OSError as exc:
+        with suppress(OSError):
+            scratch.unlink()
+        return _cannot_write(path, exc)
+    return EXIT_OK
+
+
+def _cannot_write(path: str | Path, exc: OSError) -> int:
+    log.error("cannot write %s: %s", path, exc.strerror or exc)
+    return EXIT_INPUT
 
 
 _UNREADABLE = (ValueError, KeyError, TypeError, OverflowError)
@@ -346,7 +375,7 @@ def _read_resume_state(path: Path) -> list[ResultRecord]:
         if exc.line != raw.count(b"\n", 0, last_start) + 1:
             raise
         log.warning("truncating torn final line of %s", path)
-        path.write_bytes(raw[:last_start])
+        os.truncate(path, last_start)
         return records
     if raw and not raw.endswith(b"\n"):
         # The crash fell between a record and its newline: end the line.
@@ -355,7 +384,7 @@ def _read_resume_state(path: Path) -> list[ResultRecord]:
     return records
 
 
-def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None:
+def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> int:
     """Keep one transcript per debate whose B result is on disk.
 
     A crash between the transcript append and the result append leaves a
@@ -363,8 +392,8 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
     one.  A later duplicate replaces an earlier one.  Unreadable lines, a
     torn final one included, are dropped: an older release appended the
     next record onto a torn line, and so are lines whose ids are not
-    strings.  The file is replaced atomically, and only when it changes or
-    its last line lacks the newline that the next append needs.
+    strings.  The file is replaced by write_output, whose status this returns,
+    only when it changes or its last line lacks the newline appends need.
     """
     def decode(line_no: int, line: bytes):
         try:
@@ -383,17 +412,15 @@ def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> None
         return key
 
     if not path.exists():
-        return
+        return EXIT_OK
     raw = path.read_bytes()
     rows = [(line_no, transcript_key(line_no, value))
             for line_no, value in jsonl_values(raw, decode)]
     kept = {key: line_no for line_no, key in rows if key in answered}
     if len(kept) == len(rows) and (not raw or raw.endswith(b"\n")):
-        return
+        return EXIT_OK
     lines = raw.split(b"\n")
-    scratch = path.with_name(path.name + ".tmp")
-    scratch.write_bytes(b"".join(lines[line_no - 1] + b"\n" for line_no in kept.values()))
-    os.replace(scratch, path)
+    return write_output(path, b"".join(lines[line_no - 1] + b"\n" for line_no in kept.values()))
 
 
 def canonicalize_records(records: Iterable[Mapping]) -> str:
@@ -425,8 +452,8 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     A pre-built gateway may be injected (tests use this to script failures);
     by default one is constructed from the configured backend.  A unit whose
     call fails with a GatewayError is counted as failed.  Any other error
-    ends its pair; it is raised once the other pairs are done, with the
-    output files and the gateway closed.
+    ends its pair and is raised once the other pairs are done, with the
+    output files and the gateway closed; a failed append exits EXIT_INPUT.
     """
     from .gateway import Gateway, run_units
     from .pathway_a import RoleAnswer, load_roles, majority_vote, role_unit
@@ -452,11 +479,10 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             roles = load_roles(config.prompts)
             debate_templates = load_prompts(DEBATE_TEMPLATES, config.prompts)
             existing = {record.key: record for record in _read_resume_state(results_path)}
-            if DEBATE_LABEL in labels:
-                _drop_orphan_transcripts(debates_path, {
+            if DEBATE_LABEL in labels and _drop_orphan_transcripts(debates_path, {
                     (note_id, question_id)
-                    for note_id, question_id, label in existing if label == DEBATE_LABEL
-                })
+                    for note_id, question_id, label in existing if label == DEBATE_LABEL}):
+                return EXIT_INPUT
             out_dir.mkdir(parents=True, exist_ok=True)
             if owns_gateway:  # loads the mock fixtures; opens nothing yet
                 gateway = Gateway(config.backend)
@@ -534,16 +560,18 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
                                   f"debates.jsonl:{note_id}|{question_id}"))
 
     try:
-        run_units((screen_pair(note, question) for note in notes for question in questions),
-                  gateway, config.workers)
+        with closing(writer), closing(debate_writer):
+            run_units((screen_pair(note, question)
+                       for note in notes for question in questions), gateway, config.workers)
+    except OSError as exc:  # only the writers raise one, and it names their file
+        return _cannot_write(exc.filename, exc)
     finally:
-        writer.close()
-        debate_writer.close()
         if owns_gateway:
             gateway.close()
 
-    _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog,
-                    list(existing.values()) + new_records)
+    if status := _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog,
+                                 list(existing.values()) + new_records):
+        return status
 
     manifest = {
         "schema": "eligo-manifest-v1",
@@ -562,10 +590,9 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             "skipped": skipped,
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return (write_output(out_dir / "manifest.json",
+                         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            or (EXIT_PARTIAL if failed else EXIT_OK))
 
 
 AnswersByNote = dict[str, dict[str, ParsedAnswer]]  # note id -> question id -> answer
@@ -588,8 +615,8 @@ def _values(answers: Mapping[str, ParsedAnswer]) -> Mapping[str, Verdict]:
 
 
 def _write_verdicts(path: Path, notes, catalog: Catalog,
-                    records: list[ResultRecord]) -> None:
-    """Derive criterion and trial verdicts per answer stream; rewrite wholesale."""
+                    records: list[ResultRecord]) -> int:
+    """Derive criterion and trial verdicts per answer stream; write_output them."""
     by_label = _answers_by_label(records)
 
     scorable = [criterion for criterion in catalog.criteria.values()
@@ -640,9 +667,7 @@ def _write_verdicts(path: Path, notes, catalog: Catalog,
                                      for criterion_id in rollup.failing])
                 lines.append('{"failing": [' + failing + "]" + trial_middle
                              + statuses[rollup.status] + trial_tails[trial.trial_id])
-    temp = path.with_suffix(".tmp")
-    temp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    temp.replace(path)
+    return write_output(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -659,6 +684,7 @@ def cmd_evaluate(
 ) -> int:
     """Score a results file against gold; write metrics.json, report.md, CSV."""
     import csv
+    import io
 
     from .evaluation import (
         LABEL_OF,
@@ -745,22 +771,19 @@ def cmd_evaluate(
             (record.pathway, record.elapsed_s) for record in records).items()},
     }
 
+    table = io.StringIO()
+    csv.writer(table).writerows([("note_id", "question_id", "gold", "predicted",
+                                  "grounding", "elapsed_s", "pathway"), *rows])
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.json").write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out_dir / "report.md").write_text(render_report(metrics), encoding="utf-8")
-        with open(out_dir / "per_question.csv", "w", encoding="utf-8",
-                  newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("note_id", "question_id", "gold", "predicted", "grounding",
-                             "elapsed_s", "pathway"))
-            writer.writerows(rows)
     except OSError as exc:
-        log.error("cannot write %s: %s", exc.filename or out_dir, exc.strerror or exc)
-        return EXIT_INPUT
+        return _cannot_write(out_dir, exc)
+    for name, text in (("metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n"),
+                       ("report.md", render_report(metrics)),
+                       ("per_question.csv", table.getvalue())):
+        if status := write_output(out_dir / name, text):
+            return status
     return EXIT_OK
 
 
@@ -780,7 +803,7 @@ def cmd_convert(
     The templates are read once, before the first backend call.
     """
     from .conversion import CONVERSION_TEMPLATES, Router, convert_criterion
-    from .corpus import load_criteria, write_criteria, write_questions
+    from .corpus import load_criteria
     from .gateway import Gateway, run_units
     from .prompting import load_prompts
 
@@ -826,15 +849,14 @@ def cmd_convert(
                          f"- rule: {outcome.criterion.rule_text or '(needs human authoring)'}",
                          *(f"- warning: {warning}" for warning in outcome.warnings), ""]
 
-    try:
-        write_questions(out_dir / "questions.json", all_questions)
-        write_criteria(out_dir / "criteria.json", updated_criteria)
-        (out_dir / "conversion_report.md").write_text(
-            "\n".join(report_lines).rstrip() + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        log.error("cannot write %s: %s", exc.filename or out_dir, exc.strerror or exc)
-        return EXIT_INPUT
+    documents = {"questions": [question.to_dict() for question in all_questions],
+                 "criteria": [criterion.to_dict() for criterion in updated_criteria]}
+    outputs = [(f"{key}.json", json.dumps({key: items}, indent=2, ensure_ascii=False) + "\n")
+               for key, items in documents.items()]
+    outputs.append(("conversion_report.md", "\n".join(report_lines).rstrip() + "\n"))
+    for name, text in outputs:
+        if status := write_output(out_dir / name, text):
+            return status
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -876,11 +898,7 @@ def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> 
         log.error("cannot read metrics: %s", exc)
         return EXIT_INPUT
     rendered = render_report(metrics)
-    if out_path is not None:
-        try:
-            Path(out_path).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            log.error("cannot write %s: %s", out_path, exc.strerror or exc)
-            return EXIT_INPUT
+    if out_path is not None and (status := write_output(out_path, rendered)):
+        return status
     print(rendered, end="")
     return EXIT_OK

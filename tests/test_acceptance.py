@@ -27,7 +27,7 @@ from eligo.rules import (
     sensitivity,
 )
 from eligo.runner import EXIT_OK, canonicalize_results_file, cmd_report, cmd_screen
-from eligo.gateway import user_request
+from eligo.gateway import ChatRequest
 
 from conftest import make_mock_gateway, write_mini_workspace
 from test_evaluation import counterfactual_items, ten_item_inputs, twenty_item_inputs
@@ -182,7 +182,7 @@ def test_c06_concurrency_bound():
     gateway = make_mock_gateway({}, latency_s=0.002, max_inflight=3)
     with ThreadPoolExecutor(max_workers=200) as pool:
         list(pool.map(
-            lambda i: gateway.complete(user_request("x", tag=f"u{i}")), range(200)
+            lambda i: gateway.complete(ChatRequest("x", f"u{i}")), range(200)
         ))
     assert gateway.transport.calls == 200
     assert gateway.transport.peak_inflight <= 3
@@ -190,7 +190,7 @@ def test_c06_concurrency_bound():
     serialized = make_mock_gateway({}, latency_s=0.001, max_inflight=1)
     with ThreadPoolExecutor(max_workers=200) as pool:
         list(pool.map(
-            lambda i: serialized.complete(user_request("x", tag=f"u{i}")), range(200)
+            lambda i: serialized.complete(ChatRequest("x", f"u{i}")), range(200)
         ))
     assert serialized.transport.peak_inflight == 1
     assert time.monotonic() - started < 5.0

@@ -32,7 +32,6 @@ from eligo.gateway import (
     parse_retry_after,
     run_unit,
     run_units,
-    user_request,
 )
 
 from conftest import assert_read_only, make_mock_gateway
@@ -330,11 +329,11 @@ class TestBackendConfig:
 class TestMockBackend:
     def test_fixture_passthrough(self):
         fixtures = {"n1|Q1|roleCRC": "canned reply"}
-        req = user_request("prompt", tag="n1|Q1|roleCRC")
+        req = ChatRequest("prompt", "n1|Q1|roleCRC")
         assert mock_resolve(req, fixtures) == "canned reply"
 
     def test_miss_is_deterministic_fallback(self):
-        req = user_request("prompt", tag="absent")
+        req = ChatRequest("prompt", "absent")
         assert mock_resolve(req, {}) == MOCK_FALLBACK
         assert mock_resolve(req, {}) == MOCK_FALLBACK
 
@@ -343,14 +342,14 @@ class TestMockBackend:
         tags = ["a", "b", "missing", "a"]
         def run():
             gateway = make_mock_gateway(fixtures)
-            return [gateway.complete(user_request("x", tag=tag)) for tag in tags]
+            return [gateway.complete(ChatRequest("x", tag)) for tag in tags]
         assert run() == run()
 
     def test_peak_inflight_bounded(self):
         gateway = make_mock_gateway({}, latency_s=0.002, max_inflight=3)
         with ThreadPoolExecutor(max_workers=40) as pool:
             list(pool.map(
-                lambda i: gateway.complete(user_request("x", tag=str(i))), range(120)
+                lambda i: gateway.complete(ChatRequest("x", str(i))), range(120)
             ))
         assert gateway.transport.calls == 120
         assert 1 <= gateway.transport.peak_inflight <= 3
@@ -359,7 +358,7 @@ class TestMockBackend:
         gateway = make_mock_gateway({}, latency_s=0.001, max_inflight=1)
         with ThreadPoolExecutor(max_workers=16) as pool:
             list(pool.map(
-                lambda i: gateway.complete(user_request("x", tag=str(i))), range(40)
+                lambda i: gateway.complete(ChatRequest("x", str(i))), range(40)
             ))
         assert gateway.transport.peak_inflight == 1
 
@@ -430,7 +429,7 @@ class TestHttpBackend:
         base_url, handler = http_backend
         handler.script = [(200, _ok_payload("hello"))]
         gateway = _http_gateway(base_url)
-        assert gateway.complete(user_request("hi", tag="t")) == "hello"
+        assert gateway.complete(ChatRequest("hi", "t")) == "hello"
         sent = handler.calls[0]
         assert sent["path"] == "/v1/chat/completions"
         assert sent["raw"] == (b'{"model": "test-model", "messages": [{"role": "user", '
@@ -441,7 +440,7 @@ class TestHttpBackend:
         handler.script = [(200, _ok_payload())]
         cfg = BackendConfig(kind="http", base_url=base_url, model_name="m",
                             api_key="sekrit", backoff_s=0.0)
-        Gateway(cfg).complete(user_request("hi"))
+        Gateway(cfg).complete(ChatRequest("hi"))
         assert handler.calls[0]["auth"] == "Bearer sekrit"
 
     def test_retries_500_then_succeeds(self, http_backend):
@@ -449,7 +448,7 @@ class TestHttpBackend:
         handler.script = [(500, {"error": "boom"}), (500, {"error": "boom"}),
                           (200, _ok_payload("ok"))]
         gateway = _http_gateway(base_url, retry_limit=3)
-        assert gateway.complete(user_request("hi")) == "ok"
+        assert gateway.complete(ChatRequest("hi")) == "ok"
         assert len(handler.calls) == 3  # success after 2 retries
 
     def test_exhausted_retries(self, http_backend):
@@ -457,7 +456,7 @@ class TestHttpBackend:
         handler.script = [(503, {"error": "down"})]
         gateway = _http_gateway(base_url, retry_limit=2)
         with pytest.raises(errors.ExhaustedRetriesError) as excinfo:
-            gateway.complete(user_request("hi"))
+            gateway.complete(ChatRequest("hi"))
         assert len(handler.calls) == 3  # 1 attempt + 2 retries
         assert isinstance(excinfo.value.last_error, errors.BackendError)
 
@@ -466,16 +465,20 @@ class TestHttpBackend:
         handler.script = [(404, {"error": "nope"})]
         gateway = _http_gateway(base_url, retry_limit=3)
         with pytest.raises(errors.BackendError) as excinfo:
-            gateway.complete(user_request("hi"))
+            gateway.complete(ChatRequest("hi"))
         assert len(handler.calls) == 1
         assert excinfo.value.status == 404
         assert "nope" in str(excinfo.value)
 
-    def test_malformed_payload_is_backend_error(self, http_backend):
+    @pytest.mark.parametrize("payload, message", [
+        ({"unexpected": True}, "malformed completion payload"),
+        (_ok_payload(["fine"]), "completion content is not text"),
+    ], ids=["no-choices", "content-a-list"])
+    def test_malformed_payload_is_backend_error(self, http_backend, payload, message):
         base_url, handler = http_backend
-        handler.script = [(200, {"unexpected": True})]
-        with pytest.raises(errors.BackendError):
-            _http_gateway(base_url, retry_limit=0).complete(user_request("hi"))
+        handler.script = [(200, payload)]
+        with pytest.raises(errors.BackendError, match=message):
+            _http_gateway(base_url, retry_limit=0).complete(ChatRequest("hi"))
 
     def test_slow_backend_times_out(self, http_backend):
         base_url, handler = http_backend
@@ -484,7 +487,7 @@ class TestHttpBackend:
         cfg = BackendConfig(kind="http", base_url=base_url, model_name="m",
                             timeout_ms=100, retry_limit=0, backoff_s=0.0)
         with pytest.raises(errors.ExhaustedRetriesError) as excinfo:
-            Gateway(cfg).complete(user_request("hi"))
+            Gateway(cfg).complete(ChatRequest("hi"))
         assert isinstance(excinfo.value.last_error, errors.TimeoutError)
 
     def test_unreachable_host_raises_transport_error(self):
@@ -492,7 +495,7 @@ class TestHttpBackend:
                             model_name="m", retry_limit=0, backoff_s=0.0,
                             timeout_ms=500)
         with pytest.raises(errors.ExhaustedRetriesError) as excinfo:
-            Gateway(cfg).complete(user_request("hi"))
+            Gateway(cfg).complete(ChatRequest("hi"))
         assert isinstance(excinfo.value.last_error, errors.TransportError)
 
 
@@ -532,7 +535,7 @@ class TestRetryAfter:
         base_url, handler = http_backend
         handler.script = [(429, {"error": "slow down"}, {"Retry-After": "3"}),
                           (200, _ok_payload("ok"))]
-        assert self._gateway(base_url).complete(user_request("hi")) == "ok"
+        assert self._gateway(base_url).complete(ChatRequest("hi")) == "ok"
         assert recorded_sleeps == [3.0]
 
     def test_503_http_date(self, http_backend, recorded_sleeps):
@@ -541,7 +544,7 @@ class TestRetryAfter:
         handler.script = [(503, {"error": "down"},
                            {"Retry-After": format_datetime(later, usegmt=True)}),
                           (200, _ok_payload("ok"))]
-        assert self._gateway(base_url).complete(user_request("hi")) == "ok"
+        assert self._gateway(base_url).complete(ChatRequest("hi")) == "ok"
         assert len(recorded_sleeps) == 1
         assert 28.0 < recorded_sleeps[0] <= 30.0
 
@@ -549,28 +552,28 @@ class TestRetryAfter:
         base_url, handler = http_backend
         handler.script = [(429, {"error": "slow down"}, {"Retry-After": "1"}),
                           (200, _ok_payload("ok"))]
-        self._gateway(base_url, backoff_s=2.0).complete(user_request("hi"))
+        self._gateway(base_url, backoff_s=2.0).complete(ChatRequest("hi"))
         assert recorded_sleeps == [2.0]
 
     def test_capped(self, http_backend, recorded_sleeps):
         base_url, handler = http_backend
         handler.script = [(429, {"error": "slow down"}, {"Retry-After": "86400"}),
                           (200, _ok_payload("ok"))]
-        self._gateway(base_url).complete(user_request("hi"))
+        self._gateway(base_url).complete(ChatRequest("hi"))
         assert recorded_sleeps == [RETRY_DELAY_CAP_S]
 
     def test_honoured_without_backoff(self, http_backend, recorded_sleeps):
         base_url, handler = http_backend
         handler.script = [(429, {"error": "slow down"}, {"Retry-After": "2"}),
                           (200, _ok_payload("ok"))]
-        self._gateway(base_url, backoff_s=0.0).complete(user_request("hi"))
+        self._gateway(base_url, backoff_s=0.0).complete(ChatRequest("hi"))
         assert recorded_sleeps == [2.0]
 
     def test_ignored_on_other_statuses(self, http_backend, recorded_sleeps):
         base_url, handler = http_backend
         handler.script = [(500, {"error": "boom"}, {"Retry-After": "9"}),
                           (200, _ok_payload("ok"))]
-        self._gateway(base_url).complete(user_request("hi"))
+        self._gateway(base_url).complete(ChatRequest("hi"))
         assert recorded_sleeps == [0.25]
 
     @pytest.mark.parametrize("backoff_s, attempt, retry_after, delay", [
@@ -591,7 +594,7 @@ class TestRetryAfter:
         base_url, handler = http_backend
         handler.script = [(429, {"error": "slow down"}, {"Retry-After": "4"})]
         with pytest.raises(errors.ExhaustedRetriesError) as excinfo:
-            self._gateway(base_url).complete(user_request("hi"))
+            self._gateway(base_url).complete(ChatRequest("hi"))
         assert excinfo.value.last_error.retry_after == 4.0
         assert recorded_sleeps == [4.0]  # no wait after the last attempt
 
@@ -679,11 +682,11 @@ class TestSlotsDuringBackoff:
         def backoff(error, backoff_s, attempt):
             # Runs on the only sender after a's first failure: b is queued
             # only now, and a waits out its backoff on the heap meanwhile.
-            gateway.call(user_request("x", tag="b"), b_done)
+            gateway.call(ChatRequest("x", "b"), b_done)
             return retry_delay(error, backoff_s, attempt)
 
         monkeypatch.setattr("eligo.gateway._retry_delay", backoff)
-        gateway.call(user_request("x", tag="a"), a_done)
+        gateway.call(ChatRequest("x", "a"), a_done)
         assert a_answered.wait(timeout=5.0) and b_answered.wait(timeout=5.0)
         assert [(reply, error) for _, reply, error in a_outcomes] == [("reply to a", None)]
         assert [(reply, error) for _, reply, error in b_outcomes] == [("reply to b", None)]
@@ -705,7 +708,7 @@ class TestSlotsDuringBackoff:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=200) as pool:
-                futures = [pool.submit(gateway.complete, user_request("x", tag=f"u{i}"))
+                futures = [pool.submit(gateway.complete, ChatRequest("x", f"u{i}"))
                            for i in range(200)]
                 replies = [future.result(timeout=30.0) for future in futures]
         finally:
@@ -727,7 +730,7 @@ class TestSlotsDuringBackoff:
         try:
             with ThreadPoolExecutor(max_workers=30) as pool:
                 replies = list(pool.map(
-                    lambda tag: gateway.complete(user_request("x", tag=tag)), tags
+                    lambda tag: gateway.complete(ChatRequest("x", tag)), tags
                 ))
         finally:
             sys.setswitchinterval(interval)
@@ -753,7 +756,7 @@ class TestCallbacks:
     def test_mock_without_latency_answers_on_the_calling_thread(self):
         gateway = make_mock_gateway({"a": "canned"})
         outcomes, _, done = self.recorder()
-        gateway.call(user_request("x", tag="a"), done)
+        gateway.call(ChatRequest("x", "a"), done)
         assert outcomes == [(threading.current_thread().name, "canned", None)]
         assert gateway._senders == []
         gateway.close()
@@ -765,9 +768,9 @@ class TestCallbacks:
             raise RuntimeError("bug in a callback")
 
         with pytest.raises(RuntimeError, match="bug in a callback"):
-            gateway.call(user_request("x", tag="a"), faulty)
+            gateway.call(ChatRequest("x", "a"), faulty)
         outcomes, _, done = self.recorder()
-        gateway.call(user_request("x", tag="a"), done)
+        gateway.call(ChatRequest("x", "a"), done)
         assert outcomes == [(threading.current_thread().name, "canned", None)]
         assert (gateway._inline, gateway._outstanding, gateway._senders) == (0, 0, [])
         gateway.close()
@@ -781,7 +784,7 @@ class TestCallbacks:
 
         gateway = Gateway(BackendConfig(kind="mock"), transport=Transport())
         outcomes, _, done = self.recorder()
-        gateway.call(user_request("x", tag="a"), done)
+        gateway.call(ChatRequest("x", "a"), done)
         [(thread, reply, error)] = outcomes
         assert (thread, reply, error.status) == (threading.current_thread().name, None, 400)
         assert (gateway._inline, gateway._outstanding, gateway._senders) == (0, 0, [])
@@ -792,7 +795,7 @@ class TestCallbacks:
         gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.0), transport=transport)
         outcomes, answered, done = self.recorder()
         parks = []
-        gateway.call(user_request("x", tag="a"), done, on_park=parks.append)
+        gateway.call(ChatRequest("x", "a"), done, on_park=parks.append)
         assert answered.wait(timeout=5.0)
         gateway.close()
         assert outcomes == [("eligo-sender", "reply to a", None)]
@@ -805,7 +808,7 @@ class TestCallbacks:
         gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
         outcomes, answered, done = self.recorder()
         parks = []
-        gateway.call(user_request("x", tag="a"), done, on_park=parks.append)
+        gateway.call(ChatRequest("x", "a"), done, on_park=parks.append)
         assert outcomes == []  # refused on the calling thread, then parked
         assert answered.wait(timeout=5.0)
         gateway.close()
@@ -822,7 +825,7 @@ class TestCallbacks:
             if not is_parked:
                 raise RuntimeError("bug in on_park")
 
-        gateway.call(user_request("x", tag="a"), done, on_park=on_park)
+        gateway.call(ChatRequest("x", "a"), done, on_park=on_park)
         assert answered.wait(timeout=2.0)  # fails rather than hangs
         gateway.close()
         assert outcomes == [("eligo-sender", "reply to a", None)]
@@ -846,16 +849,16 @@ class TestCallbacks:
         cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=30.0)
         gateway = Gateway(cfg, transport=Transport())
         parked_outcomes, parked, on_parked = self.recorder()
-        gateway.call(user_request("x", tag="parked"), on_parked)
+        gateway.call(ChatRequest("x", "parked"), on_parked)
         deadline = time.monotonic() + 5.0
         while not gateway._parked and time.monotonic() < deadline:
             time.sleep(0.005)
         wire_outcomes, on_wire, on_wire_done = self.recorder()
-        gateway.call(user_request("x", tag="wire"), on_wire_done)
+        gateway.call(ChatRequest("x", "wire"), on_wire_done)
         while Transport.sent[-1:] != ["wire"] and time.monotonic() < deadline:
             time.sleep(0.005)
         queued_outcomes, queued, on_queued = self.recorder()
-        gateway.call(user_request("x", tag="queued"), on_queued)
+        gateway.call(ChatRequest("x", "queued"), on_queued)
         closer = threading.Thread(target=gateway.close, name="closer")
         closer.start()
         # The queued and parked calls fail before the call on the wire ends.
@@ -877,10 +880,10 @@ class TestCallbacks:
         def faulty(reply, error):
             raise RuntimeError("bug in a callback")
 
-        gateway.call(user_request("x", tag="a"), faulty)
+        gateway.call(ChatRequest("x", "a"), faulty)
         # Queued behind the faulty call, for the only slot.
         outcomes, answered, done = self.recorder()
-        gateway.call(user_request("x", tag="b"), done)
+        gateway.call(ChatRequest("x", "b"), done)
         assert answered.wait(timeout=1.0)
         assert outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
         gateway.close()
@@ -905,7 +908,7 @@ class _ScriptedReplies:
 
 
 def _batch(*tags):
-    return [user_request("x", tag=tag) for tag in tags]
+    return [ChatRequest("x", tag) for tag in tags]
 
 
 class TestRunUnits:
@@ -1017,7 +1020,7 @@ def test_http_connections_reused_up_to_max_inflight():
     gateway = Gateway(cfg)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(lambda i: gateway.complete(user_request("x", tag=str(i))),
+            list(pool.map(lambda i: gateway.complete(ChatRequest("x", str(i))),
                           range(20)))
     finally:
         gateway.close()
@@ -1042,5 +1045,5 @@ def test_cli_import_loads_no_http_modules():
 
 
 def test_requests_and_configs_are_read_only():
-    assert_read_only(user_request("prompt", tag="t"))
+    assert_read_only(ChatRequest("prompt", "t"))
     assert_read_only(BackendConfig(kind="mock"))

@@ -27,7 +27,7 @@ import eligo.runner
 from eligo import errors
 from eligo.cli import main as cli_main
 from eligo.corpus import collector_paused
-from eligo.gateway import BackendConfig, Gateway, run_units, user_request
+from eligo.gateway import BackendConfig, ChatRequest, Gateway, run_units
 from eligo.runner import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -109,11 +109,11 @@ class _Replies:
 
 
 def two_batch_unit(index, *, raises=False):
-    first = yield [user_request("x", tag=f"u{index}a"), user_request("x", tag=f"u{index}b")]
+    first = yield [ChatRequest("x", f"u{index}a"), ChatRequest("x", f"u{index}b")]
     if raises:
         raise RuntimeError("bug in a unit")
     try:
-        second = yield [user_request("x", tag=f"u{index}c")]
+        second = yield [ChatRequest("x", f"u{index}c")]
     except errors.GatewayError as error:
         second = [str(error)]
     return first + second

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import hashlib
 import json
 import logging
@@ -144,6 +145,7 @@ BAD_RESULT_LINES = [
     '{"note_id": "n1", "question_id": ["m1"], "pathway": "B", "value": "NO"}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "evidence": [1]}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": -1}',
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": "1"}',
     # One value per field that would not be written back as it was read.
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": NaN}',
     # Finite in seconds, but a vote's elapsed_ms would overflow to Infinity.
@@ -714,6 +716,62 @@ class TestCmdScreen:
         # failing pair (JD, IE, vote, debate) was lost.
         assert len(read_jsonl(out / "results.jsonl")) == 2 * 3 * 5 - 4
         assert len(read_jsonl(out / "debates.jsonl")) == 2 * 3 - 1
+
+    @pytest.mark.parametrize("name", ["results.jsonl", "debates.jsonl"])
+    def test_a_failed_append_exits_3_naming_the_file(self, mini_workspace, caplog,
+                                                     monkeypatch, name):
+        class FullDisk:
+            """A handle whose flush, and so its close, finds the disk full."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.write = handle.write
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.handle.close()
+                self.flush()
+
+        opened = []
+
+        def full_disk_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return FullDisk(handle) if Path(handle.name).name == name else handle
+
+        closed_gateways = []
+
+        class ClosingGateway(Gateway):
+            def close(self):
+                closed_gateways.append(self)
+                super().close()
+
+        monkeypatch.setattr(eligo.runner, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(eligo.gateway, "Gateway", ClosingGateway)
+        out = mini_workspace["out"]
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
+        assert_one_error_naming(caplog, out / name)
+        assert caplog.text.count("No space left on device") == 1
+        assert out / name in {Path(handle.name) for handle in opened}
+        assert all(handle.closed for handle in opened)
+        assert len(closed_gateways) == 1
+        assert not (out / "verdicts.jsonl").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["verdicts.jsonl", "manifest.json"])
+    def test_an_output_that_cannot_be_written_exits_3_naming_it(self, mini_workspace,
+                                                                caplog, name):
+        out = mini_workspace["out"]
+        (out / name).mkdir(parents=True)
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
+        assert_one_error_naming(caplog, out / name)
+        assert not list(out.glob("*.tmp"))
+        # The answers are on disk, so a rerun resumes every unit from them.
+        (out / name).rmdir()
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["counts"]["skipped"] == 30
 
     @pytest.mark.parametrize("workers", [4, 2])
     def test_unit_loops_keep_workers_calls_in_flight(self, mini_workspace, workers):
@@ -1841,6 +1899,43 @@ BAD_INPUTS = {
         "convert", "catalog/criteria.json",
         edit_json(lambda doc: doc["criteria"][0].update(rules="m2 IS YES", note="x")),
         "{path}: criteria[0]: unexpected keys ['note', 'rules']"),
+    "screen-duplicate-question-id": (
+        "screen", "catalog/questions.json",
+        edit_json(lambda doc: doc["questions"][2].update(question_id="m1")),
+        "duplicate question id 'm1'"),
+    "convert-duplicate-criterion-id": (
+        "convert", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][1].update(criterion_id="mc1")),
+        "duplicate criterion id 'mc1'"),
+    "screen-duplicate-trial-id": (
+        "screen", "catalog/trials.json",
+        edit_json(lambda doc: doc["trials"].append(doc["trials"][0])),
+        "duplicate trial id 'mt1'"),
+    "evaluate-duplicate-gold-question-label": (
+        "evaluate", "gold.jsonl",
+        replace_line(1, b'{"note_id": "n1", "question_id": "m2", "label": "NO"}'),
+        "duplicate gold question label id ('n1', 'm2')"),
+    "evaluate-duplicate-gold-criterion-label": (
+        "evaluate", "gold.jsonl",
+        replace_line(1, b'{"note_id": "n2", "criterion_id": "mc2", "label": "MET"}'),
+        "duplicate gold criterion label id ('n2', 'mc2')"),
+    "screen-blank-question-text": (
+        "screen", "catalog/questions.json",
+        edit_json(lambda doc: doc["questions"][1].update(text="")),
+        "{path}: questions[1]: text must be non-empty (field 'text')"),
+    "screen-section-text-a-number": (
+        "screen", "notes.jsonl",
+        replace_line(2, b'{"note_id": "n2", "sections": {"chief_complaint": 5}}'),
+        "line 2: {path}: section text must be a string (field 'chief_complaint')"),
+    "screen-rule-starts-with-a-keyword": (
+        "screen", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][0].update(rule="AND m1 IS YES")),
+        "criterion 'mc1', position 1: unexpected 'AND', "
+        "expected question id, '(', NOT, ANY or ALL"),
+    "evaluate-rule-names-an-unlisted-question": (
+        "evaluate", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][0].update(rule="m1 IS YES AND m2 IS YES")),
+        "unknown id 'm2' referenced by criterion 'mc1' rule"),
 }
 
 
@@ -1936,6 +2031,28 @@ BAD_CONFIGS = {
                       "unknown run config keys ['pathwya', 'worker']"),
     "gold-key": ("run.json", lambda doc: {**doc, "gold": "gold.jsonl"},
                  "unknown run config keys ['gold']"),
+    "backend-kind-unknown": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "kind": "grpc"}},
+        "invalid backend config: unknown backend kind 'grpc'"),
+    "backend-retry-limit-negative": (
+        "backends.json", lambda doc: {**doc, "refiner": {"kind": "mock", "retry_limit": -1}},
+        "invalid backend config: retry_limit must be >= 0"),
+    "mock-backend-base-url": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"],
+                                                   "base_url": "http://127.0.0.1:8080"}},
+        "invalid backend config: 'base_url' is not read by mock backends"),
+    "mock-backend-api-key": (
+        "backends.json", lambda doc: {**doc, "refiner": {"kind": "mock", "api_key": "k"}},
+        "invalid backend config: 'api_key' is not read by mock backends"),
+    "http-backend-fixtures-path": (
+        "run.json", lambda doc: {**doc, "backend": {"kind": "http",
+                                                   "base_url": "http://127.0.0.1:8080",
+                                                   "fixtures_path": "fixtures.json"}},
+        "invalid backend config: 'fixtures_path' is not read by http backends"),
+    "http-backend-mock-latency": (
+        "backends.json", lambda doc: {**doc, "backends": [
+            {"kind": "http", "base_url": "http://127.0.0.1:8080", "mock_latency_s": 0.5}]},
+        "invalid backend config: 'mock_latency_s' is not read by http backends"),
 }
 
 
