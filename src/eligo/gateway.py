@@ -8,14 +8,14 @@ takes a request and a completion callback, which it calls once with the
 reply or the error.  Up to ``max_inflight`` sender threads put requests on
 the wire, so the number of senders is the in-flight bound; a transport that
 does not wait (the mock without latency) is sent to on the calling thread
-instead, so its callback has run when ``call`` returns.  A transient failure
-parks its request on a retry-timer heap until the backoff (or the backend's
-Retry-After) has passed: no thread sleeps through a backoff, and the senders
-serve other requests meanwhile.  An idle sender waits on a condition of the
-gateway's lock, which guards the queue and the heap, until a request is
-queued, the first parked one is due, or ``SENDER_IDLE_S`` has passed; one
-whose wait finds no work exits, so a gateway that is never closed does not
-keep its threads.
+instead and holds no slot, so its callback has run when ``call`` returns.
+A transient failure parks its request on a retry-timer heap until the
+backoff (or the backend's Retry-After) has passed: no thread sleeps through
+a backoff, and the senders serve other requests meanwhile.  An idle sender
+waits on a condition of the gateway's lock, which guards the queue and the
+heap, until a request is queued, the first parked one is due, or
+``SENDER_IDLE_S`` has passed; one whose wait finds no work exits, so a
+gateway that is never closed does not keep its threads.
 
 Units of work (a role's answer, a debate, a screened pair, a converted
 criterion) are generators of request batches, and :func:`run_units` is
@@ -93,7 +93,7 @@ class BackendConfig(NamedTuple):
     base_url: str | None = None
     timeout_ms: int = 30_000
     retry_limit: int = 2
-    max_inflight: int = 3  # measured optimum; configurable
+    max_inflight: int = 3  # the most senders with a request on the wire
     api_key: str | None = None  # sent as a bearer token when set
     backoff_s: float = 0.25
     fixtures_path: str | None = None  # mock only
@@ -298,6 +298,16 @@ def parse_retry_after(value: str | None) -> float | None:
     return max(0.0, when.timestamp() - time.time())
 
 
+def _readable(sock) -> bool:
+    """Whether a socket has data or its end to read now, whatever its number:
+    select() takes only descriptors below 1024, poll() takes any."""
+    if not hasattr(select, "poll"):  # Windows, whose select() has no such limit
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class HttpTransport:
     """Chat-completions wire protocol over HTTP, on the standard library.
 
@@ -334,7 +344,7 @@ class HttpTransport:
             return self._connection_class(*self._address,
                                           timeout=self.cfg.timeout_ms / 1000.0)
         sock = connection.sock
-        if sock is not None and select.select([sock], [], [], 0)[0]:
+        if sock is not None and _readable(sock):
             # The server closed the idle connection; request() reopens it.
             connection.close()
         return connection
@@ -453,7 +463,6 @@ class Gateway:
         self._order = itertools.count()  # heap tie-break: parking order
         self._senders: list[threading.Thread] = []
         self._outstanding = 0  # calls queued, or on the wire on a sender
-        self._inline = 0  # calls on the wire on the thread that made them
 
     def call(self, req: ChatRequest, done: Done, *,
              on_park: Callable[[bool], None] | None = None) -> None:
@@ -473,39 +482,24 @@ class Gateway:
         one it raises on the calling thread propagates from ``call``.
 
         A transport whose ``waits`` is false (the mock without latency) is
-        sent to on the calling thread while fewer than ``max_inflight``
-        requests are on the wire: a hand-off to a sender would only add
-        overhead.  Such a call takes the gateway's lock once to claim the
-        slot and once to free it, and frees it before ``done`` runs, on the
-        calling thread, so ``done`` has run when ``call`` returns.  The
-        exception is a failed send that is retried: it is parked, or queued
-        at once without a backoff, and its retry and ``done`` run on a
-        sender thread.  Otherwise the request is queued, and ``done`` runs
-        on a sender thread.  ``waits`` is read when the gateway is built.
+        sent to on the calling thread, through the same attempt as a sender
+        makes: a hand-off would only add overhead.  Such a send has ended
+        when ``call`` returns, so it holds no slot and takes no lock unless
+        it fails; ``done`` has then run on the calling thread, unless a
+        transient failure is retried, in which case the retry and ``done``
+        run on a sender thread.  Every other request is queued, and ``done``
+        runs on a sender thread; ``max_inflight`` bounds the senders.
+        ``waits`` is read when the gateway is built.
         """
+        call = _Call(req, done, on_park)
+        if not self._waits:
+            self._attempt(call, queued=False)
+            return
         with self._lock:
-            if self._waits or len(self._senders) + self._inline >= self.cfg.max_inflight:
-                self._outstanding += 1
-                self._ready.append(_Call(req, done, on_park))
-                self._wake.notify()
-                self._add_sender()
-                return
-            self._inline += 1
-        try:
-            reply = self.transport.send(req)
-            error = None
-        except Exception as exc:
-            reply, error = None, exc
-        with self._lock:
-            self._inline -= 1
-            if self._outstanding or self._parked:
-                self._add_sender()  # for calls queued meanwhile
-        if error is not None:
-            error = self._failed(_Call(req, done, on_park), error)
-            if error is None:
-                return
-        done(reply, error)
-        error = None  # its traceback holds this frame
+            self._outstanding += 1
+            self._ready.append(call)
+            self._wake.notify()
+            self._add_sender()
 
     def complete(self, req: ChatRequest) -> str:
         """Send one request and wait for its reply; raise its error instead."""
@@ -542,7 +536,7 @@ class Gateway:
         """Start a sender while queued calls wait for a free slot, or when
         parked calls have no sender to requeue them (lock held)."""
         senders = len(self._senders)
-        wanted = min(self._outstanding, self.cfg.max_inflight - self._inline)
+        wanted = min(self._outstanding, self.cfg.max_inflight)
         if senders < wanted or (self._parked and not senders):
             sender = threading.Thread(target=self._send_loop, name="eligo-sender",
                                       daemon=True)
@@ -599,15 +593,17 @@ class Gateway:
             return min(SENDER_IDLE_S, self._parked[0][0] - now)
         return SENDER_IDLE_S
 
-    def _attempt(self, call: _Call) -> None:
-        """Put one attempt on the wire; complete the call or park it for a retry."""
+    def _attempt(self, call: _Call, queued: bool = True) -> None:
+        """Put one attempt on the wire, on a sender or (``queued`` false) on the
+        calling thread; complete the call or park it for a retry."""
         try:
             reply = self.transport.send(call.request)
             error = None
         except Exception as exc:  # a faulty transport fails its call, not the sender
             reply, error = None, exc
-        with self._lock:
-            self._outstanding -= 1
+        if queued:
+            with self._lock:
+                self._outstanding -= 1
         if error is not None:
             error = self._failed(call, error)
             if error is None:
@@ -620,7 +616,9 @@ class Gateway:
         when the call is retried.
 
         A transient error is retried while retries are left, and is then
-        wrapped in ExhaustedRetriesError; any other error is final.
+        wrapped in ExhaustedRetriesError; any other error is final.  A call
+        to retry waits on the heap until its backoff has passed, or is
+        queued at once when there is no backoff.
         """
         if not _is_transient(error):
             return error
@@ -628,12 +626,6 @@ class Gateway:
             return errors.ExhaustedRetriesError(call.attempt + 1, error)
         delay = _retry_delay(error, self.cfg.backoff_s, call.attempt)
         call.attempt += 1
-        self._park(call, delay)
-        return None
-
-    def _park(self, call: _Call, delay: float) -> None:
-        """Queue a call for a retry: on the heap until ``delay`` has passed,
-        or at once when there is no delay."""
         with self._lock:
             if delay <= 0:
                 self._outstanding += 1
@@ -646,6 +638,7 @@ class Gateway:
             # Every waiting sender, as each may sleep past the new due time.
             self._wake.notify_all()
             self._add_sender()
+        return None
 
 
 T = TypeVar("T")

@@ -286,12 +286,14 @@ class _JsonlWriter:
     The file is opened on the first append and kept open until close(), so
     a run that appends nothing creates no file.  Each line is flushed to the
     OS before append returns, so a process that dies loses at most the
-    record it was writing.  An OSError from append or close names the file.
-    Not thread-safe: the engine thread is the only writer.
+    record it was writing.  An OSError from append or close names the file,
+    and one from append sets ``failed``.  Not thread-safe: the engine thread
+    is the only writer.
     """
 
     def __init__(self, path: Path):
         self.path = path
+        self.failed = False
         self._handle = None
 
     def append(self, line: str) -> None:
@@ -301,6 +303,7 @@ class _JsonlWriter:
             self._handle.write(line + "\n")
             self._handle.flush()
         except OSError as exc:
+            self.failed = True
             exc.filename = str(self.path)
             raise
 
@@ -512,8 +515,11 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
 
         The vote is formed from the role answers of this run, and a role
         resumed from its record whose provenance names this pair, as votes need.
+        A pair started after an append has failed sends nothing.
         """
         nonlocal failed, skipped
+        if writer.failed or debate_writer.failed:
+            return
         note_id, question_id = note.note_id, question.question_id
         members: list[RoleAnswer] = []  # the vote's
         for label in labels:

@@ -247,6 +247,23 @@ class TestMerge:
         assert question.task_type is TaskType.CLASSIFICATION
         assert merged.warnings == ["refiner: unknown label '[Intervention/Shape]' ignored"]
 
+    @pytest.mark.parametrize("reply, rule_text, warnings", [
+        ("Q: Was a TIPS procedure performed?", "",
+         ["refiner proposed no rule; rule left empty for human authoring"]),
+        ("Q: Was a TIPS procedure performed?\nQ: [Intervention/DirectMatch]\n"
+         "RULE: Q1 IS YES", "C1.q1 IS YES", ["refiner: empty question line skipped"]),
+        ("Q: Was a TIPS procedure performed?\nRULE: NOT Q1 IS YES",
+         "NOT C1.q1 IS YES", []),
+    ], ids=["no-rule", "label-only-question", "negated-rule"])
+    def test_refiner_reply(self, reply, rule_text, warnings):
+        merged = merge([QuestionDraft("Was a TIPS procedure performed?")],
+                       refining_gateway(reply), liver_criterion())
+        assert [question.text for question in merged.questions] == [
+            "Was a TIPS procedure performed?"]
+        assert merged.criterion.rule_text == rule_text
+        assert merged.criterion.needs_human_rule is not rule_text
+        assert merged.warnings == warnings
+
     def test_default_labels_applied(self):
         merged = merge(
             generate(liver_criterion(),

@@ -460,6 +460,14 @@ class TestRenderReport:
         assert "SymptomAndEvent/Classification" in rendered
         assert "Processing time" in rendered
 
+    def test_a_category_one_label_lacks_gets_a_dash(self):
+        metrics = {"question_level": {
+            "A-CRC": {"breakdowns": {"Diagnosis/DirectMatch": {
+                "precision": 0.5, "answered_count": 4}}},
+            "B": {"breakdowns": {}},
+        }}
+        assert "| Diagnosis/DirectMatch | 4 | 0.500 | - |" in render_report(metrics)
+
     def test_fraction_invariants(self):
         predictions, gold, catalog = ten_item_inputs()
         report = score_questions(predictions, gold, catalog)

@@ -1,11 +1,14 @@
 import json
 import os
+import resource
+import socket
 import subprocess
 import sys
 import threading
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -521,6 +524,7 @@ class TestRetryAfter:
     @pytest.mark.parametrize("value, seconds", [
         ("7", 7.0), (" 0 ", 0.0),
         ("Sun, 06 Nov 1994 08:49:37 GMT", 0.0),  # a past date: retry now
+        ("Sun, 06 Nov 1994 08:49:37 -0000", 0.0),  # parsed without a zone: UTC
         (None, None), ("", None), ("-3", None), ("1.5", None), ("soon", None),
         ("²", None),
     ])
@@ -761,6 +765,35 @@ class TestCallbacks:
         assert gateway._senders == []
         gateway.close()
 
+    def test_a_send_that_does_not_wait_holds_no_slot(self):
+        # Eight sends on the wire at once at max_inflight 1: each on the
+        # thread that made it, with no sender started and no lock taken.
+        on_wire = threading.Barrier(8)
+
+        class Transport:
+            waits = False
+
+            def send(self, req):
+                on_wire.wait(timeout=5.0)
+                return f"reply to {req.tag}"
+
+        gateway = Gateway(BackendConfig(kind="mock", max_inflight=1), transport=Transport())
+        started = []
+
+        def ask(tag):
+            outcomes, _, done = self.recorder()
+            gateway.call(ChatRequest("x", tag), done)
+            return threading.current_thread().name, tag, outcomes
+
+        with mock.patch.object(gateway, "_lock", mock.MagicMock()) as lock, \
+                mock.patch.object(gateway, "_send_loop", lambda: started.append(1)):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answers = list(pool.map(ask, [f"u{i}" for i in range(8)]))
+        for thread, tag, outcomes in answers:
+            assert outcomes == [(thread, f"reply to {tag}", None)]
+        assert len({thread for thread, _, _ in answers}) == 8
+        assert (started, gateway._senders, lock.__enter__.call_count) == ([], [], 0)
+
     def test_a_callback_that_raises_inline_frees_the_slot(self):
         gateway = make_mock_gateway({"a": "canned"}, max_inflight=1)
 
@@ -772,7 +805,7 @@ class TestCallbacks:
         outcomes, _, done = self.recorder()
         gateway.call(ChatRequest("x", "a"), done)
         assert outcomes == [(threading.current_thread().name, "canned", None)]
-        assert (gateway._inline, gateway._outstanding, gateway._senders) == (0, 0, [])
+        assert (gateway._outstanding, gateway._senders) == (0, [])
         gateway.close()
 
     def test_inline_send_failing_for_good_is_answered_on_the_calling_thread(self):
@@ -787,7 +820,7 @@ class TestCallbacks:
         gateway.call(ChatRequest("x", "a"), done)
         [(thread, reply, error)] = outcomes
         assert (thread, reply, error.status) == (threading.current_thread().name, None, 400)
-        assert (gateway._inline, gateway._outstanding, gateway._senders) == (0, 0, [])
+        assert (gateway._outstanding, gateway._senders) == (0, [])
 
     def test_inline_send_retried_without_backoff_is_answered_by_a_sender(self):
         transport = _RefuseFirstAttempt({"a"})
@@ -1010,26 +1043,87 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_http_connections_reused_up_to_max_inflight():
+@contextmanager
+def _keep_alive_server(handler=_KeepAliveHandler, server_class=ThreadingHTTPServer):
+    """A keep-alive stub's base URL, served from a thread while in use."""
     _KeepAliveHandler.client_ports = []
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server = server_class(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    cfg = BackendConfig(kind="http", base_url=f"http://127.0.0.1:{server.server_address[1]}",
-                        model_name="m", max_inflight=2, backoff_s=0.0)
-    gateway = Gateway(cfg)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(lambda i: gateway.complete(ChatRequest("x", str(i))),
-                          range(20)))
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
-        gateway.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+def test_http_connections_reused_up_to_max_inflight():
+    with _keep_alive_server() as url:
+        cfg = BackendConfig(kind="http", base_url=url, model_name="m", max_inflight=2,
+                            backoff_s=0.0)
+        gateway = Gateway(cfg)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda i: gateway.complete(ChatRequest("x", str(i))),
+                              range(20)))
+        finally:
+            gateway.close()
     assert len(_KeepAliveHandler.client_ports) == 20
     assert len(set(_KeepAliveHandler.client_ports)) <= 2
+
+
+def test_an_idle_connection_the_server_closed_is_reopened():
+    class CloseAfterReply(_KeepAliveHandler):
+        """Closes each connection after its reply, though the reply does not
+        say so."""
+
+        def do_POST(self):
+            super().do_POST()
+            self.close_connection = True
+
+    class ClosingServer(ThreadingHTTPServer):
+        closed = threading.Semaphore(0)
+
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            self.closed.release()
+
+    with _keep_alive_server(CloseAfterReply, ClosingServer) as url:
+        # No retries: a send on the closed connection would fail the call.
+        gateway = Gateway(BackendConfig(kind="http", base_url=url, model_name="m",
+                                        retry_limit=0))
+        try:
+            assert gateway.complete(ChatRequest("x", "a")) == "fine"
+            assert ClosingServer.closed.acquire(timeout=5.0)
+            assert gateway.complete(ChatRequest("x", "b")) == "fine"
+        finally:
+            gateway.close()
+    first, second = _KeepAliveHandler.client_ports
+    assert first != second
+
+
+@pytest.mark.skipif(resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1501,
+                    reason="needs file descriptor 1500")
+def test_an_idle_connection_with_a_descriptor_past_1023_is_reused():
+    # select() refuses a descriptor of 1024 or more; the idle check must not.
+    with _keep_alive_server() as url:
+        gateway = Gateway(BackendConfig(kind="http", base_url=url, model_name="m",
+                                        retry_limit=0))
+        try:
+            assert gateway.complete(ChatRequest("x", "a")) == "fine"
+            [connection] = gateway.transport._idle
+            os.dup2(connection.sock.fileno(), 1500)
+            timeout = connection.sock.gettimeout()
+            connection.sock.close()
+            connection.sock = socket.socket(fileno=1500)
+            connection.sock.settimeout(timeout)
+            assert gateway.complete(ChatRequest("x", "b")) == "fine"
+        finally:
+            gateway.close()
+    first, second = _KeepAliveHandler.client_ports
+    assert first == second
 
 
 def test_cli_import_loads_no_http_modules():

@@ -141,6 +141,19 @@ def test_only_corpus_decodes_json(path):
         assert not lines, f"{path.name} decodes JSON on lines {lines}"
 
 
+def test_the_gateway_sends_at_one_site():
+    # Gateway._attempt is the one send, on the calling thread and on the
+    # senders alike, so whatever watches the wire hooks one routine.
+    tree = ast.parse((Path(eligo.__file__).parent / "gateway.py").read_text(encoding="utf-8"))
+    sends = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "send" and "transport" in ast.unparse(node.func.value)]
+    [attempt] = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_attempt"]
+    assert len(sends) == 1, f"gateway.py sends on lines {sends}"
+    assert attempt.lineno <= sends[0] <= attempt.end_lineno
+
+
 def test_import_eligo_loads_no_submodule():
     loaded = run_in_subprocess(
         "import sys, eligo; print(sorted(m for m in sys.modules if m.startswith('eligo')))")

@@ -517,6 +517,18 @@ class TestCmdScreen:
         assert next(d for d in debates
                     if (d["note_id"], d["question_id"]) == ("n2", "m2"))["calls_used"] == 3
 
+    def test_a_transcript_repair_that_cannot_be_written_exits_3(self, mini_workspace,
+                                                                 caplog):
+        out = mini_workspace["out"]
+        out.mkdir()
+        orphan = json.dumps({"note_id": "n2", "question_id": "m2", "calls_used": 99}) + "\n"
+        (out / "debates.jsonl").write_text(orphan)
+        (out / "debates.jsonl.tmp").mkdir()
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
+        assert_one_error_naming(caplog, out / "debates.jsonl")
+        assert (out / "debates.jsonl").read_text() == orphan
+        assert not (out / "results.jsonl").exists()
+
     def test_transcript_appended_onto_torn_line_dropped(self, mini_workspace):
         # An earlier resume appended a complete transcript onto a torn line,
         # leaving an unreadable line mid-file; resuming must not crash on it.
@@ -742,8 +754,19 @@ class TestCmdScreen:
             return FullDisk(handle) if Path(handle.name).name == name else handle
 
         closed_gateways = []
+        sent = []  # the tag of every request the mock answers
 
         class ClosingGateway(Gateway):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                send = self.transport.send
+
+                def recording_send(req):
+                    sent.append(req.tag)
+                    return send(req)
+
+                self.transport.send = recording_send
+
             def close(self):
                 closed_gateways.append(self)
                 super().close()
@@ -757,6 +780,8 @@ class TestCmdScreen:
         assert out / name in {Path(handle.name) for handle in opened}
         assert all(handle.closed for handle in opened)
         assert len(closed_gateways) == 1
+        # No pair starts after the failed append: every call is the first pair's.
+        assert sent and all(tag.startswith("n1|m1|") for tag in sent)
         assert not (out / "verdicts.jsonl").exists()
         assert not (out / "manifest.json").exists()
 
@@ -1223,6 +1248,16 @@ class TestCmdEvaluate:
                               mini_workspace["root"] / "eval")
         assert status == EXIT_INPUT
         assert "zz9" in caplog.text
+
+    @pytest.mark.parametrize("name", ["metrics.json", "report.md", "per_question.csv"])
+    def test_an_output_that_cannot_be_written_exits_3_naming_it(self, mini_workspace,
+                                                                caplog, name):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        (mini_workspace["root"] / "eval" / name).mkdir(parents=True)
+        status, out_dir = self.evaluate(mini_workspace)
+        assert status == EXIT_INPUT
+        assert_one_error_naming(caplog, out_dir / name)
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_unreadable_results_exits_3(self, mini_workspace):
         status = cmd_evaluate(mini_workspace["root"] / "missing.jsonl",
@@ -1936,6 +1971,12 @@ BAD_INPUTS = {
         "evaluate", "catalog/criteria.json",
         edit_json(lambda doc: doc["criteria"][0].update(rule="m1 IS YES AND m2 IS YES")),
         "unknown id 'm2' referenced by criterion 'mc1' rule"),
+    "screen-fixtures-not-a-map": (
+        "screen", "fixtures.json", edit_json(lambda doc: doc.update(fixtures=["canned"])),
+        "{path}: expected {{'fixtures': {{tag: text}}}}"),
+    "screen-fixture-text-a-number": (
+        "screen", "fixtures.json", edit_json(lambda doc: doc["fixtures"].update(x=1)),
+        "{path}: expected {{'fixtures': {{tag: text}}}}"),
 }
 
 
@@ -2053,6 +2094,18 @@ BAD_CONFIGS = {
         "backends.json", lambda doc: {**doc, "backends": [
             {"kind": "http", "base_url": "http://127.0.0.1:8080", "mock_latency_s": 0.5}]},
         "invalid backend config: 'mock_latency_s' is not read by http backends"),
+    "roles-duplicated": ("run.json", lambda doc: {**doc, "roles": ["crc", "jd", "CRC"]},
+                         "config error: duplicate roles in config"),
+    "pathway-a-without-roles": (
+        "run.json", lambda doc: {**doc, "pathway": "A", "roles": []},
+        "config error: pathway A requires at least one role"),
+    "backend-backoff-negative": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "backoff_s": -0.5}},
+        "invalid backend config: backoff_s and mock_latency_s must be >= 0"),
+    "backend-mock-latency-negative": (
+        "backends.json", lambda doc: {**doc, "refiner": {"kind": "mock",
+                                                         "mock_latency_s": -1}},
+        "invalid backend config: backoff_s and mock_latency_s must be >= 0"),
 }
 
 
