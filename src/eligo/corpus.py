@@ -82,33 +82,14 @@ class CriterionKind(str, Enum):
 
 # -- domain records -----------------------------------------------------------
 #
-# An immutable record is a NamedTuple; one that caches a derived value
-# subclasses its fields' NamedTuple, to have a ``__dict__`` for the cache, and
-# refuses assignment.  A mutable record is a Record.
+# Every record is a NamedTuple, so none can be assigned to.  One that caches a
+# derived value subclasses its fields' NamedTuple, to have a ``__dict__`` for
+# the cache, and refuses assignment; one that fills in defaults subclasses it
+# with ``__slots__ = ()`` and a ``__new__``.
 
 def refuse_assignment(self, name: str, value) -> None:
     """``__setattr__`` of an immutable record that has a ``__dict__``."""
     raise AttributeError(f"cannot assign to field {name!r}")
-
-
-class Record:
-    """A mutable record whose fields are its ``__slots__``: equal to a record of
-    its own class with equal fields, unhashable, and shown by its fields."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = self.__slots__
-        return [getattr(self, name) for name in names] == [getattr(other, name)
-                                                           for name in names]
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class ParsedAnswer(NamedTuple):
@@ -234,15 +215,20 @@ class Catalog(NamedTuple):
         return (len(self.questions), len(self.criteria), len(self.trials))
 
 
-class GoldSet(Record):
+class _GoldFields(NamedTuple):
+    question_labels: dict[tuple[str, str], Verdict]
+    criterion_labels: dict[tuple[str, str], CriterionLabel]
+
+
+class GoldSet(_GoldFields):
     """Expert labels keyed by (note_id, question_id) / (note_id, criterion_id)."""
 
-    __slots__ = ("question_labels", "criterion_labels")
+    __slots__ = ()
 
-    def __init__(self, question_labels: dict[tuple[str, str], Verdict] | None = None,
-                 criterion_labels: dict[tuple[str, str], CriterionLabel] | None = None):
-        self.question_labels = {} if question_labels is None else question_labels
-        self.criterion_labels = {} if criterion_labels is None else criterion_labels
+    def __new__(cls, question_labels: dict[tuple[str, str], Verdict] | None = None,
+                criterion_labels: dict[tuple[str, str], CriterionLabel] | None = None):
+        return super().__new__(cls, {} if question_labels is None else question_labels,
+                               {} if criterion_labels is None else criterion_labels)
 
 
 @contextmanager

@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import (
@@ -20,7 +21,6 @@ from .corpus import (
     CriterionLabel,
     GoldSet,
     ParsedAnswer,
-    Record,
     Verdict,
     canonical_text,
 )
@@ -42,14 +42,11 @@ LABEL_OF = {member: member.value
             for labels in (Verdict, CriterionLabel, Grounding) for member in labels}
 
 
-class ConfusionCounts(Record):
+class ConfusionCounts(NamedTuple):
     """Gold x predicted counts over a fixed label set."""
 
-    __slots__ = ("labels", "counts")
-
-    def __init__(self, labels: tuple[str, ...], counts: dict[str, dict[str, int]]):
-        self.labels = labels
-        self.counts = counts
+    labels: tuple[str, ...]
+    counts: dict[str, dict[str, int]]
 
     @classmethod
     def tally(cls, labels: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "ConfusionCounts":
@@ -81,14 +78,7 @@ class CounterfactualReport(NamedTuple):
     total: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": "automated grounding proxy",
-            "rate": self.rate,
-            "rate_among_errors": self.rate_among_errors,
-            "count": self.count,
-            "error_count": self.error_count,
-            "total": self.total,
-        }
+        return {"method": "automated grounding proxy", **self._asdict()}
 
 
 class TimingStats(NamedTuple):
@@ -100,34 +90,21 @@ class TimingStats(NamedTuple):
     p90: float
     max: float
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "mean": self.mean, "p50": self.p50,
-                "p90": self.p90, "max": self.max}
 
-
-class MetricReport(Record):
+class MetricReport(NamedTuple):
     """Scores of one answer stream against gold, with per-group breakdowns."""
 
-    __slots__ = ("precision", "recall", "f1", "accuracy", "accuracy_binary", "counts",
-                 "answered_count", "unanswered_count", "positive_class", "breakdowns",
-                 "counterfactual")
-
-    def __init__(self, precision: float, recall: float, f1: float, accuracy: float,
-                 accuracy_binary: float, counts: ConfusionCounts, answered_count: int,
-                 unanswered_count: int, positive_class: str,
-                 breakdowns: "dict[str, MetricReport] | None" = None,
-                 counterfactual: CounterfactualReport | None = None):
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.accuracy = accuracy  # tri-class exact match; the default reported accuracy
-        self.accuracy_binary = accuracy_binary
-        self.counts = counts
-        self.answered_count = answered_count
-        self.unanswered_count = unanswered_count
-        self.positive_class = positive_class
-        self.breakdowns = {} if breakdowns is None else breakdowns
-        self.counterfactual = counterfactual
+    precision: float
+    recall: float
+    f1: float
+    accuracy: float  # tri-class exact match; the default reported accuracy
+    accuracy_binary: float
+    counts: ConfusionCounts
+    answered_count: int
+    unanswered_count: int
+    positive_class: str
+    breakdowns: "Mapping[str, MetricReport]" = MappingProxyType({})
+    counterfactual: CounterfactualReport | None = None
 
     def to_dict(self) -> dict:
         record = {
@@ -230,11 +207,10 @@ def score_questions(
         group.append(pair)
     unanswered = len(gold.question_labels) - len(pairs)
     report = _build_report(pairs, QUESTION_LABELS, positive_class.value, unanswered)
-    report.breakdowns = {
+    return report._replace(breakdowns={
         group: _build_report(group_pairs, QUESTION_LABELS, positive_class.value, 0)
         for group, group_pairs in sorted(grouped.items())
-    }
-    return report
+    })
 
 
 def score_criteria(

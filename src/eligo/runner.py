@@ -30,7 +30,6 @@ from .corpus import (
     Catalog,
     ParsedAnswer,
     QuestionSpec,
-    Record,
     Verdict,
     _optional,
     _require,
@@ -183,19 +182,15 @@ class BackendsConfig(NamedTuple):
                                 refiner=backend_config_from_dict)
 
 
-class ResultRecord(Record):
+class ResultRecord(NamedTuple):
     """One answered (note, question, unit label), as a results.jsonl line."""
 
-    __slots__ = ("note_id", "question_id", "pathway", "answer", "elapsed_s", "transcript")
-
-    def __init__(self, note_id: str, question_id: str, pathway: str, answer: ParsedAnswer,
-                 elapsed_s: float, transcript: str | None = None):
-        self.note_id = note_id
-        self.question_id = question_id
-        self.pathway = pathway  # unit label, e.g. "A-CRC", "A-vote", "B"
-        self.answer = answer
-        self.elapsed_s = elapsed_s
-        self.transcript = transcript
+    note_id: str
+    question_id: str
+    pathway: str  # unit label, e.g. "A-CRC", "A-vote", "B"
+    answer: ParsedAnswer
+    elapsed_s: float
+    transcript: str | None = None
 
     def to_dict(self) -> dict:
         record = {
@@ -753,9 +748,8 @@ def cmd_evaluate(
                   if (note_id, question_id) in gold.question_labels}
         report = score_questions(scored, gold, catalog, positive_class=positive)
         if notes_by_id is not None:
-            report.counterfactual = counterfactual_rate(
-                scored, gold, notes_by_id, groundings=groundings[label]
-            )
+            report = report._replace(counterfactual=counterfactual_rate(
+                scored, gold, notes_by_id, groundings=groundings[label]))
         document = report.to_dict()
         document["unscored_count"] = (sum(map(len, answers_by_note.values()))
                                       - len(scored))
@@ -773,7 +767,7 @@ def cmd_evaluate(
         "schema": "eligo-metrics-v1",
         "question_level": question_level,
         "criterion_level": criterion_level,
-        "timing": {label: stats.to_dict() for label, stats in timing_stats(
+        "timing": {label: stats._asdict() for label, stats in timing_stats(
             (record.pathway, record.elapsed_s) for record in records).items()},
     }
 

@@ -9,6 +9,7 @@ from eligo.corpus import (
     AdmissionNote,
     Catalog,
     CriterionKind,
+    CriterionLabel,
     CriterionSpec,
     GoldSet,
     ParsedAnswer,
@@ -32,6 +33,8 @@ from eligo.errors import (
     RuleParseError,
     SchemaError,
 )
+from eligo.evaluation import score_criteria
+from eligo.runner import ResultRecord
 
 from conftest import assert_read_only
 
@@ -387,6 +390,13 @@ def test_records_are_read_only(notes, liver_catalog):
     assert_read_only(criterion, "parsed_rule")
     assert_read_only(TrialSpec("T1", (criterion.criterion_id,)))
     assert_read_only(liver_catalog)
+    answer = ParsedAnswer(Verdict.YES, "r", ("e",), "p")
+    assert_read_only(ResultRecord("n1", "q1", "A-CRC", answer, 0.5))
+    gold = GoldSet(criterion_labels={("n1", "c1"): CriterionLabel.MET})
+    assert_read_only(gold)
+    report = score_criteria({("n1", "c1"): True}, gold)
+    assert_read_only(report.counts)
+    assert_read_only(report)
 
 
 def test_a_replaced_criterion_parses_its_own_rule(liver_catalog):
@@ -398,10 +408,13 @@ def test_a_replaced_criterion_parses_its_own_rule(liver_catalog):
     assert criterion.parsed_rule.question_ids != ("Q9",)
 
 
-def test_a_mutable_record_is_equal_by_value_and_shown_by_its_fields():
+def test_a_gold_set_is_equal_by_value_and_shown_by_its_fields():
+    """A record that holds dicts is unhashable, and each one gets its own
+    empty dicts by default."""
     gold = GoldSet({("n1", "q1"): Verdict.YES})
     assert gold == GoldSet(question_labels={("n1", "q1"): Verdict.YES})
     assert gold != GoldSet()
     assert repr(GoldSet()) == "GoldSet(question_labels={}, criterion_labels={})"
     with pytest.raises(TypeError):
         hash(gold)
+    assert GoldSet().question_labels is not GoldSet().question_labels
