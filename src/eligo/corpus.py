@@ -84,8 +84,8 @@ class CriterionKind(str, Enum):
 #
 # Every record is a NamedTuple, so none can be assigned to.  One that caches a
 # derived value subclasses its fields' NamedTuple, to have a ``__dict__`` for
-# the cache, and refuses assignment; one that fills in defaults subclasses it
-# with ``__slots__ = ()`` and a ``__new__``.
+# the cache, and refuses assignment.  One whose default is a new dict each time
+# subclasses it with ``__slots__ = ()`` and a ``__new__`` that makes the dict.
 
 def refuse_assignment(self, name: str, value) -> None:
     """``__setattr__`` of an immutable record that has a ``__dict__``."""
@@ -353,15 +353,43 @@ def _build_nested(build: Callable, record: Mapping, where: str):
         raise ConfigError(f"{exc} (in {where})") from exc
 
 
+class _NotJson(ValueError):
+    """A value that Python's json module decodes but JSON does not have."""
+
+
+def _refuse_constant(name: str):
+    raise _NotJson(f"{name} is not a JSON number")
+
+
+# The decoder of every input.  It refuses NaN, Infinity and -Infinity, which
+# the json module accepts.  A \u escape of half a surrogate pair decodes to a
+# string that cannot be written as UTF-8; json_value refuses a value that
+# holds one, after this pattern has found a surrogate escape in its text.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def json_value(path: str | Path, line: int | None, data: bytes):
     """``data``, a file, a JSONL line or a backend reply, parsed as UTF-8 JSON;
     SchemaError naming ``path`` and ``line`` when it is not."""
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        value = _DECODER.decode(text)
+        if _SURROGATE_ESCAPE.search(text):  # UnicodeEncodeError for half a pair
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}", line=line) from exc
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: unpaired surrogate escape",
+                          line=line) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc.msg}", line=line or exc.lineno) from exc
+    except _NotJson as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}", line=line) from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise SchemaError(f"{path}: invalid JSON: integer longer than "
                           f"{sys.get_int_max_str_digits()} digits", line=line) from exc
@@ -393,7 +421,6 @@ def load_json(path: str | Path, keys: Iterable[str] | None = None) -> dict:
 # only JSON's own whitespace around a value.
 _BLANK = " \t\n\r\x0b\x0c"
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_DECODER = json.JSONDecoder()
 
 
 def jsonl_values(data: bytes,
@@ -403,18 +430,23 @@ def jsonl_values(data: bytes,
 
     The data is decoded from UTF-8 once, and each line by one raw_decode
     while the line holds one JSON value from its start, followed by JSON
-    whitespace only: the value is then the one json.loads gives.  From the
-    first line that does not, or from the start when the data is not UTF-8,
-    each non-blank line, with its ``b"\n"``, is handed to
+    whitespace only, and comes before the first line with a surrogate
+    escape: the value is then the one json_value gives.  From the first line
+    that does not, or from the start when the data is not UTF-8, each
+    non-blank line, with its ``b"\n"``, is handed to
     ``decode_line(line_no, line)``, which returns its value or raises the
     caller's error for that line.
     """
     fallback_from = None  # the first line handed to decode_line
     try:
-        lines = data.decode("utf-8").split("\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
-        lines, fallback_from = [], 1
-    for line_no, line in enumerate(lines, start=1):
+        text, fallback_from = "", 1
+    escape = _SURROGATE_ESCAPE.search(text)
+    if escape is not None:  # decode_line finds whether it is half of a pair
+        text = text[:text.rfind("\n", 0, escape.start()) + 1]
+        fallback_from = text.count("\n") + 1
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip(_BLANK):
             continue
         try:

@@ -85,6 +85,9 @@ class ChatRequest(NamedTuple):
     tag: str = ""  # provenance label (role/agent/round), also the fixture key
 
 
+_VISIBLE_ASCII = re.compile(r"[!-~]*")
+
+
 class BackendConfig(NamedTuple):
     """How to reach one backend, and how hard to push and retry it."""
 
@@ -118,6 +121,13 @@ class BackendConfig(NamedTuple):
                 raise ValueError(
                     f"base_url {self.base_url!r} is not http(s)://host[:port]"
                 )
+            # A request line and a header take visible ASCII only.
+            if not _VISIBLE_ASCII.fullmatch(url.path):
+                raise ValueError(f"base_url {self.base_url!r}: the path must be visible "
+                                 "ASCII, with no whitespace or control characters")
+            if self.api_key is not None and not _VISIBLE_ASCII.fullmatch(self.api_key):
+                raise ValueError("api_key must be visible ASCII, with no whitespace "
+                                 "or control characters")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be > 0")
         if self.max_inflight < 1:
@@ -126,6 +136,14 @@ class BackendConfig(NamedTuple):
             raise ValueError("retry_limit must be >= 0")
         if self.backoff_s < 0 or self.mock_latency_s < 0:
             raise ValueError("backoff_s and mock_latency_s must be >= 0")
+        # The longest wait that a socket or a sleep takes on this platform;
+        # NaN is refused too.
+        for name, most in (("timeout_ms", 1000 * threading.TIMEOUT_MAX),
+                           ("backoff_s", threading.TIMEOUT_MAX),
+                           ("mock_latency_s", threading.TIMEOUT_MAX)):
+            value = getattr(self, name)
+            if not value <= most:
+                raise ValueError(f"{name} must be at most {most:.0f}, got {value!r}")
 
 
 # -- answer parsing -----------------------------------------------------------

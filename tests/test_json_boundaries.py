@@ -1,12 +1,15 @@
 """Every place eligo reads JSON treats undecodable JSON as bad input.
 
-Each reader is fed a value nested 100,000 deep and an integer of 5,000
-digits.  The decoder raises RecursionError and ValueError for them, and
-``corpus.json_value`` turns both into the SchemaError of any other bad
-input, so no command ends with a traceback.  Each layer then keeps its
-own policy: a config exits 2, an input file exits 3 naming the file and,
-for JSONL, the line, a resumed run repairs what it repaired before, and a
-backend reply fails its unit.
+Each reader is fed a value nested 100,000 deep, an integer of 5,000
+digits, NaN, Infinity and a string of half a surrogate pair.  Python's
+json module raises RecursionError and ValueError for the first two and
+accepts the rest, which are not JSON: a NaN backoff would stall the retry
+timer, and the string cannot be written as UTF-8.  ``corpus.json_value``
+refuses all five with the SchemaError of any other bad input, so no
+command ends with a traceback.  Each layer then keeps its own policy: a
+config exits 2, an input file exits 3 naming the file and, for JSONL, the
+line, a resumed run repairs what it repaired before, and a backend reply
+fails its unit.
 """
 
 import json
@@ -20,9 +23,12 @@ from eligo.runner import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, cmd_scr
 from test_gateway import _http_server, _ok_payload, http_backend  # noqa: F401 (fixtures)
 from test_runner import read_jsonl, replace_line, run_config
 
-BAD_VALUES = {"nested": b"[" * 100_000 + b"]" * 100_000, "long-integer": b"1" * 5_000}
+BAD_VALUES = {"nested": b"[" * 100_000 + b"]" * 100_000, "long-integer": b"1" * 5_000,
+              "nan": b"NaN", "infinity": b"Infinity", "lone-surrogate": b'"\\ud800"'}
 # What the error says of each, after "invalid JSON: ".
-REASONS = {"nested": "nested too deeply", "long-integer": "integer longer than 4300 digits"}
+REASONS = {"nested": "nested too deeply", "long-integer": "integer longer than 4300 digits",
+           "nan": "NaN is not a JSON number", "infinity": "Infinity is not a JSON number",
+           "lone-surrogate": "unpaired surrogate escape"}
 
 
 def into_document(bad):

@@ -22,10 +22,34 @@ from eligo.runner import ResultRecord, _read_resume_state, read_results
 UNREADABLE = (ValueError, KeyError, TypeError, OverflowError)
 
 
+class Constant(Exception):
+    """NaN, Infinity or -Infinity, which JSON does not have."""
+
+
+def refuse_constant(name):
+    raise Constant(name)
+
+
+def strings(value):
+    """Every string in a JSON value, its object keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from strings(item)
+
+
 def per_line_value(path, line_no, line):
     """One line's JSON value, or the SchemaError every reader gives for it."""
     try:
-        return json.loads(line.decode("utf-8"))
+        value = json.loads(line.decode("utf-8"), parse_constant=refuse_constant)
+    except Constant as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc} is not a JSON number",
+                          line=line_no) from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}",
                           line=line_no) from exc
@@ -36,6 +60,9 @@ def per_line_value(path, line_no, line):
                           f"{sys.get_int_max_str_digits()} digits", line=line_no) from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: invalid JSON: nested too deeply", line=line_no) from exc
+    if any("\ud800" <= char <= "\udfff" for text in strings(value) for char in text):
+        raise SchemaError(f"{path}: invalid JSON: unpaired surrogate escape", line=line_no)
+    return value
 
 
 def per_line_result(path, line_no, line):
@@ -123,6 +150,10 @@ GOOD = result_line().encode()
 DEEP = b"[" * 100_000 + b"]" * 100_000  # past the decoder's recursion limit
 LONG = b"1" * 5_000  # past the interpreter's 4,300-digit integer limit
 ODD = result_line("漢 é").encode()  # unescaped, as results are written
+# A rationale of half a surrogate pair, and one of an emoji, which json.dumps
+# escapes as a whole pair.
+LONE = GOOD.replace(b'"r"', b'"\\ud800"')
+EMOJI = GOOD.replace(b'"r"', json.dumps("\U0001f600").encode())
 
 def first_line_read_alone(data: bytes) -> int | None:
     """The first line jsonl_values hands to its per-line decoder, if any."""
@@ -157,6 +188,15 @@ CASES = {
     "nested too deeply on the last line": (GOOD + b"\n" + DEEP + b"\n", 2),
     "integer too long": (GOOD + b"\n" + LONG + b"\n" + GOOD + b"\n", 2),
     "integer too long on the last line": (GOOD + b"\n" + LONG + b"\n", 2),
+    "NaN": (GOOD + b"\n" + GOOD.replace(b"0.5", b"NaN") + b"\n" + GOOD + b"\n", 2),
+    "-Infinity on the last line": (GOOD + b"\n" + GOOD.replace(b"0.5", b"-Infinity"), 2),
+    "a number past the largest float": (GOOD.replace(b"0.5", b"1e400") + b"\n", None),
+    # From the first line with a surrogate escape on, each line is read alone.
+    "lone surrogate": (GOOD + b"\n" + LONE + b"\n" + GOOD + b"\n", 2),
+    "lone low surrogate in a key": (GOOD + b"\n" + b'{"\\udc00": 1}\n', 2),
+    "surrogate pair": (GOOD + b"\n" + EMOJI + b"\n" + GOOD + b"\n", 2),
+    "escaped backslash before u": (GOOD + b"\n" + LONE.replace(b"\\u", b"\\\\u")
+                                   + b"\n", 2),
     "empty": (b"", None),
 }
 
@@ -183,7 +223,8 @@ def test_torn_final_line_cut_mid_character_is_truncated_on_resume(tmp_path, capl
 LINE_PIECES = st.one_of(
     st.sampled_from([GOOD, ODD, b"{}", b"[]", b"1", b"null", b'"s"', b" ", b"\t", b"\r",
                      b"\x0b", b"\x0c", b"\xc2\xa0", b"\xe2\x80\xa8", b"\xff", b"\xe6\xbc",
-                     b"{", b"}", b",", b'"', b"\\", b"\xef\xbb\xbf", b"1e400", b"NaN"]),
+                     b"{", b"}", b",", b'"', b"\\", b"\xef\xbb\xbf", b"1e400", b"NaN",
+                     b"-Infinity", b"\\u", b"\\ud800", b"\\udc00", b"\\ud83d\\ude00"]),
     st.builds(lambda text, ascii_only: json.dumps({"k": text}, ensure_ascii=ascii_only)
               .encode(), st.text(max_size=6), st.booleans()),
     st.builds(result_line, st.text(max_size=6)).map(str.encode),

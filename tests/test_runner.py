@@ -146,8 +146,9 @@ BAD_RESULT_LINES = [
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "evidence": [1]}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": -1}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": "1"}',
-    # One value per field that would not be written back as it was read.
-    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": NaN}',
+    # One value per field that would not be written back as it was read:
+    # a number past the largest float decodes to Infinity.
+    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": 1e400}',
     # Finite in seconds, but a vote's elapsed_ms would overflow to Infinity.
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": 1e306}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", '
@@ -2106,6 +2107,26 @@ BAD_CONFIGS = {
         "backends.json", lambda doc: {**doc, "refiner": {"kind": "mock",
                                                          "mock_latency_s": -1}},
         "invalid backend config: backoff_s and mock_latency_s must be >= 0"),
+    # Past threading.TIMEOUT_MAX, the longest wait a socket or a sleep takes.
+    "backend-timeout-past-the-platform-limit": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "timeout_ms": 10**30}},
+        "invalid backend config: timeout_ms must be at most "),
+    "backend-backoff-past-the-platform-limit": (
+        "run.json", lambda doc: {**doc, "backend": {**doc["backend"], "backoff_s": 1e10}},
+        "invalid backend config: backoff_s must be at most "),
+    "backend-mock-latency-past-the-platform-limit": (
+        "backends.json", lambda doc: {**doc, "refiner": {"kind": "mock",
+                                                         "mock_latency_s": 1e10}},
+        "invalid backend config: mock_latency_s must be at most "),
+    "backend-api-key-with-its-newline": (
+        "run.json", lambda doc: {**doc, "backend": {"kind": "http",
+                                                   "base_url": "http://127.0.0.1:8080",
+                                                   "api_key": "sk-abc\n"}},
+        "invalid backend config: api_key must be visible ASCII"),
+    "backend-api-key-with-a-space": (
+        "backends.json", lambda doc: {**doc, "refiner": {
+            "kind": "http", "base_url": "http://127.0.0.1:8080", "api_key": "sk abc"}},
+        "invalid backend config: api_key must be visible ASCII"),
 }
 
 
@@ -2125,6 +2146,17 @@ def test_bad_config_exits_2_with_config_error(mini_workspace, caplog, case):
     assert cli_main(argv) == EXIT_CONFIG
     assert "config error" in caplog.text
     assert message in caplog.text
+
+
+def test_a_number_past_the_largest_float_is_a_config_error(mini_workspace, caplog):
+    """1e999 decodes to Infinity, which no sleep takes."""
+    path = mini_workspace["run_json"]
+    doc = json.loads(path.read_text())
+    doc["backend"]["mock_latency_s"] = 123.25
+    path.write_text(json.dumps(doc).replace("123.25", "1e999"))
+    assert cli_main(["screen", "--config", str(path)]) == EXIT_CONFIG
+    assert "invalid backend config: mock_latency_s must be at most " in caplog.text
+    assert not (mini_workspace["out"] / "results.jsonl").exists()
 
 
 # A JSON value of the wrong type for a config field, by the type of its
@@ -2244,6 +2276,10 @@ BAD_BASE_URLS = {
     "port-not-a-number": "http://127.0.0.1:abc",
     "no-scheme": "127.0.0.1:8080",
     "no-host": "http://:8080/v1",
+    # A request line takes a path of visible ASCII only.
+    "non-ascii-path": "http://127.0.0.1:8000/ü",
+    "space-in-path": "http://127.0.0.1:8000/a b",
+    "control-character-in-path": "http://127.0.0.1:8000/a\x01b",
 }
 
 
