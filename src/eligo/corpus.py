@@ -374,7 +374,7 @@ def json_value(path: str | Path, line: int | None, data: bytes):
     SchemaError naming ``path`` and ``line`` when it is not."""
     try:
         text = data.decode("utf-8")
-        if text.startswith("\ufeff"):  # as json.loads refuses it
+        if text.startswith("\ufeff"):  # json.loads's check, which decode lacks
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
                                        text, 0)
         value = _DECODER.decode(text)
