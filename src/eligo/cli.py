@@ -20,6 +20,7 @@ from .runner import (
     cmd_report,
     cmd_screen,
     write_output,
+    write_stdout,
 )
 
 
@@ -82,8 +83,7 @@ def _canonicalize(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     if args.out:
         return write_output(args.out, text)
-    print(text, end="")
-    return 0
+    return write_stdout(text)
 
 
 def main(argv: list[str] | None = None) -> int:

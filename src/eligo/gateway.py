@@ -5,17 +5,18 @@ temperature 0.0 with 1,024 max tokens, and the mock answers by the tag.
 
 The gateway is the engine's only concurrency boundary.  :meth:`Gateway.call`
 takes a request and a completion callback, which it calls once with the
-reply or the error.  Up to ``max_inflight`` sender threads put requests on
-the wire, so the number of senders is the in-flight bound; a transport that
-does not wait (the mock without latency) is sent to on the calling thread
-instead and holds no slot, so its callback has run when ``call`` returns.
-A transient failure parks its request on a retry-timer heap until the
-backoff (or the backend's Retry-After) has passed: no thread sleeps through
-a backoff, and the senders serve other requests meanwhile.  An idle sender
-waits on a condition of the gateway's lock, which guards the queue and the
-heap, until a request is queued, the first parked one is due, or
-``SENDER_IDLE_S`` has passed; one whose wait finds no work exits, so a
-gateway that is never closed does not keep its threads.
+reply or the error.  ``max_inflight`` sender threads put requests on the
+wire, so the number of senders is the in-flight bound: they start with the
+gateway's first queued request and run until :meth:`Gateway.close`.  A
+transport that does not wait (the mock without latency) is sent to on the
+calling thread instead and holds no slot, so its callback has run when
+``call`` returns.  A transient failure parks its request on a retry-timer
+heap until the backoff (or the backend's Retry-After) has passed: no thread
+sleeps through a backoff, and the senders serve other requests meanwhile.
+An idle sender waits on a condition of the gateway's lock, which guards the
+queue and the heap, until a request is queued, the first parked one is due,
+or close() stops it.  A gateway that is never closed keeps its senders
+idle; they are daemon threads.
 
 Units of work (a role's answer, a debate, a screened pair, a converted
 criterion) are generators of request batches, and :func:`run_units` is
@@ -73,9 +74,6 @@ MOCK_FALLBACK = '"Unable to determine". No fixture.'
 # Longest wait before any one retry, whether set by the backoff or by a
 # backend's Retry-After header.
 RETRY_DELAY_CAP_S = 60.0
-
-# How long a sender with nothing to send or retry waits for work before it exits.
-SENDER_IDLE_S = 0.1
 
 
 class ChatRequest(NamedTuple):
@@ -480,7 +478,6 @@ class Gateway:
         self._parked: list[tuple[float, int, _Call]] = []  # heap by retry time
         self._order = itertools.count()  # heap tie-break: parking order
         self._senders: list[threading.Thread] = []
-        self._outstanding = 0  # calls queued, or on the wire on a sender
 
     def call(self, req: ChatRequest, done: Done, *,
              on_park: Callable[[bool], None] | None = None) -> None:
@@ -496,8 +493,8 @@ class Gateway:
         backoff and ``on_park(False)`` when it is queued again.  It runs with
         the gateway's lock held, so it must be quick and must not call the
         gateway.  ``done`` should not raise: an error it raises on a sender
-        thread is logged and ends that sender, which another replaces, and
-        one it raises on the calling thread propagates from ``call``.
+        thread is logged and the sender goes on to the next request, and one
+        it raises on the calling thread propagates from ``call``.
 
         A transport whose ``waits`` is false (the mock without latency) is
         sent to on the calling thread, through the same attempt as a sender
@@ -506,18 +503,18 @@ class Gateway:
         it fails; ``done`` has then run on the calling thread, unless a
         transient failure is retried, in which case the retry and ``done``
         run on a sender thread.  Every other request is queued, and ``done``
-        runs on a sender thread; ``max_inflight`` bounds the senders.
-        ``waits`` is read when the gateway is built.
+        runs on a sender thread.  The gateway's ``max_inflight`` senders
+        start with its first queued request (or first retry) and run until
+        ``close``.  ``waits`` is read when the gateway is built.
         """
         call = _Call(req, done, on_park)
         if not self._waits:
-            self._attempt(call, queued=False)
+            self._attempt(call)
             return
         with self._lock:
-            self._outstanding += 1
             self._ready.append(call)
             self._wake.notify()
-            self._add_sender()
+            self._start_senders()
 
     def complete(self, req: ChatRequest) -> str:
         """Send one request and wait for its reply; raise its error instead."""
@@ -531,67 +528,58 @@ class Gateway:
         """
         with self._lock:
             abandoned = [*self._ready, *(call for _, _, call in self._parked)]
-            self._outstanding -= len(self._ready)
             self._ready.clear()
             self._parked.clear()
             self._closing = True
             self._wake.notify_all()
-            senders = list(self._senders)
+            senders, self._senders = self._senders, []
         for call in abandoned:
             call.done(None, errors.TransportError("gateway closed"))
         for sender in senders:
             sender.join()
         with self._lock:
             self._closing = False
-            self._add_sender()  # for calls submitted meanwhile
+            if self._ready or self._parked:  # calls submitted meanwhile
+                self._start_senders()
         close = getattr(self.transport, "close", None)
         if close is not None:
             close()
 
     # -- senders ------------------------------------------------------------
 
-    def _add_sender(self) -> None:
-        """Start a sender while queued calls wait for a free slot, or when
-        parked calls have no sender to requeue them (lock held)."""
-        senders = len(self._senders)
-        wanted = min(self._outstanding, self.cfg.max_inflight)
-        if senders < wanted or (self._parked and not senders):
+    def _start_senders(self) -> None:
+        """Start the ``max_inflight`` senders, unless they run already or
+        close() is stopping them (lock held)."""
+        if self._senders or self._closing:
+            return
+        for _ in range(self.cfg.max_inflight):
             sender = threading.Thread(target=self._send_loop, name="eligo-sender",
                                       daemon=True)
             self._senders.append(sender)
             sender.start()
 
     def _send_loop(self) -> None:
-        try:
-            while (call := self._next_call()) is not None:
+        while True:
+            try:
+                if (call := self._next_call()) is None:
+                    return
                 self._attempt(call)
-        except Exception:
-            # A done or on_park callback raised.  This sender ends, but its
-            # slot is not lost: another starts if calls still wait for one.
-            log.exception("sender stopped by an error in a callback")
-            with self._lock:
-                self._senders.remove(threading.current_thread())
-                self._add_sender()
+            except Exception:  # a done or on_park callback raised
+                log.exception("error in a gateway callback")
 
     def _next_call(self) -> _Call | None:
-        """Wait for the next call to send; None when this sender should exit.
-
-        A sender exits once a wait of ``SENDER_IDLE_S`` finds nothing to send
-        and nothing parked, or when close() asks it to.
-        """
+        """Wait for the next call to send; None once close() stops the senders."""
         with self._lock:
             while not self._closing:
                 timeout = self._requeue_due()
                 if self._ready:
                     return self._ready.popleft()
-                if not self._wake.wait(timeout) and not (self._ready or self._parked):
-                    break
-            self._senders.remove(threading.current_thread())
+                self._wake.wait(timeout)
             return None
 
-    def _requeue_due(self) -> float:
-        """Queue the parked calls whose time has come; return how long to wait
-        for the next one, at most ``SENDER_IDLE_S`` (lock held).
+    def _requeue_due(self) -> float | None:
+        """Queue the parked calls whose time has come; return the seconds
+        until the next one is due, or None when none is parked (lock held).
 
         Each call's ``on_park(False)`` runs before it is queued, so it comes
         before the call's answer; the call is queued even if it raises.
@@ -603,25 +591,18 @@ class Gateway:
                 if call.on_park is not None:
                     call.on_park(False)
             finally:
-                self._outstanding += 1
                 self._ready.append(call)
                 self._wake.notify()
-        self._add_sender()
-        if self._parked:
-            return min(SENDER_IDLE_S, self._parked[0][0] - now)
-        return SENDER_IDLE_S
+        return self._parked[0][0] - now if self._parked else None
 
-    def _attempt(self, call: _Call, queued: bool = True) -> None:
-        """Put one attempt on the wire, on a sender or (``queued`` false) on the
-        calling thread; complete the call or park it for a retry."""
+    def _attempt(self, call: _Call) -> None:
+        """Put one attempt on the wire, on a sender or on the calling thread;
+        complete the call or park it for a retry."""
         try:
             reply = self.transport.send(call.request)
             error = None
         except Exception as exc:  # a faulty transport fails its call, not the sender
             reply, error = None, exc
-        if queued:
-            with self._lock:
-                self._outstanding -= 1
         if error is not None:
             error = self._failed(call, error)
             if error is None:
@@ -645,17 +626,16 @@ class Gateway:
         delay = _retry_delay(error, self.cfg.backoff_s, call.attempt)
         call.attempt += 1
         with self._lock:
+            self._start_senders()  # for a retry of a call sent on the calling thread
+            # Every waiting sender, as each may sleep past the new due time.
+            self._wake.notify_all()
             if delay <= 0:
-                self._outstanding += 1
                 self._ready.append(call)
             else:
                 heapq.heappush(self._parked,
                                (time.monotonic() + delay, next(self._order), call))
                 if call.on_park is not None:
                     call.on_park(True)
-            # Every waiting sender, as each may sleep past the new due time.
-            self._wake.notify_all()
-            self._add_sender()
         return None
 
 

@@ -38,8 +38,9 @@ def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
     """Return the template text; a prompts_dir override wins over package data.
 
     An override is checked as it is loaded: it must be UTF-8, not blank,
-    and may use only placeholders that the packaged template of the same
-    name uses, so a bad site template fails before any unit renders it.
+    and use exactly the placeholders that the packaged template of the same
+    name uses, so a bad site template fails before any unit renders it and
+    no request leaves out what the packaged one would send.
     """
     try:
         packaged = resources.files("eligo").joinpath(f"prompts/{name}.txt").read_text(
@@ -58,13 +59,19 @@ def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
         raise PromptError(f"{override}: not UTF-8 (byte {exc.start})") from exc
     if not text.strip():
         raise PromptError(f"{override}: blank template")
-    unknown = set(_PLACEHOLDER_RE.findall(text)) - set(_PLACEHOLDER_RE.findall(packaged))
-    if unknown:
-        names = ", ".join(f"{{{{{key}}}}}" for key in sorted(unknown))
-        raise PromptError(
-            f"{override}: placeholder {names} is not one the {name!r} template fills"
-        )
+    used = set(_PLACEHOLDER_RE.findall(text))
+    filled = set(_PLACEHOLDER_RE.findall(packaged))
+    if unknown := used - filled:
+        raise PromptError(f"{override}: placeholder {_listed(unknown)} is not one "
+                          f"the {name!r} template fills")
+    if missing := filled - used:
+        raise PromptError(f"{override}: placeholder {_listed(missing)} of the "
+                          f"{name!r} template is missing")
     return text
+
+
+def _listed(keys: set[str]) -> str:
+    return ", ".join(f"{{{{{key}}}}}" for key in sorted(keys))
 
 
 def load_prompts(names: Iterable[str],

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import sys
 import time
 from contextlib import closing, suppress
 from functools import partial
@@ -327,6 +328,17 @@ def write_output(path: str | Path, data: str | bytes) -> int:
     return EXIT_OK
 
 
+def write_stdout(text: str) -> int:
+    """Write ``text`` to stdout and flush it; EXIT_OK, or EXIT_INPUT after one
+    error naming ``<stdout>`` (a full device, say)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _cannot_write("<stdout>", exc)
+    return EXIT_OK
+
+
 def _cannot_write(path: str | Path, exc: OSError) -> int:
     log.error("cannot write %s: %s", path, exc.strerror or exc)
     return EXIT_INPUT
@@ -348,6 +360,20 @@ def read_results(path: str | Path) -> list[ResultRecord]:
     """Load result records from a completed (or partial but clean) run."""
     return [_parse_result(path, line_no, value) for line_no, value
             in jsonl_values(Path(path).read_bytes(), partial(json_value, path))]
+
+
+def _unique_keys(path: str | Path, records: list[ResultRecord]) -> list[ResultRecord]:
+    """``records``, unless two of them share a (note, question, label) key:
+    then a SchemaError naming ``path`` and the first key read twice.  A run
+    appends each key once, so a repeat is an edit or a concatenation, and
+    scoring or resuming one of its answers would drop the other unseen."""
+    if len({record.key for record in records}) < len(records):
+        seen = set()
+        for record in records:
+            if record.key in seen:
+                raise SchemaError(f"{path}: result key {record.key!r} appears twice")
+            seen.add(record.key)
+    return records
 
 
 def _read_resume_state(path: Path) -> list[ResultRecord]:
@@ -433,7 +459,8 @@ def canonicalize_records(records: Iterable[Mapping]) -> str:
 
 
 def canonicalize_results_file(path: str | Path) -> str:
-    return canonicalize_records(record.to_dict() for record in read_results(path))
+    return canonicalize_records(record.to_dict()
+                                for record in _unique_keys(path, read_results(path)))
 
 
 # -- screening ----------------------------------------------------------------
@@ -476,7 +503,8 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             catalog = load_catalog_dir(config.catalog)
             roles = load_roles(config.prompts)
             debate_templates = load_prompts(DEBATE_TEMPLATES, config.prompts)
-            existing = {record.key: record for record in _read_resume_state(results_path)}
+            existing = {record.key: record for record in
+                        _unique_keys(results_path, _read_resume_state(results_path))}
             if DEBATE_LABEL in labels and _drop_orphan_transcripts(debates_path, {
                     (note_id, question_id)
                     for note_id, question_id, label in existing if label == DEBATE_LABEL}):
@@ -701,7 +729,7 @@ def cmd_evaluate(
     try:
         catalog = load_catalog_dir(catalog_dir)
         gold = load_gold(gold_path)
-        records = read_results(results_path)
+        records = _unique_keys(results_path, read_results(results_path))
         notes = load_notes(notes_path) if notes_path else None
         validate_gold(gold, catalog, notes=notes,
                       results=((record.note_id, record.question_id) for record in records))
@@ -900,5 +928,4 @@ def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> 
     rendered = render_report(metrics)
     if out_path is not None and (status := write_output(out_path, rendered)):
         return status
-    print(rendered, end="")
-    return EXIT_OK
+    return write_stdout(rendered)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,24 @@ def pytest_runtest_logreport(report):
         status = "PASS" if report.passed else "FAIL"
         name = report.nodeid.split("::")[-1]
         sys.stderr.write(f"[acceptance] {status} {name}\n")
+
+
+@pytest.fixture(autouse=True)
+def close_gateways(monkeypatch):
+    """Close every gateway the test built, then check that none of their
+    senders outlives it."""
+    built = []
+    init = Gateway.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Gateway, "__init__", recording_init)
+    yield
+    for gateway in built:
+        gateway.close()
+    assert not [thread for thread in threading.enumerate() if thread.name == "eligo-sender"]
 
 
 @pytest.fixture(scope="session")

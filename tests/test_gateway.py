@@ -7,6 +7,7 @@ import sys
 import threading
 import re
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -722,7 +723,21 @@ class TestSlotsDuringBackoff:
         assert gateway.transport.calls == 200
         assert 1 <= gateway.transport.peak_inflight <= 3
         assert 1 <= max(senders) <= 3
-        assert gateway._outstanding == 0  # no lost update on the shared count
+        assert (gateway._ready, gateway._parked) == (deque(), [])
+
+    def test_senders_run_from_the_first_queued_call_to_close(self):
+        gateway = make_mock_gateway({}, latency_s=0.01, max_inflight=3)
+        outcomes, answered, done = TestCallbacks.recorder()
+        gateway.call(ChatRequest("x", "a"), done)
+        senders = list(gateway._senders)
+        assert len(senders) == 3
+        assert answered.wait(timeout=5.0)
+        time.sleep(0.3)  # idle with nothing queued or parked
+        assert gateway._senders == senders
+        assert all(sender.is_alive() for sender in senders)
+        gateway.close()
+        assert gateway._senders == []
+        assert not any(thread.name == "eligo-sender" for thread in threading.enumerate())
 
     def test_429_storm_keeps_inflight_bound(self):
         tags = [f"u{i}" for i in range(60)]
@@ -805,7 +820,7 @@ class TestCallbacks:
         outcomes, _, done = self.recorder()
         gateway.call(ChatRequest("x", "a"), done)
         assert outcomes == [(threading.current_thread().name, "canned", None)]
-        assert (gateway._outstanding, gateway._senders) == (0, [])
+        assert (gateway._ready, gateway._parked, gateway._senders) == (deque(), [], [])
         gateway.close()
 
     def test_inline_send_failing_for_good_is_answered_on_the_calling_thread(self):
@@ -820,7 +835,7 @@ class TestCallbacks:
         gateway.call(ChatRequest("x", "a"), done)
         [(thread, reply, error)] = outcomes
         assert (thread, reply, error.status) == (threading.current_thread().name, None, 400)
-        assert (gateway._outstanding, gateway._senders) == (0, [])
+        assert (gateway._ready, gateway._parked, gateway._senders) == (deque(), [], [])
 
     def test_inline_send_retried_without_backoff_is_answered_by_a_sender(self):
         transport = _RefuseFirstAttempt({"a"})
@@ -833,7 +848,7 @@ class TestCallbacks:
         gateway.close()
         assert outcomes == [("eligo-sender", "reply to a", None)]
         assert parks == []  # queued again at once, never on the heap
-        assert gateway._outstanding == 0
+        assert (gateway._ready, gateway._parked) == (deque(), [])
 
     def test_parked_inline_send_is_answered_once_by_a_sender(self):
         transport = _RefuseFirstAttempt({"a"})
@@ -909,16 +924,25 @@ class TestCallbacks:
 
     def test_a_callback_that_raises_on_a_sender_does_not_take_its_slot(self, caplog):
         gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
+        threads = []
 
         def faulty(reply, error):
+            threads.append(threading.current_thread())
             raise RuntimeError("bug in a callback")
 
         gateway.call(ChatRequest("x", "a"), faulty)
         # Queued behind the faulty call, for the only slot.
         outcomes, answered, done = self.recorder()
-        gateway.call(ChatRequest("x", "b"), done)
+
+        def answer_b(reply, error):
+            threads.append(threading.current_thread())
+            done(reply, error)
+
+        gateway.call(ChatRequest("x", "b"), answer_b)
         assert answered.wait(timeout=1.0)
         assert outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
+        [sender, answerer] = threads
+        assert answerer is sender  # the sender went on after the error
         gateway.close()
         [record] = [record for record in caplog.records if record.exc_info]
         assert record.levelname == "ERROR"

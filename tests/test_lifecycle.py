@@ -354,6 +354,21 @@ class TestPythonDashM:
             assert ((root / "eval-here" / name).read_bytes()
                     == (root / "eval-fresh" / name).read_bytes())
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_stdout_on_a_full_device_exits_3(self, mini_workspace):
+        assert cli_main(["screen", "--config", str(mini_workspace["run_json"])]) == EXIT_OK
+        assert cli_main(evaluate_args(mini_workspace)) == EXIT_OK
+        metrics = mini_workspace["root"] / "eval" / "metrics.json"
+        for argv in (["canonicalize", "--results", str(mini_workspace["out"] / "results.jsonl")],
+                     ["report", "--metrics", str(metrics)]):
+            with open("/dev/full", "w") as full:
+                done = subprocess.run([sys.executable, "-m", "eligo.cli", *argv],
+                                      env=dict(os.environ, PYTHONPATH=SRC), stdout=full,
+                                      stderr=subprocess.PIPE, text=True, timeout=60)
+            assert done.returncode == EXIT_INPUT
+            assert done.stderr == ("ERROR eligo.runner: cannot write <stdout>: "
+                                   "No space left on device\n")
+
     def test_exit_2_and_3_with_their_errors_on_stderr(self, mini_workspace):
         bad_config = run_module("screen", "--config", one_role_vote_config(mini_workspace))
         assert bad_config.returncode == EXIT_CONFIG

@@ -1,6 +1,7 @@
 import concurrent.futures
 import errno
 import hashlib
+import io
 import json
 import logging
 import os
@@ -1031,11 +1032,6 @@ class TestCmdScreen:
             return send(transport, req)
 
         monkeypatch.setattr(eligo.gateway.MockTransport, "send", recording_send)
-        # Senders of gateways that earlier tests left open exit when idle.
-        deadline = time.monotonic() + 5.0
-        while (any(thread.name == "eligo-sender" for thread in threading.enumerate())
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
         before = threading.active_count()
         raw = dict(mini_workspace["run_config"])
         raw["backend"] = dict(raw["backend"], mock_latency_s=0.001)
@@ -1291,10 +1287,12 @@ class TestCmdEvaluate:
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
         results_path = mini_workspace["out"] / "results.jsonl"
         # Each label's 1,500 durations, finite in milliseconds, sum past the
-        # largest float.
+        # largest float.  Each copy answers its own notes, as keys are unique.
+        records = read_jsonl(results_path)
         results_path.write_text("".join(
-            json.dumps({**record, "elapsed_s": 1.7e305}) + "\n"
-            for record in read_jsonl(results_path)) * 250)
+            json.dumps({**record, "note_id": f"{record['note_id']}-{copy}",
+                        "elapsed_s": 1.7e305}) + "\n"
+            for copy in range(250) for record in records))
         status, out_dir = self.evaluate(mini_workspace)
         assert status == EXIT_OK
 
@@ -1841,6 +1839,26 @@ class TestCli:
         assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_INPUT
         assert f"line 1: {results_path}: not UTF-8 text at byte 0" in caplog.text
 
+    @pytest.mark.parametrize("command", ["canonicalize", "report"])
+    @pytest.mark.parametrize("room", [0, 1 << 20], ids=["write-fails", "flush-fails"])
+    def test_stdout_on_a_full_device_exits_3(self, mini_workspace, caplog, monkeypatch,
+                                             command, room):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        if command == "canonicalize":
+            argv = ["canonicalize", "--results", str(mini_workspace["out"] / "results.jsonl")]
+        else:
+            assert cli_main(["evaluate",
+                             "--results", str(mini_workspace["out"] / "results.jsonl"),
+                             "--gold", str(mini_workspace["gold"]),
+                             "--catalog", str(mini_workspace["catalog"]),
+                             "--out", str(mini_workspace["root"] / "eval")]) == EXIT_OK
+            argv = ["report", "--metrics", str(mini_workspace["root"] / "eval" / "metrics.json")]
+        caplog.clear()
+        monkeypatch.setattr(sys, "stdout", FullDevice(room))
+        assert cli_main(argv) == EXIT_INPUT
+        assert_one_error_naming(caplog, "<stdout>")
+        assert "No space left on device" in caplog.text
+
     def test_cli_canonicalize(self, mini_workspace, capsys):
         assert cli_main(["screen", "--config", str(mini_workspace["run_json"])]) == 0
         assert cli_main([
@@ -1850,6 +1868,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "elapsed_s" not in out
         assert len(out.splitlines()) == 30
+
+
+class FullDevice(io.TextIOBase):
+    """A stdout on a device with no space left, as /dev/full: text waits in a
+    buffer of ``room`` characters, and a write past it or a flush of it fails
+    with ENOSPC and drops it."""
+
+    def __init__(self, room):
+        self.room = room
+        self.buffered = ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.buffered += text
+        if len(self.buffered) > self.room:
+            self.flush()
+        return len(text)
+
+    def flush(self):
+        text, self.buffered = self.buffered, ""
+        if text:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def edit_json(edit):
@@ -2005,6 +2047,34 @@ class TestBadInput:
         assert cli_main(self.argv(command, mini_workspace)) == EXIT_INPUT
         assert message.format(path=path) in caplog.text
         assert not (mini_workspace["out"] / "results.jsonl").exists()
+
+    def test_a_result_key_read_twice_exits_3_naming_file_and_key(self, mini_workspace,
+                                                                  caplog):
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        first = read_jsonl(results_path)[0]
+        key = (first["note_id"], first["question_id"], first["pathway"])
+        # A valid final line whose key an earlier line holds: not a torn line.
+        with open(results_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(dict(first, value="NO" if first["value"] == "YES"
+                                         else "YES")) + "\n")
+        before = results_path.read_bytes()
+        message = f"{results_path}: result key {key!r} appears twice"
+        for argv in (self.argv("screen", mini_workspace),
+                     ["canonicalize", "--results", str(results_path)],
+                     ["evaluate", "--results", str(results_path),
+                      "--gold", str(mini_workspace["gold"]),
+                      "--catalog", str(mini_workspace["catalog"]),
+                      "--out", str(mini_workspace["root"] / "eval")]):
+            caplog.clear()
+            assert cli_main(argv) == EXIT_INPUT
+            assert message in caplog.text
+        assert results_path.read_bytes() == before
+        assert not (mini_workspace["root"] / "eval").exists()
+        # The resume refuses the file before its gateway sends a request.
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(run_config(mini_workspace), gateway=gateway) == EXIT_INPUT
+        assert gateway.transport.calls == 0
 
     def test_gold_note_unknown_under_notes_exits_3(self, mini_workspace, caplog):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
@@ -2322,6 +2392,20 @@ def test_bad_prompt_override_exits_3_before_any_unit(mini_workspace, caplog, tmp
     assert code == EXIT_INPUT
     assert f"{prompts / target}.txt: {message}" in caplog.text
     assert [transport.calls for transport in transports] == [0] * len(transports)
+
+
+@pytest.mark.parametrize("target, content, missing", [
+    ("role_crc", "You are a coordinator. Answer: {{question}}", "{{note}}"),
+    ("stance_pos", "Argue yes. {{question}}\n{{note}}", "{{judge_notes}}"),
+    ("refine", "{{criterion}}\n{{drafts}}", "{{draft_rules}}"),
+], ids=["role", "stance", "refine"])
+def test_prompt_override_missing_a_placeholder_exits_3_before_any_unit(
+        mini_workspace, caplog, tmp_path, monkeypatch, target, content, missing):
+    """An override that leaves out a placeholder its packaged template fills
+    is a bad override too: the request would lack what it stands for."""
+    test_bad_prompt_override_exits_3_before_any_unit(
+        mini_workspace, caplog, tmp_path, monkeypatch, target, content.encode(),
+        f"placeholder {missing} of the {target!r} template is missing")
 
 
 @pytest.mark.parametrize("command", ["screen", "convert"])
