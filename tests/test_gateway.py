@@ -727,7 +727,7 @@ class TestSlotsDuringBackoff:
 
     def test_senders_run_from_the_first_queued_call_to_close(self):
         gateway = make_mock_gateway({}, latency_s=0.01, max_inflight=3)
-        outcomes, answered, done = TestCallbacks.recorder()
+        _, answered, done = TestCallbacks.recorder()
         gateway.call(ChatRequest("x", "a"), done)
         senders = list(gateway._senders)
         assert len(senders) == 3
