@@ -267,13 +267,16 @@ def _optional(record: Mapping, key: str, kind: type, where: str,
     return _require(record, key, kind, where, line)
 
 
-def _require_strs(record: Mapping, key: str, where: str, line: int | None = None,
-                  default=None) -> tuple[str, ...]:
-    """``record[key]`` (or ``default``) as a tuple, if it is a list of strings."""
-    values = _require(record, key, list, where, line, default)
+def _require_strs(record: Mapping, key: str, where: str, default=None) -> tuple[str, ...]:
+    """``record[key]`` (or ``default``) as a tuple, if it is a list of
+    distinct strings."""
+    values = _require(record, key, list, where, default=default)
     if not all(isinstance(value, str) for value in values):
-        raise SchemaError(f"{where}: expected a list of str for {key!r}",
-                          line=line, field=key)
+        raise SchemaError(f"{where}: expected a list of str for {key!r}", field=key)
+    if len(set(values)) < len(values):
+        repeated = next(value for index, value in enumerate(values)
+                        if value in values[:index])
+        raise SchemaError(f"{where}: {key} lists {repeated!r} twice", field=key)
     return tuple(values)
 
 

@@ -496,25 +496,22 @@ class Gateway:
         thread is logged and the sender goes on to the next request, and one
         it raises on the calling thread propagates from ``call``.
 
-        A transport whose ``waits`` is false (the mock without latency) is
-        sent to on the calling thread, through the same attempt as a sender
-        makes: a hand-off would only add overhead.  Such a send has ended
-        when ``call`` returns, so it holds no slot and takes no lock unless
-        it fails; ``done`` has then run on the calling thread, unless a
-        transient failure is retried, in which case the retry and ``done``
-        run on a sender thread.  Every other request is queued, and ``done``
-        runs on a sender thread.  The gateway's ``max_inflight`` senders
-        start with its first queued request (or first retry) and run until
-        ``close``.  ``waits`` is read when the gateway is built.
+        A transport whose ``waits`` is false, as read when the gateway is
+        built, is sent to on the calling thread (see the module docstring),
+        and only a retry of such a send runs ``done`` on a sender.  Every
+        other request is queued for a sender, or fails at once with a
+        TransportError while no sender thread can start.
         """
         call = _Call(req, done, on_park)
         if not self._waits:
             self._attempt(call)
             return
         with self._lock:
-            self._ready.append(call)
-            self._wake.notify()
-            self._start_senders()
+            if not (error := self._start_senders()):
+                self._ready.append(call)
+                self._wake.notify()
+        if error:
+            done(None, error)
 
     def complete(self, req: ChatRequest) -> str:
         """Send one request and wait for its reply; raise its error instead."""
@@ -524,39 +521,59 @@ class Gateway:
         """Stop the senders and release the transport's pooled connections.
 
         A request on the wire is answered first; the callback of one still
-        queued or parked gets a TransportError, on the closing thread.
+        queued or parked gets a TransportError, on the closing thread.  All
+        of those run, and the senders are joined and the transport closed,
+        before the first error a callback raised propagates.
         """
         with self._lock:
-            abandoned = [*self._ready, *(call for _, _, call in self._parked)]
-            self._ready.clear()
-            self._parked.clear()
+            abandoned = self._take_waiting()
             self._closing = True
             self._wake.notify_all()
             senders, self._senders = self._senders, []
-        for call in abandoned:
-            call.done(None, errors.TransportError("gateway closed"))
+        raised = _fail(abandoned, errors.TransportError("gateway closed"))
         for sender in senders:
             sender.join()
         with self._lock:
             self._closing = False
-            if self._ready or self._parked:  # calls submitted meanwhile
-                self._start_senders()
+            # Calls submitted meanwhile get new senders, or fail without one.
+            error = self._start_senders() if self._ready or self._parked else None
+            stranded = self._take_waiting() if error else []
+        raised += _fail(stranded, error)
         close = getattr(self.transport, "close", None)
         if close is not None:
             close()
+        if raised:
+            raise raised[0]
 
     # -- senders ------------------------------------------------------------
 
-    def _start_senders(self) -> None:
+    def _take_waiting(self) -> list[_Call]:
+        """Take every queued and parked call off the gateway (lock held)."""
+        calls = [*self._ready, *(call for _, _, call in self._parked)]
+        self._ready.clear()
+        self._parked.clear()
+        return calls
+
+    def _start_senders(self) -> Exception | None:
         """Start the ``max_inflight`` senders, unless they run already or
-        close() is stopping them (lock held)."""
+        close() is stopping them (lock held).  A thread that cannot start
+        ends the starting; when none started, return the error to fail the
+        waiting call with."""
         if self._senders or self._closing:
-            return
+            return None
         for _ in range(self.cfg.max_inflight):
             sender = threading.Thread(target=self._send_loop, name="eligo-sender",
                                       daemon=True)
+            try:
+                sender.start()
+            except RuntimeError as exc:
+                log.warning("started %d of max_inflight=%d sender threads: %s",
+                            len(self._senders), self.cfg.max_inflight, exc)
+                if not self._senders:
+                    return errors.TransportError(f"no sender thread could start: {exc}")
+                break
             self._senders.append(sender)
-            sender.start()
+        return None
 
     def _send_loop(self) -> None:
         while True:
@@ -626,7 +643,8 @@ class Gateway:
         delay = _retry_delay(error, self.cfg.backoff_s, call.attempt)
         call.attempt += 1
         with self._lock:
-            self._start_senders()  # for a retry of a call sent on the calling thread
+            if start_error := self._start_senders():  # for a retry of an inline send
+                return start_error
             # Every waiting sender, as each may sleep past the new due time.
             self._wake.notify_all()
             if delay <= 0:
@@ -637,6 +655,17 @@ class Gateway:
                 if call.on_park is not None:
                     call.on_park(True)
         return None
+
+
+def _fail(calls: list[_Call], error: Exception | None) -> list[Exception]:
+    """Fail each call with ``error``; return the errors its callbacks raised."""
+    raised = []
+    for call in calls:
+        try:
+            call.done(None, error)
+        except Exception as exc:
+            raised.append(exc)
+    return raised
 
 
 T = TypeVar("T")

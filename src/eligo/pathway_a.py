@@ -58,15 +58,10 @@ def load_roles(prompts_dir=None) -> dict[str, RoleProfile]:
             for role_id, name in _ROLE_TEMPLATES.items()}
 
 
-def role_tag(note_id: str, question_id: str, role_id: str) -> str:
-    return f"{note_id}|{question_id}|role{role_id}"
-
-
 def role_unit(question: QuestionSpec, note: AdmissionNote,
               role: RoleProfile) -> Unit[RoleAnswer]:
     """Ask one role one question about one note: one request, one parsed answer."""
-    request = question_request(role.instructions, question, note,
-                               role_tag(note.note_id, question.question_id, role.role_id))
+    request = question_request(role.instructions, question, note, f"role{role.role_id}")
     started = time.monotonic()
     (reply,) = yield [request]
     answer = parse_answer(reply, provenance=request.tag)
@@ -84,9 +79,9 @@ def answer_with_role(
     return run_unit(role_unit(question, note, role), gateway)
 
 
-def _vote_key(answer: RoleAnswer) -> list[str]:
+def vote_key(answer: ParsedAnswer) -> list[str]:
     """The (note id, question id) that the answer's provenance starts with."""
-    return answer.answer.provenance.split("|", 2)[:2]
+    return answer.provenance.split("|", 2)[:2]
 
 
 def _role_order(answer: RoleAnswer) -> tuple[int, str]:
@@ -99,9 +94,9 @@ def majority_vote(a: RoleAnswer, b: RoleAnswer, c: RoleAnswer) -> ParsedAnswer:
     UNKNOWN is the safe screening default for an unresolved split: it flags
     the question for human review instead of asserting either way.
     """
-    key = _vote_key(a)
-    if _vote_key(b) != key or _vote_key(c) != key:
-        keys = {tuple(_vote_key(answer)) for answer in (a, b, c)}
+    key = vote_key(a.answer)
+    if vote_key(b.answer) != key or vote_key(c.answer) != key:
+        keys = {tuple(vote_key(ra.answer)) for ra in (a, b, c)}
         raise MixedKeyError(f"votes span different (note, question) pairs: {sorted(keys)}")
     first, second, third = a.answer.value, b.answer.value, c.answer.value
     if first is second or first is third:

@@ -65,24 +65,25 @@ def debate_unit(
     """
     key = f"{note.note_id}|{question.question_id}"
 
-    def request(template: str, tag: str, **values: str) -> ChatRequest:
+    def request(template: str, stage: str, **values: str) -> ChatRequest:
         """The stage's request: its template filled with the stage's values."""
-        return question_request(templates[template], question, note, f"{key}|{tag}",
-                                **values)
+        return question_request(templates[template], question, note, stage, **values)
 
-    def stance_round(round_no: int, judge_notes: str | None):
+    def stances(round_no: int, judge_notes: str | None) -> list[ChatRequest]:
         notes_block = ""
         if judge_notes:
             notes_block = f"\nADJUDICATOR NOTES FROM ROUND 1:\n{judge_notes}\n"
-        requests = [
-            request(template, f"{role}|r{round_no}", judge_notes=notes_block)
-            for template, role in (("stance_pos", "proponent"), ("stance_neg", "opponent"))
-        ]
+        return [request(template, f"{role}|r{round_no}", judge_notes=notes_block)
+                for template, role in (("stance_pos", "proponent"), ("stance_neg", "opponent"))]
+
+    def ask(requests: list[ChatRequest]):
+        """Send ``requests`` as one batch; each reply with its answer parsed
+        under the request's tag."""
         replies = yield requests
         return [(text, parse_answer(text, provenance=request.tag))
                 for request, text in zip(requests, replies)]
 
-    (pro_text, pro), (con_text, con) = yield from stance_round(1, None)
+    (pro_text, pro), (con_text, con) = yield from ask(stances(1, None))
 
     if pro.value is con.value:
         # Consensus: the adjudicator just passes the shared conclusion
@@ -103,11 +104,9 @@ def debate_unit(
         )
         return outcome, transcript
 
-    (judge1_text,) = yield [
-        request("judge_r1", "judge|r1", arg_pos=pro_text, arg_neg=con_text)
-    ]
+    ((judge1_text, judge1),) = yield from ask(
+        [request("judge_r1", "judge|r1", arg_pos=pro_text, arg_neg=con_text)])
     demand = _second_round_demand(judge1_text)
-    judge1 = parse_answer(judge1_text, provenance=f"{key}|judge|r1")
 
     if demand is None:
         transcript = DebateTranscript(
@@ -116,13 +115,11 @@ def debate_unit(
         )
         return judge1, transcript
 
-    (pro2_text, pro2), (con2_text, con2) = yield from stance_round(2, demand)
+    (pro2_text, pro2), (con2_text, con2) = yield from ask(stances(2, demand))
     # Round-2 agreement is NOT consulted: the judge must close the debate.
-    (final_text,) = yield [
-        request("judge_final", "judge|final", arg_pos=pro2_text, arg_neg=con2_text,
-                judge_notes=demand)
-    ]
-    outcome = parse_answer(final_text, provenance=f"{key}|judge|final")
+    ((_, outcome),) = yield from ask(
+        [request("judge_final", "judge|final", arg_pos=pro2_text, arg_neg=con2_text,
+                 judge_notes=demand)])
     transcript = DebateTranscript(
         round1=(pro, con), outcome=outcome, rounds_used=2, calls_used=6,
         judge1=judge1, judge_notes=demand, round2=(pro2, con2),

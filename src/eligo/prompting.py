@@ -21,19 +21,6 @@ from .gateway import FORMAT_CONTRACT, ChatRequest
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 
-TEMPLATE_NAMES = (
-    "role_crc",
-    "role_jd",
-    "role_ie",
-    "stance_pos",
-    "stance_neg",
-    "judge_r1",
-    "judge_final",
-    "convert",
-    "refine",
-)
-
-
 def load_template(name: str, prompts_dir: str | Path | None = None) -> str:
     """Return the template text; a prompts_dir override wins over package data.
 
@@ -109,10 +96,13 @@ def render(template: str, **values: str) -> str:
 
 
 def question_request(template: str, question: QuestionSpec, note: AdmissionNote,
-                     tag: str, **values: str) -> ChatRequest:
-    """The request that asks ``question`` about ``note``, tagged ``tag``: the
-    template filled with the question, the note's canonical text and
-    ``values``, then the answer-format contract that parse_answer reads.
-    Every role and debate prompt is built here."""
+                     stage: str, **values: str) -> ChatRequest:
+    """The request that asks ``question`` about ``note`` at ``stage`` (a role
+    such as ``roleCRC``, or a debate stage such as ``judge|r1``): the template
+    filled with the question, the note's canonical text and ``values``, then
+    the answer-format contract that parse_answer reads.  Its tag is
+    ``<note id>|<question id>|<stage>``.  Every role and debate request, and
+    so every screen tag, is built here."""
     prompt = render(template, question=question.text, note=canonical_text(note), **values)
-    return ChatRequest(f"{prompt}\n{FORMAT_CONTRACT}", tag)
+    return ChatRequest(f"{prompt}\n{FORMAT_CONTRACT}",
+                       f"{note.note_id}|{question.question_id}|{stage}")

@@ -341,12 +341,12 @@ class ParsedRule(_RuleFields):
     """A rule's AST and the sorted ids of the questions it references.
 
     ``outcomes`` memoizes ``criterion_verdict``'s result, the immutable
-    ``CriterionVerdict`` itself, by the tuple of answers to
-    ``question_ids``; it grows by one entry per distinct answer pattern
-    seen, each value one of the criterion's ``verdicts`` by (met, stable).
-    ``key`` reads that tuple from an answers view (see
-    ``verdicts_for_note``): an ``operator.itemgetter`` over the ids, built
-    once, which for a one-id rule still returns a 1-tuple.  The verdict
+    ``CriterionVerdict`` itself, by the answers to ``question_ids``; it
+    grows by one entry per distinct answer pattern seen, each value one of
+    the criterion's ``verdicts`` by (met, stable).  ``key`` reads the memo
+    key from an answers view (see ``verdicts_for_note``): an
+    ``operator.itemgetter`` over the ids, built once, so the key is the
+    tuple of answers, or for a one-id rule the one answer.  The verdict
     names its criterion, so a ParsedRule serves the one criterion that
     parsed it (``CriterionSpec.parsed_rule``) and is not shared between
     criteria, even ones with the same rule text.  ``read_once`` is True
@@ -359,15 +359,8 @@ class ParsedRule(_RuleFields):
 
     def __new__(cls, expr: RuleExpr, question_ids: tuple[str, ...]):
         self = tuple.__new__(cls, (expr, question_ids))
-        if len(question_ids) == 1:
-            (question_id,) = question_ids
-
-            def key(answers):
-                return (answers[question_id],)
-        else:
-            key = itemgetter(*question_ids)
         tested = _tested_ids(expr)
-        self.__dict__.update(outcomes={}, verdicts={}, key=key,
+        self.__dict__.update(outcomes={}, verdicts={}, key=itemgetter(*question_ids),
                              read_once=len(tested) == len(set(tested)))
         return self
 

@@ -481,7 +481,7 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     output files and the gateway closed; a failed append exits EXIT_INPUT.
     """
     from .gateway import Gateway, run_units
-    from .pathway_a import RoleAnswer, load_roles, majority_vote, role_unit
+    from .pathway_a import RoleAnswer, load_roles, majority_vote, role_unit, vote_key
     from .pathway_b import DEBATE_TEMPLATES, debate_unit
     from .prompting import load_prompts
 
@@ -550,8 +550,7 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             if existing and (record := existing.get(
                     (note_id, question_id, label))) is not None:
                 skipped += 1
-                if role is not None and record.answer.provenance.split("|", 2)[:2] == \
-                        [note_id, question_id]:
+                if role is not None and vote_key(record.answer) == [note_id, question_id]:
                     members.append(RoleAnswer(record.answer, role.role_id,
                                               record.elapsed_s * 1000.0))
             elif label == VOTE_LABEL:

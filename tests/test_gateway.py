@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import resource
 import socket
@@ -402,7 +403,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 @pytest.fixture(scope="module")
 def _http_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
@@ -948,6 +950,118 @@ class TestCallbacks:
         assert record.levelname == "ERROR"
         assert str(record.exc_info[1]) == "bug in a callback"
 
+    def test_close_finishes_when_an_abandoned_callback_raises(self):
+        gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
+        closed = []
+        gateway.transport.close = lambda: closed.append(True)
+        wire_outcomes, on_wire, on_wire_done = self.recorder()
+        gateway.call(ChatRequest("x", "wire"), on_wire_done)
+        deadline = time.monotonic() + 5.0
+        while gateway.transport.calls == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+        def faulty(reply, error):
+            raise RuntimeError("bug in a callback")
+
+        gateway.call(ChatRequest("x", "queued"), faulty)
+        later_outcomes, _, later_done = self.recorder()
+        gateway.call(ChatRequest("x", "later"), later_done)
+        with pytest.raises(RuntimeError, match="bug in a callback"):
+            gateway.close()
+        # Every abandoned callback ran, the senders stopped, the transport closed.
+        [(_, reply, error)] = later_outcomes
+        assert reply is None and isinstance(error, errors.TransportError)
+        assert wire_outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
+        assert closed == [True]
+        assert gateway._closing is False
+        assert not any(thread.name == "eligo-sender" for thread in threading.enumerate())
+        outcomes, answered, done = self.recorder()
+        gateway.call(ChatRequest("x", "after"), done)
+        assert answered.wait(timeout=1.0)
+        assert outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
+        gateway.close()
+
+
+class TestSenderStart:
+    """A sender thread that cannot start leaves the gateway working."""
+
+    @staticmethod
+    @contextmanager
+    def failing_start(fails):
+        """Make each start of an eligo sender whose number (from 1) ``fails``
+        accepts raise as a process out of threads does."""
+        start = threading.Thread.start
+        starts = []
+
+        def limited_start(thread):
+            if thread.name == "eligo-sender":
+                starts.append(thread)
+                if fails(len(starts)):
+                    raise RuntimeError("can't start new thread")
+            start(thread)
+
+        with mock.patch.object(threading.Thread, "start", limited_start):
+            yield starts
+
+    def test_no_sender_started_fails_the_call_through_its_callback(self, caplog):
+        gateway = make_mock_gateway({}, latency_s=0.01, max_inflight=2)
+        outcomes, _, done = TestCallbacks.recorder()
+        with self.failing_start(lambda number: True) as starts, \
+                caplog.at_level(logging.WARNING):
+            gateway.call(ChatRequest("x", "a"), done)
+            with pytest.raises(errors.TransportError, match="can't start new thread"):
+                gateway.complete(ChatRequest("x", "b"))
+        [(thread, reply, error)] = outcomes
+        assert (thread, reply) == (threading.current_thread().name, None)
+        assert isinstance(error, errors.TransportError)
+        assert str(error) == "no sender thread could start: can't start new thread"
+        assert len(starts) == 2  # one failed start per call
+        assert gateway._senders == []
+        assert (gateway._ready, gateway._parked) == (deque(), [])
+        assert gateway.transport.calls == 0
+        warnings = [record.getMessage() for record in caplog.records
+                    if record.levelname == "WARNING"]
+        assert warnings == ["started 0 of max_inflight=2 sender threads: "
+                            "can't start new thread"] * 2
+        gateway.close()
+        # Threads can start again: the next call starts the senders.
+        later_outcomes, answered, later_done = TestCallbacks.recorder()
+        gateway.call(ChatRequest("x", "c"), later_done)
+        assert answered.wait(timeout=1.0)
+        assert later_outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
+        assert len(gateway._senders) == 2
+
+    def test_no_sender_started_fails_a_retry_of_an_inline_send(self):
+        transport = _RefuseFirstAttempt({"a"})
+        transport.waits = False
+        gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
+        outcomes, _, done = TestCallbacks.recorder()
+        parks = []
+        with self.failing_start(lambda number: True):
+            gateway.call(ChatRequest("x", "a"), done, on_park=parks.append)
+        [(thread, reply, error)] = outcomes
+        assert (thread, reply) == (threading.current_thread().name, None)
+        assert isinstance(error, errors.TransportError)
+        assert "can't start new thread" in str(error)
+        assert parks == []
+        assert (gateway._ready, gateway._parked, gateway._senders) == (deque(), [], [])
+
+    def test_the_senders_that_started_serve_the_calls(self, caplog):
+        gateway = make_mock_gateway({}, latency_s=0.01, max_inflight=3)
+        with self.failing_start(lambda number: number == 2) as starts, \
+                caplog.at_level(logging.WARNING):
+            replies = [gateway.complete(ChatRequest("x", f"u{i}")) for i in range(3)]
+        assert replies == [MOCK_FALLBACK] * 3
+        assert len(starts) == 2  # starting ended at the failed start
+        assert gateway._senders == starts[:1]
+        warnings = [record.getMessage() for record in caplog.records
+                    if record.levelname == "WARNING"]
+        assert warnings == ["started 1 of max_inflight=3 sender threads: "
+                            "can't start new thread"]
+        gateway.close()
+        assert gateway._senders == []
+        assert not any(thread.name == "eligo-sender" for thread in threading.enumerate())
+
 
 class _ScriptedReplies:
     """Transport that answers each tag after its delay, with its error if it
@@ -1072,7 +1186,8 @@ def _keep_alive_server(handler=_KeepAliveHandler, server_class=ThreadingHTTPServ
     """A keep-alive stub's base URL, served from a thread while in use."""
     _KeepAliveHandler.client_ports = []
     server = server_class(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"

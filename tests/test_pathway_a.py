@@ -12,7 +12,6 @@ from eligo.pathway_a import (
     answer_with_role,
     load_roles,
     majority_vote,
-    role_tag,
 )
 
 from conftest import assert_read_only, make_mock_gateway
@@ -55,7 +54,7 @@ class TestAnswerWithRole:
 
     def test_sparse_note_unknown(self, roles, notes, liver_catalog):
         fixtures = {
-            role_tag("n3", "Q1", "IE"):
+            "n3|Q1|roleIE":
                 '"Information not provided". The note says nothing relevant.',
         }
         gateway = make_mock_gateway(fixtures)

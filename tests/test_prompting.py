@@ -1,26 +1,33 @@
 import hashlib
 import json
-from pathlib import Path
+from importlib import resources
 
 import pytest
 
 from eligo.corpus import load_catalog_dir, load_notes
 from eligo.errors import PromptError
-from eligo.pathway_a import load_roles, role_unit
+from eligo.conversion import CONVERSION_TEMPLATES
+from eligo.pathway_a import _ROLE_TEMPLATES, load_roles, role_unit
 from eligo.pathway_b import DEBATE_TEMPLATES, debate_unit
-from eligo.prompting import TEMPLATE_NAMES, load_prompts, load_template, render
+from eligo.prompting import load_prompts, load_template, render
 
 from conftest import build_mini_fixtures
 
 
+PACKAGED = sorted(path.name.removesuffix(".txt")
+                  for path in resources.files("eligo").joinpath("prompts").iterdir()
+                  if path.name.endswith(".txt"))
+
+
 def test_all_packaged_templates_load():
-    for name in TEMPLATE_NAMES:
+    assert PACKAGED
+    for name in PACKAGED:
         assert load_template(name).strip()
 
 
-def test_template_names_are_the_packaged_files():
-    packaged = Path(__file__).resolve().parents[1] / "src" / "eligo" / "prompts"
-    assert sorted(TEMPLATE_NAMES) == sorted(path.stem for path in packaged.glob("*.txt"))
+def test_the_commands_name_exactly_the_packaged_templates():
+    named = [*_ROLE_TEMPLATES.values(), *DEBATE_TEMPLATES, *CONVERSION_TEMPLATES]
+    assert sorted(named) == PACKAGED
 
 
 def test_missing_template_raises():

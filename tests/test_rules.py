@@ -588,8 +588,10 @@ def test_verdicts_for_note_match_fresh_evaluation(seed, notes):
     for criterion in criteria:
         rule = criterion.parsed_rule
         for key in rule.outcomes:
-            assert len(key) == len(rule.question_ids)
-            assert all(type(value) is Verdict for value in key)
+            # itemgetter over one id returns the answer itself, not a 1-tuple.
+            values = key if len(rule.question_ids) > 1 else (key,)
+            assert len(values) == len(rule.question_ids)
+            assert all(type(value) is Verdict for value in values)
 
 
 # -- the evaluators the one-pass kernel replaced ------------------------------

@@ -443,7 +443,8 @@ class TestCmdScreen:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.01}, daemon=True)
         thread.start()
         try:
             raw = dict(mini_workspace["run_config"])
@@ -1045,6 +1046,33 @@ class TestCmdScreen:
         assert cmd_convert(criteria_path, backends_path, tmp_path / "out") == EXIT_OK
         assert threading.active_count() == before
         assert senders == {"eligo-sender"}
+
+    def test_screen_without_sender_threads_fails_and_counts_every_unit(
+            self, mini_workspace, caplog, monkeypatch):
+        start = threading.Thread.start
+
+        def refuse_senders(thread):
+            if thread.name == "eligo-sender":
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", refuse_senders)
+        raw = dict(mini_workspace["run_config"])
+        raw["backend"] = dict(raw["backend"], mock_latency_s=0.001)
+        codes = []
+        # On its own thread, so that a gateway left waiting for senders
+        # fails the test instead of hanging it.
+        screen = threading.Thread(
+            target=lambda: codes.append(cmd_screen(RunConfig.from_dict(raw))), daemon=True)
+        with caplog.at_level(logging.WARNING):
+            screen.start()
+            screen.join(timeout=10.0)
+        assert codes == [EXIT_PARTIAL]
+        counts = json.loads((mini_workspace["out"] / "manifest.json").read_text())["counts"]
+        assert counts["failed"] == counts["total_units"] == 30
+        assert not [record for record in caplog.records if record.exc_info]
+        assert "unit n1|m1|A-CRC failed: no sender thread could start: " \
+            "can't start new thread" in caplog.messages
 
 
 class TestCanonicalize:
@@ -1989,6 +2017,18 @@ BAD_INPUTS = {
         "screen", "catalog/trials.json",
         edit_json(lambda doc: doc["trials"].append(doc["trials"][0])),
         "duplicate trial id 'mt1'"),
+    "screen-trial-lists-a-criterion-id-twice": (
+        "screen", "catalog/trials.json",
+        edit_json(lambda doc: doc["trials"][0]["criterion_ids"].append("mc1")),
+        "{path}: trials[0]: criterion_ids lists 'mc1' twice (field 'criterion_ids')"),
+    "evaluate-criterion-lists-a-trial-id-twice": (
+        "evaluate", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][1]["trial_ids"].append("mt1")),
+        "{path}: criteria[1]: trial_ids lists 'mt1' twice (field 'trial_ids')"),
+    "convert-criterion-lists-a-question-id-twice": (
+        "convert", "catalog/criteria.json",
+        edit_json(lambda doc: doc["criteria"][0]["question_ids"].insert(0, "m3")),
+        "{path}: criteria[0]: question_ids lists 'm3' twice (field 'question_ids')"),
     "evaluate-duplicate-gold-question-label": (
         "evaluate", "gold.jsonl",
         replace_line(1, b'{"note_id": "n1", "question_id": "m2", "label": "NO"}'),
