@@ -85,10 +85,12 @@ def build_conversion_prompt(criterion: CriterionSpec, template: str,
     return ChatRequest(prompt, f"convert|{criterion.criterion_id}|{drafter}")
 
 
-def _parse_draft_lines(text: str, source: str) -> tuple[list[QuestionDraft], str, list[str]]:
-    """The drafts of the Q: lines of one completion, its last RULE: line's
-    rule ("" if none), and warnings for the lines skipped."""
-    drafts: list[QuestionDraft] = []
+def _parse_draft_lines(text: str,
+                       source: str) -> tuple[list[QuestionDraft | None], str, list[str]]:
+    """The drafts of the Q: lines of one completion in order, None for a line
+    skipped as empty; its last RULE: line's rule ("" if none); and warnings
+    for the lines skipped."""
+    drafts: list[QuestionDraft | None] = []
     rule = ""
     warnings: list[str] = []
     for raw_line in text.splitlines():
@@ -107,6 +109,7 @@ def _parse_draft_lines(text: str, source: str) -> tuple[list[QuestionDraft], str
             if draft.text:
                 drafts.append(draft)
             else:
+                drafts.append(None)
                 warnings.append(f"{source}: empty question line skipped")
             continue
         warnings.append(f"{source}: unrecognized line skipped: {line[:60]}")
@@ -150,7 +153,8 @@ def generate_questions(criterion: CriterionSpec, drafters: Sequence[str],
             failures.append((name, reply))
             warnings.append(f"{name}: backend failed: {reply}")
             continue
-        found, rule, skipped = _parse_draft_lines(reply, name)
+        lines, rule, skipped = _parse_draft_lines(reply, name)
+        found = [draft for draft in lines if draft is not None]
         drafts += found
         if rule:
             rule_proposals[name] = rule
@@ -184,10 +188,13 @@ def merge_question_sets(
     in one request rendered from the ``refine`` template's text, and returns
     the validated questions with the criterion updated to ask them.
 
-    Final questions get ids "<criterion_id>.q<k>"; the refiner's rule is
-    parsed over its Q1..Qn numbering and rewritten onto those ids.  An
-    unparsable rule keeps the questions and flags the criterion for human
-    rule authoring.  No drafts raise CatalogError.
+    The refiner's distinct questions get ids "<criterion_id>.q<k>" in the
+    order they first appear.  Its rule names its Q: lines Q1..Qn in the
+    order it wrote them, and is rewritten onto those ids: a repeated question
+    names the id of its first occurrence, and a line skipped as empty keeps
+    its number but has no id.  An unparsable rule keeps the questions and
+    flags the criterion for human rule authoring.  No drafts raise
+    CatalogError.
     """
     if not drafts:
         raise CatalogError("no drafter proposed a question")
@@ -205,22 +212,22 @@ def merge_question_sets(
     (reply,) = yield [ChatRequest(prompt, f"refine|{criterion.criterion_id}")]
 
     refined, proposed, warnings = _parse_draft_lines(reply, "refiner")
-    final_drafts = _dedup(refined)
-    if not final_drafts:
+    questions: list[QuestionSpec] = []
+    id_by_text: dict[str, str] = {}  # normalized text -> its first occurrence's id
+    id_map: dict[str, str] = {}  # Q<k> -> question id
+    for number, draft in enumerate(refined, start=1):
+        if draft is None:
+            continue
+        key = normalize_question_text(draft.text)
+        if key not in id_by_text:
+            id_by_text[key] = f"{criterion.criterion_id}.q{len(questions) + 1}"
+            questions.append(QuestionSpec(id_by_text[key], draft.text,
+                                          draft.suggested_category, draft.suggested_task_type))
+        id_map[f"Q{number}"] = id_by_text[key]
+    if not questions:
         raise RefinementParseError(
             f"refiner returned no questions for criterion {criterion.criterion_id!r}"
         )
-
-    questions = [
-        QuestionSpec(
-            question_id=f"{criterion.criterion_id}.q{index}",
-            text=draft.text,
-            category=draft.suggested_category,
-            task_type=draft.suggested_task_type,
-        )
-        for index, draft in enumerate(final_drafts, start=1)
-    ]
-    id_map = {f"Q{index}": spec.question_id for index, spec in enumerate(questions, start=1)}
 
     rule_text = ""
     if proposed:
@@ -229,7 +236,7 @@ def merge_question_sets(
             unknown = {q for q in referenced_ids(expr) if q not in id_map}
             if unknown:
                 raise RuleParseError(
-                    f"rule references unnumbered questions {sorted(unknown)}", 1
+                    f"rule references {sorted(unknown)}, which name no refined question", 1
                 )
             rule_text = print_rule(rename_questions(expr, id_map))
         except RuleParseError as exc:
@@ -239,7 +246,7 @@ def merge_question_sets(
     else:
         warnings.append("refiner proposed no rule; rule left empty for human authoring")
 
-    updated = criterion._replace(rule_text=rule_text, question_ids=tuple(id_map.values()),
+    updated = criterion._replace(rule_text=rule_text, question_ids=tuple(id_by_text.values()),
                                  needs_human_rule=not rule_text)
     validate_catalog(
         Catalog(

@@ -633,6 +633,31 @@ def validate_catalog(catalog: Catalog) -> None:
                 raise DanglingReferenceError(criterion_id, f"trial {trial.trial_id!r}")
 
 
+def _check_trial_ids(catalog: Catalog) -> None:
+    """A criterion that lists ``trial_ids`` lists exactly the trials whose
+    ``criterion_ids`` name it; an empty list says nothing.  Convert checks
+    a criterion without its trials, so only a whole catalog is held to this."""
+    naming: dict[str, list[str]] = {}  # criterion id -> the trials that name it
+    for trial in catalog.trials.values():
+        for criterion_id in trial.criterion_ids:
+            naming.setdefault(criterion_id, []).append(trial.trial_id)
+    for criterion in catalog.criteria.values():
+        if not criterion.trial_ids:
+            continue
+        where = f"criterion {criterion.criterion_id!r}"
+        named_by = naming.get(criterion.criterion_id, [])
+        for trial_id in criterion.trial_ids:
+            if trial_id not in catalog.trials:
+                raise DanglingReferenceError(trial_id, f"{where} trial_ids")
+            if trial_id not in named_by:
+                raise CatalogError(f"{where} lists trial {trial_id!r} in trial_ids, "
+                                   "but that trial's criterion_ids do not name it")
+        for trial_id in named_by:
+            if trial_id not in criterion.trial_ids:
+                raise CatalogError(f"trial {trial_id!r} names {where} in criterion_ids, "
+                                   "but that criterion's trial_ids do not list it")
+
+
 def load_catalog(
     questions_path: str | Path,
     criteria_path: str | Path,
@@ -645,6 +670,7 @@ def load_catalog(
         trials=load_trials(trials_path),
     )
     validate_catalog(catalog)
+    _check_trial_ids(catalog)
     n_questions, n_criteria, n_trials = catalog.counts()
     log.info(
         "catalog loaded: %d questions, %d criteria, %d trials",

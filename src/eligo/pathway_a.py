@@ -1,6 +1,5 @@
 """Pathway A: three expert-role prompts per question, combined by majority vote."""
 
-import time
 from typing import NamedTuple
 
 from .corpus import AdmissionNote, ParsedAnswer, QuestionSpec, Verdict
@@ -16,39 +15,20 @@ _VALUE_NAMES = {verdict: verdict.value for verdict in Verdict}
 _ROLE_TEMPLATES = {"CRC": "role_crc", "JD": "role_jd", "IE": "role_ie"}
 
 
-class _RoleFields(NamedTuple):
+class RoleProfile(NamedTuple):
+    """One anthropomorphized expert: its id in ROLE_IDS and its step-by-step
+    instructions, which load_roles reads (and load_prompts refuses blank)."""
+
     role_id: str
     instructions: str
 
 
-class RoleProfile(_RoleFields):
-    """One anthropomorphized expert: id plus its step-by-step instructions."""
+class RoleAnswer(NamedTuple):
+    """One role's answer to a question, as a vote member.  The runner times
+    the unit that produced it; the vote never reads a member's time."""
 
-    __slots__ = ()
-
-    def __new__(cls, role_id: str, instructions: str):
-        if role_id not in ROLE_IDS:
-            raise ValueError(f"unknown role {role_id!r}; expected one of {ROLE_IDS}")
-        if not instructions.strip():
-            raise ValueError(f"role {role_id} has empty instructions")
-        return tuple.__new__(cls, (role_id, instructions))
-
-
-class _AnswerFields(NamedTuple):
     answer: ParsedAnswer
     role_id: str
-    elapsed_ms: float
-
-
-class RoleAnswer(_AnswerFields):
-    """One role's answer to a question, as a vote member."""
-
-    __slots__ = ()
-
-    def __new__(cls, answer: ParsedAnswer, role_id: str, elapsed_ms: float):
-        if elapsed_ms < 0:
-            raise ValueError("elapsed_ms must be >= 0")
-        return tuple.__new__(cls, (answer, role_id, elapsed_ms))
 
 
 def load_roles(prompts_dir=None) -> dict[str, RoleProfile]:
@@ -60,13 +40,11 @@ def load_roles(prompts_dir=None) -> dict[str, RoleProfile]:
 
 def role_unit(question: QuestionSpec, note: AdmissionNote,
               role: RoleProfile) -> Unit[RoleAnswer]:
-    """Ask one role one question about one note: one request, one parsed answer."""
+    """Ask one role one question about one note: one request, one parsed
+    answer.  The runner that drives the unit times it."""
     request = question_request(role.instructions, question, note, f"role{role.role_id}")
-    started = time.monotonic()
     (reply,) = yield [request]
-    answer = parse_answer(reply, provenance=request.tag)
-    elapsed_ms = (time.monotonic() - started) * 1000.0
-    return RoleAnswer(answer, role.role_id, elapsed_ms)
+    return RoleAnswer(parse_answer(reply, provenance=request.tag), role.role_id)
 
 
 def answer_with_role(

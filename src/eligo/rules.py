@@ -147,7 +147,9 @@ RuleExpr = Union[Atom, Not, And, Or, AnyOf, AllOf]
 
 _KEYWORDS = {"AND", "OR", "NOT", "IS", "ANY", "ALL", "YES", "NO", "UNKNOWN"}
 _VALUES = {"YES", "NO", "UNKNOWN"}
-_TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|(,)|([A-Za-z_][A-Za-z0-9_.\-]*))")
+# A question id: a letter, digit or "_", then letters, digits, "_", "." or "-".
+IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
+_TOKEN_RE = re.compile(rf"\s*(?:(\()|(\))|(,)|({IDENTIFIER_RE.pattern}))")
 
 
 class _Token(NamedTuple):

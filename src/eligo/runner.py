@@ -45,12 +45,14 @@ from .corpus import (
     validate_gold,
 )
 from .errors import (
+    CatalogError,
     ConfigError,
     EligoError,
     GatewayError,
     SchemaError,
 )
-from .rules import TrialStatus, answers_view, trial_verdict, verdicts_for_note
+from .rules import (IDENTIFIER_RE, TrialStatus, answers_view, trial_verdict,
+                    verdicts_for_note)
 
 if TYPE_CHECKING:
     from .gateway import BackendConfig, Gateway, Unit
@@ -213,8 +215,8 @@ class ResultRecord(NamedTuple):
 
         The ids, ``rationale`` and ``provenance`` are strings, ``evidence``
         is a list of strings and ``transcript`` a string or null;
-        ``elapsed_s`` is a non-negative int or float (not a bool), finite in
-        milliseconds, and ``parse_fallback`` a bool.  An absent optional
+        ``elapsed_s`` a finite, non-negative int or float (not a bool) in
+        seconds, and ``parse_fallback`` a bool.  An absent optional
         field takes the value an empty answer would have written.
         """
         note_id, question_id, pathway = (record["note_id"], record["question_id"],
@@ -241,10 +243,8 @@ class ResultRecord(NamedTuple):
             if type(elapsed_s) is not int:
                 raise TypeError("elapsed_s must be a number")
             elapsed_s = float(elapsed_s)
-        # A vote keeps the largest of its members' times in milliseconds, so
-        # the value must stay finite once multiplied by 1000.  NaN compares false.
-        if not 0.0 <= elapsed_s * 1000.0 < math.inf:
-            raise ValueError(f"elapsed_s {elapsed_s} is not finite in milliseconds")
+        if not 0.0 <= elapsed_s < math.inf:  # NaN compares false
+            raise ValueError(f"elapsed_s {elapsed_s} is not finite and non-negative")
         answer = ParsedAnswer(value, rationale, tuple(evidence), provenance, parse_fallback)
         return cls(note_id, question_id, pathway, answer, elapsed_s, transcript)
 
@@ -545,19 +545,19 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             return
         note_id, question_id = note.note_id, question.question_id
         members: list[RoleAnswer] = []  # the vote's
+        slowest = 0.0  # the vote's time: the largest of its members'
         for label in labels:
             role = role_by_label.get(label)
             if existing and (record := existing.get(
                     (note_id, question_id, label))) is not None:
                 skipped += 1
                 if role is not None and vote_key(record.answer) == [note_id, question_id]:
-                    members.append(RoleAnswer(record.answer, role.role_id,
-                                              record.elapsed_s * 1000.0))
+                    members.append(RoleAnswer(record.answer, role.role_id))
+                    slowest = max(slowest, record.elapsed_s)
             elif label == VOTE_LABEL:
                 if len(members) == len(role_by_label):
-                    save(ResultRecord(
-                        note_id, question_id, VOTE_LABEL, majority_vote(*members),
-                        max(member.elapsed_ms for member in members) / 1000.0))
+                    save(ResultRecord(note_id, question_id, VOTE_LABEL,
+                                      majority_vote(*members), slowest))
                 else:
                     present = {member.role_id for member in members}
                     log.error("unit %s|%s|%s failed: missing %s", note_id, question_id,
@@ -574,17 +574,17 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
                     log.error("unit %s|%s|%s failed: %s", note_id, question_id, label, error)
                     failed += 1
                     continue
+                elapsed_s = time.monotonic() - started
                 if role is not None:
                     members.append(result)
-                    save(ResultRecord(note_id, question_id, label, result.answer,
-                                      result.elapsed_ms / 1000.0))
+                    slowest = max(slowest, elapsed_s)
+                    save(ResultRecord(note_id, question_id, label, result.answer, elapsed_s))
                     continue
                 outcome, transcript = result
                 debate_writer.append(_JSONL_ENCODER.encode({"note_id": note_id,
                                                             "question_id": question_id,
                                                             **transcript.to_dict()}))
-                save(ResultRecord(note_id, question_id, DEBATE_LABEL, outcome,
-                                  time.monotonic() - started,
+                save(ResultRecord(note_id, question_id, DEBATE_LABEL, outcome, elapsed_s,
                                   f"debates.jsonl:{note_id}|{question_id}"))
 
     try:
@@ -849,6 +849,11 @@ def cmd_convert(
     out_dir = Path(out_dir)
     try:
         criteria = list(load_criteria(criteria_path).values())
+        for criterion in criteria:  # its question ids must be rule identifiers
+            if not IDENTIFIER_RE.fullmatch(criterion.criterion_id):
+                raise CatalogError(f"criterion id {criterion.criterion_id!r} cannot start "
+                                   "a question id in a rule: use letters, digits, "
+                                   "'_', '.' and '-', not starting with '.' or '-'")
         templates = load_prompts(CONVERSION_TEMPLATES, prompts_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         outcomes = run_units((convert_criterion(criterion, names, templates)

@@ -152,7 +152,6 @@ def test_c05_vote_properties_exhaustive():
                 answer=ParsedAnswer(value=value, rationale="r", evidence=(),
                                     provenance=f"n1|Q1|role{role_id}"),
                 role_id=role_id,
-                elapsed_ms=0.0,
             )
             for value, role_id in zip(values, ROLE_IDS)
         ]

@@ -264,6 +264,42 @@ class TestMerge:
         assert merged.criterion.needs_human_rule is not rule_text
         assert merged.warnings == warnings
 
+    # The refiner repeats a question; its rule names the lines in its order.
+    REPEATING_REFINER = ("Q: Does the patient have cirrhosis?\n"
+                         "Q: Does the patient have cirrhosis.\n"
+                         "Q: Does the patient have ascites?\n")
+
+    @pytest.mark.parametrize("rule, rule_text", [
+        ("Q2 IS YES", "C1.q1 IS YES"),
+        ("Q1 IS YES AND Q3 IS NO", "C1.q1 IS YES AND C1.q2 IS NO"),
+    ])
+    def test_refiner_numbers_count_every_q_line(self, rule, rule_text):
+        merged = merge([QuestionDraft("Does the patient have cirrhosis?")],
+                       refining_gateway(self.REPEATING_REFINER + f"RULE: {rule}"),
+                       liver_criterion())
+        assert [(question.question_id, question.text) for question in merged.questions] == [
+            ("C1.q1", "Does the patient have cirrhosis?"),
+            ("C1.q2", "Does the patient have ascites?")]
+        assert merged.criterion.rule_text == rule_text
+        assert merged.criterion.question_ids == ("C1.q1", "C1.q2")
+        assert merged.warnings == []
+
+    def test_an_empty_q_line_keeps_its_number_but_has_no_id(self):
+        reply = ("Q: Does the patient have cirrhosis?\nQ: [Diagnosis/DirectMatch]\n"
+                 "Q: Does the patient have ascites?\nRULE: Q3 IS YES AND Q2 IS NO")
+        merged = merge([QuestionDraft("Does the patient have cirrhosis?")],
+                       refining_gateway(reply), liver_criterion())
+        assert merged.criterion.question_ids == ("C1.q1", "C1.q2")
+        assert merged.criterion.rule_text == ""
+        assert merged.warnings == [
+            "refiner: empty question line skipped",
+            "refiner rule rejected (position 1: rule references ['Q2'], which name "
+            "no refined question); rule left empty for human authoring"]
+        merged = merge([QuestionDraft("Does the patient have cirrhosis?")],
+                       refining_gateway(reply.replace("Q2 IS NO", "Q1 IS NO")),
+                       liver_criterion())
+        assert merged.criterion.rule_text == "C1.q2 IS YES AND C1.q1 IS NO"
+
     def test_default_labels_applied(self):
         merged = merge(
             generate(liver_criterion(),

@@ -182,6 +182,41 @@ class TestCatalog:
             )
         assert excinfo.value.ref_id == "nope"
 
+    @pytest.mark.parametrize("trial_ids, t2_names, message", [
+        (["NO-SUCH-TRIAL"], "C2",
+         "unknown id 'NO-SUCH-TRIAL' referenced by criterion 'C1' trial_ids"),
+        (["T1", "T2"], "C2",
+         "criterion 'C1' lists trial 'T2' in trial_ids, "
+         "but that trial's criterion_ids do not name it"),
+        (["T1"], "C1",
+         "trial 'T2' names criterion 'C1' in criterion_ids, "
+         "but that criterion's trial_ids do not list it"),
+    ], ids=["unknown-trial", "trial-not-naming-it", "trial-not-listed"])
+    def test_trial_ids_must_agree_with_the_trials(self, tmp_path, data_dir, trial_ids,
+                                                  t2_names, message):
+        # T1 names C1; T2 names C1 or a second criterion, C2, that lists no trial.
+        criteria = json.loads((data_dir / "catalog_liver" / "criteria.json").read_text())
+        first = criteria["criteria"][0]
+        criteria["criteria"] = [{**first, "trial_ids": trial_ids},
+                                {**first, "criterion_id": "C2", "trial_ids": []}]
+        (tmp_path / "criteria.json").write_text(json.dumps(criteria))
+        (tmp_path / "trials.json").write_text(json.dumps({"trials": [
+            {"trial_id": "T1", "criterion_ids": ["C1"]},
+            {"trial_id": "T2", "criterion_ids": [t2_names]}]}))
+        with pytest.raises((CatalogError, DanglingReferenceError)) as excinfo:
+            load_catalog(data_dir / "catalog_liver" / "questions.json",
+                         tmp_path / "criteria.json", tmp_path / "trials.json")
+        assert str(excinfo.value) == message
+
+    def test_an_empty_trial_ids_list_says_nothing(self, tmp_path, data_dir):
+        criteria = json.loads((data_dir / "catalog_liver" / "criteria.json").read_text())
+        criteria["criteria"][0]["trial_ids"] = []
+        (tmp_path / "criteria.json").write_text(json.dumps(criteria))
+        catalog = load_catalog(data_dir / "catalog_liver" / "questions.json",
+                               tmp_path / "criteria.json",
+                               data_dir / "catalog_liver" / "trials.json")
+        assert catalog.trials["T1"].criterion_ids == ("C1",)
+
     def test_unparsable_rule_names_criterion(self, tmp_path, data_dir):
         criteria = {"criteria": [{
             "criterion_id": "C1", "trial_ids": [], "kind": "inclusion",

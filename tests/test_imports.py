@@ -95,9 +95,8 @@ def test_evaluate_loads_no_gateway_pathway_or_prompts(mini_workspace):
     assert not modules & NOT_FOR_ANY_COMMAND
 
 
-@pytest.mark.parametrize("path", sorted(Path(eligo.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
-def test_no_module_imports_dataclasses(path):
+def imported_packages(path):
+    """(line, top-level package) of each module that ``path`` imports."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -105,8 +104,24 @@ def test_no_module_imports_dataclasses(path):
             names = [node.module or ""]
         else:
             continue
-        assert "dataclasses" not in [name.split(".")[0] for name in names], \
-            f"{path.name}:{node.lineno} imports dataclasses"
+        for name in names:
+            yield node.lineno, name.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(Path(eligo.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    for line, package in imported_packages(path):
+        assert package != "dataclasses", f"{path.name}:{line} imports dataclasses"
+
+
+@pytest.mark.parametrize("module", ["pathway_a", "pathway_b", "prompting"])
+def test_units_are_timed_only_by_the_runner(module):
+    # The runner's clock times every unit, a role as a debate, so a unit
+    # module keeps no second clock.
+    path = Path(eligo.__file__).parent / f"{module}.py"
+    lines = [line for line, package in imported_packages(path) if package == "time"]
+    assert not lines, f"{path.name} imports time on lines {lines}"
 
 
 def json_decoder_lines(path):

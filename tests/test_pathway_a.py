@@ -8,7 +8,6 @@ from eligo.gateway import ParsedAnswer
 from eligo.pathway_a import (
     ROLE_IDS,
     RoleAnswer,
-    RoleProfile,
     answer_with_role,
     load_roles,
     majority_vote,
@@ -45,7 +44,6 @@ class TestAnswerWithRole:
         assert result.answer.value is Verdict.YES
         assert result.answer.evidence == ("hepatocellular carcinoma (trabecular type)",)
         assert result.role_id == "CRC"
-        assert result.elapsed_ms >= 0
 
     def test_exactly_one_gateway_call(self, roles, notes, liver_catalog, liver_fixtures):
         gateway = make_mock_gateway(liver_fixtures)
@@ -91,25 +89,11 @@ class TestRoleProfile:
     def test_loads_all_three(self, roles):
         assert set(roles) == set(ROLE_IDS)
 
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ValueError):
-            RoleProfile("RN", "steps")
-
-    def test_empty_instructions_rejected(self):
-        with pytest.raises(ValueError):
-            RoleProfile("CRC", "   ")
-
     def test_is_read_only(self, roles):
         assert_read_only(roles["CRC"])
 
 
 class TestRoleAnswer:
-    def test_negative_elapsed_rejected(self):
-        answer = ParsedAnswer(Verdict.YES, "r", (), "n1|Q1|roleCRC")
-        assert RoleAnswer(answer, "CRC", 0.0).elapsed_ms == 0.0
-        with pytest.raises(ValueError, match="elapsed_ms"):
-            RoleAnswer(answer, "CRC", -0.5)
-
     def test_is_read_only(self):
         assert_read_only(make_role_answer(Verdict.YES, "CRC"))
 
@@ -121,7 +105,7 @@ def make_role_answer(value, role_id, evidence=(), key=("n1", "Q1")):
         evidence=tuple(evidence),
         provenance=f"{key[0]}|{key[1]}|role{role_id}",
     )
-    return RoleAnswer(answer=answer, role_id=role_id, elapsed_ms=1.0)
+    return RoleAnswer(answer=answer, role_id=role_id)
 
 
 class TestMajorityVote:

@@ -218,6 +218,20 @@ class TestParser:
             expr = random_expr(rng, question_ids)
             assert parse_rule(print_rule(expr)) == expr
 
+    @pytest.mark.parametrize("rule", ["1.q1 IS YES AND 1.q2 IS NOT NO",
+                                      "ANY(2, _x, 3-a.q1) IS UNKNOWN"])
+    def test_a_question_id_may_start_with_a_digit(self, rule):
+        # convert names a criterion's questions <criterion id>.q<k>, and a
+        # criterion id may start with a digit.
+        assert print_rule(parse_rule(rule)) == rule
+
+    @pytest.mark.parametrize("rule, position", [(".q1 IS YES", 1), ("-q1 IS YES", 1),
+                                                ("q1 IS YES AND 1 q2 IS NO", 17)])
+    def test_a_question_id_starts_with_a_letter_digit_or_underscore(self, rule, position):
+        with pytest.raises(RuleParseError) as excinfo:
+            parse_rule(rule)
+        assert excinfo.value.position == position
+
     def test_rename_questions(self):
         expr = parse_rule("Q1 IS YES AND ANY(Q1, Q2) IS NO")
         renamed = rename_questions(expr, {"Q1": "c1.q1", "Q2": "c1.q2"})

@@ -150,8 +150,6 @@ BAD_RESULT_LINES = [
     # One value per field that would not be written back as it was read:
     # a number past the largest float decodes to Infinity.
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": 1e400}',
-    # Finite in seconds, but a vote's elapsed_ms would overflow to Infinity.
-    '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "elapsed_s": 1e306}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", '
     '"parse_fallback": "false"}',
     '{"note_id": "n1", "question_id": "m1", "pathway": "B", "value": "NO", "rationale": 5}',
@@ -847,6 +845,38 @@ class TestCmdScreen:
     def test_resume_answers_only_missing_role(self, mini_workspace):
         assert self.resume_without(mini_workspace, "A-JD") == 1
 
+    def test_resumed_vote_takes_its_slowest_members_time(self, mini_workspace):
+        # 1e306 s is finite, so the rebuilt vote writes it as its own time.
+        config = run_config(mini_workspace, pathway="A")
+        assert cmd_screen(config) == EXIT_OK
+        results_path = mini_workspace["out"] / "results.jsonl"
+        kept = []
+        for record in read_jsonl(results_path):
+            key = (record["note_id"], record["question_id"], record["pathway"])
+            if key == ("n2", "m2", "A-JD"):
+                record["elapsed_s"] = 1e306
+            if key != ("n2", "m2", "A-vote"):
+                kept.append(record)
+        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 0
+        (vote,) = [record for record in read_jsonl(results_path)
+                   if (record["note_id"], record["question_id"], record["pathway"])
+                   == ("n2", "m2", "A-vote")]
+        assert vote["elapsed_s"] == 1e306
+
+    def test_screened_vote_takes_its_slowest_members_time(self, mini_workspace):
+        config = run_config(mini_workspace, pathway="A")
+        assert cmd_screen(config) == EXIT_OK
+        times: dict = {}
+        for record in read_jsonl(mini_workspace["out"] / "results.jsonl"):
+            times.setdefault((record["note_id"], record["question_id"]), {})[
+                record["pathway"]] = record["elapsed_s"]
+        for by_label in times.values():
+            vote = by_label.pop("A-vote")
+            assert vote == max(by_label.values())
+
     def test_resumed_role_without_provenance_fails_only_its_vote(self, mini_workspace,
                                                                  caplog):
         config = run_config(mini_workspace, pathway="A")
@@ -1314,8 +1344,8 @@ class TestCmdEvaluate:
             self, mini_workspace):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
         results_path = mini_workspace["out"] / "results.jsonl"
-        # Each label's 1,500 durations, finite in milliseconds, sum past the
-        # largest float.  Each copy answers its own notes, as keys are unique.
+        # Each label's 1,500 durations, each finite, sum past the largest
+        # float.  Each copy answers its own notes, as keys are unique.
         records = read_jsonl(results_path)
         results_path.write_text("".join(
             json.dumps({**record, "note_id": f"{record['note_id']}-{copy}",
@@ -1760,6 +1790,33 @@ class TestCmdConvert:
         assert "merge_question_sets" not in report
         assert "## C1: 2 questions\n" in report and "## C3: 2 questions\n" in report
 
+    def test_a_digit_led_criterion_id_converts(self, tmp_path):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 1)
+        for path in (criteria_path, tmp_path / "fixtures.json"):
+            path.write_text(path.read_text().replace("C1", "1"))
+        out = tmp_path / "out"
+        assert cmd_convert(criteria_path, backends_path, out) == EXIT_OK
+        (criterion,) = json.loads((out / "criteria.json").read_text())["criteria"]
+        assert criterion["rule"] == "1.q1 IS YES AND 1.q2 IS NOT NO"
+        assert criterion["question_ids"] == ["1.q1", "1.q2"]
+        (out / "trials.json").write_text(json.dumps(
+            {"trials": [{"trial_id": "T1", "criterion_ids": ["1"]}]}))
+        assert load_catalog_dir(out).criteria["1"].parsed_rule.question_ids == \
+            ("1.q1", "1.q2")
+
+    @pytest.mark.parametrize("criterion_id", ["inc 2", ".c2", "-c2", "c2!"])
+    def test_a_criterion_id_no_rule_can_name_exits_3_before_any_call(
+            self, tmp_path, monkeypatch, caplog, criterion_id):
+        criteria_path, backends_path = self.build_catalog(tmp_path, 2)
+        criteria_path.write_text(criteria_path.read_text().replace('"C2"',
+                                                                   json.dumps(criterion_id)))
+        code, gateways = self.convert_keeping_gateways(
+            monkeypatch, criteria_path, backends_path, tmp_path / "out")
+        assert code == EXIT_INPUT
+        assert f"input error: criterion id {criterion_id!r} cannot start" in caplog.text
+        assert [gateway.transport.calls for gateway in gateways.values()] == [0, 0, 0]
+        assert not (tmp_path / "out").exists()
+
     # SHA-256 of the outputs of test_outputs_match_pinned_digests.  They were
     # computed before a converted criterion became one value; a change that
     # alters an output byte must say why and update them.
@@ -1859,6 +1916,19 @@ class TestCli:
         results_path.write_text(json.dumps(record) + "\n" + bad_line + "\n")
         assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_INPUT
         assert f"line 2: {results_path}: unreadable result record" in caplog.text
+
+    def test_cli_canonicalize_reads_a_time_finite_in_seconds(self, tmp_path, capsys):
+        line = ('{"elapsed_s": 1e+306, "evidence": [], "note_id": "n1", '
+                '"parse_fallback": false, "pathway": "B", "provenance": "", '
+                '"question_id": "m1", "rationale": "", "value": "NO"}')
+        record = ResultRecord.from_dict(json.loads(line))
+        assert record.elapsed_s == 1e306
+        assert record.to_line() == line
+        results_path = tmp_path / "results.jsonl"
+        results_path.write_text(line + "\n")
+        assert cli_main(["canonicalize", "--results", str(results_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            key: value for key, value in json.loads(line).items() if key != "elapsed_s"}
 
     def test_cli_canonicalize_non_utf8_exits_3_naming_the_line(self, tmp_path, caplog):
         results_path = tmp_path / "results.jsonl"
@@ -2126,6 +2196,17 @@ class TestBadInput:
         assert cmd_evaluate(*args, notes_path=mini_workspace["notes"]) == EXIT_INPUT
         assert "unknown id 'ghost-note' referenced by gold question label" in caplog.text
         assert cmd_evaluate(*args) == EXIT_OK  # notes are only checked when given
+
+    @pytest.mark.parametrize("command", ["screen", "evaluate"])
+    def test_trial_ids_naming_an_unknown_trial_exits_3(self, mini_workspace, caplog,
+                                                       command):
+        criteria_path = mini_workspace["catalog"] / "criteria.json"
+        doc = json.loads(criteria_path.read_text())
+        doc["criteria"][0]["trial_ids"] = ["NO-SUCH-TRIAL"]
+        criteria_path.write_text(json.dumps(doc))
+        assert cli_main(self.argv(command, mini_workspace)) == EXIT_INPUT
+        assert ("input error: unknown id 'NO-SUCH-TRIAL' referenced by criterion 'mc1' "
+                "trial_ids") in caplog.text
 
     def test_bad_mock_fixtures_exits_3(self, mini_workspace, caplog):
         mini_workspace["fixtures"].write_text("[]")
