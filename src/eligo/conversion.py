@@ -34,7 +34,7 @@ from .rules import parse_rule, print_rule, referenced_ids, rename_questions
 
 log = logging.getLogger(__name__)
 
-_Q_LINE_RE = re.compile(r"^\s*Q\s*\d*\s*[:.]\s*(.+?)\s*$")
+_Q_LINE_RE = re.compile(r"^\s*Q\s*\d*\s*[:.]\s*(.*?)\s*$")
 _RULE_LINE_RE = re.compile(r"^\s*RULE\s*[:.]\s*(.+?)\s*$", re.IGNORECASE)
 _LABEL_RE = re.compile(r"\s*\[([A-Za-z]+)\s*/\s*([A-Za-z]+)\]\s*$")
 

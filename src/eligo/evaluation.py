@@ -372,10 +372,8 @@ def timing_stats(records: Iterable[tuple[str, float]]) -> dict[str, TimingStats]
 
 # -- report rendering ---------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, float)):
-        return f"{value:.3f}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{value:.3f}"
 
 
 def _overall_table(level: Mapping[str, Mapping], title: str) -> list[str]:

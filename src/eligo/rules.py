@@ -35,10 +35,10 @@ naming the question, for any other value.
 """
 
 import re
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .corpus import CriterionKind, CriterionSpec, TrialSpec, Verdict, refuse_assignment
 from .errors import CatalogError, MissingVerdictError, RuleParseError
@@ -149,44 +149,35 @@ _KEYWORDS = {"AND", "OR", "NOT", "IS", "ANY", "ALL", "YES", "NO", "UNKNOWN"}
 _VALUES = {"YES", "NO", "UNKNOWN"}
 # A question id: a letter, digit or "_", then letters, digits, "_", "." or "-".
 IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
-_TOKEN_RE = re.compile(rf"\s*(?:(\()|(\))|(,)|({IDENTIFIER_RE.pattern}))")
+_TOKEN_RE = re.compile(rf"\s*(?:([(),])|({IDENTIFIER_RE.pattern})|(\S))")
+# The binary operators, loosest first: an OR chain's operands are AND chains.
+_CHAINS = (("OR", Or), ("AND", And))
 
 
 class _Token(NamedTuple):
     """One lexical token of a rule, with its position for error messages."""
 
-    kind: str  # LPAREN RPAREN COMMA KEYWORD IDENT EOF
+    kind: str  # the mark "(", ")" or ",", the upper-cased keyword, IDENT or EOF
     text: str
     position: int  # 1-based character position
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None or match.end() == match.start():
-            # Only whitespace consumed, or an unrecognized character.
-            stripped = text[index:].lstrip()
-            if not stripped:
-                break
-            position = len(text) - len(stripped) + 1
-            raise RuleParseError(
-                f"unexpected character {stripped[0]!r}", position, expected="a token"
-            )
-        index = match.end()
-        lparen, rparen, comma, word = match.groups()
-        position = match.end() - len(match.group().lstrip()) + 1
-        if lparen:
-            tokens.append(_Token("LPAREN", "(", position))
-        elif rparen:
-            tokens.append(_Token("RPAREN", ")", position))
-        elif comma:
-            tokens.append(_Token("COMMA", ",", position))
-        elif word:
-            upper = word.upper()
-            kind = "KEYWORD" if upper in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, position))
+    """Split rule text into tokens, the last of them EOF at ``len(text) + 1``.
+
+    A character that starts no token raises RuleParseError at its own
+    position.  The scan stops at the trailing whitespace, where no token
+    matches, so that ``finditer`` does not retry there at every character.
+    """
+    tokens = []
+    for match in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        mark, word, stray = match.groups()
+        position = match.start(match.lastindex) + 1
+        if stray:
+            raise RuleParseError(f"unexpected character {stray!r}", position,
+                                 expected="a token")
+        kind = mark or (word.upper() if word.upper() in _KEYWORDS else "IDENT")
+        tokens.append(_Token(kind, mark or word, position))
     tokens.append(_Token("EOF", "", len(text) + 1))
     return tokens
 
@@ -197,106 +188,71 @@ class _Parser:
         self.index = 0
         self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    def take(self, kinds: Container[str], expected: str | None = None) -> _Token | None:
+        """Step past and return the next token if its kind is in ``kinds``.
 
-    def advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
-
-    def fail(self, expected: str):
-        token = self.current
-        got = "end of rule" if token.kind == "EOF" else repr(token.text)
-        raise RuleParseError(f"unexpected {got}", token.position, expected=expected)
-
-    def keyword(self, word: str) -> bool:
-        token = self.current
-        if token.kind == "KEYWORD" and token.text.upper() == word:
-            self.advance()
-            return True
-        return False
-
-    def expect_keyword(self, word: str):
-        if not self.keyword(word):
-            self.fail(word)
-
-    def expect(self, kind: str, label: str) -> _Token:
-        if self.current.kind != kind:
-            self.fail(label)
-        return self.advance()
-
-    def value(self) -> Verdict:
-        token = self.current
-        if token.kind == "KEYWORD" and token.text.upper() in _VALUES:
-            self.advance()
-            return Verdict(token.text.upper())
-        self.fail("VALUE (YES, NO or UNKNOWN)")
-
-    def question_id(self) -> str:
-        return self.expect("IDENT", "question id").text
+        Otherwise return None, or, when ``expected`` names what the grammar
+        allows here, raise RuleParseError at the token.
+        """
+        token = self.tokens[self.index]
+        if token.kind in kinds:
+            self.index += 1
+            return token
+        if expected:
+            got = "end of rule" if token.kind == "EOF" else repr(token.text)
+            raise RuleParseError(f"unexpected {got}", token.position, expected=expected)
+        return None
 
     def parse(self) -> RuleExpr:
-        expr = self.or_expr()
-        if self.current.kind != "EOF":
-            self.fail("AND, OR or end of rule")
+        expr = self.chain()
+        self.take(("EOF",), "AND, OR or end of rule")
         return expr
 
-    def or_expr(self) -> RuleExpr:
-        children = [self.and_expr()]
-        while self.keyword("OR"):
-            children.append(self.and_expr())
-        return children[0] if len(children) == 1 else Or(tuple(children))
-
-    def and_expr(self) -> RuleExpr:
-        children = [self.unary()]
-        while self.keyword("AND"):
-            children.append(self.unary())
-        return children[0] if len(children) == 1 else And(tuple(children))
+    def chain(self, level: int = 0) -> RuleExpr:
+        """``operand (OP operand)*`` for ``_CHAINS[level]``'s OP, whose operands
+        are the next level's chains, or unaries below the last level."""
+        if level == len(_CHAINS):
+            return self.unary()
+        keyword, node = _CHAINS[level]
+        children = [self.chain(level + 1)]
+        while self.take((keyword,)):
+            children.append(self.chain(level + 1))
+        return children[0] if len(children) == 1 else node(tuple(children))
 
     def unary(self) -> RuleExpr:
-        token = self.current
-        if self.keyword("NOT"):
-            return Not(self.nested(token, self.unary))
-        if token.kind == "LPAREN":
-            self.advance()
-            expr = self.nested(token, self.or_expr)
-            self.expect("RPAREN", "')'")
-            return expr
-        return self.atom()
-
-    def nested(self, token: _Token, parse: Callable[[], RuleExpr]) -> RuleExpr:
-        """``parse()`` one level inside ``token``, a "(" or NOT."""
+        token = self.take(("NOT", "("))
+        if token is None:
+            return self.atom()
         if self.depth == MAX_RULE_DEPTH:
             raise RuleParseError(f"rule nested deeper than {MAX_RULE_DEPTH} levels",
                                  token.position)
         self.depth += 1
-        expr = parse()
+        if token.kind == "NOT":
+            expr = Not(self.unary())
+        else:
+            expr = self.chain()
+            self.take((")",), "')'")
         self.depth -= 1
         return expr
 
+    def value(self) -> Verdict:
+        return Verdict(self.take(_VALUES, "VALUE (YES, NO or UNKNOWN)").kind)
+
     def atom(self) -> RuleExpr:
-        token = self.current
-        if token.kind == "KEYWORD" and token.text.upper() in ("ANY", "ALL"):
-            quantifier = token.text.upper()
-            self.advance()
-            self.expect("LPAREN", "'('")
-            question_ids = [self.question_id()]
-            while self.current.kind == "COMMA":
-                self.advance()
-                question_ids.append(self.question_id())
-            self.expect("RPAREN", "')'")
-            self.expect_keyword("IS")
-            value = self.value()
-            cls = AnyOf if quantifier == "ANY" else AllOf
-            return cls(tuple(question_ids), value)
-        if token.kind != "IDENT":
-            self.fail("question id, '(', NOT, ANY or ALL")
-        question_id = self.question_id()
-        self.expect_keyword("IS")
-        negated = self.keyword("NOT")
-        return Atom(question_id, self.value(), negated=negated)
+        quantifier = self.take(("ANY", "ALL"))
+        if quantifier:
+            self.take(("(",), "'('")
+            question_ids = [self.take(("IDENT",), "question id").text]
+            while self.take((",",)):
+                question_ids.append(self.take(("IDENT",), "question id").text)
+            self.take((")",), "')'")
+            self.take(("IS",), "IS")
+            cls = AnyOf if quantifier.kind == "ANY" else AllOf
+            return cls(tuple(question_ids), self.value())
+        question_id = self.take(("IDENT",), "question id, '(', NOT, ANY or ALL").text
+        self.take(("IS",), "IS")
+        negated = self.take(("NOT",)) is not None
+        return Atom(question_id, self.value(), negated)
 
 
 def parse_rule(text: str) -> RuleExpr:

@@ -894,8 +894,23 @@ def cmd_convert(
 
 # -- report -------------------------------------------------------------------
 
+def _check_numbers(record: Mapping, keys: tuple[str, ...], where: str) -> None:
+    """Each of ``keys`` that ``record`` holds is a finite int or float, which
+    render_report can format as a float; a bool is not a number."""
+    for key in keys:
+        value = record.get(key, 0.0)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past any float
+            finite = False
+        if not finite:
+            raise SchemaError(f"{where}: expected a number for {key!r}", field=key)
+
+
 def _check_report(report: Mapping, where: str) -> None:
     """Check the fields of one label's report that render_report formats."""
+    _check_numbers(report, ("precision", "recall", "f1", "accuracy", "accuracy_triclass"),
+                   where)
     _require(report, "answered_count", int, where, default=0)
     breakdowns = _require(report, "breakdowns", dict, where, default={})
     for group in breakdowns:
@@ -904,10 +919,7 @@ def _check_report(report: Mapping, where: str) -> None:
     counterfactual = _optional(report, "counterfactual", dict, where)
     if counterfactual is not None:
         where = f"{where}: counterfactual"
-        for key in ("rate", "rate_among_errors"):
-            rate = counterfactual.get(key, 0.0)
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise SchemaError(f"{where}: expected a number for {key!r}", field=key)
+        _check_numbers(counterfactual, ("rate", "rate_among_errors"), where)
         _require(counterfactual, "count", int, where, default=0)
 
 
@@ -924,7 +936,10 @@ def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> 
             reports = _require(metrics, level, dict, where, default={})
             for label in reports:
                 report = _require(reports, label, dict, f"{where}: {level}")
-                if level != "timing":
+                if level == "timing":
+                    _check_numbers(report, ("mean", "p50", "p90", "max"),
+                                   f"{where}: {level}: {label}")
+                else:
                     _check_report(report, f"{where}: {level}: {label}")
     except (EligoError, OSError) as exc:
         log.error("cannot read metrics: %s", exc)

@@ -284,8 +284,9 @@ class TestMerge:
         assert merged.criterion.question_ids == ("C1.q1", "C1.q2")
         assert merged.warnings == []
 
-    def test_an_empty_q_line_keeps_its_number_but_has_no_id(self):
-        reply = ("Q: Does the patient have cirrhosis?\nQ: [Diagnosis/DirectMatch]\n"
+    @pytest.mark.parametrize("empty_line", ["Q: [Diagnosis/DirectMatch]", "Q2:", "Q:"])
+    def test_an_empty_q_line_keeps_its_number_but_has_no_id(self, empty_line):
+        reply = (f"Q: Does the patient have cirrhosis?\n{empty_line}\n"
                  "Q: Does the patient have ascites?\nRULE: Q3 IS YES AND Q2 IS NO")
         merged = merge([QuestionDraft("Does the patient have cirrhosis?")],
                        refining_gateway(reply), liver_criterion())

@@ -1,4 +1,5 @@
 import random
+import time
 from collections.abc import Mapping
 from itertools import product
 
@@ -43,6 +44,11 @@ LIVER_ANSWERS = {"Q1": Verdict.YES, "Q2": Verdict.YES, "Q3": Verdict.NO,
                 "Q4": Verdict.UNKNOWN}
 
 VALUES = (Verdict.YES, Verdict.NO, Verdict.UNKNOWN)
+
+# Rule tokens in either case, marks, spaces and stray characters, joined with
+# no separator so that neighbouring pieces also run together into one word.
+RULE_PIECES = ["Q1", "q2", "1.q3", "_x-4", "IS", "is", "NOT", "AND", "or", "ANY", "all",
+               "YES", "no", "Unknown", "(", ")", ",", " ", "  ", "\t", "\n", "&", "é", "."]
 
 
 def desugar(expr):
@@ -231,6 +237,42 @@ class TestParser:
         with pytest.raises(RuleParseError) as excinfo:
             parse_rule(rule)
         assert excinfo.value.position == position
+
+    @pytest.mark.parametrize("rule, message", [
+        ("", "position 1: unexpected end of rule, expected question id, '(', NOT, ANY or ALL"),
+        ("Q1", "position 3: unexpected end of rule, expected IS"),
+        ("Q1 IS MAYBE", "position 7: unexpected 'MAYBE', expected VALUE (YES, NO or UNKNOWN)"),
+        ("Q1 IS YES Q2", "position 11: unexpected 'Q2', expected AND, OR or end of rule"),
+        ("(Q1 IS YES", "position 11: unexpected end of rule, expected ')'"),
+        ("ANY Q1) IS YES", "position 5: unexpected 'Q1', expected '('"),
+        ("ANY(Q1,) IS YES", "position 8: unexpected ')', expected question id"),
+        ("ANY(Q1) YES", "position 9: unexpected 'YES', expected IS"),
+        ("Q1 IS YES & Q2 IS NO", "position 11: unexpected character '&', expected a token"),
+        ("Q1 IS YES)", "position 10: unexpected ')', expected AND, OR or end of rule"),
+    ])
+    def test_error_messages(self, rule, message):
+        with pytest.raises(RuleParseError) as excinfo:
+            parse_rule(rule)
+        assert str(excinfo.value) == message
+
+    @given(st.lists(st.sampled_from(RULE_PIECES), max_size=14).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_any_text_parses_round_trips_or_fails_at_a_token(self, text):
+        try:
+            expr = parse_rule(text)
+        except RuleParseError as error:
+            assert 1 <= error.position <= len(text) + 1
+            assert error.position == len(text) + 1 or not text[error.position - 1].isspace()
+        else:
+            assert parse_rule(print_rule(expr)) == expr
+
+    def test_trailing_whitespace_is_scanned_once(self):
+        # A token scan retried at each trailing space would take seconds here.
+        started = time.perf_counter()
+        assert parse_rule("Q1 IS YES" + " " * 20_000) == Atom("Q1", Verdict.YES)
+        with pytest.raises(RuleParseError, match="position 20006: unexpected end of rule"):
+            parse_rule("Q1 IS" + "\n" * 20_000)
+        assert time.perf_counter() - started < 1.0
 
     def test_rename_questions(self):
         expr = parse_rule("Q1 IS YES AND ANY(Q1, Q2) IS NO")

@@ -1552,11 +1552,19 @@ class TestCmdReport:
          "question_level: A: counterfactual: expected int for 'count'"),
         ({"question_level": {"A": {"counterfactual": 5}}},
          "question_level: A: expected dict for 'counterfactual'"),
+        ({"question_level": {"A": {"precision": 10**400}}},
+         "question_level: A: expected a number for 'precision'"),
+        ('{"question_level": {"A": {"counterfactual": {"rate": 1e999}}}}',
+         "question_level: A: counterfactual: expected a number for 'rate'"),
+        ({"question_level": {"A": {"breakdowns": {"g": {"recall": "0.5"}}}}},
+         "question_level: A: breakdowns: g: expected a number for 'recall'"),
+        ({"timing": {"A-vote": {"mean": 10**400}}},
+         "timing: A-vote: expected a number for 'mean'"),
     ])
     def test_malformed_level_exits_3_naming_the_key(self, tmp_path, capsys, caplog,
                                                      metrics, message):
         metrics_path = tmp_path / "metrics.json"
-        metrics_path.write_text(json.dumps(metrics))
+        metrics_path.write_text(metrics if isinstance(metrics, str) else json.dumps(metrics))
         assert cli_main(["report", "--metrics", str(metrics_path)]) == EXIT_INPUT
         assert f"cannot read metrics: {metrics_path}: {message}" in caplog.text
         assert capsys.readouterr().out == ""
