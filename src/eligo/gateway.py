@@ -81,6 +81,7 @@ class ChatRequest(NamedTuple):
 
     prompt: str
     tag: str = ""  # provenance label (role/agent/round), also the fixture key
+    inputs: str = ""  # what the prompt is made from (see question_request)
 
 
 _VISIBLE_ASCII = re.compile(r"[!-~]*")

@@ -57,11 +57,6 @@ def answer_with_role(
     return run_unit(role_unit(question, note, role), gateway)
 
 
-def vote_key(answer: ParsedAnswer) -> list[str]:
-    """The (note id, question id) that the answer's provenance starts with."""
-    return answer.provenance.split("|", 2)[:2]
-
-
 def _role_order(answer: RoleAnswer) -> tuple[int, str]:
     return _ROLE_RANK.get(answer.role_id, len(ROLE_IDS)), answer.role_id
 
@@ -72,9 +67,9 @@ def majority_vote(a: RoleAnswer, b: RoleAnswer, c: RoleAnswer) -> ParsedAnswer:
     UNKNOWN is the safe screening default for an unresolved split: it flags
     the question for human review instead of asserting either way.
     """
-    key = vote_key(a.answer)
-    if vote_key(b.answer) != key or vote_key(c.answer) != key:
-        keys = {tuple(vote_key(ra.answer)) for ra in (a, b, c)}
+    # The (note id, question id) that each provenance starts with.
+    keys = {tuple(ra.answer.provenance.split("|", 2)[:2]) for ra in (a, b, c)}
+    if len(keys) > 1:
         raise MixedKeyError(f"votes span different (note, question) pairs: {sorted(keys)}")
     first, second, third = a.answer.value, b.answer.value, c.answer.value
     if first is second or first is third:

@@ -95,6 +95,14 @@ def render(template: str, **values: str) -> str:
     return "".join(parts)
 
 
+@lru_cache(maxsize=256)
+def _digest(text: str) -> str:
+    """SHA-256 of a template, a note's text or the contract, in hex."""
+    from hashlib import sha256  # hashlib loads OpenSSL, which is slow
+
+    return sha256(text.encode()).hexdigest()
+
+
 def question_request(template: str, question: QuestionSpec, note: AdmissionNote,
                      stage: str, **values: str) -> ChatRequest:
     """The request that asks ``question`` about ``note`` at ``stage`` (a role
@@ -102,7 +110,13 @@ def question_request(template: str, question: QuestionSpec, note: AdmissionNote,
     filled with the question, the note's canonical text and ``values``, then
     the answer-format contract that parse_answer reads.  Its tag is
     ``<note id>|<question id>|<stage>``.  Every role and debate request, and
-    so every screen tag, is built here."""
-    prompt = render(template, question=question.text, note=canonical_text(note), **values)
+    so every screen tag, is built here.  Its ``inputs`` are the digests of the
+    template, the contract and the note, then the question and each value by
+    name, each led by its length: what the prompt is made from."""
+    text, note_text = question.text, canonical_text(note)
+    prompt = render(template, question=text, note=note_text, **values)
+    inputs = "".join([_digest(template), _digest(FORMAT_CONTRACT), _digest(note_text),
+                      f"{len(text)}:{text}", *[f"{len(name)}:{name}{len(value)}:{value}"
+                                               for name, value in sorted(values.items())]])
     return ChatRequest(f"{prompt}\n{FORMAT_CONTRACT}",
-                       f"{note.note_id}|{question.question_id}|{stage}")
+                       f"{note.note_id}|{question.question_id}|{stage}", inputs)

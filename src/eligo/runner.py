@@ -1,15 +1,16 @@
 """Run orchestration: screen, evaluate, convert, report.
 
-Screening appends one JSONL record per completed (note, question, pathway)
-unit, so an interrupted run resumes by skipping keys already on disk.
-Each (note, question) pair is one generator that runs its units in label
-order: the roles, then their vote, then the debate.  ``gateway.run_units``
-drives every pair from one loop on the calling thread, which does all of
-the work but the backend calls: rendering, parsing, voting and appending.
-At most ``workers`` pairs are runnable at a time (see run_units).
-Completion order across pairs is nondeterministic; downstream consumers
-(and the determinism check) sort by key via canonicalization.  Conversion
-runs one unit per criterion on the same driver, and writes in input order.
+Screening runs every (note, question, pathway) unit and keeps each backend
+reply in ``calls.jsonl`` under a key made from what was sent, so a rerun
+sends only the calls whose inputs are new.  Each (note, question) pair is
+one generator that runs its units in label order: the roles, then their
+vote, then the debate.  ``gateway.run_units`` drives every pair from one
+loop on the calling thread, which does all of the work but the backend
+calls: rendering, parsing and voting.  At most ``workers`` pairs are
+runnable at a time (see run_units).  Completion order across pairs is
+nondeterministic; downstream consumers (and the determinism check) sort by
+key via canonicalization.  Conversion runs one unit per criterion on the
+same driver, and writes in input order.
 """
 
 import json
@@ -17,12 +18,13 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
-from contextlib import closing, suppress
+from contextlib import suppress
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from . import __version__
 from .corpus import (
@@ -55,7 +57,7 @@ from .rules import (IDENTIFIER_RE, TrialStatus, answers_view, trial_verdict,
                     verdicts_for_note)
 
 if TYPE_CHECKING:
-    from .gateway import BackendConfig, Gateway, Unit
+    from .gateway import BackendConfig, ChatRequest, Done, Gateway, Unit
     from .pathway_a import RoleAnswer
 
 # A module that not every command runs is imported where it is used, so that
@@ -130,23 +132,6 @@ class RunConfig(NamedTuple):
         from .gateway import backend_config_from_dict
 
         return config_from_dict(cls, record, "run", backend=backend_config_from_dict)
-
-    def digest(self) -> str:
-        payload = {
-            "backend": {
-                "kind": self.backend.kind,
-                "model_name": self.backend.model_name,
-                "base_url": self.backend.base_url,
-            },
-            "pathway": self.pathway,
-            "roles": list(self.roles),
-            "vote": self.vote,
-            "notes": self.notes,
-            "catalog": self.catalog,
-        }
-        import hashlib
-
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def role_labels(self) -> list[str]:
         if self.pathway == "B":
@@ -238,15 +223,8 @@ class ResultRecord(NamedTuple):
         transcript = record.get("transcript")
         if transcript is not None and type(transcript) is not str:
             raise TypeError("transcript must be a string or null")
-        elapsed_s = record.get("elapsed_s", 0.0)
-        if type(elapsed_s) is not float:
-            if type(elapsed_s) is not int:
-                raise TypeError("elapsed_s must be a number")
-            elapsed_s = float(elapsed_s)
-        if not 0.0 <= elapsed_s < math.inf:  # NaN compares false
-            raise ValueError(f"elapsed_s {elapsed_s} is not finite and non-negative")
         answer = ParsedAnswer(value, rationale, tuple(evidence), provenance, parse_fallback)
-        return cls(note_id, question_id, pathway, answer, elapsed_s, transcript)
+        return cls(note_id, question_id, pathway, answer, _seconds(record), transcript)
 
     def to_line(self) -> str:
         """``_JSONL_ENCODER.encode(self.to_dict())``, formatted field by field.
@@ -276,50 +254,80 @@ class ResultRecord(NamedTuple):
         return (self.note_id, self.question_id, self.pathway)
 
 
-class _JsonlWriter:
-    """Appends lines to a JSONL file, each one a record encoded by the caller.
+class _StoredReply(str):
+    """A reply read from calls.jsonl, with the seconds its call took then."""
 
-    The file is opened on the first append and kept open until close(), so
-    a run that appends nothing creates no file.  Each line is flushed to the
-    OS before append returns, so a process that dies loses at most the
-    record it was writing.  An OSError from append or close names the file,
-    and one from append sets ``failed``.  Not thread-safe: the engine thread
-    is the only writer.
-    """
+    elapsed_s = 0.0
 
-    def __init__(self, path: Path):
-        self.path = path
+
+class _ReplyStore:
+    """``gateway`` behind the replies kept in calls.jsonl (``calls``).
+
+    A reply's key is the SHA-256 of the backend's kind, model and base_url,
+    the request's tag and its ``inputs``, each text led by its length.  A
+    request whose key ``replies`` holds is answered from it on the calling
+    thread; any other goes to ``gateway``, and its reply is appended as one
+    flushed line before its callback gets it.  A failed append sets
+    ``failed`` and fails the call."""
+
+    def __init__(self, gateway: "Gateway", backend: "BackendConfig", calls: "TextIO",
+                 replies: Mapping[str, _StoredReply]):
+        from hashlib import sha256  # hashlib loads OpenSSL, which is slow
+
+        self._sha256, self.gateway, self.calls, self.replies = sha256, gateway, calls, replies
+        self._backend = "".join([f"{len(text)}:{text}" for text in
+                                 (backend.kind, backend.model_name, backend.base_url or "")])
         self.failed = False
-        self._handle = None
+        self._lock = threading.Lock()  # appends come from sender threads too
 
-    def append(self, line: str) -> None:
-        try:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line + "\n")
-            self._handle.flush()
-        except OSError as exc:
-            self.failed = True
-            exc.filename = str(self.path)
-            raise
+    def call(self, request: "ChatRequest", done: "Done", *,
+             on_park: "Callable[[bool], None] | None" = None) -> None:
+        tag = request.tag
+        key = self._sha256(f"{self._backend}{len(tag)}:{tag}{request.inputs}".encode()).hexdigest()
+        if (stored := self.replies.get(key)) is not None:
+            return done(stored, None)
+        started = time.monotonic()
 
-    def close(self) -> None:
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.close()  # flushes again what a failed append left
-            except OSError as exc:
-                exc.filename = str(self.path)
-                raise
+        def keep(reply: str | None, error: Exception | None) -> None:
+            if error is None:
+                line = (f'{{"elapsed_s": {float.__repr__(time.monotonic() - started)}, '
+                        f'"key": "{key}", "reply": {_encode_str(reply)}, '
+                        f'"tag": {_encode_str(tag)}}}\n')
+                try:
+                    with self._lock:
+                        self.calls.write(line)
+                        self.calls.flush()
+                except OSError as exc:
+                    self.failed, reply, error = True, None, exc
+            done(reply, error)
+
+        self.gateway.call(request, keep, on_park=on_park)
 
 
-def write_output(path: str | Path, data: str | bytes) -> int:
-    """Replace ``path`` with ``data`` (UTF-8 if text) through ``<name>.tmp``;
+def _replayed(unit: "Unit") -> "Unit[tuple[object, float | None]]":
+    """``yield from unit``, but an error thrown in ends it without reaching
+    ``unit``, as the role and debate units catch none.  It returns the
+    unit's result with the seconds its calls took when the store answered
+    every one, each batch counting its slowest, or with None when it sent one."""
+    stored_s, replies = 0.0, None
+    try:
+        while True:
+            replies = yield unit.send(replies)
+            if stored_s is not None:
+                times = [reply.elapsed_s for reply in replies if type(reply) is _StoredReply]
+                stored_s = (stored_s + max(times, default=0.0) if len(times) == len(replies)
+                            else None)
+    except StopIteration as stop:
+        return stop.value, stored_s
+
+
+def write_output(path: str | Path, data: str) -> int:
+    """Replace ``path`` with ``data``, in UTF-8, through ``<name>.tmp``;
     EXIT_OK, or EXIT_INPUT after one error naming ``path``, not the scratch
     file that an OSError names, and with the scratch file removed."""
     scratch = Path(f"{path}.tmp")
     try:
-        scratch.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        scratch.write_bytes(data.encode("utf-8"))
         os.replace(scratch, path)
     except OSError as exc:
         with suppress(OSError):
@@ -347,26 +355,23 @@ def _cannot_write(path: str | Path, exc: OSError) -> int:
 _UNREADABLE = (ValueError, KeyError, TypeError, OverflowError)
 
 
-def _parse_result(path: str | Path, line_no: int, value) -> ResultRecord:
-    """The record of one ``results.jsonl`` line's JSON value; SchemaError when
-    it is not one."""
-    try:
-        return ResultRecord.from_dict(value)
-    except _UNREADABLE as exc:
-        raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
-
-
 def read_results(path: str | Path) -> list[ResultRecord]:
-    """Load result records from a completed (or partial but clean) run."""
-    return [_parse_result(path, line_no, value) for line_no, value
-            in jsonl_values(Path(path).read_bytes(), partial(json_value, path))]
+    """Load result records from a run; SchemaError naming the first line
+    that is not one."""
+    records = []
+    for line_no, value in jsonl_values(Path(path).read_bytes(), partial(json_value, path)):
+        try:
+            records.append(ResultRecord.from_dict(value))
+        except _UNREADABLE as exc:
+            raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
+    return records
 
 
 def _unique_keys(path: str | Path, records: list[ResultRecord]) -> list[ResultRecord]:
     """``records``, unless two of them share a (note, question, label) key:
     then a SchemaError naming ``path`` and the first key read twice.  A run
-    appends each key once, so a repeat is an edit or a concatenation, and
-    scoring or resuming one of its answers would drop the other unseen."""
+    writes each key once, so a repeat is an edit or a concatenation, and
+    scoring one of its answers would drop the other unseen."""
     if len({record.key for record in records}) < len(records):
         seen = set()
         for record in records:
@@ -376,22 +381,47 @@ def _unique_keys(path: str | Path, records: list[ResultRecord]) -> list[ResultRe
     return records
 
 
-def _read_resume_state(path: Path) -> list[ResultRecord]:
-    """Like read_results, but repairs a run that an interruption cut short.
+def _seconds(record: Mapping) -> float:
+    """``record``'s finite, non-negative ``elapsed_s`` (0.0 when absent)."""
+    elapsed_s = record.get("elapsed_s", 0.0)
+    if type(elapsed_s) is not float:
+        if type(elapsed_s) is not int:
+            raise TypeError("elapsed_s must be a number")
+        elapsed_s = float(elapsed_s)
+    if not 0.0 <= elapsed_s < math.inf:  # NaN compares false
+        raise ValueError(f"elapsed_s {elapsed_s} is not finite and non-negative")
+    return elapsed_s
 
-    A final line that is not a result record (SchemaError naming the line)
-    is torn (half-written) and is truncated away so later appends land on a
-    clean file; on any earlier line the error propagates.  Lines are split
+
+def _read_resume_state(path: Path) -> dict[str, _StoredReply]:
+    """The replies that ``calls.jsonl`` holds, by key, from a file that an
+    interruption may have cut short.
+
+    A call record holds strings ``key``, ``tag`` and ``reply``, and
+    ``elapsed_s`` as a result record does.  A final line that is not one
+    (SchemaError naming the line) is torn (half-written) and is truncated
+    away so later appends land on a clean file; on any earlier line the
+    error propagates, and so does a key that two lines hold.  Lines are split
     on b"\n", so a crash that cut a multi-byte character, or a U+2028 that
     ``ensure_ascii=False`` left unescaped, cannot split a line.
     """
     if not path.exists():
-        return []
+        return {}
     raw = path.read_bytes()
-    records: list[ResultRecord] = []
+    replies: dict[str, _StoredReply] = {}
     try:
         for line_no, value in jsonl_values(raw, partial(json_value, path)):
-            records.append(_parse_result(path, line_no, value))
+            try:
+                key, tag, reply = value["key"], value["tag"], value["reply"]
+                if not type(key) is type(tag) is type(reply) is str:
+                    raise TypeError("key, tag and reply must be strings")
+                stored = _StoredReply(reply)
+                stored.elapsed_s = _seconds(value)
+            except _UNREADABLE as exc:
+                raise SchemaError(f"{path}: unreadable call record", line=line_no) from exc
+            if key in replies:  # an error without a line, so never a torn line
+                raise SchemaError(f"{path}: call key {key!r} appears twice")
+            replies[key] = stored
     except SchemaError as exc:
         # The last non-blank line starts after the newline before the last
         # byte that is not whitespace.
@@ -400,51 +430,12 @@ def _read_resume_state(path: Path) -> list[ResultRecord]:
             raise
         log.warning("truncating torn final line of %s", path)
         os.truncate(path, last_start)
-        return records
+        return replies
     if raw and not raw.endswith(b"\n"):
-        # The crash fell between a record and its newline: end the line.
+        # The crash fell between a line and its newline: end the line.
         with open(path, "ab") as handle:
             handle.write(b"\n")
-    return records
-
-
-def _drop_orphan_transcripts(path: Path, answered: set[tuple[str, str]]) -> int:
-    """Keep one transcript per debate whose B result is on disk.
-
-    A crash between the transcript append and the result append leaves a
-    transcript without a result, and the resumed run would append a second
-    one.  A later duplicate replaces an earlier one.  Unreadable lines, a
-    torn final one included, are dropped: an older release appended the
-    next record onto a torn line, and so are lines whose ids are not
-    strings.  The file is replaced by write_output, whose status this returns,
-    only when it changes or its last line lacks the newline appends need.
-    """
-    def decode(line_no: int, line: bytes):
-        try:
-            return json_value(path, line_no, line)
-        except SchemaError:
-            return None  # transcript_key drops it
-
-    def transcript_key(line_no: int, record) -> tuple[str, str] | None:
-        try:
-            key = (record["note_id"], record["question_id"])
-        except (KeyError, TypeError):
-            key = None
-        if key is None or type(key[0]) is not str or type(key[1]) is not str:
-            log.warning("dropping unreadable line %d of %s", line_no, path)
-            return None
-        return key
-
-    if not path.exists():
-        return EXIT_OK
-    raw = path.read_bytes()
-    rows = [(line_no, transcript_key(line_no, value))
-            for line_no, value in jsonl_values(raw, decode)]
-    kept = {key: line_no for line_no, key in rows if key in answered}
-    if len(kept) == len(rows) and (not raw or raw.endswith(b"\n")):
-        return EXIT_OK
-    lines = raw.split(b"\n")
-    return write_output(path, b"".join(lines[line_no - 1] + b"\n" for line_no in kept.values()))
+    return replies
 
 
 def canonicalize_records(records: Iterable[Mapping]) -> str:
@@ -472,16 +463,16 @@ def _utc_now() -> str:
 
 
 def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
-    """Answer every (note, question) unit, resumably, then roll up verdicts.
+    """Answer every (note, question) unit through the reply store; roll up verdicts.
 
     A pre-built gateway may be injected (tests use this to script failures);
     by default one is constructed from the configured backend.  A unit whose
     call fails with a GatewayError is counted as failed.  Any other error
-    ends its pair and is raised once the other pairs are done, with the
-    output files and the gateway closed; a failed append exits EXIT_INPUT.
+    ends its pair and is raised once the other pairs are done, with
+    ``calls.jsonl`` and the gateway closed; a failed append exits EXIT_INPUT.
     """
     from .gateway import Gateway, run_units
-    from .pathway_a import RoleAnswer, load_roles, majority_vote, role_unit, vote_key
+    from .pathway_a import load_roles, majority_vote, role_unit
     from .pathway_b import DEBATE_TEMPLATES, debate_unit
     from .prompting import load_prompts
 
@@ -493,8 +484,7 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
 
     started_at = _utc_now()
     out_dir = Path(config.out)
-    results_path = out_dir / "results.jsonl"
-    debates_path = out_dir / "debates.jsonl"
+    calls_path = out_dir / "calls.jsonl"
     labels = config.unit_labels()
     owns_gateway = gateway is None
     with collector_paused():  # the inputs live until the end (see README)
@@ -503,12 +493,7 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             catalog = load_catalog_dir(config.catalog)
             roles = load_roles(config.prompts)
             debate_templates = load_prompts(DEBATE_TEMPLATES, config.prompts)
-            existing = {record.key: record for record in
-                        _unique_keys(results_path, _read_resume_state(results_path))}
-            if DEBATE_LABEL in labels and _drop_orphan_transcripts(debates_path, {
-                    (note_id, question_id)
-                    for note_id, question_id, label in existing if label == DEBATE_LABEL}):
-                return EXIT_INPUT
+            stored = _read_resume_state(calls_path)
             out_dir.mkdir(parents=True, exist_ok=True)
             if owns_gateway:  # loads the mock fixtures; opens nothing yet
                 gateway = Gateway(config.backend)
@@ -516,94 +501,93 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             log.error("input error: %s", exc)
             return EXIT_INPUT
 
-    # Writers open on their first append: after the resume repairs above,
-    # and never for a file this run adds nothing to.
-    writer = _JsonlWriter(results_path)
-    debate_writer = _JsonlWriter(debates_path)
     questions = list(catalog.questions.values())
     role_by_label = {label: roles[label.removeprefix("A-")]
                      for label in config.role_labels()}
     total_units = len(notes) * len(questions) * len(labels)
 
-    new_records: list[ResultRecord] = []
+    records: list[ResultRecord] = []
+    transcripts: list[str] = []  # debates.jsonl lines
     failed = 0
-    skipped = 0
-
-    def save(record: ResultRecord) -> None:
-        writer.append(record.to_line())
-        new_records.append(record)
+    skipped = 0  # units that sent nothing
 
     def screen_pair(note: AdmissionNote, question: QuestionSpec) -> "Unit[None]":
-        """Run the pair's units in label order, saving each one's record.
+        """Run the pair's units in label order, keeping each one's record.
 
-        The vote is formed from the role answers of this run, and a role
-        resumed from its record whose provenance names this pair, as votes need.
-        A pair started after an append has failed sends nothing.
+        The vote is formed from the pair's role answers, and counts as
+        sending when one of them did.  A unit that sent nothing takes its
+        calls' stored time.  A pair started after an append has failed
+        sends nothing.
         """
         nonlocal failed, skipped
-        if writer.failed or debate_writer.failed:
+        if store.failed:
             return
         note_id, question_id = note.note_id, question.question_id
         members: list[RoleAnswer] = []  # the vote's
+        missing: list[str] = []  # the labels of the roles that failed
         slowest = 0.0  # the vote's time: the largest of its members'
+        members_sent = False
         for label in labels:
             role = role_by_label.get(label)
-            if existing and (record := existing.get(
-                    (note_id, question_id, label))) is not None:
-                skipped += 1
-                if role is not None and vote_key(record.answer) == [note_id, question_id]:
-                    members.append(RoleAnswer(record.answer, role.role_id))
-                    slowest = max(slowest, record.elapsed_s)
-            elif label == VOTE_LABEL:
-                if len(members) == len(role_by_label):
-                    save(ResultRecord(note_id, question_id, VOTE_LABEL,
-                                      majority_vote(*members), slowest))
-                else:
-                    present = {member.role_id for member in members}
+            if label == VOTE_LABEL:
+                if missing:
                     log.error("unit %s|%s|%s failed: missing %s", note_id, question_id,
-                              VOTE_LABEL, ", ".join(name for name, profile in role_by_label.items()
-                                                    if profile.role_id not in present))
+                              VOTE_LABEL, ", ".join(missing))
                     failed += 1
-            else:
-                unit = (debate_unit(question, note, debate_templates) if role is None
-                        else role_unit(question, note, role))
-                started = time.monotonic()
-                try:
-                    result = yield from unit
-                except GatewayError as error:
-                    log.error("unit %s|%s|%s failed: %s", note_id, question_id, label, error)
-                    failed += 1
-                    continue
-                elapsed_s = time.monotonic() - started
-                if role is not None:
-                    members.append(result)
-                    slowest = max(slowest, elapsed_s)
-                    save(ResultRecord(note_id, question_id, label, result.answer, elapsed_s))
-                    continue
-                outcome, transcript = result
-                debate_writer.append(_JSONL_ENCODER.encode({"note_id": note_id,
-                                                            "question_id": question_id,
-                                                            **transcript.to_dict()}))
-                save(ResultRecord(note_id, question_id, DEBATE_LABEL, outcome, elapsed_s,
-                                  f"debates.jsonl:{note_id}|{question_id}"))
+                else:
+                    records.append(ResultRecord(note_id, question_id, VOTE_LABEL,
+                                                majority_vote(*members), slowest))
+                    skipped += not members_sent
+                continue
+            unit = (debate_unit(question, note, debate_templates) if role is None
+                    else role_unit(question, note, role))
+            started = time.monotonic()
+            try:
+                result, stored_s = yield from _replayed(unit)
+            except GatewayError as error:
+                log.error("unit %s|%s|%s failed: %s", note_id, question_id, label, error)
+                failed += 1
+                missing.append(label)
+                continue
+            sent = stored_s is None
+            elapsed_s = time.monotonic() - started if sent else stored_s
+            skipped += not sent
+            if role is not None:
+                members.append(result)
+                slowest = max(slowest, elapsed_s)
+                members_sent = members_sent or sent
+                records.append(ResultRecord(note_id, question_id, label, result.answer,
+                                            elapsed_s))
+                continue
+            outcome, transcript = result
+            transcripts.append(_JSONL_ENCODER.encode({"note_id": note_id,
+                                                      "question_id": question_id,
+                                                      **transcript.to_dict()}) + "\n")
+            records.append(ResultRecord(note_id, question_id, DEBATE_LABEL, outcome, elapsed_s,
+                                        f"debates.jsonl:{note_id}|{question_id}"))
 
     try:
-        with closing(writer), closing(debate_writer):
+        with open(calls_path, "a", encoding="utf-8") as calls:
+            store = _ReplyStore(gateway, config.backend, calls, stored)
             run_units((screen_pair(note, question)
-                       for note in notes for question in questions), gateway, config.workers)
-    except OSError as exc:  # only the writers raise one, and it names their file
-        return _cannot_write(exc.filename, exc)
+                       for note in notes for question in questions), store, config.workers)
+    except OSError as exc:  # only calls.jsonl raises one
+        return _cannot_write(calls_path, exc)
     finally:
         if owns_gateway:
             gateway.close()
 
-    if status := _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog,
-                                 list(existing.values()) + new_records):
+    outputs = {"results.jsonl": "".join([record.to_line() + "\n" for record in records])}
+    if DEBATE_LABEL in labels:
+        outputs["debates.jsonl"] = "".join(transcripts)
+    for name, text in outputs.items():
+        if status := write_output(out_dir / name, text):
+            return status
+    if status := _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog, records):
         return status
 
     manifest = {
         "schema": "eligo-manifest-v1",
-        "config_digest": config.digest(),
         "engine_version": __version__,
         "backend": f"{config.backend.kind}:{config.backend.model_name}",
         "started_at": started_at,
@@ -613,7 +597,7 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
             "questions": len(questions),
             "unit_labels": labels,
             "total_units": total_units,
-            "answered": len(new_records),
+            "answered": len(records) - skipped,
             "failed": failed,
             "skipped": skipped,
         },
@@ -936,11 +920,14 @@ def cmd_report(metrics_path: str | Path, out_path: str | Path | None = None) -> 
             reports = _require(metrics, level, dict, where, default={})
             for label in reports:
                 report = _require(reports, label, dict, f"{where}: {level}")
-                if level == "timing":
-                    _check_numbers(report, ("mean", "p50", "p90", "max"),
-                                   f"{where}: {level}: {label}")
-                else:
-                    _check_report(report, f"{where}: {level}: {label}")
+                at = f"{where}: {level}: {label}"
+                if level != "timing":
+                    _check_report(report, at)
+                    continue
+                _check_numbers(report, ("mean", "p50", "p90", "max"), at)
+                if _require(report, "count", int, at, default=0) < 0:
+                    raise SchemaError(f"{at}: expected a non-negative int for 'count'",
+                                      field="count")
     except (EligoError, OSError) as exc:
         log.error("cannot read metrics: %s", exc)
         return EXIT_INPUT

@@ -8,8 +8,8 @@ timer, and the string cannot be written as UTF-8.  ``corpus.json_value``
 refuses all five with the SchemaError of any other bad input, so no
 command ends with a traceback.  Each layer then keeps its own policy: a
 config exits 2, an input file exits 3 naming the file and, for JSONL, the
-line, a resumed run repairs what it repaired before, and a backend reply
-fails its unit.
+line, a resumed run truncates a torn final line of calls.jsonl, and a
+backend reply fails its unit.
 """
 
 import json
@@ -21,6 +21,7 @@ from eligo.cli import main as cli_main
 from eligo.runner import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, cmd_screen
 
 from test_gateway import _http_server, _ok_payload, http_backend  # noqa: F401 (fixtures)
+from conftest import build_mini_fixtures, make_mock_gateway
 from test_runner import read_jsonl, replace_line, run_config
 
 BAD_VALUES = {"nested": b"[" * 100_000 + b"]" * 100_000, "long-integer": b"1" * 5_000,
@@ -96,40 +97,40 @@ def test_bad_json_is_bad_input(mini_workspace, caplog, case, bad_name):
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_VALUES))
-def test_final_results_line_is_truncated_on_resume(mini_workspace, caplog, bad_name):
+def test_final_calls_line_is_truncated_on_resume(mini_workspace, caplog, bad_name):
     config = run_config(mini_workspace)
     assert cmd_screen(config) == EXIT_OK
-    results_path = mini_workspace["out"] / "results.jsonl"
-    lines = results_path.read_bytes().splitlines()
-    results_path.write_bytes(b"\n".join(lines[:-1] + [BAD_VALUES[bad_name]]) + b"\n")
+    calls_path = mini_workspace["out"] / "calls.jsonl"
+    lines = calls_path.read_bytes().splitlines()
+    calls_path.write_bytes(b"\n".join(lines[:-1] + [BAD_VALUES[bad_name]]) + b"\n")
+    gateway = make_mock_gateway(build_mini_fixtures())
     with caplog.at_level(logging.WARNING):
-        assert cmd_screen(config) == EXIT_OK
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
     assert "truncating torn final line" in caplog.text
-    assert len(read_jsonl(results_path)) == len(lines)  # its unit is asked again
+    assert gateway.transport.calls == 1  # its call is sent again
+    assert len(read_jsonl(calls_path)) == len(lines)
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_VALUES))
-def test_middle_results_line_exits_3_on_resume(mini_workspace, caplog, bad_name):
+def test_middle_calls_line_exits_3_on_resume(mini_workspace, caplog, bad_name):
     config = run_config(mini_workspace)
     assert cmd_screen(config) == EXIT_OK
-    results_path = mini_workspace["out"] / "results.jsonl"
-    replace_line(5, BAD_VALUES[bad_name])(results_path)
+    calls_path = mini_workspace["out"] / "calls.jsonl"
+    replace_line(5, BAD_VALUES[bad_name])(calls_path)
     assert cmd_screen(config) == EXIT_INPUT
-    assert f"line 5: {results_path}: invalid JSON: {REASONS[bad_name]}" in caplog.text
+    assert f"line 5: {calls_path}: invalid JSON: {REASONS[bad_name]}" in caplog.text
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_VALUES))
-def test_transcript_line_is_dropped_on_resume(mini_workspace, caplog, bad_name):
+def test_bad_transcript_line_is_overwritten_on_resume(mini_workspace, bad_name):
+    # A rerun reads nothing from debates.jsonl: it writes the file whole.
     config = run_config(mini_workspace, pathway="B")
     assert cmd_screen(config) == EXIT_OK
     debates_path = mini_workspace["out"] / "debates.jsonl"
-    kept = read_jsonl(debates_path)
-    del kept[1]
+    transcripts = sorted(debates_path.read_text().splitlines())
     replace_line(2, BAD_VALUES[bad_name])(debates_path)
-    with caplog.at_level(logging.WARNING):
-        assert cmd_screen(config) == EXIT_OK
-    assert f"dropping unreadable line 2 of {debates_path}" in caplog.text
-    assert read_jsonl(debates_path) == kept
+    assert cmd_screen(config) == EXIT_OK
+    assert sorted(debates_path.read_text().splitlines()) == transcripts
 
 
 @pytest.mark.parametrize("bad_name", sorted(BAD_VALUES))

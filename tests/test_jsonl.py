@@ -2,13 +2,16 @@
 line on its own.
 
 Each reference below reads a file line by line, as eligo did before: the
-notes and gold loaders, ``read_results``, and the resume read that repairs
-a torn final line.  The reader must return the same records with the same
-line numbers, or raise the same error, and leave the same bytes on disk.
+notes and gold loaders, ``read_results``, and the resume read of
+``calls.jsonl`` that repairs a torn final line.  The reader must return the
+same records with the same line numbers, or raise the same error, and
+leave the same bytes on disk.  Each test line is both a result record and a
+call record, so one file feeds every reader.
 """
 
 import json
 import logging
+import math
 import sys
 
 import pytest
@@ -74,6 +77,22 @@ def per_line_result(path, line_no, line):
         raise SchemaError(f"{path}: unreadable result record", line=line_no) from exc
 
 
+def per_line_call(path, line_no, line):
+    """One ``calls.jsonl`` line's key, and its reply with its seconds."""
+    value = per_line_value(path, line_no, line)
+    try:
+        key, tag, reply = value["key"], value["tag"], value["reply"]
+        elapsed_s = value.get("elapsed_s", 0.0)
+        if type(elapsed_s) is int:
+            elapsed_s = float(elapsed_s)  # OverflowError past the largest float
+        if not (type(key) is type(tag) is type(reply) is str and type(elapsed_s) is float
+                and 0.0 <= elapsed_s < math.inf):
+            raise ValueError("not a call record")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: unreadable call record", line=line_no) from exc
+    return key, (reply, elapsed_s)
+
+
 def per_line_records(path):
     """Each non-blank line's object, read line by line."""
     records = []
@@ -97,23 +116,32 @@ def per_line_results(path):
 
 def per_line_resume(path):
     """The resume read, line by line: a final line that does not parse is
-    truncated away, and a missing final newline is added."""
+    truncated away, a missing final newline is added, and a key read twice
+    is an error."""
     raw = path.read_bytes()
     with open(path, "rb") as handle:
         lines = [(line_no, line) for line_no, line in enumerate(handle, start=1)
                  if line.strip()]
-    records = []
+    replies = {}
     for line_no, line in lines:
         try:
-            records.append(per_line_result(path, line_no, line))
+            key, reply = per_line_call(path, line_no, line)
         except SchemaError:
             if line_no != lines[-1][0]:
                 raise
             path.write_bytes(raw[:raw.rindex(line)])
-            return records
+            return replies
+        if key in replies:
+            raise SchemaError(f"{path}: call key {key!r} appears twice")
+        replies[key] = reply
     if raw and not raw.endswith(b"\n"):
         path.write_bytes(raw + b"\n")
-    return records
+    return replies
+
+
+def resume_state(path):
+    """``_read_resume_state``, each reply with its seconds."""
+    return {key: (reply, reply.elapsed_s) for key, reply in _read_resume_state(path).items()}
 
 
 def outcome(read, path):
@@ -135,14 +163,16 @@ def assert_same_outcome(data: bytes, tmp_path):
     expected = outcome(per_line_resume, path)
     expected_bytes = path.read_bytes()
     path.write_bytes(data)
-    assert outcome(_read_resume_state, path) == expected
+    assert outcome(resume_state, path) == expected
     assert path.read_bytes() == expected_bytes
 
 
 def result_line(rationale="r") -> str:
+    """A result record that is also a call record, keyed by its rationale."""
     record = {"note_id": "n1", "question_id": "q1", "pathway": "B", "value": "YES",
               "rationale": rationale, "evidence": [], "provenance": "p",
-              "parse_fallback": False, "elapsed_s": 0.5}
+              "parse_fallback": False, "elapsed_s": 0.5,
+              "key": f"k{rationale}", "tag": "n1|q1|judge|r1", "reply": "\"Yes\"."}
     return json.dumps(record, ensure_ascii=False)
 
 
@@ -209,11 +239,11 @@ def test_reader_matches_line_by_line_reading(tmp_path, name):
 
 
 def test_torn_final_line_cut_mid_character_is_truncated_on_resume(tmp_path, caplog):
-    path = tmp_path / "results.jsonl"
+    path = tmp_path / "calls.jsonl"
     path.write_bytes(GOOD + b"\n" + ODD[:ODD.index("漢".encode()) + 1])
     with caplog.at_level(logging.WARNING):
-        records = _read_resume_state(path)
-    assert records == [ResultRecord.from_dict(json.loads(GOOD))]
+        replies = resume_state(path)
+    assert replies == {"kr": ('"Yes".', 0.5)}
     assert path.read_bytes() == GOOD + b"\n"
     assert "truncating torn final line" in caplog.text
 

@@ -40,12 +40,14 @@ from eligo.corpus import (
 from eligo.errors import BackendError, ConfigError
 from eligo.gateway import (
     BackendConfig,
+    ChatRequest,
     Gateway,
     ParsedAnswer,
     backend_config_from_dict,
     mock_resolve,
 )
 from eligo.pathway_a import load_roles
+from eligo.prompting import question_request
 from eligo.rules import trial_verdict, verdicts_for_note
 from eligo.runner import (
     EXIT_CONFIG,
@@ -56,6 +58,8 @@ from eligo.runner import (
     ResultRecord,
     RunConfig,
     _JSONL_ENCODER,
+    _ReplyStore,
+    _read_resume_state,
     _write_verdicts,
     canonicalize_records,
     canonicalize_results_file,
@@ -91,16 +95,16 @@ def flaky_gateway(broken_substring):
         transport=_FlakyTransport(build_mini_fixtures(), broken_substring))
 
 
-class _ResultsWatchingTransport:
-    """Mock transport that reads results.jsonl as each call starts."""
+class _FileWatchingTransport:
+    """Mock transport that reads a file as each call starts."""
 
-    def __init__(self, fixtures, results_path):
+    def __init__(self, fixtures, path):
         self.fixtures = fixtures
-        self.results_path = results_path
+        self.path = path
         self.snapshots = []
 
     def send(self, req):
-        path = self.results_path
+        path = self.path
         self.snapshots.append(path.read_text() if path.exists() else "")
         return mock_resolve(req, self.fixtures)
 
@@ -210,6 +214,26 @@ def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
+def canonical_outputs(out):
+    """The canonical results.jsonl and the sorted lines of verdicts.jsonl and
+    debates.jsonl (none when a file is absent) of a screen into ``out``."""
+    texts = {"results.jsonl": canonicalize_results_file(out / "results.jsonl")}
+    for name in ("verdicts.jsonl", "debates.jsonl"):
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+        texts[name] = "".join(line + "\n" for line in sorted(lines))
+    return texts
+
+
+def rewrite_calls(out, edit):
+    """Rewrite ``out``'s calls.jsonl with each line's record passed through
+    ``edit``, which returns the record to keep or None to drop it."""
+    path = out / "calls.jsonl"
+    kept = [edit(record) for record in read_jsonl(path)]
+    path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n"
+                            for record in kept if record is not None), encoding="utf-8")
+
+
 def count_template_loads(monkeypatch) -> list[str]:
     """The names ``prompting.load_template`` is called with from now on."""
     loads = []
@@ -247,10 +271,6 @@ class TestRunConfig:
         del raw["notes"]
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
-
-    def test_digest_stable(self, mini_workspace):
-        assert run_config(mini_workspace).digest() == \
-            run_config(mini_workspace).digest()
 
 
 class TestCmdScreen:
@@ -306,22 +326,31 @@ class TestCmdScreen:
             mini_workspace["root"] / "out2" / "results.jsonl")
         assert canonical_first == canonical_second
 
-    def test_resume_appends_exactly_missing_record(self, mini_workspace):
+    def test_resume_sends_exactly_the_missing_call(self, mini_workspace):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        baseline = canonicalize_results_file(results_path)
-        lines = results_path.read_text().splitlines()
-        results_path.write_text("\n".join(lines[:-1]) + "\n")
-        assert cmd_screen(config) == EXIT_OK
-        resumed_lines = results_path.read_text().splitlines()
-        assert len(resumed_lines) == len(lines)
-        assert canonicalize_results_file(results_path) == baseline
+        out = mini_workspace["out"]
+        baseline = canonical_outputs(out)
+        calls_path = out / "calls.jsonl"
+        lines = calls_path.read_text().splitlines()
+        calls_path.write_text("\n".join(lines[:-1]) + "\n")
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 1
+        assert calls_path.read_text().splitlines()[:-1] == lines[:-1]
+        assert json.loads(calls_path.read_text().splitlines()[-1])["key"] == \
+            json.loads(lines[-1])["key"]
+        assert canonical_outputs(out) == baseline
 
     def test_resume_skips_everything_on_complete_run(self, mini_workspace):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        assert cmd_screen(config) == EXIT_OK
+        calls = (mini_workspace["out"] / "calls.jsonl").read_bytes()
+        assert len(calls.splitlines()) == 35  # 18 roles and 17 debate calls
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 0
+        assert (mini_workspace["out"] / "calls.jsonl").read_bytes() == calls
         manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
         counts = manifest["counts"]
         assert counts["answered"] == 0
@@ -332,12 +361,60 @@ class TestCmdScreen:
     def test_torn_final_line_tolerated(self, mini_workspace):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        baseline = canonicalize_results_file(results_path)
-        content = results_path.read_text()
-        results_path.write_text(content + '{"note_id": "n1", "ques')
+        out = mini_workspace["out"]
+        baseline = canonical_outputs(out)
+        calls_path = out / "calls.jsonl"
+        content = calls_path.read_text()
+        calls_path.write_text(content + '{"elapsed_s": 0.1, "key": "')
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 0
+        assert calls_path.read_text() == content
+        assert canonical_outputs(out) == baseline
+
+    @pytest.mark.parametrize("kept", [0, 1, 17, 34])
+    def test_a_cut_calls_file_resumes_with_exactly_the_missing_calls(self, mini_workspace,
+                                                                     kept):
+        # A run killed after ``kept`` replies, halfway through writing the next.
+        config = run_config(mini_workspace)
+        fresh_out = mini_workspace["root"] / "fresh"
+        assert cmd_screen(run_config(mini_workspace, out=str(fresh_out))) == EXIT_OK
+        lines = (fresh_out / "calls.jsonl").read_bytes().splitlines(keepends=True)
+        out = mini_workspace["out"]
+        out.mkdir()
+        (out / "calls.jsonl").write_bytes(b"".join(lines[:kept])
+                                          + lines[kept][:len(lines[kept]) // 2])
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == len(lines) - kept
+        assert canonical_outputs(out) == canonical_outputs(fresh_out)
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts["answered"] + counts["failed"] + counts["skipped"] == 30
+
+    def test_an_edited_question_and_note_are_asked_again(self, mini_workspace):
+        config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        assert canonicalize_results_file(results_path) == baseline
+        questions_path = mini_workspace["catalog"] / "questions.json"
+        questions = json.loads(questions_path.read_text())
+        assert questions["questions"][0]["question_id"] == "m1"
+        questions["questions"][0]["text"] += " Count a {{note}} as stated."
+        questions_path.write_text(json.dumps(questions))
+        notes = read_jsonl(mini_workspace["notes"])
+        assert notes[0]["note_id"] == "n1"
+        sections = notes[0]["sections"]
+        name = next(name for name, text in sections.items() if text)
+        sections[name] += " Seen again |2| days later."
+        mini_workspace["notes"].write_text("".join(json.dumps(note) + "\n" for note in notes))
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        # Exactly the calls of (n1, m1), (n1, m2), (n1, m3) and (n2, m1): three
+        # roles and a two-call debate each.
+        assert gateway.transport.calls == 4 * 5
+        fresh_out = mini_workspace["root"] / "fresh"
+        assert cmd_screen(run_config(mini_workspace, out=str(fresh_out))) == EXIT_OK
+        assert canonical_outputs(mini_workspace["out"]) == canonical_outputs(fresh_out)
+        counts = json.loads((mini_workspace["out"] / "manifest.json").read_text())["counts"]
+        assert (counts["answered"], counts["skipped"]) == (4 * 5, 30 - 4 * 5)
 
     def test_verdicts_cover_labels_and_trials(self, mini_workspace):
         config = run_config(mini_workspace)
@@ -518,19 +595,7 @@ class TestCmdScreen:
         assert next(d for d in debates
                     if (d["note_id"], d["question_id"]) == ("n2", "m2"))["calls_used"] == 3
 
-    def test_a_transcript_repair_that_cannot_be_written_exits_3(self, mini_workspace,
-                                                                 caplog):
-        out = mini_workspace["out"]
-        out.mkdir()
-        orphan = json.dumps({"note_id": "n2", "question_id": "m2", "calls_used": 99}) + "\n"
-        (out / "debates.jsonl").write_text(orphan)
-        (out / "debates.jsonl.tmp").mkdir()
-        assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
-        assert_one_error_naming(caplog, out / "debates.jsonl")
-        assert (out / "debates.jsonl").read_text() == orphan
-        assert not (out / "results.jsonl").exists()
-
-    def test_transcript_appended_onto_torn_line_dropped(self, mini_workspace):
+    def test_transcript_fused_with_a_torn_line_is_written_again(self, mini_workspace):
         # An earlier resume appended a complete transcript onto a torn line,
         # leaving an unreadable line mid-file; resuming must not crash on it.
         config = run_config(mini_workspace)
@@ -542,31 +607,26 @@ class TestCmdScreen:
         lines = debates_path.read_text().splitlines()
         debates_path.write_text('{"note_id": "n1", "question_id": "m1", "rou'
                                 + "\n".join(lines) + "\n")
-        merged = json.loads(lines[0])
         assert cmd_screen(config) == EXIT_OK
-        # The transcript fused with the torn line is lost; its result stays.
-        del transcripts[(merged["note_id"], merged["question_id"])]
+        # The rerun writes the file whole, so the transcript fused with the
+        # torn line is back.
         debates = read_jsonl(debates_path)
+        assert len(debates) == len(transcripts)
         assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
 
     @pytest.mark.parametrize("line", [
         '{"note_id": ["n1"], "question_id": "m1"}',
         '{"note_id": "n1", "question_id": {"id": "m1"}}',
     ])
-    def test_transcript_with_unhashable_ids_dropped_on_resume(
-            self, mini_workspace, line, caplog):
+    def test_transcript_with_unhashable_ids_is_overwritten_on_resume(self, mini_workspace, line):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
         debates_path = mini_workspace["out"] / "debates.jsonl"
-        transcripts = debates_path.read_text()
+        transcripts = sorted(debates_path.read_text().splitlines())
         with open(debates_path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-        with caplog.at_level(logging.WARNING, logger="eligo.runner"):
-            assert cmd_screen(config) == EXIT_OK
-        assert debates_path.read_text() == transcripts
-        assert [record.getMessage() for record in caplog.records
-                if "dropping unreadable line" in record.getMessage()] == \
-            [f"dropping unreadable line 7 of {debates_path}"]
+        assert cmd_screen(config) == EXIT_OK
+        assert sorted(debates_path.read_text().splitlines()) == transcripts
 
     def test_pathway_a_resume_leaves_debates_file_alone(self, mini_workspace):
         out = mini_workspace["out"]
@@ -576,39 +636,69 @@ class TestCmdScreen:
         assert cmd_screen(run_config(mini_workspace, pathway="A")) == EXIT_OK
         assert (out / "debates.jsonl").read_text() == garbage
 
-    def test_resume_keeps_records_with_unicode_line_separators(self, mini_workspace):
+    def test_resume_keeps_replies_with_unicode_line_separators(self, mini_workspace):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        records = read_jsonl(results_path)
-        records[0]["rationale"] += "\u2028second\u2029third\u0085fourth"
-        results_path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n"
-                                        for record in records), encoding="utf-8")
-        before = results_path.read_bytes()
-        assert cmd_screen(config) == EXIT_OK
-        manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
-        assert manifest["counts"]["answered"] == 0
-        assert results_path.read_bytes() == before
+        out = mini_workspace["out"]
+        odd = "\u2028second\u2029third\u0085fourth"
 
-    def test_record_missing_final_newline_completed(self, mini_workspace):
-        config = run_config(mini_workspace)
-        assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        baseline = canonicalize_results_file(results_path)
-        lines = results_path.read_text().splitlines()
-        results_path.write_text("\n".join(lines[:-2]) + "\n" + lines[-2])
-        assert cmd_screen(config) == EXIT_OK
-        assert len(read_jsonl(results_path)) == len(lines)
-        assert canonicalize_results_file(results_path) == baseline
+        def edit(record):
+            if record["tag"] == "n1|m1|roleCRC":
+                record["reply"] += odd
+            return record
 
-    def test_unreadable_result_mid_file_is_input_error(self, mini_workspace):
+        rewrite_calls(out, edit)  # ensure_ascii=False leaves the separators as they are
+        before = (out / "calls.jsonl").read_bytes()
+        assert "\u2028".encode() in before
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 0
+        assert (out / "calls.jsonl").read_bytes() == before
+        (crc,) = [record for record in read_jsonl(out / "results.jsonl")
+                  if record["provenance"] == "n1|m1|roleCRC"]
+        assert crc["rationale"].endswith("\nsecond\nthird\nfourth")  # parse_answer's lines
+
+    def test_call_missing_final_newline_completed(self, mini_workspace):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        lines = results_path.read_text().splitlines()
-        lines[3] = lines[3][:20]
-        results_path.write_text("\n".join(lines) + "\n")
-        assert cmd_screen(config) == EXIT_INPUT
+        out = mini_workspace["out"]
+        baseline = canonical_outputs(out)
+        calls_path = out / "calls.jsonl"
+        lines = calls_path.read_text().splitlines()
+        calls_path.write_text("\n".join(lines[:-2]) + "\n" + lines[-2])
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 1
+        assert calls_path.read_text().splitlines()[:-1] == lines[:-1]
+        assert canonical_outputs(out) == baseline
+
+    def test_unreadable_call_mid_file_is_input_error(self, mini_workspace, caplog):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        calls_path = mini_workspace["out"] / "calls.jsonl"
+        lines = calls_path.read_text().splitlines()
+        lines[3] = json.dumps(dict(json.loads(lines[3]), reply=None))
+        calls_path.write_text("\n".join(lines) + "\n")
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_INPUT
+        assert f"line 4: {calls_path}: unreadable call record" in caplog.text
+        assert gateway.transport.calls == 0
+
+    def test_a_calls_key_read_twice_exits_3_naming_file_and_key(self, mini_workspace,
+                                                                caplog):
+        config = run_config(mini_workspace)
+        assert cmd_screen(config) == EXIT_OK
+        calls_path = mini_workspace["out"] / "calls.jsonl"
+        first = read_jsonl(calls_path)[0]
+        # A valid final line whose key an earlier line holds: not a torn line.
+        with open(calls_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(dict(first, reply="other")) + "\n")
+        before = calls_path.read_bytes()
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_INPUT
+        assert f"{calls_path}: call key {first['key']!r} appears twice" in caplog.text
+        assert gateway.transport.calls == 0
+        assert calls_path.read_bytes() == before
 
     def test_template_loads_independent_of_cohort_size(self, mini_workspace,
                                                         tmp_path, monkeypatch):
@@ -628,11 +718,11 @@ class TestCmdScreen:
         assert small == full == sorted(["role_crc", "role_jd", "role_ie", "stance_pos",
                                         "stance_neg", "judge_r1", "judge_final"])
 
-    def test_each_record_flushed_before_the_next_unit(self, mini_workspace):
-        # One loop and one call per role unit: call k starts after k records.
-        results_path = mini_workspace["out"] / "results.jsonl"
+    def test_each_reply_flushed_before_the_next_call(self, mini_workspace):
+        # One loop and one call per role unit: call k starts after k replies.
+        calls_path = mini_workspace["out"] / "calls.jsonl"
         gateway = make_mock_gateway(
-            transport=_ResultsWatchingTransport(build_mini_fixtures(), results_path))
+            transport=_FileWatchingTransport(build_mini_fixtures(), calls_path))
         config = run_config(mini_workspace, pathway="A", vote=False, workers=1)
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         snapshots = gateway.transport.snapshots
@@ -668,7 +758,7 @@ class TestCmdScreen:
         assert (mini_workspace["out"] / "results.jsonl").exists()
         assert not (mini_workspace["out"] / "debates.jsonl").exists()
 
-    def test_resume_appends_transcripts_to_repaired_file(self, mini_workspace):
+    def test_resume_rewrites_transcripts_whole(self, mini_workspace):
         config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
         out = mini_workspace["out"]
@@ -681,12 +771,13 @@ class TestCmdScreen:
                 if record["pathway"] != "B"
                 or (record["note_id"], record["question_id"]) not in rerun]
         results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
-        assert cmd_screen(config) == EXIT_OK
-        # The repair rewrote the file without the two orphans; the rerun
-        # debates then appended theirs to the new file.
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        # Every debate is replayed from calls.jsonl and its transcript
+        # written once.
+        assert gateway.transport.calls == 0
         debates = read_jsonl(debates_path)
         assert len(debates) == len(transcripts)
-        assert {(d["note_id"], d["question_id"]) for d in debates[-2:]} == rerun
         assert {(d["note_id"], d["question_id"]): d for d in debates} == transcripts
 
     def test_unexpected_unit_error_raises_after_closing_files_and_gateway(
@@ -722,23 +813,28 @@ class TestCmdScreen:
             cmd_screen(run_config(mini_workspace))
         assert len(closed_gateways) == 1
         out = mini_workspace["out"]
-        assert {Path(handle.name) for handle in opened} == \
-            {out / "results.jsonl", out / "debates.jsonl"}
+        assert {Path(handle.name) for handle in opened} == {out / "calls.jsonl"}
         assert all(handle.closed for handle in opened)
-        # The other loops still ran every other pair; only the rest of the
-        # failing pair (JD, IE, vote, debate) was lost.
-        assert len(read_jsonl(out / "results.jsonl")) == 2 * 3 * 5 - 4
-        assert len(read_jsonl(out / "debates.jsonl")) == 2 * 3 - 1
+        # The other loops still ran every other pair, and their replies are
+        # kept; only the rest of the failing pair (JD, IE and a three-call
+        # debate) was lost.  No result is written.
+        assert len(read_jsonl(out / "calls.jsonl")) == 35 - 5
+        assert not (out / "results.jsonl").exists()
 
-    @pytest.mark.parametrize("name", ["results.jsonl", "debates.jsonl"])
     def test_a_failed_append_exits_3_naming_the_file(self, mini_workspace, caplog,
-                                                     monkeypatch, name):
+                                                     monkeypatch):
         class FullDisk:
             """A handle whose flush, and so its close, finds the disk full."""
 
             def __init__(self, handle):
                 self.handle = handle
                 self.write = handle.write
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.close()
 
             def flush(self):
                 raise OSError(errno.ENOSPC, "No space left on device")
@@ -752,7 +848,7 @@ class TestCmdScreen:
         def full_disk_open(*args, **kwargs):
             handle = open(*args, **kwargs)
             opened.append(handle)
-            return FullDisk(handle) if Path(handle.name).name == name else handle
+            return FullDisk(handle) if Path(handle.name).name == "calls.jsonl" else handle
 
         closed_gateways = []
         sent = []  # the tag of every request the mock answers
@@ -776,17 +872,18 @@ class TestCmdScreen:
         monkeypatch.setattr(eligo.gateway, "Gateway", ClosingGateway)
         out = mini_workspace["out"]
         assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
-        assert_one_error_naming(caplog, out / name)
+        assert_one_error_naming(caplog, out / "calls.jsonl")
         assert caplog.text.count("No space left on device") == 1
-        assert out / name in {Path(handle.name) for handle in opened}
+        assert out / "calls.jsonl" in {Path(handle.name) for handle in opened}
         assert all(handle.closed for handle in opened)
         assert len(closed_gateways) == 1
-        # No pair starts after the failed append: every call is the first pair's.
-        assert sent and all(tag.startswith("n1|m1|") for tag in sent)
-        assert not (out / "verdicts.jsonl").exists()
-        assert not (out / "manifest.json").exists()
+        # No pair starts after the failed append: the one call is the first pair's.
+        assert sent == ["n1|m1|roleCRC"]
+        for output in ("results.jsonl", "debates.jsonl", "verdicts.jsonl", "manifest.json"):
+            assert not (out / output).exists()
 
-    @pytest.mark.parametrize("name", ["verdicts.jsonl", "manifest.json"])
+    @pytest.mark.parametrize("name", ["results.jsonl", "debates.jsonl", "verdicts.jsonl",
+                                      "manifest.json"])
     def test_an_output_that_cannot_be_written_exits_3_naming_it(self, mini_workspace,
                                                                 caplog, name):
         out = mini_workspace["out"]
@@ -794,7 +891,7 @@ class TestCmdScreen:
         assert cmd_screen(run_config(mini_workspace)) == EXIT_INPUT
         assert_one_error_naming(caplog, out / name)
         assert not list(out.glob("*.tmp"))
-        # The answers are on disk, so a rerun resumes every unit from them.
+        # The replies are on disk, so a rerun replays every unit from them.
         (out / name).rmdir()
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["counts"]["skipped"] == 30
@@ -807,64 +904,92 @@ class TestCmdScreen:
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         assert gateway.transport.peak_inflight == workers
 
-    def test_vote_appended_before_the_next_pair_starts(self, mini_workspace):
-        # One loop, one call per role: call 3 is the second pair's first role.
-        results_path = mini_workspace["out"] / "results.jsonl"
-        gateway = make_mock_gateway(
-            transport=_ResultsWatchingTransport(build_mini_fixtures(), results_path))
+    def test_vote_formed_before_the_next_pair_starts(self, mini_workspace):
+        # One runnable pair: the results are in the order the units ended.
         config = run_config(mini_workspace, pathway="A", workers=1)
-        assert cmd_screen(config, gateway=gateway) == EXIT_OK
-        first_pair = [json.loads(line)
-                      for line in gateway.transport.snapshots[3].splitlines()]
+        assert cmd_screen(config) == EXIT_OK
+        first_pair = read_jsonl(mini_workspace["out"] / "results.jsonl")[:4]
         assert [record["pathway"] for record in first_pair] == \
             ["A-CRC", "A-JD", "A-IE", "A-vote"]
         assert len({(record["note_id"], record["question_id"])
                     for record in first_pair}) == 1
 
-    def resume_without(self, workspace, pathway):
-        """Screen, drop the (n2, m2) record of one label, and resume."""
+    def resume_without(self, workspace, tag):
+        """Screen, drop the stored reply to ``tag``, and resume: the calls
+        sent and the manifest's counts."""
         config = run_config(workspace)
         assert cmd_screen(config) == EXIT_OK
-        results_path = workspace["out"] / "results.jsonl"
-        baseline = canonicalize_results_file(results_path)
-        kept = [record for record in read_jsonl(results_path)
-                if (record["note_id"], record["question_id"], record["pathway"])
-                != ("n2", "m2", pathway)]
-        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        out = workspace["out"]
+        baseline = canonical_outputs(out)
+        rewrite_calls(out, lambda record: None if record["tag"] == tag else record)
         gateway = make_mock_gateway(build_mini_fixtures())
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
-        assert canonicalize_results_file(results_path) == baseline
-        manifest = json.loads((workspace["out"] / "manifest.json").read_text())
-        assert manifest["counts"]["answered"] == 1
-        assert manifest["counts"]["skipped"] == 29
-        return gateway.transport.calls
+        assert canonical_outputs(out) == baseline
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts["answered"] + counts["skipped"] == 30
+        return gateway.transport.calls, counts["answered"]
 
     def test_resume_rebuilds_missing_vote_from_role_records(self, mini_workspace):
-        assert self.resume_without(mini_workspace, "A-vote") == 0
-
-    def test_resume_answers_only_missing_role(self, mini_workspace):
-        assert self.resume_without(mini_workspace, "A-JD") == 1
-
-    def test_resumed_vote_takes_its_slowest_members_time(self, mini_workspace):
-        # 1e306 s is finite, so the rebuilt vote writes it as its own time.
-        config = run_config(mini_workspace, pathway="A")
+        config = run_config(mini_workspace)
         assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        kept = []
-        for record in read_jsonl(results_path):
-            key = (record["note_id"], record["question_id"], record["pathway"])
-            if key == ("n2", "m2", "A-JD"):
-                record["elapsed_s"] = 1e306
-            if key != ("n2", "m2", "A-vote"):
-                kept.append(record)
-        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
+        out = mini_workspace["out"]
+        baseline = canonical_outputs(out)
+        results_path = out / "results.jsonl"
+        results_path.write_text("".join(
+            json.dumps(record) + "\n" for record in read_jsonl(results_path)
+            if (record["note_id"], record["question_id"], record["pathway"])
+            != ("n2", "m2", "A-vote")))
         gateway = make_mock_gateway(build_mini_fixtures())
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         assert gateway.transport.calls == 0
-        (vote,) = [record for record in read_jsonl(results_path)
-                   if (record["note_id"], record["question_id"], record["pathway"])
-                   == ("n2", "m2", "A-vote")]
-        assert vote["elapsed_s"] == 1e306
+        assert canonical_outputs(out) == baseline
+
+    def test_resume_answers_only_missing_role(self, mini_workspace):
+        # The role is asked again, and its vote counts as answered with it.
+        assert self.resume_without(mini_workspace, "n2|m2|roleJD") == (1, 2)
+
+    def test_resume_answers_only_missing_debate_call(self, mini_workspace):
+        assert self.resume_without(mini_workspace, "n2|m3|judge|final") == (1, 1)
+
+    def test_resumed_vote_takes_its_slowest_members_time(self, mini_workspace):
+        # 1e306 s is finite, so the replayed role and its vote write it as
+        # their own time.
+        config = run_config(mini_workspace, pathway="A")
+        assert cmd_screen(config) == EXIT_OK
+
+        def slow(record):
+            if record["tag"] == "n2|m2|roleJD":
+                record["elapsed_s"] = 1e306
+            return record
+
+        rewrite_calls(mini_workspace["out"], slow)
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert cmd_screen(config, gateway=gateway) == EXIT_OK
+        assert gateway.transport.calls == 0
+        times = {record["pathway"]: record["elapsed_s"]
+                 for record in read_jsonl(mini_workspace["out"] / "results.jsonl")
+                 if (record["note_id"], record["question_id"]) == ("n2", "m2")}
+        assert times["A-JD"] == times["A-vote"] == 1e306
+
+    def test_replayed_debate_takes_each_batchs_slowest_stored_time(self, mini_workspace):
+        # The (n2, m3) debate sends its stances, the judge, the stances again
+        # and the final judge: four batches.
+        config = run_config(mini_workspace, pathway="B")
+        assert cmd_screen(config) == EXIT_OK
+        seconds = {"proponent|r1": 1.0, "opponent|r1": 2.0, "judge|r1": 4.0,
+                   "proponent|r2": 16.0, "opponent|r2": 8.0, "judge|final": 32.0}
+
+        def timed(record):
+            note_id, question_id, stage = record["tag"].split("|", 2)
+            if (note_id, question_id) == ("n2", "m3"):
+                record["elapsed_s"] = seconds[stage]
+            return record
+
+        rewrite_calls(mini_workspace["out"], timed)
+        assert cmd_screen(config) == EXIT_OK
+        (debate,) = [record for record in read_jsonl(mini_workspace["out"] / "results.jsonl")
+                     if (record["note_id"], record["question_id"]) == ("n2", "m3")]
+        assert debate["elapsed_s"] == 2.0 + 4.0 + 16.0 + 32.0
 
     def test_screened_vote_takes_its_slowest_members_time(self, mini_workspace):
         config = run_config(mini_workspace, pathway="A")
@@ -876,31 +1001,6 @@ class TestCmdScreen:
         for by_label in times.values():
             vote = by_label.pop("A-vote")
             assert vote == max(by_label.values())
-
-    def test_resumed_role_without_provenance_fails_only_its_vote(self, mini_workspace,
-                                                                 caplog):
-        config = run_config(mini_workspace, pathway="A")
-        assert cmd_screen(config) == EXIT_OK
-        results_path = mini_workspace["out"] / "results.jsonl"
-        kept = []
-        for record in read_jsonl(results_path):
-            key = (record["note_id"], record["question_id"], record["pathway"])
-            if key == ("n2", "m2", "A-CRC"):
-                del record["provenance"]
-            if key != ("n2", "m2", "A-vote"):
-                kept.append(record)
-        results_path.write_text("".join(json.dumps(record) + "\n" for record in kept))
-        (mini_workspace["out"] / "verdicts.jsonl").unlink()
-        with caplog.at_level(logging.ERROR, logger="eligo.runner"):
-            assert cmd_screen(config) == EXIT_PARTIAL
-        assert [record.getMessage() for record in caplog.records
-                if record.levelname == "ERROR"] == \
-            ["unit n2|m2|A-vote failed: missing A-CRC"]
-        counts = json.loads((mini_workspace["out"] / "manifest.json").read_text())["counts"]
-        assert (counts["answered"], counts["failed"], counts["skipped"]) == (0, 1, 23)
-        verdicts = read_jsonl(mini_workspace["out"] / "verdicts.jsonl")
-        assert {record["pathway"] for record in verdicts} == {"A-CRC", "A-JD", "A-IE",
-                                                              "A-vote"}
 
     def test_parked_pair_lets_the_next_pair_on_the_wire(self, mini_workspace):
         # One runnable pair and one slot: while the first pair waits out the
@@ -1047,10 +1147,11 @@ class TestCmdScreen:
             assert cmd_screen(config, gateway=gateway) == EXIT_PARTIAL
             manifest = json.loads((mini_workspace["out"] / "manifest.json").read_text())
             assert (manifest["counts"]["answered"], manifest["counts"]["failed"]) == (5, 1)
-        # The other pairs ran to the end either way.
-        debates = read_jsonl(mini_workspace["out"] / "debates.jsonl")
-        assert len(debates) == 5
-        assert ("n1", "m2") not in {(d["note_id"], d["question_id"]) for d in debates}
+        # The other pairs ran to the end either way, and their replies are kept.
+        pairs = {tuple(call["tag"].split("|")[:2])
+                 for call in read_jsonl(mini_workspace["out"] / "calls.jsonl")}
+        assert len(pairs) == 5
+        assert ("n1", "m2") not in pairs
         gateway.close()
 
     def test_screen_and_convert_leave_no_thread_behind(self, mini_workspace, tmp_path,
@@ -1496,10 +1597,16 @@ class TestSplitFallbackEndToEnd:
         monkeypatch.setattr(eligo.rules, "_settle", counting_settle)
         kernel = self.outputs(mini_workspace, "eval")
         assert splits
-        # A second screen resumes with nothing left to ask and rewrites the
-        # verdicts, now through the reference evaluator, from the same results.
+        # A second screen replays every unit from calls.jsonl and rewrites
+        # the verdicts, now through the reference evaluator, from the same
+        # answers.  Its units take their calls' stored times, so the timing
+        # section of the metrics may differ.
         monkeypatch.setattr(eligo.rules, "_decide", reference_decide)
         reference = self.outputs(mini_workspace, "eval_reference")
+        for outputs in (kernel, reference):
+            metrics = json.loads(outputs["metrics.json"])
+            assert set(metrics.pop("timing")) == {"A-CRC", "A-JD", "A-IE", "A-vote", "B"}
+            outputs["metrics.json"] = metrics
         assert kernel == reference
         # On n1 the vote leaves m1 UNKNOWN and m3 is NO: both completions of
         # m1 meet mc1, which only the split search finds.
@@ -1560,6 +1667,11 @@ class TestCmdReport:
          "question_level: A: breakdowns: g: expected a number for 'recall'"),
         ({"timing": {"A-vote": {"mean": 10**400}}},
          "timing: A-vote: expected a number for 'mean'"),
+        ({"timing": {"A": {"count": [1, 2]}}}, "timing: A: expected int for 'count'"),
+        ({"timing": {"A": {"count": True}}}, "timing: A: expected int for 'count'"),
+        ({"timing": {"A": {"count": 2.0}}}, "timing: A: expected int for 'count'"),
+        ({"timing": {"A": {"count": -1}}},
+         "timing: A: expected a non-negative int for 'count'"),
     ])
     def test_malformed_level_exits_3_naming_the_key(self, tmp_path, capsys, caplog,
                                                      metrics, message):
@@ -2172,14 +2284,12 @@ class TestBadInput:
         results_path = mini_workspace["out"] / "results.jsonl"
         first = read_jsonl(results_path)[0]
         key = (first["note_id"], first["question_id"], first["pathway"])
-        # A valid final line whose key an earlier line holds: not a torn line.
         with open(results_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(dict(first, value="NO" if first["value"] == "YES"
                                          else "YES")) + "\n")
         before = results_path.read_bytes()
         message = f"{results_path}: result key {key!r} appears twice"
-        for argv in (self.argv("screen", mini_workspace),
-                     ["canonicalize", "--results", str(results_path)],
+        for argv in (["canonicalize", "--results", str(results_path)],
                      ["evaluate", "--results", str(results_path),
                       "--gold", str(mini_workspace["gold"]),
                       "--catalog", str(mini_workspace["catalog"]),
@@ -2189,10 +2299,6 @@ class TestBadInput:
             assert message in caplog.text
         assert results_path.read_bytes() == before
         assert not (mini_workspace["root"] / "eval").exists()
-        # The resume refuses the file before its gateway sends a request.
-        gateway = make_mock_gateway(build_mini_fixtures())
-        assert cmd_screen(run_config(mini_workspace), gateway=gateway) == EXIT_INPUT
-        assert gateway.transport.calls == 0
 
     def test_gold_note_unknown_under_notes_exits_3(self, mini_workspace, caplog):
         assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
@@ -2560,3 +2666,109 @@ def test_prompts_not_a_directory_exits_3_before_any_unit(mini_workspace, caplog,
     assert cli_main(argv) == EXIT_INPUT
     assert f"prompts directory {prompts!r} is not a directory" in caplog.text
     assert sent == []
+
+
+# Texts built from the name of the value ``{{a}}``, the separators that a
+# key's pieces could be joined with and placeholders, so that pieces that run
+# into each other would collide.
+KEY_TEXTS = st.lists(st.sampled_from(["a", "a", "é", "0", "1", ":", "|", "\n", "{", "}",
+                                      "{{note}}", "{{question}}", "{{a}}"]),
+                     max_size=4).map("".join)
+
+
+@st.composite
+def key_inputs(draw):
+    """What a reply key is made from: a backend, a template, a note, a
+    question, a stage and, when the template has ``{{a}}``, its value."""
+    literals = [draw(KEY_TEXTS) for _ in range(4)]
+    return {
+        "backend": draw(st.builds(lambda kind, model, url: BackendConfig(kind, model, url),
+                                  st.sampled_from(["mock", "http"]), KEY_TEXTS,
+                                  st.sampled_from([None, "http://h", "http://h:1/v"]))),
+        "template": (f"{literals[0]}{{{{question}}}}{literals[1]}{{{{note}}}}{literals[2]}"
+                     + draw(st.sampled_from(["", "{{a}}"])) + literals[3]),
+        "sections": draw(st.fixed_dictionaries(
+            {"chief_complaint": KEY_TEXTS, "past_history": KEY_TEXTS})),
+        "ids": draw(st.tuples(st.sampled_from(["n1", "n2"]), st.sampled_from(["q1", "q2"]),
+                              st.sampled_from(["roleCRC", "judge|r1"]))),
+        "question": draw(KEY_TEXTS),
+        "value": draw(KEY_TEXTS),
+    }
+
+
+class _AnsweringGateway:
+    """A gateway that answers every request at once with ``reply``."""
+
+    def __init__(self, reply=""):
+        self.reply = reply
+
+    def call(self, request, done, *, on_park=None):
+        done(self.reply, None)
+
+
+def keyed_request(inputs):
+    note_id, question_id, stage = inputs["ids"]
+    values = {"a": inputs["value"]} if "{{a}}" in inputs["template"] else {}
+    note = AdmissionNote(note_id, inputs["sections"])
+    question = QuestionSpec(question_id, inputs["question"], Category.DIAGNOSIS,
+                            TaskType.DIRECT_MATCH)
+    request = question_request(inputs["template"], question, note, stage, **values)
+    backend = inputs["backend"]
+    calls = io.StringIO()
+    _ReplyStore(_AnsweringGateway(), backend, calls, {}).call(request, lambda *outcome: None)
+    identity = ((backend.kind, backend.model_name, backend.base_url), request.tag,
+                inputs["template"], note.text, question.text, values)
+    return json.loads(calls.getvalue())["key"], request, identity
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_reply_keys_are_equal_exactly_when_backend_tag_and_inputs_are(data):
+    """Equal keys mean the same backend, tag and prompt inputs, and so the
+    same prompt.  Different inputs that happen to render the same prompt get
+    different keys: that costs a call, and never mixes up two answers.
+
+    The second inputs are the first ones, with one part drawn afresh, or
+    with the question and the value cut at another place of the two joined."""
+    first = data.draw(key_inputs())
+    change = data.draw(st.just("cut") | st.sampled_from([None, *first]))
+    if change == "cut":
+        first["template"] += "{{a}}"  # so that the value is an input too
+    second = dict(first)
+    if change == "cut":
+        joined = first["question"] + first["value"]
+        cut = data.draw(st.integers(0, len(joined)))
+        second["question"], second["value"] = joined[:cut], joined[cut:]
+    elif change is not None:
+        second[change] = data.draw(key_inputs())[change]
+    key_a, request_a, identity_a = keyed_request(first)
+    key_b, request_b, identity_b = keyed_request(second)
+    assert (key_a == key_b) == (identity_a == identity_b)
+    if key_a == key_b:
+        assert (request_a.prompt, request_a.tag) == (request_b.prompt, request_b.tag)
+
+
+def test_reply_store_appends_whole_lines_from_many_threads(tmp_path):
+    # A reply longer than the file's buffer is written in more than one
+    # system call, between which another thread's append could land.
+    path = tmp_path / "calls.jsonl"
+    with open(path, "w", encoding="utf-8") as calls:
+        store = _ReplyStore(_AnsweringGateway("x" * 20_000), BackendConfig("mock", "m"),
+                            calls, {})
+
+        def append(thread):
+            for index in range(50):
+                store.call(ChatRequest("", f"t{thread}|{index}"), lambda *outcome: None)
+
+        threads = [threading.Thread(target=append, args=(thread,)) for thread in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(_read_resume_state(path)) == 8 * 50
