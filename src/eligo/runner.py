@@ -255,9 +255,12 @@ class ResultRecord(NamedTuple):
 
 
 class _StoredReply(str):
-    """A reply read from calls.jsonl, with the seconds its call took then."""
+    """A reply as calls.jsonl holds it, read from the file or just written:
+    ``elapsed_s`` is the seconds its call took, as the line records them,
+    and ``sent`` is true when this run sent the call."""
 
     elapsed_s = 0.0
+    sent = False
 
 
 class _ReplyStore:
@@ -267,8 +270,8 @@ class _ReplyStore:
     the request's tag and its ``inputs``, each text led by its length.  A
     request whose key ``replies`` holds is answered from it on the calling
     thread; any other goes to ``gateway``, and its reply is appended as one
-    flushed line before its callback gets it.  A failed append sets
-    ``failed`` and fails the call."""
+    flushed line before its callback gets it.  Either way the callback gets
+    a _StoredReply.  A failed append sets ``failed`` and fails the call."""
 
     def __init__(self, gateway: "Gateway", backend: "BackendConfig", calls: "TextIO",
                  replies: Mapping[str, _StoredReply]):
@@ -290,7 +293,8 @@ class _ReplyStore:
 
         def keep(reply: str | None, error: Exception | None) -> None:
             if error is None:
-                line = (f'{{"elapsed_s": {float.__repr__(time.monotonic() - started)}, '
+                elapsed_s = time.monotonic() - started
+                line = (f'{{"elapsed_s": {float.__repr__(elapsed_s)}, '
                         f'"key": "{key}", "reply": {_encode_str(reply)}, '
                         f'"tag": {_encode_str(tag)}}}\n')
                 try:
@@ -299,26 +303,12 @@ class _ReplyStore:
                         self.calls.flush()
                 except OSError as exc:
                     self.failed, reply, error = True, None, exc
+                else:
+                    reply = _StoredReply(reply)
+                    reply.elapsed_s, reply.sent = elapsed_s, True
             done(reply, error)
 
         self.gateway.call(request, keep, on_park=on_park)
-
-
-def _replayed(unit: "Unit") -> "Unit[tuple[object, float | None]]":
-    """``yield from unit``, but an error thrown in ends it without reaching
-    ``unit``, as the role and debate units catch none.  It returns the
-    unit's result with the seconds its calls took when the store answered
-    every one, each batch counting its slowest, or with None when it sent one."""
-    stored_s, replies = 0.0, None
-    try:
-        while True:
-            replies = yield unit.send(replies)
-            if stored_s is not None:
-                times = [reply.elapsed_s for reply in replies if type(reply) is _StoredReply]
-                stored_s = (stored_s + max(times, default=0.0) if len(times) == len(replies)
-                            else None)
-    except StopIteration as stop:
-        return stop.value, stored_s
 
 
 def write_output(path: str | Path, data: str) -> int:
@@ -466,10 +456,14 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     """Answer every (note, question) unit through the reply store; roll up verdicts.
 
     A pre-built gateway may be injected (tests use this to script failures);
-    by default one is constructed from the configured backend.  A unit whose
-    call fails with a GatewayError is counted as failed.  Any other error
-    ends its pair and is raised once the other pairs are done, with
-    ``calls.jsonl`` and the gateway closed; a failed append exits EXIT_INPUT.
+    by default one is constructed from the configured backend.  Every unit
+    is timed by the call times that ``calls.jsonl`` records, whether this
+    run sent the calls or read them, so a rerun writes the same result
+    records.  A unit whose call fails with a GatewayError is counted as
+    failed.  Any other error ends its pair and is raised once the other
+    pairs are done, with ``calls.jsonl`` and the gateway closed; a failed
+    append exits EXIT_INPUT.  A run without pathway B removes the
+    ``debates.jsonl`` of an earlier run.
     """
     from .gateway import Gateway, run_units
     from .pathway_a import load_roles, majority_vote, role_unit
@@ -514,10 +508,11 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     def screen_pair(note: AdmissionNote, question: QuestionSpec) -> "Unit[None]":
         """Run the pair's units in label order, keeping each one's record.
 
-        The vote is formed from the pair's role answers, and counts as
-        sending when one of them did.  A unit that sent nothing takes its
-        calls' stored time.  A pair started after an append has failed
-        sends nothing.
+        A unit takes the sum over its batches of each batch's slowest call
+        time, as calls.jsonl records it, and is skipped when it sent no
+        call.  The vote is formed from the pair's role answers, takes the
+        slowest of their times, and counts as sending when one of them did.
+        A pair started after an append has failed sends nothing.
         """
         nonlocal failed, skipped
         if store.failed:
@@ -541,16 +536,21 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
                 continue
             unit = (debate_unit(question, note, debate_templates) if role is None
                     else role_unit(question, note, role))
-            started = time.monotonic()
+            elapsed_s, sent, replies = 0.0, False, None
             try:
-                result, stored_s = yield from _replayed(unit)
+                while True:
+                    # An error thrown in here ends the unit without reaching
+                    # it, as the role and debate units catch none.
+                    replies = yield unit.send(replies)
+                    elapsed_s += max([reply.elapsed_s for reply in replies], default=0.0)
+                    sent = sent or any([reply.sent for reply in replies])
+            except StopIteration as stop:
+                result = stop.value
             except GatewayError as error:
                 log.error("unit %s|%s|%s failed: %s", note_id, question_id, label, error)
                 failed += 1
                 missing.append(label)
                 continue
-            sent = stored_s is None
-            elapsed_s = time.monotonic() - started if sent else stored_s
             skipped += not sent
             if role is not None:
                 members.append(result)
@@ -583,6 +583,11 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     for name, text in outputs.items():
         if status := write_output(out_dir / name, text):
             return status
+    if DEBATE_LABEL not in labels:  # an earlier run's transcripts have no results now
+        try:
+            (out_dir / "debates.jsonl").unlink(missing_ok=True)
+        except OSError as exc:
+            return _cannot_write(out_dir / "debates.jsonl", exc)
     if status := _write_verdicts(out_dir / "verdicts.jsonl", notes, catalog, records):
         return status
 

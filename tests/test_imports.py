@@ -117,11 +117,25 @@ def test_no_module_imports_dataclasses(path):
 
 @pytest.mark.parametrize("module", ["pathway_a", "pathway_b", "prompting"])
 def test_units_are_timed_only_by_the_runner(module):
-    # The runner's clock times every unit, a role as a debate, so a unit
-    # module keeps no second clock.
+    # The runner's reply store times every call, and a unit takes the times
+    # of its calls, a role as a debate, so a unit module keeps no second clock.
     path = Path(eligo.__file__).parent / f"{module}.py"
     lines = [line for line, package in imported_packages(path) if package == "time"]
     assert not lines, f"{path.name} imports time on lines {lines}"
+
+
+def test_the_runner_reads_its_clock_only_in_the_reply_store():
+    # A unit's time is read from the calls.jsonl lines that the store times,
+    # so a replay writes the times of the run that sent the calls.
+    tree = ast.parse((Path(eligo.__file__).parent / "runner.py").read_text(encoding="utf-8"))
+    (store,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_ReplyStore"]
+    in_store = {id(node) for node in ast.walk(store)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "monotonic"
+             or isinstance(node, ast.ImportFrom) and node.module == "time"]
+    outside = [node.lineno for node in reads if id(node) not in in_store]
+    assert reads and not outside, f"runner.py reads the clock on lines {outside}"
 
 
 def json_decoder_lines(path):

@@ -628,13 +628,21 @@ class TestCmdScreen:
         assert cmd_screen(config) == EXIT_OK
         assert sorted(debates_path.read_text().splitlines()) == transcripts
 
-    def test_pathway_a_resume_leaves_debates_file_alone(self, mini_workspace):
+    def test_pathway_a_run_removes_an_earlier_runs_debates_file(self, mini_workspace):
+        # The transcripts would outlive the B results that point at them.
         out = mini_workspace["out"]
-        out.mkdir()
-        garbage = '{"note_id": "n1"\nnot json\n'
-        (out / "debates.jsonl").write_text(garbage)
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        assert (out / "debates.jsonl").exists()
         assert cmd_screen(run_config(mini_workspace, pathway="A")) == EXIT_OK
-        assert (out / "debates.jsonl").read_text() == garbage
+        assert "B" not in {record["pathway"] for record in read_jsonl(out / "results.jsonl")}
+        assert not (out / "debates.jsonl").exists()
+
+    def test_a_debates_file_that_cannot_be_removed_exits_3_naming_it(self, mini_workspace,
+                                                                     caplog):
+        out = mini_workspace["out"]
+        (out / "debates.jsonl" / "inside").mkdir(parents=True)
+        assert cmd_screen(run_config(mini_workspace, pathway="A")) == EXIT_INPUT
+        assert_one_error_naming(caplog, out / "debates.jsonl")
 
     def test_resume_keeps_replies_with_unicode_line_separators(self, mini_workspace):
         config = run_config(mini_workspace)
@@ -990,6 +998,46 @@ class TestCmdScreen:
         (debate,) = [record for record in read_jsonl(mini_workspace["out"] / "results.jsonl")
                      if (record["note_id"], record["question_id"]) == ("n2", "m3")]
         assert debate["elapsed_s"] == 2.0 + 4.0 + 16.0 + 32.0
+
+    def test_a_replay_writes_the_same_results_and_metrics_bytes(self, mini_workspace):
+        out = mini_workspace["out"]
+
+        def screen_and_evaluate(name, gateway=None):
+            assert cmd_screen(run_config(mini_workspace), gateway=gateway) == EXIT_OK
+            eval_dir = mini_workspace["root"] / name
+            assert cmd_evaluate(out / "results.jsonl", mini_workspace["gold"],
+                                mini_workspace["catalog"], eval_dir,
+                                notes_path=mini_workspace["notes"]) == EXIT_OK
+            return (out / "results.jsonl").read_bytes(), (eval_dir / "metrics.json").read_bytes()
+
+        sent = screen_and_evaluate("eval_sent")
+        gateway = make_mock_gateway(build_mini_fixtures())
+        assert screen_and_evaluate("eval_replayed", gateway) == sent
+        assert gateway.transport.calls == 0
+
+    def test_a_sent_units_time_is_read_from_its_calls(self, mini_workspace):
+        # A role takes its call's time; a debate, the sum over its batches
+        # of each batch's slowest call, as calls.jsonl records them.
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        out = mini_workspace["out"]
+        calls = {record["tag"]: record["elapsed_s"] for record in read_jsonl(out / "calls.jsonl")}
+        batches = [("proponent|r1", "opponent|r1"), ("judge|r1",),
+                   ("proponent|r2", "opponent|r2"), ("judge|final",)]
+        batches_used = {2: 1, 3: 2, 6: 4}  # by the calls the debate used
+        calls_used = {(d["note_id"], d["question_id"]): d["calls_used"]
+                      for d in read_jsonl(out / "debates.jsonl")}
+        assert set(calls_used.values()) == {2, 3, 6}
+        for record in read_jsonl(out / "results.jsonl"):
+            pair, label = (record["note_id"], record["question_id"]), record["pathway"]
+            if label == "A-vote":
+                continue
+            if label == "B":
+                expected = 0.0
+                for batch in batches[:batches_used[calls_used[pair]]]:
+                    expected += max(calls["|".join((*pair, stage))] for stage in batch)
+            else:
+                expected = calls["|".join((*pair, "role" + label.removeprefix("A-")))]
+            assert record["elapsed_s"] == expected
 
     def test_screened_vote_takes_its_slowest_members_time(self, mini_workspace):
         config = run_config(mini_workspace, pathway="A")
@@ -1599,14 +1647,12 @@ class TestSplitFallbackEndToEnd:
         assert splits
         # A second screen replays every unit from calls.jsonl and rewrites
         # the verdicts, now through the reference evaluator, from the same
-        # answers.  Its units take their calls' stored times, so the timing
-        # section of the metrics may differ.
+        # answers and the same call times.
         monkeypatch.setattr(eligo.rules, "_decide", reference_decide)
         reference = self.outputs(mini_workspace, "eval_reference")
         for outputs in (kernel, reference):
-            metrics = json.loads(outputs["metrics.json"])
-            assert set(metrics.pop("timing")) == {"A-CRC", "A-JD", "A-IE", "A-vote", "B"}
-            outputs["metrics.json"] = metrics
+            assert set(json.loads(outputs["metrics.json"])["timing"]) == \
+                {"A-CRC", "A-JD", "A-IE", "A-vote", "B"}
         assert kernel == reference
         # On n1 the vote leaves m1 UNKNOWN and m3 is NO: both completions of
         # m1 meet mc1, which only the split search finds.
@@ -2746,6 +2792,43 @@ def test_reply_keys_are_equal_exactly_when_backend_tag_and_inputs_are(data):
     assert (key_a == key_b) == (identity_a == identity_b)
     if key_a == key_b:
         assert (request_a.prompt, request_a.tag) == (request_b.prompt, request_b.tag)
+
+
+def test_reply_store_lines_keep_their_format(tmp_path, monkeypatch):
+    # Keys and lines as an earlier out/ holds them, so that it still resumes
+    # with no call; each call takes the time between two clock readings.
+    clock = iter([10.0, 10.25, 20.0, 20.5])
+    monkeypatch.setattr(eligo.runner.time, "monotonic", lambda: next(clock))
+    note = AdmissionNote("n1", {"chief_complaint": "chest pain", "past_history": "\u00e9"})
+    question = QuestionSpec("q1", "Chest pain?", Category.DIAGNOSIS, TaskType.DIRECT_MATCH)
+    requests = [question_request("Role {{question}} {{note}}", question, note, "roleCRC"),
+                question_request("Judge {{question}} {{note}} {{arg_pos}} {{arg_neg}}",
+                                 question, note, "judge|r1", arg_pos='yes "p"', arg_neg="no\n")]
+    backend = BackendConfig("http", "m", "http://h:1/v")
+    path = tmp_path / "calls.jsonl"
+    replies = []
+    with open(path, "w", encoding="utf-8") as calls:
+        store = _ReplyStore(_AnsweringGateway('ANSWER: YES\n"\u00e9"\u2028'), backend, calls, {})
+        for request in requests:
+            store.call(request, lambda reply, error: replies.append(reply))
+    reply = b'"reply": "ANSWER: YES\\n\\"\xc3\xa9\\"\xe2\x80\xa8"'
+    assert path.read_bytes().splitlines(keepends=True) == [
+        b'{"elapsed_s": 0.25, '
+        b'"key": "d972caa1a3499b57ab09448dc4d13d9f82f70aab85112282b1206f0c12189f7e", '
+        + reply + b', "tag": "n1|q1|roleCRC"}\n',
+        b'{"elapsed_s": 0.5, '
+        b'"key": "9b783c9fd75beb8ebfd125d3b0d47fd249c78ffdc4f5baf2548a75ea14fecaa3", '
+        + reply + b', "tag": "n1|q1|judge|r1"}\n',
+    ]
+    # A sent reply and the same reply read back carry the time the line records.
+    stored = _read_resume_state(path)
+    with open(path, "a", encoding="utf-8") as calls:
+        store = _ReplyStore(_AnsweringGateway(), backend, calls, stored)
+        for request in requests:
+            store.call(request, lambda reply, error: replies.append(reply))
+    assert [(reply.elapsed_s, reply.sent) for reply in replies] == \
+        [(0.25, True), (0.5, True), (0.25, False), (0.5, False)]
+    assert len(set(replies)) == 1
 
 
 def test_reply_store_appends_whole_lines_from_many_threads(tmp_path):
