@@ -7,10 +7,10 @@ one generator that runs its units in label order: the roles, then their
 vote, then the debate.  ``gateway.run_units`` drives every pair from one
 loop on the calling thread, which does all of the work but the backend
 calls: rendering, parsing and voting.  At most ``workers`` pairs are
-runnable at a time (see run_units).  Completion order across pairs is
-nondeterministic; downstream consumers (and the determinism check) sort by
-key via canonicalization.  Conversion runs one unit per criterion on the
-same driver, and writes in input order.
+runnable at a time (see run_units).  Each pair returns what it answered,
+and run_units returns the pairs in order, so the outputs are written in pair
+order whatever order the pairs end in.  Conversion runs one unit per
+criterion on the same driver, and writes in input order too.
 """
 
 import json
@@ -458,12 +458,14 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
     A pre-built gateway may be injected (tests use this to script failures);
     by default one is constructed from the configured backend.  Every unit
     is timed by the call times that ``calls.jsonl`` records, whether this
-    run sent the calls or read them, so a rerun writes the same result
-    records.  A unit whose call fails with a GatewayError is counted as
-    failed.  Any other error ends its pair and is raised once the other
-    pairs are done, with ``calls.jsonl`` and the gateway closed; a failed
-    append exits EXIT_INPUT.  A run without pathway B removes the
-    ``debates.jsonl`` of an earlier run.
+    run sent the calls or read them, and results.jsonl and debates.jsonl
+    are written in pair order (notes, then questions, then labels), so a
+    replay writes the same bytes on any backend.  A unit whose call fails
+    with a GatewayError writes no record and is counted as failed.  Any
+    other error ends its pair and is raised once the other pairs are done,
+    with ``calls.jsonl`` and the gateway closed; a failed append exits
+    EXIT_INPUT.  A run without pathway B removes the ``debates.jsonl`` of an
+    earlier run.
     """
     from .gateway import Gateway, run_units
     from .pathway_a import load_roles, majority_vote, role_unit
@@ -500,23 +502,20 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
                      for label in config.role_labels()}
     total_units = len(notes) * len(questions) * len(labels)
 
-    records: list[ResultRecord] = []
-    transcripts: list[str] = []  # debates.jsonl lines
-    failed = 0
-    skipped = 0  # units that sent nothing
-
-    def screen_pair(note: AdmissionNote, question: QuestionSpec) -> "Unit[None]":
-        """Run the pair's units in label order, keeping each one's record.
+    def screen_pair(note: AdmissionNote, question: QuestionSpec) -> "Unit[list[tuple]]":
+        """Run the pair's units in label order; return, for each unit that
+        answered, its record, whether it sent a call, and its debates.jsonl
+        line ("" but for the debate).
 
         A unit takes the sum over its batches of each batch's slowest call
-        time, as calls.jsonl records it, and is skipped when it sent no
-        call.  The vote is formed from the pair's role answers, takes the
-        slowest of their times, and counts as sending when one of them did.
-        A pair started after an append has failed sends nothing.
+        time, as calls.jsonl records it.  The vote is formed from the pair's
+        role answers, takes the slowest of their times, and counts as
+        sending when one of them did.  A pair started after an append has
+        failed sends nothing.
         """
-        nonlocal failed, skipped
+        answered: list[tuple[ResultRecord, bool, str]] = []
         if store.failed:
-            return
+            return answered
         note_id, question_id = note.note_id, question.question_id
         members: list[RoleAnswer] = []  # the vote's
         missing: list[str] = []  # the labels of the roles that failed
@@ -528,11 +527,10 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
                 if missing:
                     log.error("unit %s|%s|%s failed: missing %s", note_id, question_id,
                               VOTE_LABEL, ", ".join(missing))
-                    failed += 1
                 else:
-                    records.append(ResultRecord(note_id, question_id, VOTE_LABEL,
-                                                majority_vote(*members), slowest))
-                    skipped += not members_sent
+                    answered.append((ResultRecord(note_id, question_id, VOTE_LABEL,
+                                                  majority_vote(*members), slowest),
+                                     members_sent, ""))
                 continue
             unit = (debate_unit(question, note, debate_templates) if role is None
                     else role_unit(question, note, role))
@@ -548,38 +546,39 @@ def cmd_screen(config: RunConfig, gateway: "Gateway | None" = None) -> int:
                 result = stop.value
             except GatewayError as error:
                 log.error("unit %s|%s|%s failed: %s", note_id, question_id, label, error)
-                failed += 1
                 missing.append(label)
                 continue
-            skipped += not sent
             if role is not None:
                 members.append(result)
                 slowest = max(slowest, elapsed_s)
                 members_sent = members_sent or sent
-                records.append(ResultRecord(note_id, question_id, label, result.answer,
-                                            elapsed_s))
+                answered.append((ResultRecord(note_id, question_id, label, result.answer,
+                                              elapsed_s), sent, ""))
                 continue
             outcome, transcript = result
-            transcripts.append(_JSONL_ENCODER.encode({"note_id": note_id,
-                                                      "question_id": question_id,
-                                                      **transcript.to_dict()}) + "\n")
-            records.append(ResultRecord(note_id, question_id, DEBATE_LABEL, outcome, elapsed_s,
-                                        f"debates.jsonl:{note_id}|{question_id}"))
+            line = _JSONL_ENCODER.encode({"note_id": note_id, "question_id": question_id,
+                                          **transcript.to_dict()}) + "\n"
+            answered.append((ResultRecord(note_id, question_id, DEBATE_LABEL, outcome, elapsed_s,
+                                          f"debates.jsonl:{note_id}|{question_id}"), sent, line))
+        return answered
 
     try:
         with open(calls_path, "a", encoding="utf-8") as calls:
             store = _ReplyStore(gateway, config.backend, calls, stored)
-            run_units((screen_pair(note, question)
-                       for note in notes for question in questions), store, config.workers)
+            pairs = run_units((screen_pair(note, question)
+                               for note in notes for question in questions), store, config.workers)
     except OSError as exc:  # only calls.jsonl raises one
         return _cannot_write(calls_path, exc)
     finally:
         if owns_gateway:
             gateway.close()
 
+    records = [record for answered in pairs for record, _, _ in answered]
+    skipped = sum([not sent for answered in pairs for _, sent, _ in answered])
+    failed = total_units - len(records)
     outputs = {"results.jsonl": "".join([record.to_line() + "\n" for record in records])}
     if DEBATE_LABEL in labels:
-        outputs["debates.jsonl"] = "".join(transcripts)
+        outputs["debates.jsonl"] = "".join([line for answered in pairs for _, _, line in answered])
     for name, text in outputs.items():
         if status := write_output(out_dir / name, text):
             return status

@@ -138,6 +138,14 @@ def test_the_runner_reads_its_clock_only_in_the_reply_store():
     assert reads and not outside, f"runner.py reads the clock on lines {outside}"
 
 
+def test_no_screen_unit_writes_into_the_runners_state():
+    # Each pair returns what it answered, so no closure of cmd_screen's is
+    # rebound by a unit.
+    tree = ast.parse((Path(eligo.__file__).parent / "runner.py").read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
+    assert not lines, f"runner.py has nonlocal statements on lines {lines}"
+
+
 def json_decoder_lines(path):
     """The lines of ``path`` that use ``json.load``, ``json.loads`` or
     ``JSONDecoder``, or import one of them from ``json``."""

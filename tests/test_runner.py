@@ -912,15 +912,23 @@ class TestCmdScreen:
         assert cmd_screen(config, gateway=gateway) == EXIT_OK
         assert gateway.transport.peak_inflight == workers
 
-    def test_vote_formed_before_the_next_pair_starts(self, mini_workspace):
-        # One runnable pair: the results are in the order the units ended.
+    def test_vote_formed_before_the_next_pair_starts(self, mini_workspace, monkeypatch):
+        # One runnable pair: the first pair's vote is formed, as the
+        # transport's log shows, before the second pair sends its first call.
+        transport = _ScriptedTransport()
+        vote = eligo.pathway_a.majority_vote
+
+        def logged_vote(*members):
+            pair = "|".join(members[0].answer.provenance.split("|")[:2])
+            with transport._lock:
+                transport.log.append(("vote", pair))
+            return vote(*members)
+
+        monkeypatch.setattr(eligo.pathway_a, "majority_vote", logged_vote)
         config = run_config(mini_workspace, pathway="A", workers=1)
-        assert cmd_screen(config) == EXIT_OK
-        first_pair = read_jsonl(mini_workspace["out"] / "results.jsonl")[:4]
-        assert [record["pathway"] for record in first_pair] == \
-            ["A-CRC", "A-JD", "A-IE", "A-vote"]
-        assert len({(record["note_id"], record["question_id"])
-                    for record in first_pair}) == 1
+        assert cmd_screen(config, gateway=scripted_gateway(transport, max_inflight=3)) == EXIT_OK
+        log = transport.log
+        assert log.index(("vote", "n1|m1")) < log.index(("sent", "n1|m2|roleCRC"))
 
     def resume_without(self, workspace, tag):
         """Screen, drop the stored reply to ``tag``, and resume: the calls
@@ -999,21 +1007,60 @@ class TestCmdScreen:
                      if (record["note_id"], record["question_id"]) == ("n2", "m3")]
         assert debate["elapsed_s"] == 2.0 + 4.0 + 16.0 + 32.0
 
-    def test_a_replay_writes_the_same_results_and_metrics_bytes(self, mini_workspace):
+    # A mock with latency answers on sender threads, so its pairs end in any order.
+    @pytest.mark.parametrize("backend", [{}, {"mock_latency_s": 0.003, "max_inflight": 4}],
+                             ids=["on_the_call", "waiting"])
+    def test_a_replay_writes_the_same_results_and_metrics_bytes(self, mini_workspace, backend):
         out = mini_workspace["out"]
+        config = run_config(mini_workspace,
+                            backend={**mini_workspace["run_config"]["backend"], **backend})
 
         def screen_and_evaluate(name, gateway=None):
-            assert cmd_screen(run_config(mini_workspace), gateway=gateway) == EXIT_OK
+            assert cmd_screen(config, gateway=gateway) == EXIT_OK
             eval_dir = mini_workspace["root"] / name
             assert cmd_evaluate(out / "results.jsonl", mini_workspace["gold"],
                                 mini_workspace["catalog"], eval_dir,
                                 notes_path=mini_workspace["notes"]) == EXIT_OK
-            return (out / "results.jsonl").read_bytes(), (eval_dir / "metrics.json").read_bytes()
+            return [path.read_bytes() for path in (out / "results.jsonl", out / "debates.jsonl",
+                                                   eval_dir / "metrics.json")]
 
         sent = screen_and_evaluate("eval_sent")
         gateway = make_mock_gateway(build_mini_fixtures())
         assert screen_and_evaluate("eval_replayed", gateway) == sent
         assert gateway.transport.calls == 0
+
+    def test_outputs_do_not_depend_on_completion_order(self, mini_workspace, monkeypatch):
+        # As for convert: every pair is on the wire at once, and a later
+        # pair's calls are answered sooner than an earlier pair's.
+        out = mini_workspace["out"]
+
+        def outputs():
+            results = [json.loads(line) for line in
+                       (out / "results.jsonl").read_text(encoding="utf-8").splitlines()]
+            for record in results:
+                del record["elapsed_s"]
+            return results, (out / "debates.jsonl").read_bytes()
+
+        assert cmd_screen(run_config(mini_workspace)) == EXIT_OK
+        plain = outputs()
+        finished = []
+        send = eligo.gateway.MockTransport.send
+
+        def later_pairs_first(transport, req):
+            note_id, question_id = req.tag.split("|")[:2]
+            pair = 3 * int(note_id.removeprefix("n")) + int(question_id.removeprefix("m"))
+            time.sleep(0.005 * (9 - pair))  # 0 ms for (n2, m3), 25 ms for (n1, m1)
+            reply = send(transport, req)
+            finished.append(req.tag)
+            return reply
+
+        monkeypatch.setattr(eligo.gateway.MockTransport, "send", later_pairs_first)
+        for path in out.iterdir():
+            path.unlink()
+        gateway = make_mock_gateway(build_mini_fixtures(), latency_s=0.001, max_inflight=12)
+        assert cmd_screen(run_config(mini_workspace), gateway=gateway) == EXIT_OK
+        assert finished.index("n2|m3|roleIE") < finished.index("n1|m1|roleCRC")
+        assert outputs() == plain
 
     def test_a_sent_units_time_is_read_from_its_calls(self, mini_workspace):
         # A role takes its call's time; a debate, the sum over its batches
