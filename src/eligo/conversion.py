@@ -16,7 +16,7 @@ caller reads once through :func:`prompting.load_prompts`.
 import logging
 import re
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Catalog,
@@ -28,7 +28,7 @@ from .corpus import (
 )
 from .errors import (CatalogError, ConversionError, EligoError, GatewayError,
                      RefinementParseError, RuleParseError)
-from .gateway import ChatRequest, Done, Gateway, Unit
+from .gateway import ChatRequest, Done, Gateway, RetryLater, Unit
 from .prompting import render
 from .rules import parse_rule, print_rule, referenced_ids, rename_questions
 
@@ -281,23 +281,23 @@ class Router:
     """The gateway that conversion units run on: it sends
     ``convert|<criterion id>|<model name>`` to the drafter of that (unique)
     model name, and ``refine|<criterion id>`` to the refiner.  A drafter's
-    GatewayError is passed on as its reply, so one failed drafter is only a
-    warning."""
+    final GatewayError is passed on as its reply, so one failed drafter is
+    only a warning; a RetryLater is passed on as it is."""
 
     def __init__(self, drafters: Sequence[Gateway], refiner: Gateway):
         self.drafters = {drafter.cfg.model_name: drafter for drafter in drafters}
         self.refiner = refiner
 
-    def call(self, req: ChatRequest, done: Done, *,
-             on_park: Callable[[bool], None] | None = None) -> None:
+    def call(self, req: ChatRequest, done: Done) -> None:
         if req.tag.startswith("refine|"):
-            self.refiner.call(req, done, on_park=on_park)
+            self.refiner.call(req, done)
         else:  # a criterion id holds no "|", so the rest of the tag is the name
             name = req.tag.split("|", 2)[2]
-            self.drafters[name].call(req, partial(_failure_as_reply, done), on_park=on_park)
+            self.drafters[name].call(req, partial(_failure_as_reply, done))
 
 
-def _failure_as_reply(done: Done, reply: str | None, error: Exception | None) -> None:
+def _failure_as_reply(done: Done, reply: str | None,
+                      error: Exception | RetryLater | None) -> None:
     if isinstance(error, GatewayError):
         reply, error = error, None
     done(reply, error)

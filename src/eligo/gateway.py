@@ -5,24 +5,26 @@ temperature 0.0 with 1,024 max tokens, and the mock answers by the tag.
 
 The gateway is the engine's only concurrency boundary.  :meth:`Gateway.call`
 takes a request and a completion callback, which it calls once with the
-reply or the error.  ``max_inflight`` sender threads put requests on the
-wire, so the number of senders is the in-flight bound: they start with the
-gateway's first queued request and run until :meth:`Gateway.close`.  A
-transport that does not wait (the mock without latency) is sent to on the
-calling thread instead and holds no slot, so its callback has run when
-``call`` returns.  A transient failure parks its request on a retry-timer
-heap until the backoff (or the backend's Retry-After) has passed: no thread
-sleeps through a backoff, and the senders serve other requests meanwhile.
-An idle sender waits on a condition of the gateway's lock, which guards the
-queue and the heap, until a request is queued, the first parked one is due,
-or close() stops it.  A gateway that is never closed keeps its senders
-idle; they are daemon threads.
+reply or the error, after a RetryLater for each retry.  ``max_inflight``
+sender threads put requests on the wire, so the number of senders is the
+in-flight bound: they start with the gateway's first queued request and run
+until :meth:`Gateway.close`.  A transport that does not wait (the mock
+without latency) is sent to on the calling thread instead and holds no
+slot, so its callback has run when ``call`` returns.  The gateway decides
+whether a failed request is retried and how long it waits first, but waits
+out no backoff: a transient failure with retries left is handed to the
+callback as a :class:`RetryLater`, and whoever holds it sends the request
+again when it is due.  An idle sender waits on a condition of the gateway's
+lock, which guards the queue, until a request is queued or close() stops
+it.  A gateway that is never closed keeps its senders idle; they are daemon
+threads.
 
 Units of work (a role's answer, a debate, a screened pair, a converted
 criterion) are generators of request batches, and :func:`run_units` is
 their one driver: it runs them on ``call`` from a loop on the calling
-thread.  It is the one way to send a request and wait for its answer;
-:meth:`Gateway.complete` is :func:`run_unit` over a one-request unit.
+thread, and is the one place that waits out a backoff.  It is the one way
+to send a request and wait for its answer; :meth:`Gateway.complete` is
+:func:`run_unit` over a one-request unit.
 """
 
 import heapq
@@ -38,7 +40,7 @@ from collections import deque
 from datetime import timezone
 from functools import partial
 from pathlib import Path
-from queue import SimpleQueue
+from queue import Empty, Queue
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, NamedTuple, TypeVar
 
 from . import errors
@@ -438,21 +440,29 @@ def _retry_delay(error: Exception, backoff_s: float, attempt: int) -> float:
     return min(delay, RETRY_DELAY_CAP_S)
 
 
-# A completion callback: called once with (reply, None) or (None, error).
-Done = Callable[[str | None, Exception | None], None]
+class RetryLater(NamedTuple):
+    """What a call's callback gets in place of an error when an attempt
+    failed transiently and a retry is left: ``resend()`` sends the request
+    again, and is to be called once ``delay_s`` seconds have passed."""
+
+    delay_s: float
+    resend: Callable[[], None]
+
+
+# A completion callback: called with (None, RetryLater) for each attempt to
+# retry, then once with (reply, None) or (None, error).
+Done = Callable[[str | None, Exception | RetryLater | None], None]
 
 
 class _Call:
-    """One submitted request on its way through the queue, the wire and the heap."""
+    """One submitted request on its way through the queue and the wire."""
 
-    __slots__ = ("request", "done", "on_park", "attempt")
+    __slots__ = ("request", "done", "attempt")
 
-    def __init__(self, request: ChatRequest, done: Done,
-                 on_park: Callable[[bool], None] | None, attempt: int = 0):
+    def __init__(self, request: ChatRequest, done: Done):
         self.request = request
         self.done = done
-        self.on_park = on_park
-        self.attempt = attempt
+        self.attempt = 0
 
 
 class Gateway:
@@ -472,47 +482,34 @@ class Gateway:
         self.transport = transport  # what sends the requests
         self._waits = getattr(transport, "waits", True)
         self._lock = threading.Lock()  # guards the fields below
-        # An idle sender waits on this for a queued call, a due one or close().
+        # An idle sender waits on this for a queued call or close().
         self._wake = threading.Condition(self._lock)
         self._ready: deque[_Call] = deque()  # calls to send, in order
         self._closing = False  # set while close() stops the senders
-        self._parked: list[tuple[float, int, _Call]] = []  # heap by retry time
-        self._order = itertools.count()  # heap tie-break: parking order
         self._senders: list[threading.Thread] = []
 
-    def call(self, req: ChatRequest, done: Done, *,
-             on_park: Callable[[bool], None] | None = None) -> None:
-        """Send one request; ``done`` is called once with the outcome.
+    def call(self, req: ChatRequest, done: Done) -> None:
+        """Send one request; ``done`` is called with the outcome.
 
         ``done(reply, None)`` gets the reply text and ``done(None, error)``
-        the failure.  Transient failures (429, 5xx, transport errors) are
-        retried up to ``retry_limit`` times with exponential backoff,
-        stretched to the Retry-After and capped at ``RETRY_DELAY_CAP_S``;
-        the error is then an ExhaustedRetriesError.  Any other failure is
-        passed on at once.
-        ``on_park(True)`` is called when the request starts waiting out a
-        backoff and ``on_park(False)`` when it is queued again.  It runs with
-        the gateway's lock held, so it must be quick and must not call the
-        gateway.  ``done`` should not raise: an error it raises on a sender
-        thread is logged and the sender goes on to the next request, and one
-        it raises on the calling thread propagates from ``call``.
+        the failure.  A transient failure (429, 5xx, transport error) is
+        retried up to ``retry_limit`` times.  Each retry is handed to
+        ``done`` first, as ``done(None, RetryLater(delay_s, resend))``:
+        ``delay_s`` is the exponential backoff, stretched to the Retry-After
+        and capped at ``RETRY_DELAY_CAP_S``, and the outcome comes once the
+        holder has called ``resend()``.  After the last retry the error is an
+        ExhaustedRetriesError.  Any other failure is passed on at once.
+        ``done`` should not raise: an error it raises on a sender thread is
+        logged and the sender goes on to the next request, and one it raises
+        on the calling thread propagates from ``call`` or ``resend``.
 
         A transport whose ``waits`` is false, as read when the gateway is
-        built, is sent to on the calling thread (see the module docstring),
-        and only a retry of such a send runs ``done`` on a sender.  Every
-        other request is queued for a sender, or fails at once with a
+        built, is sent to on the thread that calls ``call`` or ``resend``
+        (see the module docstring), and starts no sender.  Every other
+        request is queued for a sender, or fails at once with a
         TransportError while no sender thread can start.
         """
-        call = _Call(req, done, on_park)
-        if not self._waits:
-            self._attempt(call)
-            return
-        with self._lock:
-            if not (error := self._start_senders()):
-                self._ready.append(call)
-                self._wake.notify()
-        if error:
-            done(None, error)
+        self._submit(_Call(req, done))
 
     def complete(self, req: ChatRequest) -> str:
         """Send one request and wait for its reply; raise its error instead."""
@@ -522,12 +519,14 @@ class Gateway:
         """Stop the senders and release the transport's pooled connections.
 
         A request on the wire is answered first; the callback of one still
-        queued or parked gets a TransportError, on the closing thread.  All
-        of those run, and the senders are joined and the transport closed,
-        before the first error a callback raised propagates.
+        queued gets a TransportError, on the closing thread.  All of those
+        run, and the senders are joined and the transport closed, before
+        the first error a callback raised propagates.  A request waiting out
+        a RetryLater is its holder's; resent after close(), it is sent as a
+        new call would be.
         """
         with self._lock:
-            abandoned = self._take_waiting()
+            abandoned = self._take_ready()
             self._closing = True
             self._wake.notify_all()
             senders, self._senders = self._senders, []
@@ -537,8 +536,8 @@ class Gateway:
         with self._lock:
             self._closing = False
             # Calls submitted meanwhile get new senders, or fail without one.
-            error = self._start_senders() if self._ready or self._parked else None
-            stranded = self._take_waiting() if error else []
+            error = self._start_senders() if self._ready else None
+            stranded = self._take_ready() if error else []
         raised += _fail(stranded, error)
         close = getattr(self.transport, "close", None)
         if close is not None:
@@ -548,12 +547,23 @@ class Gateway:
 
     # -- senders ------------------------------------------------------------
 
-    def _take_waiting(self) -> list[_Call]:
-        """Take every queued and parked call off the gateway (lock held)."""
-        calls = [*self._ready, *(call for _, _, call in self._parked)]
-        self._ready.clear()
-        self._parked.clear()
-        return calls
+    def _submit(self, call: _Call) -> None:
+        """Send the call on this thread when the transport does not wait,
+        and queue it for a sender otherwise (see :meth:`call`)."""
+        if not self._waits:
+            self._attempt(call)
+            return
+        with self._lock:
+            if not (error := self._start_senders()):
+                self._ready.append(call)
+                self._wake.notify()
+        if error:
+            call.done(None, error)
+
+    def _take_ready(self) -> deque[_Call]:
+        """Take every queued call off the gateway (lock held)."""
+        ready, self._ready = self._ready, deque()
+        return ready
 
     def _start_senders(self) -> Exception | None:
         """Start the ``max_inflight`` senders, unless they run already or
@@ -582,60 +592,35 @@ class Gateway:
                 if (call := self._next_call()) is None:
                     return
                 self._attempt(call)
-            except Exception:  # a done or on_park callback raised
+            except Exception:  # a done callback raised
                 log.exception("error in a gateway callback")
 
     def _next_call(self) -> _Call | None:
         """Wait for the next call to send; None once close() stops the senders."""
         with self._lock:
             while not self._closing:
-                timeout = self._requeue_due()
                 if self._ready:
                     return self._ready.popleft()
-                self._wake.wait(timeout)
+                self._wake.wait()
             return None
 
-    def _requeue_due(self) -> float | None:
-        """Queue the parked calls whose time has come; return the seconds
-        until the next one is due, or None when none is parked (lock held).
-
-        Each call's ``on_park(False)`` runs before it is queued, so it comes
-        before the call's answer; the call is queued even if it raises.
-        """
-        now = time.monotonic()
-        while self._parked and self._parked[0][0] <= now:
-            call = heapq.heappop(self._parked)[2]
-            try:
-                if call.on_park is not None:
-                    call.on_park(False)
-            finally:
-                self._ready.append(call)
-                self._wake.notify()
-        return self._parked[0][0] - now if self._parked else None
-
     def _attempt(self, call: _Call) -> None:
-        """Put one attempt on the wire, on a sender or on the calling thread;
-        complete the call or park it for a retry."""
+        """Put one attempt on the wire, on a sender or on the calling thread,
+        and hand its outcome to the call's callback."""
         try:
             reply = self.transport.send(call.request)
             error = None
         except Exception as exc:  # a faulty transport fails its call, not the sender
-            reply, error = None, exc
-        if error is not None:
-            error = self._failed(call, error)
-            if error is None:
-                return
+            reply, error = None, self._failed(call, exc)
         call.done(reply, error)
         error = None  # its traceback holds this frame
 
-    def _failed(self, call: _Call, error: Exception) -> Exception | None:
-        """The error that a failed attempt completes its call with, or None
-        when the call is retried.
+    def _failed(self, call: _Call, error: Exception) -> Exception | RetryLater:
+        """What a failed attempt hands its callback: a RetryLater when the
+        error is transient and a retry is left, or else the final error.
 
-        A transient error is retried while retries are left, and is then
-        wrapped in ExhaustedRetriesError; any other error is final.  A call
-        to retry waits on the heap until its backoff has passed, or is
-        queued at once when there is no backoff.
+        A transient error is wrapped in ExhaustedRetriesError once the
+        retries are spent; any other error is final.
         """
         if not _is_transient(error):
             return error
@@ -643,22 +628,10 @@ class Gateway:
             return errors.ExhaustedRetriesError(call.attempt + 1, error)
         delay = _retry_delay(error, self.cfg.backoff_s, call.attempt)
         call.attempt += 1
-        with self._lock:
-            if start_error := self._start_senders():  # for a retry of an inline send
-                return start_error
-            # Every waiting sender, as each may sleep past the new due time.
-            self._wake.notify_all()
-            if delay <= 0:
-                self._ready.append(call)
-            else:
-                heapq.heappush(self._parked,
-                               (time.monotonic() + delay, next(self._order), call))
-                if call.on_park is not None:
-                    call.on_park(True)
-        return None
+        return RetryLater(delay, partial(self._submit, call))
 
 
-def _fail(calls: list[_Call], error: Exception | None) -> list[Exception]:
+def _fail(calls: Iterable[_Call], error: Exception | None) -> list[Exception]:
     """Fail each call with ``error``; return the errors its callbacks raised."""
     raised = []
     for call in calls:
@@ -688,7 +661,7 @@ class _Run:
         self.replies: list[str | None] | None = None  # the batch's, in batch order
         self.errors: dict[int, Exception] = {}  # by batch index
         self.waiting = 0  # requests of the batch not yet answered
-        self.parked = 0  # of those, the ones waiting out a retry backoff
+        self.parked = 0  # of those, the ones waiting out a RetryLater
 
 
 def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list[T]:
@@ -699,25 +672,37 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
     gateway's ``call``) at once.  Once every request of a batch is answered,
     the unit is sent the replies, or is thrown the batch's first error in
     batch order.  A batch the gateway answers on the call goes straight on;
-    a reply from a sender thread is posted to the loop.  Units are started
-    in order while fewer than ``runnable`` have a request queued or on the
-    wire; a unit whose requests all wait out a retry backoff is parked and
-    does not count.  An error that escapes a unit ends that unit, and the
+    a reply from a sender thread is posted to the loop.  A RetryLater, from
+    either thread, goes on the loop's retry heap, and the loop waits for the
+    next posted event or the first due retry, whose ``resend`` it calls on
+    this thread.  Units are started in order while fewer than ``runnable``
+    have a request queued or on the wire; a unit whose requests all wait
+    out a retry is parked and does not count.  An error that escapes a unit,
+    or that a ``resend`` of its request raises, ends that unit, and the
     first one is raised once the other units are done.
     """
     results: list[T | None] = []
-    # (run, change in its parked requests), or (run, 0) for an answer that
-    # came on a sender thread.
-    events: SimpleQueue[tuple[_Run, int]] = SimpleQueue()
+    # (run, None) for an answer that came on a sender thread, or (run,
+    # RetryLater) for a request to send again.  A Queue, as a SimpleQueue's
+    # get(timeout=...) can block past its timeout until the next put (seen
+    # on Python 3.11), which would stall a due retry that nothing else wakes.
+    events: Queue[tuple[_Run, RetryLater | None]] = Queue()
+    # (due time, arrival order, run, resend), a heap by due time
+    retries: list[tuple[float, int, _Run, Callable[[], None]]] = []
+    order = itertools.count()
     running: set[_Run] = set()  # units waiting on the gateway
-    parked: set[_Run] = set()  # of those, the ones whose requests are all parked
+    parked: set[_Run] = set()  # of those, the ones whose requests all wait out a retry
     engine = threading.get_ident()
     unexpected: Exception | None = None
 
     def answered(run: _Run, index: int, reply: str | None,
-                 error: Exception | None) -> None:
-        """Fill one slot of the unit's batch; the gateway calls this once per
-        request, on this thread when it answers on the call."""
+                 error: Exception | RetryLater | None) -> None:
+        """Fill one slot of the unit's batch, or post its RetryLater; the
+        gateway calls this for each attempt, on this thread when it answers
+        on the call."""
+        if isinstance(error, RetryLater):
+            events.put((run, error))
+            return
         if error is None:
             run.replies[index] = reply
         else:
@@ -725,17 +710,16 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
         if threading.get_ident() == engine:
             run.waiting -= 1
         else:
-            events.put((run, 0))
+            events.put((run, None))
 
-    def parked_change(run: _Run, is_parked: bool) -> None:
-        events.put((run, 1 if is_parked else -1))
-
-    def advance(run: _Run) -> None:
-        """Resume the unit until it waits on the gateway or ends."""
+    def advance(run: _Run, resend: Callable[[], None] | None = None) -> None:
+        """Call ``resend`` if one is given, then resume the unit until it
+        waits on the gateway or ends."""
         nonlocal unexpected
-        on_park = partial(parked_change, run)
         try:
-            while True:
+            if resend is not None:
+                resend()
+            while not run.waiting:
                 if run.errors:  # no local holds it: its traceback may hold this frame
                     requests = run.unit.throw(run.errors[min(run.errors)])
                     run.errors.clear()
@@ -745,10 +729,9 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
                 run.replies = [None] * count
                 run.waiting = count
                 for index, request in enumerate(requests):
-                    gateway.call(request, partial(answered, run, index), on_park=on_park)
-                if run.waiting:
-                    running.add(run)
-                    return
+                    gateway.call(request, partial(answered, run, index))
+            running.add(run)
+            return
         except StopIteration as stop:
             results[run.index] = stop.value
         except Exception as exc:
@@ -756,6 +739,8 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
                 unexpected = exc
             # A reply still on its way then finds the unit closed.
             run.unit.close()
+        running.discard(run)
+        parked.discard(run)
         # Free it by reference counting: it holds no callback, and the frames
         # of an error it was thrown refer to it.
         run.errors.clear()
@@ -771,18 +756,28 @@ def run_units(units: Iterable[Unit[T]], gateway: Gateway, runnable: int) -> list
             advance(run)
         if not running:
             break
-        run, change = events.get()
-        if change:
-            run.parked += change
+        wait = retries[0][0] - time.monotonic() if retries else None
+        if wait is None or wait > 0:
+            try:
+                run, retry = events.get(timeout=wait)
+            except Empty:
+                continue  # the first retry is due
+            if retry is None:
+                run.waiting -= 1
+            else:
+                run.parked += 1
+                heapq.heappush(retries, (time.monotonic() + retry.delay_s, next(order),
+                                         run, retry.resend))
+            resend = None
         else:
-            run.waiting -= 1
+            run, resend = heapq.heappop(retries)[2:]
+            run.parked -= 1
         if run.waiting and run.parked == run.waiting:
             parked.add(run)
         else:
             parked.discard(run)
-        if not change and not run.waiting:
-            running.discard(run)
-            advance(run)
+        if resend is not None or not run.waiting:
+            advance(run, resend)
     if unexpected is not None:
         try:
             raise unexpected

@@ -24,7 +24,7 @@ from contextlib import suppress
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, TextIO
 
 from . import __version__
 from .corpus import (
@@ -57,7 +57,7 @@ from .rules import (IDENTIFIER_RE, TrialStatus, answers_view, trial_verdict,
                     verdicts_for_note)
 
 if TYPE_CHECKING:
-    from .gateway import BackendConfig, ChatRequest, Done, Gateway, Unit
+    from .gateway import BackendConfig, ChatRequest, Done, Gateway, RetryLater, Unit
     from .pathway_a import RoleAnswer
 
 # A module that not every command runs is imported where it is used, so that
@@ -283,15 +283,14 @@ class _ReplyStore:
         self.failed = False
         self._lock = threading.Lock()  # appends come from sender threads too
 
-    def call(self, request: "ChatRequest", done: "Done", *,
-             on_park: "Callable[[bool], None] | None" = None) -> None:
+    def call(self, request: "ChatRequest", done: "Done") -> None:
         tag = request.tag
         key = self._sha256(f"{self._backend}{len(tag)}:{tag}{request.inputs}".encode()).hexdigest()
         if (stored := self.replies.get(key)) is not None:
             return done(stored, None)
         started = time.monotonic()
 
-        def keep(reply: str | None, error: Exception | None) -> None:
+        def keep(reply: str | None, error: "Exception | RetryLater | None") -> None:
             if error is None:
                 elapsed_s = time.monotonic() - started
                 line = (f'{{"elapsed_s": {float.__repr__(elapsed_s)}, '
@@ -308,7 +307,7 @@ class _ReplyStore:
                     reply.elapsed_s, reply.sent = elapsed_s, True
             done(reply, error)
 
-        self.gateway.call(request, keep, on_park=on_park)
+        self.gateway.call(request, keep)
 
 
 def write_output(path: str | Path, data: str) -> int:

@@ -12,7 +12,7 @@ from eligo.conversion import (
     normalize_question_text,
 )
 from eligo.corpus import Category, CriterionKind, CriterionSpec, TaskType
-from eligo.gateway import BackendConfig, Gateway, run_unit
+from eligo.gateway import BackendConfig, Gateway, RetryLater, run_unit
 from eligo.prompting import load_prompts
 from eligo.rules import parse_rule, referenced_ids
 
@@ -59,6 +59,28 @@ class _FailingTransport:
     def send(self, req):
         raise errors.BackendError("backend refused the request", status=400,
                                   body_excerpt="bad request")
+
+
+class _RefusingTransport:
+    """Answers the first ``refusals`` attempts with a 429, then LIVER_DRAFT_REPLY,
+    on the calling thread."""
+
+    waits = False
+
+    def __init__(self, refusals):
+        self.refusals = refusals
+        self.sent = []
+
+    def send(self, req):
+        self.sent.append(req.tag)
+        if len(self.sent) <= self.refusals:
+            raise errors.BackendError("rate limited", status=429)
+        return LIVER_DRAFT_REPLY
+
+
+def refusing_gateway(refusals, model_name="assistant-1"):
+    cfg = BackendConfig(kind="mock", model_name=model_name, backoff_s=0.0)
+    return Gateway(cfg, transport=_RefusingTransport(refusals))
 
 
 def failing_gateway(model_name):
@@ -148,6 +170,29 @@ class TestGenerateQuestions:
         )
         assert len(result.drafts) == 4
         assert any("backend failed" in warning for warning in result.warnings)
+
+    def test_a_drafter_refused_with_a_429_is_retried_and_its_draft_used(self):
+        drafter = refusing_gateway(1)
+        result = generate(liver_criterion(), [drafter])
+        assert drafter.transport.sent == ["convert|C1|assistant-1"] * 2
+        assert [draft.text for draft in result.drafts] == LIVER_QUESTION_TEXTS
+        assert not any("backend failed" in warning for warning in result.warnings)
+
+    def test_only_a_drafters_final_error_becomes_a_warning(self):
+        # A retry is passed on as the router got it, never as a reply; the
+        # error after the last retry (retry_limit 2) is the warning.
+        drafter = refusing_gateway(3)
+        req = build_conversion_prompt(liver_criterion(), TEMPLATES["convert"], "assistant-1")
+        outcomes = []
+        Router([drafter], refining_gateway("")).call(
+            req, lambda reply, error: outcomes.append((reply, error)))
+        [(reply, retry)] = outcomes
+        assert reply is None and isinstance(retry, RetryLater)
+        result = generate(liver_criterion(), [refusing_gateway(3, model_name="d1"),
+                                              drafting_gateway(LIVER_DRAFT_REPLY)])
+        assert [draft.text for draft in result.drafts] == LIVER_QUESTION_TEXTS
+        [warning] = result.warnings
+        assert warning.startswith("d1: backend failed: gave up after 3 attempts")
 
     def test_all_backends_failing_raises(self):
         with pytest.raises(errors.ConversionError) as excinfo:

@@ -415,6 +415,22 @@ class TestCounterfactualRate:
         assert report.rate <= report.error_count / report.total
 
 
+@pytest.mark.parametrize("score, message", [
+    (lambda: score_criteria({("p9", "c1"): True}, twenty_item_inputs()[1]),
+     "verdict (p9, c1) has no gold label"),
+    (lambda: counterfactual_rate({("n1", "extra"): answer(Verdict.YES, [])},
+                                 *counterfactual_items()[1:]),
+     "prediction (n1, extra) has no gold label"),
+    (lambda: counterfactual_rate({("n1", "qf001"): answer(Verdict.YES, [])},
+                                 counterfactual_items()[1], {}),
+     "note 'n1' not in corpus"),
+], ids=["criterion-verdict-without-gold", "prediction-without-gold", "note-not-in-corpus"])
+def test_scoring_refuses_a_key_it_cannot_match(score, message):
+    with pytest.raises(KeyError) as excinfo:
+        score()
+    assert excinfo.value.args == (message,)
+
+
 class TestTimingStats:
     def test_three_samples(self):
         stats = timing_stats([("crc", 1.0), ("crc", 2.0), ("crc", 3.0)])["crc"]

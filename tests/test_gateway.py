@@ -30,6 +30,7 @@ from eligo.gateway import (
     Gateway,
     MOCK_FALLBACK,
     RETRY_DELAY_CAP_S,
+    RetryLater,
     _retry_delay as retry_delay,
     backend_config_from_dict,
     mock_resolve,
@@ -679,27 +680,20 @@ class TestSlotsDuringBackoff:
         gateway.close()
         assert max(gaps) < 0.025, gaps
 
-    def test_backoff_frees_the_slot(self, monkeypatch):
-        transport = _RefuseFirstAttempt({"a"})
+    def test_backoff_frees_the_slot(self):
+        # One runnable unit and one slot: while a waits out its RetryLater,
+        # the driver starts b, which goes on the wire in the meantime.
+        transport = _RefuseFirstAttempt({"a"}, latency_s=0.001)
         cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=0.5)
         gateway = Gateway(cfg, transport=transport)
-        a_outcomes, a_answered, a_done = TestCallbacks.recorder()
-        b_outcomes, b_answered, b_done = TestCallbacks.recorder()
 
-        def backoff(error, backoff_s, attempt):
-            # Runs on the only sender after a's first failure: b is queued
-            # only now, and a waits out its backoff on the heap meanwhile.
-            gateway.call(ChatRequest("x", "b"), b_done)
-            return retry_delay(error, backoff_s, attempt)
+        def ask(tag):
+            return (yield _batch(tag))
 
-        monkeypatch.setattr("eligo.gateway._retry_delay", backoff)
-        gateway.call(ChatRequest("x", "a"), a_done)
-        assert a_answered.wait(timeout=5.0) and b_answered.wait(timeout=5.0)
-        assert [(reply, error) for _, reply, error in a_outcomes] == [("reply to a", None)]
-        assert [(reply, error) for _, reply, error in b_outcomes] == [("reply to b", None)]
+        assert run_units([ask("a"), ask("b")], gateway, 1) == [["reply to a"], ["reply to b"]]
+        gateway.close()
         assert transport.sent == ["a", "b", "a"]
         assert transport.peak_inflight == 1
-        gateway.close()
 
     def test_senders_bounded_under_200_callers(self):
         gateway = make_mock_gateway({}, latency_s=0.002, max_inflight=3)
@@ -725,7 +719,7 @@ class TestSlotsDuringBackoff:
         assert gateway.transport.calls == 200
         assert 1 <= gateway.transport.peak_inflight <= 3
         assert 1 <= max(senders) <= 3
-        assert (gateway._ready, gateway._parked) == (deque(), [])
+        assert gateway._ready == deque()
 
     def test_senders_run_from_the_first_queued_call_to_close(self):
         gateway = make_mock_gateway({}, latency_s=0.01, max_inflight=3)
@@ -759,9 +753,31 @@ class TestSlotsDuringBackoff:
         assert len(transport.sent) == 2 * len(tags)
         assert 1 <= transport.peak_inflight <= 3
 
+    def test_429_storm_through_one_driver_answers_every_unit(self):
+        # Retries come from every sender at once into one driver's heap.
+        tags = [f"u{i}{part}" for i in range(40) for part in "ab"]
+        transport = _RefuseFirstAttempt(tags[::3], latency_s=0.001)
+        cfg = BackendConfig(kind="mock", max_inflight=3, backoff_s=0.002)
+        gateway = Gateway(cfg, transport=transport)
+
+        def unit(i):
+            return (yield _batch(f"u{i}a", f"u{i}b"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_units([unit(i) for i in range(40)], gateway, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        gateway.close()
+        assert results == [[f"reply to u{i}a", f"reply to u{i}b"] for i in range(40)]
+        assert len(transport.sent) == len(tags) + len(tags[::3])
+        assert 1 <= transport.peak_inflight <= 3
+
 
 class TestCallbacks:
-    """Gateway.call completes each request through its callback, once."""
+    """Gateway.call completes each request through its callback, once, after
+    a RetryLater for each retry."""
 
     @staticmethod
     def recorder():
@@ -822,7 +838,7 @@ class TestCallbacks:
         outcomes, _, done = self.recorder()
         gateway.call(ChatRequest("x", "a"), done)
         assert outcomes == [(threading.current_thread().name, "canned", None)]
-        assert (gateway._ready, gateway._parked, gateway._senders) == (deque(), [], [])
+        assert (gateway._ready, gateway._senders) == (deque(), [])
         gateway.close()
 
     def test_inline_send_failing_for_good_is_answered_on_the_calling_thread(self):
@@ -837,53 +853,38 @@ class TestCallbacks:
         gateway.call(ChatRequest("x", "a"), done)
         [(thread, reply, error)] = outcomes
         assert (thread, reply, error.status) == (threading.current_thread().name, None, 400)
-        assert (gateway._ready, gateway._parked, gateway._senders) == (deque(), [], [])
+        assert (gateway._ready, gateway._senders) == (deque(), [])
 
-    def test_inline_send_retried_without_backoff_is_answered_by_a_sender(self):
+    def test_inline_send_retried_without_backoff_is_answered_on_the_calling_thread(self):
         transport = _RefuseFirstAttempt({"a"})
         transport.waits = False
         gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.0), transport=transport)
-        outcomes, answered, done = self.recorder()
-        parks = []
-        gateway.call(ChatRequest("x", "a"), done, on_park=parks.append)
-        assert answered.wait(timeout=5.0)
+        outcomes, _, done = self.recorder()
+        gateway.call(ChatRequest("x", "a"), done)
+        here = threading.current_thread().name
+        [(thread, reply, retry)] = outcomes  # refused on the calling thread
+        assert (thread, reply, retry.delay_s) == (here, None, 0.0)
+        retry.resend()
+        assert outcomes[1:] == [(here, "reply to a", None)]
+        assert transport.sent == ["a", "a"]
+        assert (gateway._ready, gateway._senders) == (deque(), [])
         gateway.close()
-        assert outcomes == [("eligo-sender", "reply to a", None)]
-        assert parks == []  # queued again at once, never on the heap
-        assert (gateway._ready, gateway._parked) == (deque(), [])
 
-    def test_parked_inline_send_is_answered_once_by_a_sender(self):
+    def test_parked_inline_send_is_answered_once_on_the_calling_thread(self):
+        # The driver waits out the backoff and resends on its own thread, so
+        # a transport that does not wait starts no sender, retries included.
         transport = _RefuseFirstAttempt({"a"})
         transport.waits = False
         gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
-        outcomes, answered, done = self.recorder()
-        parks = []
-        gateway.call(ChatRequest("x", "a"), done, on_park=parks.append)
-        assert outcomes == []  # refused on the calling thread, then parked
-        assert answered.wait(timeout=5.0)
-        gateway.close()
-        assert outcomes == [("eligo-sender", "reply to a", None)]
-        assert parks == [True, False]
+        started = time.monotonic()
+        assert gateway.complete(ChatRequest("x", "a")) == "reply to a"
+        assert time.monotonic() - started >= 0.02
         assert transport.sent == ["a", "a"]
-
-    def test_a_call_whose_on_park_raises_on_requeue_is_still_answered(self, caplog):
-        transport = _RefuseFirstAttempt({"a"})
-        gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
-        outcomes, answered, done = self.recorder()
-
-        def on_park(is_parked):
-            if not is_parked:
-                raise RuntimeError("bug in on_park")
-
-        gateway.call(ChatRequest("x", "a"), done, on_park=on_park)
-        assert answered.wait(timeout=2.0)  # fails rather than hangs
+        assert (gateway._ready, gateway._senders) == (deque(), [])
+        assert not any(thread.name == "eligo-sender" for thread in threading.enumerate())
         gateway.close()
-        assert outcomes == [("eligo-sender", "reply to a", None)]
-        assert transport.sent == ["a", "a"]
-        [record] = [record for record in caplog.records if record.exc_info]
-        assert str(record.exc_info[1]) == "bug in on_park"
 
-    def test_close_fails_queued_and_parked_callbacks(self):
+    def test_close_fails_queued_callbacks(self):
         release = threading.Event()
 
         class Transport:
@@ -891,38 +892,30 @@ class TestCallbacks:
 
             def send(self, req):
                 self.sent.append(req.tag)
-                if req.tag == "parked":
-                    raise errors.BackendError("rate limited", status=429)
                 release.wait(timeout=5.0)
                 return f"reply to {req.tag}"
 
-        cfg = BackendConfig(kind="mock", max_inflight=1, backoff_s=30.0)
-        gateway = Gateway(cfg, transport=Transport())
-        parked_outcomes, parked, on_parked = self.recorder()
-        gateway.call(ChatRequest("x", "parked"), on_parked)
-        deadline = time.monotonic() + 5.0
-        while not gateway._parked and time.monotonic() < deadline:
-            time.sleep(0.005)
+        gateway = Gateway(BackendConfig(kind="mock", max_inflight=1), transport=Transport())
         wire_outcomes, on_wire, on_wire_done = self.recorder()
         gateway.call(ChatRequest("x", "wire"), on_wire_done)
+        deadline = time.monotonic() + 5.0
         while Transport.sent[-1:] != ["wire"] and time.monotonic() < deadline:
             time.sleep(0.005)
         queued_outcomes, queued, on_queued = self.recorder()
         gateway.call(ChatRequest("x", "queued"), on_queued)
         closer = threading.Thread(target=gateway.close, name="closer")
         closer.start()
-        # The queued and parked calls fail before the call on the wire ends.
-        assert queued.wait(timeout=5.0) and parked.wait(timeout=5.0)
+        # The queued call fails before the call on the wire ends.
+        assert queued.wait(timeout=5.0)
         assert not on_wire.is_set()
         release.set()
         closer.join(timeout=5.0)
         assert not closer.is_alive()
-        for outcomes in (queued_outcomes, parked_outcomes):
-            [(thread, reply, error)] = outcomes
-            assert (thread, reply) == ("closer", None)
-            assert isinstance(error, errors.TransportError)
+        [(thread, reply, error)] = queued_outcomes
+        assert (thread, reply) == ("closer", None)
+        assert isinstance(error, errors.TransportError)
         assert wire_outcomes == [("eligo-sender", "reply to wire", None)]
-        assert Transport.sent == ["parked", "wire"]
+        assert Transport.sent == ["wire"]
 
     def test_a_callback_that_raises_on_a_sender_does_not_take_its_slot(self, caplog):
         gateway = make_mock_gateway({}, latency_s=0.05, max_inflight=1)
@@ -1017,7 +1010,7 @@ class TestSenderStart:
         assert str(error) == "no sender thread could start: can't start new thread"
         assert len(starts) == 2  # one failed start per call
         assert gateway._senders == []
-        assert (gateway._ready, gateway._parked) == (deque(), [])
+        assert gateway._ready == deque()
         assert gateway.transport.calls == 0
         warnings = [record.getMessage() for record in caplog.records
                     if record.levelname == "WARNING"]
@@ -1030,21 +1023,6 @@ class TestSenderStart:
         assert answered.wait(timeout=1.0)
         assert later_outcomes == [("eligo-sender", MOCK_FALLBACK, None)]
         assert len(gateway._senders) == 2
-
-    def test_no_sender_started_fails_a_retry_of_an_inline_send(self):
-        transport = _RefuseFirstAttempt({"a"})
-        transport.waits = False
-        gateway = Gateway(BackendConfig(kind="mock", backoff_s=0.02), transport=transport)
-        outcomes, _, done = TestCallbacks.recorder()
-        parks = []
-        with self.failing_start(lambda number: True):
-            gateway.call(ChatRequest("x", "a"), done, on_park=parks.append)
-        [(thread, reply, error)] = outcomes
-        assert (thread, reply) == (threading.current_thread().name, None)
-        assert isinstance(error, errors.TransportError)
-        assert "can't start new thread" in str(error)
-        assert parks == []
-        assert (gateway._ready, gateway._parked, gateway._senders) == (deque(), [], [])
 
     def test_the_senders_that_started_serve_the_calls(self, caplog):
         gateway = make_mock_gateway({}, latency_s=0.01, max_inflight=3)
@@ -1136,6 +1114,26 @@ class TestRunUnits:
             run_units(units, gateway, 2)
         gateway.close()
         assert sorted(finished) == [[f"reply to slow{i}"] for i in range(3)]
+
+    def test_a_resend_that_raises_ends_only_its_unit(self):
+        class HandsBackRetries:
+            def call(self, request, done):
+                if request.tag != "a":
+                    return done(f"reply to {request.tag}", None)
+
+                def resend():
+                    raise RuntimeError("bug in a resend")
+
+                done(None, RetryLater(0.0, resend))
+
+        finished = []
+
+        def unit(tag):
+            finished.append((yield _batch(tag)))
+
+        with pytest.raises(RuntimeError, match="bug in a resend"):
+            run_units([unit("a"), unit("b")], HandsBackRetries(), 2)
+        assert finished == [["reply to b"]]
 
     def test_run_unit_from_many_threads_keeps_the_inflight_bound(self):
         tags = [f"u{i}{part}" for i in range(24) for part in "abc"]

@@ -138,6 +138,27 @@ def test_the_runner_reads_its_clock_only_in_the_reply_store():
     assert reads and not outside, f"runner.py reads the clock on lines {outside}"
 
 
+def test_only_the_unit_driver_waits_out_a_backoff():
+    # The gateway hands a retry back as a RetryLater, and run_units keeps
+    # the one retry heap, so no request waits out a backoff in the gateway
+    # and no park callback is passed along.
+    package = Path(eligo.__file__).parent
+    tree = ast.parse((package / "gateway.py").read_text(encoding="utf-8"))
+    heap_lines = {}
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            heap_lines[node.name] = [
+                inner.lineno for inner in ast.walk(node)
+                if isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name)
+                and inner.value.id == "heapq"]
+    assert heap_lines["run_units"]
+    assert not heap_lines["Gateway"], f"Gateway uses heapq on lines {heap_lines['Gateway']}"
+    on_park = [f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
+               for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if "on_park" in line]
+    assert not on_park, f"on_park is still passed along at {on_park}"
+
+
 def test_no_screen_unit_writes_into_the_runners_state():
     # Each pair returns what it answered, so no closure of cmd_screen's is
     # rebound by a unit.

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections.abc import Mapping
 from itertools import product
@@ -278,6 +279,11 @@ class TestParser:
         expr = parse_rule("Q1 IS YES AND ANY(Q1, Q2) IS NO")
         renamed = rename_questions(expr, {"Q1": "c1.q1", "Q2": "c1.q2"})
         assert print_rule(renamed) == "c1.q1 IS YES AND ANY(c1.q1, c1.q2) IS NO"
+
+    @pytest.mark.parametrize("expr", ["Q1 IS YES", None])
+    def test_print_rule_refuses_what_is_not_a_rule(self, expr):
+        with pytest.raises(TypeError, match=f"^not a rule expression: {re.escape(repr(expr))}$"):
+            print_rule(expr)
 
 
 class TestEval:

@@ -272,6 +272,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("read, record, what", [
+        (RunConfig.from_dict, [], "run"),
+        (backend_config_from_dict, "x", "backend"),
+    ], ids=["run", "backend"])
+    def test_a_config_that_is_not_an_object_is_refused(self, read, record, what):
+        with pytest.raises(ConfigError, match=f"^a {what} config must be a JSON object$"):
+            read(record)
+
 
 class TestCmdScreen:
     def test_full_run_record_counts(self, mini_workspace):
@@ -301,14 +309,22 @@ class TestCmdScreen:
         assert len(votes) == 2 * 3
         assert len(roles) == 2 * 3 * 3
 
-    def test_invalid_config_exits_2_before_output(self, mini_workspace):
+    @pytest.mark.parametrize("change, message", [
+        ({"roles": ("crc",)}, "vote=true requires all three roles (crc, jd, ie)"),
+        # A hand-built config holds a backend that no reader validated.
+        ({"backend": BackendConfig(kind="mock", max_inflight=0)},
+         "invalid backend config: max_inflight must be >= 1"),
+    ], ids=["vote-without-all-roles", "backend-max-inflight-0"])
+    def test_invalid_config_exits_2_before_output(self, mini_workspace, caplog,
+                                                  change, message):
         raw = mini_workspace["run_config"]
         config = RunConfig(
             backend=BackendConfig(kind="mock"),
             notes=raw["notes"], catalog=raw["catalog"], out=raw["out"],
-            pathway="A", roles=("crc",), vote=True,
-        )
+            pathway="A", roles=("crc", "jd", "ie"), vote=True,
+        )._replace(**change)
         assert cmd_screen(config) == EXIT_CONFIG
+        assert f"config error: {message}" in caplog.text
         assert not (mini_workspace["out"] / "results.jsonl").exists()
 
     def test_missing_notes_exits_3(self, mini_workspace):
@@ -2795,7 +2811,7 @@ class _AnsweringGateway:
     def __init__(self, reply=""):
         self.reply = reply
 
-    def call(self, request, done, *, on_park=None):
+    def call(self, request, done):
         done(self.reply, None)
 
 
